@@ -5,10 +5,16 @@ Each operator follows a small contract used by the runtime:
 * ``process(record, input_index) -> list[StreamElement]``
 * ``on_watermark(watermark) -> list[StreamElement]`` (fire timers/windows)
 * ``snapshot() -> bytes`` / ``restore(bytes)`` for checkpointing
+* optionally ``process_columnar(rbatch, input_index)``, a vectorized
+  kernel the runtime prefers when it is handed a columnar batch
 
-Window and join operators keep their contents in a
-:class:`~repro.flink.state.KeyedStateBackend`, so their state is
-checkpointable and measurable.
+Two owners hold the rules that several classes share:
+:class:`EventTimeOperator` (lateness, late-drop accounting, trace
+carry-over and the checkpoint envelope of every window/join operator)
+and :class:`SourceReader` (a reader's derived watermark/idleness state
+and its reset on restore).  Window and join operators keep their
+contents in a :class:`~repro.flink.state.KeyedStateBackend`, so their
+state is checkpointable and measurable.
 """
 
 from __future__ import annotations
@@ -48,20 +54,6 @@ class Operator:
     def process(self, record: StreamRecord, input_index: int = 0) -> list[Any]:
         raise NotImplementedError
 
-    def process_batch(
-        self, records: list[StreamRecord], input_index: int = 0
-    ) -> list[Any]:
-        """Process a micro-batched run of records in one call.
-
-        The default loops :meth:`process` and concatenates the outputs —
-        semantically identical to stepping the records one at a time.
-        Operators with per-call overhead worth amortizing can override.
-        """
-        out: list[Any] = []
-        for record in records:
-            out.extend(self.process(record, input_index))
-        return out
-
     def process_columnar(
         self, rbatch: RecordBatch, input_index: int = 0
     ) -> list[Any] | None:
@@ -69,7 +61,7 @@ class Operator:
 
         Returns ``None`` when this operator has no vectorized kernel for
         the batch; the runtime then adapts the batch to records and
-        falls back to :meth:`process_batch`, so row-only operators keep
+        feeds them to :meth:`process`, so row-only operators keep
         working unchanged in a columnar pipeline.
         """
         return None
@@ -140,18 +132,102 @@ class ProcessOperator(Operator):
         return out
 
 
-class WindowOperator(Operator):
+class EventTimeOperator(Operator):
+    """The one owner of the event-time rules of every window and join.
+
+    Subclasses say what their horizon is, what they buffer and what they
+    emit (:meth:`_fire`); the rules that judge a record live here only.
+
+    * **Lateness.**  A horizon — a window end, an interval join's join
+      horizon — is *expired* once ``horizon + allowed_lateness <=
+      current_watermark`` (:meth:`_expired`).  A record is admitted
+      while its horizon (:meth:`_late`), or at least one of the windows
+      it is assigned to (:meth:`_admit`), is still open and is
+      otherwise dropped, raising ``late_dropped`` by exactly one — the
+      surge-pricing policy that "late-arriving messages do not
+      contribute" (Section 5.1).  State fires on the
+      same predicate, so an admitted record always lands in state that
+      still has a pending fire.
+    * **Traces.**  ``_traces`` keeps one representative trace per state
+      key, the latest contributing traced record; a fire pops it onto
+      what it emits.
+    * **Checkpoints.**  One envelope holds the watermark,
+      ``late_dropped``, the traces, whatever attributes the subclass
+      names in ``checkpointed`` and the keyed state, so a restored
+      operator judges, counts and attributes exactly as the original.
+    """
+
+    #: Attributes checkpointed beside the shared event-time fields.
+    checkpointed: tuple[str, ...] = ()
+
+    def __init__(self, allowed_lateness: float = 0.0) -> None:
+        super().__init__()
+        self.allowed_lateness = allowed_lateness
+        self.current_watermark = float("-inf")
+        self.late_dropped = 0
+        self._traces: dict[Any, Any] = {}
+
+    def _expired(self, horizon: float) -> bool:
+        return horizon + self.allowed_lateness <= self.current_watermark
+
+    def _late(self, horizon: float) -> bool:
+        """Judge a record with one horizon: late means dropped and counted."""
+        if self._expired(horizon):
+            self.late_dropped += 1
+            return True
+        return False
+
+    def _admit(self, windows: list[TimeWindow]) -> list[TimeWindow]:
+        """The still-open windows of one record; with none it is late."""
+        if len(windows) == 1:  # tumbling: nothing to filter
+            return [] if self._late(windows[0].end) else windows
+        live = [w for w in windows if not self._expired(w.end)]
+        if not live:
+            self.late_dropped += 1
+        return live
+
+    def on_watermark(self, watermark: Watermark) -> list[Any]:
+        self.current_watermark = max(self.current_watermark, watermark.timestamp)
+        return self._fire()
+
+    def _fire(self) -> list[Any]:
+        """Emit and drop whatever state :meth:`_expired` now closes."""
+        raise NotImplementedError
+
+    def snapshot(self) -> bytes:
+        meta = {
+            "watermark": self.current_watermark,
+            "late_dropped": self.late_dropped,
+            "traces": [
+                [_key_to_wire(state_key), trace.to_headers()]
+                for state_key, trace in self._traces.items()
+            ],
+        }
+        for name in self.checkpointed:
+            meta[name] = getattr(self, name)
+        return serde.encode({"meta": meta, "state": self.state.snapshot()})
+
+    def restore(self, data: bytes) -> None:
+        payload = serde.decode(data)
+        meta = payload["meta"]
+        self.current_watermark = meta["watermark"]
+        self.late_dropped = meta["late_dropped"]
+        self._traces = {
+            _key_from_wire(state_key): TraceContext.from_headers(headers)
+            for state_key, headers in meta["traces"]
+        }
+        for name in self.checkpointed:
+            setattr(self, name, meta[name])
+        self.state.restore(payload["state"])
+
+
+class WindowOperator(EventTimeOperator):
     """Keyed event-time windows with incremental aggregation.
 
     State layout (all serde-plain):
 
     * ``"acc"``: (key, start, end) -> accumulator
     * session windows merge eagerly on insert.
-
-    Late elements — those whose every assigned window has already fired
-    (watermark >= window end + allowed lateness) — are dropped and counted,
-    matching the surge-pricing policy that "late-arriving messages do not
-    contribute" (Section 5.1).
     """
 
     def __init__(
@@ -161,44 +237,24 @@ class WindowOperator(Operator):
         allowed_lateness: float = 0.0,
         key_column: str | None = None,
     ) -> None:
-        super().__init__()
+        super().__init__(allowed_lateness)
         self.assigner = assigner
         self.aggregator = aggregator
-        self.allowed_lateness = allowed_lateness
         self.key_column = key_column
-        self.current_watermark = float("-inf")
-        self.late_dropped = 0
+        self._session = assigner.is_session()
         # Once a columnar batch has been accumulated, fired results are
         # emitted as columnar batches too, so the downstream edge stays
         # in the vectorized plane.
         self._columnar_fires = False
-        # Representative trace per open window: the latest contributing
-        # traced record.  Deliberately outside the checkpointed state —
-        # traces are observability metadata, not replayable data.
-        self._traces: dict[Any, Any] = {}
 
     def process(self, record: StreamRecord, input_index: int = 0) -> list[Any]:
-        key = record.key
-        windows = self.assigner.assign(record.timestamp)
-        if self.assigner.is_session():
-            self._add_to_session(key, windows[0], record.value, record.trace)
-            return []
-        live = [
-            w
-            for w in windows
-            if w.end + self.allowed_lateness > self.current_watermark
-        ]
-        if not live:
-            self.late_dropped += 1
-            return []
-        for window in live:
-            state_key = (key, window.start, window.end)
-            acc = self.state.get("acc", state_key)
-            if acc is None:
-                acc = self.aggregator.create_accumulator()
-            self.state.put("acc", state_key, self.aggregator.add(record.value, acc))
-            if record.trace is not None:
-                self._traces[state_key] = record.trace
+        self._accumulate(
+            record.key,
+            record.timestamp,
+            record.value,
+            self.aggregator.add,
+            record.trace,
+        )
         return []
 
     def process_columnar(
@@ -207,72 +263,83 @@ class WindowOperator(Operator):
         """Accumulate a whole columnar batch into window state.
 
         Vectorized kernel: keys come straight from the key column's
-        vector, values from the aggregate's input column, and updates
-        run over local lists — no per-row StreamRecord or dict ever
-        materializes.  Per-(key, window) update order matches the row
-        path exactly (row order within the batch), so accumulators —
-        including float sums — are bit-identical.
+        vector, values from the aggregate's input column — no per-row
+        StreamRecord or dict ever materializes.  The rows run through
+        the same :meth:`_accumulate` as the row feed, in batch row
+        order, so accumulators — including float sums — are
+        bit-identical.
 
         Requires a declared key column and an aggregate exposing the
         ``add_raw``/``column`` contract; session windows merge on
         insert, which is inherently row-at-a-time.  Returns ``None``
-        in those cases so the runtime falls back to the row kernel.
+        in those cases so the runtime falls back to the row feed.
         """
-        if self.key_column is None or self.assigner.is_session():
+        if self.key_column is None or self._session:
             return None
-        aggregator = self.aggregator
-        add_raw = getattr(aggregator, "add_raw", None)
+        add_raw = getattr(self.aggregator, "add_raw", None)
         if add_raw is None:
             return None
-        batch = rbatch.batch
-        key_vector = batch.columns.get(self.key_column)
+        columns = rbatch.batch.columns
+        key_vector = columns.get(self.key_column)
         if key_vector is None:
             return None
+        # Column-less aggregates (count) read no cell: every value is None.
         value_vector = None
-        column = getattr(aggregator, "column", None)
+        column = getattr(self.aggregator, "column", None)
         if column is not None:
-            value_vector = batch.columns.get(column)
+            value_vector = columns.get(column)
             if value_vector is None:
                 return None
         if PERF.enabled:
             PERF.inc("columnar.agg_rows", len(rbatch))
-        timestamps = rbatch.timestamps
-        assign = self.assigner.assign
-        lateness = self.allowed_lateness
-        watermark = self.current_watermark
-        state = self.state
-        missing = object()
-        pending: dict[tuple, Any] = {}
+        timestamps, trace = rbatch.timestamps, rbatch.trace
         for i in rbatch.row_indices():
-            live = False
-            for window in assign(timestamps[i]):
-                if window.end + lateness > watermark:
-                    live = True
-                    state_key = (key_vector.get(i), window.start, window.end)
-                    acc = pending.get(state_key, missing)
-                    if acc is missing:
-                        acc = state.get("acc", state_key)
-                        if acc is None:
-                            acc = aggregator.create_accumulator()
-                    value = (
-                        value_vector.get(i) if value_vector is not None else None
-                    )
-                    pending[state_key] = add_raw(value, acc)
-                    if rbatch.trace is not None:
-                        self._traces[state_key] = rbatch.trace
-            if not live:
-                self.late_dropped += 1
-        for state_key, acc in pending.items():
-            state.put("acc", state_key, acc)
+            value = value_vector.get(i) if value_vector is not None else None
+            self._accumulate(key_vector.get(i), timestamps[i], value, add_raw, trace)
         self._columnar_fires = True
         return []
 
-    def _add_to_session(
-        self, key: Any, window: TimeWindow, value: Any, trace: Any = None
+    def _accumulate(
+        self,
+        key: Any,
+        timestamp: float,
+        value: Any,
+        add: Callable[[Any, Any], Any],
+        trace: Any,
     ) -> None:
-        """Insert into session state, merging overlapping sessions."""
-        acc = self.aggregator.add(value, self.aggregator.create_accumulator())
+        """Admit one row and fold it into the state of its open windows.
+
+        The single admit-and-accumulate body of both feeds: ``add`` is
+        the aggregate's ``add`` (row values) or ``add_raw`` (column
+        cells).
+        """
+        windows = self.assigner.assign(timestamp)
+        aggregator = self.aggregator
+        if self._session:
+            acc = add(value, aggregator.create_accumulator())
+            self._add_to_session(key, windows[0], acc, trace)
+            return
+        state = self.state
+        for window in self._admit(windows):
+            state_key = (key, window.start, window.end)
+            acc = state.get("acc", state_key)
+            if acc is None:
+                acc = aggregator.create_accumulator()
+            state.put("acc", state_key, add(value, acc))
+            if trace is not None:
+                self._traces[state_key] = trace
+
+    def _add_to_session(
+        self, key: Any, window: TimeWindow, acc: Any, trace: Any
+    ) -> None:
+        """Insert into session state, merging overlapping sessions.
+
+        A record that extends a live session is admitted whatever its
+        own end; one that would open a session of its own is judged by
+        that session's end like any other single-horizon record.
+        """
         start, end = window.start, window.end
+        extends = False
         merged = True
         while merged:
             merged = False
@@ -284,19 +351,21 @@ class WindowOperator(Operator):
                     acc = self.aggregator.merge(acc, existing)
                     start, end = min(start, s), max(end, e)
                     self.state.remove("acc", state_key)
-                    trace = trace or self._traces.pop(state_key, None)
-                    merged = True
+                    absorbed = self._traces.pop(state_key, None)
+                    trace = trace or absorbed
+                    merged = extends = True
                     break
+        if not extends and self._late(end):
+            return
         self.state.put("acc", (key, start, end), acc)
         if trace is not None:
             self._traces[(key, start, end)] = trace
 
-    def on_watermark(self, watermark: Watermark) -> list[Any]:
-        self.current_watermark = max(self.current_watermark, watermark.timestamp)
+    def _fire(self) -> list[Any]:
         fired: list[StreamRecord] = []
         for state_key, acc in sorted(self.state.items("acc"), key=lambda kv: kv[0][2]):
             key, start, end = state_key
-            if end + self.allowed_lateness <= self.current_watermark:
+            if self._expired(end):
                 result = WindowResult(
                     key=key,
                     window=TimeWindow(start, end),
@@ -329,53 +398,13 @@ class WindowOperator(Operator):
             ]
         return fired
 
-    def snapshot(self) -> bytes:
-        meta = {
-            "watermark": self.current_watermark
-            if self.current_watermark != float("-inf")
-            else None,
-            "late_dropped": self.late_dropped,
-        }
-        return serde.encode({"meta": meta, "state": self.state.snapshot()})
 
-    def restore(self, data: bytes) -> None:
-        payload = serde.decode(data)
-        meta = payload["meta"]
-        self.current_watermark = (
-            float("-inf") if meta["watermark"] is None else meta["watermark"]
-        )
-        self.late_dropped = meta["late_dropped"]
-        self.state.restore(payload["state"])
-
-
-def _traces_to_wire(traces: dict[Any, Any]) -> list:
-    """Serialize a state-key -> TraceContext map for a checkpoint."""
-    return [
-        [_key_to_wire(state_key), trace.to_headers()]
-        for state_key, trace in traces.items()
-        if trace is not None
-    ]
-
-
-def _traces_from_wire(entries: list) -> dict[Any, Any]:
-    return {
-        _key_from_wire(state_key): TraceContext.from_headers(headers)
-        for state_key, headers in entries
-    }
-
-
-class WindowJoinOperator(Operator):
+class WindowJoinOperator(EventTimeOperator):
     """Two-input window join: emits ``join_fn(left, right)`` for every pair
     sharing a key inside the same window (Section 5.3's prediction-to-
     outcome join).  Buffers both sides until the window closes — which is
     why the paper calls stream-stream joins "almost always memory bound"
     (Section 4.2.1); the autoscaler uses the same signal.
-
-    Late elements follow :class:`WindowOperator` semantics exactly: a
-    record is admitted while ``window.end + allowed_lateness >
-    current_watermark`` and a window fires (and is evicted) only once
-    ``end + allowed_lateness <= watermark``, so an admitted late record
-    always lands in a window that still has a pending fire.
     """
 
     def __init__(
@@ -384,41 +413,29 @@ class WindowJoinOperator(Operator):
         join_fn: Callable[[Any, Any], Any],
         allowed_lateness: float = 0.0,
     ) -> None:
-        super().__init__()
+        super().__init__(allowed_lateness)
         self.assigner = assigner
         self.join_fn = join_fn
-        self.allowed_lateness = allowed_lateness
-        self.current_watermark = float("-inf")
-        self.late_dropped = 0
-        self._traces: dict[Any, Any] = {}
 
     def process(self, record: StreamRecord, input_index: int = 0) -> list[Any]:
         side = "left" if input_index == 0 else "right"
-        out = []
-        for window in self.assigner.assign(record.timestamp):
-            if window.end + self.allowed_lateness <= self.current_watermark:
-                self.late_dropped += 1
-                continue
+        for window in self._admit(self.assigner.assign(record.timestamp)):
             state_key = (record.key, window.start, window.end)
             self.state.append(side, state_key, record.value)
             if record.trace is not None:
                 self._traces[state_key] = record.trace
-        return out
+        return []
 
-    def on_watermark(self, watermark: Watermark) -> list[Any]:
-        self.current_watermark = max(self.current_watermark, watermark.timestamp)
+    def _fire(self) -> list[Any]:
         fired: list[StreamRecord] = []
-        closed: set = set()
-        for state_key in self.state.keys("left"):
-            __, __, end = state_key
-            if end + self.allowed_lateness <= self.current_watermark:
-                closed.add(state_key)
-        for state_key in self.state.keys("right"):
-            __, __, end = state_key
-            if end + self.allowed_lateness <= self.current_watermark:
-                closed.add(state_key)
+        closed = {
+            state_key
+            for side in ("left", "right")
+            for state_key in self.state.keys(side)
+            if self._expired(state_key[2])
+        }
         for state_key in sorted(closed, key=lambda k: (k[2], str(k[0]))):
-            key, start, end = state_key
+            key, __, end = state_key
             trace = self._traces.pop(state_key, None)
             lefts = self.state.get_list("left", state_key)
             rights = self.state.get_list("right", state_key)
@@ -431,32 +448,8 @@ class WindowJoinOperator(Operator):
             self.state.remove("right", state_key)
         return fired
 
-    def snapshot(self) -> bytes:
-        # Unlike WindowOperator, the join buffers raw records, so the
-        # representative trace per open window is part of what a restore
-        # must reconstruct — without it, every pair fired after recovery
-        # loses its end-to-end trace attribution.
-        meta = {
-            "watermark": self.current_watermark
-            if self.current_watermark != float("-inf")
-            else None,
-            "late_dropped": self.late_dropped,
-            "traces": _traces_to_wire(self._traces),
-        }
-        return serde.encode({"meta": meta, "state": self.state.snapshot()})
 
-    def restore(self, data: bytes) -> None:
-        payload = serde.decode(data)
-        meta = payload["meta"]
-        self.current_watermark = (
-            float("-inf") if meta["watermark"] is None else meta["watermark"]
-        )
-        self.late_dropped = meta["late_dropped"]
-        self._traces = _traces_from_wire(meta["traces"])
-        self.state.restore(payload["state"])
-
-
-class IntervalJoinOperator(Operator):
+class IntervalJoinOperator(EventTimeOperator):
     """Per-key time-bounded join: emits ``join_fn(left, right)`` for every
     pair sharing a key with ``left.ts ∈ [right.ts + lower, right.ts +
     upper]`` (equivalently ``left.ts - right.ts ∈ [lower, upper]``).
@@ -469,24 +462,22 @@ class IntervalJoinOperator(Operator):
     **State + eviction.**  Both sides buffer ``[ts, seq, value]`` entries
     in keyed list state.  A buffered record's *join horizon* is the latest
     event time of any pair it can still complete: ``ts + max(0, -lower)``
-    for a left, ``ts + max(0, upper)`` for a right.  An entry is evicted
-    once the watermark passes ``max(horizon + allowed_lateness, ts +
-    state_ttl)`` — the TTL can only *extend* retention past the join
-    horizon (for late observers and state reads), never truncate it, so
-    TTL eviction can never drop a still-joinable record.  Eviction is
+    for a left, ``ts + max(0, upper)`` for a right; a record is late once
+    its horizon has expired.  An entry is evicted once the watermark
+    passes ``max(horizon + allowed_lateness, ts + state_ttl)`` — the TTL
+    can only *extend* retention past the join horizon (for late
+    observers and state reads), never truncate it, so TTL eviction can
+    never drop a still-joinable record.  Eviction is
     driven by a min-heap over per-entry deadlines that is rebuilt from
     state on restore (the deadlines are pure functions of the entries).
-
-    **Lateness.**  Admission mirrors :class:`WindowOperator` with the
-    join horizon standing in for the window end: a record is admitted
-    while ``horizon + allowed_lateness > current_watermark``, otherwise
-    it is dropped and counted in ``late_dropped``.
 
     **Spill pressure.**  The buffered state is the memory-bound signal of
     Section 4.2.1; ``spill_pressure()`` reports buffered bytes against
     ``spill_budget_bytes`` so the AutoScaler can react before the state
     actually spills.
     """
+
+    checkpointed = ("evicted", "_seq")
 
     def __init__(
         self,
@@ -497,7 +488,7 @@ class IntervalJoinOperator(Operator):
         state_ttl: float | None = None,
         spill_budget_bytes: int | None = None,
     ) -> None:
-        super().__init__()
+        super().__init__(allowed_lateness)
         if lower > upper:
             raise OperatorError(
                 f"interval join bounds inverted: lower {lower} > upper {upper}"
@@ -505,14 +496,10 @@ class IntervalJoinOperator(Operator):
         self.lower = lower
         self.upper = upper
         self.join_fn = join_fn
-        self.allowed_lateness = allowed_lateness
         self.state_ttl = state_ttl
         self.spill_budget_bytes = spill_budget_bytes
-        self.current_watermark = float("-inf")
-        self.late_dropped = 0
         self.evicted = 0
         self._seq = 0
-        self._traces: dict[Any, Any] = {}
         # (deadline, seq, side, key) — seq breaks ties so keys are never
         # compared (they may be mixed types).
         self._evictions: list[tuple[float, int, str, Any]] = []
@@ -540,10 +527,7 @@ class IntervalJoinOperator(Operator):
         side = "left" if input_index == 0 else "right"
         other = "right" if side == "left" else "left"
         timestamp = record.timestamp
-        if self._horizon(side, timestamp) + self.allowed_lateness <= (
-            self.current_watermark
-        ):
-            self.late_dropped += 1
+        if self._late(self._horizon(side, timestamp)):
             return []
         key = record.key
         if record.trace is not None:
@@ -577,8 +561,7 @@ class IntervalJoinOperator(Operator):
         heappush(self._evictions, (self._deadline(side, timestamp), seq, side, key))
         return out
 
-    def on_watermark(self, watermark: Watermark) -> list[Any]:
-        self.current_watermark = max(self.current_watermark, watermark.timestamp)
+    def _fire(self) -> list[Any]:
         evictions = self._evictions
         while evictions and evictions[0][0] <= self.current_watermark:
             __, seq, side, key = heappop(evictions)
@@ -609,31 +592,8 @@ class IntervalJoinOperator(Operator):
             return 0.0
         return self.state.size_bytes() / self.spill_budget_bytes
 
-    # -- checkpointing -------------------------------------------------------
-
-    def snapshot(self) -> bytes:
-        meta = {
-            "watermark": self.current_watermark
-            if self.current_watermark != float("-inf")
-            else None,
-            "late_dropped": self.late_dropped,
-            "evicted": self.evicted,
-            "seq": self._seq,
-            "traces": _traces_to_wire(self._traces),
-        }
-        return serde.encode({"meta": meta, "state": self.state.snapshot()})
-
     def restore(self, data: bytes) -> None:
-        payload = serde.decode(data)
-        meta = payload["meta"]
-        self.current_watermark = (
-            float("-inf") if meta["watermark"] is None else meta["watermark"]
-        )
-        self.late_dropped = meta["late_dropped"]
-        self.evicted = meta["evicted"]
-        self._seq = meta["seq"]
-        self._traces = _traces_from_wire(meta["traces"])
-        self.state.restore(payload["state"])
+        super().restore(data)
         # The eviction heap is derived state: every deadline is a pure
         # function of (side, ts), so rebuild it from the buffers.
         self._evictions = []
@@ -646,6 +606,78 @@ class IntervalJoinOperator(Operator):
 
 
 # --- sources ----------------------------------------------------------------
+
+
+class SourceReader:
+    """The one owner of a source reader's *derived* progress.
+
+    Subclasses say where records come from — :meth:`_read`,
+    :meth:`_seek`, ``snapshot`` and ``lag`` — and feed each record's
+    timestamp to ``self.watermarks``.  What follows from the records
+    read lives here: the bounded-out-of-orderness watermark and the
+    last one emitted, idleness of an unbounded reader
+    (``idle_after_empty_polls`` empty polls), the final ``+inf``
+    watermark of a ``bounded`` one — and the rule that rewinding the
+    position resets all of it (:meth:`restore`).
+    """
+
+    #: Bounded input ends with a ``+inf`` watermark so every window fires
+    #: (the "end boundary" of Kappa+, Section 7); unbounded input goes idle.
+    bounded = False
+    idle_after_empty_polls = 2
+
+    def __init__(self, max_out_of_orderness: float) -> None:
+        self._max_out_of_orderness = max_out_of_orderness
+        self._reset_progress()
+
+    def _reset_progress(self) -> None:
+        self.watermarks = BoundedOutOfOrdernessWatermarks(self._max_out_of_orderness)
+        self._emitted_watermark = float("-inf")
+        self._empty_polls = 0
+        self._idle = False
+        self._final_sent = False
+
+    def _read(self, max_records: int) -> list[Any]:
+        """Next data elements (StreamRecords or RecordBatches), advancing
+        the position and ``self.watermarks``."""
+        raise NotImplementedError
+
+    def _seek(self, data: dict[str, Any]) -> None:
+        """Rewind the position to a ``snapshot()``."""
+        raise NotImplementedError
+
+    def poll(self, max_records: int = 100) -> list[Any]:
+        """Next batch of elements: the data read plus a trailing Watermark
+        when event time advanced, or an idleness / end-of-input marker."""
+        out = self._read(max_records)
+        if out:
+            self._empty_polls = 0
+            if self._idle:
+                self._idle = False
+                out.insert(0, StreamStatus(idle=False))
+            watermark = self.watermarks.current_watermark()
+            if watermark > self._emitted_watermark:
+                self._emitted_watermark = watermark
+                out.append(Watermark(watermark))
+        elif self.bounded:
+            if not self._final_sent:
+                self._final_sent = True
+                out.append(Watermark(float("inf")))
+        else:
+            self._empty_polls += 1
+            if self._empty_polls >= self.idle_after_empty_polls and not self._idle:
+                self._idle = True
+                out.append(StreamStatus(idle=True))
+        return out
+
+    def restore(self, data: dict[str, Any]) -> None:
+        self._seek(data)
+        # Progress is *derived* from the records read, so rewinding the
+        # position resets it: a stale high-water mark would swallow the
+        # watermarks regenerated during replay (stalling every downstream
+        # window), judge replayed records against the pre-crash future,
+        # and never re-send a bounded reader's final +inf.
+        self._reset_progress()
 
 
 class KafkaSource:
@@ -679,33 +711,24 @@ class KafkaSource:
         return KafkaSourceReader(self, partitions)
 
 
-IDLE_AFTER_EMPTY_POLLS = 2
-
-
-class KafkaSourceReader:
+class KafkaSourceReader(SourceReader):
     def __init__(self, source: KafkaSource, partitions: list[int]) -> None:
+        super().__init__(source.max_out_of_orderness)
         self.source = source
         self.partitions = partitions
         self.positions = {
             p: source.cluster.start_offset(source.topic, p) for p in partitions
         }
-        self.watermarks = BoundedOutOfOrdernessWatermarks(source.max_out_of_orderness)
-        self._emitted_watermark = float("-inf")
-        self._empty_polls = 0
-        self._idle = False
+        if not partitions:
+            # Subtask owns nothing; declare idle at once so it never
+            # stalls the downstream watermark.
+            self.idle_after_empty_polls = 1
 
-    def poll(self, max_records: int = 100) -> list[Any]:
-        """Next batch of elements: StreamRecords plus a trailing Watermark
-        when event time advanced, plus idleness transitions."""
+    def _read(self, max_records: int) -> list[Any]:
         out: list[Any] = []
-        cluster, topic = self.source.cluster, self.source.topic
         if not self.partitions:
-            # Subtask owns nothing; declare idle once so it never stalls
-            # the downstream watermark.
-            if not self._idle:
-                self._idle = True
-                return [StreamStatus(idle=True)]
-            return []
+            return out
+        cluster, topic = self.source.cluster, self.source.topic
         budget = max(1, max_records // len(self.partitions))
         for partition in self.partitions:
             entries = cluster.fetch(topic, partition, self.positions[partition], budget)
@@ -726,20 +749,6 @@ class KafkaSourceReader:
                     )
                 )
                 self.positions[partition] = entry.offset + 1
-        if not out:
-            self._empty_polls += 1
-            if self._empty_polls >= IDLE_AFTER_EMPTY_POLLS and not self._idle:
-                self._idle = True
-                return [StreamStatus(idle=True)]
-            return []
-        self._empty_polls = 0
-        if self._idle:
-            self._idle = False
-            out.insert(0, StreamStatus(idle=False))
-        watermark = self.watermarks.current_watermark()
-        if watermark > self._emitted_watermark:
-            self._emitted_watermark = watermark
-            out.append(Watermark(watermark))
         return out
 
     def lag(self) -> int:
@@ -751,19 +760,30 @@ class KafkaSourceReader:
     def snapshot(self) -> dict[str, Any]:
         return {"positions": {str(p): off for p, off in self.positions.items()}}
 
-    def restore(self, data: dict[str, Any]) -> None:
+    def _seek(self, data: dict[str, Any]) -> None:
         for partition, offset in data["positions"].items():
             self.positions[int(partition)] = offset
-        # Watermark/idleness state is *derived* from the records read, so
-        # rewinding the offsets must reset it too: a stale high-water mark
-        # would swallow the watermarks regenerated during replay and stall
-        # every downstream window until some even-newer event arrived.
-        self.watermarks = BoundedOutOfOrdernessWatermarks(
-            self.source.max_out_of_orderness
-        )
-        self._emitted_watermark = float("-inf")
-        self._empty_polls = 0
-        self._idle = False
+
+
+class BoundedReader(SourceReader):
+    """A reader over ``total`` preloaded rows, consumed by position."""
+
+    bounded = True
+
+    def __init__(self, source, total: int) -> None:
+        super().__init__(source.max_out_of_orderness)
+        self.source = source
+        self.total = total
+        self.position = 0
+
+    def lag(self) -> int:
+        return self.total - self.position
+
+    def snapshot(self) -> dict[str, Any]:
+        return {"position": self.position}
+
+    def _seek(self, data: dict[str, Any]) -> None:
+        self.position = data["position"]
 
 
 class BoundedListSource:
@@ -785,16 +805,12 @@ class BoundedListSource:
         return BoundedListReader(self, slice_)
 
 
-class BoundedListReader:
+class BoundedListReader(BoundedReader):
     def __init__(self, source: BoundedListSource, elements: list) -> None:
-        self.source = source
+        super().__init__(source, len(elements))
         self.elements = elements
-        self.position = 0
-        self.watermarks = BoundedOutOfOrdernessWatermarks(source.max_out_of_orderness)
-        self._emitted_watermark = float("-inf")
-        self._final_sent = False
 
-    def poll(self, max_records: int = 100) -> list[Any]:
+    def _read(self, max_records: int) -> list[Any]:
         out: list[Any] = []
         batch = self.elements[self.position : self.position + self.source.batch_size]
         for element in batch:
@@ -803,37 +819,7 @@ class BoundedListReader:
             self.watermarks.on_event(timestamp)
             out.append(StreamRecord(value, timestamp, key))
         self.position += len(batch)
-        if batch:
-            watermark = self.watermarks.current_watermark()
-            if watermark > self._emitted_watermark:
-                self._emitted_watermark = watermark
-                out.append(Watermark(watermark))
-        elif not self._final_sent:
-            # Bounded input exhausted: emit the +inf watermark so every
-            # window fires (the "end boundary" of Kappa+, Section 7).
-            self._final_sent = True
-            out.append(Watermark(float("inf")))
         return out
-
-    def lag(self) -> int:
-        return len(self.elements) - self.position
-
-    def snapshot(self) -> dict[str, Any]:
-        return {"position": self.position}
-
-    def restore(self, data: dict[str, Any]) -> None:
-        self.position = data["position"]
-        # Same rule as KafkaSourceReader.restore: watermark state is
-        # derived from the records read, so rewinding the position must
-        # reset it — otherwise replayed records are judged against the
-        # pre-crash high-water mark (different admission decisions than
-        # the original run) and the final +inf watermark is never
-        # re-sent, stranding every open window.
-        self.watermarks = BoundedOutOfOrdernessWatermarks(
-            self.source.max_out_of_orderness
-        )
-        self._emitted_watermark = float("-inf")
-        self._final_sent = False
 
 
 class BoundedColumnarSource:
@@ -875,58 +861,28 @@ class BoundedColumnarSource:
         )
 
 
-class BoundedColumnarReader:
+class BoundedColumnarReader(BoundedReader):
     def __init__(
         self,
         source: BoundedColumnarSource,
         columns: dict[str, list],
         timestamps: list[float],
     ) -> None:
-        self.source = source
         self.batch = ColumnBatch.from_columns(columns)
+        super().__init__(source, len(self.batch))
         self.timestamps = timestamps
-        self.position = 0
-        self.watermarks = BoundedOutOfOrdernessWatermarks(source.max_out_of_orderness)
-        self._emitted_watermark = float("-inf")
-        self._final_sent = False
 
-    def poll(self, max_records: int = 100) -> list[Any]:
-        out: list[Any] = []
-        count = min(self.source.batch_size, len(self.batch) - self.position)
-        if count > 0:
-            view = self.batch.slice(self.position, count)
-            timestamps = tuple(
-                self.timestamps[self.position : self.position + count]
-            )
-            # Only the maximum feeds the watermark generator, so one
-            # call covers the whole slice.
-            self.watermarks.on_event(max(timestamps))
-            self.position += count
-            out.append(RecordBatch(view, timestamps))
-            watermark = self.watermarks.current_watermark()
-            if watermark > self._emitted_watermark:
-                self._emitted_watermark = watermark
-                out.append(Watermark(watermark))
-        elif not self._final_sent:
-            self._final_sent = True
-            out.append(Watermark(float("inf")))
-        return out
-
-    def lag(self) -> int:
-        return len(self.batch) - self.position
-
-    def snapshot(self) -> dict[str, Any]:
-        return {"position": self.position}
-
-    def restore(self, data: dict[str, Any]) -> None:
-        self.position = data["position"]
-        # See BoundedListReader.restore: derived watermark state resets
-        # with the position.
-        self.watermarks = BoundedOutOfOrdernessWatermarks(
-            self.source.max_out_of_orderness
-        )
-        self._emitted_watermark = float("-inf")
-        self._final_sent = False
+    def _read(self, max_records: int) -> list[Any]:
+        count = min(self.source.batch_size, self.total - self.position)
+        if count <= 0:
+            return []
+        view = self.batch.slice(self.position, count)
+        timestamps = tuple(self.timestamps[self.position : self.position + count])
+        # Only the maximum feeds the watermark generator, so one call
+        # covers the whole slice.
+        self.watermarks.on_event(max(timestamps))
+        self.position += count
+        return [RecordBatch(view, timestamps)]
 
 
 # --- sinks ------------------------------------------------------------------

@@ -243,19 +243,22 @@ class SubTask:
     ) -> None:
         """Route a columnar batch along one edge without touching rows.
 
-        Forward/broadcast edges and single-channel hash edges push the
-        whole batch.  A multi-channel hash edge partitions by the key
+        Forward/broadcast edges and single-channel hash edges keyed by a
+        column push the whole batch (the consumer reads its keys from
+        that column).  A multi-channel hash edge partitions by the key
         column *in code space*: the hash of each distinct value is
         memoized per dictionary (``code_memo`` keeps the dictionary
         alive, so ids cannot be reused), and each target receives a
         selection-vector view over the shared batch — no cell is copied.
-        Batches without a usable dictionary-coded key column fall back
-        to row-at-a-time routing via the adapter.
+        Hash edges without a usable dictionary-coded key column — an
+        opaque key callable, as every join has — fall back to
+        row-at-a-time routing via the adapter, which is also where the
+        callable stamps each record's key.
         """
         if PERF.enabled:
             PERF.inc("flink.cached_routes")
         n_channels = len(channels)
-        if edge.partitioning == "hash" and n_channels > 1:
+        if edge.partitioning == "hash" and (n_channels > 1 or key_column is None):
             vector = (
                 rbatch.batch.columns.get(key_column)
                 if key_column is not None
@@ -411,86 +414,74 @@ class SubTask:
                         queue[0], StreamRecord
                     ):
                         run.append(queue.popleft())
-                    self._handle_records(run, channel)
+                    self._deliver(run, channel)
                     processed += len(run)
                 elif isinstance(queue[0], RecordBatch):
-                    self._handle_record_batch(queue.popleft(), channel)
+                    self._deliver(queue.popleft(), channel)
                     processed += 1
                 else:
-                    self._handle(queue.popleft(), channel)
+                    self._handle_control(queue.popleft(), channel)
                     processed += 1
                 progress = True
                 if not self.output_has_space():
                     return processed
         return processed
 
-    def _handle_records(
-        self, records: list[StreamRecord], channel: InputChannel
+    def _deliver(
+        self, data: list[StreamRecord] | RecordBatch, channel: InputChannel
     ) -> None:
-        """Dispatch a drained run of data records in one operator call."""
-        if PERF.enabled:
-            PERF.inc("flink.batch_elements", len(records))
-        self.records_processed += len(records)
-        if self.spec.kind == "sink":
-            if self.spec.transactional:
-                self._txn_open.extend(records)
-            else:
-                for record in records:
-                    self._write_to_sink(record)
-        else:
-            assert self.operator is not None
-            self.emit(self.operator.process_batch(records, channel.input_index))
+        """The one place data reaches a sink or an operator.
 
-    def _handle_record_batch(
-        self, rbatch: RecordBatch, channel: InputChannel
-    ) -> None:
-        """Dispatch one columnar batch: vectorized kernel when the
-        operator has one, batch→row adaptation otherwise.
-
-        Sinks stay columnar only on the eager untraced path — 2PC
-        buffers and trace-span closing are per-record contracts, so
-        transactional or traced sinks adapt to records first.
+        ``data`` is a micro-batched run of records or one columnar
+        batch.  A batch stays columnar where the consumer has a
+        vectorized path — a ``process_columnar`` kernel that accepts it,
+        or ``write_batch`` on an eager untraced sink (2PC buffers and
+        trace-span closing are per-record contracts) — and is otherwise
+        adapted to records here, so everything else sees only
+        ``process`` / ``write``.
         """
+        columnar = isinstance(data, RecordBatch)
         if PERF.enabled:
-            PERF.inc("flink.vector_batches")
-        self.records_processed += len(rbatch)
-        if self.spec.kind == "sink":
-            write_batch = getattr(self.spec.sink, "write_batch", None)
-            if (
-                write_batch is not None
-                and not self.spec.transactional
-                and self.runtime.tracer is None
-            ):
-                write_batch(rbatch)
-                return
-            records = _batch_to_records(rbatch)
-            if self.spec.transactional:
-                self._txn_open.extend(records)
+            if columnar:
+                PERF.inc("flink.vector_batches")
             else:
-                for record in records:
+                PERF.inc("flink.batch_elements", len(data))
+        self.records_processed += len(data)
+        if self.spec.kind == "sink":
+            if columnar:
+                write_batch = getattr(self.spec.sink, "write_batch", None)
+                if (
+                    write_batch is not None
+                    and not self.spec.transactional
+                    and self.runtime.tracer is None
+                ):
+                    write_batch(data)
+                    return
+                data = _batch_to_records(data)
+            if self.spec.transactional:
+                self._txn_open.extend(data)
+            else:
+                for record in data:
                     self._write_to_sink(record)
             return
         assert self.operator is not None
-        out = self.operator.process_columnar(rbatch, channel.input_index)
-        if out is None:
-            records = _batch_to_records(rbatch, self.spec.key_column)
-            out = self.operator.process_batch(records, channel.input_index)
+        input_index = channel.input_index
+        if columnar:
+            out = self.operator.process_columnar(data, input_index)
+            if out is not None:
+                self.emit(out)
+                return
+            data = _batch_to_records(data, self.spec.key_column)
+        process = self.operator.process
+        out = []
+        for record in data:
+            out.extend(process(record, input_index))
         self.emit(out)
 
-    def _handle(self, element: Any, channel: InputChannel) -> None:
+    def _handle_control(self, element: Any, channel: InputChannel) -> None:
         if PERF.enabled:
             PERF.inc("flink.elements")
-        if isinstance(element, StreamRecord):
-            self.records_processed += 1
-            if self.spec.kind == "sink":
-                if self.spec.transactional:
-                    self._txn_open.append(element)
-                else:
-                    self._write_to_sink(element)
-            else:
-                assert self.operator is not None
-                self.emit(self.operator.process(element, channel.input_index))
-        elif isinstance(element, Watermark):
+        if isinstance(element, Watermark):
             channel.idle = False
             channel.last_watermark = max(channel.last_watermark, element.timestamp)
             self._maybe_advance_watermark()
@@ -615,8 +606,11 @@ class SubTask:
     def inject_barrier(self, checkpoint_id: int) -> None:
         """Source-side barrier injection: snapshot offsets, forward barrier."""
         assert self.reader is not None
-        self.runtime._store_source_snapshot(
-            checkpoint_id, self.spec.op_id, self.index, self.reader.snapshot()
+        self.runtime._store_snapshot(
+            checkpoint_id,
+            self.spec.op_id,
+            self.index,
+            serde.encode(self.reader.snapshot()),
         )
         self.completed_checkpoints.add(checkpoint_id)
         self._broadcast_control(CheckpointBarrier(checkpoint_id))
@@ -753,15 +747,6 @@ class JobRuntime:
         if self.blob_store is None:
             raise CheckpointError("no blob store configured for checkpoints")
         self.blob_store.put(self._checkpoint_key(checkpoint_id, op_id, index), data)
-
-    def _store_source_snapshot(
-        self, checkpoint_id: int, op_id: str, index: int, data: dict
-    ) -> None:
-        if self.blob_store is None:
-            raise CheckpointError("no blob store configured for checkpoints")
-        self.blob_store.put(
-            self._checkpoint_key(checkpoint_id, op_id, index), serde.encode(data)
-        )
 
     def _sink_acked(self, checkpoint_id: int, task: SubTask) -> None:
         pending = self._pending_sink_acks.get(checkpoint_id)

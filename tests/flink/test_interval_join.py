@@ -1,21 +1,18 @@
-"""Interval join: time-bounded pairing, lateness, TTL eviction, restore.
+"""Interval join: time-bounded pairing, TTL eviction, spill pressure.
 
 The per-key interval join (Section 5.3's prediction-to-outcome join)
 buffers both sides in keyed state and emits eagerly when the second side
-arrives.  These tests pin the semantics the bench determinism gate
-relies on: the pairing bound, WindowOperator-parity lateness admission,
+arrives.  These tests pin what is the join's own: the pairing bound,
 eviction that can never drop a still-joinable record (TTL is
-extension-only), checkpoint parity for every piece of derived state, the
-spill-pressure signal into the autoscaler, and byte-identical sink
-output under seeded crash-restore schedules.
+extension-only) and the spill-pressure signal into the autoscaler.  The
+rules it shares with every event-time operator are checked for all of
+them at once: lateness in ``test_lateness_boundary.py``, checkpoints and
+crash-restore in ``test_kill_restore_property.py``.
 """
 
 import pytest
 
-from repro.common import serde
-from repro.common.clock import SimulatedClock
 from repro.common.errors import OperatorError
-from repro.common.rng import seeded_rng
 from repro.flink.autoscaler import AutoScaler, JobProfile, classify_job
 from repro.flink.graph import StreamEnvironment
 from repro.flink.operators import IntervalJoinOperator
@@ -23,9 +20,6 @@ from repro.flink.runtime import JobRuntime
 from repro.flink.time import StreamRecord, Watermark
 from repro.kafka.cluster import KafkaCluster, TopicConfig
 from repro.kafka.producer import Producer
-from repro.storage.blobstore import BlobStore
-
-FLUSH_TS = 1e9
 
 
 def left(value, ts, key="k"):
@@ -85,39 +79,6 @@ class TestPairing:
             make_join(lower=5.0, upper=-5.0)
 
 
-class TestLateness:
-    """Admission mirrors WindowOperator with the join horizon standing in
-    for the window end: admit while horizon + lateness > watermark."""
-
-    def test_boundary_semantics_match_window_operator(self):
-        # Left horizon with lower=-10 is ts+10: a left at 10 stays
-        # admissible until the watermark reaches 20 exactly.
-        op = make_join(lower=-10.0, upper=0.0)
-        op.on_watermark(Watermark(19.9))
-        assert op.process(left("p", 10.0), input_index=0) == []
-        assert op.late_dropped == 0
-        op.on_watermark(Watermark(20.0))
-        op.process(left("p2", 10.0), input_index=0)
-        assert op.late_dropped == 1
-
-    def test_allowed_lateness_extends_admission(self):
-        op = make_join(lower=-10.0, upper=0.0, allowed_lateness=5.0)
-        op.on_watermark(Watermark(24.9))
-        op.process(left("p", 10.0), input_index=0)
-        assert op.late_dropped == 0
-        # And the admitted late left still joins an admissible right
-        # (right horizon 19.95 + lateness 5 > watermark 24.9).
-        assert op.process(left("o", 19.95), input_index=1)
-
-    def test_right_side_horizon(self):
-        # Right horizon with upper=0 is its own ts: a right older than the
-        # watermark is late.
-        op = make_join(lower=-10.0, upper=0.0)
-        op.on_watermark(Watermark(15.0))
-        op.process(left("o", 14.0), input_index=1)
-        assert op.late_dropped == 1
-
-
 class TestEviction:
     def test_watermark_evicts_expired_entries(self):
         op = make_join(lower=-10.0, upper=0.0)
@@ -156,48 +117,6 @@ class TestEviction:
         assert [r.value for r in op.process(left("o", 20.5), input_index=1)] == [
             ("p2", "o")
         ]
-
-
-class TestSnapshotRestore:
-    def _restored(self, op):
-        fresh = IntervalJoinOperator(
-            op.lower,
-            op.upper,
-            op.join_fn,
-            allowed_lateness=op.allowed_lateness,
-            state_ttl=op.state_ttl,
-            spill_budget_bytes=op.spill_budget_bytes,
-        )
-        fresh.restore(op.snapshot())
-        return fresh
-
-    def test_counters_and_watermark_survive(self):
-        op = make_join(lower=-10.0, upper=0.0)
-        op.process(left("p", 10.0), input_index=0)
-        op.on_watermark(Watermark(30.0))  # evicts p
-        op.process(left("late", 5.0), input_index=0)  # dropped
-        restored = self._restored(op)
-        assert restored.current_watermark == 30.0
-        assert restored.late_dropped == 1
-        assert restored.evicted == 1
-        assert restored._seq == op._seq
-
-    def test_buffers_and_eviction_heap_survive(self):
-        op = make_join(lower=-10.0, upper=0.0)
-        op.process(left("p", 100.0), input_index=0)
-        restored = self._restored(op)
-        # Still joins after restore...
-        assert [r.value for r in restored.process(left("o", 105.0), input_index=1)] == [
-            ("p", "o")
-        ]
-        # ...and the rebuilt heap still evicts at the original deadline
-        # (the left restored from the snapshot plus the fresh right).
-        restored.on_watermark(Watermark(110.0))
-        assert restored.evicted == 2
-
-    def test_fresh_watermark_round_trips(self):
-        restored = self._restored(make_join())
-        assert restored.current_watermark == float("-inf")
 
 
 class TestSpillPressure:
@@ -267,94 +186,3 @@ class TestSpillPressure:
             join_fn=lambda l, r: (l, r),
         ).sink_to_list([])
         assert classify_job(env.build("j")) is JobProfile.JOIN_MEMORY_BOUND
-
-
-# -- crash-restore property ----------------------------------------------------
-
-
-def _events(seed, count=100):
-    rng = seeded_rng(seed, "ij-xonce-workload")
-    preds, outs = [], []
-    for i in range(count):
-        ts = i * 1.3
-        key = f"k{rng.randrange(6)}"
-        preds.append({"k": key, "seq": i, "ts": ts})
-        if rng.random() < 0.9:
-            outs.append({"k": key, "seq": i, "ts": ts + rng.uniform(0.5, 15.0)})
-    return preds, outs
-
-
-def _build(seed):
-    clock = SimulatedClock()
-    cluster = KafkaCluster(clock=clock)
-    cluster.create_topic("preds", TopicConfig(partitions=2))
-    cluster.create_topic("outs", TopicConfig(partitions=2))
-    out = []
-    env = StreamEnvironment()
-    preds = env.from_kafka(
-        cluster, "preds", group="ij", timestamp_fn=lambda row: row["ts"]
-    )
-    outs = env.from_kafka(
-        cluster, "outs", group="ij", timestamp_fn=lambda row: row["ts"]
-    )
-    preds.interval_join(
-        outs,
-        key_fns=(lambda row: row["k"], lambda row: row["k"]),
-        lower=-20.0,
-        upper=0.0,
-        join_fn=lambda p, o: {"k": p["k"], "l": p["seq"], "r": o["seq"]},
-        allowed_lateness=2.0,
-        state_ttl=20.0,
-    ).sink_to_list(out, transactional=True)
-    runtime = JobRuntime(
-        env.build(f"ij-xonce-{seed}"), blob_store=BlobStore(clock=clock), clock=clock
-    )
-    return cluster, runtime, out
-
-
-def _drive(seed, chaos):
-    cluster, runtime, out = _build(seed)
-    producer = Producer(cluster, "workload")
-    rng = seeded_rng(seed, "ij-xonce-faults")
-    crashes = 0
-    preds, outs = _events(seed)
-    pi, oi = 0, 0
-    while pi < len(preds) or oi < len(outs):
-        for event in preds[pi : pi + 8]:
-            producer.produce("preds", event, key=event["k"], event_time=event["ts"])
-        pi += 8
-        for event in outs[oi : oi + 8]:
-            producer.produce("outs", event, key=event["k"], event_time=event["ts"])
-        oi += 8
-        runtime.run_until_quiescent()
-        if chaos and rng.random() < 0.4:
-            runtime.trigger_checkpoint()
-        if chaos and rng.random() < 0.3 and runtime.completed_checkpoints():
-            runtime.restore_from(runtime.completed_checkpoints()[-1])
-            runtime.run_until_quiescent()
-            crashes += 1
-    for topic in ("preds", "outs"):
-        producer.produce(
-            topic, {"k": "flush", "seq": -1, "ts": FLUSH_TS}, key="flush",
-            event_time=FLUSH_TS,
-        )
-    runtime.run_until_quiescent()
-    runtime.trigger_checkpoint()
-    return out, crashes
-
-
-def _canonical(rows):
-    return serde.encode(sorted(rows, key=lambda r: (r["k"], r["l"], r["r"])))
-
-
-class TestCrashRestoreProperty:
-    @pytest.mark.parametrize("seed", [1, 2, 3, 7, 11, 42])
-    def test_join_output_byte_identical_under_random_kill_restore(self, seed):
-        baseline, __ = _drive(seed, chaos=False)
-        faulty, __ = _drive(seed, chaos=True)
-        assert _canonical(faulty) == _canonical(baseline)
-        assert len(baseline) > 20  # real pairs made it out
-
-    def test_the_schedule_actually_crashes(self):
-        total = sum(_drive(seed, chaos=True)[1] for seed in [1, 2, 3, 7, 11, 42])
-        assert total >= 3

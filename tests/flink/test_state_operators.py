@@ -108,25 +108,6 @@ class TestWindowOperator:
         fired = operator.on_watermark(Watermark(60.0))
         assert sorted(r.value.key for r in fired) == ["a", "b"]
 
-    def test_late_records_dropped_and_counted(self):
-        operator = WindowOperator(TumblingWindows(60.0), CountAggregate())
-        operator.process(record(1, 10.0, key="k"))
-        operator.on_watermark(Watermark(60.0))
-        operator.process(record(1, 15.0, key="k"))  # window already fired
-        assert operator.late_dropped == 1
-        assert operator.on_watermark(Watermark(120.0)) == []
-
-    def test_allowed_lateness_keeps_window_open(self):
-        operator = WindowOperator(
-            TumblingWindows(60.0), CountAggregate(), allowed_lateness=30.0
-        )
-        operator.process(record(1, 10.0, key="k"))
-        assert operator.on_watermark(Watermark(60.0)) == []  # still open
-        operator.process(record(1, 15.0, key="k"))  # late but allowed
-        fired = operator.on_watermark(Watermark(90.0))
-        assert fired[0].value.value == 2
-        assert operator.late_dropped == 0
-
     def test_session_windows_merge(self):
         operator = WindowOperator(SessionWindows(30.0), CountAggregate())
         operator.process(record(1, 0.0, key="k"))
@@ -135,17 +116,6 @@ class TestWindowOperator:
         fired = operator.on_watermark(Watermark(200.0))
         counts = sorted(r.value.value for r in fired)
         assert counts == [1, 2]
-
-    def test_snapshot_restore_preserves_windows(self):
-        operator = WindowOperator(TumblingWindows(60.0), CountAggregate())
-        operator.process(record(1, 10.0, key="k"))
-        operator.on_watermark(Watermark(30.0))
-        snapshot = operator.snapshot()
-        restored = WindowOperator(TumblingWindows(60.0), CountAggregate())
-        restored.restore(snapshot)
-        assert restored.current_watermark == 30.0
-        fired = restored.on_watermark(Watermark(60.0))
-        assert fired[0].value.value == 1
 
 
 class TestWindowJoin:
@@ -175,54 +145,3 @@ class TestWindowJoin:
             operator.process(record(value, 20.0, key="k"), input_index=1)
         fired = operator.on_watermark(Watermark(60.0))
         assert len(fired) == 4
-
-    def test_late_records_dropped_and_counted(self):
-        operator = WindowJoinOperator(TumblingWindows(60.0), lambda l, r: (l, r))
-        operator.process(record("a", 10.0, key="k"), input_index=0)
-        operator.on_watermark(Watermark(60.0))
-        # Window already fired: both sides drop, per WindowOperator rules.
-        operator.process(record("late-l", 15.0, key="k"), input_index=0)
-        operator.process(record("late-r", 20.0, key="k"), input_index=1)
-        assert operator.late_dropped == 2
-        assert operator.on_watermark(Watermark(120.0)) == []
-
-    def test_allowed_lateness_keeps_join_window_open(self):
-        operator = WindowJoinOperator(
-            TumblingWindows(60.0), lambda l, r: (l, r), allowed_lateness=30.0
-        )
-        operator.process(record("a", 10.0, key="k"), input_index=0)
-        # end + lateness > watermark: the window neither fires nor drops.
-        assert operator.on_watermark(Watermark(60.0)) == []
-        operator.process(record("b", 20.0, key="k"), input_index=1)  # late, admitted
-        assert operator.late_dropped == 0
-        fired = operator.on_watermark(Watermark(90.0))
-        assert [r.value for r in fired] == [("a", "b")]
-
-    def test_lateness_boundary_is_exclusive(self):
-        # Admission requires end + lateness > watermark STRICTLY —
-        # WindowOperator boundary parity.
-        operator = WindowJoinOperator(
-            TumblingWindows(60.0), lambda l, r: (l, r), allowed_lateness=30.0
-        )
-        operator.on_watermark(Watermark(90.0))
-        operator.process(record("a", 10.0, key="k"), input_index=0)
-        assert operator.late_dropped == 1
-
-    def test_snapshot_restore_preserves_buffers_and_counters(self):
-        operator = WindowJoinOperator(
-            TumblingWindows(60.0), lambda l, r: (l, r), allowed_lateness=10.0
-        )
-        operator.process(record("a", 70.0, key="k"), input_index=0)
-        operator.process(record("b", 80.0, key="k"), input_index=1)
-        operator.on_watermark(Watermark(75.0))  # [60,120) still open
-        operator.process(record("dropped", 1.0, key="old"), input_index=0)
-        # 1.0 assigns to window [0, 60): end 60 + 10 <= 75 -> dropped late.
-        assert operator.late_dropped == 1
-        restored = WindowJoinOperator(
-            TumblingWindows(60.0), lambda l, r: (l, r), allowed_lateness=10.0
-        )
-        restored.restore(operator.snapshot())
-        assert restored.current_watermark == 75.0
-        assert restored.late_dropped == 1
-        fired = restored.on_watermark(Watermark(130.0))
-        assert [r.value for r in fired] == [("a", "b")]
