@@ -9,8 +9,9 @@ off the same registry.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right, insort
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from typing import Sequence
 
 
 class Counter:
@@ -43,33 +44,69 @@ class Gauge:
         self.set(self.value + delta)
 
 
+_NO_OFFSET = (0,)  # observe(v) queues v - 0, which is v whatever its type
+
+
 class Histogram:
     """Records observations and answers percentile queries exactly.
 
-    Keeps a sorted list; fine for the volumes our experiments record
-    (≤ a few hundred thousand observations per histogram).
+    Observing only queues; the samples are worked out and sorted when a
+    reader next asks, so the write path (every finished span observes one)
+    stays O(1) per call whatever order durations arrive in.  Fine for the
+    volumes our experiments record (≤ a few hundred thousand observations
+    per histogram).
     """
 
-    __slots__ = ("_sorted", "count", "total")
+    __slots__ = ("_samples", "_ends", "_starts", "_total", "count")
 
     def __init__(self) -> None:
-        self._sorted: list[float] = []
+        self._samples: list[float] = []  # sorted
+        # Queued by observe_since, folded into _samples by _settle:
+        # parallel lists of a shared end and the starts it applies to.
+        self._ends: list[float] = []
+        self._starts: list[Sequence[float]] = []
+        self._total = 0.0
         self.count = 0
-        self.total = 0.0
 
     def observe(self, value: float) -> None:
-        insort(self._sorted, value)
-        self.count += 1
-        self.total += value
+        self.observe_since(value, _NO_OFFSET)
+
+    def observe_since(self, end: float, starts: Sequence[float]) -> None:
+        """Observe ``end - start`` for every start: the durations of spans
+        that share an end.  ``starts`` is kept, not copied — the caller must
+        not mutate it afterwards."""
+        self._ends.append(end)
+        self._starts.append(starts)
+        self.count += len(starts)
+
+    def _settle(self) -> list[float]:
+        """Fold what was queued into the sorted samples, in arrival order
+        (``total`` is the same float whenever a reader happens to ask)."""
+        if self._ends:
+            samples, total = self._samples, self._total
+            for end, starts in zip(self._ends, self._starts):
+                for start in starts:
+                    samples.append(end - start)
+                    total += end - start
+            samples.sort()
+            self._total = total
+            self._ends, self._starts = [], []
+        return self._samples
 
     def percentile(self, pct: float) -> float:
         """Exact percentile, nearest-rank method. pct in [0, 100]."""
-        if not self._sorted:
+        samples = self._settle()
+        if not samples:
             return math.nan
         if not 0 <= pct <= 100:
             raise ValueError(f"percentile must be in [0, 100], got {pct}")
-        rank = max(1, math.ceil(pct / 100.0 * len(self._sorted)))
-        return self._sorted[rank - 1]
+        rank = max(1, math.ceil(pct / 100.0 * len(samples)))
+        return samples[rank - 1]
+
+    @property
+    def total(self) -> float:
+        self._settle()
+        return self._total
 
     @property
     def mean(self) -> float:
@@ -77,15 +114,15 @@ class Histogram:
 
     @property
     def max(self) -> float:
-        return self._sorted[-1] if self._sorted else math.nan
+        return self._settle()[-1] if self.count else math.nan
 
     @property
     def min(self) -> float:
-        return self._sorted[0] if self._sorted else math.nan
+        return self._settle()[0] if self.count else math.nan
 
     def count_at_or_below(self, value: float) -> int:
         """How many observations are <= value (for SLA attainment)."""
-        return bisect_right(self._sorted, value)
+        return bisect_right(self._settle(), value)
 
 
 @dataclass

@@ -65,24 +65,30 @@ class Record:
         return Record(key, self.value, self.event_time, self.headers)
 
 
+def stamp_audit(
+    headers: dict[str, Any], service: str, tier: str, produced_at: float
+) -> None:
+    """Add the audit metadata of Section 9.4 to ``headers`` in place.
+
+    A uid is only assigned once so that duplicates created downstream
+    (retries, replication) keep the same uid and can be detected by
+    Chaperone.
+    """
+    if headers.get("uid") is None:
+        headers.update(
+            uid=next_uid(), service=service, tier=tier, produced_at=produced_at
+        )
+
+
 def stamp_audit_headers(
     record: Record,
     service: str,
     tier: str = "standard",
 ) -> Record:
-    """Decorate a record with the audit metadata of Section 9.4.
-
-    Existing headers are preserved; a uid is only assigned once so that
-    duplicates created downstream (retries, replication) keep the same uid
-    and can be detected by Chaperone.
-    """
+    """Copy of ``record`` decorated by :func:`stamp_audit`; existing
+    headers are preserved and an already-stamped record is returned as is."""
     if record.uid() is not None:
         return record
     headers = dict(record.headers)
-    headers.update(
-        uid=next_uid(),
-        service=service,
-        tier=tier,
-        produced_at=record.event_time,
-    )
+    stamp_audit(headers, service, tier, record.event_time)
     return Record(record.key, record.value, record.event_time, headers)

@@ -245,6 +245,51 @@ def decode(data: bytes) -> Any:
     return value
 
 
+def _varint_size(value: int) -> int:
+    return 1 if value < 0x80 else (value.bit_length() + 6) // 7
+
+
 def encoded_size(value: Any) -> int:
-    """Serialized size in bytes without keeping the buffer around."""
+    """``len(encode(value))`` without building the buffer.
+
+    Dispatches on the *exact* type, the way the producer's record
+    envelopes are built; anything else (subclasses, ``bytes``, a map with
+    a non-``str`` key, unencodable objects) takes :func:`encode` itself,
+    so sizes and errors cannot drift from the encoder.  Maps size their
+    short ASCII keys and strings and their floats in the loop — a record
+    envelope is mostly those, and a call per field was most of the cost.
+    """
+    kind = type(value)
+    if kind is dict:
+        size = 1 + _varint_size(len(value))
+        for key, item in value.items():
+            if type(key) is str and key.isascii() and len(key) < 0x80:
+                size += 2 + len(key)
+            elif isinstance(key, str):
+                size += encoded_size(key)
+            else:
+                break  # encode() raises the SerdeError
+            kind = type(item)
+            if kind is str and item.isascii() and len(item) < 0x80:
+                size += 2 + len(item)
+            elif kind is float:
+                size += 9
+            else:
+                size += encoded_size(item)
+        else:
+            return size
+    elif kind is str:
+        length = len(value) if value.isascii() else len(value.encode("utf-8"))
+        return 1 + _varint_size(length) + length
+    elif kind is float:
+        return 9
+    elif kind is int:
+        return 1 + _varint_size(_zigzag(value))
+    elif kind is list or kind is tuple:
+        size = 1 + _varint_size(len(value))
+        for item in value:
+            size += encoded_size(item)
+        return size
+    elif value is None or kind is bool:
+        return 1
     return len(encode(value))

@@ -367,16 +367,13 @@ class SubTask:
             # closed by whichever sink its (possibly aggregated) descendant
             # reaches.  Records aggregated away never close theirs; the
             # collector evicts those.
-            now = self.runtime.clock.now()
-            for element in data:
-                if element.trace is not None:
-                    tracer.begin_span(
-                        element.trace.trace_id,
-                        "process",
-                        "flink",
-                        start=now,
-                        job=self.runtime.graph.name,
-                    )
+            tracer.begin_spans(
+                "process",
+                "flink",
+                [e.trace.trace_id for e in data if e.trace is not None],
+                start=self.runtime.clock.now(),
+                job=self.runtime.graph.name,
+            )
         rows = len(data) + sum(
             len(e) for e in elements if isinstance(e, RecordBatch)
         )

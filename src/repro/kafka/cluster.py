@@ -33,7 +33,7 @@ from repro.common.metrics import MetricsRegistry
 from repro.common.perf import PERF
 from repro.common.records import Record
 from repro.kafka.log import LogEntry, PartitionLog, _record_size
-from repro.observability.trace import SpanCollector, TraceContext
+from repro.observability.trace import TRACE_HEADER, SpanCollector
 
 
 @dataclass(frozen=True, slots=True)
@@ -546,10 +546,11 @@ class KafkaCluster:
                         # Leader trimmed its head past this follower (tiered
                         # storage): re-stamp the retained leader entries
                         # under the follower's own offset numbering.
-                        for entry in leader_log.iter_from(follower.end_offset):
+                        retained = list(leader_log.iter_from(follower.end_offset))
+                        for entry in retained:
                             follower.append(entry.record, entry.append_time)
-                            copied += 1
-                            self._trace_replication(pstate, broker_id, [entry])
+                        copied += len(retained)
+                        self._trace_replication(pstate, broker_id, retained)
                         continue
                     while follower.end_offset < leader_log.end_offset:
                         entries, sizes = leader_log.read_with_sizes(
@@ -570,19 +571,16 @@ class KafkaCluster:
     ) -> None:
         if self.tracer is None:
             return
-        for entry in entries:
-            ctx = TraceContext.from_record(entry.record)
-            if ctx is not None:
-                self.tracer.record_span(
-                    ctx.trace_id,
-                    "replicate",
-                    "kafka",
-                    start=entry.append_time,
-                    end=self.clock.now(),
-                    topic=pstate.topic,
-                    partition=pstate.partition,
-                    follower=follower_id,
-                )
+        self.tracer.record_spans(
+            "replicate",
+            "kafka",
+            [entry.record.headers.get(TRACE_HEADER) for entry in entries],
+            [entry.append_time for entry in entries],
+            end=self.clock.now(),
+            topic=pstate.topic,
+            partition=pstate.partition,
+            follower=follower_id,
+        )
 
     def apply_retention(self) -> int:
         """Expire old data on every replica per each topic's config."""

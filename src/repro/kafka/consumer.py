@@ -14,7 +14,7 @@ from repro.common.errors import KafkaError, OffsetOutOfRangeError
 from repro.common.metrics import MetricsRegistry
 from repro.kafka.cluster import KafkaCluster
 from repro.kafka.log import LogEntry
-from repro.observability.trace import SpanCollector, TraceContext
+from repro.observability.trace import TRACE_HEADER, SpanCollector
 
 
 @dataclass(frozen=True, slots=True)
@@ -179,20 +179,18 @@ class Consumer:
                 entries = self.cluster.fetch(self.topic, partition, position, budget)
             for entry in entries:
                 out.append(ConsumedMessage(self.topic, partition, entry.offset, entry))
-                if self.tracer is not None:
-                    ctx = TraceContext.from_record(entry.record)
-                    if ctx is not None:
-                        # Consume latency = log dwell time: append to poll.
-                        self.tracer.record_span(
-                            ctx.trace_id,
-                            "consume",
-                            "kafka",
-                            start=entry.append_time,
-                            end=self.cluster.clock.now(),
-                            topic=self.topic,
-                            partition=partition,
-                            group=self.group,
-                        )
+            if self.tracer is not None and entries:
+                # Consume latency = log dwell time: append to poll.
+                self.tracer.record_spans(
+                    "consume",
+                    "kafka",
+                    [entry.record.headers.get(TRACE_HEADER) for entry in entries],
+                    [entry.append_time for entry in entries],
+                    end=self.cluster.clock.now(),
+                    topic=self.topic,
+                    partition=partition,
+                    group=self.group,
+                )
             if entries:
                 self._positions[partition] = entries[-1].offset + 1
         self.metrics.counter("records_polled").inc(len(out))

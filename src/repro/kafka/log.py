@@ -215,11 +215,14 @@ class PartitionLog:
 def _record_size(record: Record) -> int:
     if PERF.enabled:
         PERF.inc("kafka.size_encodings")
+    headers = record.headers
+    if type(headers) is not dict:
+        headers = dict(headers)  # any Mapping sizes like the dict it holds
     return serde.encoded_size(
         {
             "key": record.key,
             "value": record.value,
             "event_time": record.event_time,
-            "headers": dict(record.headers),
+            "headers": headers,
         }
     )

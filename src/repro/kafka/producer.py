@@ -21,17 +21,12 @@ from repro.common.errors import (
 )
 from repro.common.metrics import MetricsRegistry
 from repro.common.perf import PERF
-from repro.common.records import Record, stamp_audit_headers
+from repro.common.records import Record, stamp_audit
 from repro.common.retry import RetryPolicy
 from repro.common.rng import seeded_rng
 from repro.columnar import ColumnBatch, ColumnChunk
 from repro.kafka.cluster import KafkaCluster, ProducerCtx
-from repro.observability.trace import (
-    ORIGIN_HEADER,
-    TRACE_HEADER,
-    SpanCollector,
-    TraceContext,
-)
+from repro.observability.trace import ORIGIN_HEADER, TRACE_HEADER, SpanCollector
 
 
 @dataclass(frozen=True, slots=True)
@@ -162,18 +157,11 @@ class Producer:
         results back to Kafka) continue an upstream trace instead of
         starting a new one.
         """
+        if event_time is None:
+            event_time = self.clock.now()
         record = Record(
-            key=key,
-            value=value,
-            event_time=self.clock.now() if event_time is None else event_time,
-            headers=dict(headers) if headers else {},
+            key, value, event_time, self._stamp(headers, event_time, tier)
         )
-        record = stamp_audit_headers(record, self.service_name, tier)
-        if self.tracer is not None and TRACE_HEADER not in record.headers:
-            traced = dict(record.headers)
-            traced[TRACE_HEADER] = traced["uid"]
-            traced.setdefault(ORIGIN_HEADER, record.event_time)
-            record = Record(record.key, record.value, record.event_time, traced)
         partition = self._choose_partition(topic, key)
         batch = self._batches.setdefault(
             (topic, partition), _Batch(partition=partition)
@@ -234,19 +222,8 @@ class Producer:
                 sub_times = [times[i] for i in rows]
             chunk = ColumnChunk(sub, sub_times)
             record = Record(
-                key=None,
-                value=chunk,
-                event_time=sub_times[-1],
-                headers={},
+                None, chunk, sub_times[-1], self._stamp(None, sub_times[-1], tier)
             )
-            record = stamp_audit_headers(record, self.service_name, tier)
-            if self.tracer is not None:
-                traced = dict(record.headers)
-                traced[TRACE_HEADER] = traced["uid"]
-                traced.setdefault(ORIGIN_HEADER, record.event_time)
-                record = Record(
-                    record.key, record.value, record.event_time, traced
-                )
             pending = self._batches.setdefault(
                 (topic, partition), _Batch(partition=partition)
             )
@@ -260,6 +237,20 @@ class Producer:
             if pending.bytes >= self.batch_size:
                 self._flush_batch(topic, partition)
         return touched
+
+    def _stamp(
+        self, headers: dict[str, Any] | None, event_time: float, tier: str
+    ) -> dict[str, Any]:
+        """The outgoing record's own header dict: the caller's headers, the
+        audit metadata of Section 9.4 and, when tracing, the trace context
+        (the audit ``uid`` doubles as trace id unless an upstream trace is
+        being continued)."""
+        stamped = dict(headers) if headers else {}
+        stamp_audit(stamped, self.service_name, tier, event_time)
+        if self.tracer is not None and TRACE_HEADER not in stamped:
+            stamped[TRACE_HEADER] = stamped["uid"]
+            stamped.setdefault(ORIGIN_HEADER, event_time)
+        return stamped
 
     def _partition_selections(
         self, topic: str, batch: ColumnBatch, key_column: str | None, n: int
@@ -357,22 +348,16 @@ class Producer:
             for i in range(len(batch.records))
         ]
         if self.tracer is not None:
-            end = self.cluster.clock.now()
-            for i, (record, sent_at) in enumerate(
-                zip(batch.records, batch.sent_at)
-            ):
-                ctx = TraceContext.from_record(record)
-                if ctx is not None:
-                    self.tracer.record_span(
-                        ctx.trace_id,
-                        "produce",
-                        "kafka",
-                        start=sent_at,
-                        end=end,
-                        topic=topic,
-                        partition=partition,
-                        offset=base + i,
-                    )
+            self.tracer.record_spans(
+                "produce",
+                "kafka",
+                [record.headers.get(TRACE_HEADER) for record in batch.records],
+                batch.sent_at,
+                end=self.cluster.clock.now(),
+                columns={"offset": range(base, base + len(batch.records))},
+                topic=topic,
+                partition=partition,
+            )
         self.metrics.counter("records_sent").inc(len(batch.records))
         self.metrics.counter("batches_sent").inc()
         self.metrics.counter("bytes_sent").inc(batch.bytes)

@@ -23,14 +23,22 @@ The model here is deliberately small:
 
 Tracing is strictly opt-in: components take ``tracer=None`` and stamp the
 ``trace_id`` header only when a collector is attached, so benchmarks that
-do not trace pay nothing.
+do not trace pay nothing.  With a collector attached (the ``Platform``
+default) each record pays two headers at the producer and, per hop, one
+slot in two lists: a hop hands the collector one *batch* of spans that
+share name, layer, end and attributes, a query is one row whatever the
+size of the table, and ``Span`` objects exist only while a reader looks at
+them.  On the wall-clock benchmark's live path tracing on runs at 0.87 of
+tracing off (CHANGES.md, PR 17, has the paired measurement); most of what
+is left is propagation — the headers, a ``TraceContext`` and an open
+``process`` span per Flink source record — not this store.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 from repro.common.metrics import MetricsRegistry
 
@@ -81,9 +89,15 @@ class TraceContext:
 
 @dataclass(slots=True)
 class Span:
-    """One hop of one trace: a named interval on the shared clock."""
+    """One hop of one trace: a named interval on the shared clock.
 
-    trace_id: str
+    ``trace_id`` is ``None`` on a table query read outside any trace
+    (:meth:`SpanCollector.spans`): a query belongs to every trace it
+    covered, and :meth:`SpanCollector.trace` names the trace it was asked
+    about.
+    """
+
+    trace_id: str | None
     name: str  # one of HOP_ORDER (free-form names are allowed too)
     layer: str  # kafka | flink | pinot | presto | ...
     start: float
@@ -101,6 +115,73 @@ class Span:
         return self.end - self.start
 
 
+class _Batch:
+    """Finished spans that arrived together, stored column-wise.
+
+    Name, layer, end and ``attrs`` are shared by every row; ``trace_ids``
+    and ``starts`` are parallel lists, ``columns`` holds attributes that
+    differ per row (any indexable sequence, e.g. a ``range`` of offsets).
+    Row ``i`` has arrival sequence ``seq + i``.  A table query is a
+    one-row batch whose trace id is ``None``.
+    """
+
+    __slots__ = (
+        "seq",
+        "name",
+        "layer",
+        "end",
+        "attrs",
+        "trace_ids",
+        "starts",
+        "columns",
+    )
+
+    def __init__(
+        self,
+        seq: int,
+        name: str,
+        layer: str,
+        end: float,
+        attrs: dict[str, Any],
+        trace_ids: Sequence[str | None],
+        starts: Sequence[float],
+        columns: Mapping[str, Sequence[Any]] | None = None,
+    ) -> None:
+        self.seq = seq
+        self.name = name
+        self.layer = layer
+        self.end = end
+        self.attrs = attrs
+        self.trace_ids = trace_ids
+        self.starts = starts
+        self.columns = columns
+
+    def drop_head(self, count: int) -> None:
+        self.seq += count
+        self.trace_ids = self.trace_ids[count:]
+        self.starts = self.starts[count:]
+        if self.columns:
+            self.columns = {k: col[count:] for k, col in self.columns.items()}
+
+    def ingest_table(self) -> str | None:
+        """The Pinot table these rows became queryable in, if any."""
+        return self.attrs.get("table") if self.name == "ingest" else None
+
+    def start(self, seq: int) -> float:
+        return self.starts[seq - self.seq]
+
+    def span(self, seq: int, trace_id: str | None) -> Span:
+        """The row with arrival sequence ``seq``, as seen from ``trace_id``."""
+        row = seq - self.seq
+        attrs = dict(self.attrs)
+        if self.columns:
+            for key, column in self.columns.items():
+                attrs[key] = column[row]
+        return Span(
+            trace_id, self.name, self.layer, self.starts[row], self.end, attrs
+        )
+
+
 class SpanCollector:
     """In-memory sink for spans emitted by every instrumented layer.
 
@@ -108,23 +189,79 @@ class SpanCollector:
     :class:`~repro.platform.Platform` facade wires it); spans land here and
     their durations are exported through the attached
     :class:`MetricsRegistry` so spans and counters share one export path.
+
+    The store is a ring over arrival order holding the newest ``capacity``
+    rows — finished spans and table queries alike.  Older rows are dropped,
+    counted in ``spans_dropped``, and leave every view with them: a trace
+    whose early hops were dropped shows the hops that remain, a table no
+    longer lists a trace whose ``ingest`` rows are gone.
     """
 
     def __init__(
         self,
         metrics: MetricsRegistry | None = None,
         max_open_spans: int = 100_000,
+        capacity: int = 100_000,
     ) -> None:
+        if capacity < 1:
+            raise ValueError(f"capacity must be at least 1, got {capacity}")
         self.metrics = metrics
         self.max_open_spans = max_open_spans
-        self._finished: list[Span] = []
-        self._open: OrderedDict[tuple[str, str], Span] = OrderedDict()
-        # Ingest-side index: Pinot table -> trace ids whose records landed
-        # in it.  Lets query-layer spans attach to the traces a query could
-        # have served (the "queryable" boundary of the freshness story).
-        self._table_traces: dict[str, set[str]] = {}
+        self.capacity = capacity
+        self.spans_dropped = 0
+        self.open_spans_evicted = 0
+        self._batches: deque[_Batch] = deque()
+        self._size = 0
+        self._next_seq = 0
+        # (trace_id, name) -> (layer, start, attrs); the tuple is shared by
+        # every span opened in one begin_spans call.
+        self._open: OrderedDict[tuple[str, str], tuple] = OrderedDict()
+        # Kept with the store, because record_table_query answers from
+        # them: per Pinot table, how many stored ``ingest`` rows each trace
+        # has there, and the stored queries in arrival order.
+        self._table_traces: dict[str, dict[str, int]] = {}
+        self._table_queries: dict[str, deque[_Batch]] = {}
+        # Built by readers only (_index): trace id -> its stored rows as
+        # (batch, arrival sequence), over every batch below _indexed.
+        self._by_trace: dict[str, list[tuple[_Batch, int]]] = {}
+        self._indexed = 0
 
     # -- recording ----------------------------------------------------------
+
+    def record_spans(
+        self,
+        name: str,
+        layer: str,
+        trace_ids: Sequence[str | None],
+        starts: Sequence[float],
+        end: float,
+        columns: Mapping[str, Sequence[Any]] | None = None,
+        **attrs: Any,
+    ) -> int:
+        """Record one hop of a batch of records: spans that share ``name``,
+        ``layer``, ``end`` and ``attrs`` and differ in trace id, start and
+        the per-row ``columns``.
+
+        ``trace_ids`` is what each record's ``trace_id`` header holds;
+        ``None`` marks an untraced record, whose row is skipped.  The
+        collector keeps the sequences it is given, so the caller must not
+        mutate them afterwards.  Returns the number of spans recorded.
+        """
+        if None in trace_ids:
+            keep = [i for i, tid in enumerate(trace_ids) if tid is not None]
+            trace_ids = [trace_ids[i] for i in keep]
+            starts = [starts[i] for i in keep]
+            if columns:
+                columns = {
+                    key: [column[i] for i in keep]
+                    for key, column in columns.items()
+                }
+        if not trace_ids:
+            return 0
+        self._append(
+            _Batch(self._next_seq, name, layer, end, attrs, trace_ids, starts, columns)
+        )
+        return len(trace_ids)
 
     def record_span(
         self,
@@ -136,106 +273,216 @@ class SpanCollector:
         **attrs: Any,
     ) -> Span:
         """Record a completed span in one shot."""
-        span = Span(trace_id, name, layer, start, end, attrs)
-        self._finish(span)
-        return span
+        return self._record(trace_id, name, layer, start, end, attrs)
+
+    def _record(
+        self,
+        trace_id: str,
+        name: str,
+        layer: str,
+        start: float,
+        end: float,
+        attrs: dict[str, Any],
+    ) -> Span:
+        """The one-row form of :meth:`record_spans`, over the same store."""
+        self._append(
+            _Batch(self._next_seq, name, layer, end, attrs, (trace_id,), (start,))
+        )
+        return Span(trace_id, name, layer, start, end, dict(attrs))
+
+    def begin_spans(
+        self,
+        name: str,
+        layer: str,
+        trace_ids: Sequence[str],
+        start: float,
+        **attrs: Any,
+    ) -> None:
+        """Open one span per trace id, to be ended later by a different hop.
+
+        Re-beginning an open (trace_id, name) pair restarts it; spans left
+        open past ``max_open_spans`` are evicted oldest-first and counted in
+        ``open_spans_evicted`` (records aggregated away inside Flink never
+        reach a sink, so their process spans can never finish).
+        """
+        opened = (layer, start, attrs)
+        open_spans = self._open
+        for trace_id in trace_ids:
+            open_spans[(trace_id, name)] = opened
+        evicted = len(open_spans) - self.max_open_spans
+        if evicted > 0:
+            for __ in range(evicted):
+                open_spans.popitem(last=False)
+            self.open_spans_evicted += evicted
+            if self.metrics is not None:
+                self.metrics.counter("open_spans_evicted").inc(evicted)
 
     def begin_span(
         self, trace_id: str, name: str, layer: str, start: float, **attrs: Any
-    ) -> Span:
-        """Open a span whose end is reported later by a different hop.
-
-        Re-beginning an open (trace_id, name) pair restarts it; spans left
-        open past ``max_open_spans`` are evicted oldest-first (records
-        aggregated away inside Flink never reach a sink, so their process
-        spans can never finish).
-        """
-        span = Span(trace_id, name, layer, start, None, attrs)
-        self._open[(trace_id, name)] = span
-        while len(self._open) > self.max_open_spans:
-            self._open.popitem(last=False)
-        return span
+    ) -> None:
+        """Open a span whose end is reported later (see :meth:`begin_spans`)."""
+        self.begin_spans(name, layer, (trace_id,), start, **attrs)
 
     def end_span(
         self, trace_id: str, name: str, end: float, **attrs: Any
     ) -> Span | None:
         """Finish a previously begun span; no-op when none is open."""
-        span = self._open.pop((trace_id, name), None)
-        if span is None:
+        opened = self._open.pop((trace_id, name), None)
+        if opened is None:
             return None
-        span.end = end
-        span.attrs.update(attrs)
-        self._finish(span)
-        return span
+        layer, start, begin_attrs = opened
+        return self._record(trace_id, name, layer, start, end, {**begin_attrs, **attrs})
 
     def record_table_query(
         self, table: str, layer: str, start: float, end: float, **attrs: Any
     ) -> int:
-        """Attach a ``query`` span to every trace ingested into ``table``.
+        """Record one query over ``table``; returns the traces it covered.
 
         The query layer does not see per-row headers, but it does know the
-        table it served; lineage-wise, each trace whose record is queryable
-        in the table was covered by the query.  Returns the number of
-        traces the span was attached to.  The query latency is observed in
-        metrics exactly once, not once per trace.
+        table it served; lineage-wise, each trace whose record was
+        queryable in the table was covered by the query.  The query is
+        stored once; :meth:`trace` resolves coverage when asked, as *the
+        queries recorded after the trace's first stored ``ingest`` span
+        into that table* — arrival order in this collector, so the answer
+        does not depend on what the two layers' clocks read.
         """
-        traces = self._table_traces.get(table, ())
-        for i, trace_id in enumerate(sorted(traces)):
-            span = Span(
-                trace_id, "query", layer, start, end, dict(attrs, table=table)
-            )
-            self._finish(span, observe_metrics=(i == 0))
-        if not traces and self.metrics is not None:
-            self.metrics.histogram(f"span.{layer}.query").observe(end - start)
-        return len(traces)
+        attrs["table"] = table
+        query = _Batch(self._next_seq, "query", layer, end, attrs, (None,), (start,))
+        self._table_queries.setdefault(table, deque()).append(query)
+        self._append(query)
+        return len(self._table_traces.get(table, ()))
 
-    def _finish(self, span: Span, observe_metrics: bool = True) -> None:
-        if span.end is not None and span.end < span.start:
-            if self.metrics is not None:
-                self.metrics.counter("spans_inverted").inc()
-        self._finished.append(span)
-        if span.name == "ingest" and "table" in span.attrs:
-            self._table_traces.setdefault(span.attrs["table"], set()).add(
-                span.trace_id
-            )
-        if self.metrics is not None and observe_metrics:
-            self.metrics.counter("spans_finished").inc()
-            self.metrics.histogram(f"span.{span.layer}.{span.name}").observe(
-                span.duration
-            )
+    def _append(self, batch: _Batch) -> None:
+        count = len(batch.trace_ids)
+        self._batches.append(batch)
+        self._next_seq += count
+        self._size += count
+        table = batch.ingest_table()
+        if table is not None:
+            ingests = self._table_traces.setdefault(table, {})
+            for trace_id in batch.trace_ids:
+                ingests[trace_id] = ingests.get(trace_id, 0) + 1
+        metrics = self.metrics
+        if metrics is not None:
+            end, starts = batch.end, batch.starts
+            metrics.counter("spans_finished").inc(count)
+            durations = metrics.histogram(f"span.{batch.layer}.{batch.name}")
+            durations.observe_since(end, starts)
+            if max(starts) > end:
+                metrics.counter("spans_inverted").inc(sum(s > end for s in starts))
+        if self._size > self.capacity:
+            self._drop_oldest(self._size - self.capacity)
+
+    def _drop_oldest(self, count: int) -> None:
+        self._size -= count
+        self.spans_dropped += count
+        if self.metrics is not None:
+            self.metrics.counter("spans_dropped").inc(count)
+        while count:
+            batch = self._batches[0]
+            dropped = batch.trace_ids[:count]
+            self._forget(batch, dropped)
+            if len(dropped) == len(batch.trace_ids):
+                self._batches.popleft()
+            else:
+                batch.drop_head(len(dropped))
+            count -= len(dropped)
+
+    def _forget(self, batch: _Batch, trace_ids: Sequence[str | None]) -> None:
+        """Take the leading rows of the oldest batch out of every index."""
+        if trace_ids[0] is None:
+            table = batch.attrs["table"]
+            self._table_queries[table].popleft()
+            if not self._table_queries[table]:
+                del self._table_queries[table]
+            return
+        if batch.seq < self._indexed:
+            for trace_id in trace_ids:
+                rows = self._by_trace[trace_id]
+                del rows[0]
+                if not rows:
+                    del self._by_trace[trace_id]
+        table = batch.ingest_table()
+        if table is not None:
+            ingests = self._table_traces[table]
+            for trace_id in trace_ids:
+                ingests[trace_id] -= 1
+                if not ingests[trace_id]:
+                    del ingests[trace_id]
+            if not ingests:
+                del self._table_traces[table]
 
     # -- introspection ------------------------------------------------------
 
     def spans(self, name: str | None = None, layer: str | None = None) -> list[Span]:
+        """Stored spans in arrival order; a table query appears once."""
         return [
-            s
-            for s in self._finished
-            if (name is None or s.name == name)
-            and (layer is None or s.layer == layer)
+            batch.span(seq, trace_id)
+            for batch in self._batches
+            if (name is None or batch.name == name)
+            and (layer is None or batch.layer == layer)
+            for seq, trace_id in enumerate(batch.trace_ids, batch.seq)
         ]
 
-    def trace(self, trace_id: str) -> list[Span]:
-        """Finished spans of one trace, ordered start-then-hop."""
-        spans = [s for s in self._finished if s.trace_id == trace_id]
-        return sorted(spans, key=lambda s: (s.start, _hop_rank(s.name)))
-
-    def trace_ids(self) -> list[str]:
-        return sorted({s.trace_id for s in self._finished})
-
-    def traces_for_table(self, table: str) -> set[str]:
-        return set(self._table_traces.get(table, ()))
+    def span_count(self) -> int:
+        return self._size
 
     def open_span_count(self) -> int:
         return len(self._open)
+
+    def _index(self) -> dict[str, list[tuple[_Batch, int]]]:
+        """The per-trace index, extended over what arrived since last read."""
+        fresh = []
+        for batch in reversed(self._batches):
+            if batch.seq < self._indexed:
+                break
+            fresh.append(batch)
+        by_trace = self._by_trace
+        for batch in reversed(fresh):
+            for seq, trace_id in enumerate(batch.trace_ids, batch.seq):
+                if trace_id is not None:
+                    by_trace.setdefault(trace_id, []).append((batch, seq))
+        self._indexed = self._next_seq
+        return by_trace
+
+    def _rows(self, trace_id: str) -> list[tuple[_Batch, int]]:
+        """(batch, arrival sequence) of every stored span of one trace and
+        of every stored query that covered it."""
+        own = self._index().get(trace_id, ())
+        rows = list(own)
+        first_ingest: dict[str, int] = {}
+        for batch, seq in own:
+            table = batch.ingest_table()
+            if table is not None:
+                first_ingest.setdefault(table, seq)
+        for table, ingested in first_ingest.items():
+            for query in reversed(self._table_queries.get(table, ())):
+                if query.seq < ingested:
+                    break
+                rows.append((query, query.seq))
+        return rows
+
+    def trace(self, trace_id: str) -> list[Span]:
+        """Finished spans of one trace, ordered start-then-hop (arrival
+        order between equals), covering queries included."""
+        rows = self._rows(trace_id)
+        rows.sort(key=lambda r: (r[0].start(r[1]), _hop_rank(r[0].name), r[1]))
+        return [batch.span(seq, trace_id) for batch, seq in rows]
+
+    def trace_ids(self) -> list[str]:
+        return sorted(self._index())
+
+    def traces_for_table(self, table: str) -> set[str]:
+        return set(self._table_traces.get(table, ()))
 
     def trace_latency(
         self, trace_id: str, first_hop: str = "produce", last_hop: str = "ingest"
     ) -> float | None:
         """Boundary-to-boundary latency of one trace, or ``None`` when the
         trace does not cover both hops."""
-        spans = self.trace(trace_id)
-        starts = [s.start for s in spans if s.name == first_hop]
-        ends = [s.end for s in spans if s.name == last_hop and s.end is not None]
+        rows = self._rows(trace_id)
+        starts = [b.start(seq) for b, seq in rows if b.name == first_hop]
+        ends = [b.end for b, __ in rows if b.name == last_hop]
         if not starts or not ends:
             return None
         return max(ends) - min(starts)
@@ -253,17 +500,21 @@ class SpanCollector:
         hop against the k-th earliest span of the next hop present.
         """
         problems: list[str] = []
-        for span in self._finished:
-            if span.end is not None and span.end < span.start:
-                problems.append(
-                    f"span {span.name}[{span.layer}] of {span.trace_id} ends "
-                    f"at {span.end:.6f} before it starts at {span.start:.6f}"
-                )
+        for batch in self._batches:
+            if max(batch.starts) <= batch.end:
+                continue
+            for trace_id, start in zip(batch.trace_ids, batch.starts):
+                if batch.end < start:
+                    owner = trace_id or f"table {batch.attrs['table']}"
+                    problems.append(
+                        f"span {batch.name}[{batch.layer}] of {owner} ends "
+                        f"at {batch.end:.6f} before it starts at {start:.6f}"
+                    )
         for trace_id in self.trace_ids():
             starts_by_hop: dict[str, list[float]] = {}
-            for span in self.trace(trace_id):
-                if span.name in HOP_ORDER:
-                    starts_by_hop.setdefault(span.name, []).append(span.start)
+            for batch, seq in self._rows(trace_id):
+                if batch.name in HOP_ORDER:
+                    starts_by_hop.setdefault(batch.name, []).append(batch.start(seq))
             present = [h for h in HOP_ORDER if h in starts_by_hop]
             for earlier, later in zip(present, present[1:]):
                 pairs = zip(
@@ -278,12 +529,15 @@ class SpanCollector:
         return problems
 
     def summary(self) -> str:
-        """One text block: span counts and duration percentiles per hop."""
+        """One text block: span counts and duration percentiles per hop,
+        then what the two bounds cost — a trace missing a hop because its
+        span was dropped or evicted is not a trace that skipped the hop."""
         by_hop: dict[tuple[str, str], list[float]] = {}
-        for span in self._finished:
-            if span.end is None:
-                continue
-            by_hop.setdefault((span.layer, span.name), []).append(span.duration)
+        for batch in self._batches:
+            end = batch.end
+            by_hop.setdefault((batch.layer, batch.name), []).extend(
+                [end - start for start in batch.starts]
+            )
         lines = [f"{'layer':<8} {'span':<10} {'count':>7} {'p50 (s)':>9} {'p99 (s)':>9}"]
         for (layer, name), durations in sorted(by_hop.items()):
             durations.sort()
@@ -292,6 +546,10 @@ class SpanCollector:
             lines.append(
                 f"{layer:<8} {name:<10} {len(durations):>7} {p50:>9.3f} {p99:>9.3f}"
             )
+        lines.append(
+            f"spans dropped: {self.spans_dropped}, "
+            f"open spans evicted: {self.open_spans_evicted}"
+        )
         return "\n".join(lines)
 
 

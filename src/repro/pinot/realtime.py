@@ -17,13 +17,14 @@ server's per-partition UpsertManager.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
 from repro.audit.lineage import lineage_digest
 from repro.columnar import ColumnChunk
 from repro.common.errors import BrokerUnavailableError, PinotError, SchemaError
 from repro.common.metrics import MetricsRegistry
 from repro.kafka.cluster import KafkaCluster
-from repro.observability.trace import SpanCollector, TraceContext
+from repro.observability.trace import TRACE_HEADER, SpanCollector
 from repro.pinot.recovery import BackupHandle, SegmentBackupStrategy
 from repro.pinot.segment import MutableSegment
 from repro.pinot.server import PinotServer
@@ -142,9 +143,23 @@ class RealtimeIngestion:
                 # a broker restart restores a leader.
                 self.metrics.counter("unavailable_polls").inc()
                 continue
+            ingested += self._ingest_entries(state, entries)
+        self.metrics.counter("rows_ingested").inc(ingested)
+        return ingested
+
+    def _ingest_entries(self, state: _PartitionState, entries: list) -> int:
+        """Ingest one fetched batch of a partition; returns rows added."""
+        ingested = 0
+        # Entries whose rows landed in the consuming segment and still await
+        # their ingest spans: one collector call covers them, made before
+        # anything that can seal (a seal renames the consuming segment and
+        # may move the clock) and on every way out.
+        landed: list = []
+        try:
             for entry in entries:
                 if isinstance(entry.record.value, ColumnChunk):
                     # Vectorized path: the whole chunk is one ingest unit.
+                    self._trace_ingest(state, landed)
                     ingested += self._ingest_chunk(state, entry)
                     state.position = entry.offset + 1
                     if state.blocked():
@@ -168,23 +183,7 @@ class RealtimeIngestion:
                 # for this table are stale now.
                 self.epoch.bump()
                 if self.tracer is not None:
-                    ctx = TraceContext.from_record(entry.record)
-                    if ctx is not None:
-                        # Ingest = log dwell + append; the row is queryable
-                        # in the consuming segment from this instant (the
-                        # paper's freshness boundary).  Timestamps come from
-                        # the shared Kafka-cluster clock so the span can
-                        # never end before the produce span did.
-                        self.tracer.record_span(
-                            ctx.trace_id,
-                            "ingest",
-                            "pinot",
-                            start=entry.append_time,
-                            end=self.kafka.clock.now(),
-                            table=self.config.name,
-                            partition=state.partition,
-                            segment=state.consuming.name,
-                        )
+                    landed.append(entry)
                 if self.config.upsert_enabled:
                     manager = state.owner.upsert_manager(
                         self.config.name, state.partition
@@ -195,11 +194,35 @@ class RealtimeIngestion:
                         doc_id,
                     )
                 if state.consuming.num_docs >= self.config.segment_rows_threshold:
+                    self._trace_ingest(state, landed)
                     self._seal(state)
                     if state.blocked():
                         break
-        self.metrics.counter("rows_ingested").inc(ingested)
+        finally:
+            self._trace_ingest(state, landed)
         return ingested
+
+    def _trace_ingest(self, state: _PartitionState, landed: list, **attrs: Any) -> None:
+        """Record the ingest spans of ``landed`` entries and empty the list.
+
+        Ingest = log dwell + append; the rows are queryable in the consuming
+        segment from this instant (the paper's freshness boundary).
+        Timestamps come from the shared Kafka-cluster clock so a span can
+        never end before the produce span did.
+        """
+        if self.tracer is not None and landed:
+            self.tracer.record_spans(
+                "ingest",
+                "pinot",
+                [entry.record.headers.get(TRACE_HEADER) for entry in landed],
+                [entry.append_time for entry in landed],
+                end=self.kafka.clock.now(),
+                table=self.config.name,
+                partition=state.partition,
+                segment=state.consuming.name,
+                **attrs,
+            )
+        landed.clear()
 
     def _ingest_chunk(self, state: _PartitionState, entry) -> int:
         """Ingest one columnar chunk; returns the rows it added.
@@ -240,21 +263,9 @@ class RealtimeIngestion:
                 self.epoch.bump(take)
                 if state.consuming.num_docs >= config.segment_rows_threshold:
                     self._seal(state)
-        if self.tracer is not None and ingested:
-            ctx = TraceContext.from_record(entry.record)
-            if ctx is not None:
-                # One ingest span per chunk (the record granularity).
-                self.tracer.record_span(
-                    ctx.trace_id,
-                    "ingest",
-                    "pinot",
-                    start=entry.append_time,
-                    end=self.kafka.clock.now(),
-                    table=config.name,
-                    partition=state.partition,
-                    segment=state.consuming.name,
-                    rows=ingested,
-                )
+        if ingested:
+            # One ingest span per chunk (the record granularity).
+            self._trace_ingest(state, [entry], rows=ingested)
         return ingested
 
     def _ingest_chunk_rows(self, state: _PartitionState, chunk: ColumnChunk) -> int:

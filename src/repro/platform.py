@@ -381,7 +381,7 @@ class Platform:
     def dashboard(self) -> str:
         """Spans-by-hop summary plus the SLO table, as one text block."""
         sections = []
-        if self.tracer is not None and self.tracer.spans():
+        if self.tracer is not None and self.tracer.span_count():
             sections.append(self.tracer.summary())
             anomalies = self.tracer.anomalies()
             if anomalies:

@@ -74,6 +74,32 @@ class TestHistogram:
         assert hist.percentile(0) == 1.0
         assert hist.max == 9.0
 
+    def test_observe_since_reads_like_one_observe_per_start(self):
+        # Span batches hand over (end, starts) instead of a duration per
+        # row; every reader must see what per-value observes would show,
+        # the float `total` included, whenever reads fall between writes.
+        import random
+
+        rng = random.Random(5)
+        batched, single = Histogram(), Histogram()
+        for round_ in range(30):
+            end = rng.uniform(0, 100)
+            starts = [end - rng.uniform(-1, 10) for __ in range(rng.randrange(6))]
+            batched.observe_since(end, starts)
+            for start in starts:
+                single.observe(end - start)
+            if round_ % 7 == 0:
+                batched.observe(0.1)
+                single.observe(0.1)
+                assert batched.percentile(90) == single.percentile(90)
+            assert batched.count == single.count
+        assert batched.total == single.total
+        assert (batched.min, batched.max) == (single.min, single.max)
+        assert [batched.percentile(p) for p in range(0, 101, 5)] == [
+            single.percentile(p) for p in range(0, 101, 5)
+        ]
+        assert batched.count_at_or_below(3.0) == single.count_at_or_below(3.0)
+
 
 class TestRegistry:
     def test_same_name_same_instance(self):

@@ -108,8 +108,14 @@ class TestTableQueryFanOut:
             "stats", "pinot", start=3.0, end=4.0
         )
         assert attached == 2
-        assert {s.trace_id for s in collector.spans("query")} == {"a", "b"}
-        assert all(s.attrs["table"] == "stats" for s in collector.spans("query"))
+        # Stored once, seen from every trace ingested into the table.
+        [query] = collector.spans("query")
+        assert query.trace_id is None
+        assert query.attrs["table"] == "stats"
+        for tid in ("a", "b"):
+            [covering] = [s for s in collector.trace(tid) if s.name == "query"]
+            assert covering == Span(tid, "query", "pinot", 3.0, 4.0, query.attrs)
+        assert [s.name for s in collector.trace("c")] == ["ingest"]
 
     def test_query_latency_observed_once_not_per_trace(self):
         metrics = MetricsRegistry("obs")

@@ -598,8 +598,6 @@ class TestQuerySpans:
         produce_rides(kafka, clock, 300)
         state.ingestion.run_until_caught_up()
         tracer = SpanCollector()
-        # Register one ingested trace so query spans have a trace to join.
-        tracer.record_span("t-1", "ingest", "pinot", 0.0, 1.0, table="rides")
         broker = PinotBroker(controller, clock=clock, tracer=tracer)
         query = PinotQuery(
             "rides", aggregations=[Aggregation("COUNT")],
