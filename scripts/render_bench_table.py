@@ -5,13 +5,14 @@ Reads the committed baseline (``BENCH_core.json``) and a fresh run
 (``BENCH_quick.json``), and writes a markdown table of deterministic
 rps per scenario with the relative change — the human-readable
 companion CI uploads next to the raw JSON.  A second table summarizes
-cache effectiveness (broker result cache, scan-share cache, stage
-artifacts, sticky-queue spills) from the current run's counters, so a
-locality regression is visible at a glance even when it stays inside
-the throughput gate's slack.  A third table summarizes the join-state
-and feature-store counters (probe fan-out, evictions, idempotent-write
-absorption) for the scenarios that exercise them.  Rendering is
-read-only: the regression *gate* stays in
+cache effectiveness — the three tiers of the one epoch-validated cache
+(broker results, scan sharing, stage artifacts) in its ``stats()`` shape
+of hits / misses / hit rate, plus the sticky queue's spills — from the
+current run's counters, so a locality regression is visible at a glance
+even when it stays inside the throughput gate's slack.  A third table
+summarizes the join-state and feature-store counters (probe fan-out,
+evictions, idempotent-write absorption) for the scenarios that exercise
+them.  Rendering is read-only: the regression *gate* stays in
 ``python -m repro.bench --baseline``.
 
 Usage: render_bench_table.py BASELINE CURRENT [OUT.md]
@@ -35,13 +36,13 @@ def load_scenarios(path: Path) -> dict:
     return doc.get("scenarios", {})
 
 
-#: label -> (hit counter, miss counter or None).  Misses of None means
-#: the layer only counts hits; the rate column is left blank for it.
+#: tier -> (hit counter, miss counter): every tier of the one cache reads
+#: the same way.  A stage that executed is a stage whose artifact lookup
+#: missed, so the stage tier's misses are its executions.
 CACHE_COUNTERS = {
     "broker result cache": ("pinot.cache_hits", "pinot.cache_misses"),
     "scan share": ("pinot.scanshare_hits", "pinot.scanshare_misses"),
-    "stage artifacts": ("presto.stage_artifact_hits", None),
-    "queue spills": ("controlplane.queue_spills", "controlplane.queue_submits"),
+    "stage artifacts": ("presto.stage_artifact_hits", "presto.stage_executions"),
 }
 
 
@@ -54,27 +55,27 @@ def render_cache_table(current: dict) -> str:
     for name in sorted(current):
         counters = current[name].get("counters", {})
         for label, (hit_key, miss_key) in CACHE_COUNTERS.items():
-            hits = counters.get(hit_key)
-            misses = counters.get(miss_key) if miss_key else None
-            if not hits and not misses:
-                continue  # layer never engaged in this scenario
-            hits = hits or 0
-            if misses is None:
-                rate = "—"
-                miss_cell = "—"
-            else:
-                # queue spills count against total submits, not misses.
-                total = misses if label == "queue spills" else hits + misses
-                rate = f"{hits / total:.1%}" if total else "—"
-                miss_cell = f"{misses:,}"
-            lines.append(f"| {name} | {label} | {hits:,} | {miss_cell} | {rate} |")
+            hits = counters.get(hit_key, 0)
+            misses = counters.get(miss_key, 0)
+            if not hits + misses:
+                continue  # tier never engaged in this scenario
+            rate = hits / (hits + misses)
+            lines.append(f"| {name} | {label} | {hits:,} | {misses:,} | {rate:.1%} |")
+            rows += 1
+        submits = counters.get("controlplane.queue_submits", 0)
+        if submits:
+            spills = counters.get("controlplane.queue_spills", 0)
+            lines.append(
+                f"| {name} | queue spills | {spills:,} | {submits:,} "
+                f"| {spills / submits:.1%} |"
+            )
             rows += 1
     if not rows:
         return ""
     lines.append("")
     lines.append(
-        "queue spills report spills/submits (lower is stickier); the "
-        "other rows report hits/(hits+misses)."
+        "cache rows report hits/(hits+misses); queue spills reports "
+        "spills/submits (lower is stickier)."
     )
     return "\n".join(lines) + "\n"
 

@@ -20,8 +20,8 @@ Eight scenarios, one per hot layer of the stack:
   with many sealed segments, partition keying, blooms and a time column:
   the broker's segment-pruning and result-cache hot path.
 * ``presto_scan`` — PrestoSQL over the Pinot connector at predicate-only
-  pushdown, so rows ship into the engine's row loop: the federated scan
-  hot path.
+  pushdown, over a table fed as column chunks, so pages ship into the
+  engine's kernels: the federated scan hot path.
 * ``presto_federated_join`` — a Pinot fact table joined to a Hive
   dimension table through the stage scheduler, with query variants that
   share plan subtrees: the planner's stage-artifact reuse and epoch
@@ -129,7 +129,7 @@ def kafka_produce_fetch(params: dict, seed: int, probe) -> Outcome:
 
 def flink_window(params: dict, seed: int, probe) -> Outcome:
     from repro.flink.graph import StreamEnvironment
-    from repro.flink.operators import BoundedColumnarSource, BoundedListSource
+    from repro.flink.operators import BoundedColumnarSource
     from repro.flink.runtime import JobRuntime
     from repro.flink.windows import SumAggregate, TumblingWindows
 
@@ -145,19 +145,14 @@ def flink_window(params: dict, seed: int, probe) -> Outcome:
     clock = SimulatedClock()
     env = StreamEnvironment()
     out: list = []
-    if params.get("columnar", False):
-        # Vectorized plane: same rows, same timestamps, laid out as
-        # columns; the results digest must match the row branch exactly.
-        source = BoundedColumnarSource(
-            columns={
-                "city": [row["city"] for row, __ in elements],
-                "amount": [row["amount"] for row, __ in elements],
-            },
-            timestamps=[ts for __, ts in elements],
-            batch_size=200,
-        )
-    else:
-        source = BoundedListSource(elements, batch_size=200)
+    source = BoundedColumnarSource(
+        columns={
+            "city": [row["city"] for row, __ in elements],
+            "amount": [row["amount"] for row, __ in elements],
+        },
+        timestamps=[ts for __, ts in elements],
+        batch_size=200,
+    )
     env.add_source(
         source, name="src",
         parallelism=params["parallelism"],
@@ -350,7 +345,9 @@ def stream_join(params: dict, seed: int, probe) -> Outcome:
 # -- pinot ---------------------------------------------------------------------
 
 
-def _pinot_table(params: dict, seed: int, probe):
+def _pinot_table(params: dict, seed: int, probe, chunked: bool = False):
+    """Produce and fully ingest the ``metrics`` table.  ``chunked`` ships
+    the same rows as 200-row column chunks instead of one record each."""
     from repro.kafka.cluster import KafkaCluster, TopicConfig
     from repro.kafka.producer import Producer
     from repro.metadata.schema import Field, FieldRole, FieldType, Schema
@@ -377,7 +374,6 @@ def _pinot_table(params: dict, seed: int, probe):
             Field("ts", FieldType.DOUBLE, FieldRole.TIME),
         ),
     )
-    columnar = params.get("columnar", False)
     pending: list[dict] = []
 
     def flush_chunk() -> None:
@@ -405,9 +401,7 @@ def _pinot_table(params: dict, seed: int, probe):
             "amount": float(rng.randrange(100)),
             "ts": clock.now(),
         }
-        if columnar:
-            # Same rows, same rng/clock sequence — only the transport
-            # changes, so the results digest must match the row branch.
+        if chunked:
             pending.append(row)
             if len(pending) >= 200:
                 flush_chunk()
@@ -490,9 +484,9 @@ def pinot_selective_query(params: dict, seed: int, probe) -> Outcome:
     lookups by ride id, a partition-scoped recency window, a narrow time
     window — across rounds.  With ``pruning``/``cache`` enabled (the
     registered configuration) the first round scans a handful of segments
-    and later rounds are epoch-validated cache hits; the ablation (both
-    off, exercised by the bench tests) full-scans every segment every
-    round.
+    and later rounds are epoch-validated cache hits; with both steps
+    skipped (the bench tests' reference) every round full-scans every
+    segment.
     """
     from repro.kafka.cluster import KafkaCluster, TopicConfig
     from repro.kafka.producer import Producer
@@ -561,7 +555,6 @@ def pinot_selective_query(params: dict, seed: int, probe) -> Outcome:
         clock=clock,
         enable_pruning=params.get("pruning", True),
         enable_cache=params.get("cache", True),
-        sticky=params.get("sticky", True),
     )
     span = n * 0.001  # ts covers (0, span]
     lookup_ids = sorted(f"ride-{rng.randrange(n):08d}" for __ in range(3))
@@ -612,16 +605,10 @@ def presto_scan(params: dict, seed: int, probe) -> Outcome:
     from repro.sql.presto.connector import PinotConnector
     from repro.sql.presto.engine import PrestoEngine
 
-    clock, broker = _pinot_table(params, seed, probe)
+    clock, broker = _pinot_table(params, seed, probe, chunked=True)
     n = params["records"]
     engine = PrestoEngine(
-        {
-            "metrics": PinotConnector(
-                broker,
-                pushdown="predicate",
-                columnar=params.get("columnar", False),
-            )
-        },
+        {"metrics": PinotConnector(broker, pushdown="predicate")},
         clock=clock,
     )
     sql = (
@@ -642,14 +629,13 @@ def presto_federated_join(params: dict, seed: int, probe) -> Outcome:
     A Pinot realtime fact table (``rides``, keyed and partitioned by
     city) joins a small Hive dimension table (``cities`` → region)
     through the stage scheduler.  Every round runs four analytics
-    queries sharing the scan → join (→ aggregate) plan prefix, so with
-    ``reuse`` on (the registered configuration) the first query computes
-    the shared stages and the rest — and later rounds — are served from
-    the stage artifact store.  Midway through, an ingest burst advances
-    the rides TableEpoch, which must invalidate every rides-derived
-    artifact; the results digest covers each round's rows, so the
-    ablation with ``reuse`` off (run by the bench tests) must match
-    byte-for-byte or the store served stale data.
+    queries sharing the scan → join (→ aggregate) plan prefix, so the
+    first query computes the shared stages and the rest — and later
+    rounds — are served from the stage artifact store.  Midway through,
+    an ingest burst advances the rides TableEpoch, which must invalidate
+    every rides-derived artifact; the results digest covers each round's
+    rows and the bench tests pin it to the digest a run without any
+    reuse produced, so a stale artifact fails them.
     """
     from repro.kafka.cluster import KafkaCluster, TopicConfig
     from repro.kafka.producer import Producer
@@ -744,7 +730,6 @@ def presto_federated_join(params: dict, seed: int, probe) -> Outcome:
             "cities": HiveConnector(metastore),
         },
         clock=clock,
-        artifact_reuse=params.get("reuse", True),
     )
     # Four variants over one scan → join → aggregate prefix: the grouped
     # rollup, a HAVING refinement, a top-k cut, and a different aggregate
@@ -820,22 +805,17 @@ SCENARIOS: tuple[ScenarioSpec, ...] = (
     ScenarioSpec(
         name="flink_window",
         fn=flink_window,
-        # columnar=True is the registered configuration; the ablation
-        # (columnar=False, the row plane) is exercised by the bench tests
-        # and must produce a byte-identical results digest.
         full_params={
             "records": 12_000,
             "keys": 64,
             "window_s": 5.0,
             "parallelism": 2,
-            "columnar": True,
         },
         quick_params={
             "records": 3_000,
             "keys": 64,
             "window_s": 5.0,
             "parallelism": 2,
-            "columnar": True,
         },
     ),
     ScenarioSpec(
@@ -910,7 +890,6 @@ SCENARIOS: tuple[ScenarioSpec, ...] = (
             "query_rounds": 4,
             "pruning": True,
             "cache": True,
-            "sticky": True,
         },
         quick_params={
             "records": 3_000,
@@ -919,30 +898,24 @@ SCENARIOS: tuple[ScenarioSpec, ...] = (
             "query_rounds": 4,
             "pruning": True,
             "cache": True,
-            "sticky": True,
         },
     ),
     ScenarioSpec(
         name="presto_scan",
         fn=presto_scan,
         # query_rounds and the records:segment_rows ratio are fixed across
-        # modes for the same reason as pinot.  columnar=True (chunked
-        # produce/ingest + ColumnBatch pages into the engine) is the
-        # registered configuration; the row-plane ablation is exercised by
-        # the bench tests and must digest byte-identically.
+        # modes for the same reason as pinot.
         full_params={
             "records": 8_000,
             "keys": 20,
             "segment_rows": 1_000,
             "query_rounds": 4,
-            "columnar": True,
         },
         quick_params={
             "records": 2_000,
             "keys": 20,
             "segment_rows": 250,
             "query_rounds": 4,
-            "columnar": True,
         },
     ),
     ScenarioSpec(
@@ -957,14 +930,12 @@ SCENARIOS: tuple[ScenarioSpec, ...] = (
             "keys": 12,
             "segment_rows": 500,
             "query_rounds": 6,
-            "reuse": True,
         },
         quick_params={
             "records": 1_500,
             "keys": 12,
             "segment_rows": 125,
             "query_rounds": 6,
-            "reuse": True,
         },
     ),
     ScenarioSpec(
@@ -986,7 +957,6 @@ SCENARIOS: tuple[ScenarioSpec, ...] = (
             "spike_end": 120.0,
             "broker_kill_at": 90.0,
             "broker_restart_at": 125.0,
-            "sticky": True,
         },
         quick_params={
             "control": True,
@@ -999,7 +969,6 @@ SCENARIOS: tuple[ScenarioSpec, ...] = (
             "spike_end": 60.0,
             "broker_kill_at": 45.0,
             "broker_restart_at": 65.0,
-            "sticky": True,
         },
     ),
 )

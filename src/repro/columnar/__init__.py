@@ -1,28 +1,16 @@
 """Vectorized columnar data plane shared by Flink, Pinot and Presto.
 
 Typed column vectors (validity bitmap + dictionary-coded or raw value
-arrays, zero-copy slicing), equal-length column batches, vectorized
-filter/aggregate kernels pinned byte-for-byte to the row-at-a-time
-operators, and the batch↔row adapters that keep row-only consumers
-working.  See DESIGN.md §2.18.
-
-The kernel symbols are exported lazily: :mod:`repro.columnar.kernels`
-imports the SQL layer (to pin its semantics to ``rowops``), and the SQL
-layer's FlinkSQL compiler imports the Flink operators, which use the
-vector/batch types from here — eager kernel imports would close that
-loop into a cycle.
+arrays, zero-copy slicing), equal-length column batches, and the
+batch↔row adapters that keep row-only consumers working.  The SQL
+engine's filter/aggregate kernels over these batches live beside the
+row operators they are pinned to (:mod:`repro.sql.planner.kernels`).
+See DESIGN.md §2.18.
 """
 
 from repro.columnar.adapter import pages_to_rows, rows_to_pages
 from repro.columnar.batch import ColumnBatch, ColumnChunk
 from repro.columnar.vector import Bitmap, ColumnarError, ColumnVector
-
-_KERNEL_EXPORTS = (
-    "KernelUnsupported",
-    "aggregate_pages",
-    "eval_condition_mask",
-    "filter_batch",
-)
 
 __all__ = [
     "Bitmap",
@@ -32,13 +20,4 @@ __all__ = [
     "ColumnarError",
     "pages_to_rows",
     "rows_to_pages",
-    *_KERNEL_EXPORTS,
 ]
-
-
-def __getattr__(name: str):
-    if name in _KERNEL_EXPORTS:
-        from repro.columnar import kernels
-
-        return getattr(kernels, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -274,9 +274,9 @@ class ControlPlane:
     ) -> tuple[float, float]:
         """Queue an admitted request's service time; ``(start, completion)``.
 
-        Routes sticky by ``(use_case, user_id)`` when the plane's queue
-        is sticky: one user's session stays on its worker subset, so
-        worker-local state keeps paying off across that user's queries.
+        Routes sticky by ``(use_case, user_id)``: one user's session
+        stays on its worker subset, so worker-local state keeps paying
+        off across that user's queries.
         """
         if self.queue is None:
             raise ValueError("control plane has no queue")

@@ -13,14 +13,15 @@ immediately) or shrinks it (busy workers finish their current query
 first — we drop the *latest-free* slots).  All tie-breaks are by worker
 index, so the whole simulation is byte-deterministic.
 
-Sticky routing (``sticky=True`` plus a ``key`` on submit) assigns each
-key a rendezvous-hashed worker *subset* — the locality unit a real tier
-pins a user's session to, so per-worker state (plan caches, artifact
-stores) keeps paying off.  A sticky subset under pressure (its earliest
-free slot further than ``spill_threshold_s`` beyond the arrival) spills
-that query to the global pool: affinity is a preference, not a
-guarantee, exactly the bounded-load discipline of
-:func:`repro.common.hashring.bounded_pick`.
+Sticky routing: a ``key`` on submit assigns the query its key's
+rendezvous-hashed worker *subset* — the locality unit a real tier pins a
+user's session to, so per-worker state (plan caches, artifact stores)
+keeps paying off.  A sticky subset under pressure (its earliest free
+slot further than ``spill_threshold_s`` beyond the arrival) spills that
+query to the global pool: affinity is a preference, not a guarantee,
+exactly the bounded-load discipline of
+:func:`repro.common.hashring.bounded_pick`.  A submit without a key
+takes the earliest free worker of the whole pool.
 """
 
 from __future__ import annotations
@@ -35,14 +36,12 @@ class QueryQueue:
     def __init__(
         self,
         workers: int = 2,
-        sticky: bool = False,
         subset_size: int = 2,
         spill_threshold_s: float = 0.25,
     ) -> None:
         if workers < 1:
             raise ValueError(f"need at least one worker, got {workers}")
         self._free: list[float] = [0.0] * workers
-        self.sticky = sticky
         self.subset_size = max(1, subset_size)
         self.spill_threshold_s = spill_threshold_s
         self.sticky_submits = 0
@@ -61,15 +60,15 @@ class QueryQueue:
     ) -> tuple[float, float]:
         """Enqueue one query; returns ``(start, completion)`` times.
 
-        With ``sticky`` enabled and a ``key`` given, the query prefers
-        the key's rendezvous worker subset (scoped per ``tier`` so one
-        tier's hot keys don't pin another tier's) and spills to the
-        whole pool only when the subset is ``spill_threshold_s`` behind.
+        With a ``key``, the query prefers the key's rendezvous worker
+        subset (scoped per ``tier`` so one tier's hot keys don't pin
+        another tier's) and spills to the whole pool only when the
+        subset is ``spill_threshold_s`` behind.
         """
         if PERF.enabled:
             PERF.inc("controlplane.queue_submits")
         best = self._earliest_free(range(len(self._free)))
-        if self.sticky and key is not None and len(self._free) > 1:
+        if key is not None and len(self._free) > 1:
             subset = hashring.pick_subset(
                 (tier, key), range(len(self._free)), self.subset_size
             )

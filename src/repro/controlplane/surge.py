@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 
 from repro.common import serde
 from repro.common.clock import SimulatedClock
+from repro.common.epochcache import combined_stats
 from repro.common.perf import PERF
 from repro.common.rng import seeded_rng
 from repro.controlplane.admission import (
@@ -81,8 +82,7 @@ DEFAULT_PARAMS = {
     # reference-queue pricing: virtual microseconds per estimated doc
     # (routing- and cache-invariant, so decisions never see stickiness)
     "service_est_us_per_row": 0.55,
-    # sticky locality (broker replica choice, stage pinning, queue subsets)
-    "sticky": True,
+    # sticky per-user worker subsets of the serving queue
     "queue_subset": 2,
     "queue_spill_s": 0.25,
     # background cadence
@@ -129,10 +129,11 @@ class SurgeReport:
     #: request_id -> digest of the admitted query's (sorted) result rows
     query_digests: dict
     decision_log: str
-    #: Cache-effectiveness observability (broker result cache per tier,
-    #: scan-share, stage artifacts, sticky queue).  Diagnostic only —
-    #: like ``per_tier`` it is deliberately outside ``check``, which
-    #: covers exactly the state that must not depend on routing policy.
+    #: Cache-effectiveness observability: the three cache tiers in the one
+    #: ``EpochCache.stats()`` shape (the broker's with a per-tier split
+    #: beside it) plus the sticky queue's counts.  Diagnostic only — like
+    #: ``per_tier`` it is deliberately outside ``check``, which covers
+    #: exactly the state that must not depend on where a query ran.
     cache_stats: dict = field(default_factory=dict)
 
     @property
@@ -348,21 +349,19 @@ def run_surge(params: dict, seed: int, probe=None) -> SurgeReport:
         rides, cities = _build_rides(params, seed, clock, kafka, controller, probe)
         telemetry, flink = _build_telemetry(params, clock, kafka, controller)
         span_end = clock.now()
-        sticky = bool(params["sticky"])
-        broker = PinotBroker(controller, clock=clock, sticky=sticky)
+        broker = PinotBroker(controller, clock=clock)
         engine = PrestoEngine(
             {"rides": PinotConnector(broker, pushdown="full")},
             clock=clock,
             workers=params["workers"],
-            sticky=sticky,
         )
         # Reference queue: estimate-priced, decision-driving (pressure,
-        # p99 feedback, worker scaling).  Serving queue: measured-cost,
-        # sticky per-user subsets, SLO-report-driving.  See module doc.
+        # p99 feedback, worker scaling), submitted to without a key.
+        # Serving queue: measured-cost, sticky per-user subsets,
+        # SLO-report-driving.  See module doc.
         ref_queue = QueryQueue(workers=params["workers"])
         serving_queue = QueryQueue(
             workers=params["workers"],
-            sticky=sticky,
             subset_size=params["queue_subset"],
             spill_threshold_s=params["queue_spill_s"],
         )
@@ -568,8 +567,9 @@ def run_surge(params: dict, seed: int, probe=None) -> SurgeReport:
             admitted += 1
             query = _query_for(request, cities, span_end)
             # Reference price: planning-time cardinality bound, identical
-            # whatever the routing policy or cache state.  The exploration
-            # SQL's only broker-visible predicate is its amount floor.
+            # whichever replica serves the query and whatever the caches
+            # hold.  The exploration SQL's only broker-visible predicate
+            # is its amount floor.
             if isinstance(query, str):
                 est_filters = [
                     Filter("amount", ">=", _exploration_floor(request.param))
@@ -637,38 +637,16 @@ def run_surge(params: dict, seed: int, probe=None) -> SurgeReport:
     def _rate(hits: int, lookups: int) -> float:
         return hits / lookups if lookups else 0.0
 
-    broker_hits = sum(v[0] for v in tier_cache.values())
-    broker_lookups = sum(v[1] for v in tier_cache.values())
-    scan_hits = sum(s.scan_cache.hits for s in controller.servers)
-    scan_misses = sum(s.scan_cache.misses for s in controller.servers)
-    stage_stats = engine.scheduler.artifact_stats()
     cache_stats = {
         "broker": {
-            "hits": broker_hits,
-            "lookups": broker_lookups,
-            "hit_rate": _rate(broker_hits, broker_lookups),
+            **broker.cache.stats(),
             "per_tier": {
                 tier: {"hits": h, "lookups": n, "hit_rate": _rate(h, n)}
                 for tier, (h, n) in sorted(tier_cache.items())
             },
         },
-        "scan_share": {
-            "hits": scan_hits,
-            "misses": scan_misses,
-            "hit_rate": _rate(scan_hits, scan_hits + scan_misses),
-            "docs_served": sum(
-                s.scan_cache.docs_served for s in controller.servers
-            ),
-            "entries": sum(
-                s.scan_cache.entry_count() for s in controller.servers
-            ),
-        },
-        "stage_artifacts": {
-            **stage_stats,
-            "hit_rate": _rate(
-                stage_stats["hits"], stage_stats["hits"] + stage_stats["misses"]
-            ),
-        },
+        "scan_share": combined_stats(s.scan_cache for s in controller.servers),
+        "stage_artifacts": engine.scheduler.artifact_stats(),
         "queue": {
             "sticky_submits": serving_queue.sticky_submits,
             "spills": serving_queue.spills,

@@ -11,7 +11,7 @@ commit-time zone maps / bloom filters and serves repeated queries from an
 epoch-validated result cache (segment, indexes, broker).
 """
 
-from repro.pinot.broker import BrokerResultCache, PinotBroker, QueryResult
+from repro.pinot.broker import PinotBroker, QueryResult
 from repro.pinot.controller import PinotController, TableState
 from repro.pinot.indexes import BloomFilter, InvertedIndex, RangeIndex, SortedIndex
 from repro.pinot.json_support import (
@@ -37,7 +37,6 @@ from repro.pinot.upsert import UpsertManager
 
 __all__ = [
     "BloomFilter",
-    "BrokerResultCache",
     "PinotBroker",
     "QueryResult",
     "TableEpoch",

@@ -4,7 +4,7 @@
 distributed segments in parallel, and then the plan results are aggregated
 and merged into a final one."
 
-Two query-side optimizations ride on the scatter (the paper's Table 1
+Three query-side optimizations ride on the scatter (the paper's Table 1
 latency/cost edge: touch as little irrelevant data as possible):
 
 * **Cross-segment pruning** — before fanning out, segments whose commit-time
@@ -16,23 +16,26 @@ latency/cost edge: touch as little irrelevant data as possible):
   ordering an unpruned scatter would give them, so results are
   byte-identical to an unpruned run.
 
-* **Result caching** — keyed on (normalized query, table segment epoch).
-  The epoch advances on every data mutation (row ingested, segment
-  sealed/loaded/dropped, upsert applied), so a hit is provably fresh and
-  invalidation never depends on wall-clock TTLs (which would be
-  non-deterministic under the simulated clock, and stale besides).
+* **Result caching** — an :class:`~repro.common.epochcache.EpochCache`
+  keyed on the normalized query and validated against the table's
+  segment epoch.  The epoch advances on every data mutation (row
+  ingested, segment sealed/loaded/dropped, upsert applied), so a hit is
+  provably fresh and the first read after a mutation replaces the entry.
 
-* **Sticky replica routing + scan sharing** (``sticky=True``, the
-  default) — a replica-eligible sealed segment is routed by weighted
-  rendezvous hash over its live hosts (:mod:`repro.common.hashring`),
-  so the same segment's subqueries keep landing on the same server and
-  that server's :class:`~repro.pinot.scanshare.ScanShareCache` —
-  epoch-keyed memoized filter resolutions — actually pays.  The
-  ablation (``sticky=False``) load-balances the classic way instead,
-  rotating replicas per query, and disables scan sharing.  Both
-  policies pick from the *full* segment list (never from pruning
-  decisions) and results are merged in canonical segment order, so
-  routing policy is invisible in results, byte for byte.
+* **Sticky replica routing + scan sharing** — a replica-eligible sealed
+  segment is routed by weighted rendezvous hash over its live hosts
+  (:mod:`repro.common.hashring`), so the same segment's subqueries keep
+  landing on the same server and that server's scan-share cache
+  (:mod:`repro.pinot.scanshare`: memoized filter resolutions, validated
+  against the same epoch) actually pays.  Replica choice depends only on
+  the segment's identity and replica liveness — never on pruning
+  decisions — and results are merged in canonical segment order, so
+  which replica served a segment is invisible in results, byte for byte.
+
+A selection travels as column pages — one
+:class:`~repro.columnar.ColumnBatch` per segment — from the segment scan
+through the merge and the result cache; row dicts are built once, at the
+result boundary (:class:`QueryResult`).
 
 For upsert tables the broker applies the Section 4.3.1 routing strategy:
 all *surviving* segments of one input partition still go to the partition's
@@ -45,13 +48,12 @@ valid or not.
 
 from __future__ import annotations
 
-import copy
-from collections import OrderedDict
-from dataclasses import dataclass, field
 from typing import Any
 
+from repro.columnar import ColumnBatch, pages_to_rows
 from repro.common import hashring
 from repro.common.clock import Clock, SystemClock
+from repro.common.epochcache import EpochCache, copy_rows
 from repro.common.errors import PinotError, QueryError
 from repro.common.metrics import MetricsRegistry
 from repro.common.perf import PERF
@@ -69,45 +71,56 @@ from repro.pinot.segment import ImmutableSegment
 from repro.pinot.server import PinotServer
 
 
-@dataclass
+#: Finished results the broker keeps, across all tables it serves.
+RESULT_CACHE_CAPACITY = 128
+
+
 class QueryResult:
-    rows: list[dict[str, Any]]
-    plans: list[SegmentPlan] = field(default_factory=list)
-    servers_queried: int = 0
-    segments_scanned: int = 0
-    segments_pruned: int = 0
-    cache_hit: bool = False
-    # Columnar selection results: ColumnBatch pages in place of ``rows``
-    # (set only for ``execute(..., columnar=True)`` selection queries
-    # without ORDER BY / LIMIT; ``rows`` is then empty).
-    pages: list | None = None
+    """What :meth:`PinotBroker.execute` answers with.
+
+    A selection without ORDER BY / LIMIT stays in ``pages`` (one
+    ColumnBatch per segment that matched, canonical segment order) and
+    becomes row dicts on the first read of ``rows``; every other result
+    is rows from the start and ``pages`` is None.  ``rows`` always
+    answers, and answers with the same list every time.
+    """
+
+    def __init__(
+        self,
+        rows: list[dict[str, Any]] | None = None,
+        pages: list[ColumnBatch] | None = None,
+        plans: list[SegmentPlan] | None = None,
+    ) -> None:
+        self._rows = rows
+        self.pages = pages
+        self.plans = plans or []
+        self.servers_queried = 0
+        self.segments_scanned = 0
+        self.segments_pruned = 0
+        self.cache_hit = False
+
+    @property
+    def rows(self) -> list[dict[str, Any]]:
+        if self._rows is None:
+            # Copied: pages share cell objects with segment dictionaries
+            # and with the cached entry.
+            self._rows = copy_rows(pages_to_rows(self.pages))
+        return self._rows
 
     def docs_examined(self) -> int:
         return sum(p.docs_examined for p in self.plans)
 
     def num_rows(self) -> int:
-        if self.pages is not None:
+        if self._rows is None:
             return sum(len(page) for page in self.pages)
-        return len(self.rows)
+        return len(self._rows)
 
-
-_SCALAR_CELL_TYPES = (str, int, float, bool, bytes, type(None))
-
-
-def _copy_rows(rows: list[dict[str, Any]]) -> list[dict[str, Any]]:
-    """Rows crossing the cache boundary, isolated from caller mutation.
-
-    A shallow ``dict(row)`` shares cell objects; that is only safe when
-    every cell is an immutable scalar.  Rows with mutable cells (a
-    list-valued selection column, say) fall back to deepcopy so a caller
-    mutating a returned cell can never poison the cached entry.
-    """
-    return [
-        dict(row)
-        if all(isinstance(v, _SCALAR_CELL_TYPES) for v in row.values())
-        else copy.deepcopy(row)
-        for row in rows
-    ]
+    def copied(self) -> "QueryResult":
+        """The answer alone, isolated from this result: what crosses the
+        result-cache boundary.  Pages are immutable views and are shared."""
+        if self.pages is not None:
+            return QueryResult(pages=list(self.pages))
+        return QueryResult(rows=copy_rows(self._rows))
 
 
 def normalize_query(query: PinotQuery) -> tuple | None:
@@ -141,44 +154,6 @@ def normalize_query(query: PinotQuery) -> tuple | None:
     return key
 
 
-class BrokerResultCache:
-    """Per-table LRU of finished query results, validated by epoch.
-
-    An entry is served only while the table's epoch still equals the epoch
-    it was computed at; the first read after any mutation discards it.
-    """
-
-    def __init__(self, capacity_per_table: int = 128) -> None:
-        self.capacity_per_table = capacity_per_table
-        self._tables: dict[str, OrderedDict[tuple, tuple[int, list[dict]]]] = {}
-        self.invalidations = 0
-
-    def get(self, table: str, key: tuple, epoch: int) -> list[dict] | None:
-        entries = self._tables.get(table)
-        if entries is None:
-            return None
-        entry = entries.get(key)
-        if entry is None:
-            return None
-        cached_epoch, rows = entry
-        if cached_epoch != epoch:
-            del entries[key]
-            self.invalidations += 1
-            return None
-        entries.move_to_end(key)
-        return rows
-
-    def put(self, table: str, key: tuple, epoch: int, rows: list[dict]) -> None:
-        entries = self._tables.setdefault(table, OrderedDict())
-        entries[key] = (epoch, rows)
-        entries.move_to_end(key)
-        while len(entries) > self.capacity_per_table:
-            entries.popitem(last=False)
-
-    def entry_count(self) -> int:
-        return sum(len(entries) for entries in self._tables.values())
-
-
 class PinotBroker:
     def __init__(
         self,
@@ -188,8 +163,6 @@ class PinotBroker:
         tracer: SpanCollector | None = None,
         enable_pruning: bool = True,
         enable_cache: bool = True,
-        cache_capacity_per_table: int = 128,
-        sticky: bool = True,
     ) -> None:
         self.controller = controller
         self.clock = clock or SystemClock()
@@ -197,31 +170,21 @@ class PinotBroker:
         self.metrics = metrics or MetricsRegistry("pinot.broker")
         self.enable_pruning = enable_pruning
         self.enable_cache = enable_cache
-        self.sticky = sticky
-        self.cache = BrokerResultCache(cache_capacity_per_table)
-        # Scatter-ablation rotation state: advances once per routed query
-        # (never per segment), so replica choice is pruning-invariant.
-        self._route_seq = 0
+        self.cache = EpochCache(RESULT_CACHE_CAPACITY, copy=QueryResult.copied)
 
-    def execute(self, query: PinotQuery, columnar: bool = False) -> QueryResult:
+    def execute(self, query: PinotQuery) -> QueryResult:
         start = self.clock.now() if self.tracer is not None else 0.0
         state = self.controller.table(query.table)
         epoch = state.epoch
         cache_key = normalize_query(query) if self.enable_cache else None
-        if cache_key is not None and columnar:
-            # Pages and rows are distinct result shapes; never serve one
-            # form of a query to a caller expecting the other.
-            cache_key = cache_key + ("columnar",)
         if cache_key is not None:
-            cached = self.cache.get(query.table, cache_key, epoch)
+            cached = self.cache.get(cache_key, epoch)
             if cached is not None:
                 return self._serve_cached(query, cached, start)
             self.metrics.counter("cache_misses").inc()
             if PERF.enabled:
                 PERF.inc("pinot.cache_misses")
-        self._route_seq += 1
         subqueries, pruned = self._route(state, query)
-        scan_epoch = epoch if self.sticky else None
         partials: list[PartialResult] = []
         servers = 0
         scanned = 0
@@ -231,13 +194,7 @@ class PinotBroker:
             servers += 1
             scanned += len(segment_names)
             partials.extend(
-                server.execute(
-                    query,
-                    segment_names,
-                    upsert_partition,
-                    columnar=columnar,
-                    scan_epoch=scan_epoch,
-                )
+                server.execute(query, segment_names, upsert_partition, epoch)
             )
         self.metrics.counter("queries").inc()
         self.metrics.counter("segments_scanned").inc(scanned)
@@ -251,17 +208,7 @@ class PinotBroker:
         result.segments_scanned = scanned
         result.segments_pruned = pruned
         if cache_key is not None:
-            if result.pages is not None:
-                # Pages are immutable views: cache (and later serve) them
-                # zero-copy, no row isolation needed.
-                self.cache.put(
-                    query.table, cache_key, epoch, ("pages", tuple(result.pages))
-                )
-            else:
-                # Store a private copy: callers may mutate the returned rows.
-                self.cache.put(
-                    query.table, cache_key, epoch, _copy_rows(result.rows)
-                )
+            self.cache.put(cache_key, epoch, result)
         if self.tracer is not None:
             self.tracer.record_table_query(
                 query.table,
@@ -305,25 +252,17 @@ class PinotBroker:
         return docs, not filters
 
     def _serve_cached(
-        self, query: PinotQuery, cached, start: float
+        self, query: PinotQuery, result: QueryResult, start: float
     ) -> QueryResult:
         self.metrics.counter("queries").inc()
         self.metrics.counter("cache_hits").inc()
-        if (
-            isinstance(cached, tuple)
-            and len(cached) == 2
-            and cached[0] == "pages"
-        ):
-            pages = list(cached[1])
-            if PERF.enabled:
-                PERF.inc("pinot.cache_hits")
-                PERF.inc("columnar.batch_serves", len(pages))
-            result = QueryResult(rows=[], pages=pages, cache_hit=True)
-        else:
-            if PERF.enabled:
-                PERF.inc("pinot.cache_hits")
-                PERF.inc("pinot.cache_row_copies", len(cached))
-            result = QueryResult(rows=_copy_rows(cached), cache_hit=True)
+        if PERF.enabled:
+            PERF.inc("pinot.cache_hits")
+            if result.pages is not None:
+                PERF.inc("columnar.batch_serves", len(result.pages))
+            else:
+                PERF.inc("pinot.cache_row_copies", result.num_rows())
+        result.cache_hit = True
         if self.tracer is not None:
             self.tracer.record_table_query(
                 query.table,
@@ -427,26 +366,22 @@ class PinotBroker:
             out.append((host, [segment_name], None))
         return out, pruned
 
+    @staticmethod
     def _pick_host(
-        self, table: str, segment_name: str, hosts: list[PinotServer]
+        table: str, segment_name: str, hosts: list[PinotServer]
     ) -> PinotServer:
-        """The replica that serves this segment's subquery.
-
-        Sticky: weighted rendezvous on (table, segment) over the live
-        hosts — the same segment keeps hitting the same server while it
-        stays alive, so that server's scan-share cache pays; membership
-        change moves only the affected segment's keys.  Scatter
-        ablation: rotate the live replica list per routed query.  Both
-        depend only on the segment's identity and replica liveness —
-        never on pruning decisions — so routing policy cannot perturb
-        which segments are scanned.
+        """The replica that serves this segment's subquery: weighted
+        rendezvous on (table, segment) over the live hosts.  The same
+        segment keeps hitting the same server while it stays alive, so
+        that server's scan-share cache pays; membership change moves only
+        the affected segment's keys.  The choice depends only on the
+        segment's identity and replica liveness — never on pruning
+        decisions — so routing cannot perturb which segments are scanned.
         """
         if len(hosts) == 1:
             return hosts[0]
-        if self.sticky:
-            name = hashring.pick((table, segment_name), [s.name for s in hosts])
-            return next(s for s in hosts if s.name == name)
-        return hosts[self._route_seq % len(hosts)]
+        name = hashring.pick((table, segment_name), [s.name for s in hosts])
+        return next(s for s in hosts if s.name == name)
 
     @staticmethod
     def _prunable(segment, filters) -> bool:
@@ -501,8 +436,8 @@ class PinotBroker:
     def _merge(self, query: PinotQuery, partials: list[PartialResult]) -> QueryResult:
         # Canonical merge order: fold partials in segment-name order, not
         # scatter order.  Float aggregation is order-sensitive bit for
-        # bit, and scatter order depends on routing policy; segment names
-        # do not, so sticky on/off stays byte-identical.
+        # bit, and scatter order depends on which replicas are alive;
+        # segment names do not.
         partials = sorted(
             partials, key=lambda p: p.plan.segment if p.plan is not None else ""
         )
@@ -527,17 +462,11 @@ class PinotBroker:
                     row[agg.alias()] = finalize_agg_state(agg, stateval)
                 rows.append(row)
         else:
-            rows = [row for partial in partials for row in partial.rows]
-            pages = [page for partial in partials for page in partial.pages]
-            if pages:
-                if rows or query.order_by or query.limit:
-                    # Ordering/limits (and mixed partial shapes) need rows:
-                    # materialize at this boundary and fall through.
-                    from repro.columnar import pages_to_rows
-
-                    rows.extend(pages_to_rows(pages))
-                else:
-                    return QueryResult(rows=[], pages=pages, plans=plans)
+            pages = [p.page for p in partials if p.page is not None]
+            if not (query.order_by or query.limit):
+                return QueryResult(pages=pages, plans=plans)
+            # Ordering and limits work on rows: materialize here.
+            rows = pages_to_rows(pages)
         rows = self._order_and_limit(query, rows)
         return QueryResult(rows=rows, plans=plans)
 

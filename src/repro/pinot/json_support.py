@@ -21,6 +21,7 @@ from __future__ import annotations
 import re
 from typing import Any, Callable
 
+from repro.columnar import ColumnBatch
 from repro.common.errors import QueryError
 from repro.pinot.query import (
     PartialResult,
@@ -87,6 +88,7 @@ def execute_json_query(
     num_docs = segment.num_docs
     plan.docs_examined = num_docs
     partial = PartialResult(plan=plan)
+    selected: list[Any] = []  # payloads of a selection's matching docs
     for doc_id in range(num_docs):
         payload = segment.value(json_column, doc_id)
         if payload is None:
@@ -112,13 +114,15 @@ def execute_json_query(
                 )
                 states[i] = _update_agg_state(agg, states[i], value)
         else:
-            columns = query.select_columns
-            if columns:
-                partial.rows.append(
-                    {c: json_extract(payload, c) for c in columns}
-                )
-            else:
-                partial.rows.append({json_column: payload})
+            selected.append(payload)
+    if selected:
+        partial.page = ColumnBatch.from_columns(
+            {
+                path: [json_extract(payload, path) for payload in selected]
+                for path in query.select_columns
+            }
+            or {json_column: selected}
+        )
     return partial
 
 

@@ -16,9 +16,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.columnar import Bitmap, ColumnBatch, ColumnVector
 from repro.common.errors import QueryError
 from repro.common.perf import PERF
 from repro.pinot.indexes import intersect_sorted, union_sorted
+from repro.pinot.scanshare import shared_resolution
 from repro.pinot.segment import ImmutableSegment, MutableSegment
 
 
@@ -162,10 +164,9 @@ class PartialResult:
 
     # group key tuple -> [agg states]; () key for global aggregations
     groups: dict[tuple, list[Any]] = field(default_factory=dict)
-    rows: list[dict[str, Any]] = field(default_factory=list)  # selection queries
-    # Columnar selection results: ColumnBatch pages instead of ``rows``
-    # (the vectorized scan path; mutually exclusive with ``rows``).
-    pages: list = field(default_factory=list)
+    # Selection queries: the segment's matching docs as one page (None
+    # when nothing matched).  Row dicts exist only past the broker.
+    page: ColumnBatch | None = None
     plan: SegmentPlan | None = None
 
 
@@ -309,19 +310,17 @@ def _column_reader(
     return lambda doc_id: segment.value(column, doc_id)
 
 
-def _columnar_page(
+def _selection_page(
     segment: ImmutableSegment | MutableSegment,
     columns: list[str],
     matching: list[int],
-):
-    """Build one ColumnBatch page of the matching docs.
+) -> ColumnBatch:
+    """The matching docs of one segment as a ColumnBatch page.
 
     Sealed segments gather forward-index *codes* over the shared sorted
     dictionary (zero-copy adoption, no value materialization); consuming
     segments — which have no packed form — encode their cells.
     """
-    from repro.columnar import Bitmap, ColumnBatch, ColumnVector
-
     vectors = {}
     for column in columns:
         if isinstance(segment, ImmutableSegment):
@@ -330,9 +329,8 @@ def _columnar_page(
                 raise QueryError(
                     f"unknown column {column!r} in segment {segment.name}"
                 )
-            codes = fwd.codes()
             null_code = fwd._null_code
-            gathered = [codes[d] for d in matching]
+            gathered = fwd.codes_at(matching)
             if PERF.enabled:
                 PERF.inc("columnar.cells_gathered", len(gathered))
             validity = None
@@ -357,7 +355,6 @@ def execute_on_segment(
     segment: ImmutableSegment | MutableSegment,
     query: PinotQuery,
     valid_doc_ids: set[int] | None = None,
-    columnar: bool = False,
     scan_cache=None,
     scan_epoch: int | None = None,
 ) -> PartialResult:
@@ -365,13 +362,14 @@ def execute_on_segment(
 
     ``valid_doc_ids`` restricts evaluation to the still-valid documents of
     an upsert table (Section 4.3.1); ``None`` means all docs are valid.
-    ``columnar`` makes selection queries return :class:`ColumnBatch`
-    pages (``PartialResult.pages``) instead of row dicts — same logical
-    rows, no materialization.  ``scan_cache`` (a per-server
-    :class:`~repro.pinot.scanshare.ScanShareCache`) with ``scan_epoch``
+    A selection comes back as one :class:`ColumnBatch` page
+    (``PartialResult.page``), an aggregation as mergeable group states.
+    ``scan_cache`` (a server's scan-share
+    :class:`~repro.common.epochcache.EpochCache`) with ``scan_epoch``
     (the table epoch) memoizes doc-examining filter resolutions across
     queries; memoization happens *before* ``valid_doc_ids`` filtering,
-    so upsert validity is always applied fresh.
+    so upsert validity is always applied fresh.  Bare segments (benches,
+    tests) pass no cache and resolve every filter fresh.
     """
     plan = SegmentPlan(segment=segment.name)
     if isinstance(segment, ImmutableSegment) and valid_doc_ids is None:
@@ -402,17 +400,9 @@ def execute_on_segment(
                 reader = agg_readers[i]
                 value = reader(doc_id) if reader is not None else None
                 states[i] = _update_agg_state(agg, states[i], value)
-    elif columnar:
+    elif matching:
         columns = query.select_columns or _column_names(segment)
-        if matching:
-            partial.pages.append(_columnar_page(segment, columns, matching))
-    else:
-        columns = query.select_columns or _column_names(segment)
-        readers = [
-            (c, _column_reader(segment, c, len(matching))) for c in columns
-        ]
-        for doc_id in matching:
-            partial.rows.append({c: read(doc_id) for c, read in readers})
+        partial.page = _selection_page(segment, columns, matching)
     return partial
 
 
@@ -450,26 +440,12 @@ def _matching_docs(
         return list(range(segment.num_docs))
     docs: list[int] | None = None
     for flt in query.filters:
-        selected = None
-        share_key = None
-        if (
-            scan_cache is not None
-            and scan_epoch is not None
-            and _scan_shareable(segment, flt)
-        ):
-            share_key = scan_cache.key_for(segment.name, scan_epoch, flt)
-            if share_key is not None:
-                selected = scan_cache.get(share_key, plan)
-        if selected is None:
-            examined_before = plan.docs_examined
+        if scan_cache is not None and _scan_shareable(segment, flt):
+            selected = shared_resolution(
+                scan_cache, scan_epoch, segment, flt, plan, _resolve_filter
+            )
+        else:
             selected = _resolve_filter(segment, flt, plan)
-            if share_key is not None:
-                scan_cache.put(
-                    share_key,
-                    selected,
-                    plan.access_paths[-1],
-                    plan.docs_examined - examined_before,
-                )
         docs = selected if docs is None else intersect_sorted(docs, selected)
         if not docs:
             return []

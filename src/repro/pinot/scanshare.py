@@ -1,31 +1,28 @@
-"""Per-server scan-share cache: memoized filter resolutions, epoch-keyed.
+"""Per-server scan sharing: memoized filter resolutions.
 
 The broker's result cache only pays when an *entire* query repeats; a
 surge workload mostly repeats *predicates* — the same ``city = X`` or
 ``ts BETWEEN lo AND hi`` shows up inside thousands of distinct queries.
 Resolving such a filter against a sealed segment is a pure function of
 ``(segment contents, predicate)``: the decode-heavy part of a scatter.
-This cache memoizes exactly that, per server, so a sticky routing layer
-that keeps sending a segment's queries to the same server turns repeat
-predicates into lookups instead of forward-index decodes.
+Each server memoizes exactly that in an
+:class:`~repro.common.epochcache.EpochCache`, so the broker's sticky
+routing — a segment's queries keep landing on the same server — turns
+repeat predicates into lookups instead of forward-index decodes.
 
-Invariants:
+The cache class owns freshness (an entry is served only at the table
+epoch it was stored under, and its successor replaces it); what is
+scan sharing's own lives here:
 
-* **Epoch-keyed freshness** — the cache key folds in the table epoch
-  (which advances on every data mutation), so an entry can never be
-  served across a data change; stale keys simply age out of the LRU.
-  No wall-clock TTLs — those are non-deterministic under the simulated
-  clock and stale besides.
 * **Equality-canonical keys** — predicate literals are canonicalized
   through :func:`repro.common.serde.encode_key`, the same primitive as
   partition pruning and bloom filters, so ``ts = 5`` and ``ts = 5.0``
   (which the executor's Python ``==`` treats identically) share one
   entry and can never disagree with a fresh scan.  Unencodable
   literals bypass the cache entirely.
-* **Expensive paths only** — only resolutions that examined documents
-  (forward-index scans, range-boundary refinements) are stored.  Index
-  lookups (sorted/inverted) are already cheaper than a cache hit and
-  are never cached.
+* **Expensive paths only** — callers share only resolutions that
+  examine documents (forward-index scans, range-boundary refinements).
+  Index lookups (sorted/inverted) are already cheaper than a cache hit.
 * **Evidence-preserving** — a hit replays the stored access path and
   ``docs_examined`` into the segment plan, so query plans and stats
   read exactly as if the scan had run; only the PERF counters (and the
@@ -35,11 +32,14 @@ Invariants:
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.common import serde
+from repro.common.epochcache import EpochCache
 from repro.common.perf import PERF
+
+#: Entries per server; one entry is one (segment, predicate) doc-id tuple.
+SCAN_SHARE_CAPACITY = 65_536
 
 
 @dataclass(frozen=True)
@@ -51,66 +51,50 @@ class ScanShareEntry:
     docs_examined: int
 
 
-class ScanShareCache:
-    """LRU of per-(segment, predicate, epoch) doc-id resolutions."""
+def share_key(segment_name: str, flt) -> bytes | None:
+    """Canonical cache key; None when a literal is unencodable."""
+    try:
+        return serde.encode_key(
+            [
+                segment_name,
+                flt.column,
+                flt.op,
+                flt.value,
+                list(flt.values),
+                flt.low,
+                flt.high,
+            ]
+        )
+    except Exception:
+        return None
 
-    def __init__(self, capacity: int = 65_536) -> None:
-        self.capacity = capacity
-        self._entries: OrderedDict[bytes, ScanShareEntry] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.docs_served = 0
 
-    @staticmethod
-    def key_for(segment_name: str, epoch: int, flt) -> bytes | None:
-        """Canonical cache key; None when a literal is unencodable."""
-        try:
-            return serde.encode_key(
-                [
-                    segment_name,
-                    epoch,
-                    flt.column,
-                    flt.op,
-                    flt.value,
-                    list(flt.values),
-                    flt.low,
-                    flt.high,
-                ]
-            )
-        except Exception:
-            return None
-
-    def get(self, key: bytes, plan) -> list[int] | None:
-        """Serve a memoized resolution, replaying its plan evidence."""
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            if PERF.enabled:
-                PERF.inc("pinot.scanshare_misses")
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        self.docs_served += len(entry.docs)
+def shared_resolution(
+    cache: EpochCache, epoch: int, segment, flt, plan, resolve
+) -> list[int]:
+    """Doc ids of ``segment`` matching ``flt``: served from ``cache`` with
+    the plan evidence replayed, else ``resolve(segment, flt, plan)`` run
+    and its result and evidence stored for the next query."""
+    key = share_key(segment.name, flt)
+    if key is None:
+        return resolve(segment, flt, plan)
+    entry = cache.get(key, epoch)
+    if entry is not None:
         if PERF.enabled:
             PERF.inc("pinot.scanshare_hits")
             PERF.inc("pinot.scanshare_docs_served", len(entry.docs))
         plan.access_paths.append(entry.access_path)
         plan.docs_examined += entry.docs_examined
         return list(entry.docs)
-
-    def put(
-        self, key: bytes, docs: list[int], access_path: str, docs_examined: int
-    ) -> None:
-        self._entries[key] = ScanShareEntry(
-            tuple(docs), access_path, docs_examined
-        )
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-
-    def entry_count(self) -> int:
-        return len(self._entries)
-
-    def hit_rate(self) -> float:
-        lookups = self.hits + self.misses
-        return self.hits / lookups if lookups else 0.0
+    if PERF.enabled:
+        PERF.inc("pinot.scanshare_misses")
+    examined_before = plan.docs_examined
+    docs = resolve(segment, flt, plan)
+    cache.put(
+        key,
+        epoch,
+        ScanShareEntry(
+            tuple(docs), plan.access_paths[-1], plan.docs_examined - examined_before
+        ),
+    )
+    return docs

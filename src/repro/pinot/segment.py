@@ -177,13 +177,26 @@ class ForwardIndex:
     """
 
     def __init__(self, raw_values: list[Any]) -> None:
-        dictionary = sorted({v for v in raw_values if v is not None}, key=_sort_key)
-        self._dictionary: list[Any] = list(dictionary)
-        index = {v: i for i, v in enumerate(self._dictionary)}
+        try:
+            keys = raw_values
+            dictionary = sorted(
+                {v for v in raw_values if v is not None}, key=_sort_key
+            )
+            index = {v: i for i, v in enumerate(dictionary)}
+        except TypeError:
+            # Unhashable cells (the dicts and lists of a JSON column) are
+            # deduplicated and coded by their equality-canonical encoding;
+            # the first of several equal cells is the one stored.
+            keys = [None if v is None else serde.encode_key(v) for v in raw_values]
+            first = dict(zip(reversed(keys), reversed(raw_values)))
+            first.pop(None, None)
+            dictionary = sorted(first.values(), key=_sort_key)
+            index = {serde.encode_key(v): i for i, v in enumerate(dictionary)}
+        self._dictionary: list[Any] = dictionary
         null_code = len(self._dictionary)  # one extra code for NULL
         cardinality = null_code + 1
         bit_width = max(1, (cardinality - 1).bit_length())
-        codes = [null_code if v is None else index[v] for v in raw_values]
+        codes = [null_code if k is None else index[k] for k in keys]
         self._codes = BitPackedArray(codes, bit_width)
         self._null_code = null_code
 
@@ -201,6 +214,18 @@ class ForwardIndex:
         if PERF.enabled:
             PERF.inc("pinot.cells_decoded", len(out))
         return out
+
+    def codes_at(self, doc_ids: list[int]) -> list[int]:
+        """Codes of the given docs.  A bulk-decoded cell costs ~1/5th of a
+        random-access read, so the whole column is decoded once a fifth
+        of it is needed; selective reads stay random-access."""
+        if len(doc_ids) * 5 >= len(self._codes):
+            codes = self.codes()
+            return [codes[d] for d in doc_ids]
+        if PERF.enabled:
+            PERF.inc("pinot.cell_reads", len(doc_ids))
+        get = self._codes.get
+        return [get(d) for d in doc_ids]
 
     def values_list(self) -> list[Any]:
         """The whole column as a Python list via one bulk decode.

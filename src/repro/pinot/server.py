@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.common.epochcache import EpochCache
 from repro.common.errors import SegmentError
 from repro.common.metrics import MetricsRegistry
 from repro.pinot.query import PartialResult, PinotQuery, execute_on_segment
-from repro.pinot.scanshare import ScanShareCache
+from repro.pinot.scanshare import SCAN_SHARE_CAPACITY
 from repro.pinot.segment import ImmutableSegment, MutableSegment
 from repro.pinot.upsert import UpsertManager
 
@@ -33,9 +34,11 @@ class PinotServer:
     metrics: MetricsRegistry = field(
         default_factory=lambda: MetricsRegistry("pinot.server")
     )
-    # Memoized filter resolutions (see repro.pinot.scanshare); consulted
-    # only when the broker passes a table epoch alongside the subquery.
-    scan_cache: ScanShareCache = field(default_factory=ScanShareCache)
+    # Memoized filter resolutions (see repro.pinot.scanshare), validated
+    # against the table epoch the broker routed the subquery at.
+    scan_cache: EpochCache = field(
+        default_factory=lambda: EpochCache(SCAN_SHARE_CAPACITY)
+    )
 
     def host_segment(self, segment: ImmutableSegment | MutableSegment) -> None:
         self.segments[segment.name] = segment
@@ -56,18 +59,15 @@ class PinotServer:
         self,
         query: PinotQuery,
         segment_names: list[str],
-        upsert_partition: int | None = None,
-        columnar: bool = False,
-        scan_epoch: int | None = None,
+        upsert_partition: int | None,
+        epoch: int,
     ) -> list[PartialResult]:
         """Run a subquery over the named hosted segments.
 
         For upsert tables the broker routes all of one partition's segments
         here and passes ``upsert_partition`` so execution honours the local
-        valid-doc-id sets.  ``columnar`` requests ColumnBatch pages for
-        selection queries (the vectorized scan path).  ``scan_epoch`` (the
-        table epoch at routing time) enables the per-server scan-share
-        cache for this subquery; None keeps every resolution fresh.
+        valid-doc-id sets.  ``epoch`` is the table epoch at routing time:
+        what this server's scan-share entries are validated against.
         """
         if not self.alive:
             raise SegmentError(f"server {self.name} is down")
@@ -77,7 +77,6 @@ class PinotServer:
             if upsert_partition is not None
             else None
         )
-        scan_cache = self.scan_cache if scan_epoch is not None else None
         for name in segment_names:
             segment = self.segments.get(name)
             if segment is None:
@@ -88,9 +87,8 @@ class PinotServer:
                     segment,
                     query,
                     valid,
-                    columnar=columnar,
-                    scan_cache=scan_cache,
-                    scan_epoch=scan_epoch,
+                    scan_cache=self.scan_cache,
+                    scan_epoch=epoch,
                 )
             )
             self.metrics.counter("subqueries").inc()

@@ -121,21 +121,20 @@ class Platform:
         )
         return self
 
-    def with_presto(
-        self,
-        pushdown: str = "full",
-        workers: int = 2,
-        artifact_reuse: bool = True,
-        artifact_capacity: int = 256,
-    ) -> "Platform":
+    def with_presto(self, pushdown: str = "full", workers: int = 2) -> "Platform":
         self._pushdown = pushdown
+        # Tables registered before this call take the level too, so the
+        # builder reads the same in either order.
+        for name, connector in self._presto_catalog.items():
+            if isinstance(connector, PinotConnector):
+                self._presto_catalog[name] = PinotConnector(
+                    connector.broker, pushdown=pushdown
+                )
         self.presto = PrestoEngine(
             self._presto_catalog,
             clock=self.clock,
             tracer=self.tracer,
             workers=workers,
-            artifact_reuse=artifact_reuse,
-            artifact_capacity=artifact_capacity,
         )
         return self
 

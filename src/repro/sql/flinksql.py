@@ -37,12 +37,12 @@ from repro.sql.parser import (
     TumbleSpec,
     parse,
 )
-from repro.sql.presto.engine import (
-    _agg_alias,
-    _agg_final,
-    _agg_init,
-    _agg_update,
-    _eval_condition,
+from repro.sql.planner.rowops import (
+    agg_alias,
+    agg_final,
+    agg_init,
+    agg_update,
+    eval_condition,
 )
 
 
@@ -63,17 +63,17 @@ class SqlWindowAggregate:
         self.aggs = aggs
 
     def create_accumulator(self) -> list[Any]:
-        return [_agg_init(func) for func, __ in self.aggs]
+        return [agg_init(func) for func, __ in self.aggs]
 
     def add(self, value: dict[str, Any], accumulator: list[Any]) -> list[Any]:
         return [
-            _agg_update(func, state, value, False)
+            agg_update(func, state, value, False)
             for (func, __), state in zip(self.aggs, accumulator)
         ]
 
     def get_result(self, accumulator: list[Any]) -> dict[str, Any]:
         return {
-            _agg_alias(func, alias): _agg_final(func, state)
+            agg_alias(func, alias): agg_final(func, state)
             for (func, alias), state in zip(self.aggs, accumulator)
         }
 
@@ -190,7 +190,7 @@ class FlinkSqlCompiler:
         condition = select.where
         if condition is not None:
             stream = stream.filter(
-                lambda row, c=condition: _eval_condition(c, row)
+                lambda row, c=condition: eval_condition(c, row)
             )
         window = select.window()
         aggs = select.aggregations()

@@ -4,8 +4,8 @@ The kernels are *semantically pinned* to the row-at-a-time operators in
 :mod:`repro.sql.planner.rowops`: given the same logical input they
 produce byte-identical output (same values, same float accumulation
 order, same canonical group order).  That equivalence is what lets the
-planner treat the columnar path as a pure optimization — and what the
-``columnar-equivalence`` CI gate byte-checks.
+scheduler pick a kernel whenever a scan returned pages — and what
+``tests/columnar`` byte-checks against row-fed fixtures.
 
 The speed comes from working in code space: a predicate over a
 dictionary-coded column is evaluated once per *distinct* value
@@ -25,10 +25,9 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
+from repro.columnar import ColumnBatch, ColumnVector
 from repro.common.errors import ReproError
 from repro.common.perf import PERF
-from repro.columnar.batch import ColumnBatch
-from repro.columnar.vector import ColumnVector
 from repro.sql.parser import BoolOp, Column, Comparison, FuncCall, Star
 from repro.sql.planner.rowops import agg_alias, agg_final, agg_init
 

@@ -39,7 +39,7 @@ class ReferenceExecutor:
 
         if table not in self.catalog:
             raise SqlPlanError(f"table {table!r} is not in the Presto catalog")
-        return self.catalog[table].scan(ScanRequest(table=table)).rows
+        return self.catalog[table].scan(ScanRequest(table=table)).as_rows()
 
     def _rows_for(self, table_source) -> tuple[str, list[dict[str, Any]]]:
         if isinstance(table_source, SubqueryRef):

@@ -4,8 +4,7 @@ scheduler, the reference executor and the FlinkSQL compiler.
 These used to live inline in ``repro.sql.presto.engine``; the planner
 split them out so that every execution path (stage DAG, naive reference,
 streaming) evaluates expressions and aggregates with byte-identical
-semantics.  ``repro.sql.presto.engine`` re-exports the old underscore
-names for backwards compatibility.
+semantics.
 
 One deliberate semantic choice lives here: :func:`aggregate_rows` returns
 grouped output in *canonical order* — sorted by the stringified group key,

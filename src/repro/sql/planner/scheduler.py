@@ -2,16 +2,17 @@
 
 Executes a :class:`repro.sql.planner.physical.PhysicalPlan` over a pool
 of (simulated) workers in deterministic topological waves.  Before
-executing, the scheduler walks the DAG top-down against the
-:class:`StageArtifactStore`: a stage whose ``(content key, table epochs)``
-artifact is present is *served* — its whole input subtree is skipped.
+executing, the scheduler walks the DAG top-down against the per-worker
+artifact stores (:class:`~repro.common.epochcache.EpochCache`): a stage
+whose ``(content key, table epochs)`` artifact is present is *served* —
+its whole input subtree is skipped.
 That is how overlapping queries share work: two queries that contain the
 same scan/join/aggregate subtree over the same table versions compute it
 once.  Epochs come from ``Connector.table_epoch`` (Pinot's TableEpoch,
 Hive's table version, the memory connector's per-table counter), so reuse
-is freshness-correct by construction — the same invalidation discipline
-as the broker's :class:`repro.pinot.broker.BrokerResultCache`, one layer
-up.  Tables whose connector cannot version them get no artifacts.
+is freshness-correct by construction — the same cache class and the same
+invalidation rule as the broker's result cache, one layer up.  Tables
+whose connector cannot version them get no artifacts.
 
 Served stages still *report* like executed ones: every artifact carries
 the :class:`Evidence` its producing execution accumulated (rows shipped,
@@ -28,15 +29,19 @@ reordering is therefore invisible in the output, byte for byte.
 
 from __future__ import annotations
 
-import copy
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Any
 
 from repro.columnar import pages_to_rows
 from repro.common import hashring
+from repro.common.epochcache import EpochCache, combined_stats, copy_rows
 from repro.common.errors import SqlPlanError
 from repro.common.perf import PERF
+from repro.sql.planner.kernels import (
+    KernelUnsupported,
+    aggregate_pages,
+    filter_batch,
+)
 from repro.sql.planner.physical import PhysicalPlan, Stage
 from repro.sql.planner.rowops import (
     aggregate_rows,
@@ -48,18 +53,8 @@ from repro.sql.planner.rowops import (
     to_pushed_agg,
 )
 
-_SCALAR_CELL_TYPES = (str, int, float, bool, bytes, type(None))
-
-
-def _copy_rows(rows: list[dict[str, Any]]) -> list[dict[str, Any]]:
-    """Isolate rows crossing the artifact boundary from caller mutation
-    (same discipline as the broker result cache)."""
-    return [
-        dict(row)
-        if all(isinstance(v, _SCALAR_CELL_TYPES) for v in row.values())
-        else copy.deepcopy(row)
-        for row in rows
-    ]
+#: Stage outputs each worker keeps.
+STAGE_ARTIFACT_CAPACITY = 256
 
 
 @dataclass
@@ -147,46 +142,10 @@ class StagePayload:
                 pages=list(self.pages),
             )
         return StagePayload(
-            rows=_copy_rows(self.rows),
+            rows=copy_rows(self.rows),
             aggregated=self.aggregated,
             evidence=replace(self.evidence),
         )
-
-
-class StageArtifactStore:
-    """LRU of stage outputs keyed on content hash, validated by the epoch
-    signature of every table under the stage's subtree."""
-
-    def __init__(self, capacity: int = 256) -> None:
-        self.capacity = capacity
-        self._entries: OrderedDict[str, tuple[tuple, StagePayload]] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.invalidations = 0
-
-    def get(self, key: str, epoch_sig: tuple) -> StagePayload | None:
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        stored_sig, payload = entry
-        if stored_sig != epoch_sig:
-            del self._entries[key]
-            self.invalidations += 1
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return payload.copied()
-
-    def put(self, key: str, epoch_sig: tuple, payload: StagePayload) -> None:
-        self._entries[key] = (epoch_sig, payload.copied())
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-
-    def entry_count(self) -> int:
-        return len(self._entries)
 
 
 @dataclass
@@ -207,12 +166,10 @@ class StageScheduler:
 
     Workers are simulated: stages are grouped into dependency waves, and
     each stage is *pinned* to a worker by rendezvous hash of its content
-    key (``sticky=True``, the default), so the worker that computed a
-    stage is the worker probed for its artifact — reuse is a property of
-    the plan, not of scheduling luck.  The ablation (``sticky=False``)
-    rotates placement per query, the classic load-balancing scatter.
-    The schedule (recorded in spans and :class:`StageExecution`) is what
-    a real worker pool would produce, while execution stays
+    key, so the worker that computed a stage is the worker probed for
+    its artifact — reuse is a property of the plan, not of scheduling
+    luck.  The schedule (recorded in spans and :class:`StageExecution`)
+    is what a real worker pool would produce, while execution stays
     single-threaded and reproducible.
     """
 
@@ -220,25 +177,16 @@ class StageScheduler:
         self,
         catalog: dict[str, Any],
         workers: int = 2,
-        artifact_reuse: bool = True,
-        artifact_capacity: int = 256,
-        sticky: bool = True,
         tracer=None,
         clock=None,
     ) -> None:
         self.catalog = catalog
-        self.artifact_reuse = artifact_reuse
-        self.artifact_capacity = artifact_capacity
-        self.sticky = sticky
         self.tracer = tracer
         self.clock = clock
         # Artifact stores are per worker: a real pool's memo lives in each
         # worker's memory, so a hit requires landing the stage on the
-        # worker that computed it.  Sticky placement (content-keyed
-        # rendezvous on ``stage.key``) makes that deterministic; the
-        # scatter ablation rotates placement and hits become luck.
-        self._stores: list[StageArtifactStore] = []
-        self._rotation = 0
+        # worker that computed it, which content-keyed placement does.
+        self._stores: list[EpochCache] = []
         self._workers = 0
         self.workers = workers
 
@@ -250,37 +198,26 @@ class StageScheduler:
     def workers(self, n: int) -> None:
         self._workers = max(1, int(n))
         while len(self._stores) < self._workers:
-            self._stores.append(StageArtifactStore(self.artifact_capacity))
+            self._stores.append(
+                EpochCache(STAGE_ARTIFACT_CAPACITY, copy=StagePayload.copied)
+            )
         # Shrinking keeps the excess stores warm: only the first n are
         # addressable, and scaling back up re-finds their entries.
 
     def _worker_for(self, stage: Stage) -> int:
         if self._workers == 1:
             return 0
-        if self.sticky:
-            return hashring.pick(stage.key, range(self._workers))
-        return (self._rotation + stage.sid) % self._workers
+        return hashring.pick(stage.key, range(self._workers))
 
-    def _store_for(self, stage: Stage) -> StageArtifactStore | None:
-        if not self.artifact_reuse:
-            return None
-        return self._stores[self._worker_for(stage)]
-
-    def artifact_stats(self) -> dict[str, int]:
-        """Aggregate hit/miss counts across the per-worker stores."""
-        return {
-            "hits": sum(s.hits for s in self._stores),
-            "misses": sum(s.misses for s in self._stores),
-            "invalidations": sum(s.invalidations for s in self._stores),
-            "entries": sum(s.entry_count() for s in self._stores),
-        }
+    def artifact_stats(self) -> dict[str, float]:
+        """The per-worker stores' stats, reported as one cache."""
+        return combined_stats(self._stores)
 
     # -- entry point ----------------------------------------------------------
 
     def run(
         self, plan: PhysicalPlan, epochs: dict[str, int | None], query_id: str
     ) -> tuple[StagePayload, list[StageExecution]]:
-        self._rotation += 1  # scatter-ablation placement state
         served: dict[int, StagePayload] = {}
         needed: set[int] = set()
 
@@ -291,14 +228,13 @@ class StageScheduler:
 
         def probe(sid: int) -> None:
             stage = plan.stages[sid]
-            store = self._store_for(stage)
-            if store is not None:
-                sig = signature(stage)
-                if sig is not None:
-                    payload = store.get(stage.key, sig)
-                    if payload is not None:
-                        served[sid] = payload
-                        return
+            sig = signature(stage)
+            if sig is not None:
+                store = self._stores[self._worker_for(stage)]
+                payload = store.get(stage.key, sig)
+                if payload is not None:
+                    served[sid] = payload
+                    return
             needed.add(sid)
             for input_sid in stage.inputs:
                 probe(input_sid)
@@ -343,11 +279,9 @@ class StageScheduler:
                 query_id, stage, served=False, rows=payload.num_rows(),
                 wave=wave, worker=worker,
             )
-            store = self._store_for(stage)
-            if store is not None:
-                sig = signature(stage)
-                if sig is not None:
-                    store.put(stage.key, sig, payload)
+            sig = signature(stage)
+            if sig is not None:
+                self._stores[worker].put(stage.key, sig, payload)
         executions.sort(key=lambda e: e.sid)
         return done[plan.root], executions
 
@@ -438,14 +372,10 @@ class StageScheduler:
         raise SqlPlanError(f"unknown stage op {stage.op!r}")
 
     # -- vectorized operator bodies -------------------------------------------
-    # Kernel symbols are imported inside the methods: repro.columnar exports
-    # them lazily to break the repro.sql <-> repro.columnar.kernels cycle.
 
     def _filter_pages(self, pages: list, node) -> list | None:
         """Filter pages in code space; None means the condition is outside
         the kernel's reach and the caller must take the row path."""
-        from repro.columnar import KernelUnsupported, filter_batch
-
         out = []
         try:
             for page in pages:
@@ -458,8 +388,6 @@ class StageScheduler:
 
     def _aggregate_pages(self, pages: list, node) -> list | None:
         """Vectorized grouped aggregation; None on kernel fallback."""
-        from repro.columnar import KernelUnsupported, aggregate_pages
-
         try:
             return aggregate_pages(
                 list(node.group_cols), list(node.aggs), pages, node.qualified
@@ -486,7 +414,6 @@ class StageScheduler:
 
         node = stage.node
         connector = self.catalog[node.table]
-        capabilities = connector.capabilities()
         request = ScanRequest(
             table=node.table,
             filters=[to_pushed(c) for c in node.filters],
@@ -498,7 +425,6 @@ class StageScheduler:
             ),
             group_by=list(node.group_by) if node.group_by is not None else None,
             limit=node.limit,
-            columnar=getattr(capabilities, "columnar", False),
         )
         evidence = Evidence()
         result = connector.scan(request)
@@ -514,20 +440,18 @@ class StageScheduler:
             request.limit = None
             result = connector.scan(request)
             evidence.absorb_scan(result)
-        pages = result.pages or None
-        rows = result.rows
-        if node.filters and not result.filters_applied:
-            if pages is not None:
-                rows = pages_to_rows(pages)
-                pages = None
-            condition = conjoin(list(node.filters), None)
-            rows = [r for r in rows if eval_condition(condition, r, False)]
         if node.filters and result.filters_applied:
             evidence.pushed_filters = len(node.filters)
         evidence.pushed_aggregation = result.aggregated
-        if pages is not None:
-            return StagePayload([], result.aggregated, evidence, pages=pages)
-        return StagePayload(rows, result.aggregated, evidence)
+        if node.filters and not result.filters_applied:
+            condition = conjoin(list(node.filters), None)
+            rows = [
+                r for r in result.as_rows() if eval_condition(condition, r, False)
+            ]
+            return StagePayload(rows, result.aggregated, evidence)
+        return StagePayload(
+            result.rows, result.aggregated, evidence, pages=result.pages
+        )
 
     def _execute_join(
         self, stage: Stage, payloads: list[StagePayload], evidence: Evidence

@@ -15,22 +15,16 @@ measure each stage (bench C10).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Protocol
 
+from repro.columnar import pages_to_rows
 from repro.common.errors import SqlPlanError
 from repro.pinot.broker import PinotBroker
 from repro.pinot.query import Aggregation, Filter, PinotQuery
 from repro.storage.hive import HiveMetastore
 
 _CAPABILITY_FLAGS = ("predicate", "projection", "aggregation", "limit")
-
-# Default aggregate vocabulary for connectors migrated from the legacy
-# set[str] capability form (matches what the engine can evaluate itself).
-_DEFAULT_AGG_FUNCS = frozenset(
-    {"COUNT", "SUM", "AVG", "MIN", "MAX", "DISTINCTCOUNT"}
-)
 
 # Cardinality assigned to sources that cannot estimate at all: large, so
 # the join reorderer builds hash tables from anything it *can* cost first.
@@ -41,9 +35,8 @@ UNKNOWN_CARDINALITY = 10**9
 class ConnectorCapabilities:
     """Typed pushdown contract a connector advertises to the planner.
 
-    Replaces the old ``capabilities() -> set[str]`` form.  ``in`` checks
-    against capability names still work (``"predicate" in caps``), so
-    call sites written against the string-set API keep reading naturally.
+    ``in`` checks against capability names work (``"predicate" in caps``),
+    so call sites read naturally.
     """
 
     predicate: bool = False
@@ -54,35 +47,9 @@ class ConnectorCapabilities:
     # names; COUNT DISTINCT travels as DISTINCTCOUNT).  Only consulted
     # when ``aggregation`` is True.
     agg_functions: frozenset[str] = frozenset()
-    # The connector can return selection scans as ColumnBatch pages
-    # (``ScanResult.pages``); row-only connectors leave this False and
-    # the engine's batch↔row adapter keeps them working unchanged.
-    columnar: bool = False
 
     def __contains__(self, capability: str) -> bool:
         return capability in _CAPABILITY_FLAGS and bool(getattr(self, capability))
-
-    def to_set(self) -> set[str]:
-        return {flag for flag in _CAPABILITY_FLAGS if getattr(self, flag)}
-
-    @classmethod
-    def from_set(
-        cls, caps: set[str], agg_functions: frozenset[str] | None = None
-    ) -> "ConnectorCapabilities":
-        unknown = set(caps) - set(_CAPABILITY_FLAGS)
-        if unknown:
-            raise SqlPlanError(f"unknown connector capabilities {sorted(unknown)!r}")
-        return cls(
-            predicate="predicate" in caps,
-            projection="projection" in caps,
-            aggregation="aggregation" in caps,
-            limit="limit" in caps,
-            agg_functions=(
-                agg_functions
-                if agg_functions is not None
-                else (_DEFAULT_AGG_FUNCS if "aggregation" in caps else frozenset())
-            ),
-        )
 
 
 @dataclass(frozen=True)
@@ -95,21 +62,12 @@ class CardinalityEstimate:
 
 
 def resolve_capabilities(connector) -> ConnectorCapabilities:
-    """Capabilities of ``connector``, accepting the deprecated set form."""
+    """Capabilities of ``connector``, checked to be the typed contract."""
     caps = connector.capabilities()
     if isinstance(caps, ConnectorCapabilities):
         return caps
-    if isinstance(caps, (set, frozenset)):
-        warnings.warn(
-            f"connector {getattr(connector, 'name', connector)!r} returned "
-            "capabilities() as set[str]; return ConnectorCapabilities instead "
-            "(the set form is deprecated)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return ConnectorCapabilities.from_set(caps)
     raise SqlPlanError(
-        f"connector capabilities must be ConnectorCapabilities or set[str], "
+        f"connector capabilities must be ConnectorCapabilities, "
         f"got {type(caps).__name__}"
     )
 
@@ -177,16 +135,14 @@ class ScanRequest:
     aggregations: list[PushedAggregation] | None = None
     group_by: list[str] | None = None
     limit: int | None = None
-    # Engine accepts ColumnBatch pages for this scan (set only when the
-    # connector advertised the ``columnar`` capability).
-    columnar: bool = False
 
 
 @dataclass
 class ScanResult:
     rows: list[dict[str, Any]]
     # Columnar form: ColumnBatch pages in place of ``rows`` (``rows`` is
-    # then empty).  Only produced when the request set ``columnar``.
+    # then empty).  The engine takes pages whenever a scan returns them;
+    # a row-only connector simply never sets this.
     pages: list | None = None
     filters_applied: bool = False  # connector already applied the filters
     aggregated: bool = False  # rows are final aggregation results
@@ -203,14 +159,16 @@ class ScanResult:
     files_pruned: int = 0
     cache_hit: bool = False
 
+    def as_rows(self) -> list[dict[str, Any]]:
+        """The scanned rows as dicts, whichever form the scan came in."""
+        return pages_to_rows(self.pages) if self.pages is not None else self.rows
+
 
 class Connector(Protocol):
     name: str
 
     def capabilities(self) -> ConnectorCapabilities:
-        """What this connector can push down.  (Legacy connectors may
-        still return a set[str]; the planner resolves it through
-        :func:`resolve_capabilities` with a DeprecationWarning.)"""
+        """What this connector can push down."""
         ...
 
     def scan(self, request: ScanRequest) -> ScanResult: ...
@@ -230,28 +188,24 @@ _PINOT_FUNCS = {"COUNT", "SUM", "AVG", "MIN", "MAX", "DISTINCTCOUNT"}
 class PinotConnector:
     """Connector over our Pinot broker with configurable pushdown stages."""
 
-    def __init__(
-        self, broker: PinotBroker, pushdown: str = "full", columnar: bool = False
-    ) -> None:
+    def __init__(self, broker: PinotBroker, pushdown: str = "full") -> None:
         if pushdown not in ("none", "predicate", "full"):
             raise SqlPlanError(f"unknown pushdown level {pushdown!r}")
         self.name = "pinot"
         self.broker = broker
         self.pushdown = pushdown
-        self.columnar = columnar
 
     def capabilities(self) -> ConnectorCapabilities:
         if self.pushdown == "none":
-            return ConnectorCapabilities(columnar=self.columnar)
+            return ConnectorCapabilities()
         if self.pushdown == "predicate":
-            return ConnectorCapabilities(predicate=True, columnar=self.columnar)
+            return ConnectorCapabilities(predicate=True)
         return ConnectorCapabilities(
             predicate=True,
             projection=True,
             aggregation=True,
             limit=True,
             agg_functions=frozenset(_PINOT_FUNCS),
-            columnar=self.columnar,
         )
 
     def estimate(self, request: ScanRequest) -> CardinalityEstimate:
@@ -312,10 +266,9 @@ class PinotConnector:
             filters=filters,
             limit=limit or 0,
         )
-        columnar = self.columnar and request.columnar
-        result = self.broker.execute(query, columnar=columnar)
+        result = self.broker.execute(query)
         return ScanResult(
-            rows=result.rows,
+            rows=[] if result.pages is not None else result.rows,
             pages=result.pages,
             filters_applied=bool(filters),
             aggregated=False,

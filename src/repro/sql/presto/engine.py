@@ -40,27 +40,6 @@ from repro.sql.planner.physical import PhysicalPlan, build_physical, render_phys
 from repro.sql.planner.rules import optimize
 from repro.sql.planner.scheduler import StageScheduler
 
-# Back-compat: these helpers used to be defined here; FlinkSQL and older
-# call sites import the underscore names.  They now live in
-# repro.sql.planner.rowops so every execution path shares one definition.
-from repro.sql.planner.rowops import (  # noqa: F401  (re-exports)
-    agg_alias as _agg_alias,
-    agg_final as _agg_final,
-    agg_init as _agg_init,
-    agg_update as _agg_update,
-    columns_of as _columns_of,
-    conjoin as _conjoin,
-    eval_condition as _eval_condition,
-    eval_expr as _eval_expr,
-    lookup as _lookup,
-    project_row as _project_row,
-    pushable_agg as _pushable_agg,
-    select_is_groups_and_aggs as _select_is_groups_and_aggs,
-    split_conjuncts as _split_conjuncts,
-    strip_qualifier as _strip_qualifier,
-    to_pushed as _to_pushed,
-    to_pushed_agg as _to_pushed_agg,
-)
 from repro.sql.presto.connector import Connector, connector_epoch
 
 
@@ -127,22 +106,13 @@ class PrestoEngine:
         clock: Clock | None = None,
         tracer: SpanCollector | None = None,
         workers: int = 2,
-        artifact_reuse: bool = True,
-        artifact_capacity: int = 256,
-        sticky: bool = True,
     ) -> None:
         # catalog: logical table name -> connector serving it
         self.catalog = catalog
         self.clock = clock or SystemClock()
         self.tracer = tracer
         self.scheduler = StageScheduler(
-            catalog,
-            workers=workers,
-            artifact_reuse=artifact_reuse,
-            artifact_capacity=artifact_capacity,
-            sticky=sticky,
-            tracer=tracer,
-            clock=self.clock,
+            catalog, workers=workers, tracer=tracer, clock=self.clock
         )
         self._query_seq = 0
 

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 from repro.bench.scenarios import SCENARIOS
 from repro.controlplane.admission import TIER_ORDER
+from repro.controlplane.surge import _digest
 from tests.controlplane.surge_fixtures import (
+    SCATTER_RUN,
     ablation_run,
     controlled_run,
-    scatter_run,
 )
 
 
@@ -34,19 +35,22 @@ class TestSloOutcomes:
 
 
 class TestStickyInvisibility:
-    """Sticky routing is a pure optimization: decisions and results are
-    byte-identical with it off; only the cache/latency telemetry moves."""
+    """Sticky routing is invisible in decisions and results: they are
+    byte-identical to the scatter run recorded before that path was
+    deleted; only the cache/latency telemetry differs."""
 
     def test_sticky_and_scatter_agree_on_every_digested_byte(self):
         sticky = controlled_run()
-        scatter = scatter_run()
-        assert sticky.check == scatter.check
-        assert sticky.query_digests == scatter.query_digests
-        assert sticky.decision_log == scatter.decision_log
+        assert sticky.check == SCATTER_RUN["check"]
         assert (sticky.admitted, sticky.shed) == (
-            scatter.admitted,
-            scatter.shed,
+            SCATTER_RUN["admitted"],
+            SCATTER_RUN["shed"],
         )
+        assert (
+            _digest(sorted(sticky.query_digests.items()))
+            == SCATTER_RUN["query_digests"]
+        )
+        assert _digest(sticky.decision_log) == SCATTER_RUN["decision_log"]
 
     def test_sticky_run_engages_the_locality_caches(self):
         stats = controlled_run().cache_stats
@@ -54,22 +58,13 @@ class TestStickyInvisibility:
         assert 0.0 < stats["scan_share"]["hit_rate"] <= 1.0
         assert stats["queue"]["sticky_submits"] > 0
         assert stats["stage_artifacts"]["hits"] > 0
+        # Every tier reports the one stats shape.
+        shape = set(stats["stage_artifacts"])
+        assert shape == set(stats["scan_share"])
+        assert shape | {"per_tier"} == set(stats["broker"])
         # Per-tier broker cache attribution covers every queried tier.
         assert set(stats["broker"]["per_tier"]) <= set(TIER_ORDER)
-        assert stats["broker"]["lookups"] > 0
-
-    def test_scatter_run_reports_cold_locality_caches(self):
-        stats = scatter_run().cache_stats
-        assert stats["scan_share"]["hits"] == 0
-        assert stats["scan_share"]["entries"] == 0
-        assert stats["queue"]["sticky_submits"] == 0
-        # The broker result cache still serves (it is keyed on query +
-        # epoch, not on routing) — but its hit *sequence* legitimately
-        # differs: stage-artifact hits upstream change how often the
-        # exploration tier reaches the broker at all, which shifts the
-        # shared LRU.  Only the digested bytes must agree (asserted
-        # above); the telemetry may not.
-        assert stats["broker"]["lookups"] > 0
+        assert stats["broker"]["hits"] + stats["broker"]["misses"] > 0
 
 
 class TestScenarioRegistration:

@@ -1,8 +1,8 @@
-"""The presto_federated_join scenario: determinism + the 2x reuse claim."""
+"""The presto_federated_join scenario: determinism, artifact reuse that
+engages and invalidates, and the same answers as a run without reuse."""
 
 from __future__ import annotations
 
-from repro.bench.costmodel import virtual_us
 from repro.bench.harness import OpProbe
 from repro.bench.scenarios import presto_federated_join
 from repro.common.perf import PERF, measured
@@ -15,50 +15,47 @@ PARAMS = {
     "query_rounds": 6,
 }
 
+#: This parameter set at commit 8726322 with ``artifact_reuse=False`` and
+#: the row connector — every stage of every query recomputed, the path
+#: PR 18 deleted: its ``check``, and how much work it counted.
+NO_REUSE_CHECK = 38807925840314
+NO_REUSE_STAGE_EXECUTIONS = 114
+NO_REUSE_JOIN_PROBE_ROWS = 38_244
 
-def run(reuse: bool):
-    params = dict(PARAMS, reuse=reuse)
+
+def run():
     reset_uid_counter()
     with measured():
-        outcome = presto_federated_join(params, 42, OpProbe())
+        outcome = presto_federated_join(dict(PARAMS), 42, OpProbe())
         counters = PERF.snapshot()
-    rps = outcome.records / (virtual_us(counters) / 1e6)
-    return outcome, counters, rps
+    return outcome, counters
 
 
 def test_artifact_reuse_doubles_throughput_without_changing_results():
-    optimized, opt_counters, opt_rps = run(reuse=True)
-    ablated, abl_counters, abl_rps = run(reuse=False)
-    # Same seeded workload, same answers: the digest covers every query's
-    # rows in every round, including the rounds after the mid-bench
-    # ingest burst — so a stale artifact surviving the TableEpoch bump
-    # would break this equality.
-    assert optimized.check == ablated.check
+    outcome, counters = run()
+    # Same seeded workload, same answers as recomputing everything: the
+    # digest covers every query's rows in every round, including the
+    # rounds after the mid-bench ingest burst — so a stale artifact
+    # surviving the TableEpoch bump would break this equality.
+    assert outcome.check == NO_REUSE_CHECK
     # Reuse must actually fire: most stages are artifact hits, and the
-    # shared scan→join prefix executes far fewer times than the ablation
-    # recomputes it.
-    assert opt_counters["presto.stage_artifact_hits"] > 0
-    assert (
-        opt_counters["presto.stage_executions"]
-        < abl_counters["presto.stage_executions"]
-    )
-    assert "presto.stage_artifact_hits" not in abl_counters
-    # ...and pay off: the acceptance bar is 2x deterministic throughput.
-    assert opt_rps >= 2 * abl_rps
-    # Deterministic: a second optimized run reproduces counters exactly.
-    again, again_counters, __ = run(reuse=True)
-    assert again.check == optimized.check
-    assert again_counters == opt_counters
+    # plan executes less than half the stages recomputing everything did
+    # (counted work, not a cost-model ratio).
+    assert counters["presto.stage_artifact_hits"] > 0
+    assert 2 * counters["presto.stage_executions"] <= NO_REUSE_STAGE_EXECUTIONS
+    # Deterministic: a second run reproduces counters exactly.
+    again, again_counters = run()
+    assert again.check == outcome.check
+    assert again_counters == counters
 
 
 def test_epoch_bump_forces_recompute_midway():
-    # With reuse on, the ingest burst at round query_rounds//2 must
-    # invalidate the rides-derived artifacts: the join work runs again
-    # after the burst, so probe/build counters exceed a single execution
-    # of the plan but stay far below the ablation's every-round replay.
-    __, opt_counters, __ = run(reuse=True)
-    __, abl_counters, __ = run(reuse=False)
-    probes = opt_counters["presto.join_probe_rows"]
+    # The ingest burst at round query_rounds//2 must invalidate every
+    # rides-derived artifact: the join work runs again after the burst, so
+    # probe counters exceed a single execution of the plan but stay far
+    # below an every-round replay.
+    __, counters = run()
+    probes = counters["presto.join_probe_rows"]
     # Two computations (before + after the burst) over ~records rows each.
     assert probes > PARAMS["records"]
-    assert probes < abl_counters["presto.join_probe_rows"] / 2
+    assert probes < NO_REUSE_JOIN_PROBE_ROWS / 2

@@ -2,23 +2,22 @@
 
 Every kernel result is compared against the ``rowops`` reference on the
 same logical input — including nulls, absent columns, empty pages and
-the canonical group order — because the planner treats the columnar
-path as a pure optimization and the CI equivalence gate byte-checks it.
+the canonical group order — because the scheduler runs a kernel whenever
+a scan returned pages, with no row run beside it to compare against.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.columnar import (
-    ColumnBatch,
+from repro.columnar import ColumnBatch, rows_to_pages
+from repro.sql.parser import BoolOp, Column, Comparison, FuncCall, Literal, Star
+from repro.sql.planner.kernels import (
     KernelUnsupported,
     aggregate_pages,
     eval_condition_mask,
     filter_batch,
-    rows_to_pages,
 )
-from repro.sql.parser import BoolOp, Column, Comparison, FuncCall, Literal, Star
 from repro.sql.planner.rowops import aggregate_rows, eval_condition
 
 ROWS = [

@@ -1,15 +1,17 @@
-"""Seeded end-to-end equivalence: the columnar plane vs the row plane.
+"""Seeded end-to-end equivalence: column-fed pipelines vs row-fed ones.
 
-The property behind the ``columnar-equivalence`` CI gate, exercised at
-test scale: for the same seeded workload, the vectorized pipeline —
-columnar Flink sources and window kernels, chunked Kafka transport,
-ColumnBatch pages through broker, connector and stage scheduler — must
-produce results identical to the row-at-a-time pipeline, including
-late/out-of-order data and null-bearing rows.
+For the same seeded workload, the vectorized pipeline — columnar Flink
+sources and window kernels, chunked Kafka transport into Pinot — must
+produce results identical to the same pipeline fed row by row,
+including late/out-of-order data and null-bearing rows.  Past ingestion
+there is one query path (pages from the segment scan to the engine's
+kernels), so the Presto tests compare the two *feeds* and pin what that
+one path ships.
 """
 
 from __future__ import annotations
 
+from repro.columnar import pages_to_rows
 from repro.common.clock import SimulatedClock
 from repro.common.perf import PERF, measured
 from repro.common.rng import seeded_rng
@@ -174,11 +176,7 @@ class TestPrestoEquivalence:
             clock=row_clock,
         )
         col_engine = PrestoEngine(
-            {
-                "metrics": PinotConnector(
-                    col_broker, pushdown="predicate", columnar=True
-                )
-            },
+            {"metrics": PinotConnector(col_broker, pushdown="predicate")},
             clock=col_clock,
         )
         row_out = row_engine.execute(SQL)
@@ -189,11 +187,7 @@ class TestPrestoEquivalence:
     def test_columnar_scan_really_ships_pages(self):
         clock, broker = build_pinot(columnar_transport=True)
         engine = PrestoEngine(
-            {
-                "metrics": PinotConnector(
-                    broker, pushdown="predicate", columnar=True
-                )
-            },
+            {"metrics": PinotConnector(broker, pushdown="predicate")},
             clock=clock,
         )
         with measured():
@@ -206,13 +200,28 @@ class TestPrestoEquivalence:
         assert counters.get("columnar.rows_adapted", 0) == 0
 
     def test_row_only_connector_unaffected_by_planner_request(self):
+        # A connector that answers in rows needs no flag to stay that
+        # way: the engine takes pages only when a scan returns them.
+        class RowOnly(PinotConnector):
+            def scan(self, request):
+                result = super().scan(request)
+                result.rows, result.pages = result.as_rows(), None
+                return result
+
         clock, broker = build_pinot(columnar_transport=True)
-        engine = PrestoEngine(
-            {"metrics": PinotConnector(broker, pushdown="predicate")},
-            clock=clock,
+        paged = PrestoEngine(
+            {"metrics": PinotConnector(broker, pushdown="predicate")}, clock=clock
         )
-        out = engine.execute(SQL)
+        row_only = PrestoEngine(
+            {"metrics": RowOnly(broker, pushdown="predicate")}, clock=clock
+        )
+        with measured():
+            out = row_only.execute(SQL)
+            counters = PERF.snapshot()
         assert len(out.rows) == 3
+        assert out.rows == paged.execute(SQL).rows
+        assert counters.get("columnar.agg_rows", 0) == 0  # the row operators ran
+        assert counters.get("presto.agg_rows", 0) > 0
 
 
 class TestBrokerPages:
@@ -223,26 +232,15 @@ class TestBrokerPages:
             select_columns=["city", "amount"],
             limit=0,
         )
-        first = broker.execute(query, columnar=True)
-        assert first.pages and not first.rows
-        again = broker.execute(query, columnar=True)
+        first = broker.execute(query)
+        assert first.pages
+        again = broker.execute(query)
         assert again.cache_hit
         assert again.pages
-        assert [p.to_rows() for p in again.pages] == [
-            p.to_rows() for p in first.pages
-        ]
-
-    def test_columnar_and_row_results_share_no_cache_entry(self):
-        clock, broker = build_pinot(columnar_transport=True)
-        query = PinotQuery(
-            table="metrics", select_columns=["city", "amount"], limit=0
-        )
-        pages_result = broker.execute(query, columnar=True)
-        rows_result = broker.execute(query)
-        assert not rows_result.cache_hit  # different cache key per shape
-        from repro.columnar import pages_to_rows
-
-        assert pages_to_rows(pages_result.pages) == rows_result.rows
+        assert all(a is b for a, b in zip(again.pages, first.pages))  # shared
+        assert again.pages is not first.pages  # but not the caller's list
+        assert again.rows == first.rows == pages_to_rows(first.pages)
+        assert len(again.rows) == 400
 
     def test_order_by_falls_back_to_rows(self):
         clock, broker = build_pinot(columnar_transport=True)
@@ -252,6 +250,6 @@ class TestBrokerPages:
             order_by=[("amount", True)],
             limit=5,
         )
-        result = broker.execute(query, columnar=True)
+        result = broker.execute(query)
         assert result.rows and not result.pages
         assert len(result.rows) == 5

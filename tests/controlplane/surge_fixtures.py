@@ -44,7 +44,15 @@ def ablation_run(seed: int = SEED):
     return run_surge(dict(SMALL_PARAMS, control=False), seed)
 
 
-@lru_cache(maxsize=None)
-def scatter_run(seed: int = SEED):
-    """Controlled run with sticky routing + scan sharing ablated."""
-    return run_surge(dict(SMALL_PARAMS, control=True, sticky=False), seed)
+#: ``controlled_run(2021)`` at commit 8726322 with ``sticky=False`` —
+#: per-query replica and stage-worker rotation, no scan sharing, a keyless
+#: serving queue, selections built as row dicts — the path PR 18 deleted.
+#: The two long fields are digests (``repro.controlplane.surge._digest``)
+#: of ``sorted(report.query_digests.items())`` and ``report.decision_log``.
+SCATTER_RUN = {
+    "check": 217369667414964,
+    "admitted": 2240,
+    "shed": 36,
+    "query_digests": 25948983045457,
+    "decision_log": 55335793384962,
+}

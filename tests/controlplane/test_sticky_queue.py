@@ -9,7 +9,6 @@ from repro.controlplane.queueing import QueryQueue
 def sticky_queue(workers=4, subset=2, spill=0.25):
     return QueryQueue(
         workers=workers,
-        sticky=True,
         subset_size=subset,
         spill_threshold_s=spill,
     )
@@ -58,12 +57,6 @@ class TestStickySubsets:
         queue = sticky_queue()
         for i in range(8):
             queue.submit(float(i), 0.01)
-        assert queue.sticky_submits == 0 and queue.spills == 0
-
-    def test_non_sticky_queue_ignores_keys(self):
-        queue = QueryQueue(workers=4)
-        for i in range(8):
-            queue.submit(float(i), 0.01, key="user-1", tier="t")
         assert queue.sticky_submits == 0 and queue.spills == 0
         # Earliest-free spread: with idle arrivals, work round-robins.
         assert sum(1 for t in queue._free if t > 0.0) > 2

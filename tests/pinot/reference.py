@@ -1,0 +1,95 @@
+"""Plain-Python evaluation of a :class:`PinotQuery` over a list of row
+dicts: no segments, no indexes, no routing, no caches.  The oracle the
+routing, scan-share and selection tests compare the broker against.
+
+Aggregates are folded in row order, so fixtures keep metric values exact
+in binary floating point (integers, multiples of 1/64); sums then do not
+depend on the order segments are merged in.
+"""
+
+from __future__ import annotations
+
+import math
+import operator
+
+from repro.common import serde
+
+_OPS = {
+    "=": operator.eq,
+    "!=": operator.ne,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "<": operator.lt,
+    "<=": operator.le,
+}
+
+
+def _matches(flt, cell) -> bool:
+    if cell is None:
+        return False
+    if flt.op == "IN":
+        return cell in flt.values
+    if flt.op == "BETWEEN":
+        return flt.low <= cell <= flt.high
+    return _OPS[flt.op](cell, flt.value)
+
+
+def _aggregate(func: str, values: list):
+    if func == "COUNT":
+        return len(values)
+    present = [v for v in values if v is not None]
+    if func == "SUM":
+        return sum(present, 0.0)
+    if func == "AVG":
+        return sum(present, 0.0) / len(present) if present else math.nan
+    if func == "MIN":
+        return min(present) if present else None
+    if func == "MAX":
+        return max(present) if present else None
+    if func == "DISTINCTCOUNT":
+        return len(set(present))
+    raise ValueError(func)
+
+
+def latest_per_key(rows: list[dict], key: str) -> list[dict]:
+    """What an upsert table holds: the last row sent for each key."""
+    latest: dict = {}
+    for row in rows:
+        latest[row[key]] = row
+    return list(latest.values())
+
+
+def evaluate(query, rows: list[dict]) -> list[dict]:
+    """The rows ``broker.execute(query)`` must answer with over a table
+    holding ``rows``.  Without ORDER BY a selection's row order is not
+    defined here; compare those with :func:`canonical`."""
+    matching = [
+        row
+        for row in rows
+        if all(_matches(flt, row.get(flt.column)) for flt in query.filters)
+    ]
+    if query.aggregations:
+        groups: dict[tuple, list[dict]] = {}
+        for row in matching:
+            groups.setdefault(tuple(row.get(c) for c in query.group_by), []).append(row)
+        out = []
+        for key, members in groups.items():
+            answer = dict(zip(query.group_by, key))
+            for agg in query.aggregations:
+                answer[agg.alias()] = _aggregate(
+                    agg.func, [m.get(agg.column) if agg.column else 1 for m in members]
+                )
+            out.append(answer)
+        if not query.order_by and query.group_by:
+            out.sort(key=lambda r: tuple(str(r.get(c)) for c in query.group_by))
+    else:
+        columns = query.select_columns or sorted({name for row in rows for name in row})
+        out = [{c: row.get(c) for c in columns} for row in matching]
+    for name, descending in reversed(query.order_by):
+        out.sort(key=lambda r: (r.get(name) is None, r.get(name)), reverse=descending)
+    return out[: query.limit] if query.limit else out
+
+
+def canonical(rows: list[dict]) -> list[bytes]:
+    """Order-free form of a row list (cells may be unhashable JSON)."""
+    return sorted(serde.encode(sorted(row.items())) for row in rows)

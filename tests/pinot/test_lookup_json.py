@@ -203,7 +203,7 @@ class TestJsonQueries:
             PinotQuery("t", select_columns=["order.city", "order.total"],
                        filters=[Filter("order.total", ">=", 98.0)]),
         )
-        assert partial.rows == [
+        assert partial.page.to_rows() == [
             {"order.city": "c2", "order.total": 98.0},
             {"order.city": "c0", "order.total": 99.0},
         ]

@@ -443,12 +443,6 @@ class TestResultCache:
         # Scalar cells are shielded by the shallow per-row copy; rows with
         # mutable cells (JSON columns) must fall back to a deep copy so a
         # caller mutating a returned cell never corrupts later hits.
-        from repro.pinot.broker import _copy_rows
-
-        rows = [{"tags": ["a", "b"], "n": 1}]
-        copied = _copy_rows(rows)
-        copied[0]["tags"].append("poison")
-        assert rows[0]["tags"] == ["a", "b"]
         schema = Schema(
             "rides",
             (
@@ -565,13 +559,15 @@ class TestResultCache:
 
     def test_lru_eviction_bounds_entries(self):
         clock, kafka, controller, state = self.loaded_stack()
-        broker = PinotBroker(controller, clock=clock, cache_capacity_per_table=4)
+        broker = PinotBroker(controller, clock=clock)
+        broker.cache.capacity = 4
         for i in range(10):
             broker.execute(
                 PinotQuery("rides", aggregations=[Aggregation("COUNT")],
                            filters=[Filter("amount", ">=", float(i))])
             )
-        assert broker.cache.entry_count() == 4
+        assert len(broker.cache) == 4
+        assert broker.cache.evictions == 6
 
 
 class TestDropSegment:

@@ -199,8 +199,10 @@ class TestSegmentExecution:
             PinotQuery("t", select_columns=["city", "amount"],
                        filters=[Filter("city", "=", "city-3")]),
         )
-        assert all(set(r) == {"city", "amount"} for r in result.rows)
-        assert all(r["city"] == "city-3" for r in result.rows)
+        selected = result.page.to_rows()  # a selection is one page
+        assert selected
+        assert all(set(r) == {"city", "amount"} for r in selected)
+        assert all(r["city"] == "city-3" for r in selected)
 
     def test_valid_doc_ids_restrict_results(self):
         rows, segment = self._segment()

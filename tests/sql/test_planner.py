@@ -2,8 +2,6 @@
 pushdown correctness (including the projection-retention regressions),
 join reordering, and the epoch-keyed stage artifact store."""
 
-import warnings
-
 import pytest
 
 from repro.common.clock import SimulatedClock
@@ -126,39 +124,14 @@ class TestTypedCapabilities:
         caps = ConnectorCapabilities(predicate=True, projection=True)
         assert "predicate" in caps and "projection" in caps
         assert "aggregation" not in caps and "nonsense" not in caps
-        assert caps.to_set() == {"predicate", "projection"}
-        assert ConnectorCapabilities.from_set(caps.to_set()) == caps
 
-    def test_from_set_rejects_unknown_flags(self):
-        with pytest.raises(SqlPlanError):
-            ConnectorCapabilities.from_set({"predicate", "teleport"})
-
-    def test_legacy_set_connector_warns_but_still_plans(self):
-        class LegacyConnector:
-            name = "legacy"
-
-            def __init__(self):
-                self.inner = MemoryConnector({"t": ROWS})
+        class Typed:
+            name = "typed"
 
             def capabilities(self):
-                return {"predicate"}  # deprecated form
+                return caps
 
-            def scan(self, request):
-                result = self.inner.scan(request)
-                if request.filters:
-                    # Legacy connector honors predicates itself.
-                    from repro.sql.presto.connector import _compound_predicate
-
-                    predicate = _compound_predicate(request.filters)
-                    result.rows = [r for r in result.rows if predicate(r)]
-                    result.filters_applied = True
-                return result
-
-        engine = PrestoEngine({"t": LegacyConnector()})
-        with pytest.warns(DeprecationWarning):
-            out = engine.execute("SELECT city FROM t WHERE amount >= 28")
-        assert out.rows == [{"city": "city-1"}, {"city": "city-2"}]
-        assert out.stats.pushed_filters == 1
+        assert resolve_capabilities(Typed()) is caps
 
     def test_connector_without_estimate_plans_as_unknown(self):
         class NoEstimate:
@@ -202,6 +175,13 @@ class TestTypedCapabilities:
 
         with pytest.raises(SqlPlanError):
             resolve_capabilities(Bad())
+
+        class SetForm(Bad):
+            def capabilities(self):
+                return {"predicate"}  # the removed pre-typed form
+
+        with pytest.raises(SqlPlanError, match="ConnectorCapabilities"):
+            resolve_capabilities(SetForm())
 
 
 def _pf(column, op, value):
@@ -260,6 +240,62 @@ class TestExplain:
         text = platform.explain("SELECT city FROM t WHERE amount > 5")
         assert "Logical plan:" in text and "Physical plan:" in text
         assert platform.sql("SELECT COUNT(*) AS n FROM t").rows == [{"n": 30}]
+
+
+class TestPlatformPushdown:
+    """``with_presto(pushdown=...)`` governs every realtime table of the
+    platform, whichever side of it the table was registered on."""
+
+    SQL = "SELECT city, COUNT(*) AS n FROM metrics WHERE amount >= 50 GROUP BY city"
+
+    def _platform(self, level: str, table_first: bool) -> Platform:
+        platform = Platform(seed=3).with_kafka().with_pinot().topic("metrics")
+        schema = Schema(
+            "metrics",
+            (
+                Field("city", FieldType.STRING),
+                Field("amount", FieldType.DOUBLE, FieldRole.METRIC),
+                Field("ts", FieldType.DOUBLE, FieldRole.TIME),
+            ),
+        )
+        config = TableConfig("metrics", schema, time_column="ts")
+        if table_first:
+            platform.realtime_table(config, topic="metrics")
+            platform.with_presto(pushdown=level)
+        else:
+            platform.with_presto(pushdown=level)
+            platform.realtime_table(config, topic="metrics")
+        producer = platform.producer("svc")
+        for i in range(40):
+            producer.send(
+                "metrics",
+                {"city": f"city-{i % 4}", "amount": float(i * 3), "ts": float(i)},
+                key=f"city-{i % 4}",
+            )
+        producer.flush()
+        platform.step(1.0)
+        return platform
+
+    @pytest.mark.parametrize("level", ["none", "predicate", "full"])
+    def test_builder_order_does_not_matter(self, level):
+        outputs = []
+        for table_first in (True, False):
+            platform = self._platform(level, table_first)
+            assert platform.presto.catalog["metrics"].pushdown == level
+            outputs.append(platform.sql(self.SQL))
+        first, second = outputs
+        assert first.rows == second.rows and len(first.rows) == 4
+        assert first.plan.explain() == second.plan.explain()
+        assert first.stats.pushed_filters == second.stats.pushed_filters
+        assert first.stats.pushed_filters == (0 if level == "none" else 1)
+        assert first.stats.pushed_aggregation is (level == "full")
+
+    def test_unknown_level_is_rejected_for_registered_tables(self):
+        platform = Platform().with_kafka().with_pinot().topic("metrics")
+        schema = Schema("metrics", (Field("city", FieldType.STRING),))
+        platform.realtime_table(TableConfig("metrics", schema), topic="metrics")
+        with pytest.raises(SqlPlanError):
+            platform.with_presto(pushdown="everything")
 
 
 class TestProjectionRetention:
@@ -422,15 +458,6 @@ class TestStageArtifacts:
         out = engine.execute(sql)
         assert out.rows[0]["n"] == n0 + 10
         assert out.stats.stage_artifact_hits == 0
-
-    def test_artifact_reuse_can_be_disabled(self):
-        engine = PrestoEngine(memory_catalog(), artifact_reuse=False)
-        sql = "SELECT COUNT(*) AS n FROM t"
-        first = engine.execute(sql)
-        second = engine.execute(sql)
-        assert first.rows == second.rows
-        assert second.stats.stage_artifact_hits == 0
-        assert second.stats.stages_executed == first.stats.stages_executed
 
     def test_served_rows_are_isolated_from_caller_mutation(self):
         engine = PrestoEngine(memory_catalog())
