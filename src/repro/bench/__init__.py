@@ -1,55 +1,45 @@
-"""repro.bench — the machine-readable perf harness and CI regression gate.
+"""repro.bench — the deterministic gate: counted work and result digests.
 
-The unit benchmarks under ``benchmarks/`` assert the *shape* of the
-paper's claims (who wins, roughly by how much) but leave no machine-
-readable trajectory: a PR could make the Kafka append path or a Pinot
-scan several times slower and CI would stay green.  This package closes
-that gap:
+The stopwatch (``benchmarks/e2e``, declared by ``BENCHMARK.json``) says
+how fast the system is.  This package says whether it still does the
+same work and gives the same answers, and says so exactly:
 
-* :mod:`repro.bench.scenarios` defines parameterized hot-path workloads —
-  Kafka produce→fetch, a Flink window pipeline, Pinot realtime
-  ingest+query, a Presto scan — each driven under the simulated clock
-  from a single seed.
-* :mod:`repro.bench.harness` runs them, collecting records/sec, p50/p99
-  per-op latency and allocation counts from the perf counters threaded
-  through the hot paths (:mod:`repro.common.perf`), plus true wall time
-  and the simulated-vs-wall slowdown for human consumption.
-* :mod:`repro.bench.baseline` compares a fresh run against a committed
-  ``BENCH_core.json`` and flags throughput regressions beyond a
-  threshold.
-* ``python -m repro.bench`` is the CLI; CI runs it with ``--quick
-  --baseline BENCH_core.json`` and fails the build on a >25% regression.
+* :mod:`repro.bench.scenarios` registers eight seeded hot-path workloads —
+  Kafka produce→fetch, a Flink window pipeline, an interval join feeding
+  the feature store, Pinot ingest+query, selective Pinot queries, a Presto
+  scan, a federated join, the control-plane surge — each at one parameter
+  set, each driven under the simulated clock from a single seed.
+* :mod:`repro.bench.harness` runs them under the perf counters threaded
+  through the hot paths (:mod:`repro.common.perf`) and compares each
+  scenario's ``records``, results digest (``check``) and every counter
+  with the committed ``BENCH_core.json`` — integer equality, no tolerance.
+* ``python -m repro.bench`` is the CLI and the CI gate: exit 1 with one
+  line per moved value; ``--write`` regenerates the file, and the git
+  diff of its integers is what a reviewer reads.
 
-The committed JSON is **deterministic**: throughput and latency are
-derived from counted hot-path operations through a fixed cost model
-(:mod:`repro.bench.costmodel`), so two runs with the same seed emit
-byte-identical files on any machine.  Wall-clock numbers — which vary
-run to run — are printed and only embedded with ``--wall``.
+Two runs with the same seed emit byte-identical files on any machine.
+Counts are not performance: nothing here prices an operation or reports
+a rate.
 """
 
-from repro.bench.baseline import BaselineComparison, compare_reports, load_report
 from repro.bench.harness import (
     BenchReport,
-    OpProbe,
     ScenarioResult,
     build_report,
-    render_report,
+    compare_reports,
+    load_report,
     report_to_json,
     run_scenarios,
 )
-from repro.bench.scenarios import SCENARIOS, quick_scenario_names, scenario_names
+from repro.bench.scenarios import SCENARIOS, scenario_names
 
 __all__ = [
-    "BaselineComparison",
     "BenchReport",
-    "OpProbe",
     "SCENARIOS",
     "ScenarioResult",
     "build_report",
     "compare_reports",
     "load_report",
-    "quick_scenario_names",
-    "render_report",
     "report_to_json",
     "run_scenarios",
     "scenario_names",

@@ -1,10 +1,11 @@
 """CLI: ``python -m repro.bench``.
 
-Runs the perf scenarios, writes the deterministic ``BENCH_core.json``,
-prints a summary table, and — given ``--baseline`` — compares throughput
-against the committed contract, exiting non-zero on regression.
+Runs the scenarios and compares every ``records``, ``check`` and counter
+with the committed ``BENCH_core.json``, exactly; ``--scenario`` runs —
+and compares — a subset; ``--write`` regenerates the file instead.
 
-Exit codes: 0 ok, 1 throughput regression, 2 usage/baseline error.
+Exit codes: 0 identical (or written), 1 something moved (one line per
+value), 2 usage error or unusable baseline.
 """
 
 from __future__ import annotations
@@ -13,96 +14,68 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.bench.baseline import (
-    DEFAULT_THRESHOLD,
-    BaselineError,
-    compare_reports,
-    load_report,
-)
 from repro.bench.harness import (
     DEFAULT_SEED,
     BenchError,
     build_report,
-    render_report,
+    compare_reports,
+    load_report,
     report_to_json,
     run_scenarios,
 )
 from repro.bench.scenarios import scenario_names
 
+BASELINE = Path("BENCH_core.json")
+
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
-        description="Run the hot-path perf scenarios and emit BENCH_core.json.",
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="smoke subset: every scenario at its small parameter set",
+        description=f"Compare counted work and result digests with {BASELINE}.",
     )
     parser.add_argument(
         "--scenario",
         action="append",
-        default=None,
         metavar="NAME",
         help=f"run only the named scenario(s); available: {scenario_names()}",
     )
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument(
-        "--out",
-        default="BENCH_core.json",
-        help="output path for the deterministic report (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--no-out",
+        "--write",
         action="store_true",
-        help="skip writing the JSON file (print-only run)",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="compare against a committed report; exit 1 on regression",
-    )
-    parser.add_argument(
-        "--threshold",
-        type=float,
-        default=DEFAULT_THRESHOLD,
-        help="relative rps drop that counts as a regression "
-        "(default: %(default)s)",
-    )
-    parser.add_argument(
-        "--wall",
-        action="store_true",
-        help="embed this machine's wall-clock numbers in the JSON "
-        "(makes the file non-reproducible)",
+        help=f"regenerate {BASELINE} from a full run instead of comparing",
     )
     args = parser.parse_args(argv)
+    if args.write and args.scenario:
+        parser.error(f"--write regenerates all of {BASELINE}; drop --scenario")
 
     try:
-        report = run_scenarios(
-            names=args.scenario, seed=args.seed, quick=args.quick
-        )
+        if args.write:
+            BASELINE.write_text(report_to_json(run_scenarios(seed=args.seed)))
+            print(f"wrote {BASELINE}")
+            return 0
+        baseline = load_report(BASELINE, args.seed)
+        if args.scenario:  # a subset run is compared with what it ran
+            baseline["scenarios"] = {
+                name: entry
+                for name, entry in baseline["scenarios"].items()
+                if name in args.scenario
+            }
+        report = run_scenarios(names=args.scenario, seed=args.seed)
+        moved = compare_reports(build_report(report), baseline)
     except BenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(render_report(report))
-    if not args.no_out:
-        out_path = Path(args.out)
-        out_path.write_text(report_to_json(report, include_wall=args.wall))
-        print(f"wrote {out_path}")
-    if args.baseline is None:
-        return 0
-    try:
-        baseline = load_report(args.baseline)
-        comparison = compare_reports(
-            build_report(report), baseline, threshold=args.threshold
-        )
-    except BaselineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(comparison.render())
-    return 0 if comparison.ok else 1
+    if moved:
+        print("scenario  counter  committed  now  delta")
+        print("\n".join(moved))
+        print(f"{len(moved)} value(s) differ from {BASELINE} (seed {args.seed})")
+        return 1
+    print(
+        f"{len(report.results)} scenario(s) match {BASELINE} exactly "
+        f"(seed {args.seed})"
+    )
+    return 0
 
 
 if __name__ == "__main__":

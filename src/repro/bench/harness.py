@@ -1,280 +1,157 @@
-"""Scenario runner: perf counters in, deterministic report out.
+"""Scenario runner and the exact comparison against ``BENCH_core.json``.
 
-The harness runs each scenario twice over nothing — once is enough: a
-scenario executes under :class:`repro.common.perf.measured`, which
-enables the global counters for exactly the scenario's duration.  An
-:class:`OpProbe` handed to the scenario marks logical operation
-boundaries (one produce call, one fetch page, one query, one scheduler
-round); the harness derives p50/p99 per-op cost from the counter deltas
-between marks, and true wall latency from ``time.perf_counter`` around
-the same marks.
+A scenario executes under :class:`repro.common.perf.measured`, which
+enables the global counters for exactly the scenario's duration.  What
+comes out is what the workload *did* — how many records went through,
+a digest of its results, and every counted hot-path operation — and
+nothing about how long it took: time is the stopwatch's business
+(``benchmarks/e2e``).
 
 Report layout (``BENCH_core.json``)::
 
     {
-      "schema_version": 1,
-      "cost_model_version": 1,
+      "schema_version": 2,
       "seed": 42,
-      "mode": "full",
       "scenarios": {
         "<name>": {
           "records": ...,   # workload size (records through the pipeline)
-          "ops": ...,       # total counted hot-path operations
-          "allocs": ...,    # counted allocations (``*_allocs`` counters)
-          "sim_s": ...,     # simulated-clock seconds the workload spanned
-          "wall_s": ...,    # virtual seconds (cost model over ops)
-          "rps": ...,       # records / wall_s — the regression-gated number
-          "p50_ms": ...,    # per-op virtual cost percentiles
-          "p99_ms": ...,
-          "check": ...,     # workload-validity checksum (results, not speed)
-          "counters": {...} # full counter snapshot
+          "check": ...,     # digest of the results (answers, not speed)
+          "counters": {...} # every perf counter the scenario moved
         }
       }
     }
 
-Everything in the file is derived from counted operations and the seeded
-workload, so two runs with the same seed produce byte-identical bytes.
-True wall-clock numbers (and the simulated-vs-wall slowdown) are kept in
-a parallel :class:`WallStats` structure — printed, and embedded under a
-``"wall"`` key only when explicitly requested (``--wall``), because they
-are not reproducible.
+Everything in the file is an integer derived from the seeded workload, so
+two runs with the same seed produce byte-identical bytes on any machine,
+and the gate is integer equality: :func:`compare_reports` lists every
+value that differs from the committed file.
 """
 
 from __future__ import annotations
 
 import json
-import math
-import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
-from repro.bench.costmodel import (
-    COST_MODEL_VERSION,
-    alloc_count,
-    virtual_us,
-)
-from repro.bench.scenarios import SCENARIOS, ScenarioSpec
+from repro.bench.scenarios import SCENARIOS
 from repro.common.errors import ReproError
-from repro.common.perf import PERF, measured
+from repro.common.perf import measured
 from repro.common.records import reset_uid_counter
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 DEFAULT_SEED = 42
 
 
 class BenchError(ReproError):
-    """Harness misuse: unknown scenario, malformed baseline, etc."""
-
-
-class OpProbe:
-    """Marks logical-operation boundaries inside a running scenario."""
-
-    def __init__(self) -> None:
-        self.op_costs_us: list[float] = []
-        self.op_wall_s: list[float] = []
-        self._open_virtual: float | None = None
-        self._open_wall = 0.0
-
-    def __enter__(self) -> "OpProbe":
-        self._open_virtual = virtual_us(PERF.counts)
-        self._open_wall = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        wall = time.perf_counter() - self._open_wall
-        if self._open_virtual is None:
-            raise BenchError("OpProbe exited without being entered")
-        self.op_costs_us.append(virtual_us(PERF.counts) - self._open_virtual)
-        self.op_wall_s.append(wall)
-        self._open_virtual = None
-
-    def op(self) -> "OpProbe":
-        """Readability alias: ``with probe.op(): ...`` marks one operation."""
-        return self
-
-
-@dataclass
-class WallStats:
-    """Non-deterministic companion numbers for one scenario."""
-
-    wall_s: float
-    rps: float
-    p50_ms: float
-    p99_ms: float
-    sim_x_wall: float  # simulated seconds covered per wall second
+    """Harness misuse: unknown scenario, unusable baseline file."""
 
 
 @dataclass
 class ScenarioResult:
-    """One scenario's outcome: deterministic core + wall companion."""
-
     name: str
     records: int
-    sim_s: float
     check: int
     counters: dict[str, int]
-    op_costs_us: list[float]
-    wall: WallStats
-
-    @property
-    def ops(self) -> int:
-        return sum(self.counters.values())
-
-    @property
-    def virtual_s(self) -> float:
-        return virtual_us(self.counters) / 1e6
-
-    @property
-    def rps(self) -> float:
-        return self.records / self.virtual_s if self.virtual_s else math.inf
-
-    def core_dict(self) -> dict:
-        """The deterministic per-scenario JSON fragment."""
-        return {
-            "records": self.records,
-            "ops": self.ops,
-            "allocs": alloc_count(self.counters),
-            "sim_s": round(self.sim_s, 6),
-            "wall_s": round(self.virtual_s, 6),
-            "rps": round(self.rps, 1),
-            "p50_ms": round(_percentile(self.op_costs_us, 50) / 1e3, 6),
-            "p99_ms": round(_percentile(self.op_costs_us, 99) / 1e3, 6),
-            "check": self.check,
-            "counters": dict(sorted(self.counters.items())),
-        }
 
 
 @dataclass
 class BenchReport:
     seed: int
-    mode: str
     results: list[ScenarioResult] = field(default_factory=list)
-
-    def scenario(self, name: str) -> ScenarioResult:
-        for result in self.results:
-            if result.name == name:
-                return result
-        raise BenchError(f"no scenario {name!r} in report")
-
-
-def _percentile(values: list[float], pct: float) -> float:
-    """Nearest-rank percentile over a copy-sorted list; 0.0 when empty."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    rank = max(1, math.ceil(pct / 100.0 * len(ordered)))
-    return ordered[rank - 1]
 
 
 def run_scenarios(
-    names: list[str] | None = None,
-    seed: int = DEFAULT_SEED,
-    quick: bool = False,
+    names: list[str] | None = None, seed: int = DEFAULT_SEED
 ) -> BenchReport:
-    """Run the named scenarios (default: all; ``quick`` selects the smoke
-    subset and its smaller parameter sets) and collect results."""
-    specs = _select(names, quick)
-    report = BenchReport(seed=seed, mode="quick" if quick else "full")
-    for spec in specs:
-        report.results.append(_run_one(spec, seed, quick))
-    return report
-
-
-def _select(names: list[str] | None, quick: bool) -> list[ScenarioSpec]:
+    """Run the named scenarios (default: all) and collect results."""
     by_name = {spec.name: spec for spec in SCENARIOS}
-    if names:
-        unknown = [n for n in names if n not in by_name]
-        if unknown:
-            raise BenchError(
-                f"unknown scenario(s) {unknown}; available: {sorted(by_name)}"
-            )
-        return [by_name[n] for n in names]
-    if quick:
-        return [spec for spec in SCENARIOS if spec.in_quick]
-    return list(SCENARIOS)
-
-
-def _run_one(spec: ScenarioSpec, seed: int, quick: bool) -> ScenarioResult:
-    params = spec.quick_params if quick else spec.full_params
-    probe = OpProbe()
-    # Uid strings are stamped from a process-global counter and their
-    # length feeds encoded record sizes (so producer batch boundaries);
-    # restart it so a scenario's counts don't depend on what ran earlier
-    # in this process.
-    reset_uid_counter()
-    wall_start = time.perf_counter()
-    with measured():
-        outcome = spec.fn(dict(params), seed, probe)
-        counters = PERF.snapshot()
-    wall_s = time.perf_counter() - wall_start
-    result = ScenarioResult(
-        name=spec.name,
-        records=outcome.records,
-        sim_s=outcome.sim_s,
-        check=outcome.check,
-        counters=counters,
-        op_costs_us=probe.op_costs_us,
-        wall=WallStats(
-            wall_s=wall_s,
-            rps=outcome.records / wall_s if wall_s else math.inf,
-            p50_ms=_percentile(probe.op_wall_s, 50) * 1e3,
-            p99_ms=_percentile(probe.op_wall_s, 99) * 1e3,
-            sim_x_wall=outcome.sim_s / wall_s if wall_s else math.inf,
-        ),
-    )
-    return result
+    unknown = [n for n in names or () if n not in by_name]
+    if unknown:
+        raise BenchError(
+            f"unknown scenario(s) {unknown}; available: {sorted(by_name)}"
+        )
+    report = BenchReport(seed=seed)
+    specs = [by_name[n] for n in names] if names else SCENARIOS
+    for spec in specs:
+        # Uid strings are stamped from a process-global counter and their
+        # length feeds encoded record sizes (so producer batch boundaries);
+        # restart it so a scenario's counts don't depend on what ran earlier
+        # in this process.
+        reset_uid_counter()
+        with measured() as counters:
+            outcome = spec.fn(dict(spec.params), seed)
+            counts = counters.snapshot()
+        report.results.append(
+            ScenarioResult(spec.name, outcome.records, outcome.check, counts)
+        )
+    return report
 
 
 # -- serialization -------------------------------------------------------------
 
 
-def build_report(report: BenchReport, include_wall: bool = False) -> dict:
-    """The report as a JSON-ready dict; deterministic unless
-    ``include_wall`` adds the (non-reproducible) wall section."""
-    doc: dict = {
+def build_report(report: BenchReport) -> dict:
+    """The report as a JSON-ready dict."""
+    return {
         "schema_version": SCHEMA_VERSION,
-        "cost_model_version": COST_MODEL_VERSION,
         "seed": report.seed,
-        "mode": report.mode,
-        "scenarios": {r.name: r.core_dict() for r in report.results},
-    }
-    if include_wall:
-        doc["wall"] = {
-            r.name: {
-                "wall_s": round(r.wall.wall_s, 6),
-                "rps": round(r.wall.rps, 1),
-                "p50_ms": round(r.wall.p50_ms, 6),
-                "p99_ms": round(r.wall.p99_ms, 6),
-                "sim_x_wall": round(r.wall.sim_x_wall, 3),
-            }
+        "scenarios": {
+            r.name: {"records": r.records, "check": r.check, "counters": r.counters}
             for r in report.results
-        }
+        },
+    }
+
+
+def report_to_json(report: BenchReport) -> str:
+    """Canonical serialization: sorted keys, two-space indent, trailing
+    newline.  Byte-identical across runs with the same seed."""
+    return json.dumps(build_report(report), indent=2, sort_keys=True) + "\n"
+
+
+# -- the gate ------------------------------------------------------------------
+
+
+def load_report(path: str | Path, seed: int = DEFAULT_SEED) -> dict:
+    """Read a report file, rejecting anything a run with ``seed`` cannot
+    be compared with."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise BenchError(f"cannot read baseline {path}: {exc}") from exc
+    if not isinstance(doc, dict) or not isinstance(doc.get("scenarios"), dict):
+        raise BenchError(f"baseline {path} has no 'scenarios' section")
+    if doc.get("schema_version") != SCHEMA_VERSION:
+        raise BenchError(
+            f"baseline {path} has schema_version={doc.get('schema_version')}, "
+            f"this harness writes {SCHEMA_VERSION}; regenerate it with --write"
+        )
+    if doc.get("seed") != seed:
+        raise BenchError(
+            f"baseline {path} was written with seed={doc.get('seed')}, not {seed}"
+        )
     return doc
 
 
-def report_to_json(report: BenchReport, include_wall: bool = False) -> str:
-    """Canonical serialization: sorted keys, two-space indent, trailing
-    newline.  Byte-identical across runs with the same seed (without the
-    wall section)."""
-    return json.dumps(build_report(report, include_wall), indent=2, sort_keys=True) + "\n"
-
-
-def render_report(report: BenchReport) -> str:
-    """Human-readable table: deterministic metrics plus wall context."""
-    header = (
-        f"{'scenario':<22} {'records':>8} {'rps':>12} {'p99_ms':>9} "
-        f"{'allocs':>9} {'wall rps':>12} {'simxwall':>9}"
-    )
-    lines = [f"repro.bench seed={report.seed} mode={report.mode}", header,
-             "-" * len(header)]
-    for r in report.results:
-        core = r.core_dict()
-        lines.append(
-            f"{r.name:<22} {core['records']:>8} {core['rps']:>12,.1f} "
-            f"{core['p99_ms']:>9.3f} {core['allocs']:>9} "
-            f"{r.wall.rps:>12,.1f} {r.wall.sim_x_wall:>9.1f}"
-        )
-    lines.append(
-        "(rps/p99/allocs are deterministic, from the op-cost model; "
-        "'wall rps' and 'simxwall' are this machine, this run)"
-    )
-    return "\n".join(lines)
+def compare_reports(current: dict, baseline: dict) -> list[str]:
+    """One line per value on which two report documents differ —
+    ``scenario  counter  committed  now  delta`` — empty when they agree
+    exactly.  A scenario present on one side only is a difference."""
+    lines = []
+    was_all, now_all = baseline["scenarios"], current["scenarios"]
+    for scenario in sorted(set(was_all) | set(now_all)):
+        if scenario not in was_all or scenario not in now_all:
+            side = "this run" if scenario in was_all else "the baseline"
+            lines.append(f"{scenario}  not in {side}")
+            continue
+        was, now = was_all[scenario], now_all[scenario]
+        was_c, now_c = was.get("counters", {}), now.get("counters", {})
+        pairs = [(k, was.get(k), now.get(k)) for k in ("records", "check")]
+        pairs += [(k, was_c.get(k), now_c.get(k)) for k in sorted({*was_c, *now_c})]
+        for name, a, b in pairs:
+            if a != b:
+                # A digest has no magnitude; nor has a counter that one
+                # side never moved.
+                sized = name != "check" and a and b is not None
+                delta = f"{(b - a) / a:+.2%}" if sized else "-"
+                lines.append(f"{scenario}  {name}  {a}  {b}  {delta}")
+    return lines

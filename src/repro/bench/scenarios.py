@@ -1,4 +1,4 @@
-"""Parameterized hot-path workloads for the perf harness.
+"""Seeded hot-path workloads for the counted-work gate.
 
 Eight scenarios, one per hot layer of the stack:
 
@@ -34,56 +34,44 @@ Eight scenarios, one per hot layer of the stack:
 Each scenario is a pure function of ``(params, seed)``: every workload
 value comes from :func:`repro.common.rng.seeded_rng` and time from a
 :class:`~repro.common.clock.SimulatedClock`, so the counted work — and
-therefore the whole deterministic report — reproduces exactly.  The
-``check`` value in the outcome digests the scenario's *results* (window
-sums, query answers), guarding against an "optimization" that changes
-semantics.
+therefore the whole report — reproduces exactly.  The ``check`` value in
+the outcome digests the scenario's *results* (window sums, query
+answers), guarding against an "optimization" that changes semantics.
+Each scenario is registered at one parameter set; tests that need a
+smaller or a fault-injecting variant pass their own ``params``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Callable
 
 from repro.common.clock import SimulatedClock
 from repro.common.rng import seeded_rng
+from repro.common.serde import digest
 
 PAD = "x" * 48
 
 
 @dataclass(frozen=True)
 class Outcome:
-    """What a scenario reports back: size, span and a results digest."""
+    """What a scenario reports back: its size and a results digest."""
 
     records: int
-    sim_s: float
     check: int
 
 
 @dataclass(frozen=True)
 class ScenarioSpec:
     name: str
-    fn: Callable[[dict, int, Any], Outcome]
-    full_params: dict
-    quick_params: dict
-    in_quick: bool = True
-
-
-def _digest(value: Any) -> int:
-    """Small deterministic checksum of a result structure."""
-    import hashlib
-
-    from repro.common import serde
-
-    return int.from_bytes(
-        hashlib.sha256(serde.encode(value)).digest()[:6], "big"
-    )
+    fn: Callable[[dict, int], Outcome]
+    params: dict
 
 
 # -- kafka ---------------------------------------------------------------------
 
 
-def kafka_produce_fetch(params: dict, seed: int, probe) -> Outcome:
+def kafka_produce_fetch(params: dict, seed: int) -> Outcome:
     from repro.kafka.cluster import KafkaCluster, TopicConfig
     from repro.kafka.producer import Producer
 
@@ -105,10 +93,8 @@ def kafka_produce_fetch(params: dict, seed: int, probe) -> Outcome:
     keys = [f"k{rng.randrange(params['keys'])}" for __ in range(n)]
     for i in range(n):
         clock.advance(0.001)
-        with probe.op():
-            producer.send("events", {"i": i, "pad": PAD}, key=keys[i])
-    with probe.op():
-        producer.flush()
+        producer.send("events", {"i": i, "pad": PAD}, key=keys[i])
+    producer.flush()
     cluster.replicate()
     fetched = 0
     checksum = 0
@@ -116,18 +102,17 @@ def kafka_produce_fetch(params: dict, seed: int, probe) -> Outcome:
         offset = cluster.start_offset("events", partition)
         end = cluster.end_offset("events", partition)
         while offset < end:
-            with probe.op():
-                entries = cluster.fetch("events", partition, offset, 500)
+            entries = cluster.fetch("events", partition, offset, 500)
             offset = entries[-1].offset + 1
             fetched += len(entries)
             checksum += sum(e.record.value["i"] for e in entries)
-    return Outcome(records=n, sim_s=clock.now(), check=_digest([fetched, checksum]))
+    return Outcome(records=n, check=digest([fetched, checksum]))
 
 
 # -- flink ---------------------------------------------------------------------
 
 
-def flink_window(params: dict, seed: int, probe) -> Outcome:
+def flink_window(params: dict, seed: int) -> Outcome:
     from repro.flink.graph import StreamEnvironment
     from repro.flink.operators import BoundedColumnarSource
     from repro.flink.runtime import JobRuntime
@@ -163,15 +148,14 @@ def flink_window(params: dict, seed: int, probe) -> Outcome:
         .sink_to_list(out)
     runtime = JobRuntime(env.build("bench-window"), clock=clock)
     while True:
-        with probe.op():
-            processed = runtime.run_rounds(1, budget_per_task=500)
+        processed = runtime.run_rounds(1, budget_per_task=500)
         if processed == 0:
             break
     sums = sorted((r.key, r.window.start, r.value) for r in out)
-    return Outcome(records=n, sim_s=clock.now(), check=_digest(sums))
+    return Outcome(records=n, check=digest(sums))
 
 
-def stream_join(params: dict, seed: int, probe) -> Outcome:
+def stream_join(params: dict, seed: int) -> Outcome:
     """Interval-joined prediction/outcome streams feeding a feature store.
 
     High key cardinality (``keys`` join keys over ``records`` lefts, so
@@ -186,8 +170,8 @@ def stream_join(params: dict, seed: int, probe) -> Outcome:
 
     ``crash_restore=True`` switches the sink to 2PC-transactional and
     performs a seeded mid-run checkpoint + crash-restore; the outcome
-    digest must be byte-identical to the plain run — that equality is
-    the determinism gate in ``scripts/check_join_determinism.py``.
+    digest must be byte-identical to the plain run — the equality
+    ``tests/bench/test_stream_join.py`` asserts over three seeds.
     """
     from repro.features import FeatureStore
     from repro.flink.graph import StreamEnvironment
@@ -301,8 +285,7 @@ def stream_join(params: dict, seed: int, probe) -> Outcome:
     rounds = 0
     restored = False
     while True:
-        with probe.op():
-            processed = runtime.run_rounds(1, budget_per_task=500)
+        processed = runtime.run_rounds(1, budget_per_task=500)
         rounds += 1
         if crash:
             if rounds == params.get("checkpoint_round", 3):
@@ -324,19 +307,17 @@ def stream_join(params: dict, seed: int, probe) -> Outcome:
     # Offline half of the determinism gate: seeded per-model point-in-time
     # reads over the out-of-order version history.
     read_rng = seeded_rng(seed, "bench.stream_join.reads")
-    with probe.op():
-        read_digest = store.read_digest(
-            (
-                ("model", f"m{read_rng.randrange(models)}"),
-                read_rng.uniform(0.0, n * dt),
-            )
-            for __ in range(params["reads"])
+    read_digest = store.read_digest(
+        (
+            ("model", f"m{read_rng.randrange(models)}"),
+            read_rng.uniform(0.0, n * dt),
         )
+        for __ in range(params["reads"])
+    )
     joined = sorted(out, key=lambda r: (r["id"], r["ls"], r["rs"]))
     return Outcome(
         records=n,
-        sim_s=clock.now(),
-        check=_digest(
+        check=digest(
             [joined, read_digest, late_dropped, evicted, store.version_count()]
         ),
     )
@@ -345,7 +326,7 @@ def stream_join(params: dict, seed: int, probe) -> Outcome:
 # -- pinot ---------------------------------------------------------------------
 
 
-def _pinot_table(params: dict, seed: int, probe, chunked: bool = False):
+def _pinot_table(params: dict, seed: int, chunked: bool = False):
     """Produce and fully ingest the ``metrics`` table.  ``chunked`` ships
     the same rows as 200-row column chunks instead of one record each."""
     from repro.kafka.cluster import KafkaCluster, TopicConfig
@@ -426,8 +407,7 @@ def _pinot_table(params: dict, seed: int, probe, chunked: bool = False):
         "metrics",
     )
     while True:
-        with probe.op():
-            state.ingestion.run_step()
+        state.ingestion.run_step()
         controller.backup.run_step()
         if state.ingestion.lag() == 0 and not any(
             s.blocked() for s in state.ingestion.partitions.values()
@@ -436,10 +416,10 @@ def _pinot_table(params: dict, seed: int, probe, chunked: bool = False):
     return clock, PinotBroker(controller, clock=clock)
 
 
-def pinot_ingest_query(params: dict, seed: int, probe) -> Outcome:
+def pinot_ingest_query(params: dict, seed: int) -> Outcome:
     from repro.pinot.query import Aggregation, Filter, PinotQuery
 
-    clock, broker = _pinot_table(params, seed, probe)
+    __, broker = _pinot_table(params, seed)
     n = params["records"]
     checks = []
     queries = [
@@ -464,17 +444,16 @@ def pinot_ingest_query(params: dict, seed: int, probe) -> Outcome:
     ]
     for __ in range(params["query_rounds"]):
         for query in queries:
-            with probe.op():
-                result = broker.execute(query)
+            result = broker.execute(query)
             checks.append(
                 sorted(
                     tuple(sorted(row.items())) for row in result.rows
                 )
             )
-    return Outcome(records=n, sim_s=clock.now(), check=_digest(checks))
+    return Outcome(records=n, check=digest(checks))
 
 
-def pinot_selective_query(params: dict, seed: int, probe) -> Outcome:
+def pinot_selective_query(params: dict, seed: int) -> Outcome:
     """Selective queries over many segments: the pruning + cache hot path.
 
     A keyed-by-city stream lands in a table that declares its partition
@@ -543,8 +522,7 @@ def pinot_selective_query(params: dict, seed: int, probe) -> Outcome:
         "rides",
     )
     while True:
-        with probe.op():
-            state.ingestion.run_step()
+        state.ingestion.run_step()
         controller.backup.run_step()
         if state.ingestion.lag() == 0 and not any(
             s.blocked() for s in state.ingestion.partitions.values()
@@ -590,22 +568,21 @@ def pinot_selective_query(params: dict, seed: int, probe) -> Outcome:
     checks = []
     for __ in range(params["query_rounds"]):
         for query in queries:
-            with probe.op():
-                result = broker.execute(query)
+            result = broker.execute(query)
             checks.append(
                 sorted(tuple(sorted(row.items())) for row in result.rows)
             )
-    return Outcome(records=n, sim_s=clock.now(), check=_digest(checks))
+    return Outcome(records=n, check=digest(checks))
 
 
 # -- presto --------------------------------------------------------------------
 
 
-def presto_scan(params: dict, seed: int, probe) -> Outcome:
+def presto_scan(params: dict, seed: int) -> Outcome:
     from repro.sql.presto.connector import PinotConnector
     from repro.sql.presto.engine import PrestoEngine
 
-    clock, broker = _pinot_table(params, seed, probe, chunked=True)
+    clock, broker = _pinot_table(params, seed, chunked=True)
     n = params["records"]
     engine = PrestoEngine(
         {"metrics": PinotConnector(broker, pushdown="predicate")},
@@ -617,13 +594,12 @@ def presto_scan(params: dict, seed: int, probe) -> Outcome:
     )
     checks = []
     for __ in range(params["query_rounds"]):
-        with probe.op():
-            out = engine.execute(sql)
+        out = engine.execute(sql)
         checks.append([tuple(sorted(row.items())) for row in out.rows])
-    return Outcome(records=n, sim_s=clock.now(), check=_digest(checks))
+    return Outcome(records=n, check=digest(checks))
 
 
-def presto_federated_join(params: dict, seed: int, probe) -> Outcome:
+def presto_federated_join(params: dict, seed: int) -> Outcome:
     """Federated join with stage-artifact reuse: the planner's hot path.
 
     A Pinot realtime fact table (``rides``, keyed and partitioned by
@@ -674,8 +650,7 @@ def presto_federated_join(params: dict, seed: int, probe) -> Outcome:
 
     def ingest_until_caught_up() -> None:
         while True:
-            with probe.op():
-                state.ingestion.run_step()
+            state.ingestion.run_step()
             controller.backup.run_step()
             if state.ingestion.lag() == 0 and not any(
                 s.blocked() for s in state.ingestion.partitions.values()
@@ -752,16 +727,15 @@ def presto_federated_join(params: dict, seed: int, probe) -> Outcome:
             send_rides(n // 8)
             ingest_until_caught_up()
         for sql in queries:
-            with probe.op():
-                out = engine.execute(sql)
+            out = engine.execute(sql)
             checks.append([tuple(sorted(row.items())) for row in out.rows])
-    return Outcome(records=n, sim_s=clock.now(), check=_digest(checks))
+    return Outcome(records=n, check=digest(checks))
 
 
 # -- control plane -------------------------------------------------------------
 
 
-def controlplane_surge(params: dict, seed: int, probe) -> Outcome:
+def controlplane_surge(params: dict, seed: int) -> Outcome:
     """The million-user surge under SLO-tiered admission + autoscaling.
 
     Wraps :func:`repro.controlplane.surge.run_surge`: a skewed, diurnal,
@@ -774,10 +748,8 @@ def controlplane_surge(params: dict, seed: int, probe) -> Outcome:
     """
     from repro.controlplane.surge import run_surge
 
-    report = run_surge(params, seed, probe)
-    return Outcome(
-        records=report.requests, sim_s=report.sim_s, check=report.check
-    )
+    report = run_surge(params, seed)
+    return Outcome(records=report.requests, check=report.check)
 
 
 # -- registry --------------------------------------------------------------------
@@ -787,15 +759,8 @@ SCENARIOS: tuple[ScenarioSpec, ...] = (
     ScenarioSpec(
         name="kafka_produce_fetch",
         fn=kafka_produce_fetch,
-        full_params={
+        params={
             "records": 20_000,
-            "partitions": 4,
-            "keys": 256,
-            "acks": "all",
-            "batch_bytes": 16_384,
-        },
-        quick_params={
-            "records": 5_000,
             "partitions": 4,
             "keys": 256,
             "acks": "all",
@@ -805,14 +770,8 @@ SCENARIOS: tuple[ScenarioSpec, ...] = (
     ScenarioSpec(
         name="flink_window",
         fn=flink_window,
-        full_params={
+        params={
             "records": 12_000,
-            "keys": 64,
-            "window_s": 5.0,
-            "parallelism": 2,
-        },
-        quick_params={
-            "records": 3_000,
             "keys": 64,
             "window_s": 5.0,
             "parallelism": 2,
@@ -821,14 +780,10 @@ SCENARIOS: tuple[ScenarioSpec, ...] = (
     ScenarioSpec(
         name="stream_join",
         fn=stream_join,
-        # models, the keys:records and reads:records ratios and the
-        # delay/ooo/lateness/ttl horizons are fixed across modes, so
-        # per-record join-state and feature-store cost — and therefore
-        # rps — is mode-invariant for the quick-vs-full gate.
         # crash_restore stays off in the registered config;
-        # scripts/check_join_determinism.py runs the crash variant and
-        # asserts digest equality against this one.
-        full_params={
+        # tests/bench/test_stream_join.py runs the crash variant and
+        # asserts digest equality against the fault-free run.
+        params={
             "records": 8_000,
             "keys": 1_024,
             "models": 16,
@@ -841,60 +796,24 @@ SCENARIOS: tuple[ScenarioSpec, ...] = (
             "reads": 800,
             "parallelism": 2,
         },
-        quick_params={
-            "records": 2_000,
-            "keys": 256,
-            "models": 16,
-            "delay_max_s": 8.0,
-            "ooo_s": 2.0,
-            "lateness_s": 1.0,
-            "ttl_s": 8.0,
-            "dup_rate": 0.05,
-            "loss_rate": 0.05,
-            "reads": 200,
-            "parallelism": 2,
-        },
     ),
     ScenarioSpec(
         name="pinot_ingest_query",
         fn=pinot_ingest_query,
-        # query_rounds is identical in both modes (per-round query cost
-        # scales with the row count), and segment_rows scales with records
-        # (same segment count, same sealed/consuming mix), so the
-        # per-record virtual cost — and therefore rps — is mode-invariant,
-        # letting CI's --quick run gate against the committed full baseline.
-        full_params={
+        params={
             "records": 12_000,
             "keys": 20,
             "segment_rows": 1_000,
-            "query_rounds": 4,
-        },
-        quick_params={
-            "records": 3_000,
-            "keys": 20,
-            "segment_rows": 250,
             "query_rounds": 4,
         },
     ),
     ScenarioSpec(
         name="pinot_selective_query",
         fn=pinot_selective_query,
-        # Same mode-invariance recipe as pinot_ingest_query: query_rounds
-        # and the records:segment_rows ratio (segments per partition) are
-        # fixed across modes, so per-record virtual cost — and rps — is
-        # comparable between CI's --quick run and the full baseline.
-        full_params={
+        params={
             "records": 12_000,
             "keys": 16,
             "segment_rows": 1_000,
-            "query_rounds": 4,
-            "pruning": True,
-            "cache": True,
-        },
-        quick_params={
-            "records": 3_000,
-            "keys": 16,
-            "segment_rows": 250,
             "query_rounds": 4,
             "pruning": True,
             "cache": True,
@@ -903,50 +822,27 @@ SCENARIOS: tuple[ScenarioSpec, ...] = (
     ScenarioSpec(
         name="presto_scan",
         fn=presto_scan,
-        # query_rounds and the records:segment_rows ratio are fixed across
-        # modes for the same reason as pinot.
-        full_params={
+        params={
             "records": 8_000,
             "keys": 20,
             "segment_rows": 1_000,
-            "query_rounds": 4,
-        },
-        quick_params={
-            "records": 2_000,
-            "keys": 20,
-            "segment_rows": 250,
             "query_rounds": 4,
         },
     ),
     ScenarioSpec(
         name="presto_federated_join",
         fn=presto_federated_join,
-        # query_rounds, the records:segment_rows ratio and the burst share
-        # (records // 8) are fixed across modes, so per-record virtual
-        # cost — and rps — is comparable between CI's --quick run and the
-        # committed full baseline.
-        full_params={
+        params={
             "records": 6_000,
             "keys": 12,
             "segment_rows": 500,
-            "query_rounds": 6,
-        },
-        quick_params={
-            "records": 1_500,
-            "keys": 12,
-            "segment_rows": 125,
             "query_rounds": 6,
         },
     ),
     ScenarioSpec(
         name="controlplane_surge",
         fn=controlplane_surge,
-        # The records:segment_rows ratio (segments per partition) is fixed
-        # across modes so per-query scatter cost stays comparable; the
-        # quick run shortens the timeline (duration/spike) and shrinks the
-        # table, which only *lowers* per-record virtual cost — safe for
-        # the quick-vs-full rps gate, which flags drops.
-        full_params={
+        params={
             "control": True,
             "records": 6_000,
             "segment_rows": 500,
@@ -958,25 +854,9 @@ SCENARIOS: tuple[ScenarioSpec, ...] = (
             "broker_kill_at": 90.0,
             "broker_restart_at": 125.0,
         },
-        quick_params={
-            "control": True,
-            "records": 3_000,
-            "segment_rows": 250,
-            "users": 500_000,
-            "base_rps": 8.0,
-            "duration": 90.0,
-            "spike_start": 30.0,
-            "spike_end": 60.0,
-            "broker_kill_at": 45.0,
-            "broker_restart_at": 65.0,
-        },
     ),
 )
 
 
 def scenario_names() -> list[str]:
     return [spec.name for spec in SCENARIOS]
-
-
-def quick_scenario_names() -> list[str]:
-    return [spec.name for spec in SCENARIOS if spec.in_quick]

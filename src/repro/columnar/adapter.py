@@ -3,7 +3,7 @@
 Row-only consumers (legacy connectors, transactional sinks, operators
 without a columnar kernel) keep working against the columnar plane
 through these helpers.  Every crossing is counted
-(``columnar.rows_adapted``) so the cost model shows exactly where the
+(``columnar.rows_adapted``) so the counters show exactly where the
 pipeline still falls back to rows — the adapter is the safety net, not
 the fast path.
 """

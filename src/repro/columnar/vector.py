@@ -12,8 +12,8 @@ Slicing is zero-copy: a slice is a ``(offset, length)`` window onto the
 parent's shared buffers, so exchanging a sub-range between operators,
 partitions or cache entries costs O(1) in cells.  Gathers (``take``)
 copy codes but share the dictionary, which keeps re-partitioning and
-filter materialization cheap in the cost model (a code copy, not a
-value materialization).
+filter materialization cheap (a code copy, not a value
+materialization).
 
 Encoding discipline mirrors real columnar engines: ``from_values``
 dictionary-encodes while the distinct count stays small and *overflows

@@ -1,23 +1,23 @@
 """Lightweight perf counters threaded through the hot paths.
 
-The benchmark harness (:mod:`repro.bench`) needs a *machine-independent*
-measure of hot-path work: wall-clock throughput varies run to run and
-machine to machine, so a CI regression gate built on it either flakes or
-needs a threshold so wide it misses real regressions.  Instead, the hot
-paths count the semantic operations they perform — partition-leader
-resolutions, log-entry allocations, forward-index cell reads, channel
-pushes — on a process-global :class:`PerfCounters` singleton.  Two runs of
-the same seeded workload produce byte-identical counts, so a change that
-makes a hot path do 2x the per-record work shows up as exactly 2x the
-ops, deterministically.
+The hot paths count the semantic operations they perform — partition-
+leader resolutions, log-entry allocations, forward-index cell reads,
+channel pushes — on a process-global :class:`PerfCounters` singleton.
+Two runs of the same seeded workload produce byte-identical counts, so
+counted work can be compared *exactly*: :mod:`repro.bench` gates every
+counter of its scenarios against the committed ``BENCH_core.json``, and
+a change that makes a hot path do 2x the per-record work shows up as
+exactly 2x the ops.  Counts say how much work was done, never how long
+it took; time comes from a stopwatch (``benchmarks/e2e``, which also
+reports some of these counters per layer).
 
 Cost discipline: counting is OFF by default.  Every instrumentation site
 guards with ``if PERF.enabled:`` so the uninstrumented hot path pays one
-attribute load and a falsy branch — no dict mutation, no allocation.  The
-harness enables counting only around a measured scenario.
+attribute load and a falsy branch — no dict mutation, no allocation.
+Counting is enabled only inside a :class:`measured` section.
 
 Counter naming convention: ``<layer>.<unit>``, with allocation counters
-ending in ``_allocs`` (the harness sums those separately).
+ending in ``_allocs``.
 """
 
 from __future__ import annotations
@@ -54,18 +54,23 @@ PERF = PerfCounters()
 
 
 class measured:
-    """Context manager: enable counting, reset on entry, disable on exit.
+    """Context manager: count from zero inside the block, disable on exit.
 
-    The previous enabled state is restored, so measured sections nest.
+    The previous enabled state and counts are restored on exit with this
+    section's counts added to them, so measured sections nest.
     """
 
-    __slots__ = ("_was_enabled",)
+    __slots__ = ("_was_enabled", "_outer")
 
     def __enter__(self) -> PerfCounters:
         self._was_enabled = PERF.enabled
+        self._outer = PERF.counts
         PERF.reset()
         PERF.enabled = True
         return PERF
 
     def __exit__(self, *exc_info) -> None:
         PERF.enabled = self._was_enabled
+        inner, PERF.counts = PERF.counts, self._outer
+        for name, amount in inner.items():
+            PERF.inc(name, amount)

@@ -12,6 +12,7 @@ close enough to Avro-with-embedded-reader-schema for footprint purposes.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import numbers
 import struct
@@ -110,6 +111,12 @@ def encode(value: Any) -> bytes:
     out = bytearray()
     _encode_into(out, value)
     return bytes(out)
+
+
+def digest(value: Any) -> int:
+    """Small deterministic checksum of a JSON-like result structure: the
+    first six bytes of the SHA-256 of its encoding."""
+    return int.from_bytes(hashlib.sha256(encode(value)).digest()[:6], "big")
 
 
 def canonical_key(value: Any) -> Any:

@@ -3,7 +3,7 @@
 The serving layers (Pinot broker, Presto scheduler) execute queries
 in-process in this reproduction, so "queueing under overload" needs an
 explicit model: a work-conserving pool of ``workers`` where each admitted
-query occupies one worker for its (deterministic, cost-model-derived)
+query occupies one worker for its (deterministic, caller-supplied)
 service time.  Latency is ``completion - arrival``: queue wait appears
 exactly when arrivals outpace ``workers / service_time`` capacity, which
 is what the surge bench and the admission controller's p99 feedback need.

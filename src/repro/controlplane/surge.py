@@ -22,30 +22,29 @@ work:
   estimate (:meth:`PinotBroker.estimate_rows` docs) and drives all
   decision-relevant state — admission pressure, the p99 guard, the
   worker scaler — so sticky routing and every cache are invisible in
-  the decision log, byte for byte.  The *serving* queue prices by
-  measured cost-model virtual time with sticky per-user worker subsets
-  and feeds the per-tier SLO report: that is where locality and scan
-  sharing actually show up as lower latency;
+  the decision log, byte for byte.  The *serving* queue prices each
+  query by the work it counted (:data:`SERVICE_PRICE_US`), with sticky
+  per-user worker subsets, and feeds the per-tier SLO report: that is
+  where locality and scan sharing actually show up as lower latency;
 * mid-spike **chaos**: a Kafka broker dies (and later restarts) in both
   the controlled run and the ablation, so the controller must scale
   while the write path is degraded.
 
 The returned :class:`SurgeReport` carries per-tier latency percentiles,
 per-request result digests and the rendered decision log; the bench
-scenario, the property tests and the determinism CI gate all consume it.
+scenario and the property tests consume it.
 """
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 from dataclasses import dataclass, field
 
-from repro.common import serde
 from repro.common.clock import SimulatedClock
 from repro.common.epochcache import combined_stats
-from repro.common.perf import PERF
+from repro.common.perf import measured
 from repro.common.rng import seeded_rng
+from repro.common.serde import digest
 from repro.controlplane.admission import (
     TIER_QUERY_SLOS,
     AdmissionController,
@@ -78,8 +77,8 @@ DEFAULT_PARAMS = {
     "workers": 4,
     "max_workers": 32,
     "service_floor_s": 0.02,
-    "service_us_scale": 1.5e-4,  # sim seconds per virtual microsecond
-    # reference-queue pricing: virtual microseconds per estimated doc
+    "service_us_scale": 1.5e-4,  # sim seconds per priced microsecond
+    # reference-queue pricing: priced microseconds per estimated doc
     # (routing- and cache-invariant, so decisions never see stickiness)
     "service_est_us_per_row": 0.55,
     # sticky per-user worker subsets of the serving queue
@@ -93,30 +92,39 @@ DEFAULT_PARAMS = {
 }
 
 
-class _NullProbe:
-    class _Op:
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-    def op(self):
-        return self._Op()
-
-
-def _digest(value) -> int:
-    """Deterministic checksum of a result structure (bench-compatible)."""
-    return int.from_bytes(hashlib.sha256(serde.encode(value)).digest()[:6], "big")
+#: Serving-queue pricing: simulated microseconds of service time per
+#: counted operation, for exactly the counters an admitted query can move.
+#: A simulation parameter like ``service_floor_s`` above, not a measurement
+#: of anything; a query that moves a counter missing here is a ``KeyError``,
+#: so new query-path work gets priced deliberately rather than by default.
+SERVICE_PRICE_US = {
+    "kafka.key_hashes": 2.0,
+    "pinot.cache_hits": 1.0,
+    "pinot.cache_misses": 0.4,
+    "pinot.cache_row_copies": 0.2,
+    "pinot.cell_reads": 0.8,
+    "pinot.cells_decoded": 0.15,
+    "pinot.code_filter_evals": 0.1,
+    "pinot.filter_evals": 0.5,
+    "pinot.scanshare_docs_served": 0.02,
+    "pinot.scanshare_hits": 0.6,
+    "pinot.scanshare_misses": 0.3,
+    "pinot.segments_pruned": 0.05,
+    "pinot.segments_scanned": 0.05,
+    "pinot.zonemap_checks": 0.3,
+    "presto.artifact_rows_copied": 0.2,
+    "presto.stage_artifact_hits": 1.0,
+    "presto.stage_executions": 0.5,
+}
 
 
 def _rows_digest(rows: list[dict]) -> int:
-    return _digest(sorted(tuple(sorted(row.items())) for row in rows))
+    return digest(sorted(tuple(sorted(row.items())) for row in rows))
 
 
 @dataclass(frozen=True)
 class SurgeReport:
-    """Everything the bench, the property tests and CI assert on."""
+    """Everything the bench and the property tests assert on."""
 
     requests: int
     admitted: int
@@ -138,7 +146,7 @@ class SurgeReport:
 
     @property
     def check(self) -> int:
-        return _digest(
+        return digest(
             [
                 self.admitted,
                 self.shed,
@@ -152,7 +160,7 @@ class SurgeReport:
         return bool(entry and entry["count"] and entry["met"])
 
 
-def _build_rides(params: dict, seed: int, clock, kafka, controller, probe):
+def _build_rides(params: dict, seed: int, clock, kafka, controller):
     """Seed and fully ingest the stable serving table before the surge."""
     from repro.kafka.cluster import TopicConfig
     from repro.kafka.producer import Producer
@@ -198,8 +206,7 @@ def _build_rides(params: dict, seed: int, clock, kafka, controller, probe):
         "rides",
     )
     while True:
-        with probe.op():
-            state.ingestion.run_step()
+        state.ingestion.run_step()
         controller.backup.run_step()
         if state.ingestion.lag() == 0 and not any(
             p.blocked() for p in state.ingestion.partitions.values()
@@ -317,7 +324,7 @@ def _query_for(request, cities, span_end: float):
     )
 
 
-def run_surge(params: dict, seed: int, probe=None) -> SurgeReport:
+def run_surge(params: dict, seed: int) -> SurgeReport:
     """Run the surge simulation; see the module docstring."""
     from repro.kafka.cluster import KafkaCluster
     from repro.kafka.producer import Producer
@@ -334,7 +341,6 @@ def run_surge(params: dict, seed: int, probe=None) -> SurgeReport:
     merged = dict(DEFAULT_PARAMS)
     merged.update(params)
     params = merged
-    probe = probe or _NullProbe()
     control = bool(params["control"])
 
     clock = SimulatedClock()
@@ -343,286 +349,259 @@ def run_surge(params: dict, seed: int, probe=None) -> SurgeReport:
         [PinotServer(f"s{i}") for i in range(3)], PeerToPeerBackup(BlobStore())
     )
 
-    was_perf = PERF.enabled
-    PERF.enabled = True  # virtual query cost drives the queue's service time
-    try:
-        rides, cities = _build_rides(params, seed, clock, kafka, controller, probe)
-        telemetry, flink = _build_telemetry(params, clock, kafka, controller)
-        span_end = clock.now()
-        broker = PinotBroker(controller, clock=clock)
-        engine = PrestoEngine(
-            {"rides": PinotConnector(broker, pushdown="full")},
-            clock=clock,
-            workers=params["workers"],
+    rides, cities = _build_rides(params, seed, clock, kafka, controller)
+    telemetry, flink = _build_telemetry(params, clock, kafka, controller)
+    span_end = clock.now()
+    broker = PinotBroker(controller, clock=clock)
+    engine = PrestoEngine(
+        {"rides": PinotConnector(broker, pushdown="full")},
+        clock=clock,
+        workers=params["workers"],
+    )
+    # Reference queue: estimate-priced, decision-driving (pressure,
+    # p99 feedback, worker scaling), submitted to without a key.
+    # Serving queue: measured-cost, sticky per-user subsets,
+    # SLO-report-driving.  See module doc.
+    ref_queue = QueryQueue(workers=params["workers"])
+    serving_queue = QueryQueue(
+        workers=params["workers"],
+        subset_size=params["queue_subset"],
+        spill_threshold_s=params["queue_spill_s"],
+    )
+    log = DecisionLog()
+    slo = SloMonitor(TIER_QUERY_SLOS)
+
+    # -- the control plane (absent in the ablation) ---------------------
+    now_cell = {"t": 0.0}
+    flink_boost = {"units": 1}
+    ingest_slots = {"units": 1}
+    admission = None
+    scaler = None
+    if control:
+        admission = AdmissionController(
+            hold_s=params["eval_interval"],
+            pressure=lambda: ref_queue.backlog_per_worker(now_cell["t"]),
+            pressure_levels=PRESSURE_LEVELS,
+            log=log,
         )
-        # Reference queue: estimate-priced, decision-driving (pressure,
-        # p99 feedback, worker scaling), submitted to without a key.
-        # Serving queue: measured-cost, sticky per-user subsets,
-        # SLO-report-driving.  See module doc.
-        ref_queue = QueryQueue(workers=params["workers"])
-        serving_queue = QueryQueue(
-            workers=params["workers"],
-            subset_size=params["queue_subset"],
-            spill_threshold_s=params["queue_spill_s"],
+        scaler = CrossLayerController(log=log)
+        scaler.add_policy(
+            ResourcePolicy(
+                name="presto.workers",
+                signal=lambda: ref_queue.backlog_per_worker(now_cell["t"]),
+                current=lambda: ref_queue.workers,
+                apply=lambda n: (
+                    ref_queue.set_workers(n),
+                    serving_queue.set_workers(n),
+                    setattr(engine.scheduler, "workers", n),
+                ),
+                scale_up_threshold=0.2,
+                scale_down_threshold=0.02,
+                min_units=params["workers"],
+                max_units=params["max_workers"],
+                cooldown_s=2 * params["eval_interval"],
+                stable_evals=4,
+            )
         )
-        log = DecisionLog()
-        slo = SloMonitor(TIER_QUERY_SLOS)
+        produce_rate = {"last_total": 0.0, "last_t": 0.0}
 
-        # -- the control plane (absent in the ablation) ---------------------
-        now_cell = {"t": 0.0}
-        flink_boost = {"units": 1}
-        ingest_slots = {"units": 1}
-        admission = None
-        scaler = None
-        if control:
-            admission = AdmissionController(
-                hold_s=params["eval_interval"],
-                pressure=lambda: ref_queue.backlog_per_worker(now_cell["t"]),
-                pressure_levels=PRESSURE_LEVELS,
-                log=log,
-            )
-            scaler = CrossLayerController(log=log)
-            scaler.add_policy(
-                ResourcePolicy(
-                    name="presto.workers",
-                    signal=lambda: ref_queue.backlog_per_worker(now_cell["t"]),
-                    current=lambda: ref_queue.workers,
-                    apply=lambda n: (
-                        ref_queue.set_workers(n),
-                        serving_queue.set_workers(n),
-                        setattr(engine.scheduler, "workers", n),
-                    ),
-                    scale_up_threshold=0.2,
-                    scale_down_threshold=0.02,
-                    min_units=params["workers"],
-                    max_units=params["max_workers"],
-                    cooldown_s=2 * params["eval_interval"],
-                    stable_evals=4,
-                )
-            )
-            produce_rate = {"last_total": 0.0, "last_t": 0.0}
+        def telemetry_rate_per_partition() -> float:
+            count = kafka.partition_count("telemetry")
+            total = float(sum(kafka.end_offset("telemetry", p) for p in range(count)))
+            now = now_cell["t"]
+            dt = now - produce_rate["last_t"]
+            rate = (total - produce_rate["last_total"]) / dt if dt > 0 else 0.0
+            produce_rate["last_total"] = total
+            produce_rate["last_t"] = now
+            return rate / count
 
-            def telemetry_rate_per_partition() -> float:
-                count = kafka.partition_count("telemetry")
-                total = float(
-                    sum(kafka.end_offset("telemetry", p) for p in range(count))
-                )
-                now = now_cell["t"]
-                dt = now - produce_rate["last_t"]
-                rate = (
-                    (total - produce_rate["last_total"]) / dt if dt > 0 else 0.0
-                )
-                produce_rate["last_total"] = total
-                produce_rate["last_t"] = now
-                return rate / count
-
-            scaler.add_policy(
-                ResourcePolicy(
-                    name="kafka.telemetry.partitions",
-                    signal=telemetry_rate_per_partition,
-                    current=lambda: kafka.partition_count("telemetry"),
-                    apply=lambda n: kafka.expand_partitions(
-                        "telemetry", n - kafka.partition_count("telemetry")
-                    ),
-                    scale_up_threshold=30.0,  # records/s per partition
-                    scale_down_threshold=None,  # kafka cannot shrink
-                    max_units=8,
-                    cooldown_s=5 * params["eval_interval"],
-                )
+        scaler.add_policy(
+            ResourcePolicy(
+                name="kafka.telemetry.partitions",
+                signal=telemetry_rate_per_partition,
+                current=lambda: kafka.partition_count("telemetry"),
+                apply=lambda n: kafka.expand_partitions(
+                    "telemetry", n - kafka.partition_count("telemetry")
+                ),
+                scale_up_threshold=30.0,  # records/s per partition
+                scale_down_threshold=None,  # kafka cannot shrink
+                max_units=8,
+                cooldown_s=5 * params["eval_interval"],
             )
-            scaler.add_policy(
-                ResourcePolicy(
-                    name="pinot.telemetry.ingest_slots",
-                    signal=lambda: float(telemetry.ingestion.lag()),
-                    current=lambda: ingest_slots["units"],
-                    apply=lambda n: ingest_slots.update(units=n),
-                    scale_up_threshold=200.0,
-                    scale_down_threshold=20.0,
-                    max_units=8,
-                    cooldown_s=2 * params["eval_interval"],
-                    stable_evals=4,
-                )
-            )
-            pinot_pool = {"target": len(controller.servers)}
-
-            def grow_pinot_pool(n: int) -> None:
-                while len(controller.servers) < n:
-                    controller.add_server(
-                        PinotServer(f"s-auto-{len(controller.servers)}")
-                    )
-                pinot_pool["target"] = n
-
-            scaler.add_policy(
-                ResourcePolicy(
-                    name="pinot.servers",
-                    signal=lambda: float(telemetry.ingestion.lag()),
-                    current=lambda: pinot_pool["target"],
-                    scale_up_threshold=800.0,
-                    scale_down_threshold=None,  # joins are sticky here
-                    apply=grow_pinot_pool,
-                    max_units=6,
-                    cooldown_s=5 * params["eval_interval"],
-                )
-            )
-            scaler.add_flink_job(
-                "telemetry-agg",
-                lag=lambda: float(flink.total_source_lag()),
-                state_bytes=lambda: float(flink.total_state_bytes()),
-                current=lambda: flink_boost["units"],
-                apply=lambda n: flink_boost.update(units=n),
-            )
-            scaler.autoscaler.scale_up_lag_threshold = 300
-            scaler.flink_cooldown_s = 2 * params["eval_interval"]
-
-        # -- the surge ------------------------------------------------------
-        workload = SurgeWorkload(
-            seed=seed,
-            population=UserPopulation(params["users"], skew=params["skew"]),
-            base_rps=params["base_rps"],
-            duration=params["duration"],
-            spike=SurgeSpike(
-                params["spike_start"],
-                params["spike_end"],
-                params["spike_multiplier"],
-            ),
-            param_space=params["param_space"],
         )
-        telemetry_producer = Producer(kafka, "telemetry-service", clock=clock)
-        telemetry_rng = seeded_rng(seed, "controlplane.surge.telemetry")
-        start = clock.now()
-        next_bg = 0.0
-        next_eval = params["eval_interval"]
-        killed = restarted = False
-        completions: list[tuple[float, int, str, float]] = []
-        ref_completions: list[tuple[float, int, str, float]] = []
-        digests: dict[str, int] = {}
-        tier_cache: dict[str, list[int]] = {}  # tier -> [hits, lookups]
-        requests = admitted = shed = 0
-        seq = 0
-        scale_actions = {"n": 0}
-
-        def background_tick(t: float) -> None:
-            nonlocal killed, restarted, next_eval
-            # surge telemetry: the write load tracks the arrival intensity
-            count = int(
-                workload.rate(t) * params["telemetry_rps_factor"]
+        scaler.add_policy(
+            ResourcePolicy(
+                name="pinot.telemetry.ingest_slots",
+                signal=lambda: float(telemetry.ingestion.lag()),
+                current=lambda: ingest_slots["units"],
+                apply=lambda n: ingest_slots.update(units=n),
+                scale_up_threshold=200.0,
+                scale_down_threshold=20.0,
+                max_units=8,
+                cooldown_s=2 * params["eval_interval"],
+                stable_evals=4,
             )
-            for __ in range(count):
-                city = cities[telemetry_rng.randrange(len(cities))]
-                telemetry_producer.send(
-                    "telemetry",
-                    {
-                        "city": city,
-                        "driver": f"d-{telemetry_rng.randrange(100_000):06d}",
-                        "speed": float(telemetry_rng.randrange(140)),
-                        "ts": clock.now(),
-                    },
-                    key=city,
-                )
-            telemetry_producer.flush()
-            kafka.replicate()
-            if not killed and t >= params["broker_kill_at"]:
-                kafka.kill_broker(1)
-                killed = True
-            if killed and not restarted and t >= params["broker_restart_at"]:
-                kafka.restart_broker(1)
-                restarted = True
-            telemetry.ingestion.run_step(
-                max_records_per_partition=100 * ingest_slots["units"]
+        )
+        pinot_pool = {"target": len(controller.servers)}
+
+        def grow_pinot_pool(n: int) -> None:
+            while len(controller.servers) < n:
+                controller.add_server(PinotServer(f"s-auto-{len(controller.servers)}"))
+            pinot_pool["target"] = n
+
+        scaler.add_policy(
+            ResourcePolicy(
+                name="pinot.servers",
+                signal=lambda: float(telemetry.ingestion.lag()),
+                current=lambda: pinot_pool["target"],
+                scale_up_threshold=800.0,
+                scale_down_threshold=None,  # joins are sticky here
+                apply=grow_pinot_pool,
+                max_units=6,
+                cooldown_s=5 * params["eval_interval"],
             )
-            controller.backup.run_step()
-            flink.run_rounds(flink_boost["units"], budget_per_task=200)
-            if control and t >= next_eval:
-                now_cell["t"] = t
-                scale_actions["n"] += scaler.evaluate(t)
-                next_eval += params["eval_interval"]
+        )
+        scaler.add_flink_job(
+            "telemetry-agg",
+            lag=lambda: float(flink.total_source_lag()),
+            state_bytes=lambda: float(flink.total_state_bytes()),
+            current=lambda: flink_boost["units"],
+            apply=lambda n: flink_boost.update(units=n),
+        )
+        scaler.autoscaler.scale_up_lag_threshold = 300
+        scaler.flink_cooldown_s = 2 * params["eval_interval"]
 
-        def drain_completions(upto: float) -> None:
-            # Serving completions (measured, sticky) -> the SLO report;
-            # reference completions (estimated, routing-invariant) -> the
-            # admission p99 guard, so shed decisions can't see routing.
-            while completions and completions[0][0] <= upto:
-                __, __, use_case, latency = heapq.heappop(completions)
-                target = next(
-                    s for s in TIER_QUERY_SLOS if s.use_case == use_case
-                )
-                slo.observe(use_case, target.metric, latency)
-            while ref_completions and ref_completions[0][0] <= upto:
-                done_t, __, use_case, latency = heapq.heappop(ref_completions)
-                if admission is not None:
-                    admission.observe_latency(use_case, latency, done_t)
+    # -- the surge ------------------------------------------------------
+    workload = SurgeWorkload(
+        seed=seed,
+        population=UserPopulation(params["users"], skew=params["skew"]),
+        base_rps=params["base_rps"],
+        duration=params["duration"],
+        spike=SurgeSpike(
+            params["spike_start"],
+            params["spike_end"],
+            params["spike_multiplier"],
+        ),
+        param_space=params["param_space"],
+    )
+    telemetry_producer = Producer(kafka, "telemetry-service", clock=clock)
+    telemetry_rng = seeded_rng(seed, "controlplane.surge.telemetry")
+    start = clock.now()
+    next_bg = 0.0
+    next_eval = params["eval_interval"]
+    killed = restarted = False
+    completions: list[tuple[float, int, str, float]] = []
+    ref_completions: list[tuple[float, int, str, float]] = []
+    digests: dict[str, int] = {}
+    tier_cache: dict[str, list[int]] = {}  # tier -> [hits, lookups]
+    requests = admitted = shed = 0
+    seq = 0
+    scale_actions = {"n": 0}
 
-        for request in workload.requests():
-            t = request.arrival_time
-            while next_bg <= t:
-                clock.advance(start + next_bg - clock.now())
-                background_tick(next_bg)
-                next_bg += 1.0
-            drain_completions(t)
-            requests += 1
+    def background_tick(t: float) -> None:
+        nonlocal killed, restarted, next_eval
+        # surge telemetry: the write load tracks the arrival intensity
+        count = int(workload.rate(t) * params["telemetry_rps_factor"])
+        for __ in range(count):
+            city = cities[telemetry_rng.randrange(len(cities))]
+            telemetry_producer.send(
+                "telemetry",
+                {
+                    "city": city,
+                    "driver": f"d-{telemetry_rng.randrange(100_000):06d}",
+                    "speed": float(telemetry_rng.randrange(140)),
+                    "ts": clock.now(),
+                },
+                key=city,
+            )
+        telemetry_producer.flush()
+        kafka.replicate()
+        if not killed and t >= params["broker_kill_at"]:
+            kafka.kill_broker(1)
+            killed = True
+        if killed and not restarted and t >= params["broker_restart_at"]:
+            kafka.restart_broker(1)
+            restarted = True
+        telemetry.ingestion.run_step(
+            max_records_per_partition=100 * ingest_slots["units"]
+        )
+        controller.backup.run_step()
+        flink.run_rounds(flink_boost["units"], budget_per_task=200)
+        if control and t >= next_eval:
             now_cell["t"] = t
-            if admission is not None and not admission.admit(request).admitted:
-                shed += 1
-                continue
-            admitted += 1
-            query = _query_for(request, cities, span_end)
-            # Reference price: planning-time cardinality bound, identical
-            # whichever replica serves the query and whatever the caches
-            # hold.  The exploration SQL's only broker-visible predicate
-            # is its amount floor.
-            if isinstance(query, str):
-                est_filters = [
-                    Filter("amount", ">=", _exploration_floor(request.param))
-                ]
-            else:
-                est_filters = list(query.filters)
-            with probe.op():
-                est_docs, __ = broker.estimate_rows("rides", est_filters)
-            est_service_s = (
-                params["service_floor_s"]
-                + est_docs
-                * params["service_est_us_per_row"]
-                * params["service_us_scale"]
-            )
-            hits0 = PERF.counts.get("pinot.cache_hits", 0)
-            miss0 = PERF.counts.get("pinot.cache_misses", 0)
-            before = _virtual_cost()
-            with probe.op():
-                if isinstance(query, str):
-                    rows = engine.execute(query).rows
-                else:
-                    rows = broker.execute(query).rows
-            cost_us = _virtual_cost() - before
-            tier = tier_cache.setdefault(request.use_case, [0, 0])
-            delta_hits = PERF.counts.get("pinot.cache_hits", 0) - hits0
-            tier[0] += delta_hits
-            tier[1] += delta_hits + (
-                PERF.counts.get("pinot.cache_misses", 0) - miss0
-            )
-            service_s = (
-                params["service_floor_s"]
-                + cost_us * params["service_us_scale"]
-            )
-            seq += 1
-            __, ref_completion = ref_queue.submit(t, est_service_s)
-            heapq.heappush(
-                ref_completions,
-                (ref_completion, seq, request.use_case, ref_completion - t),
-            )
-            __, completion = serving_queue.submit(
-                t, service_s, key=request.user_id, tier=request.use_case
-            )
-            heapq.heappush(
-                completions, (completion, seq, request.use_case, completion - t)
-            )
-            digests[request.request_id] = _rows_digest(rows)
-        while next_bg <= params["duration"]:
+            scale_actions["n"] += scaler.evaluate(t)
+            next_eval += params["eval_interval"]
+
+    def drain_completions(upto: float) -> None:
+        # Serving completions (measured, sticky) -> the SLO report;
+        # reference completions (estimated, routing-invariant) -> the
+        # admission p99 guard, so shed decisions can't see routing.
+        while completions and completions[0][0] <= upto:
+            __, __, use_case, latency = heapq.heappop(completions)
+            target = next(s for s in TIER_QUERY_SLOS if s.use_case == use_case)
+            slo.observe(use_case, target.metric, latency)
+        while ref_completions and ref_completions[0][0] <= upto:
+            done_t, __, use_case, latency = heapq.heappop(ref_completions)
+            if admission is not None:
+                admission.observe_latency(use_case, latency, done_t)
+
+    for request in workload.requests():
+        t = request.arrival_time
+        while next_bg <= t:
             clock.advance(start + next_bg - clock.now())
             background_tick(next_bg)
             next_bg += 1.0
-        drain_completions(float("inf"))
-    finally:
-        PERF.enabled = was_perf
+        drain_completions(t)
+        requests += 1
+        now_cell["t"] = t
+        if admission is not None and not admission.admit(request).admitted:
+            shed += 1
+            continue
+        admitted += 1
+        query = _query_for(request, cities, span_end)
+        # Reference price: planning-time cardinality bound, identical
+        # whichever replica serves the query and whatever the caches
+        # hold.  The exploration SQL's only broker-visible predicate
+        # is its amount floor.
+        if isinstance(query, str):
+            est_filters = [Filter("amount", ">=", _exploration_floor(request.param))]
+        else:
+            est_filters = list(query.filters)
+        est_docs, __ = broker.estimate_rows("rides", est_filters)
+        est_service_s = (
+            params["service_floor_s"]
+            + est_docs * params["service_est_us_per_row"] * params["service_us_scale"]
+        )
+        # The pricing window is a nested section: ``moved`` holds what
+        # this query counted, and an enclosing section still gets it.
+        with measured() as window:
+            if isinstance(query, str):
+                rows = engine.execute(query).rows
+            else:
+                rows = broker.execute(query).rows
+            moved = window.counts
+        cost_us = sum(n * SERVICE_PRICE_US[name] for name, n in moved.items())
+        tier = tier_cache.setdefault(request.use_case, [0, 0])
+        hits = moved.get("pinot.cache_hits", 0)
+        tier[0] += hits
+        tier[1] += hits + moved.get("pinot.cache_misses", 0)
+        service_s = params["service_floor_s"] + cost_us * params["service_us_scale"]
+        seq += 1
+        __, ref_completion = ref_queue.submit(t, est_service_s)
+        heapq.heappush(
+            ref_completions,
+            (ref_completion, seq, request.use_case, ref_completion - t),
+        )
+        __, completion = serving_queue.submit(
+            t, service_s, key=request.user_id, tier=request.use_case
+        )
+        heapq.heappush(completions, (completion, seq, request.use_case, completion - t))
+        digests[request.request_id] = _rows_digest(rows)
+    while next_bg <= params["duration"]:
+        clock.advance(start + next_bg - clock.now())
+        background_tick(next_bg)
+        next_bg += 1.0
+    drain_completions(float("inf"))
 
     per_tier = {}
     for ev in slo.evaluate():
@@ -663,9 +642,3 @@ def run_surge(params: dict, seed: int, probe=None) -> SurgeReport:
         decision_log=log.render(),
         cache_stats=cache_stats,
     )
-
-
-def _virtual_cost() -> float:
-    from repro.bench.costmodel import virtual_us
-
-    return virtual_us(PERF.counts)

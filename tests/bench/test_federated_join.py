@@ -3,7 +3,6 @@ engages and invalidates, and the same answers as a run without reuse."""
 
 from __future__ import annotations
 
-from repro.bench.harness import OpProbe
 from repro.bench.scenarios import presto_federated_join
 from repro.common.perf import PERF, measured
 from repro.common.records import reset_uid_counter
@@ -26,7 +25,7 @@ NO_REUSE_JOIN_PROBE_ROWS = 38_244
 def run():
     reset_uid_counter()
     with measured():
-        outcome = presto_federated_join(dict(PARAMS), 42, OpProbe())
+        outcome = presto_federated_join(dict(PARAMS), 42)
         counters = PERF.snapshot()
     return outcome, counters
 
@@ -39,8 +38,7 @@ def test_artifact_reuse_doubles_throughput_without_changing_results():
     # surviving the TableEpoch bump would break this equality.
     assert outcome.check == NO_REUSE_CHECK
     # Reuse must actually fire: most stages are artifact hits, and the
-    # plan executes less than half the stages recomputing everything did
-    # (counted work, not a cost-model ratio).
+    # plan executes less than half the stages recomputing everything did.
     assert counters["presto.stage_artifact_hits"] > 0
     assert 2 * counters["presto.stage_executions"] <= NO_REUSE_STAGE_EXECUTIONS
     # Deterministic: a second run reproduces counters exactly.

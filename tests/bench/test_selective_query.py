@@ -3,8 +3,6 @@ payoff, and the same answers as the scatter path this repo used to have."""
 
 from __future__ import annotations
 
-from repro.bench.costmodel import virtual_us
-from repro.bench.harness import OpProbe
 from repro.bench.scenarios import pinot_selective_query
 from repro.common.perf import PERF, measured
 from repro.common.records import reset_uid_counter
@@ -28,15 +26,14 @@ def run(pruning: bool, cache: bool):
     params = dict(PARAMS, pruning=pruning, cache=cache)
     reset_uid_counter()
     with measured():
-        outcome = pinot_selective_query(params, 42, OpProbe())
+        outcome = pinot_selective_query(params, 42)
         counters = PERF.snapshot()
-    rps = outcome.records / (virtual_us(counters) / 1e6)
-    return outcome, counters, rps
+    return outcome, counters
 
 
 def test_pruning_and_cache_double_throughput_without_changing_results():
-    optimized, opt_counters, opt_rps = run(pruning=True, cache=True)
-    ablated, abl_counters, abl_rps = run(pruning=False, cache=False)
+    optimized, opt_counters = run(pruning=True, cache=True)
+    ablated, abl_counters = run(pruning=False, cache=False)
     # Same seeded workload, same answers: the digest covers every query's
     # rows in every round — and they are the answers the deleted scatter
     # path gave.
@@ -51,24 +48,22 @@ def test_pruning_and_cache_double_throughput_without_changing_results():
     # where sticky routing pays: the same segment lands on the same
     # server and its scan-share cache answers.
     assert abl_counters["pinot.scanshare_hits"] > 0
-    # ...and pay off, stated in counted work rather than a cost-model
-    # ratio: at least twice as many segments are scanned without them.
+    # ...and pay off in counted work: at least twice as many segments
+    # are scanned without them.
     assert (
         2 * opt_counters["pinot.segments_scanned"]
         <= abl_counters["pinot.segments_scanned"]
     )
-    assert opt_rps > abl_rps
     # Deterministic: a second optimized run reproduces counters exactly.
-    again, again_counters, __ = run(pruning=True, cache=True)
+    again, again_counters = run(pruning=True, cache=True)
     assert again.check == optimized.check
     assert again_counters == opt_counters
 
 
 def test_pruning_alone_reduces_segments_scanned():
-    __, pruned_counters, pruned_rps = run(pruning=True, cache=False)
-    __, full_counters, full_rps = run(pruning=False, cache=False)
+    __, pruned_counters = run(pruning=True, cache=False)
+    __, full_counters = run(pruning=False, cache=False)
     assert (
         pruned_counters["pinot.segments_scanned"]
         < full_counters["pinot.segments_scanned"]
     )
-    assert pruned_rps > full_rps

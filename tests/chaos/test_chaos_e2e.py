@@ -264,6 +264,12 @@ class TestChaosEndToEnd:
         assert [e.render() for e in first.events] == [
             e.render() for e in second.events
         ]
+        # report() reconciled every registered cross-layer audit: their
+        # full per-key missing/duplicated/reordered findings, lineage
+        # digests included, are part of the byte comparison.
+        audits = [a.last_report.render() for a in first.auditors]
+        assert audits and all(audits)
+        assert audits == [a.last_report.render() for a in second.auditors]
 
     def test_different_seed_changes_only_the_label(self):
         """The schedule is scripted; the seed namespaces the run (trace id,

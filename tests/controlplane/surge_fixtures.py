@@ -47,7 +47,7 @@ def ablation_run(seed: int = SEED):
 #: ``controlled_run(2021)`` at commit 8726322 with ``sticky=False`` —
 #: per-query replica and stage-worker rotation, no scan sharing, a keyless
 #: serving queue, selections built as row dicts — the path PR 18 deleted.
-#: The two long fields are digests (``repro.controlplane.surge._digest``)
+#: The two long fields are digests (``repro.common.serde.digest``)
 #: of ``sorted(report.query_digests.items())`` and ``report.decision_log``.
 SCATTER_RUN = {
     "check": 217369667414964,

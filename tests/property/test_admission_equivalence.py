@@ -55,6 +55,10 @@ class TestDeterminism:
     def test_same_seed_identical_check(self):
         assert controlled_run().check == controlled_rerun().check
         assert controlled_run().query_digests == controlled_rerun().query_digests
+        assert (controlled_run().requests, controlled_run().scale_actions) == (
+            controlled_rerun().requests,
+            controlled_rerun().scale_actions,
+        )
 
     def test_different_seed_diverges(self):
         assert controlled_run(7).check != controlled_run().check
