@@ -35,6 +35,12 @@ class RetryExhaustedError(ReproError):
     final failure is chained as ``__cause__``."""
 
 
+class IncomparableError(ReproError):
+    """A SQL comparison met two operands that do not order (a string
+    against a number, say).  Raised by the one comparison rule in
+    :mod:`repro.common.relational`, whichever executor ran it."""
+
+
 # --- storage -------------------------------------------------------------
 
 class StorageError(ReproError):

@@ -23,13 +23,8 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.common.memory import deep_sizeof
-from repro.pinot.query import (
-    Filter,
-    PinotQuery,
-    _new_agg_state,
-    _update_agg_state,
-    finalize_agg_state,
-)
+from repro.common.relational import order_rows
+from repro.pinot.query import Filter, PinotQuery, fold_row, group_fold
 
 
 @dataclass
@@ -90,28 +85,11 @@ class DocStore:
                     {c: doc.get(c) for c in columns} if columns else doc
                 )
             return rows[: query.limit] if query.limit else rows
-        groups: dict[tuple, list[Any]] = {}
+        fold = group_fold(query)
         for doc_id in matching:
             doc = json.loads(self._source[doc_id])  # aggs fetch documents
-            key = tuple(doc.get(c) for c in query.group_by)
-            states = groups.get(key)
-            if states is None:
-                states = [_new_agg_state(a) for a in query.aggregations]
-                groups[key] = states
-            for i, agg in enumerate(query.aggregations):
-                value = doc.get(agg.column) if agg.column is not None else None
-                states[i] = _update_agg_state(agg, states[i], value)
-        rows = []
-        for key, states in groups.items():
-            row: dict[str, Any] = dict(zip(query.group_by, key))
-            for agg, stateval in zip(query.aggregations, states):
-                row[agg.alias()] = finalize_agg_state(agg, stateval)
-            rows.append(row)
-        for name, descending in reversed(query.order_by):
-            rows.sort(
-                key=lambda r: (r.get(name) is None, r.get(name)), reverse=descending
-            )
-        return rows[: query.limit] if query.limit else rows
+            fold_row(fold, query, doc.get)
+        return order_rows(query.order_by, fold.rows(), query.limit)
 
     def _matching(self, filters: list[Filter]) -> list[int]:
         if not filters:

@@ -18,12 +18,8 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.common.memory import deep_sizeof
-from repro.pinot.query import (
-    PinotQuery,
-    _new_agg_state,
-    _update_agg_state,
-    finalize_agg_state,
-)
+from repro.common.relational import order_rows
+from repro.pinot.query import PinotQuery, fold_row, group_fold
 
 
 @dataclass
@@ -51,44 +47,19 @@ class ScanStore:
         return deep_sizeof(self._columns)
 
     def execute(self, query: PinotQuery) -> list[dict[str, Any]]:
-        matching = []
-        for row_id in range(self._num_rows):
-            self.docs_scanned += 1
-            ok = True
-            for flt in query.filters:
-                if not flt.matches(self._columns[flt.column][row_id]):
-                    ok = False
-                    break
-            if ok:
-                matching.append(row_id)
+        self.docs_scanned += self._num_rows
+        matching = [
+            row_id
+            for row_id in range(self._num_rows)
+            if all(f.matches(self._columns[f.column][row_id]) for f in query.filters)
+        ]
         if not query.is_aggregation():
             columns = query.select_columns or sorted(self._columns)
             rows = [
                 {c: self._columns[c][r] for c in columns} for r in matching
             ]
             return rows[: query.limit] if query.limit else rows
-        groups: dict[tuple, list[Any]] = {}
+        fold = group_fold(query)
         for row_id in matching:
-            key = tuple(self._columns[c][row_id] for c in query.group_by)
-            states = groups.get(key)
-            if states is None:
-                states = [_new_agg_state(a) for a in query.aggregations]
-                groups[key] = states
-            for i, agg in enumerate(query.aggregations):
-                value = (
-                    self._columns[agg.column][row_id]
-                    if agg.column is not None
-                    else None
-                )
-                states[i] = _update_agg_state(agg, states[i], value)
-        rows = []
-        for key, states in groups.items():
-            row: dict[str, Any] = dict(zip(query.group_by, key))
-            for agg, stateval in zip(query.aggregations, states):
-                row[agg.alias()] = finalize_agg_state(agg, stateval)
-            rows.append(row)
-        for name, descending in reversed(query.order_by):
-            rows.sort(
-                key=lambda r: (r.get(name) is None, r.get(name)), reverse=descending
-            )
-        return rows[: query.limit] if query.limit else rows
+            fold_row(fold, query, lambda column: self._columns[column][row_id])
+        return order_rows(query.order_by, fold.rows(), query.limit)

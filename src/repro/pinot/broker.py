@@ -57,16 +57,11 @@ from repro.common.epochcache import EpochCache, copy_rows
 from repro.common.errors import PinotError, QueryError
 from repro.common.metrics import MetricsRegistry
 from repro.common.perf import PERF
+from repro.common.relational import order_rows
 from repro.kafka.producer import hash_partitioner
 from repro.observability.trace import SpanCollector
 from repro.pinot.controller import PinotController, TableState
-from repro.pinot.query import (
-    PartialResult,
-    PinotQuery,
-    SegmentPlan,
-    finalize_agg_state,
-    merge_agg_states,
-)
+from repro.pinot.query import PartialResult, PinotQuery, SegmentPlan, group_fold
 from repro.pinot.segment import ImmutableSegment
 from repro.pinot.server import PinotServer
 
@@ -443,42 +438,18 @@ class PinotBroker:
         )
         plans = [p.plan for p in partials if p.plan is not None]
         if query.is_aggregation():
-            merged: dict[tuple, list[Any]] = {}
+            merged = group_fold(query)
             for partial in partials:
-                for key, states in partial.groups.items():
-                    if key not in merged:
-                        merged[key] = states
-                    else:
-                        merged[key] = [
-                            merge_agg_states(agg, a, b)
-                            for agg, a, b in zip(
-                                query.aggregations, merged[key], states
-                            )
-                        ]
-            rows = []
-            for key, states in merged.items():
-                row: dict[str, Any] = dict(zip(query.group_by, key))
-                for agg, stateval in zip(query.aggregations, states):
-                    row[agg.alias()] = finalize_agg_state(agg, stateval)
-                rows.append(row)
+                merged.merge(partial.groups)
+            rows = merged.rows()
         else:
             pages = [p.page for p in partials if p.page is not None]
             if not (query.order_by or query.limit):
                 return QueryResult(pages=pages, plans=plans)
             # Ordering and limits work on rows: materialize here.
             rows = pages_to_rows(pages)
-        rows = self._order_and_limit(query, rows)
-        return QueryResult(rows=rows, plans=plans)
-
-    @staticmethod
-    def _order_and_limit(query: PinotQuery, rows: list[dict[str, Any]]) -> list:
-        for name, descending in reversed(query.order_by):
+        for name, __ in query.order_by:
             if rows and name not in rows[0]:
                 raise QueryError(f"cannot ORDER BY unknown column {name!r}")
-            rows.sort(
-                key=lambda r: (r.get(name) is None, r.get(name)), reverse=descending
-            )
-        if not query.order_by and query.group_by and query.is_aggregation():
-            # Deterministic default order for group-by results.
-            rows.sort(key=lambda r: tuple(str(r.get(c)) for c in query.group_by))
-        return rows[: query.limit] if query.limit else rows
+        rows = order_rows(query.order_by, rows, query.limit)
+        return QueryResult(rows=rows, plans=plans)

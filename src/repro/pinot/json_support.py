@@ -27,8 +27,8 @@ from repro.pinot.query import (
     PartialResult,
     PinotQuery,
     SegmentPlan,
-    _new_agg_state,
-    _update_agg_state,
+    fold_row,
+    group_fold,
 )
 from repro.pinot.segment import ImmutableSegment, MutableSegment
 
@@ -88,6 +88,7 @@ def execute_json_query(
     num_docs = segment.num_docs
     plan.docs_examined = num_docs
     partial = PartialResult(plan=plan)
+    fold = group_fold(query)
     selected: list[Any] = []  # payloads of a selection's matching docs
     for doc_id in range(num_docs):
         payload = segment.value(json_column, doc_id)
@@ -99,22 +100,10 @@ def execute_json_query(
         ):
             continue
         if query.is_aggregation():
-            key = tuple(
-                json_extract(payload, path) for path in query.group_by
-            )
-            states = partial.groups.get(key)
-            if states is None:
-                states = [_new_agg_state(a) for a in query.aggregations]
-                partial.groups[key] = states
-            for i, agg in enumerate(query.aggregations):
-                value = (
-                    json_extract(payload, agg.column)
-                    if agg.column is not None
-                    else None
-                )
-                states[i] = _update_agg_state(agg, states[i], value)
+            fold_row(fold, query, lambda path: json_extract(payload, path))
         else:
             selected.append(payload)
+    partial.groups = fold.groups
     if selected:
         partial.page = ColumnBatch.from_columns(
             {

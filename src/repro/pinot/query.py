@@ -12,51 +12,20 @@ reports the chosen plan, which the index benchmarks (C4) assert on.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.columnar import Bitmap, ColumnBatch, ColumnVector
 from repro.common.errors import QueryError
 from repro.common.perf import PERF
+from repro.common.relational import GroupFold, Predicate, aggregate_rule
 from repro.pinot.indexes import intersect_sorted, union_sorted
 from repro.pinot.scanshare import shared_resolution
 from repro.pinot.segment import ImmutableSegment, MutableSegment
 
 
-@dataclass(frozen=True)
-class Filter:
-    """One predicate.  op in {=, !=, >, >=, <, <=, IN, BETWEEN}."""
-
-    column: str
-    op: str
-    value: Any = None
-    values: tuple = ()  # for IN
-    low: Any = None  # for BETWEEN
-    high: Any = None
-
-    def matches(self, cell: Any) -> bool:
-        if PERF.enabled:
-            PERF.inc("pinot.filter_evals")
-        if cell is None:
-            return False
-        if self.op == "=":
-            return cell == self.value
-        if self.op == "!=":
-            return cell != self.value
-        if self.op == ">":
-            return cell > self.value
-        if self.op == ">=":
-            return cell >= self.value
-        if self.op == "<":
-            return cell < self.value
-        if self.op == "<=":
-            return cell <= self.value
-        if self.op == "IN":
-            return cell in self.values
-        if self.op == "BETWEEN":
-            return self.low <= cell <= self.high
-        raise QueryError(f"unknown filter op {self.op!r}")
+#: One predicate of a query's conjunctive filter list: the shared record.
+Filter = Predicate
 
 
 @dataclass(frozen=True)
@@ -94,68 +63,22 @@ class SegmentPlan:
     docs_examined: int = 0
 
 
-# -- partial aggregation states (mergeable at the broker) ---------------------
+def group_fold(query: PinotQuery) -> GroupFold:
+    """The query's aggregations bound to the shared state rules; segment
+    execution folds docs into one, the broker merges partials into one."""
+    return GroupFold(
+        query.group_by,
+        [a.alias() for a in query.aggregations],
+        [aggregate_rule(a.func, a.column) for a in query.aggregations],
+    )
 
 
-def _new_agg_state(agg: Aggregation) -> Any:
-    if agg.func == "COUNT":
-        return 0
-    if agg.func == "SUM":
-        return 0.0
-    if agg.func == "AVG":
-        return [0.0, 0]
-    if agg.func == "MIN":
-        return math.inf
-    if agg.func == "MAX":
-        return -math.inf
-    if agg.func == "DISTINCTCOUNT":
-        return set()
-    raise QueryError(f"unknown aggregation {agg.func!r}")
-
-
-def _update_agg_state(agg: Aggregation, state: Any, value: Any) -> Any:
-    if agg.func == "COUNT":
-        return state + 1
-    if value is None:
-        return state
-    if agg.func == "SUM":
-        return state + value
-    if agg.func == "AVG":
-        state[0] += value
-        state[1] += 1
-        return state
-    if agg.func == "MIN":
-        return min(state, value)
-    if agg.func == "MAX":
-        return max(state, value)
-    if agg.func == "DISTINCTCOUNT":
-        state.add(value)
-        return state
-    raise QueryError(f"unknown aggregation {agg.func!r}")
-
-
-def merge_agg_states(agg: Aggregation, a: Any, b: Any) -> Any:
-    if agg.func in ("COUNT", "SUM"):
-        return a + b
-    if agg.func == "AVG":
-        return [a[0] + b[0], a[1] + b[1]]
-    if agg.func == "MIN":
-        return min(a, b)
-    if agg.func == "MAX":
-        return max(a, b)
-    if agg.func == "DISTINCTCOUNT":
-        return a | b
-    raise QueryError(f"unknown aggregation {agg.func!r}")
-
-
-def finalize_agg_state(agg: Aggregation, state: Any) -> Any:
-    if agg.func == "AVG":
-        return state[0] / state[1] if state[1] else math.nan
-    if agg.func == "DISTINCTCOUNT":
-        return len(state)
-    if agg.func in ("MIN", "MAX") and state in (math.inf, -math.inf):
-        return None
-    return state
+def fold_row(fold: GroupFold, query: PinotQuery, read) -> None:
+    """Fold one row-shaped thing into ``fold``; ``read(column)`` is its cell."""
+    fold.add(
+        tuple(read(c) for c in query.group_by),
+        [None if a.column is None else read(a.column) for a in query.aggregations],
+    )
 
 
 @dataclass
@@ -173,10 +96,12 @@ class PartialResult:
 # -- doc-id resolution using indexes -------------------------------------------
 
 
-def _resolve_filter(
+def _index_lookup(
     segment: ImmutableSegment, flt: Filter, plan: SegmentPlan
-) -> list[int]:
-    """Doc ids matching one filter, via the best available access path."""
+) -> list[int] | None:
+    """Doc ids matching one filter via the column's best index; None when
+    no index serves it.  A literal the index cannot order against the
+    column's values raises ``TypeError``."""
     sort_column = segment.index_config.sort_column
     if (
         segment.sorted_index is not None
@@ -190,17 +115,11 @@ def _resolve_filter(
         if flt.op == "BETWEEN":
             return list(idx.between(flt.low, flt.high))
         if flt.op in (">", ">="):
-            lo = flt.value
-            run = idx.between(lo, float("inf"))
-            docs = list(run)
-            if flt.op == ">":
-                docs = [d for d in docs if segment.value(flt.column, d) > lo]
-            return docs
-        # <, <=
-        run = idx.between(float("-inf"), flt.value)
-        docs = list(run)
-        if flt.op == "<":
-            docs = [d for d in docs if segment.value(flt.column, d) < flt.value]
+            docs = list(idx.between(flt.value, float("inf")))
+        else:  # <, <=
+            docs = list(idx.between(float("-inf"), flt.value))
+        if flt.op in (">", "<"):  # the run is inclusive: drop the bound itself
+            docs = [d for d in docs if flt.matches(segment.value(flt.column, d))]
         return docs
     if flt.column in segment.inverted and flt.op in ("=", "IN"):
         plan.access_paths.append(f"inverted:{flt.column}")
@@ -222,7 +141,27 @@ def _resolve_filter(
             d for d in boundary if flt.matches(segment.value(flt.column, d))
         ]
         plan.docs_examined += len(boundary)
+        if PERF.enabled:
+            PERF.inc("pinot.filter_evals", len(boundary))
         return union_sorted([certain, refined])
+    return None
+
+
+def _resolve_filter(
+    segment: ImmutableSegment, flt: Filter, plan: SegmentPlan
+) -> list[int]:
+    """Doc ids matching one filter, via the best available access path."""
+    if not flt.unsatisfiable:
+        taken = len(plan.access_paths)
+        try:
+            docs = _index_lookup(segment, flt, plan)
+        except TypeError:
+            # The index cannot place this literal among the column's
+            # values; the scan's cell rule says what that means.
+            del plan.access_paths[taken:]
+            docs = None
+        if docs is not None:
+            return docs
     # Fallback: forward-index scan, evaluated in code space.  The predicate
     # runs once per distinct dictionary value; each doc is then a bulk-decoded
     # code lookup instead of a random-access cell read plus a predicate call.
@@ -234,6 +173,7 @@ def _resolve_filter(
     mask = fwd.match_mask(flt.matches)
     codes = fwd.codes()
     if PERF.enabled:
+        PERF.inc("pinot.filter_evals", fwd.cardinality())
         PERF.inc("pinot.code_filter_evals", len(codes))
     return [d for d, code in enumerate(codes) if mask[code]]
 
@@ -271,6 +211,12 @@ def _try_startree(
     agg = query.aggregations[0]
     if agg.func not in ("COUNT", "SUM"):
         return None
+    if agg.func == "COUNT" and agg.column is not None:
+        # The tree counts docs; COUNT(col) counts non-NULL cells.  They
+        # agree only when the zone map says the column holds no NULL.
+        zone = segment.zone_maps.get(agg.column)
+        if zone is None or zone.has_null:
+            return None
     filters = {f.column: f.value for f in query.filters}
     try:
         tree_result, stats = tree.query(
@@ -387,19 +333,16 @@ def execute_on_segment(
         agg_readers = [
             _column_reader(segment, a.column, len(matching))
             if a.column is not None
-            else None
+            else (lambda doc_id: None)  # COUNT(*) counts docs, not cells
             for a in query.aggregations
         ]
+        fold = group_fold(query)
         for doc_id in matching:
-            key = tuple(read(doc_id) for read in group_readers)
-            states = partial.groups.get(key)
-            if states is None:
-                states = [_new_agg_state(a) for a in query.aggregations]
-                partial.groups[key] = states
-            for i, agg in enumerate(query.aggregations):
-                reader = agg_readers[i]
-                value = reader(doc_id) if reader is not None else None
-                states[i] = _update_agg_state(agg, states[i], value)
+            fold.add(
+                tuple(read(doc_id) for read in group_readers),
+                [read(doc_id) for read in agg_readers],
+            )
+        partial.groups = fold.groups
     elif matching:
         columns = query.select_columns or _column_names(segment)
         partial.page = _selection_page(segment, columns, matching)
@@ -429,11 +372,13 @@ def _matching_docs(
         # mutate between queries, so they are never scan-share cached.
         plan.access_paths.extend(f"scan:{f.column}" for f in query.filters)
         plan.docs_examined += segment.num_docs
-        return [
-            d
-            for d in range(segment.num_docs)
-            if all(f.matches(segment.value(f.column, d)) for f in query.filters)
-        ]
+        docs = list(range(segment.num_docs))
+        for flt in query.filters:  # each conjunct sees the survivors only
+            if PERF.enabled:
+                PERF.inc("pinot.filter_evals", len(docs))
+            matches, value = flt.matches, segment.value
+            docs = [d for d in docs if matches(value(flt.column, d))]
+        return docs
     if not query.filters:
         plan.access_paths.append("full")
         plan.docs_examined += segment.num_docs

@@ -40,7 +40,7 @@ def _value_class(value: Any) -> str:
     if isinstance(value, bool):
         return "bool"
     if isinstance(value, (int, float)):
-        return "num"
+        return "num" if value == value else "nan"  # NaN orders with nothing
     return type(value).__name__
 
 
@@ -59,37 +59,15 @@ class ZoneMap:
     all_null: bool = False
     comparable: bool = False
 
-    def may_match(self, op: str, value: Any = None,
-                  values: tuple = (), low: Any = None, high: Any = None) -> bool:
+    def may_match(self, predicate) -> bool:
         """Could *any* doc in the zone satisfy the predicate?  False is a
-        proof of absence; any doubt (types, unknown op) returns True."""
+        proof of absence; the range rule itself is the shared
+        :meth:`repro.common.relational.Predicate.may_match`."""
         if self.all_null:
             return False
         if not self.comparable:
             return True
-        lo, hi = self.min_value, self.max_value
-        try:
-            if op == "=":
-                return lo <= value <= hi
-            if op == "!=":
-                # Every non-null doc equals the zone's single value: no
-                # doc can differ (NULL docs never match != either).
-                return not (lo == hi == value)
-            if op == ">":
-                return hi > value
-            if op == ">=":
-                return hi >= value
-            if op == "<":
-                return lo < value
-            if op == "<=":
-                return lo <= value
-            if op == "BETWEEN":
-                return not (high < lo or low > hi)
-            if op == "IN":
-                return any(lo <= v <= hi for v in values)
-        except TypeError:
-            return True  # incomparable literal: cannot rule the zone out
-        return True  # unknown op: never prune
+        return predicate.may_match(self.min_value, self.max_value)
 
     def to_payload(self) -> list[Any]:
         return [self.min_value, self.max_value, self.has_null,
@@ -336,7 +314,7 @@ class ImmutableSegment:
         if not dictionary:
             return ZoneMap(has_null=has_null, all_null=True)
         classes = {_value_class(v) for v in dictionary}
-        if len(classes) != 1:
+        if len(classes) != 1 or "nan" in classes:
             return ZoneMap(has_null=has_null)  # mixed types: not comparable
         # The dictionary is sorted (numerics by value), so min/max are free.
         return ZoneMap(
@@ -362,9 +340,7 @@ class ImmutableSegment:
             if zone is not None:
                 if counting:
                     PERF.inc("pinot.zonemap_checks")
-                if not zone.may_match(
-                    flt.op, flt.value, flt.values, flt.low, flt.high
-                ):
+                if not zone.may_match(flt):
                     return False
             bloom = self.blooms.get(flt.column)
             if bloom is not None and flt.op in ("=", "IN"):

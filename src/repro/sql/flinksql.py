@@ -37,13 +37,7 @@ from repro.sql.parser import (
     TumbleSpec,
     parse,
 )
-from repro.sql.planner.rowops import (
-    agg_alias,
-    agg_final,
-    agg_init,
-    agg_update,
-    eval_condition,
-)
+from repro.sql.planner.rowops import bind_aggs, compile_condition
 
 
 @dataclass
@@ -57,42 +51,29 @@ class StreamTableDef:
 
 
 class SqlWindowAggregate:
-    """Multi-aggregation AggregateFunction compiled from the SELECT list."""
+    """Multi-aggregation AggregateFunction compiled from the SELECT list;
+    each accumulator slot is one shared aggregate state."""
 
     def __init__(self, aggs: list[tuple[FuncCall, str | None]]) -> None:
-        self.aggs = aggs
+        self._aliases, self._reads, self._rules = bind_aggs(aggs)
 
     def create_accumulator(self) -> list[Any]:
-        return [agg_init(func) for func, __ in self.aggs]
+        return [rule.init() for rule in self._rules]
 
     def add(self, value: dict[str, Any], accumulator: list[Any]) -> list[Any]:
         return [
-            agg_update(func, state, value, False)
-            for (func, __), state in zip(self.aggs, accumulator)
+            rule.add(state, read(value))
+            for rule, read, state in zip(self._rules, self._reads, accumulator)
         ]
 
     def get_result(self, accumulator: list[Any]) -> dict[str, Any]:
         return {
-            agg_alias(func, alias): agg_final(func, state)
-            for (func, alias), state in zip(self.aggs, accumulator)
+            alias: rule.final(state)
+            for alias, rule, state in zip(self._aliases, self._rules, accumulator)
         }
 
     def merge(self, a: list[Any], b: list[Any]) -> list[Any]:
-        merged = []
-        for (func, __), sa, sb in zip(self.aggs, a, b):
-            if func.distinct:
-                merged.append(sa | sb)
-            elif func.name in ("COUNT", "SUM"):
-                merged.append(sa + sb)
-            elif func.name == "AVG":
-                merged.append([sa[0] + sb[0], sa[1] + sb[1]])
-            elif func.name == "MIN":
-                merged.append(min(sa, sb))
-            elif func.name == "MAX":
-                merged.append(max(sa, sb))
-            else:
-                raise SqlPlanError(f"cannot merge aggregate {func.name!r}")
-        return merged
+        return [rule.merge(sa, sb) for rule, sa, sb in zip(self._rules, a, b)]
 
 
 class FlinkSqlCompiler:
@@ -189,9 +170,7 @@ class FlinkSqlCompiler:
     ):
         condition = select.where
         if condition is not None:
-            stream = stream.filter(
-                lambda row, c=condition: eval_condition(c, row)
-            )
+            stream = stream.filter(compile_condition(condition))
         window = select.window()
         aggs = select.aggregations()
         group_cols = [c.name for c in select.group_columns()]

@@ -1,35 +1,35 @@
 """Vectorized filter and aggregate kernels over column batches.
 
-The kernels are *semantically pinned* to the row-at-a-time operators in
-:mod:`repro.sql.planner.rowops`: given the same logical input they
-produce byte-identical output (same values, same float accumulation
-order, same canonical group order).  That equivalence is what lets the
-scheduler pick a kernel whenever a scan returned pages — and what
-``tests/columnar`` byte-checks against row-fed fixtures.
+The kernels answer exactly what the row-at-a-time operators in
+:mod:`repro.sql.planner.rowops` answer because both call the same rules
+(:mod:`repro.common.relational`: the cell rule, the aggregate states, the
+finisher) and feed them the same values in the same order — row order
+across pages, so float sums are bit-identical.  ``tests/columnar``
+byte-checks that the *feeding* agrees.
 
 The speed comes from working in code space: a predicate over a
 dictionary-coded column is evaluated once per *distinct* value
 (``columnar.dict_evals``), then applied to rows as an integer-indexed
 lookup sweep (``columnar.kernel_rows``), instead of one Python
 predicate call per row.  Aggregation pre-materializes each needed
-column once per page and updates accumulators from local lists
+column once per page and folds rows from local lists
 (``columnar.agg_rows``), instead of per-row dict lookups.
 
 Kernels raise :class:`KernelUnsupported` for shapes they cannot
 vectorize (expressions, qualified-join lookups they cannot resolve,
-exotic aggregates); callers catch it and fall back to the row adapter,
-so coverage grows without ever risking a semantic fork.
+exotic aggregates); callers catch it and fall back to the row adapter.
 """
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from itertools import repeat
+from typing import Sequence
 
 from repro.columnar import ColumnBatch, ColumnVector
-from repro.common.errors import ReproError
+from repro.common.errors import ReproError, SqlPlanError
 from repro.common.perf import PERF
 from repro.sql.parser import BoolOp, Column, Comparison, FuncCall, Star
-from repro.sql.planner.rowops import agg_alias, agg_final, agg_init
+from repro.sql.planner.rowops import group_fold, is_column_vs_literal, to_pushed
 
 
 class KernelUnsupported(ReproError):
@@ -62,36 +62,11 @@ def _resolve(batch: ColumnBatch, column: Column, qualified: bool) -> ColumnVecto
 # --- filter ------------------------------------------------------------------
 
 
-def _compare(op: str, left: Any, comparison: Comparison) -> bool:
-    """One predicate evaluation, pinned to ``rowops.eval_condition``."""
-    if op == "IN":
-        return left in comparison.values
-    if op == "BETWEEN":
-        return left is not None and comparison.low <= left <= comparison.high
-    right = comparison.right.value
-    if left is None or right is None:
-        return False
-    return {
-        "=": left == right,
-        "!=": left != right,
-        ">": left > right,
-        ">=": left >= right,
-        "<": left < right,
-        "<=": left <= right,
-    }[op]
-
-
 def _comparison_mask(
     batch: ColumnBatch, comparison: Comparison, qualified: bool
 ) -> list[bool]:
-    from repro.sql.parser import Literal
-
-    if not isinstance(comparison.left, Column):
-        raise KernelUnsupported("non-column comparison left side")
-    if comparison.op not in ("IN", "BETWEEN") and not isinstance(
-        comparison.right, Literal
-    ):
-        raise KernelUnsupported("non-literal comparison right side")
+    if not is_column_vs_literal(comparison):
+        raise KernelUnsupported("not a column-against-literal comparison")
     vector = _resolve(batch, comparison.left, qualified)
     n = batch.num_rows
     if vector is None:
@@ -99,14 +74,12 @@ def _comparison_mask(
         return [False] * n
     if PERF.enabled:
         PERF.inc("columnar.kernel_rows", n)
+    matches = to_pushed(comparison).matches
     if vector.is_dict:
         # Evaluate once per distinct value, then sweep codes as a lookup.
         if PERF.enabled:
             PERF.inc("columnar.dict_evals", len(vector.dictionary))
-        lut = [
-            _compare(comparison.op, value, comparison)
-            for value in vector.dictionary
-        ]
+        lut = [matches(value) for value in vector.dictionary]
         j0 = vector.offset
         codes = vector.codes
         if vector.validity is None:
@@ -116,7 +89,7 @@ def _comparison_mask(
             lut[codes[j0 + i]] if validity.get(j0 + i) else False
             for i in range(n)
         ]
-    return [_compare(comparison.op, vector.get(i), comparison) for i in range(n)]
+    return [matches(vector.get(i)) for i in range(n)]
 
 
 def eval_condition_mask(batch: ColumnBatch, node, qualified: bool) -> list[bool]:
@@ -151,16 +124,10 @@ def filter_batch(batch: ColumnBatch, node, qualified: bool) -> ColumnBatch:
 # --- aggregation -------------------------------------------------------------
 
 
-def _check_aggs_supported(aggs: Sequence[tuple[FuncCall, str | None]]) -> None:
-    for func, __ in aggs:
-        if func.name == "COUNT" and (not func.args or isinstance(func.args[0], Star)):
-            if func.distinct:
-                raise KernelUnsupported("COUNT(DISTINCT *) is not valid")
-            continue
-        if func.name not in ("COUNT", "SUM", "AVG", "MIN", "MAX"):
-            raise KernelUnsupported(f"aggregate {func.name!r} not vectorized")
-        if not func.args or not isinstance(func.args[0], Column):
-            raise KernelUnsupported("non-column aggregate argument")
+def _cells(page: ColumnBatch, column, qualified: bool) -> list:
+    """A column's cells; NULLs for an absent column and for COUNT(*)'s ``*``."""
+    vector = _resolve(page, column, qualified) if isinstance(column, Column) else None
+    return vector.values_list() if vector else [None] * page.num_rows
 
 
 def aggregate_pages(
@@ -169,75 +136,25 @@ def aggregate_pages(
     pages: Sequence[ColumnBatch],
     qualified: bool,
 ) -> list[dict]:
-    """Grouped aggregation over pages, byte-equal to ``aggregate_rows``.
-
-    Accumulators update in row order across pages (same float
-    accumulation order as the row path), groups materialize in first-
-    seen order, and output sorts by the stringified group key — the
-    canonical order shared with pushed-down Pinot aggregation.
-    """
-    _check_aggs_supported(aggs)
-    groups: dict[tuple, list[Any]] = {}
+    """Grouped aggregation over pages: what ``rowops.aggregate_rows``
+    answers over the same rows, fed column-wise in row order."""
+    if any(f.args and not isinstance(f.args[0], (Column, Star)) for f, __ in aggs):
+        raise KernelUnsupported("non-column aggregate argument")
+    try:
+        fold, __ = group_fold(group_cols, aggs)
+    except SqlPlanError as exc:  # the row path reports it
+        raise KernelUnsupported(str(exc)) from None
     for page in pages:
         n = page.num_rows
         if n == 0:
             continue
         if PERF.enabled:
             PERF.inc("columnar.agg_rows", n)
-        key_lists = []
-        for col in group_cols:
-            vector = _resolve(page, col, qualified)
-            key_lists.append(vector.values_list() if vector else [None] * n)
-        value_lists: list[list | None] = []
-        for func, __ in aggs:
-            if func.name == "COUNT" and (
-                not func.args or isinstance(func.args[0], Star)
-            ):
-                value_lists.append(None)  # COUNT(*): no column read
-                continue
-            vector = _resolve(page, func.args[0], qualified)
-            value_lists.append(vector.values_list() if vector else [None] * n)
-        for i in range(n):
-            key = tuple(keys[i] for keys in key_lists)
-            states = groups.get(key)
-            if states is None:
-                states = [agg_init(f) for f, __ in aggs]
-                groups[key] = states
-            for slot, (func, __) in enumerate(aggs):
-                values = value_lists[slot]
-                if values is None:  # COUNT(*)
-                    states[slot] = states[slot] + 1
-                    continue
-                value = values[i]
-                if value is None:
-                    continue
-                state = states[slot]
-                if func.distinct:
-                    state.add(value)
-                elif func.name == "COUNT":
-                    states[slot] = state + 1
-                elif func.name == "SUM":
-                    states[slot] = state + value
-                elif func.name == "AVG":
-                    state[0] += value
-                    state[1] += 1
-                elif func.name == "MIN":
-                    states[slot] = min(state, value)
-                else:  # MAX
-                    states[slot] = max(state, value)
-    out = []
-    for key, states in groups.items():
-        result_row: dict[str, Any] = {}
-        for col, value in zip(group_cols, key):
-            result_row[col.name] = value
-        for (func, alias), stateval in zip(aggs, states):
-            result_row[agg_alias(func, alias)] = agg_final(func, stateval)
-        out.append(result_row)
-    if not group_cols and not out:
-        result_row = {}
-        for func, alias in aggs:
-            result_row[agg_alias(func, alias)] = agg_final(func, agg_init(func))
-        out.append(result_row)
-    if group_cols:
-        out.sort(key=lambda r: tuple(str(r.get(c.name)) for c in group_cols))
-    return out
+        key_lists = [_cells(page, col, qualified) for col in group_cols]
+        value_lists = [
+            _cells(page, f.args[0] if f.args else None, qualified) for f, __ in aggs
+        ]
+        keys = zip(*key_lists) if key_lists else repeat(())
+        for key, values in zip(keys, zip(*value_lists)):
+            fold.add(key, values)
+    return fold.rows()

@@ -16,7 +16,7 @@ from repro.common.errors import SqlPlanError
 from repro.sql.parser import Select, SubqueryRef, parse
 from repro.sql.planner.rowops import (
     aggregate_rows,
-    eval_condition,
+    compile_condition,
     order_rows,
     project_row,
     sort_keys_for,
@@ -80,15 +80,16 @@ class ReferenceExecutor:
         else:
             __, rows = self._rows_for(select.source)
         if select.where is not None:
-            rows = [r for r in rows if eval_condition(select.where, r, qualified)]
+            keep = compile_condition(select.where, qualified)
+            rows = [r for r in rows if keep(r)]
         aggs = select.aggregations()
         if aggs:
             rows = aggregate_rows(
                 list(select.group_columns()), list(aggs), rows, qualified
             )
             if select.having is not None:
-                rows = [r for r in rows if eval_condition(select.having, r)]
+                keep = compile_condition(select.having)
+                rows = [r for r in rows if keep(r)]
         else:
             rows = [project_row(list(select.items), row, qualified) for row in rows]
-        rows = order_rows(sort_keys_for(select), rows)
-        return rows[: select.limit] if select.limit else rows
+        return order_rows(sort_keys_for(select), rows, select.limit)

@@ -1,25 +1,25 @@
 """Row-level relational algebra shared by the planner, the stage
 scheduler, the reference executor and the FlinkSQL compiler.
 
-These used to live inline in ``repro.sql.presto.engine``; the planner
-split them out so that every execution path (stage DAG, naive reference,
-streaming) evaluates expressions and aggregates with byte-identical
-semantics.
-
-One deliberate semantic choice lives here: :func:`aggregate_rows` returns
-grouped output in *canonical order* — sorted by the stringified group key,
-exactly the default order :class:`repro.pinot.broker.PinotBroker` uses for
-un-ordered GROUP BY results.  That makes engine-side aggregation and
-pushed-down aggregation agree row-for-row, which is what lets the planner
-treat aggregation pushdown as a pure optimization.
+This module maps parsed SQL (``Comparison``, ``FuncCall``, ``Column``
+nodes over row dicts) onto :mod:`repro.common.relational`, which owns
+what a comparison, an aggregate, a group order and an ORDER BY *mean*.
+Pinot executes pushed-down operators with the same rules, so the planner
+can treat every pushdown as a pure optimization.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Any
+from typing import Any, Callable
 
 from repro.common.errors import SqlPlanError
+from repro.common.relational import (
+    AggregateRule,
+    GroupFold,
+    Predicate,
+    aggregate_rule,
+    order_rows,  # noqa: F401  (the engine's ORDER BY is the shared rule)
+)
 from repro.sql.parser import (
     BoolOp,
     Column,
@@ -73,28 +73,47 @@ def eval_expr(node, row: dict, qualified: bool = False) -> Any:
     raise SqlPlanError(f"cannot evaluate expression {node!r} per-row")
 
 
-def eval_condition(node, row: dict, qualified: bool = False) -> bool:
+def is_column_vs_literal(node) -> bool:
+    """The shape a :class:`Predicate` states: pushable, vectorizable."""
+    return (
+        isinstance(node, Comparison)
+        and isinstance(node.left, Column)
+        and (node.right is None or isinstance(node.right, Literal))  # IN / BETWEEN
+    )
+
+
+def compile_condition(node, qualified: bool = False) -> Callable[[dict], bool]:
+    """``row -> bool`` for a WHERE / HAVING tree.  ``column <op> literal``
+    leaves bind the shared cell rule once, here, not once per row."""
     if isinstance(node, BoolOp):
-        results = (eval_condition(op, row, qualified) for op in node.operands)
-        return all(results) if node.op == "AND" else any(results)
-    if isinstance(node, Comparison):
-        left = eval_expr(node.left, row, qualified)
-        if node.op == "IN":
-            return left in node.values
-        if node.op == "BETWEEN":
-            return left is not None and node.low <= left <= node.high
-        right = eval_expr(node.right, row, qualified)
-        if left is None or right is None:
-            return False
-        return {
-            "=": left == right,
-            "!=": left != right,
-            ">": left > right,
-            ">=": left >= right,
-            "<": left < right,
-            "<=": left <= right,
-        }[node.op]
-    raise SqlPlanError(f"cannot evaluate condition {node!r}")
+        tests = [compile_condition(op, qualified) for op in node.operands]
+        combine = all if node.op == "AND" else any
+        return lambda row: combine(test(row) for test in tests)
+    if not isinstance(node, Comparison):
+        raise SqlPlanError(f"cannot evaluate condition {node!r}")
+    left, right = node.left, node.right
+    if is_column_vs_literal(node):
+        matches = to_pushed(node).matches
+        if qualified:
+            return lambda row: matches(lookup(row, left, True))
+        name = left.name
+        return lambda row: matches(row.get(name))
+    # Any other operand shape (column against column, literal on the left):
+    # the same rule, with the right-hand side read per row.
+    name = getattr(left, "name", repr(left))
+    return lambda row: Predicate(
+        name,
+        node.op,
+        right and eval_expr(right, row, qualified),  # IN / BETWEEN have none
+        node.values,
+        node.low,
+        node.high,
+    ).matches(eval_expr(left, row, qualified))
+
+
+def eval_condition(node, row: dict, qualified: bool = False) -> bool:
+    """One-shot :func:`compile_condition`; per-row callers compile once."""
+    return compile_condition(node, qualified)(row)
 
 
 # --- aggregation --------------------------------------------------------------------
@@ -112,90 +131,54 @@ def agg_alias(func: FuncCall, alias: str | None) -> str:
     return f"{name}({arg})"
 
 
+def bind_aggs(
+    aggs, qualified: bool = False
+) -> tuple[list[str], list[Callable[[dict], Any]], list[AggregateRule]]:
+    """Per aggregate of a SELECT list: its output name, ``row -> the
+    cell it reads`` and its state rule."""
+    aliases, reads, rules = [], [], []
+    for func, alias in aggs:
+        star = not func.args or isinstance(func.args[0], Star)
+        if func.name not in ("COUNT", "SUM", "AVG", "MIN", "MAX"):
+            raise SqlPlanError(f"unknown aggregate function {func.name!r}")
+        if (star or func.distinct) and (func.name != "COUNT" or star and func.distinct):
+            shape = ("DISTINCT " if func.distinct else "") + ("*" if star else "...")
+            raise SqlPlanError(f"{func.name}({shape}) is not valid")
+        if star:
+            reads.append(lambda row: None)  # COUNT(*) counts rows, not cells
+        elif isinstance(func.args[0], Column) and not qualified:
+            reads.append(lambda row, name=func.args[0].name: row.get(name))
+        else:
+            reads.append(lambda row, arg=func.args[0]: eval_expr(arg, row, qualified))
+        aliases.append(agg_alias(func, alias))
+        rules.append(
+            aggregate_rule(
+                "DISTINCTCOUNT" if func.distinct else func.name,
+                None if star else func.args[0],
+            )
+        )
+    return aliases, reads, rules
+
+
+def group_fold(group_cols, aggs, qualified: bool = False) -> tuple[GroupFold, list]:
+    """The fold a GROUP BY feeds, and each aggregate's cell reader."""
+    aliases, reads, rules = bind_aggs(aggs, qualified)
+    return GroupFold([c.name for c in group_cols], aliases, rules), reads
+
+
 def aggregate_rows(
     group_cols: list[Column],
     aggs: list[tuple[FuncCall, str | None]],
     rows: list[dict],
     qualified: bool,
 ) -> list[dict]:
-    groups: dict[tuple, list[Any]] = {}
+    fold, reads = group_fold(group_cols, aggs, qualified)
     for row in rows:
-        key = tuple(lookup(row, c, qualified) for c in group_cols)
-        states = groups.get(key)
-        if states is None:
-            states = [agg_init(f) for f, __ in aggs]
-            groups[key] = states
-        for i, (func, __) in enumerate(aggs):
-            states[i] = agg_update(func, states[i], row, qualified)
-    out = []
-    for key, states in groups.items():
-        result_row: dict[str, Any] = {}
-        for col, value in zip(group_cols, key):
-            result_row[col.name] = value
-        for (func, alias), stateval in zip(aggs, states):
-            result_row[agg_alias(func, alias)] = agg_final(func, stateval)
-        out.append(result_row)
-    if not group_cols and not out:
-        # Global aggregation over empty input still yields one row.
-        result_row = {}
-        for func, alias in aggs:
-            result_row[agg_alias(func, alias)] = agg_final(func, agg_init(func))
-        out.append(result_row)
-    if group_cols:
-        # Canonical group order: the PinotBroker default for un-ordered
-        # GROUP BY output, so pushed and engine-side aggregation agree.
-        out.sort(
-            key=lambda r: tuple(str(r.get(c.name)) for c in group_cols)
+        fold.add(
+            tuple(lookup(row, c, qualified) for c in group_cols),
+            [read(row) for read in reads],
         )
-    return out
-
-
-def agg_init(func: FuncCall) -> Any:
-    if func.distinct:
-        return set()
-    return {
-        "COUNT": 0,
-        "SUM": 0.0,
-        "AVG": [0.0, 0],
-        "MIN": math.inf,
-        "MAX": -math.inf,
-    }.get(func.name, 0)
-
-
-def agg_update(func: FuncCall, state: Any, row: dict, qualified: bool) -> Any:
-    if func.name == "COUNT" and (not func.args or isinstance(func.args[0], Star)):
-        if func.distinct:
-            raise SqlPlanError("COUNT(DISTINCT *) is not valid")
-        return state + 1
-    value = eval_expr(func.args[0], row, qualified) if func.args else None
-    if value is None:
-        return state
-    if func.distinct:
-        state.add(value)
-        return state
-    if func.name == "COUNT":
-        return state + 1
-    if func.name == "SUM":
-        return state + value
-    if func.name == "AVG":
-        state[0] += value
-        state[1] += 1
-        return state
-    if func.name == "MIN":
-        return min(state, value)
-    if func.name == "MAX":
-        return max(state, value)
-    raise SqlPlanError(f"unknown aggregate function {func.name!r}")
-
-
-def agg_final(func: FuncCall, state: Any) -> Any:
-    if func.distinct:
-        return len(state)
-    if func.name == "AVG":
-        return state[0] / state[1] if state[1] else None
-    if func.name in ("MIN", "MAX") and state in (math.inf, -math.inf):
-        return None
-    return state
+    return fold.rows()
 
 
 # --- projection / ordering -----------------------------------------------------------
@@ -234,12 +217,6 @@ def sort_keys_for(select: Select) -> list[tuple[str, bool]]:
     return keys
 
 
-def order_rows(keys: list[tuple[str, bool]], rows: list[dict]) -> list[dict]:
-    for name, descending in reversed(keys):
-        rows.sort(key=lambda r: (r.get(name) is None, r.get(name)), reverse=descending)
-    return rows
-
-
 # --- conjunct splitting for pushdown ---------------------------------------------------
 
 
@@ -255,11 +232,7 @@ def split_conjuncts(condition) -> tuple[list[Comparison], Any]:
     pushable: list[Comparison] = []
     residual: list[Any] = []
     for conjunct in conjuncts:
-        if (
-            isinstance(conjunct, Comparison)
-            and isinstance(conjunct.left, Column)
-            and (conjunct.right is None or isinstance(conjunct.right, Literal))
-        ):
+        if is_column_vs_literal(conjunct):
             pushable.append(conjunct)
         else:
             residual.append(conjunct)
@@ -282,12 +255,10 @@ def conjoin(comparisons: list[Comparison], residual) -> Any:
     return BoolOp("AND", tuple(nodes))
 
 
-def to_pushed(comparison: Comparison):
-    from repro.sql.presto.connector import PushedFilter
-
+def to_pushed(comparison: Comparison) -> Predicate:
     column = comparison.left
     assert isinstance(column, Column)
-    return PushedFilter(
+    return Predicate(
         column=column.name,
         op=comparison.op,
         value=comparison.right.value if isinstance(comparison.right, Literal) else None,

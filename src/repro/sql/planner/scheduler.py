@@ -45,8 +45,8 @@ from repro.sql.planner.kernels import (
 from repro.sql.planner.physical import PhysicalPlan, Stage
 from repro.sql.planner.rowops import (
     aggregate_rows,
+    compile_condition,
     conjoin,
-    eval_condition,
     order_rows,
     project_row,
     to_pushed,
@@ -325,11 +325,8 @@ class StageScheduler:
             rows_in = single.as_rows()
             if PERF.enabled:
                 PERF.inc("presto.filter_rows", len(rows_in))
-            rows = [
-                r
-                for r in rows_in
-                if eval_condition(node.condition, r, node.qualified)
-            ]
+            keep = compile_condition(node.condition, node.qualified)
+            rows = [r for r in rows_in if keep(r)]
             return StagePayload(rows, single.aggregated, evidence)
         if stage.op == "aggregate":
             if single.aggregated:
@@ -444,10 +441,8 @@ class StageScheduler:
             evidence.pushed_filters = len(node.filters)
         evidence.pushed_aggregation = result.aggregated
         if node.filters and not result.filters_applied:
-            condition = conjoin(list(node.filters), None)
-            rows = [
-                r for r in result.as_rows() if eval_condition(condition, r, False)
-            ]
+            keep = compile_condition(conjoin(list(node.filters), None))
+            rows = [r for r in result.as_rows() if keep(r)]
             return StagePayload(rows, result.aggregated, evidence)
         return StagePayload(
             result.rows, result.aggregated, evidence, pages=result.pages

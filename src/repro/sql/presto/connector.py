@@ -20,8 +20,9 @@ from typing import Any, Protocol
 
 from repro.columnar import pages_to_rows
 from repro.common.errors import SqlPlanError
+from repro.common.relational import Predicate
 from repro.pinot.broker import PinotBroker
-from repro.pinot.query import Aggregation, Filter, PinotQuery
+from repro.pinot.query import Aggregation, PinotQuery
 from repro.storage.hive import HiveMetastore
 
 _CAPABILITY_FLAGS = ("predicate", "projection", "aggregation", "limit")
@@ -106,16 +107,8 @@ def heuristic_selectivity(rows: int, filters: list["PushedFilter"]) -> int:
     return rows
 
 
-@dataclass(frozen=True)
-class PushedFilter:
-    """Engine-side representation of a pushable predicate."""
-
-    column: str
-    op: str  # '=', '!=', '>', '>=', '<', '<=', 'IN', 'BETWEEN'
-    value: Any = None
-    values: tuple = ()
-    low: Any = None
-    high: Any = None
+#: A pushable predicate: the record Pinot and Hive evaluate as it stands.
+PushedFilter = Predicate
 
 
 @dataclass(frozen=True)
@@ -211,8 +204,7 @@ class PinotConnector:
     def estimate(self, request: ScanRequest) -> CardinalityEstimate:
         """ZoneMap-informed estimate: docs in segments the broker's pruning
         would actually scatter to, narrowed by a selectivity heuristic."""
-        filters = [self._to_pinot_filter(f) for f in request.filters]
-        docs, exact = self.broker.estimate_rows(request.table, filters)
+        docs, exact = self.broker.estimate_rows(request.table, request.filters)
         if not request.filters:
             return CardinalityEstimate(docs, exact, "pinot-zonemaps")
         return CardinalityEstimate(
@@ -224,11 +216,7 @@ class PinotConnector:
 
     def scan(self, request: ScanRequest) -> ScanResult:
         caps = self.capabilities()
-        filters = (
-            [self._to_pinot_filter(f) for f in request.filters]
-            if "predicate" in caps
-            else []
-        )
+        filters = list(request.filters) if "predicate" in caps else []
         if (
             request.aggregations is not None
             and "aggregation" in caps
@@ -289,17 +277,6 @@ class PinotConnector:
                 out[pushed.alias] = out.pop(pinot_alias)
         return out
 
-    @staticmethod
-    def _to_pinot_filter(flt: PushedFilter) -> Filter:
-        return Filter(
-            column=flt.column,
-            op=flt.op,
-            value=flt.value,
-            values=flt.values,
-            low=flt.low,
-            high=flt.high,
-        )
-
 
 class HiveConnector:
     """Connector over the Hive metastore: predicate pruning via file stats,
@@ -329,29 +306,12 @@ class HiveConnector:
 
     def scan(self, request: ScanRequest) -> ScanResult:
         table = self.metastore.table(request.table)
-        rows: list[dict[str, Any]]
-        examined = 0
-        files_pruned = 0
-        if len(request.filters) == 1 and request.filters[0].op in (
-            "=", ">", ">=", "<", "<=",
-        ):
-            flt = request.filters[0]
-            rows, files_scanned, files_pruned = table.scan_with_pruning(
-                flt.column, flt.op, flt.value, columns=request.columns
-            )
-            examined = files_scanned
-            filters_applied = True
-        else:
-            predicate = _compound_predicate(request.filters)
-            rows = list(table.scan(columns=request.columns, predicate=predicate))
-            examined = table.row_count()
-            files_scanned = sum(
-                len(table.partition(pkey).file_keys) for pkey in table.partitions()
-            )
-            filters_applied = bool(request.filters)
+        rows, files_scanned, files_pruned, examined = table.scan_with_pruning(
+            request.filters, columns=request.columns
+        )
         return ScanResult(
             rows=rows,
-            filters_applied=filters_applied,
+            filters_applied=bool(request.filters),
             aggregated=False,
             source_rows_examined=examined,
             rows_transferred=len(rows),
@@ -397,33 +357,3 @@ class MemoryConnector:
             source_rows_examined=len(rows),
             rows_transferred=len(rows),
         )
-
-
-def _compound_predicate(filters: list[PushedFilter]):
-    if not filters:
-        return None
-
-    def predicate(row: dict[str, Any]) -> bool:
-        for flt in filters:
-            value = row.get(flt.column)
-            if value is None:
-                return False
-            if flt.op == "=" and value != flt.value:
-                return False
-            if flt.op == "!=" and value == flt.value:
-                return False
-            if flt.op == ">" and not value > flt.value:
-                return False
-            if flt.op == ">=" and not value >= flt.value:
-                return False
-            if flt.op == "<" and not value < flt.value:
-                return False
-            if flt.op == "<=" and not value <= flt.value:
-                return False
-            if flt.op == "IN" and value not in flt.values:
-                return False
-            if flt.op == "BETWEEN" and not flt.low <= value <= flt.high:
-                return False
-        return True
-
-    return predicate

@@ -26,25 +26,15 @@ class ColumnStats:
     null_count: int
     distinct_count: int
 
-    def might_contain(self, op: str, literal: Any) -> bool:
-        """Conservative pruning check: can any row in this column satisfy
-        ``col <op> literal``?  Returns True when unsure."""
-        if self.min_value is None or self.max_value is None:
-            return op in ("IS NULL",) or self.null_count > 0
-        try:
-            if op == "=":
-                return self.min_value <= literal <= self.max_value
-            if op == ">":
-                return self.max_value > literal
-            if op == ">=":
-                return self.max_value >= literal
-            if op == "<":
-                return self.min_value < literal
-            if op == "<=":
-                return self.min_value <= literal
-        except TypeError:
-            return True
-        return True
+    def might_contain(self, predicate) -> bool:
+        """Conservative pruning check: can any row of this column satisfy
+        the predicate (:class:`repro.common.relational.Predicate`, whose
+        ``may_match`` is the range rule)?  True when unsure."""
+        if self.distinct_count == 0:
+            return False  # every cell is NULL, and NULL matches nothing
+        if self.min_value is None:
+            return True  # no usable bounds
+        return predicate.may_match(self.min_value, self.max_value)
 
 
 class ColumnarFile:
@@ -120,15 +110,16 @@ class ColumnarFile:
 
 def _compute_stats(name: str, values: list[Any]) -> ColumnStats:
     non_null = [v for v in values if v is not None]
-    comparable: list[Any] = []
-    for v in non_null:
-        if isinstance(v, (int, float, str)) and not isinstance(v, bool):
-            comparable.append(v)
     min_value = max_value = None
-    if comparable:
+    # Bounds must cover every non-NULL cell or they prove nothing: a bool,
+    # a nested value or a NaN (which orders with nothing) means no stats.
+    if non_null and all(
+        isinstance(v, (int, float, str)) and not isinstance(v, bool) and v == v
+        for v in non_null
+    ):
         try:
-            min_value = min(comparable)
-            max_value = max(comparable)
+            min_value = min(non_null)
+            max_value = max(non_null)
         except TypeError:
             # Mixed types (e.g. str + int) — skip stats, stay conservative.
             min_value = max_value = None

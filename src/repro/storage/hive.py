@@ -14,7 +14,7 @@ from typing import Any, Iterable, Iterator
 from repro.common.errors import StorageError, TableNotFoundError
 from repro.metadata.schema import Schema
 from repro.storage.blobstore import BlobStore
-from repro.storage.columnar import ColumnarFile, ColumnStats
+from repro.storage.columnar import ColumnarFile
 
 
 @dataclass
@@ -98,31 +98,35 @@ class HiveTable:
                         yield row
 
     def scan_with_pruning(
-        self,
-        column: str,
-        op: str,
-        literal: Any,
-        columns: list[str] | None = None,
-    ) -> tuple[list[dict[str, Any]], int, int]:
-        """Scan applying ``column <op> literal`` using file stats to skip
-        files.  Returns (rows, files_scanned, files_pruned)."""
-        scanned = pruned = 0
+        self, predicates, columns: list[str] | None = None
+    ) -> tuple[list[dict[str, Any]], int, int, int]:
+        """Scan the rows satisfying every predicate
+        (:class:`repro.common.relational.Predicate`, a conjunction),
+        skipping each file whose column stats prove some conjunct cannot
+        match in it.  Returns (rows, files_scanned, files_pruned,
+        rows_examined) — rows examined are those of the files read."""
+        scanned = pruned = examined = 0
         out: list[dict[str, Any]] = []
+        tests = [(p.column, p.matches) for p in predicates]
         for pkey in self.partitions():
             for file_key in self.partition(pkey).file_keys:
                 cfile = ColumnarFile.from_bytes(self._store.get(file_key))
-                stats: ColumnStats | None = cfile.stats.get(column)
-                if stats is not None and not stats.might_contain(op, literal):
+                if not all(
+                    cfile.stats[p.column].might_contain(p)
+                    for p in predicates
+                    if p.column in cfile.stats
+                ):
                     pruned += 1
                     continue
                 scanned += 1
+                examined += cfile.num_rows
                 for row in cfile.rows():
-                    if _evaluate(row.get(column), op, literal):
+                    if all(matches(row.get(column)) for column, matches in tests):
                         if columns is not None:
                             out.append({c: row.get(c) for c in columns})
                         else:
                             out.append(row)
-        return out, scanned, pruned
+        return out, scanned, pruned, examined
 
     def row_count(self) -> int:
         return sum(p.row_count for p in self._partitions.values())
@@ -133,27 +137,6 @@ class HiveTable:
             for p in self._partitions.values()
             for fk in p.file_keys
         )
-
-
-def _evaluate(value: Any, op: str, literal: Any) -> bool:
-    if value is None:
-        return False
-    try:
-        if op == "=":
-            return value == literal
-        if op == "!=":
-            return value != literal
-        if op == ">":
-            return value > literal
-        if op == ">=":
-            return value >= literal
-        if op == "<":
-            return value < literal
-        if op == "<=":
-            return value <= literal
-    except TypeError:
-        return False
-    raise StorageError(f"unsupported operator {op!r}")
 
 
 class HiveMetastore:

@@ -50,6 +50,10 @@ CONDITIONS = [
     ),
     # Absent column: reads as null, predicate false everywhere.
     Comparison("=", Column("ghost"), Literal(1)),
+    # A NULL literal or bound matches nothing, != and IN included.
+    Comparison("!=", Column("status"), Literal(None)),
+    Comparison("IN", Column("status"), values=(None, "ok")),
+    Comparison("BETWEEN", Column("amount"), low=None, high=9.0),
 ]
 
 
@@ -121,6 +125,23 @@ AGG_CASES = [
     ),
     # Aggregating an absent column yields null-only input.
     ([Column("city")], [(FuncCall("SUM", (Column("ghost"),)), None)]),
+    (
+        [],
+        [
+            (FuncCall(name, (Column("ghost"),)), None)
+            for name in ("COUNT", "AVG", "MIN", "MAX")
+        ],
+    ),
+    # MIN / MAX order strings; "ny" has no status at all.
+    (
+        [Column("city")],
+        [
+            (FuncCall("MIN", (Column("status"),)), None),
+            (FuncCall("MAX", (Column("status"),)), None),
+            (FuncCall("COUNT", (Column("status"),)), None),
+        ],
+    ),
+    ([], [(FuncCall("MIN", (Column("city"),)), "first")]),
 ]
 
 

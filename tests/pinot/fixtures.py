@@ -31,18 +31,38 @@ SCHEMA = Schema(
 )
 
 
-def ride(i: int, ts: float, city: str | None = None, with_json: bool = False) -> dict:
+#: With ``with_nulls``, every amount of this city is NULL.
+ALL_NULL_CITY = CITIES[2]
+
+
+def ride(
+    i: int,
+    ts: float,
+    city: str | None = None,
+    with_json: bool = False,
+    with_nulls: bool = False,
+) -> dict:
     city = city or CITIES[i % len(CITIES)]
     payload = None
     if with_json and i % 7:
         # Few distinct values (a sealed segment dictionary-codes them),
         # nested and unhashable.
         payload = {"tags": [city, i % 3], "meta": {"tier": i % 2}}
+    # Multiples of 1/4: sums are exact whatever order they fold in.
+    amount = (i * 37 % 400) / 4
+    if with_nulls:
+        # What SQL semantics are about: NULL metric cells (a whole city of
+        # them), a NULL dimension cell, a NaN.
+        if city == ALL_NULL_CITY or i % 5 == 0:
+            amount = None
+        elif i % 97 == 3:
+            amount = float("nan")
+        if i % 23 == 11:
+            city = None
     return {
         "city": city,
         "ride_id": f"ride-{i:05d}",
-        # Multiples of 1/4: sums are exact whatever order they fold in.
-        "amount": (i * 37 % 400) / 4,
+        "amount": amount,
         "ts": ts,
         "payload": payload,
     }
@@ -87,18 +107,21 @@ class Table:
         self.sent.extend(copy.deepcopy(rows))
         self.state.ingestion.run_until_caught_up()
 
-    def rides(self, count: int, with_json: bool = False) -> list[dict]:
+    def rides(
+        self, count: int, with_json: bool = False, with_nulls: bool = False
+    ) -> list[dict]:
         """The next ``count`` rides."""
         rows = []
         for i in itertools.islice(self._numbers, count):
             self.clock.advance(1.0)
-            rows.append(ride(i, self.clock.now(), with_json=with_json))
+            rows.append(ride(i, self.clock.now(), None, with_json, with_nulls))
         return rows
 
-    def full_segments(self, per_partition: int) -> list[dict]:
+    def full_segments(self, per_partition: int, with_nulls: bool = False) -> list[dict]:
         """Rides that put exactly ``per_partition`` rows on every
         partition — a multiple of the seal threshold leaves every
-        consuming segment empty, so no answer depends on an owner."""
+        consuming segment empty, so no answer depends on an owner.
+        (A NULL city is not hash-placed, so ``with_nulls`` skips those.)"""
         counts = [0] * PARTITIONS
         reachable = {hash_partitioner(city, PARTITIONS) for city in CITIES}
         assert reachable == set(range(PARTITIONS))
@@ -107,9 +130,12 @@ class Table:
             city = CITIES[i % len(CITIES)]
             partition = hash_partitioner(city, PARTITIONS)
             if counts[partition] < per_partition:
-                counts[partition] += 1
                 self.clock.advance(1.0)
-                rows.append(ride(i, self.clock.now(), city))
+                row = ride(i, self.clock.now(), city, with_nulls=with_nulls)
+                if row["city"] is None:
+                    continue
+                counts[partition] += 1
+                rows.append(row)
             if min(counts) == per_partition:
                 return rows
 

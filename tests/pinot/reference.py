@@ -1,6 +1,17 @@
 """Plain-Python evaluation of a :class:`PinotQuery` over a list of row
 dicts: no segments, no indexes, no routing, no caches.  The oracle the
-routing, scan-share and selection tests compare the broker against.
+routing, scan-share, selection and pushdown-equivalence tests compare the
+broker (and Presto over it) against.
+
+It states SQL's rules on its own, sharing no code with
+``repro.common.relational``: NULL (a cell, a literal, a bound) matches no
+operator; ``COUNT(col)`` counts non-NULL cells and AVG / MIN / MAX over
+none are ``None`` (until PR 20 this file said ``len(values)`` and ``nan``
+— it had been written to agree with the broker, which was wrong on both,
+and the Presto engine over the same table already answered ``0`` and
+``None``); NaN orders with nothing so it is never a MIN or MAX; a global
+aggregate over no matching row is still one row; groups come in
+canonical order (sorted by stringified key) before any ORDER BY.
 
 Aggregates are folded in row order, so fixtures keep metric values exact
 in binary floating point (integers, multiples of 1/64); sums then do not
@@ -9,7 +20,6 @@ depend on the order segments are merged in.
 
 from __future__ import annotations
 
-import math
 import operator
 
 from repro.common import serde
@@ -30,22 +40,23 @@ def _matches(flt, cell) -> bool:
     if flt.op == "IN":
         return cell in flt.values
     if flt.op == "BETWEEN":
+        if flt.low is None or flt.high is None:
+            return False
         return flt.low <= cell <= flt.high
-    return _OPS[flt.op](cell, flt.value)
+    return flt.value is not None and _OPS[flt.op](cell, flt.value)
 
 
 def _aggregate(func: str, values: list):
-    if func == "COUNT":
-        return len(values)
     present = [v for v in values if v is not None]
+    if func == "COUNT":
+        return len(present)
     if func == "SUM":
         return sum(present, 0.0)
     if func == "AVG":
-        return sum(present, 0.0) / len(present) if present else math.nan
-    if func == "MIN":
-        return min(present) if present else None
-    if func == "MAX":
-        return max(present) if present else None
+        return sum(present, 0.0) / len(present) if present else None
+    if func in ("MIN", "MAX"):
+        ordered = [v for v in present if v == v]
+        return (min if func == "MIN" else max)(ordered) if ordered else None
     if func == "DISTINCTCOUNT":
         return len(set(present))
     raise ValueError(func)
@@ -69,7 +80,7 @@ def evaluate(query, rows: list[dict]) -> list[dict]:
         if all(_matches(flt, row.get(flt.column)) for flt in query.filters)
     ]
     if query.aggregations:
-        groups: dict[tuple, list[dict]] = {}
+        groups: dict[tuple, list[dict]] = {} if query.group_by else {(): []}
         for row in matching:
             groups.setdefault(tuple(row.get(c) for c in query.group_by), []).append(row)
         out = []
@@ -80,8 +91,7 @@ def evaluate(query, rows: list[dict]) -> list[dict]:
                     agg.func, [m.get(agg.column) if agg.column else 1 for m in members]
                 )
             out.append(answer)
-        if not query.order_by and query.group_by:
-            out.sort(key=lambda r: tuple(str(r.get(c)) for c in query.group_by))
+        out.sort(key=lambda r: tuple(str(r.get(c)) for c in query.group_by))
     else:
         columns = query.select_columns or sorted({name for row in rows for name in row})
         out = [{c: row.get(c) for c in columns} for row in matching]

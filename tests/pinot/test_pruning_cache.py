@@ -98,38 +98,38 @@ def assert_same_rows(broker_a, broker_b, query):
 class TestZoneMap:
     def test_range_predicates(self):
         zone = ZoneMap(min_value=10, max_value=20, comparable=True)
-        assert zone.may_match("=", 15)
-        assert not zone.may_match("=", 25)
-        assert zone.may_match(">", 19)
-        assert not zone.may_match(">", 20)
-        assert zone.may_match(">=", 20)
-        assert not zone.may_match(">=", 21)
-        assert zone.may_match("<", 11)
-        assert not zone.may_match("<", 10)
-        assert zone.may_match("<=", 10)
-        assert not zone.may_match("<=", 9)
-        assert zone.may_match("BETWEEN", low=18, high=30)
-        assert not zone.may_match("BETWEEN", low=21, high=30)
-        assert zone.may_match("IN", values=(1, 15))
-        assert not zone.may_match("IN", values=(1, 2))
+        assert zone.may_match(Filter("c", "=", 15))
+        assert not zone.may_match(Filter("c", "=", 25))
+        assert zone.may_match(Filter("c", ">", 19))
+        assert not zone.may_match(Filter("c", ">", 20))
+        assert zone.may_match(Filter("c", ">=", 20))
+        assert not zone.may_match(Filter("c", ">=", 21))
+        assert zone.may_match(Filter("c", "<", 11))
+        assert not zone.may_match(Filter("c", "<", 10))
+        assert zone.may_match(Filter("c", "<=", 10))
+        assert not zone.may_match(Filter("c", "<=", 9))
+        assert zone.may_match(Filter("c", "BETWEEN", low=18, high=30))
+        assert not zone.may_match(Filter("c", "BETWEEN", low=21, high=30))
+        assert zone.may_match(Filter("c", "IN", values=(1, 15)))
+        assert not zone.may_match(Filter("c", "IN", values=(1, 2)))
 
     def test_not_equal_prunes_only_constant_zones(self):
         constant = ZoneMap(min_value=7, max_value=7, comparable=True)
-        assert not constant.may_match("!=", 7)
-        assert constant.may_match("!=", 8)
+        assert not constant.may_match(Filter("c", "!=", 7))
+        assert constant.may_match(Filter("c", "!=", 8))
         spread = ZoneMap(min_value=1, max_value=9, comparable=True)
-        assert spread.may_match("!=", 5)
+        assert spread.may_match(Filter("c", "!=", 5))
 
     def test_all_null_zone_matches_nothing(self):
         zone = ZoneMap(has_null=True, all_null=True)
-        assert not zone.may_match("=", 1)
-        assert not zone.may_match("!=", 1)
+        assert not zone.may_match(Filter("c", "=", 1))
+        assert not zone.may_match(Filter("c", "!=", 1))
 
     def test_mixed_types_and_incomparable_literals_never_prune(self):
         mixed = ZoneMap(has_null=False, all_null=False, comparable=False)
-        assert mixed.may_match("=", 1)
+        assert mixed.may_match(Filter("c", "=", 1))
         typed = ZoneMap(min_value="a", max_value="z", comparable=True)
-        assert typed.may_match("=", 42)  # str vs int: benefit of the doubt
+        assert typed.may_match(Filter("c", "=", 42))  # str vs int: benefit of the doubt
 
     def test_segment_builds_zone_maps_for_every_column(self):
         seg = MutableSegment("s", 0)

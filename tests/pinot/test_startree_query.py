@@ -1,15 +1,9 @@
 import pytest
 
-from repro.common.errors import QueryError
+from repro.common.errors import IncomparableError, QueryError
+from repro.common.relational import aggregate_rule
 from repro.common.rng import seeded_rng
-from repro.pinot.query import (
-    Aggregation,
-    Filter,
-    PinotQuery,
-    execute_on_segment,
-    finalize_agg_state,
-    merge_agg_states,
-)
+from repro.pinot.query import Aggregation, Filter, PinotQuery, execute_on_segment
 from repro.pinot.segment import ImmutableSegment, IndexConfig, MutableSegment
 from repro.pinot.startree import StarTree, StarTreeConfig
 
@@ -174,7 +168,7 @@ class TestSegmentExecution:
             city_rows = [r for r in rows if r["city"] == key[0]]
             amounts = [r["amount"] for r in city_rows]
             finals = [
-                finalize_agg_state(a, s)
+                aggregate_rule(a.func, a.column).final(s)
                 for a, s in zip(
                     [
                         Aggregation("SUM", "amount"),
@@ -246,7 +240,57 @@ class TestSegmentExecution:
         for key, states in result.groups.items():
             assert states[0] == pytest.approx(truth[key[0]])
 
+    def test_startree_counts_a_column_only_when_it_has_no_null(self):
+        rows = make_rows(200)
+        for r in rows[::4]:
+            r["amount"] = None
+        columns = {k: [r[k] for r in rows] for k in rows[0]}
+        segment = ImmutableSegment("s", columns)
+        segment.startree = StarTree(
+            rows, StarTreeConfig(dimensions=["city", "product"], metrics=[])
+        )
+        answers = {}
+        for column in (None, "product", "amount"):
+            result = execute_on_segment(
+                segment, PinotQuery("t", aggregations=[Aggregation("COUNT", column)])
+            )
+            answers[column] = (result.plan.used_startree, result.groups[()][0])
+        # Parent commit: COUNT(amount) took the tree too and answered 200.
+        assert answers == {
+            None: (True, 200),
+            "product": (True, 200),
+            "amount": (False, 150),
+        }
+
+    @pytest.mark.parametrize(
+        "flt",
+        [
+            Filter("ts", ">", None),
+            Filter("ts", "=", "noon"),
+            Filter("ts", "BETWEEN", low=None, high=5.0),
+            Filter("amount", ">", None),  # parent: the range index read "unbounded"
+            Filter("amount", "BETWEEN", low=None, high=50.0),
+            Filter("city", "=", None),
+            Filter("city", "IN", values=(None, 5)),
+        ],
+    )
+    def test_an_index_answers_what_the_scan_answers(self, flt):
+        rows, indexed = self._segment()
+        bare = ImmutableSegment("s", {k: [r[k] for r in rows] for k in rows[0]})
+        query = PinotQuery("t", aggregations=[Aggregation("COUNT")], filters=[flt])
+        assert execute_on_segment(indexed, query).groups == {}
+        assert execute_on_segment(bare, query).groups == {}
+
+    @pytest.mark.parametrize(
+        "flt",
+        [Filter("ts", ">", "noon"), Filter("amount", "BETWEEN", low="a", high="b")],
+    )
+    def test_an_index_refuses_what_the_scan_refuses(self, flt):
+        __, indexed = self._segment()
+        query = PinotQuery("t", aggregations=[Aggregation("COUNT")], filters=[flt])
+        with pytest.raises(IncomparableError, match=repr(flt.column)):
+            execute_on_segment(indexed, query)
+
     def test_merge_agg_states(self):
-        agg = Aggregation("AVG", "x")
-        merged = merge_agg_states(agg, [10.0, 2], [20.0, 3])
-        assert finalize_agg_state(agg, merged) == 6.0
+        avg = aggregate_rule("AVG", "x")
+        assert avg.final(avg.merge([10.0, 2], [20.0, 3])) == 6.0

@@ -246,3 +246,15 @@ class TestHiveConnector:
         )
         assert not out.stats.pushed_aggregation
         assert out.stats.rows_transferred == 20
+
+    @pytest.mark.parametrize(
+        "where", ["amount >= 100", "amount >= 100 AND city != 'sf'"]
+    )
+    def test_every_conjunct_prunes_files(self, where):
+        # Parent commit: file stats pruned with exactly one filter and
+        # never with two, and "rows examined" was a file count with one.
+        out = self._engine().execute(f"SELECT city, amount FROM h WHERE {where}")
+        assert [r["amount"] for r in out.rows] == [float(100 + i) for i in range(10)]
+        assert {r["city"] for r in out.rows} == {"nyc"}
+        assert (out.stats.files_scanned, out.stats.files_pruned) == (1, 1)
+        assert out.stats.source_rows_examined == 10  # the rows of the file read

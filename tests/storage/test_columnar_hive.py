@@ -1,6 +1,7 @@
 import pytest
 
 from repro.common.errors import StorageError, TableNotFoundError
+from repro.common.relational import Predicate
 from repro.metadata.schema import Field, FieldRole, FieldType, Schema
 from repro.storage.blobstore import BlobStore
 from repro.storage.columnar import ColumnarFile
@@ -58,11 +59,11 @@ class TestColumnarFile:
     def test_stats_pruning_check(self):
         cfile = ColumnarFile({"v": [10.0, 20.0, 30.0]})
         stats = cfile.stats["v"]
-        assert stats.might_contain("=", 20.0)
-        assert not stats.might_contain("=", 99.0)
-        assert not stats.might_contain(">", 30.0)
-        assert stats.might_contain(">=", 30.0)
-        assert not stats.might_contain("<", 10.0)
+        assert stats.might_contain(Predicate("v", "=", 20.0))
+        assert not stats.might_contain(Predicate("v", "=", 99.0))
+        assert not stats.might_contain(Predicate("v", ">", 30.0))
+        assert stats.might_contain(Predicate("v", ">=", 30.0))
+        assert not stats.might_contain(Predicate("v", "<", 10.0))
 
 
 class TestHive:
@@ -105,10 +106,26 @@ class TestHive:
         __, table = self._table()
         table.add_rows("p1", rows(100, base_ts=0))
         table.add_rows("p2", rows(100, base_ts=1000))
-        out, scanned, pruned = table.scan_with_pruning("ts", ">=", 1000.0)
+        out, scanned, pruned, examined = table.scan_with_pruning(
+            [Predicate("ts", ">=", 1000.0)]
+        )
         assert len(out) == 100
         assert pruned == 1
         assert scanned == 1
+        assert examined == 100  # rows of the one file read
+
+    def test_a_conjunction_prunes_on_every_conjunct(self):
+        __, table = self._table()
+        table.add_rows("p1", rows(100, city="sf", base_ts=0))
+        table.add_rows("p2", rows(100, city="sf", base_ts=1000))
+        table.add_rows("p3", rows(100, city="nyc", base_ts=1000))
+        both = [Predicate("ts", ">=", 1000.0), Predicate("city", "=", "nyc")]
+        out, scanned, pruned, examined = table.scan_with_pruning(both, columns=["ts"])
+        assert (scanned, pruned, examined) == (1, 2, 100)
+        unpruned = table.scan(
+            columns=["ts"], predicate=lambda r: r["ts"] >= 1000.0 and r["city"] == "nyc"
+        )
+        assert out == list(unpruned) and len(out) == 100
 
     def test_empty_write_rejected(self):
         __, table = self._table()
