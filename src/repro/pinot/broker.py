@@ -69,6 +69,10 @@ from repro.pinot.server import PinotServer
 #: Finished results the broker keeps, across all tables it serves.
 RESULT_CACHE_CAPACITY = 128
 
+#: Replica choices the broker remembers: one per (segment, live host set)
+#: it has routed, across all tables.
+PLACEMENT_CAPACITY = 16_384
+
 
 class QueryResult:
     """What :meth:`PinotBroker.execute` answers with.
@@ -166,6 +170,7 @@ class PinotBroker:
         self.enable_pruning = enable_pruning
         self.enable_cache = enable_cache
         self.cache = EpochCache(RESULT_CACHE_CAPACITY, copy=QueryResult.copied)
+        self._placement = hashring.HashRing(PLACEMENT_CAPACITY)
 
     def execute(self, query: PinotQuery) -> QueryResult:
         start = self.clock.now() if self.tracer is not None else 0.0
@@ -361,9 +366,8 @@ class PinotBroker:
             out.append((host, [segment_name], None))
         return out, pruned
 
-    @staticmethod
     def _pick_host(
-        table: str, segment_name: str, hosts: list[PinotServer]
+        self, table: str, segment_name: str, hosts: list[PinotServer]
     ) -> PinotServer:
         """The replica that serves this segment's subquery: weighted
         rendezvous on (table, segment) over the live hosts.  The same
@@ -372,10 +376,15 @@ class PinotBroker:
         the affected segment's keys.  The choice depends only on the
         segment's identity and replica liveness — never on pruning
         decisions — so routing cannot perturb which segments are scanned.
+
+        The choice is remembered under exactly those inputs (the names of
+        ``hosts`` as they are *now*), so a repeat query looks it up and a
+        server that died or came back selects another entry; nothing has
+        to be told.
         """
         if len(hosts) == 1:
             return hosts[0]
-        name = hashring.pick((table, segment_name), [s.name for s in hosts])
+        name = self._placement.pick((table, segment_name), tuple(s.name for s in hosts))
         return next(s for s in hosts if s.name == name)
 
     @staticmethod

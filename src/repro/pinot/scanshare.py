@@ -15,8 +15,9 @@ epoch it was stored under, and its successor replaces it); what is
 scan sharing's own lives here:
 
 * **Equality-canonical keys** — predicate literals are canonicalized
-  through :func:`repro.common.serde.encode_key`, the same primitive as
-  partition pruning and bloom filters, so ``ts = 5`` and ``ts = 5.0``
+  through :func:`repro.common.serde.encode_key` (once per predicate:
+  :attr:`~repro.common.relational.Predicate.canonical_bytes`), the same
+  primitive as partition pruning and bloom filters, so ``ts = 5`` and ``ts = 5.0``
   (which the executor's Python ``==`` treats identically) share one
   entry and can never disagree with a fresh scan.  Unencodable
   literals bypass the cache entirely.
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.common import serde
 from repro.common.epochcache import EpochCache
 from repro.common.perf import PERF
 
@@ -51,22 +51,10 @@ class ScanShareEntry:
     docs_examined: int
 
 
-def share_key(segment_name: str, flt) -> bytes | None:
+def share_key(segment_name: str, flt) -> tuple[str, bytes] | None:
     """Canonical cache key; None when a literal is unencodable."""
-    try:
-        return serde.encode_key(
-            [
-                segment_name,
-                flt.column,
-                flt.op,
-                flt.value,
-                list(flt.values),
-                flt.low,
-                flt.high,
-            ]
-        )
-    except Exception:
-        return None
+    predicate = flt.canonical_bytes
+    return None if predicate is None else (segment_name, predicate)
 
 
 def shared_resolution(

@@ -59,7 +59,6 @@ class ScanNode:
     aggregations: tuple | None = None  # tuple[(FuncCall, alias)] when agg pushed
     group_by: tuple | None = None
     limit: int | None = None
-    estimate: Any = None  # CardinalityEstimate annotation (cost only)
 
 
 @dataclass(frozen=True)
@@ -293,9 +292,9 @@ def _render_agg(func: FuncCall, alias: str | None) -> str:
 def canonical(node) -> str:
     """Single-line, output-defining rendering of a plan subtree.
 
-    Excludes estimates and join ``exec_order`` (cost-only annotations):
-    two plans that return the same rows hash identically even if the
-    optimizer chose different execution strategies.
+    Excludes join ``exec_order`` (a cost-only annotation): two plans that
+    return the same rows hash identically even if the optimizer chose
+    different execution strategies.
     """
     if isinstance(node, ScanNode):
         parts = [f"scan {node.connector}:{node.table} as {node.alias}"]
@@ -354,8 +353,12 @@ def canonical(node) -> str:
 # --- explain rendering ---------------------------------------------------------
 
 
-def render(node, indent: int = 0) -> str:
-    """Indented top-down tree with pushdown and cost annotations."""
+def render(node, estimate_of: Callable[[ScanNode], Any], indent: int = 0) -> str:
+    """Indented top-down tree with pushdown and cost annotations.
+
+    ``estimate_of`` answers a scan's CardinalityEstimate; it is asked here,
+    once per scan printed, so the ``estimate:`` lines are as of rendering.
+    """
     pad = "  " * indent
     if isinstance(node, ScanNode):
         parts = [f"{pad}Scan[{node.connector}:{node.table} AS {node.alias}]"]
@@ -373,13 +376,14 @@ def render(node, indent: int = 0) -> str:
             parts.append(pad + f"  pushed-aggregation: [{aggs}] group=[{group}]")
         if node.limit is not None:
             parts.append(pad + f"  pushed-limit: {node.limit}")
-        if node.estimate is not None:
-            est = node.estimate
-            marker = "=" if est.exact else "~"
-            parts.append(pad + f"  estimate: {marker}{est.rows} rows ({est.source})")
+        est = estimate_of(node)
+        marker = "=" if est.exact else "~"
+        parts.append(pad + f"  estimate: {marker}{est.rows} rows ({est.source})")
         return "\n".join(parts)
     if isinstance(node, SubqueryNode):
-        return f"{pad}Subquery[AS {node.alias}]\n" + render(node.plan, indent + 1)
+        return f"{pad}Subquery[AS {node.alias}]\n" + render(
+            node.plan, estimate_of, indent + 1
+        )
     if isinstance(node, JoinNode):
         order = (
             " exec-order=["
@@ -389,19 +393,19 @@ def render(node, indent: int = 0) -> str:
             else ""
         )
         lines = [f"{pad}Join[base={node.base_alias}{order}]"]
-        lines.append(render(node.base, indent + 1))
+        lines.append(render(node.base, estimate_of, indent + 1))
         for step in node.steps:
             lines.append(
                 f"{pad}  On[{step.probe_key.qualified()} ="
                 f" {step.build_key.qualified()}]"
             )
-            lines.append(render(step.right, indent + 2))
+            lines.append(render(step.right, estimate_of, indent + 2))
         return "\n".join(lines)
     if isinstance(node, FilterNode):
         label = "Having" if node.kind == "having" else "Filter"
         return (
             f"{pad}{label}[{render_expr(node.condition)}]\n"
-            + render(node.input, indent + 1)
+            + render(node.input, estimate_of, indent + 1)
         )
     if isinstance(node, AggregateNode):
         group = ", ".join(c.qualified() for c in node.group_cols)
@@ -409,16 +413,18 @@ def render(node, indent: int = 0) -> str:
         pushed = " (pushed)" if node.pushed else ""
         return (
             f"{pad}Aggregate[group=[{group}] aggs=[{aggs}]]{pushed}\n"
-            + render(node.input, indent + 1)
+            + render(node.input, estimate_of, indent + 1)
         )
     if isinstance(node, ProjectNode):
         items = ", ".join(render_expr(i) for i in node.items)
-        return f"{pad}Project[{items}]\n" + render(node.input, indent + 1)
+        return f"{pad}Project[{items}]\n" + render(
+            node.input, estimate_of, indent + 1
+        )
     if isinstance(node, SortNode):
         keys = ", ".join(
             f"{name} {'DESC' if desc else 'ASC'}" for name, desc in node.keys
         )
-        return f"{pad}Sort[{keys}]\n" + render(node.input, indent + 1)
+        return f"{pad}Sort[{keys}]\n" + render(node.input, estimate_of, indent + 1)
     if isinstance(node, LimitNode):
-        return f"{pad}Limit[{node.n}]\n" + render(node.input, indent + 1)
+        return f"{pad}Limit[{node.n}]\n" + render(node.input, estimate_of, indent + 1)
     raise SqlPlanError(f"cannot render plan node {node!r}")

@@ -116,14 +116,9 @@ def _reattach(shaper, source):
 
 
 def _optimize_single_scan(scan, shaper, where_node, sort_node, limit_node, catalog):
-    from repro.sql.presto.connector import (
-        ScanRequest,
-        connector_estimate,
-        resolve_capabilities,
-    )
+    from repro.sql.presto.connector import resolve_capabilities
 
-    connector = catalog[scan.table]
-    caps = resolve_capabilities(connector)
+    caps = resolve_capabilities(catalog[scan.table])
     where_cond = where_node.condition if where_node else None
     pushable, residual = split_conjuncts(where_cond)
     if "predicate" in caps and pushable:
@@ -175,13 +170,6 @@ def _optimize_single_scan(scan, shaper, where_node, sort_node, limit_node, catal
     ):
         scan = replace(scan, limit=limit_node.n)
 
-    scan = replace(
-        scan,
-        estimate=connector_estimate(
-            connector,
-            ScanRequest(table=scan.table, filters=[to_pushed(c) for c in scan.filters]),
-        ),
-    )
     if where_cond is not None:
         source = FilterNode(scan, where_cond, False, "where")
     else:
@@ -216,13 +204,23 @@ def _needed_columns(shaper, where_cond, sort_node):
 # --- joins ---------------------------------------------------------------------
 
 
-def _optimize_join(join, shaper, where_node, sort_node, catalog):
-    from repro.sql.presto.connector import (
-        UNKNOWN_CARDINALITY,
-        ScanRequest,
-        connector_estimate,
-        resolve_capabilities,
+def scan_estimate(scan: ScanNode, catalog: dict[str, Any]):
+    """The connector's cardinality for one optimized scan.
+
+    Asked in the two places that read it: the join reorderer, which
+    compares build sides, and ``explain()``, which prints one per scan
+    when it renders.  A single-table block compares nothing, so planning
+    one asks nothing — for Pinot an estimate routes the whole scan."""
+    from repro.sql.presto.connector import ScanRequest, connector_estimate
+
+    return connector_estimate(
+        catalog[scan.table],
+        ScanRequest(table=scan.table, filters=[to_pushed(c) for c in scan.filters]),
     )
+
+
+def _optimize_join(join, shaper, where_node, sort_node, catalog):
+    from repro.sql.presto.connector import UNKNOWN_CARDINALITY, resolve_capabilities
 
     where_cond = where_node.condition if where_node else None
     pushable, __ = split_conjuncts(where_cond)
@@ -231,8 +229,7 @@ def _optimize_join(join, shaper, where_node, sort_node, catalog):
     def rewrite_side(side, alias):
         if isinstance(side, SubqueryNode):
             return SubqueryNode(_optimize_block(side.plan, catalog), side.alias), None
-        connector = catalog[side.table]
-        caps = resolve_capabilities(connector)
+        caps = resolve_capabilities(catalog[side.table])
         # Only predicates explicitly scoped to this alias go down with
         # this scan; the full WHERE still runs engine-side afterwards.
         mine = (
@@ -251,11 +248,7 @@ def _optimize_join(join, shaper, where_node, sort_node, catalog):
             and alias in pruned_columns
         ):
             scan = replace(scan, columns=tuple(sorted(pruned_columns[alias])))
-        estimate = connector_estimate(
-            connector,
-            ScanRequest(table=scan.table, filters=[to_pushed(c) for c in mine]),
-        )
-        return replace(scan, estimate=estimate), estimate
+        return scan, scan_estimate(scan, catalog)
 
     base, base_estimate = rewrite_side(join.base, join.base_alias)
     steps = []

@@ -56,6 +56,10 @@ from repro.sql.planner.rowops import (
 #: Stage outputs each worker keeps.
 STAGE_ARTIFACT_CAPACITY = 256
 
+#: Stage -> worker choices the scheduler remembers: a few pools' worth of
+#: the stages whose artifacts can be resident at all.
+PLACEMENT_CAPACITY = 8 * STAGE_ARTIFACT_CAPACITY
+
 
 @dataclass
 class Evidence:
@@ -187,6 +191,7 @@ class StageScheduler:
         # worker's memory, so a hit requires landing the stage on the
         # worker that computed it, which content-keyed placement does.
         self._stores: list[EpochCache] = []
+        self._placement = hashring.HashRing(PLACEMENT_CAPACITY)
         self._workers = 0
         self.workers = workers
 
@@ -207,7 +212,10 @@ class StageScheduler:
     def _worker_for(self, stage: Stage) -> int:
         if self._workers == 1:
             return 0
-        return hashring.pick(stage.key, range(self._workers))
+        # Remembered per (content key, pool size): resizing the pool
+        # selects other entries, and the old ones are right again when
+        # the pool returns to that size.
+        return self._placement.pick(stage.key, range(self._workers))
 
     def artifact_stats(self) -> dict[str, float]:
         """The per-worker stores' stats, reported as one cache."""

@@ -37,7 +37,7 @@ from repro.sql.planner.logical import (
     scan_nodes,
 )
 from repro.sql.planner.physical import PhysicalPlan, build_physical, render_physical
-from repro.sql.planner.rules import optimize
+from repro.sql.planner.rules import optimize, scan_estimate
 from repro.sql.planner.scheduler import StageScheduler
 
 from repro.sql.presto.connector import Connector, connector_epoch
@@ -76,12 +76,15 @@ class PlannedQuery:
     sql: str
     logical: Any  # optimized logical plan root
     physical: PhysicalPlan
+    catalog: dict[str, Connector]  # what explain() asks for estimates
 
     def explain(self) -> str:
-        """Deterministic, byte-stable rendering of both plan layers."""
-        logical_text = "\n".join(
-            "  " + line for line in render(self.logical).splitlines()
-        )
+        """Deterministic, byte-stable rendering of both plan layers.  The
+        ``estimate:`` lines are asked of the connectors now, not recalled
+        from planning: on a kept plan they describe the tables as they
+        are when this is called."""
+        rendered = render(self.logical, lambda scan: scan_estimate(scan, self.catalog))
+        logical_text = "\n".join("  " + line for line in rendered.splitlines())
         return (
             "Logical plan:\n"
             + logical_text
@@ -122,7 +125,7 @@ class PrestoEngine:
         """Parse, optimize and stage ``sql`` without executing it."""
         logical = build_logical(parse(sql), self._connector_name_for)
         logical = optimize(logical, self.catalog)
-        return PlannedQuery(sql, logical, build_physical(logical))
+        return PlannedQuery(sql, logical, build_physical(logical), self.catalog)
 
     def explain(self, sql: str) -> str:
         return self.plan(sql).explain()

@@ -30,17 +30,18 @@ class TestBalance:
 
     def test_weighted_ownership_tracks_weight(self):
         weights = {"a": 1.0, "b": 1.0, "c": 2.0}
-        ring = HashRing(weights)
         counts = {n: 0 for n in weights}
         for key in KEYS:
-            counts[ring.pick(key)] += 1
+            counts[hashring.pick(key, list(weights), weights.get)] += 1
         # c has half the total weight: expect ~1000 of 2000 keys.
         assert 0.4 * len(KEYS) <= counts["c"] <= 0.6 * len(KEYS)
         assert counts["a"] > 0 and counts["b"] > 0
 
     def test_zero_weight_owns_nothing(self):
-        ring = HashRing({"a": 1.0, "b": 0.0})
-        assert all(ring.pick(key) == "a" for key in KEYS[:100])
+        weights = {"a": 1.0, "b": 0.0}
+        assert all(
+            hashring.pick(key, ["a", "b"], weights.get) == "a" for key in KEYS[:100]
+        )
 
 
 class TestMinimalMovement:
@@ -123,16 +124,78 @@ class TestCanonicalKeys:
 
 
 class TestHashRingWrapper:
-    def test_membership_ops(self):
-        ring = HashRing(["a", "b"])
-        assert len(ring) == 2 and "a" in ring
-        ring.add("c", weight=2.0)
-        assert ring.weight("c") == 2.0
-        ring.remove("a")
-        assert "a" not in ring and len(ring) == 2
-        assert ring.members == ["b", "c"]
-
     def test_wrapper_matches_module_functions(self):
-        ring = HashRing(NODES)
-        for key in KEYS[:100]:
-            assert ring.pick(key) == hashring.pick(key, NODES)
+        ring = HashRing(capacity=1_000)
+        nodes = tuple(NODES)
+        for __repeat in range(2):  # scored, then looked up
+            for key in KEYS[:100]:
+                assert ring.pick(key, nodes) == hashring.pick(key, NODES)
+        assert len(ring) == 100
+
+    def test_a_pick_is_scored_once_per_distinct_input(self, monkeypatch):
+        scored = []
+        real = hashring._score
+        monkeypatch.setattr(hashring, "_score", lambda *a: scored.append(a) or real(*a))
+        ring = HashRing(capacity=10)
+        for __repeat in range(5):
+            assert ring.pick("k", ("a", "b", "c")) == hashring.pick(
+                "k", ("a", "b", "c")
+            )
+        # One cold pick of three nodes by the ring; the reference re-scores.
+        assert len(scored) == 3 + 5 * 3
+        del scored[:]
+        # Another candidate set is another entry, not a stale answer ...
+        assert ring.pick("k", ("a", "b")) == hashring.pick("k", ("a", "b"))
+        # ... and a range is as good a candidate tuple as a tuple.
+        assert ring.pick("k", range(4)) == ring.pick("k", range(4))
+        assert len(ring) == 3
+
+    def test_capacity_bounds_the_ring_oldest_first(self):
+        ring = HashRing(capacity=4)
+        nodes = tuple(NODES)
+        for key in KEYS[:10]:
+            ring.pick(key, nodes)
+            assert len(ring) <= 4
+        assert [k for k, __ in ring._picks] == KEYS[6:10]
+        # A forgotten pick is re-derived to the same answer.
+        assert ring.pick(KEYS[0], nodes) == hashring.pick(KEYS[0], NODES)
+
+
+class TestEncodeOnce:
+    """pick / rank encode the key once per call; the scores are the bits
+    they were when every (key, node) pair encoded both (values read off
+    the commit before the refactor)."""
+
+    GOLDEN = [
+        (("rides", "rides__0__3"), "server-1", 1.0),
+        (("rides", "rides__0__3"), "server-2", 2.5),
+        ("a3f09c1e77d2b4c8", 0, 1.0),
+        ("a3f09c1e77d2b4c8", 1, 1.0),
+        (("tier", "user-1"), 3, 0.5),
+        (5.0, "node-0", 1.0),
+    ]
+    SCORES = [
+        "0x1.8905201e7d6bcp+0",
+        "0x1.b10db107d7c3dp+1",
+        "0x1.db7a65fadec2fp-2",
+        "0x1.473d3c1392a51p+1",
+        "0x1.b17e9a2b37558p-3",
+        "0x1.92a385b00b31ep+1",
+    ]
+    RANK = [f"node-{i}" for i in (7, 5, 6, 1, 2, 0, 3, 4)]
+    WEIGHTED_RANK = [f"node-{i}" for i in (3, 4, 5, 6, 7, 1, 0, 2)]
+
+    def test_golden_scores(self):
+        scores = [hashring.node_score(*triple).hex() for triple in self.GOLDEN]
+        assert scores == self.SCORES
+
+    def test_golden_rank(self):
+        key = ("rides", "rides__0__3")
+        assert hashring.rank(key, NODES) == self.RANK
+        assert hashring.pick(key, NODES) == self.RANK[0]
+        assert hashring.pick_subset(key, NODES, 3) == self.RANK[:3]
+        weights = {node: 1.0 + i for i, node in enumerate(NODES)}
+        assert (
+            hashring.rank("a3f09c1e77d2b4c8", NODES, weights.get)
+            == self.WEIGHTED_RANK
+        )

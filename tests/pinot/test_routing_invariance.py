@@ -9,7 +9,12 @@ plain-Python evaluation over the rows sent.
 
 from __future__ import annotations
 
-from repro.common import serde
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.common import hashring, serde
+from repro.common.errors import PinotError, StorageError
 from repro.pinot.broker import PinotBroker
 from repro.pinot.query import Aggregation, Filter, PinotQuery
 from repro.pinot.server import PinotServer
@@ -67,6 +72,28 @@ def routes(broker, state) -> dict[str, str]:
     return {name: server.name for server, names, __ in subqueries for name in names}
 
 
+def fresh_routes(state) -> dict[str, str] | None:
+    """segment -> server, re-derived from nothing remembered: a fresh
+    ``hashring.pick`` over the candidates that are alive and hold the
+    segment *now*.  None when a sealed segment has no such host (the
+    scatter must refuse, not answer short)."""
+    out = {}
+    for partition, pstate in state.ingestion.partitions.items():
+        owner = state.owners[partition]
+        for name in pstate.sealed_segments:
+            hosts = [
+                s.name
+                for s in [owner] + state.replicas[partition]
+                if s.alive and s.has_segment(name)
+            ]
+            if not hosts:
+                return None
+            out[name] = hashring.pick(("rides", name), hosts)
+        if owner.alive:
+            out[pstate.consuming.name] = owner.name
+    return out
+
+
 class TestReplicaChurn:
     def test_answers_survive_every_single_server_outage(self):
         table = Table(threshold=20)
@@ -102,11 +129,22 @@ class TestReplicaChurn:
         table.send(table.full_segments(per_partition=40))
         broker = PinotBroker(table.controller, enable_cache=False)
         first = routes(broker, table.state)
+        assert first == fresh_routes(table.state)
         for query in QUERIES.values():
             broker.execute(query)
             assert routes(broker, table.state) == first
         # Every sealed segment has two live hosts and is pinned to one.
         assert len(first) == 8 + 4  # sealed + the owners' consuming segments
+        # The broker remembers its choices; liveness is a bare attribute
+        # nobody announces.  Flipping it must still move exactly the
+        # segments a from-scratch pick moves, and flip them back.
+        for server in table.controller.servers:
+            server.alive = False
+            during = routes(broker, table.state)
+            assert during == fresh_routes(table.state)
+            assert server.name not in during.values()
+            server.alive = True
+            assert routes(broker, table.state) == first
 
     def test_ingest_between_outages_is_seen_from_every_replica(self):
         table = Table(threshold=20)
@@ -119,6 +157,102 @@ class TestReplicaChurn:
             assert_right(broker, table.sent)  # no stale entry on the new host
             table.controller._server(victim).alive = True
         assert_right(broker, table.sent)
+
+
+THRESHOLD = 10
+
+#: One step of a schedule: (operation, which server / partition it hits).
+STEPS = st.tuples(
+    st.sampled_from(
+        ["kill", "down", "up", "recover", "add", "drop", "seal", "ingest", "query"]
+    ),
+    st.integers(min_value=0, max_value=11),
+)
+
+
+class TestStalePlacementCannotHappen:
+    """The broker looks replica choices up instead of re-deriving them.
+    Whatever happens to the cluster between two identical queries — by a
+    controller call or by flipping ``server.alive`` behind its back — each
+    segment's routed host is the one a fresh pick names, and the answers
+    are the reference's."""
+
+    @given(st.lists(STEPS, min_size=1, max_size=10))
+    @settings(max_examples=40, deadline=None)
+    def test_routes_are_fresh_and_answers_right_after_every_step(self, schedule):
+        table = Table(threshold=THRESHOLD)
+        table.send(table.full_segments(per_partition=2 * THRESHOLD))
+        table.send(table.rides(7))
+        state, controller = table.state, table.controller
+        broker = PinotBroker(controller, enable_cache=False)
+        dropped_rides: set[str] = set()
+        dropped_partitions: set[int] = set()
+        spares = (f"spare-{i}" for i in range(len(schedule)))
+
+        def check():
+            expected = fresh_routes(state)
+            if expected is None:
+                with pytest.raises(PinotError):
+                    routes(broker, state)
+                return
+            assert routes(broker, state) == expected
+            hidden = set(dropped_rides)
+            for partition, pstate in state.ingestion.partitions.items():
+                if not state.owners[partition].alive:  # unreachable until back
+                    consuming = pstate.consuming
+                    hidden |= {
+                        consuming.row(doc)["ride_id"]
+                        for doc in range(consuming.num_docs)
+                    }
+            assert_right(broker, [r for r in table.sent if r["ride_id"] not in hidden])
+
+        check()
+        for op, n in schedule:
+            server = controller.servers[n % len(controller.servers)]
+            partition = n % len(state.owners)
+            if op == "kill":
+                controller.kill_server(server.name)
+            elif op == "down":
+                server.alive = False
+            elif op == "up":
+                server.alive = True
+            elif op == "recover" and not server.alive:
+                owns_dropped = any(
+                    state.owners[p] is server for p in dropped_partitions
+                )
+                if owns_dropped:
+                    # recover_server rewinds a partition by counting its
+                    # sealed segments; after a drop that re-reads sealed
+                    # rows.  Not placement's business: restart instead.
+                    server.alive = True
+                else:
+                    try:
+                        controller.recover_server(
+                            server.name, PinotServer(next(spares))
+                        )
+                    except StorageError:
+                        pass  # no live peer and no backup yet: still down
+                    state.ingestion.run_until_caught_up()
+            elif op == "add":
+                try:
+                    controller.add_server(PinotServer(next(spares)))
+                except StorageError:
+                    pass
+            elif op == "drop":
+                sealed = state.ingestion.partitions[partition].sealed_segments
+                if sealed:
+                    segment = state.owners[partition].segments[sealed[0]]
+                    dropped_rides |= {
+                        segment.row(doc)["ride_id"]
+                        for doc in range(segment.num_docs)
+                    }
+                    dropped_partitions.add(partition)
+                    controller.drop_segment("rides", sealed[0])
+            elif op == "seal":
+                table.send(table.full_segments(per_partition=THRESHOLD))
+            elif op == "ingest":
+                table.send(table.rides(1 + n))
+            check()
 
 
 class TestUpsertOwnerFailure:

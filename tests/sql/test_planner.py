@@ -3,7 +3,10 @@ pushdown correctness (including the projection-retention regressions),
 join reordering, and the epoch-keyed stage artifact store."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.common import hashring
 from repro.common.clock import SimulatedClock
 from repro.common.errors import SqlPlanError
 from repro.common.rng import seeded_rng
@@ -16,7 +19,9 @@ from repro.pinot.recovery import PeerToPeerBackup
 from repro.pinot.server import PinotServer
 from repro.pinot.table import TableConfig
 from repro.platform import Platform
+from repro.sql.planner.physical import Stage
 from repro.sql.planner.reference import ReferenceExecutor
+from repro.sql.planner.scheduler import StageScheduler
 from repro.sql.presto.connector import (
     CardinalityEstimate,
     ConnectorCapabilities,
@@ -240,6 +245,205 @@ class TestExplain:
         text = platform.explain("SELECT city FROM t WHERE amount > 5")
         assert "Logical plan:" in text and "Physical plan:" in text
         assert platform.sql("SELECT COUNT(*) AS n FROM t").rows == [{"n": 30}]
+
+
+#: explain() text as it read before estimates were asked at render time
+#: (taken from the commit before): sql -> (catalog builder, text).
+GOLDEN_EXPLAINS = {
+    "SELECT city, SUM(amount) AS total FROM metrics "
+    "WHERE amount >= 20 GROUP BY city": (
+        lambda: {"metrics": PinotConnector(build_pinot()[3], "full")},
+        """\
+Logical plan:
+  Aggregate[group=[city] aggs=[SUM(amount) AS total]] (pushed)
+    Scan[pinot:metrics AS metrics]
+      pushed-filters: amount >= 20
+      pushed-columns: amount, city
+      pushed-aggregation: [SUM(amount) AS total] group=[city]
+      estimate: ~150 rows (pinot-zonemaps)
+Physical plan:
+  s0 remote_scan scan[pinot:metrics AS metrics] key=d830450abc6d9d40
+  s1 local_compute aggregate inputs=[s0] key=aa6f97375489d928
+  root: s1""",
+    ),
+    "SELECT o.amount, c.region FROM orders o JOIN cities c ON o.city = c.city "
+    "WHERE o.status = 'ok' ORDER BY o.ts LIMIT 7": (
+        lambda: hive_catalog()[1],
+        """\
+Logical plan:
+  Limit[7]
+    Sort[ts ASC]
+      Project[o.amount, c.region]
+        Filter[o.status = 'ok']
+          Join[base=o]
+            Scan[hive:orders AS o]
+              pushed-filters: status = 'ok'
+              pushed-columns: amount, city, status, ts
+              estimate: ~5 rows (hive-rowcount)
+            On[o.city = c.city]
+              Scan[hive:cities AS c]
+                pushed-columns: city, region
+                estimate: =4 rows (hive-rowcount)
+Physical plan:
+  s0 remote_scan scan[hive:orders AS o] key=c95d37d68e2d9090
+  s1 remote_scan scan[hive:cities AS c] key=ee2cb00be2439f21
+  s2 local_compute join[o * c] inputs=[s0, s1] key=2e00587467cde203
+  s3 local_compute filter inputs=[s2] key=0660b21a991ddd68
+  s4 local_compute project inputs=[s3] key=db61e4b23fdc8c0d
+  s5 local_compute sort inputs=[s4] key=e9664902e5b87577
+  s6 local_compute limit inputs=[s5] key=6d8caa4f34a76bcb
+  root: s6""",
+    ),
+    "SELECT COUNT(*) AS n FROM (SELECT city FROM t WHERE amount > 20) AS hot": (
+        memory_catalog,
+        """\
+Logical plan:
+  Aggregate[group=[] aggs=[COUNT(*) AS n]]
+    Subquery[AS hot]
+      Project[city]
+        Filter[amount > 20]
+          Scan[memory:t AS t]
+            estimate: =30 rows (memory)
+Physical plan:
+  s0 remote_scan scan[memory:t AS t] key=b917bf21065bfbe2
+  s1 local_compute filter inputs=[s0] key=fe272c23aff29968
+  s2 local_compute project inputs=[s1] key=c7d0abe71d8a5876 subquery-root
+  s3 local_compute aggregate inputs=[s2] key=b5ef57cd5082efdd
+  root: s3""",
+    ),
+}
+
+
+def _count_calls(monkeypatch, owner, name) -> list:
+    """Record the positional arguments of every call of ``owner.name``."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestEstimatesAreAskedWhereRead:
+    """Only the join reorderer compares cardinalities and only explain()
+    prints them; for Pinot an estimate routes the whole scan."""
+
+    @pytest.mark.parametrize("sql", list(GOLDEN_EXPLAINS))
+    def test_explain_text_is_what_it_was(self, sql):
+        catalog, text = GOLDEN_EXPLAINS[sql]
+        platform = Platform().with_presto()
+        platform.presto.catalog.update(catalog())
+        assert platform.explain(sql) == text
+
+    def test_single_table_plans_ask_nothing_joins_ask_once_per_side(self, monkeypatch):
+        asked = _count_calls(monkeypatch, MemoryConnector, "estimate")
+        engine = PrestoEngine(memory_catalog())
+        engine.execute("SELECT city FROM t WHERE amount > 5")
+        assert asked == []
+        engine.execute("SELECT u.name FROM t o JOIN users u ON o.user = u.id")
+        assert sorted(request.table for __, request in asked) == ["t", "users"]
+        del asked[:]
+        # explain() prints one per scan, asked when it renders.
+        planned = engine.plan("SELECT city FROM t WHERE amount > 5")
+        assert asked == []
+        assert "estimate: =30 rows (memory)" in planned.explain()
+        assert len(asked) == 1
+
+    def test_kept_plan_explains_as_of_render_time(self):
+        catalog = memory_catalog()
+        out = PrestoEngine(catalog).execute("SELECT city FROM t LIMIT 1")
+        assert "estimate: =30 rows" in out.plan.explain()
+        catalog["t"].add_table("t", ROWS[:12])
+        assert "estimate: =12 rows" in out.plan.explain()
+
+
+class TestPlacementIsLookedUp:
+    """Counts, not clocks: what a repeat query no longer re-derives."""
+
+    def test_repeats_route_once_and_score_nothing(self, monkeypatch):
+        __, __, state, broker = build_pinot(rows_count=600, threshold=50)
+        sealed = sum(
+            len(p.sealed_segments) for p in state.ingestion.partitions.values()
+        )
+        assert sealed >= 8
+        engine = PrestoEngine({"metrics": PinotConnector(broker, "full")})
+        routed = _count_calls(monkeypatch, PinotBroker, "_route")
+        scored = _count_calls(monkeypatch, hashring, "_score")
+        sql = (
+            "SELECT city, SUM(amount) AS total FROM metrics "
+            "WHERE amount >= 20 GROUP BY city"
+        )
+        first = engine.execute(sql)
+        # Every sealed segment has two live hosts: scored once, both of
+        # them; plus each stage's two workers.
+        assert len(routed) == 1 and len(scored) == 2 * sealed + 2 * 2
+        del routed[:], scored[:]
+        for __repeat in range(100):
+            # What any ingest does to the caches above the route, without
+            # ever sealing a segment: every repeat plans, stages, routes
+            # and scans again.
+            state.ingestion.epoch.bump()
+            out = engine.execute(sql)
+            assert out.rows == first.rows and out.stats.stages_executed == 2
+        assert len(routed) == 100  # 200 when planning asked for an estimate
+        assert scored == []
+
+    def test_join_asks_pinot_for_one_estimate(self, monkeypatch):
+        __, __, __, broker = build_pinot()
+        cities = [{"city": f"city-{i}", "region": f"r{i % 2}"} for i in range(5)]
+        engine = PrestoEngine(
+            {
+                "metrics": PinotConnector(broker, "full"),
+                "cities": MemoryConnector({"cities": cities}),
+            }
+        )
+        estimated = _count_calls(monkeypatch, PinotBroker, "estimate_rows")
+        routed = _count_calls(monkeypatch, PinotBroker, "_route")
+        out = engine.execute(
+            "SELECT c.region, m.amount FROM metrics m JOIN cities c "
+            "ON m.city = c.city WHERE m.amount >= 90"
+        )
+        assert out.rows
+        assert len(estimated) == 1 and len(routed) == 2  # the estimate, the scan
+
+    @given(
+        st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=8),
+        st.lists(st.text("0123456789abcdef", min_size=4, max_size=4), min_size=1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_stage_placement_is_fresh_however_the_pool_is_resized(
+        self, pool_sizes, keys
+    ):
+        scheduler = StageScheduler({})
+        stages = [
+            Stage(i, "local_compute", "sort", (), None, key, ())
+            for i, key in enumerate(keys)
+        ]
+        for size in pool_sizes:
+            scheduler.workers = size
+            for __probe_then_execute in range(2):
+                for stage in stages:
+                    assert scheduler._worker_for(stage) == hashring.pick(
+                        stage.key, range(size)
+                    )
+
+    def test_resizing_the_pool_keeps_answers_and_refinds_artifacts(self):
+        catalog = memory_catalog()
+        engine = PrestoEngine(catalog, workers=2)
+        sql = "SELECT city, SUM(amount) AS total FROM t GROUP BY city"
+        expected = ReferenceExecutor(catalog).execute(sql)
+        assert engine.execute(sql).rows == expected
+        for size in (5, 1, 3):
+            engine.scheduler.workers = size
+            assert engine.execute(sql).rows == expected
+        # Back at the size it was first computed under, the root's worker
+        # is again the one that holds that artifact.
+        engine.scheduler.workers = 2
+        out = engine.execute(sql)
+        assert out.rows == expected and out.stats.stages_executed == 0
 
 
 class TestPlatformPushdown:
