@@ -37,8 +37,9 @@ class RetryExhaustedError(ReproError):
 
 class IncomparableError(ReproError):
     """A SQL comparison met two operands that do not order (a string
-    against a number, say).  Raised by the one comparison rule in
-    :mod:`repro.common.relational`, whichever executor ran it."""
+    against a number, say), or SUM / AVG met a cell that does not add.
+    Raised by the rules in :mod:`repro.common.relational`, whichever
+    executor ran them."""
 
 
 # --- storage -------------------------------------------------------------

@@ -7,17 +7,24 @@ down must change where it runs, never what it answers.  So the four rules
 an answer depends on are written here once and every executor calls them:
 
 1. :class:`Predicate` — ``column <op> literal`` with the cell rule
-   (:attr:`Predicate.matches`) and the min/max range rule
+   (:attr:`Predicate.matches`), its form over a sorted run of distinct
+   values (:meth:`Predicate.code_range`: the matching index range of a
+   dictionary, by two bisects) and the min/max range rule
    (:meth:`Predicate.may_match`).  A NULL cell matches no operator,
    ``!=`` and ``IN`` included, and neither does a NULL literal or bound.
-   Operands that do not order raise :class:`IncomparableError`; the range
-   rule answers "may match" on any doubt, so a type error never prunes.
+   Operands that do not order raise :class:`IncomparableError` from the
+   cell rule alone: the sorted form answers ``None`` and the range rule
+   "may match" on any doubt, so a type error is never skipped or pruned.
 2. :func:`aggregate_rule` — init / add / merge / final for COUNT, SUM,
    AVG, MIN, MAX, DISTINCTCOUNT.  NULL is skipped inside ``add``:
    ``COUNT(col)`` counts non-NULL cells, SUM over none is ``0.0``,
    AVG / MIN / MAX over none is ``None``.  MIN / MAX start from their
-   first value, so they order strings as well as numbers.
-3. :class:`GroupFold` — group key -> states, and the finisher
+   first value, so they order strings as well as numbers; SUM / AVG of a
+   cell that does not add is an :class:`IncomparableError` too.
+3. :class:`GroupFold` — group key -> states, fed a row at a time
+   (:meth:`GroupFold.add`) or a column at a time
+   (:meth:`GroupFold.add_columns`: same states, each aggregate sweeping
+   its own column in row order), and the finisher
    (:meth:`GroupFold.rows`): one row per group, sorted by stringified
    key; a global aggregate over no input is still one row.
 4. :func:`order_rows` — ORDER BY sorts on ``(is None, value)`` per key
@@ -30,8 +37,10 @@ Floats fold in the order callers feed them; nothing here counts work
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Any, Callable, NamedTuple, Sequence
 
 from repro.common import serde
@@ -136,6 +145,37 @@ class Predicate:
         would read the NULL as an open bound) must not be asked."""
         return self.matches is _never
 
+    def code_range(self, ordered_values: Sequence[Any]) -> tuple[int, int] | None:
+        """The cell rule over a whole sorted dictionary at once: the
+        half-open index range of ``ordered_values`` — ascending, mutually
+        comparable, NULL- and NaN-free — whose values :attr:`matches`, found
+        by two bisects.  Range operators only; ``None`` is doubt (another
+        operator, a NULL or NaN literal, a literal that does not order
+        against the values): the caller asks the cell rule, which answers
+        or raises as it always did."""
+        op = self.op
+        low, high = (self.low, self.high) if op == "BETWEEN" else (self.value,) * 2
+        if low is None or high is None or low != low or high != high:
+            return None
+        try:
+            if op in (">=", "BETWEEN"):
+                start = bisect_left(ordered_values, low)
+            elif op == ">":
+                start = bisect_right(ordered_values, low)
+            elif op in ("<", "<="):
+                start = 0
+            else:
+                return None
+            if op in ("<=", "BETWEEN"):
+                stop = bisect_right(ordered_values, high)
+            elif op == "<":
+                stop = bisect_left(ordered_values, high)
+            else:
+                stop = len(ordered_values)
+        except TypeError:
+            return None
+        return start, max(start, stop)
+
     def may_match(self, lo: Any, hi: Any) -> bool:
         """The range rule: could a non-NULL cell within ``[lo, hi]``
         satisfy this predicate?  False is a proof of absence; bounds the
@@ -187,13 +227,25 @@ def _count_add(state: int, value: Any) -> int:
     return state if value is None else state + 1
 
 
+def _unsummable(name: str, value: Any) -> IncomparableError:
+    return IncomparableError(f"{name} cannot add a {type(value).__name__} cell")
+
+
 def _sum_add(state: float, value: Any) -> float:
-    return state if value is None else state + value
+    if value is None:
+        return state
+    try:
+        return state + value
+    except TypeError:
+        raise _unsummable("SUM", value) from None
 
 
 def _avg_add(state: list, value: Any) -> list:
     if value is not None:
-        state[0] += value
+        try:
+            state[0] += value
+        except TypeError:
+            raise _unsummable("AVG", value) from None
         state[1] += 1
     return state
 
@@ -270,13 +322,39 @@ class GroupFold:
         self._adds = [rule.add for rule in self.rules]
         self.groups: dict[tuple, list[Any]] = {}
 
-    def add(self, key: tuple, values: Sequence[Any]) -> None:
-        """Fold one row: ``values[i]`` is the cell the i-th aggregate reads."""
+    def _states(self, key: tuple) -> list[Any]:
         states = self.groups.get(key)
         if states is None:
             states = self.groups[key] = [rule.init() for rule in self.rules]
+        return states
+
+    def add(self, key: tuple, values: Sequence[Any]) -> None:
+        """Fold one row: ``values[i]`` is the cell the i-th aggregate reads."""
+        states = self._states(key)
         for i, add in enumerate(self._adds):
             states[i] = add(states[i], values[i])
+
+    def add_columns(
+        self,
+        key_columns: Sequence[Sequence[Any]],
+        value_columns: Sequence[Sequence[Any] | None],
+        n: int,
+    ) -> None:
+        """Fold ``n`` rows given as columns — what :meth:`add` over the
+        same rows leaves behind.  Each row is assigned its group's states
+        once, then each aggregate sweeps its own column in row order, so
+        floats fold exactly as row by row.  A ``None`` value column is
+        ``COUNT(*)``'s: no cell to read."""
+        if not n:
+            return
+        if key_columns:
+            row_states = list(map(self._states, zip(*key_columns)))
+        else:
+            row_states = [self._states(())] * n
+        for i, (add, column) in enumerate(zip(self._adds, value_columns)):
+            cells = repeat(None) if column is None else column
+            for states, value in zip(row_states, cells):
+                states[i] = add(states[i], value)
 
     def merge(self, groups: dict[tuple, list[Any]]) -> None:
         """Fold another fold's ``groups`` into this one."""

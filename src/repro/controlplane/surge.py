@@ -77,10 +77,15 @@ DEFAULT_PARAMS = {
     "workers": 4,
     "max_workers": 32,
     "service_floor_s": 0.02,
-    "service_us_scale": 1.5e-4,  # sim seconds per priced microsecond
+    "service_us_scale": 2.0e-4,  # sim seconds per priced microsecond
     # reference-queue pricing: priced microseconds per estimated doc
-    # (routing- and cache-invariant, so decisions never see stickiness)
-    "service_est_us_per_row": 0.55,
+    # (routing- and cache-invariant, so decisions never see stickiness).
+    # The two are sized together: their product is the reference price of
+    # a doc in sim seconds, which the decision log is a function of, and
+    # the scale alone is how far past capacity the counted work puts the
+    # spike.  The segment kernel counts a quarter less work per doc than
+    # when the pair was 1.5e-4 x 0.55; same product, same decisions.
+    "service_est_us_per_row": 0.4125,
     # sticky per-user worker subsets of the serving queue
     "queue_subset": 2,
     "queue_spill_s": 0.25,

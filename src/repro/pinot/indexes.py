@@ -211,6 +211,12 @@ class SortedIndex:
         hi = bisect_right(self._values, value)
         return range(lo, hi)
 
+    def span(self, predicate) -> range | None:
+        """The doc-id run a range predicate matches; None when its literal
+        does not order against the values."""
+        run = predicate.code_range(self._values)
+        return None if run is None else range(*run)
+
     def between(self, low: Any, high: Any, inclusive: bool = True) -> range:
         lo = bisect_left(self._values, low)
         hi = bisect_right(self._values, high) if inclusive else bisect_left(

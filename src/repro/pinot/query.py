@@ -12,6 +12,7 @@ reports the chosen plan, which the index benchmarks (C4) assert on.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -93,42 +94,51 @@ class PartialResult:
     plan: SegmentPlan | None = None
 
 
-# -- doc-id resolution using indexes -------------------------------------------
+# -- doc-id resolution, one filter at a time ------------------------------------
+
+_RANGE_OPS = (">", ">=", "<", "<=", "BETWEEN")
+
+
+def _access_path(segment: ImmutableSegment, flt: Filter) -> tuple[str, bool]:
+    """The access path one filter takes on a sealed segment — ``sorted``,
+    ``inverted``, ``range`` or ``scan`` — and whether that path examines
+    docs.  Sorted and inverted resolutions are pure index lookups, already
+    cheaper than a scan-share hit; a range-boundary refinement and a
+    forward-index scan read cells, so they are what scan sharing memoizes.
+    A NULL literal matches nothing and an index would read it as an open
+    bound, so it is never asked."""
+    column, op = flt.column, flt.op
+    if not flt.unsatisfiable:
+        if (
+            segment.sorted_index is not None
+            and column == segment.index_config.sort_column
+            and (op == "=" or op in _RANGE_OPS)
+        ):
+            return "sorted", False
+        if column in segment.inverted and op in ("=", "IN"):
+            return "inverted", False
+        if column in segment.ranges and op in _RANGE_OPS:
+            return "range", True
+    return "scan", True
 
 
 def _index_lookup(
-    segment: ImmutableSegment, flt: Filter, plan: SegmentPlan
+    path: str, segment: ImmutableSegment, flt: Filter, plan: SegmentPlan
 ) -> list[int] | None:
-    """Doc ids matching one filter via the column's best index; None when
-    no index serves it.  A literal the index cannot order against the
-    column's values raises ``TypeError``."""
-    sort_column = segment.index_config.sort_column
-    if (
-        segment.sorted_index is not None
-        and flt.column == sort_column
-        and flt.op in ("=", ">", ">=", "<", "<=", "BETWEEN")
-    ):
-        plan.access_paths.append(f"sorted:{flt.column}")
-        idx = segment.sorted_index
-        if flt.op == "=":
-            return list(idx.equals(flt.value))
-        if flt.op == "BETWEEN":
-            return list(idx.between(flt.low, flt.high))
-        if flt.op in (">", ">="):
-            docs = list(idx.between(flt.value, float("inf")))
-        else:  # <, <=
-            docs = list(idx.between(float("-inf"), flt.value))
-        if flt.op in (">", "<"):  # the run is inclusive: drop the bound itself
-            docs = [d for d in docs if flt.matches(segment.value(flt.column, d))]
-        return docs
-    if flt.column in segment.inverted and flt.op in ("=", "IN"):
-        plan.access_paths.append(f"inverted:{flt.column}")
-        inv = segment.inverted[flt.column]
-        if flt.op == "=":
-            return inv.lookup(flt.value)
-        return inv.lookup_in(list(flt.values))
-    if flt.column in segment.ranges and flt.op in (">", ">=", "<", "<=", "BETWEEN"):
-        plan.access_paths.append(f"range:{flt.column}")
+    """Doc ids matching one filter via the index ``path`` names; None when
+    the index cannot order the literal against the column's values."""
+    try:
+        if path == "sorted":
+            idx = segment.sorted_index
+            if flt.op == "=":
+                return list(idx.equals(flt.value))
+            run = idx.span(flt)
+            return None if run is None else list(run)
+        if path == "inverted":
+            inv = segment.inverted[flt.column]
+            if flt.op == "=":
+                return inv.lookup(flt.value)
+            return inv.lookup_in(list(flt.values))
         rng = segment.ranges[flt.column]
         if flt.op == "BETWEEN":
             low, high = flt.low, flt.high
@@ -137,64 +147,60 @@ def _index_lookup(
         else:
             low, high = None, flt.value
         certain, boundary = rng.candidates(low, high)
-        refined = [
-            d for d in boundary if flt.matches(segment.value(flt.column, d))
-        ]
-        plan.docs_examined += len(boundary)
-        if PERF.enabled:
-            PERF.inc("pinot.filter_evals", len(boundary))
-        return union_sorted([certain, refined])
-    return None
+    except TypeError:
+        return None
+    matches = flt.matches
+    cells = segment.cells(flt.column, boundary)
+    refined = [d for d, cell in zip(boundary, cells) if matches(cell)]
+    plan.docs_examined += len(boundary)
+    if PERF.enabled:
+        PERF.inc("pinot.filter_evals", len(boundary))
+    return union_sorted([certain, refined])
 
 
-def _resolve_filter(
+def _scan_filter(
     segment: ImmutableSegment, flt: Filter, plan: SegmentPlan
 ) -> list[int]:
-    """Doc ids matching one filter, via the best available access path."""
-    if not flt.unsatisfiable:
-        taken = len(plan.access_paths)
-        try:
-            docs = _index_lookup(segment, flt, plan)
-        except TypeError:
-            # The index cannot place this literal among the column's
-            # values; the scan's cell rule says what that means.
-            del plan.access_paths[taken:]
-            docs = None
-        if docs is not None:
-            return docs
-    # Fallback: forward-index scan, evaluated in code space.  The predicate
-    # runs once per distinct dictionary value; each doc is then a bulk-decoded
-    # code lookup instead of a random-access cell read plus a predicate call.
+    """Forward-index scan in code space: one ``code -> matches`` table,
+    then one sweep of the decoded codes through it.  A range filter over a
+    column whose dictionary ascends gets its table from two bisects on the
+    dictionary — and needs no sweep at all when no value or every cell
+    matches; anything else runs the cell rule once per distinct value."""
     plan.access_paths.append(f"scan:{flt.column}")
-    fwd = segment.forward.get(flt.column)
-    if fwd is None:
-        raise QueryError(f"unknown column {flt.column!r} in segment {segment.name}")
+    fwd = segment.forward[flt.column]
     plan.docs_examined += len(fwd)
-    mask = fwd.match_mask(flt.matches)
+    zone = segment.zone_maps[flt.column]
+    run = flt.code_range(fwd._dictionary) if zone.comparable else None
+    if run is None:
+        mask = fwd.match_mask(flt.matches)
+        if PERF.enabled:
+            PERF.inc("pinot.filter_evals", fwd.cardinality())
+    else:
+        lo, hi = run
+        if lo == hi:
+            return []
+        if hi - lo == fwd.cardinality() and not zone.has_null:
+            return list(range(len(fwd)))
+        # The NULL code is the one past the dictionary: never in the run.
+        after = fwd.cardinality() + 1 - hi
+        mask = [False] * lo + [True] * (hi - lo) + [False] * after
     codes = fwd.codes()
     if PERF.enabled:
-        PERF.inc("pinot.filter_evals", fwd.cardinality())
         PERF.inc("pinot.code_filter_evals", len(codes))
     return [d for d, code in enumerate(codes) if mask[code]]
 
 
-def _scan_shareable(segment: ImmutableSegment, flt: Filter) -> bool:
-    """Whether :func:`_resolve_filter` would take a doc-examining path.
-
-    Mirrors its dispatch order: sorted and inverted resolutions are pure
-    index lookups, already cheaper than a scan-share cache hit, so only
-    range-boundary refinements and forward-index scans are worth
-    memoizing.
-    """
-    if (
-        segment.sorted_index is not None
-        and flt.column == segment.index_config.sort_column
-        and flt.op in ("=", ">", ">=", "<", "<=", "BETWEEN")
-    ):
-        return False
-    if flt.column in segment.inverted and flt.op in ("=", "IN"):
-        return False
-    return True
+def _resolve_filter(
+    path: str, segment: ImmutableSegment, flt: Filter, plan: SegmentPlan
+) -> list[int]:
+    """Doc ids matching one filter along ``path``; a literal the index
+    cannot place is left to the scan, whose cell rule says what it means."""
+    if path != "scan":
+        docs = _index_lookup(path, segment, flt, plan)
+        if docs is not None:
+            plan.access_paths.append(f"{path}:{flt.column}")
+            return docs
+    return _scan_filter(segment, flt, plan)
 
 
 def _try_startree(
@@ -235,27 +241,6 @@ def _try_startree(
     return partial
 
 
-def _column_reader(
-    segment: ImmutableSegment | MutableSegment, column: str, docs_needed: int
-):
-    """Per-doc value accessor for one column.
-
-    On sealed segments, when enough docs are touched to amortize it, the
-    whole column is bulk-decoded once and reads become plain list indexing;
-    selective queries keep random-access reads.  Unknown columns still fail
-    on first read, exactly like ``segment.value`` does.
-    """
-    if isinstance(segment, ImmutableSegment):
-        fwd = segment.forward.get(column)
-        # Bulk decode costs ~1/5th of a random cell read, so it pays off
-        # once a fifth of the column is needed.
-        if fwd is not None and docs_needed * 5 >= len(fwd):
-            return fwd.values_list().__getitem__
-        if fwd is not None:
-            return fwd.get
-    return lambda doc_id: segment.value(column, doc_id)
-
-
 def _selection_page(
     segment: ImmutableSegment | MutableSegment,
     columns: list[str],
@@ -270,11 +255,7 @@ def _selection_page(
     vectors = {}
     for column in columns:
         if isinstance(segment, ImmutableSegment):
-            fwd = segment.forward.get(column)
-            if fwd is None:
-                raise QueryError(
-                    f"unknown column {column!r} in segment {segment.name}"
-                )
+            fwd = segment.forward[column]
             null_code = fwd._null_code
             gathered = fwd.codes_at(matching)
             if PERF.enabled:
@@ -292,7 +273,7 @@ def _selection_page(
             )
         else:
             vectors[column] = ColumnVector.from_values(
-                [segment.value(column, d) for d in matching]
+                segment.cells(column, matching)
             )
     return ColumnBatch(vectors, num_rows=len(matching))
 
@@ -306,6 +287,13 @@ def execute_on_segment(
 ) -> PartialResult:
     """Run a query against one segment, returning mergeable partials.
 
+    Execution is column-at-a-time on both segment forms: every referenced
+    column is resolved before anything is read (an unknown one raises
+    :class:`QueryError` whatever the data holds), each filter yields a
+    doc-id list, and each group / aggregate column is then read once, as a
+    list over the matching docs, and folded by column
+    (:meth:`GroupFold.add_columns`).
+
     ``valid_doc_ids`` restricts evaluation to the still-valid documents of
     an upsert table (Section 4.3.1); ``None`` means all docs are valid.
     A selection comes back as one :class:`ColumnBatch` page
@@ -318,6 +306,13 @@ def execute_on_segment(
     tests) pass no cache and resolve every filter fresh.
     """
     plan = SegmentPlan(segment=segment.name)
+    if query.is_aggregation():
+        read = [*query.group_by, *(a.column for a in query.aggregations if a.column)]
+    else:
+        read = query.select_columns or _column_names(segment)
+    for column in [*(flt.column for flt in query.filters), *read]:
+        if not segment.has_column(column):
+            raise QueryError(f"unknown column {column!r} in segment {segment.name}")
     if isinstance(segment, ImmutableSegment) and valid_doc_ids is None:
         startree_result = _try_startree(segment, query, plan)
         if startree_result is not None:
@@ -327,25 +322,17 @@ def execute_on_segment(
         matching = [d for d in matching if d in valid_doc_ids]
     partial = PartialResult(plan=plan)
     if query.is_aggregation():
-        group_readers = [
-            _column_reader(segment, c, len(matching)) for c in query.group_by
-        ]
-        agg_readers = [
-            _column_reader(segment, a.column, len(matching))
-            if a.column is not None
-            else (lambda doc_id: None)  # COUNT(*) counts docs, not cells
-            for a in query.aggregations
-        ]
+        # dict.fromkeys: a column named twice is still read once.
+        cells = {c: segment.cells(c, matching) for c in dict.fromkeys(read)}
         fold = group_fold(query)
-        for doc_id in matching:
-            fold.add(
-                tuple(read(doc_id) for read in group_readers),
-                [read(doc_id) for read in agg_readers],
-            )
+        fold.add_columns(
+            [cells[c] for c in query.group_by],
+            [cells.get(a.column) for a in query.aggregations],
+            len(matching),
+        )
         partial.groups = fold.groups
     elif matching:
-        columns = query.select_columns or _column_names(segment)
-        partial.page = _selection_page(segment, columns, matching)
+        partial.page = _selection_page(segment, read, matching)
     return partial
 
 
@@ -372,25 +359,28 @@ def _matching_docs(
         # mutate between queries, so they are never scan-share cached.
         plan.access_paths.extend(f"scan:{f.column}" for f in query.filters)
         plan.docs_examined += segment.num_docs
-        docs = list(range(segment.num_docs))
+        docs = range(segment.num_docs)
         for flt in query.filters:  # each conjunct sees the survivors only
             if PERF.enabled:
                 PERF.inc("pinot.filter_evals", len(docs))
-            matches, value = flt.matches, segment.value
-            docs = [d for d in docs if matches(value(flt.column, d))]
-        return docs
+            matches = flt.matches
+            cells = segment.cells(flt.column, docs)
+            docs = [d for d, cell in zip(docs, cells) if matches(cell)]
+        return list(docs)
     if not query.filters:
         plan.access_paths.append("full")
         plan.docs_examined += segment.num_docs
         return list(range(segment.num_docs))
     docs: list[int] | None = None
     for flt in query.filters:
-        if scan_cache is not None and _scan_shareable(segment, flt):
+        path, examines_docs = _access_path(segment, flt)
+        resolve = functools.partial(_resolve_filter, path)
+        if examines_docs and scan_cache is not None:
             selected = shared_resolution(
-                scan_cache, scan_epoch, segment, flt, plan, _resolve_filter
+                scan_cache, scan_epoch, segment, flt, plan, resolve
             )
         else:
-            selected = _resolve_filter(segment, flt, plan)
+            selected = resolve(segment, flt, plan)
         docs = selected if docs is None else intersect_sorted(docs, selected)
         if not docs:
             return []

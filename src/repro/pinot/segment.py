@@ -13,8 +13,9 @@ the query indexes, and yields the immutable form.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 
 from repro.common import serde
 from repro.common.errors import SegmentError
@@ -78,6 +79,10 @@ class ZoneMap:
         return cls(*payload)
 
 
+#: Bit widths whose packed form is a plain array: width -> struct code.
+_ALIGNED_WIDTHS = {8: "B", 16: "H", 32: "I"}
+
+
 class BitPackedArray:
     """Fixed-width bit packing of small non-negative ints into a bytearray.
 
@@ -123,8 +128,12 @@ class BitPackedArray:
         One big-int conversion covers a run of values, so per-value work is
         a shift + mask instead of a bounds check and a fresh 5-byte window.
         Chunks stay small (~512 bytes) to keep the big-int shifts cheap.
+        A byte-aligned width is already an array of little-endian ints.
         """
         width = self.bit_width
+        aligned = _ALIGNED_WIDTHS.get(width)
+        if aligned is not None:
+            return list(struct.unpack(f"<{self.length}{aligned}", self._data))
         mask = (1 << width) - 1
         out: list[int] = []
         values_per_chunk = max(1, 4096 // width)
@@ -214,6 +223,11 @@ class ForwardIndex:
         table = self._dictionary + [None]  # the null code decodes to None
         return [table[code] for code in self.codes()]
 
+    def values_at(self, doc_ids: list[int]) -> list[Any]:
+        """Cells of the given docs: one gather of codes, one table sweep."""
+        table = self._dictionary + [None]
+        return [table[code] for code in self.codes_at(doc_ids)]
+
     def match_mask(self, predicate) -> list[bool]:
         """Evaluate a predicate once per distinct value (plus NULL),
         yielding a code -> matches table for code-space filtering."""
@@ -233,6 +247,11 @@ class ForwardIndex:
     def disk_bytes(self) -> int:
         """Serialized size: dictionary + packed codes."""
         return serde.encoded_size(self._dictionary) + self._codes.packed_bytes()
+
+
+#: Value classes :func:`_sort_key` sorts as their own ``<`` would; any other
+#: type (a list, a Decimal) is ordered by its text, which ``<`` need not follow.
+_NATURALLY_SORTED = frozenset({"bool", "num", "str"})
 
 
 def _sort_key(value: Any):
@@ -314,9 +333,10 @@ class ImmutableSegment:
         if not dictionary:
             return ZoneMap(has_null=has_null, all_null=True)
         classes = {_value_class(v) for v in dictionary}
-        if len(classes) != 1 or "nan" in classes:
+        if len(classes) != 1 or not classes <= _NATURALLY_SORTED:
             return ZoneMap(has_null=has_null)  # mixed types: not comparable
-        # The dictionary is sorted (numerics by value), so min/max are free.
+        # The dictionary ascends under the values' own ``<`` — min/max are
+        # free, and a range filter can bisect it (``Predicate.code_range``).
         return ZoneMap(
             min_value=dictionary[0],
             max_value=dictionary[-1],
@@ -354,11 +374,21 @@ class ImmutableSegment:
     def column_names(self) -> list[str]:
         return list(self.forward)
 
-    def value(self, column: str, doc_id: int) -> Any:
+    def has_column(self, column: str) -> bool:
+        return column in self.forward
+
+    def _forward(self, column: str) -> ForwardIndex:
         fwd = self.forward.get(column)
         if fwd is None:
             raise SegmentError(f"segment {self.name} has no column {column!r}")
-        return fwd.get(doc_id)
+        return fwd
+
+    def value(self, column: str, doc_id: int) -> Any:
+        return self._forward(column).get(doc_id)
+
+    def cells(self, column: str, doc_ids: list[int]) -> list[Any]:
+        """One column's cells for the given docs, as a list."""
+        return self._forward(column).values_at(doc_ids)
 
     def row(self, doc_id: int) -> dict[str, Any]:
         if PERF.enabled:
@@ -502,14 +532,40 @@ class MutableSegment:
             i -= len(batch)
         raise IndexError(doc_id)
 
+    def has_column(self, column: str) -> bool:
+        """False only for a column the declared schema rules out."""
+        return self.column_names is None or column in self.column_names
+
+    def _require(self, column: str) -> None:
+        if not self.has_column(column):
+            raise SegmentError(f"segment {self.name} has no column {column!r}")
+
     def value(self, column: str, doc_id: int) -> Any:
-        if self.column_names is not None and column not in self.column_names:
-            raise SegmentError(
-                f"segment {self.name} has no column {column!r}"
-            )
+        self._require(column)
         if doc_id < len(self.rows):
             return self.rows[doc_id].get(column)
         return self._chunk_cell(column, doc_id)
+
+    def _column(self, column: str) -> list[Any]:
+        """Every doc's cell of one column, pending chunks included."""
+        cells = [row.get(column) for row in self.rows]
+        for batch in self.chunks:
+            vector = batch.columns.get(column)
+            if vector is None:
+                cells.extend([None] * len(batch))
+            else:
+                cells.extend(vector.values_list())
+        return cells
+
+    def cells(self, column: str, doc_ids: Sequence[int]) -> list[Any]:
+        """One column's cells for the given docs, as a list: the consuming
+        segment's column read (``value`` once per doc is the row read)."""
+        self._require(column)
+        rows = self.rows
+        if not self.chunks:
+            return [rows[d].get(column) for d in doc_ids]
+        whole = self._column(column)
+        return [whole[d] for d in doc_ids]
 
     def row(self, doc_id: int) -> dict[str, Any]:
         if doc_id < len(self.rows):
@@ -529,17 +585,9 @@ class MutableSegment:
             {k for row in self.rows for k in row}
             | {name for batch in self.chunks for name in batch.columns}
         )
-        columns = {name: [row.get(name) for row in self.rows] for name in names}
-        for batch in self.chunks:
-            for name in names:
-                vector = batch.columns.get(name)
-                if vector is None:
-                    columns[name].extend([None] * len(batch))
-                else:
-                    columns[name].extend(vector.values_list())
         return ImmutableSegment(
             self.name,
-            columns,
+            {name: self._column(name) for name in names},
             index_config=index_config,
             time_column=time_column,
             partition_id=self.partition_id,

@@ -11,9 +11,10 @@ The speed comes from working in code space: a predicate over a
 dictionary-coded column is evaluated once per *distinct* value
 (``columnar.dict_evals``), then applied to rows as an integer-indexed
 lookup sweep (``columnar.kernel_rows``), instead of one Python
-predicate call per row.  Aggregation pre-materializes each needed
-column once per page and folds rows from local lists
-(``columnar.agg_rows``), instead of per-row dict lookups.
+predicate call per row.  Aggregation materializes each needed column
+once per page and hands the lists to ``GroupFold.add_columns``
+(``columnar.agg_rows``) — the batch feed Pinot's segment kernel uses —
+instead of per-row dict lookups.
 
 Kernels raise :class:`KernelUnsupported` for shapes they cannot
 vectorize (expressions, qualified-join lookups they cannot resolve,
@@ -22,7 +23,6 @@ exotic aggregates); callers catch it and fall back to the row adapter.
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import Sequence
 
 from repro.columnar import ColumnBatch, ColumnVector
@@ -124,9 +124,11 @@ def filter_batch(batch: ColumnBatch, node, qualified: bool) -> ColumnBatch:
 # --- aggregation -------------------------------------------------------------
 
 
-def _cells(page: ColumnBatch, column, qualified: bool) -> list:
-    """A column's cells; NULLs for an absent column and for COUNT(*)'s ``*``."""
-    vector = _resolve(page, column, qualified) if isinstance(column, Column) else None
+def _cells(page: ColumnBatch, column, qualified: bool) -> list | None:
+    """A column's cells: NULLs for an absent column, none for COUNT(*)'s ``*``."""
+    if not isinstance(column, Column):
+        return None
+    vector = _resolve(page, column, qualified)
     return vector.values_list() if vector else [None] * page.num_rows
 
 
@@ -150,11 +152,9 @@ def aggregate_pages(
             continue
         if PERF.enabled:
             PERF.inc("columnar.agg_rows", n)
-        key_lists = [_cells(page, col, qualified) for col in group_cols]
-        value_lists = [
-            _cells(page, f.args[0] if f.args else None, qualified) for f, __ in aggs
-        ]
-        keys = zip(*key_lists) if key_lists else repeat(())
-        for key, values in zip(keys, zip(*value_lists)):
-            fold.add(key, values)
+        fold.add_columns(
+            [_cells(page, col, qualified) for col in group_cols],
+            [_cells(page, f.args[0] if f.args else None, qualified) for f, __ in aggs],
+            n,
+        )
     return fold.rows()

@@ -149,6 +149,79 @@ class TestCellRule:
         assert Filter is PushedFilter is Predicate
 
 
+RANGE_OPS = (">", ">=", "<", "<=")
+range_predicates = st.one_of(
+    st.builds(Predicate, st.just("c"), st.sampled_from(RANGE_OPS), literals),
+    st.builds(Predicate, st.just("c"), st.just("BETWEEN"), low=literals, high=literals),
+)
+
+
+def dictionaries_of(kind):
+    """What a sealed column's dictionary is: distinct, ascending, one kind."""
+    return st.lists(kind, max_size=12, unique=True).map(sorted)
+
+
+dictionaries = st.one_of(dictionaries_of(numbers), dictionaries_of(strings))
+#: A dictionary with two literals of its own kind.
+same_kind = st.one_of(
+    st.tuples(dictionaries_of(kind), kind, kind) for kind in (numbers, strings)
+)
+
+
+class TestSortedValuesRule:
+    """``code_range`` is the cell rule over a sorted dictionary: the same
+    matches as one contiguous index run, or ``None`` — never a wrong run."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(dictionaries, range_predicates)
+    def test_the_run_is_exactly_what_the_cell_rule_matches(self, values, predicate):
+        run = predicate.code_range(values)
+        try:
+            matched = [predicate.matches(v) for v in values]
+        except IncomparableError:
+            assert run is None  # the cell rule gets to raise
+            return
+        if run is None:
+            return  # doubt is always allowed; the next two tests bound it
+        start, stop = run
+        assert 0 <= start <= stop <= len(values)
+        assert matched == [start <= i < stop for i in range(len(values))]
+
+    @given(same_kind, st.sampled_from(RANGE_OPS))
+    def test_a_literal_of_the_values_kind_always_gets_a_run(self, drawn, op):
+        values, low, high = drawn
+        assert Predicate("c", op, low).code_range(values) is not None
+        between = Predicate("c", "BETWEEN", low=low, high=high)
+        assert between.code_range(values) is not None
+
+    @given(dictionaries, st.sampled_from(RANGE_OPS), st.sampled_from([None, math.nan]))
+    def test_null_and_nan_literals_are_doubt(self, values, op, literal):
+        assert Predicate("c", op, literal).code_range(values) is None
+        for low, high in ((literal, 1), (1, literal), (literal, literal)):
+            between = Predicate("c", "BETWEEN", low=low, high=high)
+            assert between.code_range(values) is None
+
+    def test_other_operators_and_unordered_literals_are_doubt(self):
+        assert Predicate("c", "=", 2).code_range([1, 2, 3]) is None
+        assert Predicate("c", "!=", 2).code_range([1, 2, 3]) is None
+        assert Predicate("c", "IN", values=(2,)).code_range([1, 2, 3]) is None
+        assert Predicate("c", ">", "b").code_range([1, 2, 3]) is None
+        assert Predicate("c", "<=", 2).code_range(["a", "b"]) is None
+        # One bound orders, the other does not: still doubt.
+        assert Predicate("c", "BETWEEN", low=1, high="z").code_range([1, 2]) is None
+
+    def test_runs(self):
+        values = [-math.inf, 1, 2.5, 4, math.inf]
+        assert Predicate("c", ">", 2.5).code_range(values) == (3, 5)
+        assert Predicate("c", ">=", 2.5).code_range(values) == (2, 5)
+        assert Predicate("c", "<", -math.inf).code_range(values) == (0, 0)
+        assert Predicate("c", "<=", math.inf).code_range(values) == (0, 5)
+        assert Predicate("c", "BETWEEN", low=1, high=4).code_range(values) == (1, 4)
+        inverted = Predicate("c", "BETWEEN", low=4, high=1).code_range(values)
+        assert inverted[0] == inverted[1]  # low above high: the empty run
+        assert Predicate("c", ">", "a").code_range([]) == (0, 0)
+
+
 def fold(func: str, values: list):
     rule = aggregate_rule(func, "c")
     state = rule.init()
@@ -200,6 +273,56 @@ def _fold(rows) -> GroupFold:
     for key, value in rows:
         out.add((key,), [None, value])
     return out
+
+
+keys = st.one_of(st.none(), st.integers(0, 3), st.sampled_from(["a", "b"]))
+fed_rows = st.lists(
+    st.tuples(keys, keys, st.one_of(st.none(), numbers, nan)), max_size=20
+)
+
+
+class TestColumnFeed:
+    """``add_columns`` is ``add`` over the same rows: same groups, same
+    states, floats folded in the same order."""
+
+    @staticmethod
+    def folds(group_names):
+        aliases = [f.lower() for f in FUNCS] + ["rows"]
+        rules = [aggregate_rule(f, "v") for f in FUNCS] + [aggregate_rule("COUNT")]
+        return [GroupFold(group_names, aliases, rules) for __ in range(2)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(fed_rows, st.integers(0, 2), st.integers(0, 20))
+    def test_same_groups_as_the_row_feed(self, rows, group_columns, split):
+        names = ["k1", "k2"][:group_columns]
+        by_row, by_column = self.folds(names)
+        for row in rows:
+            by_row.add(row[:group_columns], [row[2]] * len(FUNCS) + [None])
+        # Two calls: states carry over from one batch to the next.
+        for batch in (rows[:split], rows[split:]):
+            values = [row[2] for row in batch]
+            by_column.add_columns(
+                [[row[i] for row in batch] for i in range(group_columns)],
+                [values] * len(FUNCS) + [None],  # COUNT(*) reads no column
+                len(batch),
+            )
+        assert repr(by_column.groups) == repr(by_row.groups)
+        assert repr(by_column.rows()) == repr(by_row.rows())
+
+    def test_zero_rows_create_no_group(self):
+        for names in ([], ["k1"]):
+            fold = self.folds(names)[0]
+            fold.add_columns([[] for __ in names], [[]] * len(FUNCS) + [None], 0)
+            assert fold.groups == {}
+
+    @pytest.mark.parametrize("func", ["SUM", "AVG"])
+    def test_a_cell_that_does_not_add_raises_the_typed_error(self, func):
+        rule = aggregate_rule(func, "v")
+        message = f"{func} cannot add a str cell"
+        with pytest.raises(IncomparableError, match=message):
+            GroupFold([], ["x"], [rule]).add((), ["sf"])
+        with pytest.raises(IncomparableError, match=message):
+            GroupFold(["k"], ["x"], [rule]).add_columns([[1, 1]], [[2.0, "sf"]], 2)
 
 
 class TestFinisherAndOrder:

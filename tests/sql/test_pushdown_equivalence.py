@@ -310,6 +310,19 @@ class TestTheRule:
         for part in named:  # column, operator, both operand types
             assert part in str(caught.value)
 
+    @pytest.mark.parametrize("func", ["SUM", "AVG"])
+    @pytest.mark.parametrize("group", ["", " GROUP BY city"])
+    def test_sum_and_avg_of_strings_raise_the_typed_error(
+        self, world, level, func, group
+    ):
+        with pytest.raises(IncomparableError, match=f"{func} cannot add a str cell"):
+            self.run(world, level, f"SELECT {func}(ride_id) AS x FROM rides{group}")
+        # Nothing to add, nothing to object to: the error is the fold's.
+        rows = self.run(
+            world, level, f"SELECT {func}(ride_id) AS x FROM rides WHERE city = 'nope'"
+        )
+        assert rows == [{"x": 0.0 if func == "SUM" else None}]
+
 
 MIXED_ROWS = [
     {"k": "a", "v": 1.0},
