@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from repro.common import serde
 from repro.common.errors import OperatorError
@@ -177,10 +177,10 @@ class EventTimeOperator(Operator):
             return True
         return False
 
-    def _admit(self, windows: list[TimeWindow]) -> list[TimeWindow]:
+    def _admit(self, windows: Sequence[TimeWindow]) -> Sequence[TimeWindow]:
         """The still-open windows of one record; with none it is late."""
         if len(windows) == 1:  # tumbling: nothing to filter
-            return [] if self._late(windows[0].end) else windows
+            return () if self._late(windows[0].end) else windows
         live = [w for w in windows if not self._expired(w.end)]
         if not live:
             self.late_dropped += 1
@@ -363,19 +363,22 @@ class WindowOperator(EventTimeOperator):
 
     def _fire(self) -> list[Any]:
         fired: list[StreamRecord] = []
-        for state_key, acc in sorted(self.state.items("acc"), key=lambda kv: kv[0][2]):
+        # Filter before sorting: a watermark that closes nothing costs one
+        # pass, and the stable sort leaves equal-end windows in state order.
+        closing = [kv for kv in self.state.items("acc") if self._expired(kv[0][2])]
+        closing.sort(key=lambda kv: kv[0][2])
+        for state_key, acc in closing:
             key, start, end = state_key
-            if self._expired(end):
-                result = WindowResult(
-                    key=key,
-                    window=TimeWindow(start, end),
-                    value=self.aggregator.get_result(acc),
-                )
-                # Results are timestamped at window end, Flink-style.
-                fired.append(
-                    StreamRecord(result, end, key, self._traces.pop(state_key, None))
-                )
-                self.state.remove("acc", state_key)
+            result = WindowResult(
+                key=key,
+                window=TimeWindow(start, end),
+                value=self.aggregator.get_result(acc),
+            )
+            # Results are timestamped at window end, Flink-style.
+            fired.append(
+                StreamRecord(result, end, key, self._traces.pop(state_key, None))
+            )
+            self.state.remove("acc", state_key)
         if (
             self._columnar_fires
             and len(fired) > 1
@@ -498,6 +501,8 @@ class IntervalJoinOperator(EventTimeOperator):
         self.join_fn = join_fn
         self.state_ttl = state_ttl
         self.spill_budget_bytes = spill_budget_bytes
+        # How far past its own timestamp each side can still complete a pair.
+        self._reach = {"left": max(0.0, -lower), "right": max(0.0, upper)}
         self.evicted = 0
         self._seq = 0
         # (deadline, seq, side, key) — seq breaks ties so keys are never
@@ -507,58 +512,53 @@ class IntervalJoinOperator(EventTimeOperator):
     # -- time bounds ---------------------------------------------------------
 
     def _horizon(self, side: str, timestamp: float) -> float:
-        if side == "left":
-            return timestamp + max(0.0, -self.lower)
-        return timestamp + max(0.0, self.upper)
+        return timestamp + self._reach[side]
 
-    def _deadline(self, side: str, timestamp: float) -> float:
-        deadline = self._horizon(side, timestamp) + self.allowed_lateness
+    def _deadline(self, horizon: float, timestamp: float) -> float:
+        """When an entry with this join horizon leaves the buffer."""
+        deadline = horizon + self.allowed_lateness
         if self.state_ttl is not None:
             deadline = max(deadline, timestamp + self.state_ttl)
         return deadline
 
-    def _matches(self, side: str, timestamp: float, other_ts: float) -> bool:
-        delta = timestamp - other_ts if side == "left" else other_ts - timestamp
-        return self.lower <= delta <= self.upper
-
     # -- dataflow ------------------------------------------------------------
 
     def process(self, record: StreamRecord, input_index: int = 0) -> list[Any]:
-        side = "left" if input_index == 0 else "right"
-        other = "right" if side == "left" else "left"
+        is_left = input_index == 0
+        side, other = ("left", "right") if is_left else ("right", "left")
         timestamp = record.timestamp
-        if self._late(self._horizon(side, timestamp)):
+        horizon = self._horizon(side, timestamp)
+        if self._late(horizon):
             return []
         key = record.key
+        value = record.value
         if record.trace is not None:
             self._traces[key] = record.trace
         out: list[StreamRecord] = []
         buffered = self.state.get_list(other, key)
-        if PERF.enabled and buffered:
-            PERF.inc("flink.join_probes", len(buffered))
-        for other_ts, _seq, other_value in buffered:
-            if self._matches(side, timestamp, other_ts):
-                left, right = (
-                    (record.value, other_value)
-                    if side == "left"
-                    else (other_value, record.value)
-                )
-                out.append(
-                    StreamRecord(
-                        self.join_fn(left, right),
-                        max(timestamp, other_ts),
-                        key,
-                        record.trace or self._traces.get(key),
-                    )
-                )
+        if buffered:
+            if PERF.enabled:
+                PERF.inc("flink.join_probes", len(buffered))
+            lower, upper, join_fn = self.lower, self.upper, self.join_fn
+            # The record's own trace was stored just above, so one lookup
+            # serves every pair: its trace, else the key's latest.
+            trace = self._traces.get(key)
+            for other_ts, _seq, other_value in buffered:
+                delta = timestamp - other_ts if is_left else other_ts - timestamp
+                if lower <= delta <= upper:
+                    if is_left:
+                        pair = join_fn(value, other_value)
+                    else:
+                        pair = join_fn(other_value, value)
+                    out.append(StreamRecord(pair, max(timestamp, other_ts), key, trace))
         if PERF.enabled:
             PERF.inc("flink.join_state_appends")
             if out:
                 PERF.inc("flink.join_rows_out", len(out))
         seq = self._seq
         self._seq += 1
-        self.state.append(side, key, [timestamp, seq, record.value])
-        heappush(self._evictions, (self._deadline(side, timestamp), seq, side, key))
+        self.state.append(side, key, [timestamp, seq, value])
+        heappush(self._evictions, (self._deadline(horizon, timestamp), seq, side, key))
         return out
 
     def _fire(self) -> list[Any]:
@@ -600,9 +600,8 @@ class IntervalJoinOperator(EventTimeOperator):
         for side in ("left", "right"):
             for key in self.state.keys(side):
                 for ts, seq, __ in self.state.get_list(side, key):
-                    heappush(
-                        self._evictions, (self._deadline(side, ts), seq, side, key)
-                    )
+                    deadline = self._deadline(self._horizon(side, ts), ts)
+                    heappush(self._evictions, (deadline, seq, side, key))
 
 
 # --- sources ----------------------------------------------------------------

@@ -191,8 +191,15 @@ class SubTask:
         if PERF.enabled:
             PERF.inc("flink.cached_routes")
         if edge.partitioning == "hash":
-            key = key_fn(record.value) if key_fn is not None else record.key
-            record = record.with_key(key)
+            if key_fn is not None:
+                key = key_fn(record.value)
+                # Re-stamp only a key that changed.  Identity, never ``==``:
+                # 5 == 5.0, and the type a key function returns is the
+                # type downstream state is keyed by.
+                if key is not record.key:
+                    record = record.with_key(key)
+            else:
+                key = record.key
             try:
                 target = key_targets.get(key)
             except TypeError:  # unhashable key: hash every time

@@ -31,7 +31,8 @@ class KeyedStateBackend:
     # -- value state -------------------------------------------------------
 
     def get(self, descriptor: str, key: Hashable, default: Any = None) -> Any:
-        return self._state.get(descriptor, {}).get(key, default)
+        table = self._state.get(descriptor)
+        return default if table is None else table.get(key, default)
 
     def put(self, descriptor: str, key: Hashable, value: Any) -> None:
         self._state.setdefault(descriptor, {})[key] = value
@@ -54,7 +55,9 @@ class KeyedStateBackend:
         table.setdefault(key, []).append(value)
 
     def get_list(self, descriptor: str, key: Hashable) -> list[Any]:
-        return self._state.get(descriptor, {}).get(key, [])
+        table = self._state.get(descriptor)
+        entries = None if table is None else table.get(key)
+        return [] if entries is None else entries
 
     # -- lifecycle -----------------------------------------------------------
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Protocol
+from typing import Any, Callable, Protocol, Sequence
 
 from repro.common.errors import FlinkError
 
@@ -29,11 +29,25 @@ class TimeWindow:
 
 
 class WindowAssigner(Protocol):
-    def assign(self, timestamp: float) -> list[TimeWindow]:
+    def assign(self, timestamp: float) -> Sequence[TimeWindow]:
         """Windows that an element with this timestamp belongs to."""
         ...
 
     def is_session(self) -> bool: ...
+
+
+def _aligned_start(timestamp: float, step: float) -> float:
+    """Largest multiple of ``step`` at or below ``timestamp``.
+
+    The one place an assigner meets a hostile event time: NaN and ±inf
+    have no window, and say so as a :class:`FlinkError`.
+    """
+    try:
+        return math.floor(timestamp / step) * step
+    except (ValueError, OverflowError):
+        raise FlinkError(
+            f"event time must be finite to assign a window, got {timestamp!r}"
+        ) from None
 
 
 class TumblingWindows:
@@ -43,10 +57,18 @@ class TumblingWindows:
         if size <= 0:
             raise FlinkError(f"window size must be positive, got {size}")
         self.size = size
+        # The previous answer of ``assign``.  One assigner serves every
+        # subtask built from a spec, so this is a pure cache: the tuple
+        # and its frozen window are shared, never mutated.
+        self._last_start: float | None = None
+        self._last: tuple[TimeWindow, ...] = ()
 
-    def assign(self, timestamp: float) -> list[TimeWindow]:
-        start = math.floor(timestamp / self.size) * self.size
-        return [TimeWindow(start, start + self.size)]
+    def assign(self, timestamp: float) -> tuple[TimeWindow, ...]:
+        start = _aligned_start(timestamp, self.size)
+        if start != self._last_start:
+            self._last = (TimeWindow(start, start + self.size),)
+            self._last_start = start
+        return self._last
 
     def is_session(self) -> bool:
         return False
@@ -68,8 +90,7 @@ class SlidingWindows:
 
     def assign(self, timestamp: float) -> list[TimeWindow]:
         windows = []
-        last_start = math.floor(timestamp / self.slide) * self.slide
-        start = last_start
+        start = _aligned_start(timestamp, self.slide)
         while start > timestamp - self.size:
             windows.append(TimeWindow(start, start + self.size))
             start -= self.slide

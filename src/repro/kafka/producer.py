@@ -163,9 +163,7 @@ class Producer:
             key, value, event_time, self._stamp(headers, event_time, tier)
         )
         partition = self._choose_partition(topic, key)
-        batch = self._batches.setdefault(
-            (topic, partition), _Batch(partition=partition)
-        )
+        batch = self._pending(topic, partition)
         batch.records.append(record)
         # Span timestamps must come from the broker-side clock: a producer
         # constructed with its own clock would otherwise emit produce spans
@@ -224,9 +222,7 @@ class Producer:
             record = Record(
                 None, chunk, sub_times[-1], self._stamp(None, sub_times[-1], tier)
             )
-            pending = self._batches.setdefault(
-                (topic, partition), _Batch(partition=partition)
-            )
+            pending = self._pending(topic, partition)
             pending.records.append(record)
             pending.sent_at.append(self.cluster.clock.now())
             size = chunk.encoded_size()
@@ -237,6 +233,13 @@ class Producer:
             if pending.bytes >= self.batch_size:
                 self._flush_batch(topic, partition)
         return touched
+
+    def _pending(self, topic: str, partition: int) -> _Batch:
+        """The open batch of a partition, started on its first record."""
+        batch = self._batches.get((topic, partition))
+        if batch is None:
+            batch = self._batches[(topic, partition)] = _Batch(partition=partition)
+        return batch
 
     def _stamp(
         self, headers: dict[str, Any] | None, event_time: float, tier: str

@@ -29,22 +29,33 @@ class FieldType(Enum):
     JSON = "json"  # semistructured payloads (§4.3 future work)
 
     def accepts(self, value: Any) -> bool:
-        """Whether a Python value conforms to this type (None = nullable)."""
+        """Whether a Python value conforms to this type (None = nullable).
+
+        An instance of one of the type's Python classes — subclasses
+        included, except that ``bool`` is an ``int`` only where the type
+        lists ``bool`` itself.
+        """
         if value is None:
             return True
-        if self in (FieldType.INT, FieldType.LONG):
-            return isinstance(value, int) and not isinstance(value, bool)
-        if self in (FieldType.FLOAT, FieldType.DOUBLE):
-            return isinstance(value, (int, float)) and not isinstance(value, bool)
-        if self is FieldType.STRING:
-            return isinstance(value, str)
-        if self is FieldType.BOOLEAN:
-            return isinstance(value, bool)
-        if self is FieldType.BYTES:
-            return isinstance(value, bytes)
-        if self is FieldType.JSON:
-            return isinstance(value, (dict, list, str, int, float, bool))
-        return False
+        classes = _PYTHON_CLASSES[self]
+        if isinstance(value, bool):
+            return bool in classes
+        return isinstance(value, classes)
+
+
+#: The Python classes each field type holds; ``Schema.validate`` asks for
+#: exactly these first (``type(True)`` is not ``int``, so the ``bool``
+#: exclusion holds by construction) and ``accepts`` for their subclasses.
+_PYTHON_CLASSES: dict[FieldType, tuple[type, ...]] = {
+    FieldType.STRING: (str,),
+    FieldType.INT: (int,),
+    FieldType.LONG: (int,),
+    FieldType.FLOAT: (int, float),
+    FieldType.DOUBLE: (int, float),
+    FieldType.BOOLEAN: (bool,),
+    FieldType.BYTES: (bytes,),
+    FieldType.JSON: (dict, list, str, int, float, bool),
+}
 
 
 class FieldRole(Enum):
@@ -66,6 +77,15 @@ class Field:
     default: Any = None
 
 
+def _exact_classes(field: Field) -> tuple[type, ...]:
+    """The classes a conforming cell of ``field`` has exactly — NoneType
+    among them where the cell may be absent."""
+    classes = _PYTHON_CLASSES[field.type]
+    if field.nullable or field.default is not None:
+        classes += (type(None),)
+    return classes
+
+
 @dataclass(frozen=True)
 class Schema:
     """An ordered collection of fields describing one dataset version."""
@@ -80,6 +100,10 @@ class Schema:
         if len(names) != len(set(names)):
             duplicates = sorted({n for n in names if names.count(n) > 1})
             raise SchemaError(f"duplicate field names in {self.name}: {duplicates}")
+        # Compiled once per schema object.  A derived attribute, not a
+        # field, so equality, hashing, repr and ``evolve`` see nothing new.
+        table = tuple((f.name, _exact_classes(f)) for f in self.fields)
+        object.__setattr__(self, "_exact_classes", table)
 
     def field_names(self) -> list[str]:
         return [f.name for f in self.fields]
@@ -101,6 +125,12 @@ class Schema:
 
     def validate(self, row: dict[str, Any]) -> None:
         """Raise :class:`SchemaError` if a row does not conform."""
+        get = row.get
+        for name, exact in self._exact_classes:
+            if type(get(name)) not in exact:
+                break  # a subclass or an error: the field rules decide
+        else:
+            return
         for f in self.fields:
             if f.name not in row or row[f.name] is None:
                 if not f.nullable and f.default is None:

@@ -217,13 +217,6 @@ class SortedIndex:
         run = predicate.code_range(self._values)
         return None if run is None else range(*run)
 
-    def between(self, low: Any, high: Any, inclusive: bool = True) -> range:
-        lo = bisect_left(self._values, low)
-        hi = bisect_right(self._values, high) if inclusive else bisect_left(
-            self._values, high
-        )
-        return range(lo, hi)
-
 
 class RangeIndex:
     """Bucketed numeric range index.

@@ -250,7 +250,7 @@ def _optimize_join(join, shaper, where_node, sort_node, catalog):
             scan = replace(scan, columns=tuple(sorted(pruned_columns[alias])))
         return scan, scan_estimate(scan, catalog)
 
-    base, base_estimate = rewrite_side(join.base, join.base_alias)
+    base, __ = rewrite_side(join.base, join.base_alias)
     steps = []
     step_rows = []
     for step in join.steps:

@@ -10,9 +10,13 @@ them at once: lateness in ``test_lateness_boundary.py``, checkpoints and
 crash-restore in ``test_kill_restore_property.py``.
 """
 
+import math
+import random
+
 import pytest
 
 from repro.common.errors import OperatorError
+from repro.common.perf import measured
 from repro.flink.autoscaler import AutoScaler, JobProfile, classify_job
 from repro.flink.graph import StreamEnvironment
 from repro.flink.operators import IntervalJoinOperator
@@ -77,6 +81,108 @@ class TestPairing:
     def test_inverted_bounds_rejected(self):
         with pytest.raises(OperatorError):
             make_join(lower=5.0, upper=-5.0)
+
+    @pytest.mark.parametrize(
+        "delta, joins",
+        [
+            (-10.0, True),
+            (5.0, True),
+            (math.nextafter(-10.0, -math.inf), False),
+            (math.nextafter(5.0, math.inf), False),
+        ],
+    )
+    def test_bounds_hold_to_the_ulp_from_either_side(self, delta, joins):
+        # The other side sits at 0.0, so left.ts - right.ts is exactly delta
+        # whichever side arrives second.
+        arriving_left = make_join(lower=-10.0, upper=5.0)
+        arriving_left.process(left("r", 0.0), input_index=1)
+        assert bool(arriving_left.process(left("l", delta), input_index=0)) is joins
+        arriving_right = make_join(lower=-10.0, upper=5.0)
+        arriving_right.process(left("l", 0.0), input_index=0)
+        assert bool(arriving_right.process(left("r", -delta), input_index=1)) is joins
+
+
+def reference_join(script, lower, upper, lateness, ttl):
+    """The join's contract, written down the slow way: every admitted
+    record is buffered, probes the whole other side of its key in arrival
+    order, and leaves once the watermark reaches its deadline."""
+    buffers = {"left": [], "right": []}  # entries: [key, ts, value, deadline]
+    watermark, admitted, evicted, pairs = -math.inf, 0, 0, []
+    for kind, *event in script:
+        if kind == "watermark":
+            watermark = max(watermark, event[0])
+            for entries in buffers.values():
+                kept = [e for e in entries if e[3] > watermark]
+                evicted += len(entries) - len(kept)
+                entries[:] = kept
+            continue
+        key, ts, value = event
+        horizon = ts + (max(0.0, -lower) if kind == "left" else max(0.0, upper))
+        if horizon + lateness <= watermark:
+            continue
+        for other_key, other_ts, other_value, __ in buffers[
+            "right" if kind == "left" else "left"
+        ]:
+            l_ts, r_ts = (ts, other_ts) if kind == "left" else (other_ts, ts)
+            if other_key == key and lower <= l_ts - r_ts <= upper:
+                pair = (value, other_value) if kind == "left" else (other_value, value)
+                pairs.append((pair, max(ts, other_ts), key))
+        deadline = horizon + lateness
+        if ttl is not None:
+            deadline = max(deadline, ts + ttl)
+        buffers[kind].append([key, ts, value, deadline])
+        admitted += 1
+    return pairs, admitted, evicted
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize(
+        "lower, upper, lateness, ttl",
+        [(-10.0, 0.0, 0.0, None), (-3.0, 4.0, 2.0, 9.0), (1.0, 6.0, 0.5, 2.0)],
+    )
+    def test_out_of_order_script_matches_reference(self, lower, upper, lateness, ttl):
+        rng = random.Random(2000)
+        script, now = [], 0.0
+        for i in range(2000):
+            now += rng.random()
+            if rng.random() < 0.05:
+                script.append(("watermark", now - rng.uniform(0.0, 8.0)))
+            else:
+                side = rng.choice(("left", "right"))
+                ts = now - rng.uniform(0.0, 20.0)  # some hopelessly late
+                script.append((side, rng.choice("abcde"), ts, f"{side[0]}{i}"))
+        op = IntervalJoinOperator(
+            lower, upper, lambda l, r: (l, r), allowed_lateness=lateness, state_ttl=ttl
+        )
+        emitted = []
+        for kind, *event in script:
+            if kind == "watermark":
+                assert op.on_watermark(Watermark(event[0])) == []
+            else:
+                key, ts, value = event
+                index = 0 if kind == "left" else 1
+                out = op.process(StreamRecord(value, ts, key), index)
+                emitted.extend((r.value, r.timestamp, r.key) for r in out)
+        pairs, admitted, evicted = reference_join(script, lower, upper, lateness, ttl)
+        assert pairs and evicted and admitted < len(script)  # the script bites
+        assert emitted == pairs
+        assert (op._seq, op.evicted) == (admitted, evicted)
+        assert op.late_dropped == sum(e[0] != "watermark" for e in script) - admitted
+
+
+class TestProbeAccounting:
+    def test_probes_count_buffered_entries_and_nothing_on_an_empty_buffer(self):
+        op = make_join()
+        with measured() as perf:
+            op.process(left("p1", 10.0), input_index=0)  # finds nothing buffered
+            assert perf.counts.get("flink.join_probes", 0) == 0
+            op.process(left("p2", 12.0), input_index=0)  # other side still empty
+            assert perf.counts.get("flink.join_probes", 0) == 0
+            out = op.process(left("o", 15.0), input_index=1)  # probes both lefts
+            assert len(out) == 2
+            assert perf.counts["flink.join_probes"] == 2
+            assert perf.counts["flink.join_state_appends"] == 3
+            assert perf.counts["flink.join_rows_out"] == 2
 
 
 class TestEviction:

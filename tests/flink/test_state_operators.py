@@ -108,6 +108,21 @@ class TestWindowOperator:
         fired = operator.on_watermark(Watermark(60.0))
         assert sorted(r.value.key for r in fired) == ["a", "b"]
 
+    def test_fired_order_is_window_end_then_arrival_across_keys(self):
+        operator = WindowOperator(TumblingWindows(60.0), CountAggregate())
+        # Windows open in this order; the watermark closes the first two
+        # ends (three keys tie on each) and leaves [120, 180) open.
+        for key, t in [("c", 70.0), ("a", 10.0), ("b", 75.0), ("c", 15.0),
+                       ("a", 130.0), ("b", 20.0), ("a", 80.0)]:  # fmt: skip
+            operator.process(record(1, t, key=key))
+        assert operator.on_watermark(Watermark(59.0)) == []
+        fired = operator.on_watermark(Watermark(120.0))
+        assert [(r.timestamp, r.key) for r in fired] == [
+            (60.0, "a"), (60.0, "c"), (60.0, "b"),
+            (120.0, "c"), (120.0, "b"), (120.0, "a"),
+        ]  # fmt: skip
+        assert operator.state.keys("acc") == [("a", 120.0, 180.0)]
+
     def test_session_windows_merge(self):
         operator = WindowOperator(SessionWindows(30.0), CountAggregate())
         operator.process(record(1, 0.0, key="k"))

@@ -58,6 +58,25 @@ class TestAssigners:
         with pytest.raises(FlinkError):
             SlidingWindows(10.0, 20.0)
 
+    @pytest.mark.parametrize("timestamp", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "assigner", [TumblingWindows(60.0), SlidingWindows(60.0, 20.0)], ids=type
+    )
+    def test_non_finite_event_time_is_a_flink_error(self, assigner, timestamp):
+        before = assigner.assign(30.0)  # remembered: must not answer for NaN
+        with pytest.raises(FlinkError, match=repr(timestamp)):
+            assigner.assign(timestamp)
+        assert assigner.assign(30.0) == before
+
+    def test_tumbling_shares_the_window_while_its_start_holds(self):
+        assigner = TumblingWindows(60.0)
+        first = assigner.assign(61.0)
+        assert assigner.assign(119.0)[0] is first[0]
+        moved = assigner.assign(120.0)[0]
+        assert (moved.start, moved.end) == (120.0, 180.0)
+        # The answer handed out earlier is untouched by later calls.
+        assert (first[0].start, first[0].end) == (60.0, 120.0)
+
     def test_session_assigns_gap_window(self):
         window = SessionWindows(30.0).assign(100.0)[0]
         assert (window.start, window.end) == (100.0, 130.0)

@@ -1,6 +1,7 @@
 import pytest
 
 from repro.common.errors import QueryError, SegmentError
+from repro.common.relational import Predicate
 from repro.pinot.indexes import (
     InvertedIndex,
     RangeIndex,
@@ -54,8 +55,12 @@ class TestSortedIndex:
 
     def test_between(self):
         index = SortedIndex([1, 2, 3, 4, 5])
-        assert list(index.between(2, 4)) == [1, 2, 3]
-        assert list(index.between(2, 4, inclusive=False)) == [1, 2]
+        values = [1, 2, 3, 4, 5]
+        assert Predicate("c", "BETWEEN", low=2, high=4).code_range(values) == (1, 4)
+        assert list(index.span(Predicate("c", "BETWEEN", low=2, high=4))) == [1, 2, 3]
+        # An exclusive bound is its own operator, not a flag.
+        assert Predicate("c", "<", 4).code_range(values) == (0, 3)
+        assert list(index.span(Predicate("c", ">=", 2))) == [1, 2, 3, 4]
 
 
 class TestRangeIndex:
