@@ -6,8 +6,9 @@ possible, such as projection, aggregation and limit", achieving
 "sub-second query latencies for such PrestoSQL queries — which is not
 possible to do on standard backends such as HDFS/Hive".
 
-Series: latency and rows shipped for the same PrestoSQL query at each
-pushdown stage, plus the same query on the Hive connector.
+Series: rows shipped, source rows examined and latency for the same
+PrestoSQL query at each pushdown stage, plus the same query on the Hive
+connector.  The counts are asserted; the latencies are printed.
 """
 
 from __future__ import annotations
@@ -111,27 +112,35 @@ def test_pushdown_ladder(benchmark):
         # The scanned/pruned columns are the uniform ScanResult stats:
         # Pinot counts segments, Hive counts files — comparable evidence of
         # how much source data each backend actually touched (last repeat).
-        ["backend / pushdown", "latency (s)", "rows shipped",
+        ["backend / pushdown", "latency (s)", "rows shipped", "rows examined",
          "scanned", "pruned", "cache hit", "speedup"],
         [
-            [name, f"{lat:.4f}", shipped,
+            [name, f"{lat:.4f}", shipped, stats.source_rows_examined,
              stats.segments_scanned + stats.files_scanned,
              stats.segments_pruned + stats.files_pruned,
              stats.cache_hits, f"{base / lat:.1f}x"]
             for name, (lat, shipped, __, stats) in results.items()
         ],
     )
-    # Same answer everywhere.
-    answers = {name: rows for name, (__, __s, rows, __st) in results.items()}
-    reference = answers["pinot/full"]
-    for name, rows in answers.items():
-        assert len(rows) == len(reference)
-        assert rows[0]["n"] == reference[0]["n"]
-        assert abs(rows[0]["total"] - reference[0]["total"]) < 1e-6
-    # The ladder: each pushdown stage ships fewer rows.
-    assert results["pinot/full"][1] < results["pinot/predicate"][1]
-    assert results["pinot/predicate"][1] < results["pinot/none"][1]
-    # Full pushdown is much faster than no pushdown, and faster than Hive.
-    assert results["pinot/full"][0] < results["pinot/none"][0] / 2
-    assert results["pinot/full"][0] < results["hive"][0] / 2
+    # Same answer everywhere: pushdown is an optimization, Hive a backend.
+    reference = results["pinot/full"][2]
+    assert reference and reference[0]["n"] > 0
+    for name, (__, __s, rows, __st) in results.items():
+        assert rows == reference, name
+    # The ladder, in counts that repeat for the seed: each pushdown stage
+    # ships fewer rows to the engine, and a pushed predicate is answered
+    # from the inverted index instead of a scan of every doc.  Hive prunes
+    # by file statistics only, so it reads everything and ships what the
+    # predicate keeps.
+    shipped = {name: r[1] for name, r in results.items()}
+    examined = {name: r[3].source_rows_examined for name, r in results.items()}
+    assert shipped["pinot/full"] == len(reference)
+    assert shipped["pinot/full"] < shipped["pinot/predicate"] < shipped["pinot/none"]
+    assert shipped["pinot/none"] == N_ROWS
+    assert shipped["hive"] == shipped["pinot/predicate"]
+    assert examined["pinot/full"] == examined["pinot/predicate"]
+    assert examined["pinot/predicate"] < examined["pinot/none"] == N_ROWS
+    assert examined["hive"] == N_ROWS
+    # Wall ratios are printed above as read, not asserted: a stopwatch on a
+    # shared host is what ``benchmarks/e2e`` interleaves pairs for.
     benchmark.extra_info["full_over_none"] = base / results["pinot/full"][0]

@@ -17,6 +17,15 @@ under any other epoch evicts it and counts as an invalidation *and* a
 miss.  The epoch is validated on read, never folded into the key, so a
 stale entry is found again and replaced by its successor instead of
 piling up beside it.
+
+What is stored is shared, not copied: a value under the query path is
+never written to after it is produced, so an entry, the stage that made
+it and every stage it is served to may hold the same object.  Rows are
+copied (:func:`copy_rows`) only where they leave that path for a caller
+— ``QueryResult.rows`` for the broker's callers, ``PrestoEngine.execute``
+for the engine's — because a caller is the one party the rule cannot
+bind.  ``EpochCache(copy=...)`` remains for a value that does not keep
+the rule.
 """
 
 from __future__ import annotations
@@ -25,21 +34,23 @@ from collections import OrderedDict
 from copy import deepcopy
 from typing import Any, Callable, Hashable, Iterable
 
-_SCALAR_CELL_TYPES = (str, int, float, bool, bytes, type(None))
+_SCALAR_TYPES = frozenset({str, int, float, bool, bytes, type(None)})
 
 
 def copy_rows(rows: list[dict[str, Any]]) -> list[dict[str, Any]]:
-    """Rows crossing a cache boundary, isolated from caller mutation.
+    """Rows leaving the query path for a caller, isolated from whatever
+    the caller does to them.
 
     A shallow ``dict(row)`` shares cell objects; that is only safe when
     every cell is an immutable scalar.  Rows with mutable cells (a
     JSON-valued column, say) fall back to deepcopy so a caller mutating a
-    returned cell can never poison the cached entry.
+    returned cell can never reach a cached entry or a segment.  A cell is
+    scalar by its exact type: an instance of a subclass takes the
+    deepcopy side, the safe one.
     """
+    all_scalar = _SCALAR_TYPES.issuperset
     return [
-        dict(row)
-        if all(isinstance(v, _SCALAR_CELL_TYPES) for v in row.values())
-        else deepcopy(row)
+        dict(row) if all_scalar(map(type, row.values())) else deepcopy(row)
         for row in rows
     ]
 
@@ -47,10 +58,13 @@ def copy_rows(rows: list[dict[str, Any]]) -> list[dict[str, Any]]:
 class EpochCache:
     """Bounded LRU of ``key -> value``, each entry valid for one epoch.
 
-    ``copy`` isolates mutable values: it is applied to a value on its way
-    in and again on every way out, so neither what a caller put nor what
-    it got back aliases the stored entry.  Leave it ``None`` for values
-    that are immutable (tuples, frozen dataclasses, column pages).
+    A stored value is immutable, by type (tuples, frozen dataclasses,
+    column pages) or by the query path's rule that nothing writes to a
+    value once it is produced (stage payloads, answer rows): ``put``
+    keeps the object it is given and every ``get`` answers with it.
+    ``copy`` is for a value that is neither: it is applied on the way in
+    and again on every way out, so neither what a caller put nor what it
+    got back aliases the stored entry.
     ``None`` is not a storable value: ``get`` returns it for a miss.
     """
 

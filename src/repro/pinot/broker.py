@@ -78,10 +78,15 @@ class QueryResult:
     """What :meth:`PinotBroker.execute` answers with.
 
     A selection without ORDER BY / LIMIT stays in ``pages`` (one
-    ColumnBatch per segment that matched, canonical segment order) and
-    becomes row dicts on the first read of ``rows``; every other result
-    is rows from the start and ``pages`` is None.  ``rows`` always
-    answers, and answers with the same list every time.
+    ColumnBatch per segment that matched, canonical segment order); every
+    other result is ``shared_rows`` and ``pages`` is None.  Either is the
+    answer as the result cache holds it — shared with the entry, with
+    every other result served from it and, for page cells, with the
+    segment dictionaries — so nothing under the query path writes to it.
+
+    ``rows`` is where the answer leaves for a caller: the first read
+    copies it (pages become row dicts there), and every later read
+    answers with that same list.
     """
 
     def __init__(
@@ -90,8 +95,9 @@ class QueryResult:
         pages: list[ColumnBatch] | None = None,
         plans: list[SegmentPlan] | None = None,
     ) -> None:
-        self._rows = rows
+        self.shared_rows = rows
         self.pages = pages
+        self._rows: list[dict[str, Any]] | None = None
         self.plans = plans or []
         self.servers_queried = 0
         self.segments_scanned = 0
@@ -101,25 +107,27 @@ class QueryResult:
     @property
     def rows(self) -> list[dict[str, Any]]:
         if self._rows is None:
-            # Copied: pages share cell objects with segment dictionaries
-            # and with the cached entry.
-            self._rows = copy_rows(pages_to_rows(self.pages))
+            shared = self.shared_rows
+            self._rows = copy_rows(
+                pages_to_rows(self.pages) if shared is None else shared
+            )
         return self._rows
 
     def docs_examined(self) -> int:
         return sum(p.docs_examined for p in self.plans)
 
     def num_rows(self) -> int:
-        if self._rows is None:
+        if self.shared_rows is None:
             return sum(len(page) for page in self.pages)
-        return len(self._rows)
+        return len(self.shared_rows)
 
     def copied(self) -> "QueryResult":
-        """The answer alone, isolated from this result: what crosses the
-        result-cache boundary.  Pages are immutable views and are shared."""
+        """The answer alone, as a result of its own: what crosses the
+        result-cache boundary.  The answer itself is shared; only the page
+        list, which a result exposes, is the new result's own."""
         if self.pages is not None:
             return QueryResult(pages=list(self.pages))
-        return QueryResult(rows=copy_rows(self._rows))
+        return QueryResult(rows=self.shared_rows)
 
 
 def normalize_query(query: PinotQuery) -> tuple | None:
@@ -133,7 +141,7 @@ def normalize_query(query: PinotQuery) -> tuple | None:
         key = (
             query.table,
             tuple(query.select_columns),
-            tuple((a.func, a.column) for a in query.aggregations),
+            tuple((a.func, a.column, a.alias()) for a in query.aggregations),
             tuple(
                 sorted(
                     (

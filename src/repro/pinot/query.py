@@ -31,13 +31,15 @@ Filter = Predicate
 
 @dataclass(frozen=True)
 class Aggregation:
-    """COUNT / SUM / AVG / MIN / MAX / DISTINCTCOUNT over a column."""
+    """COUNT / SUM / AVG / MIN / MAX / DISTINCTCOUNT over a column,
+    answered under ``name`` (default: the call as written, ``sum(amount)``)."""
 
     func: str
     column: str | None = None
+    name: str | None = None
 
     def alias(self) -> str:
-        return f"{self.func.lower()}({self.column or '*'})"
+        return self.name or f"{self.func.lower()}({self.column or '*'})"
 
 
 @dataclass

@@ -29,12 +29,12 @@ reordering is therefore invisible in the output, byte for byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any
 
 from repro.columnar import pages_to_rows
 from repro.common import hashring
-from repro.common.epochcache import EpochCache, combined_stats, copy_rows
+from repro.common.epochcache import EpochCache, combined_stats
 from repro.common.errors import SqlPlanError
 from repro.common.perf import PERF
 from repro.sql.planner.kernels import (
@@ -116,7 +116,12 @@ class StagePayload:
 
     ``pages`` carries the columnar form (ColumnBatch pages; ``rows`` is
     then empty).  Pages flow between stages until an operator needs row
-    dicts — ``as_rows`` is that boundary."""
+    dicts — ``as_rows`` is that boundary.
+
+    A payload is never written to once its stage returns it: the artifact
+    store and every later stage hold the same object, and its rows may be
+    the broker cache's own.  Operators build new rows and new lists;
+    ``PrestoEngine.execute`` copies what leaves for the caller."""
 
     rows: list
     aggregated: bool = False  # rows are final aggregation results
@@ -133,23 +138,6 @@ class StagePayload:
         if self.pages is not None:
             return pages_to_rows(self.pages)
         return self.rows
-
-    def copied(self) -> "StagePayload":
-        if self.pages is not None:
-            # Pages are immutable views: serving them shares buffers.
-            if PERF.enabled:
-                PERF.inc("columnar.batch_serves", len(self.pages))
-            return StagePayload(
-                rows=[],
-                aggregated=self.aggregated,
-                evidence=replace(self.evidence),
-                pages=list(self.pages),
-            )
-        return StagePayload(
-            rows=copy_rows(self.rows),
-            aggregated=self.aggregated,
-            evidence=replace(self.evidence),
-        )
 
 
 @dataclass
@@ -203,9 +191,7 @@ class StageScheduler:
     def workers(self, n: int) -> None:
         self._workers = max(1, int(n))
         while len(self._stores) < self._workers:
-            self._stores.append(
-                EpochCache(STAGE_ARTIFACT_CAPACITY, copy=StagePayload.copied)
-            )
+            self._stores.append(EpochCache(STAGE_ARTIFACT_CAPACITY))
         # Shrinking keeps the excess stores warm: only the first n are
         # addressable, and scaling back up re-finds their entries.
 
@@ -265,6 +251,8 @@ class StageScheduler:
             if PERF.enabled:
                 PERF.inc("presto.stage_artifact_hits")
                 PERF.inc("presto.artifact_rows_copied", payload.num_rows())
+                if payload.pages is not None:
+                    PERF.inc("columnar.batch_serves", len(payload.pages))
             executions.append(
                 StageExecution(sid, stage.op, -1, -1, True, payload.num_rows())
             )

@@ -225,22 +225,20 @@ class PinotConnector:
             query = PinotQuery(
                 table=request.table,
                 aggregations=[
-                    Aggregation(a.func, a.column) for a in request.aggregations
+                    Aggregation(a.func, a.column, a.alias)
+                    for a in request.aggregations
                 ],
                 filters=filters,
                 group_by=list(request.group_by or []),
                 limit=request.limit or 0,
             )
             result = self.broker.execute(query)
-            rows = [
-                self._rename_aggs(row, request) for row in result.rows
-            ]
             return ScanResult(
-                rows=rows,
+                rows=result.shared_rows,
                 filters_applied=True,
                 aggregated=True,
                 source_rows_examined=result.docs_examined(),
-                rows_transferred=len(rows),
+                rows_transferred=result.num_rows(),
                 servers_queried=result.servers_queried,
                 segments_scanned=result.segments_scanned,
                 segments_pruned=result.segments_pruned,
@@ -256,7 +254,7 @@ class PinotConnector:
         )
         result = self.broker.execute(query)
         return ScanResult(
-            rows=[] if result.pages is not None else result.rows,
+            rows=[] if result.pages is not None else result.shared_rows,
             pages=result.pages,
             filters_applied=bool(filters),
             aggregated=False,
@@ -267,15 +265,6 @@ class PinotConnector:
             segments_pruned=result.segments_pruned,
             cache_hit=result.cache_hit,
         )
-
-    @staticmethod
-    def _rename_aggs(row: dict[str, Any], request: ScanRequest) -> dict[str, Any]:
-        out = dict(row)
-        for pushed in request.aggregations or []:
-            pinot_alias = Aggregation(pushed.func, pushed.column).alias()
-            if pinot_alias in out:
-                out[pushed.alias] = out.pop(pinot_alias)
-        return out
 
 
 class HiveConnector:

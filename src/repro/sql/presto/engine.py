@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.common.clock import Clock, SystemClock
+from repro.common.epochcache import copy_rows
 from repro.common.errors import SqlPlanError
 from repro.observability.trace import SpanCollector
 from repro.sql.parser import parse
@@ -145,7 +146,9 @@ class PrestoEngine:
                 )
         payload, executions = self.scheduler.run(planned.physical, epochs, query_id)
         stats = self._fold_stats(planned, payload, executions)
-        output = QueryOutput(payload.as_rows(), stats, planned)
+        # The engine's one exit: everything below shares its rows with the
+        # artifact stores, the broker's cache and the segments themselves.
+        output = QueryOutput(copy_rows(payload.as_rows()), stats, planned)
         if self.tracer is not None:
             end = self.clock.now()
             for table in dict.fromkeys(stats.tables_scanned):

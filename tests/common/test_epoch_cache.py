@@ -4,6 +4,8 @@ lookup accounting and isolation at the boundary."""
 
 from __future__ import annotations
 
+import enum
+
 from repro.common.epochcache import EpochCache, combined_stats, copy_rows
 
 
@@ -145,3 +147,29 @@ class TestCopyRows:
         copied[0]["tags"].append("poison")
         copied[0]["payload"]["k"].append(2)
         assert rows == [{"tags": ["a", "b"], "payload": {"k": [1]}, "n": 1}]
+
+    def test_a_bool_is_a_scalar_of_its_own(self):
+        # ``bool`` is judged by its exact type, not as an ``int`` subclass.
+        rows = [{"ok": True, "n": 0}, {"ok": False, "n": 1}]
+        copied = copy_rows(rows)
+        assert copied == rows and copied[1]["ok"] is False
+        assert all(new is not old for new, old in zip(copied, rows))
+
+    def test_a_subclass_instance_takes_the_deepcopy_side(self):
+        class Tier(enum.IntEnum):
+            GOLD = 1
+
+        class Tags(list):
+            pass
+
+        rows = [{"tier": Tier.GOLD, "tags": Tags(["a"])}]
+        copied = copy_rows(rows)
+        assert copied == rows and copied[0]["tier"] is Tier.GOLD
+        copied[0]["tags"].append("poison")
+        assert rows[0]["tags"] == ["a"]
+
+    def test_a_tuple_cell_is_copied_as_deep_as_it_goes(self):
+        rows = [{"path": (1, ("a", [2]))}]
+        copied = copy_rows(rows)
+        copied[0]["path"][1][1].append("poison")
+        assert rows == [{"path": (1, ("a", [2]))}]
