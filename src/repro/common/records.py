@@ -35,9 +35,15 @@ def reset_uid_counter(start: int = 1) -> None:
     _uid_counter = itertools.count(start)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Record:
-    """An immutable event.
+    """One event, a value: never assigned to after it is built.
+
+    The log, every replica, the consumer and the Flink source share the
+    same object, so a new key or payload is a new record
+    (:meth:`with_key`, :meth:`with_value`).  Not ``frozen``: that would
+    make every construction pay a ``__setattr__`` call per field;
+    ``tests/property/test_element_values.py`` checks the rule instead.
 
     Attributes:
         key: partitioning key; ``None`` means round-robin placement.

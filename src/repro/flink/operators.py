@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from math import isfinite
 from typing import Any, Callable, Sequence
 
 from repro.common import serde
@@ -41,6 +42,7 @@ from repro.flink.windows import (
     TimeWindow,
     WindowAssigner,
     WindowResult,
+    non_finite_event_time,
 )
 from repro.observability.trace import SpanCollector, TraceContext
 
@@ -147,7 +149,8 @@ class EventTimeOperator(Operator):
       surge-pricing policy that "late-arriving messages do not
       contribute" (Section 5.1).  State fires on the
       same predicate, so an admitted record always lands in state that
-      still has a pending fire.
+      still has a pending fire.  Lateness is ``>= 0``: a negative one
+      would drop records whose window is still open.
     * **Traces.**  ``_traces`` keeps one representative trace per state
       key, the latest contributing traced record; a fire pops it onto
       what it emits.
@@ -162,6 +165,10 @@ class EventTimeOperator(Operator):
 
     def __init__(self, allowed_lateness: float = 0.0) -> None:
         super().__init__()
+        if not allowed_lateness >= 0:  # also NaN
+            raise OperatorError(
+                f"allowed lateness must be >= 0, got {allowed_lateness}"
+            )
         self.allowed_lateness = allowed_lateness
         self.current_watermark = float("-inf")
         self.late_dropped = 0
@@ -496,6 +503,8 @@ class IntervalJoinOperator(EventTimeOperator):
             raise OperatorError(
                 f"interval join bounds inverted: lower {lower} > upper {upper}"
             )
+        if state_ttl is not None and not state_ttl >= 0:  # also NaN
+            raise OperatorError(f"state TTL must be >= 0, got {state_ttl}")
         self.lower = lower
         self.upper = upper
         self.join_fn = join_fn
@@ -528,6 +537,8 @@ class IntervalJoinOperator(EventTimeOperator):
         side, other = ("left", "right") if is_left else ("right", "left")
         timestamp = record.timestamp
         horizon = self._horizon(side, timestamp)
+        if not isfinite(horizon):  # a NaN deadline would wedge eviction
+            raise non_finite_event_time(timestamp)
         if self._late(horizon):
             return []
         key = record.key

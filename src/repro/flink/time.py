@@ -3,6 +3,15 @@
 Everything that flows between operators is a :class:`StreamElement`:
 data records, watermarks (event-time progress markers) and checkpoint
 barriers (Section 4.2's "built-in state management and checkpointing").
+
+An element is a value: it is never assigned to after it is built.  A
+broadcast edge hands one object to every channel, a transactional sink
+buffers the objects it was given and the tumbling assigner shares its last
+window, so a changed key or value is a new element (``with_key``,
+``with_value``).  The classes are slotted but not ``frozen`` — a frozen
+``__init__`` pays one ``__setattr__`` call per field and costs about three
+times a plain one — and ``tests/property/test_element_values.py`` checks
+the rule instead.
 """
 
 from __future__ import annotations
@@ -11,7 +20,7 @@ from dataclasses import dataclass
 from typing import Any
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class StreamRecord:
     """A data element with an assigned event timestamp and optional key.
 
@@ -34,21 +43,21 @@ class StreamRecord:
         return StreamRecord(self.value, self.timestamp, key, self.trace)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Watermark:
     """Assertion that no element with timestamp <= ``timestamp`` follows."""
 
     timestamp: float
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class CheckpointBarrier:
     """Alignment marker injected by the checkpoint coordinator."""
 
     checkpoint_id: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class StreamStatus:
     """Source idleness marker (Flink's ``withIdleness``).
 
@@ -59,7 +68,7 @@ class StreamStatus:
     idle: bool
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class RecordBatch:
     """A columnar batch flowing through the dataflow as one element.
 

@@ -17,7 +17,7 @@ from typing import Any, Callable, Protocol, Sequence
 from repro.common.errors import FlinkError
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class TimeWindow:
     """Half-open event-time interval [start, end)."""
 
@@ -36,6 +36,11 @@ class WindowAssigner(Protocol):
     def is_session(self) -> bool: ...
 
 
+def non_finite_event_time(timestamp: float) -> FlinkError:
+    """The error of every operator handed a NaN or ±inf event time."""
+    return FlinkError(f"event time must be finite, got {timestamp!r}")
+
+
 def _aligned_start(timestamp: float, step: float) -> float:
     """Largest multiple of ``step`` at or below ``timestamp``.
 
@@ -45,9 +50,7 @@ def _aligned_start(timestamp: float, step: float) -> float:
     try:
         return math.floor(timestamp / step) * step
     except (ValueError, OverflowError):
-        raise FlinkError(
-            f"event time must be finite to assign a window, got {timestamp!r}"
-        ) from None
+        raise non_finite_event_time(timestamp) from None
 
 
 class TumblingWindows:
@@ -59,7 +62,8 @@ class TumblingWindows:
         self.size = size
         # The previous answer of ``assign``.  One assigner serves every
         # subtask built from a spec, so this is a pure cache: the tuple
-        # and its frozen window are shared, never mutated.
+        # and its window are shared, and a window is never assigned to
+        # after it is built (tests/property/test_element_values.py).
         self._last_start: float | None = None
         self._last: tuple[TimeWindow, ...] = ()
 
@@ -281,7 +285,7 @@ class CollectAggregate:
         return a + b
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class WindowResult:
     """Emitted by the window operator when a window fires."""
 

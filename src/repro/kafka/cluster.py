@@ -455,7 +455,8 @@ class KafkaCluster:
             entries = leader_log.read(base, len(records))
             for log in followers:
                 if log.end_offset == base:
-                    # In-sync replica: share the leader's frozen entries.
+                    # In-sync replica: share the leader's entries (an
+                    # entry is never assigned to after it is built).
                     log.extend_shared(entries, sizes)
                 else:
                     log.append_batch(records, now, sizes)

@@ -17,7 +17,7 @@ from repro.kafka.log import LogEntry
 from repro.observability.trace import TRACE_HEADER, SpanCollector
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ConsumedMessage:
     """One message as seen by a consumer."""
 

@@ -17,7 +17,7 @@ from repro.common.perf import PERF
 from repro.common.records import Record
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class LogEntry:
     """A record at a fixed position in a partition."""
 
@@ -95,9 +95,10 @@ class PartitionLog:
     def extend_shared(self, entries: list[LogEntry], sizes: list[int]) -> int:
         """Adopt already-constructed entries from a leader's log.
 
-        The fast path for in-sync replicas: :class:`LogEntry` is frozen, so
-        leader and followers can hold the very same objects — no per-replica
-        re-construction or re-encoding.  Offsets must line up exactly.
+        The fast path for in-sync replicas: a :class:`LogEntry` is never
+        assigned to after it is built, so leader and followers can hold the
+        very same objects — no per-replica re-construction or re-encoding.
+        Offsets must line up exactly.
         """
         base = self.end_offset
         if not entries:

@@ -29,7 +29,7 @@ from repro.kafka.cluster import KafkaCluster, ProducerCtx
 from repro.observability.trace import ORIGIN_HEADER, TRACE_HEADER, SpanCollector
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class RecordMetadata:
     """Returned for each successfully produced record."""
 

@@ -51,7 +51,7 @@ TRACE_HEADER = "trace_id"
 ORIGIN_HEADER = "origin_event_time"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class TraceContext:
     """Identity of one traced record, carried in record headers.
 

@@ -1,7 +1,8 @@
 """A record is paid for once per hop: exact construction counts.
 
-Frozen elements are built where a value changes and shared everywhere
-else.  These tests count calls of the dataclass-generated ``__init__``
+Elements are values (never assigned to after they are built,
+``tests/property/test_element_values.py``): built where a value changes
+and shared everywhere else.  These tests count calls of the dataclass-generated ``__init__``
 code objects (``sys.setprofile``) over a fixed keyed tumbling-count job,
 so a copy that creeps back onto the live path — a re-stamped key the
 record already carried, a window rebuilt per record — moves an integer.

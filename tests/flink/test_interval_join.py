@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from repro.common.errors import OperatorError
+from repro.common.errors import FlinkError, OperatorError
 from repro.common.perf import measured
 from repro.flink.autoscaler import AutoScaler, JobProfile, classify_job
 from repro.flink.graph import StreamEnvironment
@@ -81,6 +81,14 @@ class TestPairing:
     def test_inverted_bounds_rejected(self):
         with pytest.raises(OperatorError):
             make_join(lower=5.0, upper=-5.0)
+
+    @pytest.mark.parametrize("ttl", [-1.0, -math.inf, math.nan])
+    def test_negative_or_nan_ttl_rejected(self, ttl):
+        with pytest.raises(OperatorError, match="state TTL"):
+            make_join(state_ttl=ttl)
+
+    def test_zero_ttl_is_legal(self):
+        assert make_join(state_ttl=0.0).state_ttl == 0.0
 
     @pytest.mark.parametrize(
         "delta, joins",
@@ -213,6 +221,26 @@ class TestEviction:
         assert op.evicted == 0
         op.on_watermark(Watermark(40.0))  # past ts + TTL
         assert op.evicted == 1
+
+    @pytest.mark.parametrize("timestamp", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("input_index", [0, 1], ids=["left", "right"])
+    def test_non_finite_event_time_is_a_flink_error(self, input_index, timestamp):
+        op = make_join()
+        with pytest.raises(FlinkError, match=f"finite, got {timestamp!r}"):
+            op.process(left("bad", timestamp), input_index=input_index)
+        assert (op._seq, op.late_dropped, op._evictions) == (0, 0, [])
+
+    def test_a_rejected_nan_leaves_eviction_working(self):
+        # Admitted, a NaN deadline at the heap head would never compare
+        # <= any watermark and every entry behind it would stay forever.
+        op = make_join()
+        with pytest.raises(FlinkError):
+            op.process(left("bad", math.nan), input_index=0)
+        for ts in range(5):
+            op.process(left(f"p{ts}", float(ts)), input_index=0)
+        op.on_watermark(Watermark(1000.0))
+        assert op.evicted == 5
+        assert op.state.keys("left") == []
 
     def test_eviction_is_per_entry(self):
         op = make_join(lower=-10.0, upper=0.0)

@@ -13,12 +13,14 @@ kernel, where the operator has one):
    expired window, never for a record that still has a live window.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable
 
 import pytest
 
 from repro.columnar import ColumnBatch
+from repro.common.errors import OperatorError
 from repro.flink.operators import (
     IntervalJoinOperator,
     WindowJoinOperator,
@@ -172,6 +174,18 @@ class TestLatenessBoundary:
         for expected in (1, 2, 3):
             case.feed(op)
             assert op.late_dropped == expected
+
+
+class TestLatenessIsNonNegative:
+    """Negative lateness would close a window before its end: a record at
+    6 in [0, 10) counted late at watermark 5.  The owner refuses it for
+    every window and join alike; zero stays legal (the suite above)."""
+
+    @pytest.mark.parametrize("lateness", [-20.0, -math.inf, math.nan])
+    @pytest.mark.parametrize("case", CASES, ids=lambda case: case.name)
+    def test_rejected_at_construction(self, case, lateness):
+        with pytest.raises(OperatorError, match="allowed lateness"):
+            case.make(lateness)
 
 
 class TestPartiallyExpiredRecord:
