@@ -9,7 +9,9 @@ Series: the same nested-payload query answered (a) natively against the
 JSON column (no pipeline, full scan) and (b) against a Flink-flattened,
 inverted-indexed table (extra pipeline, fast serving); plus the
 flexibility case — a brand-new path that only the native route can query
-without redeploying anything.
+without redeploying anything.  The serving gap is asserted in docs
+examined, which repeat for a seed (the native route reads every payload,
+the inverted index reads none); the wall factor is printed as read.
 """
 
 from __future__ import annotations
@@ -97,24 +99,38 @@ def run_comparison():
     truth = sum(1 for p in payloads if p["device"]["os"] == "ios")
     assert adhoc_count == truth
     flat_can_answer = "os" in flat.column_names()
-    return native_latency, flat_latency, adhoc_count, flat_can_answer
+    return (
+        native_latency,
+        flat_latency,
+        native_partial.plan,
+        flat_partial.plan,
+        adhoc_count,
+        flat_can_answer,
+    )
 
 
 def test_native_json_vs_flattening(benchmark):
-    native_latency, flat_latency, adhoc_count, flat_can = benchmark.pedantic(
-        run_comparison, rounds=1, iterations=1
+    native_latency, flat_latency, native_plan, flat_plan, adhoc_count, flat_can = (
+        benchmark.pedantic(run_comparison, rounds=1, iterations=1)
     )
     print_table(
         f"X3: nested-payload query over {N_EVENTS} events, {REPEATS} repeats",
-        ["route", "latency (s)", "extra pipeline", "can query new paths"],
+        ["route", "docs examined", "latency (s)", "extra pipeline",
+         "can query new paths"],
         [
-            ["native JSON (scan)", f"{native_latency:.4f}", "no", "yes"],
-            ["flink-flattened (indexed)", f"{flat_latency:.4f}",
-             "yes (redeploy to change)", "no"],
+            ["native JSON (scan)", native_plan.docs_examined,
+             f"{native_latency:.4f}", "no", "yes"],
+            ["flink-flattened (indexed)", flat_plan.docs_examined,
+             f"{flat_latency:.4f}", "yes (redeploy to change)", "no"],
         ],
     )
-    # The trade: flattening + indexes serve much faster...
-    assert flat_latency < native_latency / 3
+    print(f"  flattened serves {native_latency / flat_latency:.1f}x faster (as read)")
+    # The trade: flattening + indexes serve from the postings, reading no
+    # payload, where the native route parses every one...
+    assert native_plan.access_paths == ["json-scan:payload"]
+    assert native_plan.docs_examined == N_EVENTS
+    assert flat_plan.access_paths == ["inverted:city"]
+    assert flat_plan.docs_examined == 0
     # ...but the never-mapped path is only answerable natively.
     assert adhoc_count > 0
     assert not flat_can

@@ -6,7 +6,9 @@ We are contributing the ability to perform lookup joins to Pinot."
 
 Series: rows shipped out of the OLAP layer and wall latency for the same
 enrichment query — Presto hash join (fact rows cross into the worker) vs
-the Pinot lookup join (only final aggregates leave the store).
+the Pinot lookup join (only final aggregates leave the store).  Rows
+shipped repeat for a seed and are asserted; the wall factor is printed
+as read.
 """
 
 from __future__ import annotations
@@ -135,6 +137,10 @@ def test_lookup_join_vs_presto(benchmark):
              presto_out.stats.segments_scanned, presto_out.stats.cache_hits],
         ],
     )
+    print(
+        f"  lookup join answers {presto_latency / lookup_latency:.1f}x faster "
+        "(as read)"
+    )
     # Same totals either way.
     lookup_total = sum(r["sum(amount)"] for r in lookup_result.rows)
     presto_total = sum(r["total"] for r in presto_out.rows)
@@ -142,5 +148,4 @@ def test_lookup_join_vs_presto(benchmark):
     # The lookup join ships only final groups; Presto ships every fact row.
     assert lookup_shipped == N_RESTAURANTS
     assert presto_shipped >= N_FACTS
-    assert lookup_latency < presto_latency
     benchmark.extra_info["rows_saved"] = presto_shipped - lookup_shipped

@@ -7,7 +7,10 @@ higher than Pinot, benchmarked with a combination of filters, aggregation
 and group by/order by queries."
 
 Same rows into both stores; disk = serialized representation, memory =
-retained bytes, latency = wall time of the paper's query mix.
+retained bytes, latency = wall time of the paper's query mix.  The two
+footprints are byte counts that repeat for a seed and are asserted; the
+latency factor is printed as read, never asserted (one stopwatch reading
+is not a measurement).
 """
 
 from __future__ import annotations
@@ -82,7 +85,7 @@ def test_pinot_vs_elasticsearch(benchmark):
     es_disk, es_mem, es_lat = results["elasticsearch"]
     print_table(
         f"C3: same {N_ROWS} rows in both stores",
-        ["store", "disk bytes", "memory bytes", "query-mix latency (s)"],
+        ["store", "disk bytes", "memory bytes", "query-mix latency (s, as read)"],
         [
             ["pinot", pinot_disk, pinot_mem, f"{pinot_lat:.4f}"],
             ["elasticsearch", es_disk, es_mem, f"{es_lat:.4f}"],
@@ -90,14 +93,13 @@ def test_pinot_vs_elasticsearch(benchmark):
                 "ratio (es/pinot)",
                 f"{es_disk / pinot_disk:.1f}x",
                 f"{es_mem / pinot_mem:.1f}x",
-                f"{es_lat / pinot_lat:.1f}x",
+                f"{es_lat / pinot_lat:.1f}x (as read)",
             ],
         ],
     )
-    # Paper: disk 8x, memory 4x, latency 2x-4x.  Shape asserts:
+    # Paper: disk 8x, memory 4x, latency 2x-4x.  Shape asserts, in bytes:
     assert es_disk > 4 * pinot_disk
     assert es_mem > 2 * pinot_mem
-    assert es_lat > 1.5 * pinot_lat
     benchmark.extra_info.update(
         disk_ratio=es_disk / pinot_disk,
         memory_ratio=es_mem / pinot_mem,

@@ -13,11 +13,16 @@ Subqueries dissolve into the DAG: their root stage is marked
 ``block_boundary`` so per-block statistics (pushed_filters,
 pushed_aggregation, joined_rows) stop propagating there, exactly like the
 pre-planner engine's per-SELECT ``QueryStats``.
+
+A plan is a value: ``PrestoEngine`` keeps the plan of a text it has
+planned and hands the same :class:`PhysicalPlan` to every later ask of
+that text, so a stage is built once, with its final fields, and nothing
+assigns to it afterwards.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from hashlib import blake2b
 from typing import Any
 
@@ -38,7 +43,7 @@ REMOTE_SCAN = "remote_scan"
 LOCAL_COMPUTE = "local_compute"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Stage:
     sid: int
     kind: str  # remote_scan | local_compute
@@ -50,10 +55,10 @@ class Stage:
     block_boundary: bool = False  # True at a subquery root
 
 
-@dataclass
+@dataclass(frozen=True)
 class PhysicalPlan:
-    stages: list = field(default_factory=list)  # topologically ordered
-    root: int = -1
+    stages: tuple  # tuple[Stage], topologically ordered
+    root: int
 
 
 def content_key(node) -> str:
@@ -61,11 +66,11 @@ def content_key(node) -> str:
 
 
 def build_physical(root) -> PhysicalPlan:
-    plan = PhysicalPlan()
+    stages: list[Stage] = []
 
-    def emit(kind: str, op: str, inputs: list, node) -> int:
-        sid = len(plan.stages)
-        plan.stages.append(
+    def emit(kind: str, op: str, inputs: list, node, boundary: bool) -> int:
+        sid = len(stages)
+        stages.append(
             Stage(
                 sid=sid,
                 kind=kind,
@@ -74,36 +79,37 @@ def build_physical(root) -> PhysicalPlan:
                 node=node,
                 key=content_key(node),
                 tables=tables_of(node),
+                block_boundary=boundary,
             )
         )
         return sid
 
-    def visit(node) -> int:
+    def visit(node, boundary: bool = False) -> int:
+        """Stage ``node``'s subtree; ``boundary`` marks the stage emitted
+        for ``node`` itself as a subquery root."""
         if isinstance(node, ScanNode):
-            return emit(REMOTE_SCAN, "scan", [], node)
+            return emit(REMOTE_SCAN, "scan", [], node, boundary)
         if isinstance(node, SubqueryNode):
-            sid = visit(node.plan)
-            plan.stages[sid].block_boundary = True
-            return sid
+            return visit(node.plan, boundary=True)
         if isinstance(node, JoinNode):
             inputs = [visit(node.base)]
             inputs.extend(visit(step.right) for step in node.steps)
-            return emit(LOCAL_COMPUTE, "join", inputs, node)
+            return emit(LOCAL_COMPUTE, "join", inputs, node, boundary)
         if isinstance(node, FilterNode):
             op = "having" if node.kind == "having" else "filter"
-            return emit(LOCAL_COMPUTE, op, [visit(node.input)], node)
+            return emit(LOCAL_COMPUTE, op, [visit(node.input)], node, boundary)
         if isinstance(node, AggregateNode):
-            return emit(LOCAL_COMPUTE, "aggregate", [visit(node.input)], node)
+            return emit(LOCAL_COMPUTE, "aggregate", [visit(node.input)], node, boundary)
         if isinstance(node, ProjectNode):
-            return emit(LOCAL_COMPUTE, "project", [visit(node.input)], node)
+            return emit(LOCAL_COMPUTE, "project", [visit(node.input)], node, boundary)
         if isinstance(node, SortNode):
-            return emit(LOCAL_COMPUTE, "sort", [visit(node.input)], node)
+            return emit(LOCAL_COMPUTE, "sort", [visit(node.input)], node, boundary)
         if isinstance(node, LimitNode):
-            return emit(LOCAL_COMPUTE, "limit", [visit(node.input)], node)
+            return emit(LOCAL_COMPUTE, "limit", [visit(node.input)], node, boundary)
         raise TypeError(f"cannot stage logical node {node!r}")
 
-    plan.root = visit(root)
-    return plan
+    root_sid = visit(root)
+    return PhysicalPlan(tuple(stages), root_sid)
 
 
 def _stage_label(stage: Stage) -> str:

@@ -210,7 +210,7 @@ class StageScheduler:
     # -- entry point ----------------------------------------------------------
 
     def run(
-        self, plan: PhysicalPlan, epochs: dict[str, int | None], query_id: str
+        self, plan: PhysicalPlan, epochs: dict[str, Any], query_id: str
     ) -> tuple[StagePayload, list[StageExecution]]:
         served: dict[int, StagePayload] = {}
         needed: set[int] = set()

@@ -16,9 +16,21 @@ join tables across connectors — the "combine Pinot's seconds level data
 freshness with Presto's flexibility" story of Section 4.3.2 — and
 subqueries in FROM dissolve into the same stage DAG.
 
+A text is planned once per catalog.  ``execute`` keeps the plan of every
+text it plans in an :class:`~repro.common.epochcache.EpochCache` whose
+epoch is the catalog's ``(table, connector)`` pairs, so re-pointing or
+adding a table re-plans every text, and a dashboard asking the same query
+again skips parse, rules and staging.  A plan whose optimization read a
+cardinality estimate is not kept: its join order follows the tables as
+they are now.  Table epochs are still read on every execution, so the
+stage-artifact stores and the broker's cache alone decide freshness; a
+kept plan holds no data.
+
 ``PrestoEngine.explain(sql)`` renders both plans byte-stably;
 ``QueryOutput.plan`` carries the full :class:`PlannedQuery` so callers
-can introspect what actually ran.
+can introspect what actually ran.  Several callers may hold the same
+kept plan, so it is a value by type: ``PlannedQuery``, ``PhysicalPlan``
+and ``Stage`` are frozen.
 """
 
 from __future__ import annotations
@@ -27,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.common.clock import Clock, SystemClock
-from repro.common.epochcache import copy_rows
+from repro.common.epochcache import EpochCache, copy_rows
 from repro.common.errors import SqlPlanError
 from repro.observability.trace import SpanCollector
 from repro.sql.parser import parse
@@ -42,6 +54,10 @@ from repro.sql.planner.rules import optimize, scan_estimate
 from repro.sql.planner.scheduler import StageScheduler
 
 from repro.sql.presto.connector import Connector, connector_epoch
+
+#: Plans an engine keeps, one per SQL text; the least recently asked
+#: text is the first to go.
+PLAN_CAPACITY = 128
 
 
 @dataclass
@@ -70,7 +86,7 @@ class QueryStats:
     stage_artifact_hits: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlannedQuery:
     """A query after planning but before (or after) execution."""
 
@@ -118,12 +134,15 @@ class PrestoEngine:
         self.scheduler = StageScheduler(
             catalog, workers=workers, tracer=tracer, clock=self.clock
         )
+        # SQL text -> PlannedQuery, valid for one catalog (see execute).
+        self._plans = EpochCache(PLAN_CAPACITY)
         self._query_seq = 0
 
     # -- planning -------------------------------------------------------------
 
     def plan(self, sql: str) -> PlannedQuery:
-        """Parse, optimize and stage ``sql`` without executing it."""
+        """Parse, optimize and stage ``sql`` without executing it (and
+        without keeping the plan: every call plans afresh)."""
         logical = build_logical(parse(sql), self._connector_name_for)
         logical = optimize(logical, self.catalog)
         return PlannedQuery(sql, logical, build_physical(logical), self.catalog)
@@ -134,16 +153,36 @@ class PrestoEngine:
     # -- execution ------------------------------------------------------------
 
     def execute(self, sql: str) -> QueryOutput:
-        planned = self.plan(sql)
+        """Run ``sql``, planning it only if this engine has no plan for it.
+
+        A text is planned once per catalog: its plan is kept under the text
+        for as long as the catalog holds the same ``(table, connector)``
+        pairs it was planned against.  A plan that read a cardinality
+        estimate — the join reorderer is the one rule that reads one — is
+        not kept, so every execute of a join plans it against the
+        estimates of the moment.  A text that fails to plan is not kept
+        either: it raises on every ask.  Freshness is not the plan's
+        business: the table epochs below are read on every execution.
+        """
+        catalog = tuple(self.catalog.items())
+        planned = self._plans.get(sql, catalog)
+        if planned is None:
+            planned = self.plan(sql)
+            if not any(stage.op == "join" for stage in planned.physical.stages):
+                self._plans.put(sql, catalog, planned)
         self._query_seq += 1
         query_id = f"presto-q{self._query_seq:06d}"
         start = self.clock.now() if self.tracer is not None else 0.0
-        epochs: dict[str, int | None] = {}
+        # A table epoch counts one connector's versions of the table, so it
+        # travels with that connector: a table re-pointed at another
+        # connector whose count happens to match serves none of the old
+        # one's artifacts.
+        epochs: dict[str, tuple | None] = {}
         for scan in scan_nodes(planned.logical):
             if scan.table not in epochs:
-                epochs[scan.table] = connector_epoch(
-                    self.catalog[scan.table], scan.table
-                )
+                connector = self.catalog[scan.table]
+                epoch = connector_epoch(connector, scan.table)
+                epochs[scan.table] = None if epoch is None else (connector, epoch)
         payload, executions = self.scheduler.run(planned.physical, epochs, query_id)
         stats = self._fold_stats(planned, payload, executions)
         # The engine's one exit: everything below shares its rows with the

@@ -75,14 +75,11 @@ class HiveTable:
         self,
         partition_keys: list[str] | None = None,
         columns: list[str] | None = None,
-        predicate=None,
     ) -> Iterator[dict[str, Any]]:
         """Stream rows, optionally restricted to partitions and columns.
 
-        ``predicate`` is an optional callable row -> bool applied after
-        projection is widened to include every schema column (Hive cannot
-        push complex predicates into the files; file-level stats pruning is
-        done by :meth:`scan_with_pruning`).
+        Filtered reads go through :meth:`scan_with_pruning`, which also
+        skips files by their column stats.
         """
         keys = partition_keys if partition_keys is not None else self.partitions()
         for pkey in keys:
@@ -90,8 +87,6 @@ class HiveTable:
             for file_key in part.file_keys:
                 cfile = ColumnarFile.from_bytes(self._store.get(file_key))
                 for row in cfile.rows():
-                    if predicate is not None and not predicate(row):
-                        continue
                     if columns is not None:
                         yield {c: row.get(c) for c in columns}
                     else:

@@ -1,17 +1,21 @@
 """The query path's one rule, checked: a value is never written to after
 it is produced.
 
-Artifact stores and the broker's result cache keep the object they are
-given and hand the same object to everyone they serve, so the rule is
-what keeps an entry true.  Here every value is snapshotted (``deepcopy``)
-at the moment a cache stores it, random sequences of queries — every
-stage operator, the three pushdown levels, the broker asked directly —
-run over a JSON-bearing table, every answer is vandalized by its caller,
-and then every stored value must still equal its snapshot and every
-answer must have been right.
+Artifact stores, the broker's result cache and the engine's plan memo
+keep the object they are given and hand the same object to everyone they
+serve, so the rule is what keeps an entry true.  Here every value is
+snapshotted (``deepcopy``) at the moment a cache stores it, random
+sequences of queries — every stage operator, the three pushdown levels,
+the broker asked directly — run over a JSON-bearing table, every answer
+is vandalized by its caller, and then every stored value must still
+equal its snapshot and every answer must have been right.  A plan is
+shared with every caller of its text through ``QueryOutput.plan``, so it
+is a value by type: every write a caller tries on one must raise.
 
-``test_an_operator_that_writes_to_its_input_is_caught`` is the check on
-the check: a scheduler mutated to sort its input in place must fail it.
+``test_an_operator_that_writes_to_its_input_is_caught`` and
+``test_a_plan_that_takes_a_write_is_caught`` are the checks on the
+check: a scheduler mutated to sort its input in place, and a ``Stage``
+that accepts assignment, must each fail it.
 """
 
 from __future__ import annotations
@@ -26,10 +30,12 @@ from hypothesis import strategies as st
 from repro.columnar import pages_to_rows
 from repro.pinot.broker import PinotBroker, QueryResult
 from repro.pinot.query import Aggregation, Filter, PinotQuery
+from repro.sql.planner.physical import Stage
 from repro.sql.planner.reference import ReferenceExecutor
 from repro.sql.planner.rowops import order_rows
 from repro.sql.planner.scheduler import StageScheduler
 from repro.sql.presto import MemoryConnector, PinotConnector, PrestoEngine
+from repro.sql.presto.engine import PlannedQuery
 from tests.pinot.fixtures import CITIES
 from tests.pinot.reference import canonical, evaluate
 from tests.pinot.test_selection_boundary import json_table, vandalize
@@ -166,7 +172,29 @@ def answer_of(value) -> tuple:
         if value.pages is not None:
             return (pages_to_rows(value.pages),)
         return (value.shared_rows,)
+    if isinstance(value, PlannedQuery):
+        return (value.sql, value.logical, value.physical)
     return (value.as_rows(), value.aggregated, dataclasses.asdict(value.evidence))
+
+
+# What a caller of ``PrestoEngine.execute`` might try on ``output.plan``.
+PLAN_WRITES = {
+    "PlannedQuery.sql": lambda plan: setattr(plan, "sql", "SELECT 1"),
+    "PhysicalPlan.root": lambda plan: setattr(plan.physical, "root", 0),
+    "Stage.key": lambda plan: setattr(plan.physical.stages[0], "key", "0" * 16),
+    "stages.append": lambda plan: plan.physical.stages.append(None),
+    "stages[0]": lambda plan: plan.physical.stages.__setitem__(0, None),
+}
+
+
+def vandalize_plan(plan: PlannedQuery) -> None:
+    """Try every write of ``PLAN_WRITES``; each must be refused."""
+    for what, write in PLAN_WRITES.items():
+        try:
+            write(plan)
+        except (AttributeError, TypeError):  # FrozenInstanceError included
+            continue
+        raise AssertionError(f"a shared plan took a write to {what}")
 
 
 class World:
@@ -196,7 +224,7 @@ class World:
         self.passed_through = False
         caches = [self.broker.cache]
         for engine in self.engines.values():
-            caches += engine.scheduler._stores
+            caches += [*engine.scheduler._stores, engine._plans]
         for cache in caches:
             cache.put = self._recording(cache)
 
@@ -224,6 +252,7 @@ class World:
         stages = output.plan.physical.stages
         self.ops_run.update(stage.op for stage in stages)
         self.passed_through |= output.stats.pushed_aggregation
+        vandalize_plan(output.plan)
         return output.rows
 
     def run(self, steps) -> None:
@@ -265,8 +294,9 @@ def test_every_operator_and_level_is_covered():
     assert world.broker.cache.stats()["hits"] > 0
     hits = [e.scheduler.artifact_stats()["hits"] for e in world.engines.values()]
     assert all(hits)
+    assert all(e._plans.stats()["hits"] for e in world.engines.values())
     shapes = {type(value).__name__ for __, __, __, value, __ in world.stored}
-    assert shapes == {"QueryResult", "StagePayload"}
+    assert shapes == {"QueryResult", "StagePayload", "PlannedQuery"}
 
 
 def test_an_operator_that_writes_to_its_input_is_caught(monkeypatch):
@@ -279,4 +309,11 @@ def test_an_operator_that_writes_to_its_input_is_caught(monkeypatch):
 
     monkeypatch.setattr(StageScheduler, "_execute", sorting_in_place)
     with pytest.raises(AssertionError, match="was written to"):
+        World().run(STEPS)
+
+
+def test_a_plan_that_takes_a_write_is_caught(monkeypatch):
+    # A Stage that accepts assignment, as it would if it were not frozen.
+    monkeypatch.setattr(Stage, "__setattr__", object.__setattr__)
+    with pytest.raises(AssertionError, match="took a write to Stage.key"):
         World().run(STEPS)

@@ -92,8 +92,8 @@ class TestHive:
     def test_scan_with_projection_and_predicate(self):
         __, table = self._table()
         table.add_rows("p", rows(10))
-        out = list(
-            table.scan(columns=["amount"], predicate=lambda r: r["amount"] > 7)
+        out, __, __, __ = table.scan_with_pruning(
+            [Predicate("amount", ">", 7.0)], columns=["amount"]
         )
         assert out == [{"amount": 8.0}, {"amount": 9.0}]
 
@@ -122,10 +122,12 @@ class TestHive:
         both = [Predicate("ts", ">=", 1000.0), Predicate("city", "=", "nyc")]
         out, scanned, pruned, examined = table.scan_with_pruning(both, columns=["ts"])
         assert (scanned, pruned, examined) == (1, 2, 100)
-        unpruned = table.scan(
-            columns=["ts"], predicate=lambda r: r["ts"] >= 1000.0 and r["city"] == "nyc"
-        )
-        assert out == list(unpruned) and len(out) == 100
+        unpruned = [
+            {"ts": r["ts"]}
+            for r in table.scan()
+            if r["ts"] >= 1000.0 and r["city"] == "nyc"
+        ]
+        assert out == unpruned and len(out) == 100
 
     def test_empty_write_rejected(self):
         __, table = self._table()
