@@ -142,9 +142,11 @@ class EventTimeOperator(Operator):
       key, the latest contributing traced record; a fire pops it onto
       what it emits.
     * **Checkpoints.**  One envelope holds the watermark,
-      ``late_dropped``, the traces, whatever attributes the subclass
-      names in ``checkpointed`` and the keyed state, so a restored
-      operator judges, counts and attributes exactly as the original.
+      ``late_dropped``, the traces (with the time each entered the job,
+      so a restored fire still records its ``process`` span), whatever
+      attributes the subclass names in ``checkpointed`` and the keyed
+      state, so a restored operator judges, counts and attributes
+      exactly as the original.
     """
 
     #: Attributes checkpointed beside the shared event-time fields.
@@ -193,8 +195,8 @@ class EventTimeOperator(Operator):
             "watermark": self.current_watermark,
             "late_dropped": self.late_dropped,
             "traces": [
-                [_key_to_wire(state_key), trace.to_headers()]
-                for state_key, trace in self._traces.items()
+                [_key_to_wire(key), t.trace_id, t.origin_event_time, t.entered]
+                for key, t in self._traces.items()
             ],
         }
         for name in self.checkpointed:
@@ -207,8 +209,7 @@ class EventTimeOperator(Operator):
         self.current_watermark = meta["watermark"]
         self.late_dropped = meta["late_dropped"]
         self._traces = {
-            _key_from_wire(state_key): TraceContext.from_headers(headers)
-            for state_key, headers in meta["traces"]
+            _key_from_wire(key): TraceContext(*trace) for key, *trace in meta["traces"]
         }
         for name in self.checkpointed:
             setattr(self, name, meta[name])
@@ -546,19 +547,21 @@ class SourceReader:
         self._idle = False
         self._final_sent = False
 
-    def _read(self, max_records: int) -> list[Any]:
+    def _read(self, max_records: int, entered: float | None) -> list[Any]:
         """Next StreamRecords, advancing the position and
-        ``self.watermarks``."""
+        ``self.watermarks``; a reader whose records carry an identity
+        stamps each with a trace that ``entered`` the job then, unless
+        ``entered`` is ``None`` (the job is untraced)."""
         raise NotImplementedError
 
     def _seek(self, data: dict[str, Any]) -> None:
         """Rewind the position to a ``snapshot()``."""
         raise NotImplementedError
 
-    def poll(self, max_records: int = 100) -> list[Any]:
+    def poll(self, max_records: int = 100, entered: float | None = None) -> list[Any]:
         """Next batch of elements: the data read plus a trailing Watermark
         when event time advanced, or an idleness / end-of-input marker."""
-        out = self._read(max_records)
+        out = self._read(max_records, entered)
         if out:
             self._empty_polls = 0
             if self._idle:
@@ -633,7 +636,7 @@ class KafkaSourceReader(SourceReader):
             # stalls the downstream watermark.
             self.idle_after_empty_polls = 1
 
-    def _read(self, max_records: int) -> list[Any]:
+    def _read(self, max_records: int, entered: float | None) -> list[Any]:
         out: list[Any] = []
         if not self.partitions:
             return out
@@ -654,7 +657,9 @@ class KafkaSourceReader(SourceReader):
                         record.value,
                         timestamp,
                         record.key,
-                        TraceContext.from_record(record),
+                        None
+                        if entered is None
+                        else TraceContext.from_headers(record.headers, entered),
                     )
                 )
                 self.positions[partition] = entry.offset + 1
@@ -719,7 +724,7 @@ class BoundedListReader(BoundedReader):
         super().__init__(source, len(elements))
         self.elements = elements
 
-    def _read(self, max_records: int) -> list[Any]:
+    def _read(self, max_records: int, entered: float | None) -> list[Any]:
         out: list[Any] = []
         batch = self.elements[self.position : self.position + self.source.batch_size]
         for element in batch:

@@ -226,21 +226,13 @@ class SubTask:
         if not self.output_has_space():
             self.runtime.metrics.counter("backpressure_stalls").inc()
             return 0
-        elements = self.reader.poll(max_records)
+        # A traced job stamps what it reads with the time it entered; the
+        # sink its (possibly aggregated) descendant reaches records the
+        # process span from there.
+        runtime = self.runtime
+        entered = runtime.clock.now() if runtime.tracer is not None else None
+        elements = self.reader.poll(max_records, entered)
         data = [e for e in elements if isinstance(e, StreamRecord)]
-        tracer = self.runtime.tracer
-        if tracer is not None:
-            # The process span opens when the record enters the job and is
-            # closed by whichever sink its (possibly aggregated) descendant
-            # reaches.  Records aggregated away never close theirs; the
-            # collector evicts those.
-            tracer.begin_spans(
-                "process",
-                "flink",
-                [e.trace.trace_id for e in data if e.trace is not None],
-                start=self.runtime.clock.now(),
-                job=self.runtime.graph.name,
-            )
         self.emit(elements)
         self.records_processed += len(data)
         return len(data)
@@ -299,8 +291,7 @@ class SubTask:
             if self.spec.transactional:
                 self._txn_open.extend(data)
             else:
-                for record in data:
-                    self._write_to_sink(record)
+                self._write_to_sink(data)
             return
         assert self.operator is not None
         input_index = channel.input_index
@@ -350,15 +341,24 @@ class SubTask:
 
     # -- 2PC sink transactions ------------------------------------------------
 
-    def _write_to_sink(self, record: StreamRecord) -> None:
-        """Physically write one record (the only path into ``sink.write``)."""
-        self.spec.sink.write(record)
-        tracer = self.runtime.tracer
-        if tracer is not None and record.trace is not None:
-            tracer.end_span(
-                record.trace.trace_id,
+    def _write_to_sink(self, records: list[StreamRecord]) -> None:
+        """Physically write records (the only path into ``sink.write``);
+        each traced one's ``process`` span ends here."""
+        write = self.spec.sink.write
+        for record in records:
+            write(record)
+        runtime = self.runtime
+        if runtime.tracer is None:
+            return
+        traces = [r.trace for r in records if r.trace is not None]
+        if traces:
+            runtime.tracer.record_spans(
                 "process",
-                end=self.runtime.clock.now(),
+                "flink",
+                [trace.trace_id for trace in traces],
+                [trace.entered for trace in traces],
+                end=runtime.clock.now(),
+                job=runtime.graph.name,
                 sink=self.spec.op_id,
             )
 
@@ -380,8 +380,7 @@ class SubTask:
             if epoch > checkpoint_id:
                 break
             records = self._txn_pre.pop(epoch)
-            for record in records:
-                self._write_to_sink(record)
+            self._write_to_sink(records)
             written += len(records)
             self.runtime._txn_event("commit", self, epoch, len(records))
         return written

@@ -24,11 +24,11 @@ from typing import Any
 class StreamRecord:
     """A data element with an assigned event timestamp and optional key.
 
-    ``trace`` carries the upstream
+    ``trace`` carries the
     :class:`~repro.observability.trace.TraceContext` of the Kafka record
-    the element originated from (``None`` for untraced pipelines); operator
-    transforms preserve it so the element can be followed back out of the
-    job at the sink.
+    the element originated from, stamped with the time it entered the job
+    (``None`` when the job is untraced); operator transforms preserve it
+    so the sink can record the element's ``process`` span.
     """
 
     value: Any

@@ -33,7 +33,7 @@ from repro.common.metrics import MetricsRegistry
 from repro.common.perf import PERF
 from repro.common.records import Record
 from repro.kafka.log import LogEntry, PartitionLog, _record_size
-from repro.observability.trace import TRACE_HEADER, SpanCollector
+from repro.observability.trace import SpanCollector
 
 
 @dataclass(frozen=True, slots=True)
@@ -572,11 +572,10 @@ class KafkaCluster:
     ) -> None:
         if self.tracer is None:
             return
-        self.tracer.record_spans(
+        self.tracer.record_entries(
             "replicate",
             "kafka",
-            [entry.record.headers.get(TRACE_HEADER) for entry in entries],
-            [entry.append_time for entry in entries],
+            entries,
             end=self.clock.now(),
             topic=pstate.topic,
             partition=pstate.partition,

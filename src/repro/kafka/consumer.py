@@ -14,7 +14,7 @@ from repro.common.errors import KafkaError, OffsetOutOfRangeError
 from repro.common.metrics import MetricsRegistry
 from repro.kafka.cluster import KafkaCluster
 from repro.kafka.log import LogEntry
-from repro.observability.trace import TRACE_HEADER, SpanCollector
+from repro.observability.trace import SpanCollector
 
 
 @dataclass(slots=True)
@@ -181,11 +181,10 @@ class Consumer:
                 out.append(ConsumedMessage(self.topic, partition, entry.offset, entry))
             if self.tracer is not None and entries:
                 # Consume latency = log dwell time: append to poll.
-                self.tracer.record_spans(
+                self.tracer.record_entries(
                     "consume",
                     "kafka",
-                    [entry.record.headers.get(TRACE_HEADER) for entry in entries],
-                    [entry.append_time for entry in entries],
+                    entries,
                     end=self.cluster.clock.now(),
                     topic=self.topic,
                     partition=partition,

@@ -25,7 +25,7 @@ from repro.common.records import Record, stamp_audit
 from repro.common.retry import RetryPolicy
 from repro.common.rng import seeded_rng
 from repro.kafka.cluster import KafkaCluster, ProducerCtx
-from repro.observability.trace import ORIGIN_HEADER, TRACE_HEADER, SpanCollector
+from repro.observability.trace import SpanCollector
 
 
 @dataclass(slots=True)
@@ -158,9 +158,11 @@ class Producer:
         """
         if event_time is None:
             event_time = self.clock.now()
-        record = Record(
-            key, value, event_time, self._stamp(headers, event_time, tier)
-        )
+        # The record's own header dict: the caller's headers and the audit
+        # metadata of Section 9.4, whose uid is also its trace id.
+        stamped = dict(headers) if headers else {}
+        stamp_audit(stamped, self.service_name, tier, event_time)
+        record = Record(key, value, event_time, stamped)
         partition = self._choose_partition(topic, key)
         batch = self._batches.get((topic, partition))
         if batch is None:
@@ -180,20 +182,6 @@ class Producer:
         if batch.bytes >= self.batch_size:
             self._flush_batch(topic, partition)
         return partition
-
-    def _stamp(
-        self, headers: dict[str, Any] | None, event_time: float, tier: str
-    ) -> dict[str, Any]:
-        """The outgoing record's own header dict: the caller's headers, the
-        audit metadata of Section 9.4 and, when tracing, the trace context
-        (the audit ``uid`` doubles as trace id unless an upstream trace is
-        being continued)."""
-        stamped = dict(headers) if headers else {}
-        stamp_audit(stamped, self.service_name, tier, event_time)
-        if self.tracer is not None and TRACE_HEADER not in stamped:
-            stamped[TRACE_HEADER] = stamped["uid"]
-            stamped.setdefault(ORIGIN_HEADER, event_time)
-        return stamped
 
     def _choose_partition(self, topic: str, key: Any) -> int:
         num_partitions = self.cluster.partition_count(topic)
@@ -261,10 +249,10 @@ class Producer:
             for i in range(len(batch.records))
         ]
         if self.tracer is not None:
-            self.tracer.record_spans(
+            self.tracer.record_batch(
                 "produce",
                 "kafka",
-                [record.headers.get(TRACE_HEADER) for record in batch.records],
+                batch.records,
                 batch.sent_at,
                 end=self.cluster.clock.now(),
                 columns={"offset": range(base, base + len(batch.records))},

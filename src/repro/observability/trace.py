@@ -10,9 +10,12 @@ trustworthy when measured at system boundaries, not inside one component.
 
 The model here is deliberately small:
 
-* A :class:`TraceContext` rides in the record's audit headers (Section 9.4
-  already stamps a ``uid``; tracing reuses it as the trace id) and is
-  propagated by every hop that understands it.
+* A record's identity is the audit metadata Section 9.4 already stamps on
+  every event: its trace id is its ``uid`` and its origin time its
+  ``produced_at``.  Only a *continued* trace — a Flink sink re-producing a
+  window result under the trace of a record it read — carries the pair
+  explicitly, as the ``trace_id`` / ``origin_event_time`` headers of a
+  :class:`TraceContext`.
 * Each hop emits a :class:`Span` — ``produce``, ``replicate``, ``consume``,
   ``process``, ``ingest``, ``query`` — into one shared
   :class:`SpanCollector`.
@@ -21,24 +24,28 @@ The model here is deliberately small:
   observes a ``span.<layer>.<name>`` histogram, so dashboards read spans
   and counters from one snapshot.
 
-Tracing is strictly opt-in: components take ``tracer=None`` and stamp the
-``trace_id`` header only when a collector is attached, so benchmarks that
-do not trace pay nothing.  With a collector attached (the ``Platform``
-default) each record pays two headers at the producer and, per hop, one
-slot in two lists: a hop hands the collector one *batch* of spans that
-share name, layer, end and attributes, a query is one row whatever the
-size of the table, and ``Span`` objects exist only while a reader looks at
-them.  On the wall-clock benchmark's live path tracing on runs at 0.87 of
-tracing off (CHANGES.md, PR 17, has the paired measurement); most of what
-is left is propagation — the headers, a ``TraceContext`` and an open
-``process`` span per Flink source record — not this store.
+Tracing is opt-in per component: components take ``tracer=None``, and one
+with a collector traces every record it handles.  A record carries nothing
+extra for it, so a traced platform writes the log an untraced one writes,
+byte for byte.  A hop pays per batch, not per record: it hands the
+collector a reference to the batch it already holds (the producer's
+flushed records, the log entries it replicated, polled or ingested) and
+the starts it already has.  Trace ids, starts read off log entries and the
+per-trace and per-table views are derived when a reader asks, and ``Span``
+objects exist only while a reader looks at them.  The one per-record cost
+is Flink's: a traced source stamps each element with the time it entered
+the job, and the sink that writes it records its ``process`` span from
+that time.  On the wall-clock benchmark's live path tracing on runs at
+0.84 of tracing off (EXPERIMENTS.md, B15; 0.74 before it).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from operator import attrgetter
+from typing import Any, Callable, Mapping
 
 from repro.common.metrics import MetricsRegistry
 
@@ -53,38 +60,47 @@ ORIGIN_HEADER = "origin_event_time"
 
 @dataclass(slots=True)
 class TraceContext:
-    """Identity of one traced record, carried in record headers.
+    """Identity of one traced record.
 
     ``origin_event_time`` is the event time of the *root* record of the
     trace: derived records (e.g. window results re-produced to Kafka) keep
     the origin so end-to-end freshness stays boundary-to-boundary.
+    ``entered`` is when the element entered a Flink job: a traced source
+    stamps it and the sink that writes the element ends its ``process``
+    span there.  It travels in the job's checkpoints, never in headers.
     """
 
     trace_id: str
     origin_event_time: float | None = None
+    entered: float | None = None
 
     def to_headers(self) -> dict[str, Any]:
+        """The headers of a record re-produced under this trace."""
         headers: dict[str, Any] = {TRACE_HEADER: self.trace_id}
         if self.origin_event_time is not None:
             headers[ORIGIN_HEADER] = self.origin_event_time
         return headers
 
     @staticmethod
-    def from_headers(headers: Mapping[str, Any]) -> "TraceContext | None":
-        """Extract a context; ``None`` when the record is untraced.
-
-        Only records explicitly stamped with a ``trace_id`` header are
-        traced — a bare audit ``uid`` does not opt a record in, keeping
-        untraced pipelines free of tracking state.
-        """
+    def from_headers(
+        headers: Mapping[str, Any], entered: float | None = None
+    ) -> TraceContext | None:
+        """A record's context: the trace it continues, else its own audit
+        identity (``uid``, ``produced_at``); ``None`` when no client
+        stamped the record."""
         trace_id = headers.get(TRACE_HEADER)
-        if trace_id is None:
+        if trace_id is not None:
+            return TraceContext(trace_id, headers.get(ORIGIN_HEADER), entered)
+        uid = headers.get("uid")
+        if uid is None:
             return None
-        return TraceContext(trace_id, headers.get(ORIGIN_HEADER))
+        return TraceContext(uid, headers.get("produced_at"), entered)
 
-    @staticmethod
-    def from_record(record: Any) -> "TraceContext | None":
-        return TraceContext.from_headers(record.headers)
+
+def _trace_id_of(headers: Mapping[str, Any]) -> str | None:
+    """The trace id :meth:`TraceContext.from_headers` would give."""
+    trace_id = headers.get(TRACE_HEADER)
+    return headers.get("uid") if trace_id is None else trace_id
 
 
 @dataclass(slots=True)
@@ -94,7 +110,8 @@ class Span:
     ``trace_id`` is ``None`` on a table query read outside any trace
     (:meth:`SpanCollector.spans`): a query belongs to every trace it
     covered, and :meth:`SpanCollector.trace` names the trace it was asked
-    about.
+    about.  It is also ``None`` on the hop of a record no client stamped,
+    which belongs to no trace.
     """
 
     trace_id: str | None
@@ -115,14 +132,43 @@ class Span:
         return self.end - self.start
 
 
+class _AppendTimes(Sequence):
+    """The starts of a hop over log entries: each entry's append time,
+    read off the entries when somebody asks."""
+
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: Sequence[Any]) -> None:
+        self.entries = entries
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return _AppendTimes(self.entries[index])
+        return self.entries[index].append_time
+
+    def __iter__(self):
+        for entry in self.entries:
+            yield entry.append_time
+
+
+_RECORD_HEADERS = attrgetter("headers")
+_ENTRY_HEADERS = attrgetter("record.headers")
+
+
 class _Batch:
     """Finished spans that arrived together, stored column-wise.
 
-    Name, layer, end and ``attrs`` are shared by every row; ``trace_ids``
-    and ``starts`` are parallel lists, ``columns`` holds attributes that
-    differ per row (any indexable sequence, e.g. a ``range`` of offsets).
-    Row ``i`` has arrival sequence ``seq + i``.  A table query is a
-    one-row batch whose trace id is ``None``.
+    Name, layer, end and ``attrs`` are shared by every row.  ``rows`` is
+    what the hop held — its ``Record``s or ``LogEntry``s, read through
+    ``headers``, or, when ``headers`` is ``None``, the trace ids
+    themselves — and is kept by reference, as are the parallel ``starts``
+    and the per-row ``columns`` (any indexable sequence, e.g. a ``range``
+    of offsets).  Row ``i`` has arrival sequence ``seq + i``.  A table
+    query is a one-row batch whose trace id is ``None`` and which
+    ``covers`` its table.
     """
 
     __slots__ = (
@@ -131,35 +177,53 @@ class _Batch:
         "layer",
         "end",
         "attrs",
-        "trace_ids",
+        "rows",
         "starts",
         "columns",
+        "headers",
+        "covers",
+        "_ids",
     )
 
     def __init__(
         self,
-        seq: int,
         name: str,
         layer: str,
         end: float,
         attrs: dict[str, Any],
-        trace_ids: Sequence[str | None],
+        rows: Sequence[Any],
         starts: Sequence[float],
         columns: Mapping[str, Sequence[Any]] | None = None,
+        headers: Callable[[Any], Mapping[str, Any]] | None = None,
+        covers: str | None = None,
     ) -> None:
-        self.seq = seq
+        self.seq = 0  # set when stored
         self.name = name
         self.layer = layer
         self.end = end
         self.attrs = attrs
-        self.trace_ids = trace_ids
+        self.rows = rows
         self.starts = starts
         self.columns = columns
+        self.headers = headers
+        self.covers = covers
+        self._ids: list[str | None] | None = None
+
+    @property
+    def trace_ids(self) -> Sequence[str | None]:
+        """Each row's trace id, worked out the first time it is asked."""
+        if self.headers is None:
+            return self.rows
+        if self._ids is None:
+            self._ids = [_trace_id_of(h) for h in map(self.headers, self.rows)]
+        return self._ids
 
     def drop_head(self, count: int) -> None:
         self.seq += count
-        self.trace_ids = self.trace_ids[count:]
+        self.rows = self.rows[count:]
         self.starts = self.starts[count:]
+        if self._ids is not None:
+            self._ids = self._ids[count:]
         if self.columns:
             self.columns = {k: col[count:] for k, col in self.columns.items()}
 
@@ -198,28 +262,18 @@ class SpanCollector:
     """
 
     def __init__(
-        self,
-        metrics: MetricsRegistry | None = None,
-        max_open_spans: int = 100_000,
-        capacity: int = 100_000,
+        self, metrics: MetricsRegistry | None = None, capacity: int = 100_000
     ) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be at least 1, got {capacity}")
         self.metrics = metrics
-        self.max_open_spans = max_open_spans
         self.capacity = capacity
         self.spans_dropped = 0
-        self.open_spans_evicted = 0
         self._batches: deque[_Batch] = deque()
         self._size = 0
         self._next_seq = 0
-        # (trace_id, name) -> (layer, start, attrs); the tuple is shared by
-        # every span opened in one begin_spans call.
-        self._open: OrderedDict[tuple[str, str], tuple] = OrderedDict()
-        # Kept with the store, because record_table_query answers from
-        # them: per Pinot table, how many stored ``ingest`` rows each trace
-        # has there, and the stored queries in arrival order.
-        self._table_traces: dict[str, dict[str, int]] = {}
+        # The stored queries of each Pinot table in arrival order: trace()
+        # answers "which queries covered T" from them.
         self._table_queries: dict[str, deque[_Batch]] = {}
         # Built by readers only (_index): trace id -> its stored rows as
         # (batch, arrival sequence), over every batch below _indexed.
@@ -227,6 +281,38 @@ class SpanCollector:
         self._indexed = 0
 
     # -- recording ----------------------------------------------------------
+
+    def record_batch(
+        self,
+        name: str,
+        layer: str,
+        records: Sequence[Any],
+        starts: Sequence[float],
+        end: float,
+        columns: Mapping[str, Sequence[Any]] | None = None,
+        **attrs: Any,
+    ) -> None:
+        """Record one hop of a batch of records: spans that share ``name``,
+        ``layer``, ``end`` and ``attrs`` and differ in the record, its start
+        and the per-row ``columns``.
+
+        The collector keeps ``records``, ``starts`` and ``columns`` as they
+        are, so the caller must not mutate them afterwards; a record's
+        trace id is read off its headers when a reader first needs it.
+        """
+        self._append(
+            _Batch(name, layer, end, attrs, records, starts, columns, _RECORD_HEADERS)
+        )
+
+    def record_entries(
+        self, name: str, layer: str, entries: Sequence[Any], end: float, **attrs: Any
+    ) -> None:
+        """:meth:`record_batch` over log entries: each span starts at its
+        entry's append time."""
+        starts = _AppendTimes(entries)
+        self._append(
+            _Batch(name, layer, end, attrs, entries, starts, None, _ENTRY_HEADERS)
+        )
 
     def record_spans(
         self,
@@ -237,31 +323,10 @@ class SpanCollector:
         end: float,
         columns: Mapping[str, Sequence[Any]] | None = None,
         **attrs: Any,
-    ) -> int:
-        """Record one hop of a batch of records: spans that share ``name``,
-        ``layer``, ``end`` and ``attrs`` and differ in trace id, start and
-        the per-row ``columns``.
-
-        ``trace_ids`` is what each record's ``trace_id`` header holds;
-        ``None`` marks an untraced record, whose row is skipped.  The
-        collector keeps the sequences it is given, so the caller must not
-        mutate them afterwards.  Returns the number of spans recorded.
-        """
-        if None in trace_ids:
-            keep = [i for i, tid in enumerate(trace_ids) if tid is not None]
-            trace_ids = [trace_ids[i] for i in keep]
-            starts = [starts[i] for i in keep]
-            if columns:
-                columns = {
-                    key: [column[i] for i in keep]
-                    for key, column in columns.items()
-                }
-        if not trace_ids:
-            return 0
-        self._append(
-            _Batch(self._next_seq, name, layer, end, attrs, trace_ids, starts, columns)
-        )
-        return len(trace_ids)
+    ) -> None:
+        """:meth:`record_batch` for a hop that holds trace ids, not
+        records; a ``None`` id is a row of no trace."""
+        self._append(_Batch(name, layer, end, attrs, trace_ids, starts, columns))
 
     def record_span(
         self,
@@ -272,71 +337,15 @@ class SpanCollector:
         end: float,
         **attrs: Any,
     ) -> Span:
-        """Record a completed span in one shot."""
-        return self._record(trace_id, name, layer, start, end, attrs)
-
-    def _record(
-        self,
-        trace_id: str,
-        name: str,
-        layer: str,
-        start: float,
-        end: float,
-        attrs: dict[str, Any],
-    ) -> Span:
-        """The one-row form of :meth:`record_spans`, over the same store."""
-        self._append(
-            _Batch(self._next_seq, name, layer, end, attrs, (trace_id,), (start,))
-        )
+        """Record a completed span in one shot: the one-row form of
+        :meth:`record_spans`, over the same store."""
+        self._append(_Batch(name, layer, end, attrs, (trace_id,), (start,)))
         return Span(trace_id, name, layer, start, end, dict(attrs))
-
-    def begin_spans(
-        self,
-        name: str,
-        layer: str,
-        trace_ids: Sequence[str],
-        start: float,
-        **attrs: Any,
-    ) -> None:
-        """Open one span per trace id, to be ended later by a different hop.
-
-        Re-beginning an open (trace_id, name) pair restarts it; spans left
-        open past ``max_open_spans`` are evicted oldest-first and counted in
-        ``open_spans_evicted`` (records aggregated away inside Flink never
-        reach a sink, so their process spans can never finish).
-        """
-        opened = (layer, start, attrs)
-        open_spans = self._open
-        for trace_id in trace_ids:
-            open_spans[(trace_id, name)] = opened
-        evicted = len(open_spans) - self.max_open_spans
-        if evicted > 0:
-            for __ in range(evicted):
-                open_spans.popitem(last=False)
-            self.open_spans_evicted += evicted
-            if self.metrics is not None:
-                self.metrics.counter("open_spans_evicted").inc(evicted)
-
-    def begin_span(
-        self, trace_id: str, name: str, layer: str, start: float, **attrs: Any
-    ) -> None:
-        """Open a span whose end is reported later (see :meth:`begin_spans`)."""
-        self.begin_spans(name, layer, (trace_id,), start, **attrs)
-
-    def end_span(
-        self, trace_id: str, name: str, end: float, **attrs: Any
-    ) -> Span | None:
-        """Finish a previously begun span; no-op when none is open."""
-        opened = self._open.pop((trace_id, name), None)
-        if opened is None:
-            return None
-        layer, start, begin_attrs = opened
-        return self._record(trace_id, name, layer, start, end, {**begin_attrs, **attrs})
 
     def record_table_query(
         self, table: str, layer: str, start: float, end: float, **attrs: Any
-    ) -> int:
-        """Record one query over ``table``; returns the traces it covered.
+    ) -> None:
+        """Record one query over ``table``.
 
         The query layer does not see per-row headers, but it does know the
         table it served; lineage-wise, each trace whose record was
@@ -347,29 +356,23 @@ class SpanCollector:
         does not depend on what the two layers' clocks read.
         """
         attrs["table"] = table
-        query = _Batch(self._next_seq, "query", layer, end, attrs, (None,), (start,))
+        query = _Batch("query", layer, end, attrs, (None,), (start,), covers=table)
         self._table_queries.setdefault(table, deque()).append(query)
         self._append(query)
-        return len(self._table_traces.get(table, ()))
 
     def _append(self, batch: _Batch) -> None:
-        count = len(batch.trace_ids)
+        count = len(batch.rows)
+        if not count:
+            return
+        batch.seq = self._next_seq
         self._batches.append(batch)
         self._next_seq += count
         self._size += count
-        table = batch.ingest_table()
-        if table is not None:
-            ingests = self._table_traces.setdefault(table, {})
-            for trace_id in batch.trace_ids:
-                ingests[trace_id] = ingests.get(trace_id, 0) + 1
         metrics = self.metrics
         if metrics is not None:
-            end, starts = batch.end, batch.starts
             metrics.counter("spans_finished").inc(count)
             durations = metrics.histogram(f"span.{batch.layer}.{batch.name}")
-            durations.observe_since(end, starts)
-            if max(starts) > end:
-                metrics.counter("spans_inverted").inc(sum(s > end for s in starts))
+            durations.observe_since(batch.end, batch.starts)
         if self._size > self.capacity:
             self._drop_oldest(self._size - self.capacity)
 
@@ -380,37 +383,30 @@ class SpanCollector:
             self.metrics.counter("spans_dropped").inc(count)
         while count:
             batch = self._batches[0]
-            dropped = batch.trace_ids[:count]
+            dropped = min(count, len(batch.rows))
             self._forget(batch, dropped)
-            if len(dropped) == len(batch.trace_ids):
+            if dropped == len(batch.rows):
                 self._batches.popleft()
             else:
-                batch.drop_head(len(dropped))
-            count -= len(dropped)
+                batch.drop_head(dropped)
+            count -= dropped
 
-    def _forget(self, batch: _Batch, trace_ids: Sequence[str | None]) -> None:
-        """Take the leading rows of the oldest batch out of every index."""
-        if trace_ids[0] is None:
-            table = batch.attrs["table"]
-            self._table_queries[table].popleft()
-            if not self._table_queries[table]:
-                del self._table_queries[table]
-            return
-        if batch.seq < self._indexed:
-            for trace_id in trace_ids:
+    def _forget(self, batch: _Batch, count: int) -> None:
+        """Take the ``count`` leading rows of the oldest batch out of every
+        index."""
+        if batch.covers is not None:
+            queries = self._table_queries[batch.covers]
+            queries.popleft()
+            if not queries:
+                del self._table_queries[batch.covers]
+        elif batch.seq < self._indexed:
+            for trace_id in batch.trace_ids[:count]:
+                if trace_id is None:
+                    continue
                 rows = self._by_trace[trace_id]
                 del rows[0]
                 if not rows:
                     del self._by_trace[trace_id]
-        table = batch.ingest_table()
-        if table is not None:
-            ingests = self._table_traces[table]
-            for trace_id in trace_ids:
-                ingests[trace_id] -= 1
-                if not ingests[trace_id]:
-                    del ingests[trace_id]
-            if not ingests:
-                del self._table_traces[table]
 
     # -- introspection ------------------------------------------------------
 
@@ -426,9 +422,6 @@ class SpanCollector:
 
     def span_count(self) -> int:
         return self._size
-
-    def open_span_count(self) -> int:
-        return len(self._open)
 
     def _index(self) -> dict[str, list[tuple[_Batch, int]]]:
         """The per-trace index, extended over what arrived since last read."""
@@ -473,7 +466,14 @@ class SpanCollector:
         return sorted(self._index())
 
     def traces_for_table(self, table: str) -> set[str]:
-        return set(self._table_traces.get(table, ()))
+        """The traces with a stored ``ingest`` row into ``table``."""
+        return {
+            trace_id
+            for batch in self._batches
+            if batch.ingest_table() == table
+            for trace_id in batch.trace_ids
+            if trace_id is not None
+        }
 
     def trace_latency(
         self, trace_id: str, first_hop: str = "produce", last_hop: str = "ingest"
@@ -505,7 +505,12 @@ class SpanCollector:
                 continue
             for trace_id, start in zip(batch.trace_ids, batch.starts):
                 if batch.end < start:
-                    owner = trace_id or f"table {batch.attrs['table']}"
+                    if trace_id is not None:
+                        owner = trace_id
+                    elif batch.covers is not None:
+                        owner = f"table {batch.covers}"
+                    else:
+                        owner = "an unstamped record"
                     problems.append(
                         f"span {batch.name}[{batch.layer}] of {owner} ends "
                         f"at {batch.end:.6f} before it starts at {start:.6f}"
@@ -530,8 +535,8 @@ class SpanCollector:
 
     def summary(self) -> str:
         """One text block: span counts and duration percentiles per hop,
-        then what the two bounds cost — a trace missing a hop because its
-        span was dropped or evicted is not a trace that skipped the hop."""
+        then what the bound cost — a trace missing a hop because its span
+        was dropped is not a trace that skipped the hop."""
         by_hop: dict[tuple[str, str], list[float]] = {}
         for batch in self._batches:
             end = batch.end
@@ -546,10 +551,7 @@ class SpanCollector:
             lines.append(
                 f"{layer:<8} {name:<10} {len(durations):>7} {p50:>9.3f} {p99:>9.3f}"
             )
-        lines.append(
-            f"spans dropped: {self.spans_dropped}, "
-            f"open spans evicted: {self.open_spans_evicted}"
-        )
+        lines.append(f"spans dropped: {self.spans_dropped}")
         return "\n".join(lines)
 
 

@@ -22,7 +22,7 @@ from repro.audit.lineage import lineage_digest
 from repro.common.errors import BrokerUnavailableError, PinotError
 from repro.common.metrics import MetricsRegistry
 from repro.kafka.cluster import KafkaCluster
-from repro.observability.trace import TRACE_HEADER, SpanCollector
+from repro.observability.trace import SpanCollector
 from repro.pinot.recovery import BackupHandle, SegmentBackupStrategy
 from repro.pinot.segment import MutableSegment
 from repro.pinot.server import PinotServer
@@ -148,13 +148,14 @@ class RealtimeIngestion:
     def _ingest_entries(self, state: _PartitionState, entries: list) -> int:
         """Ingest one fetched batch of a partition; returns rows added."""
         ingested = 0
-        # Entries whose rows landed in the consuming segment and still await
-        # their ingest spans: one collector call covers them, made before
-        # anything that can seal (a seal renames the consuming segment and
-        # may move the clock) and on every way out.
-        landed: list = []
+        # entries[first:landed] landed in the consuming segment and still
+        # await their ingest spans: one collector call covers them, made
+        # before anything that can seal (a seal renames the consuming
+        # segment and may move the clock), before a skipped entry and on
+        # every way out.
+        first = landed = 0
         try:
-            for entry in entries:
+            for index, entry in enumerate(entries):
                 row = dict(entry.record.value)
                 self.config.schema.validate(row)
                 if self.config.dedup_enabled:
@@ -164,16 +165,17 @@ class RealtimeIngestion:
                         # is already queryable — consume past it.
                         state.position = entry.offset + 1
                         self.metrics.counter("rows_deduped").inc()
+                        self._trace_ingest(state, entries, first, landed)
+                        first = landed = index + 1
                         continue
                     state.seen_digests.add(digest)
                 doc_id = state.consuming.append(row)
                 state.position = entry.offset + 1
                 ingested += 1
+                landed = index + 1
                 # The row is queryable from this instant: cached results
                 # for this table are stale now.
                 self.epoch.bump()
-                if self.tracer is not None:
-                    landed.append(entry)
                 if self.config.upsert_enabled:
                     manager = state.owner.upsert_manager(
                         self.config.name, state.partition
@@ -184,34 +186,36 @@ class RealtimeIngestion:
                         doc_id,
                     )
                 if state.consuming.num_docs >= self.config.segment_rows_threshold:
-                    self._trace_ingest(state, landed)
+                    self._trace_ingest(state, entries, first, landed)
+                    first = landed
                     self._seal(state)
                     if state.blocked():
                         break
         finally:
-            self._trace_ingest(state, landed)
+            self._trace_ingest(state, entries, first, landed)
         return ingested
 
-    def _trace_ingest(self, state: _PartitionState, landed: list) -> None:
-        """Record the ingest spans of ``landed`` entries and empty the list.
+    def _trace_ingest(
+        self, state: _PartitionState, entries: list, first: int, landed: int
+    ) -> None:
+        """Record the ingest spans of ``entries[first:landed]``.
 
         Ingest = log dwell + append; the rows are queryable in the consuming
         segment from this instant (the paper's freshness boundary).
         Timestamps come from the shared Kafka-cluster clock so a span can
         never end before the produce span did.
         """
-        if self.tracer is not None and landed:
-            self.tracer.record_spans(
-                "ingest",
-                "pinot",
-                [entry.record.headers.get(TRACE_HEADER) for entry in landed],
-                [entry.append_time for entry in landed],
-                end=self.kafka.clock.now(),
-                table=self.config.name,
-                partition=state.partition,
-                segment=state.consuming.name,
-            )
-        landed.clear()
+        if self.tracer is None or first == landed:
+            return
+        self.tracer.record_entries(
+            "ingest",
+            "pinot",
+            entries if landed - first == len(entries) else entries[first:landed],
+            end=self.kafka.clock.now(),
+            table=self.config.name,
+            partition=state.partition,
+            segment=state.consuming.name,
+        )
 
     def _seal(self, state: _PartitionState) -> None:
         sealed = state.consuming.seal(

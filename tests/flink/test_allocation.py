@@ -38,8 +38,8 @@ def run_counted(key_fn, monkeypatch):
     emitted, received, out = [], [], []
     read, process = BoundedListReader._read, WindowOperator.process
 
-    def spy_read(self, max_records):
-        batch = read(self, max_records)
+    def spy_read(self, *args):
+        batch = read(self, *args)
         emitted.extend(batch)
         return batch
 

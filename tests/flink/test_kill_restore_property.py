@@ -102,7 +102,8 @@ def _script(seed, two_input, steps=160):
             continue
         ts = i * 0.7 - rng.choice([0.0, 0.0, 1.5, 6.0, 30.0])
         high = max(high, ts)
-        trace = TraceContext(f"trace-{i}", ts) if rng.random() < 0.5 else None
+        entered = i * 0.01  # when it entered the job: checkpointed, never a header
+        trace = TraceContext(f"trace-{i}", ts, entered) if rng.random() < 0.5 else None
         row = {"k": f"k{rng.randrange(4)}", "i": i, "v": rng.random() * 10}
         input_index = rng.randrange(2) if two_input else 0
         script.append((StreamRecord(row, ts, row["k"], trace), input_index))
@@ -126,7 +127,11 @@ def _run_operator(kind, script, kill_points=()):
         else:
             emitted = op.process(*step)
         for r in emitted:
-            trace = r.trace and r.trace.to_headers()
+            trace = r.trace and [
+                r.trace.trace_id,
+                r.trace.origin_event_time,
+                r.trace.entered,
+            ]
             rows.append([position, _plain(r.value), r.timestamp, r.key, trace])
     return serde.encode(rows), op
 

@@ -1,17 +1,19 @@
 """Executable reference model of the span collector: eager fan-out.
 
-This is what ``SpanCollector`` did before it recorded a query once: every
-finished span is one object in one unbounded list, and a table query is
-copied, at the moment it is recorded, onto *every trace ingested into the
-table so far*.  It is quadratic and unbounded, which is why production no
-longer works this way — and it is ten lines per method, which is why the
-tests keep it: ``test_collector_differential.py`` drives both collectors
-with the same seeded schedules and requires the same per-trace answers.
+This is what ``SpanCollector`` did before it recorded a query once and a
+hop once per batch: every finished span is one object, with its trace id
+worked out when it is recorded, in one unbounded list, and a table query
+is copied, at the moment it is recorded, onto *every trace ingested into
+the table so far*.  It is quadratic and unbounded, which is why production
+no longer works this way — and it is ten lines per method, which is why
+the tests keep it: ``test_collector_differential.py`` drives both
+collectors with the same seeded schedules and requires the same per-trace
+answers.  A span whose trace id is ``None`` (a record no client stamped)
+is stored and belongs to no trace.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Any
 
 from repro.observability.trace import HOP_ORDER, Span
@@ -22,11 +24,8 @@ def _hop_rank(name: str) -> int:
 
 
 class EagerCollector:
-    def __init__(self, max_open_spans: int = 100_000) -> None:
-        self.max_open_spans = max_open_spans
-        self.open_spans_evicted = 0
+    def __init__(self) -> None:
         self.finished: list[Span] = []
-        self.open: OrderedDict[tuple[str, str], Span] = OrderedDict()
         self.table_traces: dict[str, set[str]] = {}
 
     def record_span(self, trace_id, name, layer, start, end, **attrs: Any) -> Span:
@@ -34,31 +33,16 @@ class EagerCollector:
         self._finish(span)
         return span
 
-    def begin_span(self, trace_id, name, layer, start, **attrs: Any) -> None:
-        self.open[(trace_id, name)] = Span(trace_id, name, layer, start, None, attrs)
-        while len(self.open) > self.max_open_spans:
-            self.open.popitem(last=False)
-            self.open_spans_evicted += 1
-
-    def end_span(self, trace_id, name, end, **attrs: Any) -> Span | None:
-        span = self.open.pop((trace_id, name), None)
-        if span is None:
-            return None
-        span.end = end
-        span.attrs.update(attrs)
-        self._finish(span)
-        return span
-
-    def record_table_query(self, table, layer, start, end, **attrs: Any) -> int:
-        traces = self.table_traces.get(table, ())
-        for trace_id in sorted(traces):
+    def record_table_query(self, table, layer, start, end, **attrs: Any) -> None:
+        for trace_id in sorted(self.table_traces.get(table, ())):
             self._finish(
                 Span(trace_id, "query", layer, start, end, dict(attrs, table=table))
             )
-        return len(traces)
 
     def _finish(self, span: Span) -> None:
         self.finished.append(span)
+        if span.trace_id is None:
+            return
         if span.name == "ingest" and "table" in span.attrs:
             self.table_traces.setdefault(span.attrs["table"], set()).add(
                 span.trace_id
@@ -71,7 +55,7 @@ class EagerCollector:
         return sorted(spans, key=lambda s: (s.start, _hop_rank(s.name)))
 
     def trace_ids(self) -> list[str]:
-        return sorted({s.trace_id for s in self.finished})
+        return sorted({s.trace_id for s in self.finished} - {None})
 
     def traces_for_table(self, table: str) -> set[str]:
         return set(self.table_traces.get(table, ()))
@@ -86,7 +70,7 @@ class EagerCollector:
 
     def anomalies(self) -> list[str]:
         problems = [
-            f"span {s.name}[{s.layer}] of {s.trace_id} ends "
+            f"span {s.name}[{s.layer}] of {s.trace_id or 'an unstamped record'} ends "
             f"at {s.end:.6f} before it starts at {s.start:.6f}"
             for s in self.finished
             if s.end < s.start

@@ -1,6 +1,7 @@
 """The collector against its reference model, a real pipeline and its bound.
 
-``SpanCollector`` stores a query once and a hop once per batch, resolves
+``SpanCollector`` stores a query once and a hop once per batch, by
+reference to the records the hop held, works out their trace ids and
 "which queries covered trace T" when asked, and keeps only the newest
 ``capacity`` rows.  None of that may change what a reader is told:
 
@@ -21,7 +22,9 @@ import pytest
 
 from repro import Field, FieldType, Platform, Schema, TableConfig
 from repro.common.metrics import MetricsRegistry
-from repro.observability.trace import SpanCollector
+from repro.common.records import Record
+from repro.kafka.log import LogEntry
+from repro.observability.trace import TRACE_HEADER, SpanCollector
 
 from tests.observability.eager_reference import EagerCollector, survivors
 
@@ -39,12 +42,12 @@ class Pair:
     store may still hold.
     """
 
-    def __init__(self, rng: random.Random, capacity: int, max_open: int) -> None:
+    def __init__(self, rng: random.Random, capacity: int) -> None:
         self.rng = rng
         self.now = 0.0
         self.rows = 0
-        self.new = SpanCollector(max_open_spans=max_open, capacity=capacity)
-        self.ref = EagerCollector(max_open_spans=max_open)
+        self.new = SpanCollector(capacity=capacity)
+        self.ref = EagerCollector()
 
     def _interval(self, invertible: bool = True) -> tuple[float, float]:
         self.now += self.rng.choice((0.0, 0.0, 0.25, 1.0))
@@ -64,9 +67,20 @@ class Pair:
         assert made == self.ref.record_span(tid, name, "layer", start, end, **attrs)
         self.rows += 1
 
+    def _headers(self, trace_id: str | None) -> dict:
+        """Headers whose trace id is ``trace_id``: a continued trace, the
+        record's own audit uid, or (``None``) no client stamp at all."""
+        if trace_id is None:
+            return {"service": "raw"}
+        if self.rng.random() < 0.3:
+            return {TRACE_HEADER: trace_id, "uid": f"own-{self.rows}"}
+        return {"uid": trace_id, "produced_at": self.now}
+
     def batch(self) -> None:
-        """One hop of a batch of records, some of them untraced; the
-        reference gets the per-record loop the call sites used to run."""
+        """One hop of a batch of records, some of them unstamped, handed
+        over as the records themselves or as trace ids; the reference gets
+        the per-record loop the call sites used to run, with each id
+        worked out up front."""
         name = self.rng.choice(HOPS[:4])
         size = self.rng.randrange(0, 6)
         ids = [self.rng.choice(TRACES + (None,)) for __ in range(size)]
@@ -75,58 +89,33 @@ class Pair:
         attrs = {"partition": self.rng.randrange(4)}
         if name == "ingest":
             attrs["table"] = self.rng.choice(TABLES[:2])
-        traced = [i for i, tid in enumerate(ids) if tid is not None]
-        ordinals = list(range(self.rows, self.rows + len(traced)))
-        sparse = iter(ordinals)
-        recorded = self.new.record_spans(
-            name,
-            "layer",
-            ids,
-            starts,
-            end,
-            columns={
-                "n": [None if tid is None else next(sparse) for tid in ids],
-                "offset": range(100, 100 + size),
-            },
-            **attrs,
-        )
-        assert recorded == len(traced)
-        for n, i in zip(ordinals, traced):
+        columns = {
+            "n": range(self.rows, self.rows + size),
+            "offset": range(100, 100 + size),
+        }
+        if self.rng.random() < 0.5:
+            records = [Record("k", i, 0.0, self._headers(t)) for i, t in enumerate(ids)]
+            self.new.record_batch(name, "layer", records, starts, end, columns, **attrs)
+        else:
+            self.new.record_spans(name, "layer", ids, starts, end, columns, **attrs)
+        for i, tid in enumerate(ids):
+            n = self.rows + i
             self.ref.record_span(
-                ids[i], name, "layer", starts[i], end, **attrs, n=n, offset=100 + i
+                tid, name, "layer", starts[i], end, **attrs, n=n, offset=100 + i
             )
-        self.rows += len(traced)
+        self.rows += size
 
     def query(self) -> None:
         table = self.rng.choice(TABLES)
         start, end = self._interval(invertible=False)
         attrs = {"n": self.rows, "probe": True, "rows": self.rng.randrange(9)}
-        covered = self.new.record_table_query(table, "pinot", start, end, **attrs)
+        assert self.new.record_table_query(table, "pinot", start, end, **attrs) is None
         self.ref.record_table_query(table, "pinot", start, end, **attrs)
         self.rows += 1
-        # "Covered" counts the traces with a stored ingest into the table.
-        assert covered == len(self.expected().traces_for_table(table))
-
-    def begin(self) -> None:
-        tid = self.rng.choice(TRACES)
-        start, __ = self._interval()
-        self.new.begin_span(tid, "process", "flink", start, job="j")
-        self.ref.begin_span(tid, "process", "flink", start, job="j")
-        assert self.new.open_span_count() == len(self.ref.open)
-        assert self.new.open_spans_evicted == self.ref.open_spans_evicted
-
-    def end(self) -> None:
-        tid = self.rng.choice(TRACES)
-        __, end = self._interval()
-        made = self.new.end_span(tid, "process", end, sink="s", n=self.rows)
-        assert made == self.ref.end_span(tid, "process", end, sink="s", n=self.rows)
-        if made is not None:
-            self.rows += 1
 
     def step(self) -> None:
         kind = self.rng.choices(
-            (self.span, self.batch, self.query, self.begin, self.end),
-            weights=(30, 20, 20, 15, 15),
+            (self.span, self.batch, self.query), weights=(30, 30, 20)
         )[0]
         kind()
 
@@ -153,33 +142,33 @@ class Pair:
         probes = {s.attrs["n"] for s in expected.finished if "probe" in s.attrs}
         stored = [s.attrs["n"] for s in self.new.spans("query")]
         assert len(stored) == len(set(stored)) and probes <= set(stored)
-        # The indexes hold the stored rows and nothing else, so the one
-        # capacity bounds them too (no view can show it: a stale entry is
-        # older than anything a reader is still asked about).
+        # The indexes hold the stored rows of a trace and nothing else, so
+        # the one capacity bounds them too (no view can show it: a stale
+        # entry is older than anything a reader is still asked about).
         new = self.new
         assert sum(map(len, new._table_queries.values())) == len(stored)
-        assert sum(map(len, new._by_trace.values())) == new.span_count() - len(stored)
-        assert sum(sum(c.values()) for c in new._table_traces.values()) == sum(
-            "table" in s.attrs for s in new.spans("ingest")
+        assert sum(map(len, new._by_trace.values())) == sum(
+            s.trace_id is not None for s in new.spans()
         )
 
 
 class TestAgainstEagerReference:
     @pytest.mark.parametrize("seed", range(12))
     def test_same_answers_while_nothing_is_dropped(self, seed):
-        pair = Pair(random.Random(seed), capacity=10_000, max_open=3)
+        pair = Pair(random.Random(seed), capacity=10_000)
         for i in range(250):
             pair.step()
             if i % 40 == 39:  # reads interleave with writes: the index grows
                 pair.assert_same_views()
         pair.assert_same_views()
         assert pair.new.spans_dropped == 0
-        assert pair.new.spans("query") and pair.ref.open_spans_evicted
+        assert pair.new.spans("query")
+        assert any(s.trace_id is None for s in pair.new.spans("ingest"))
 
     @pytest.mark.parametrize("seed", range(12))
     @pytest.mark.parametrize("capacity", (1, 7, 40))
     def test_same_answers_for_what_survives_overflow(self, seed, capacity):
-        pair = Pair(random.Random(1000 + seed), capacity=capacity, max_open=50)
+        pair = Pair(random.Random(1000 + seed), capacity=capacity)
         for i in range(200):
             pair.step()
             if i % 9 == 8:
@@ -250,7 +239,7 @@ class TestBound:
         assert [s.name for s in collector.trace("t0")] == ["ingest"]
         assert collector.trace_latency("t0") is None
         assert collector.trace_latency("t3") == 2.0
-        assert "spans dropped: 2, open spans evicted: 0" in collector.summary()
+        assert "spans dropped: 2" in collector.summary()
 
     def test_a_batch_is_trimmed_row_by_row(self):
         collector, __ = self._filled()
@@ -280,8 +269,9 @@ class TestBound:
         # t3's ingest is gone: the table lists no trace, queries cover none.
         assert collector.traces_for_table("rides") == set()
         assert collector.trace_ids() == [] and collector.trace("t3") == []
-        assert collector.record_table_query("rides", "presto", 21.0, 21.5) == 0
+        collector.record_table_query("rides", "presto", 21.0, 21.5)
         assert len(collector.spans()) == collector.span_count() == 6
+        assert all(s.trace_id is None for s in collector.spans())
 
     def test_one_batch_larger_than_the_store(self):
         collector = SpanCollector(capacity=3)
@@ -291,16 +281,34 @@ class TestBound:
         assert collector.spans_dropped == 2
         assert collector.trace_ids() == ["t2", "t3", "t4"]
 
+    def test_a_hop_over_log_entries_is_trimmed_like_any_batch(self):
+        collector = SpanCollector(capacity=3)
+        entries = [
+            LogEntry(i, Record("k", i, 0.0, {"uid": f"t{i}"}), append_time=float(i))
+            for i in range(5)
+        ]
+        collector.record_entries("ingest", "pinot", entries, end=9.0, table="rides")
+        assert collector.spans_dropped == 2
+        assert [(s.trace_id, s.start) for s in collector.spans()] == [
+            ("t2", 2.0),
+            ("t3", 3.0),
+            ("t4", 4.0),
+        ]
+        assert collector.traces_for_table("rides") == {"t2", "t3", "t4"}
+        assert collector.trace_latency("t3", "ingest", "ingest") == 6.0
+
     def test_capacity_must_hold_something(self):
         with pytest.raises(ValueError):
             SpanCollector(capacity=0)
 
-    def test_open_span_eviction_is_counted(self):
-        metrics = MetricsRegistry("obs")
-        collector = SpanCollector(metrics=metrics, max_open_spans=2)
-        collector.begin_spans("process", "flink", ["a", "b", "c", "d"], start=0.0)
-        assert collector.open_span_count() == 2
-        assert collector.open_spans_evicted == 2
-        assert metrics.counter("open_spans_evicted").value == 2
-        assert collector.end_span("a", "process", end=1.0) is None
-        assert "open spans evicted: 2" in collector.summary()
+    def test_a_trimmed_batch_leaves_the_hops_records_alone(self):
+        # The store keeps the hop's own list; dropping its head must not
+        # write into it (the producer, log and replicas share it).
+        collector = SpanCollector(capacity=3)
+        records = [Record("k", i, 0.0, {"uid": f"t{i}"}) for i in range(5)]
+        sent_at = [float(i) for i in range(5)]
+        collector.record_batch("produce", "kafka", records, sent_at, end=9.0)
+        assert [r.value for r in records] == [0, 1, 2, 3, 4]
+        assert sent_at == [0.0, 1.0, 2.0, 3.0, 4.0]
+        assert collector.trace_ids() == ["t2", "t3", "t4"]
+        assert [s.start for s in collector.spans()] == [2.0, 3.0, 4.0]

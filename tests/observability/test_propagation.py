@@ -3,6 +3,8 @@
 Each test exercises one boundary of the Figure 3 path: producer stamping,
 broker replication, consumer polling, and the Flink source -> window ->
 Kafka sink chain that re-produces derived records under the origin trace.
+A component is traced when it has a collector; a record's identity is its
+audit ``uid`` whether or not anything traces it.
 """
 
 from repro.common.clock import SimulatedClock
@@ -12,7 +14,13 @@ from repro.flink.windows import CountAggregate, TumblingWindows
 from repro.kafka.cluster import KafkaCluster, TopicConfig
 from repro.kafka.consumer import Consumer, GroupCoordinator
 from repro.kafka.producer import Producer
-from repro.observability.trace import TRACE_HEADER, SpanCollector, TraceContext
+from repro.observability.trace import (
+    ORIGIN_HEADER,
+    TRACE_HEADER,
+    SpanCollector,
+    TraceContext,
+)
+from repro.storage.blobstore import BlobStore
 
 
 def _cluster(tracer, partitions=2):
@@ -26,10 +34,23 @@ class TestProducerStamping:
     def test_untraced_producer_adds_no_trace_header(self):
         clock, kafka = _cluster(tracer=None)
         producer = Producer(kafka, "svc", clock=clock)
-        meta = producer.produce("events", {"v": 1}, key="a")
+        meta = producer.produce("events", {"v": 1}, key="a", event_time=2.0)
         entry = kafka.fetch("events", meta.partition, meta.offset, 1)[0]
         assert TRACE_HEADER not in entry.record.headers
-        assert TraceContext.from_record(entry.record) is None
+        # The audit uid is the record's identity, traced or not.
+        ctx = TraceContext.from_headers(entry.record.headers)
+        assert ctx == TraceContext(entry.record.headers["uid"], 2.0)
+
+    def test_traced_producer_adds_no_header_of_its_own(self):
+        headers = []
+        for tracer in (None, SpanCollector()):
+            clock, kafka = _cluster(tracer)
+            producer = Producer(kafka, "svc", clock=clock, tracer=tracer)
+            meta = producer.produce("events", {"v": 1}, key="a")
+            entry = kafka.fetch("events", meta.partition, meta.offset, 1)[0]
+            headers.append(sorted(entry.record.headers))
+        assert headers[0] == headers[1]
+        assert TRACE_HEADER not in headers[1] and ORIGIN_HEADER not in headers[1]
 
     def test_traced_producer_stamps_uid_as_trace_id(self):
         tracer = SpanCollector()
@@ -38,7 +59,8 @@ class TestProducerStamping:
         clock.advance(3.0)
         meta = producer.produce("events", {"v": 1}, key="a", event_time=2.0)
         entry = kafka.fetch("events", meta.partition, meta.offset, 1)[0]
-        ctx = TraceContext.from_record(entry.record)
+        assert TRACE_HEADER not in entry.record.headers
+        ctx = TraceContext.from_headers(entry.record.headers)
         assert ctx is not None
         assert ctx.trace_id == entry.record.headers["uid"]
         assert ctx.origin_event_time == 2.0
@@ -118,7 +140,7 @@ class TestFlinkPropagation:
         out = kafka.fetch("counts", 0, 0, 100)
         assert out  # at least one closed window reached the sink
         for entry in out:
-            ctx = TraceContext.from_record(entry.record)
+            ctx = TraceContext.from_headers(entry.record.headers)
             assert ctx is not None
             assert ctx.trace_id in produced_ids
 
@@ -141,3 +163,111 @@ class TestFlinkPropagation:
         assert span.finished
         assert span.attrs["job"] == "passthrough"
         assert tracer.anomalies() == []
+
+    def test_untraced_job_builds_no_trace_state(self):
+        # The records carry uids; without a collector the job stamps none.
+        clock, kafka = _cluster(tracer=None, partitions=1)
+        producer = Producer(kafka, "svc", clock=clock)
+        for i in range(3):
+            producer.produce("events", {"v": i}, key="a", event_time=float(i))
+        seen = []
+        env = StreamEnvironment()
+        env.from_kafka(kafka, "events", group="job").sink_to_list(seen)
+        runtime = JobRuntime(env.build("untraced"))
+        [source] = runtime.tasks[runtime.graph.sources()[0].op_id]
+        elements = source.reader.poll(10)
+        assert len(elements) > 3
+        assert all(getattr(e, "trace", None) is None for e in elements)
+
+
+def _job_runtime(kafka, tracer, build, blob_store=None):
+    env = StreamEnvironment()
+    build(env.from_kafka(kafka, "events", group="job"))
+    return JobRuntime(env.build("job"), blob_store=blob_store, tracer=tracer)
+
+
+class TestProcessSpans:
+    """The process span runs from the time an element entered the job to
+    the sink write of each output that carries its trace."""
+
+    def test_a_window_closing_after_100k_source_records_keeps_its_span(self):
+        tracer = SpanCollector(capacity=500_000)
+        clock, kafka = _cluster(tracer, partitions=1)
+        producer = Producer(kafka, "svc", clock=clock, tracer=tracer)
+        producer.produce("events", {"k": "lone"}, key="lone", event_time=1.0)
+        [lone] = tracer.spans("produce")
+        clock.advance(1.0)
+        for i in range(100_001):
+            producer.send("events", {"k": "busy"}, key="busy", event_time=2.0)
+        producer.produce("events", {"k": "close"}, key="close", event_time=99.0)
+        out = []
+        runtime = _job_runtime(
+            kafka,
+            tracer,
+            lambda stream: stream.key_by(lambda v: v["k"])
+            .window(TumblingWindows(50.0))
+            .aggregate(CountAggregate())
+            .sink_to_list(out),
+        )
+        runtime.run_until_quiescent()
+        assert sorted((r.key, r.value) for r in out) == [
+            ("busy", 100_001),
+            ("lone", 1),
+        ]
+        process = {s.trace_id: s for s in tracer.spans("process")}
+        assert lone.trace_id in process
+        assert process[lone.trace_id].start <= process[lone.trace_id].end
+        assert tracer.anomalies() == []
+
+    def test_each_sink_output_of_one_trace_records_its_own_span(self):
+        tracer = SpanCollector()
+        clock, kafka = _cluster(tracer, partitions=1)
+        producer = Producer(kafka, "svc", clock=clock, tracer=tracer)
+        producer.produce("events", {"v": 1}, key="a", event_time=1.0)
+        left, right = [], []
+
+        def branches(stream):
+            stream.flat_map(lambda v: [v, v]).sink_to_list(left, name="left")
+            stream.map(lambda v: v).sink_to_list(right, name="right")
+
+        runtime = _job_runtime(kafka, tracer, branches)
+        clock.advance(2.0)
+        runtime.run_until_quiescent()
+        assert left == [{"v": 1}] * 2 and right == [{"v": 1}]
+        [produced] = tracer.spans("produce")
+        spans = tracer.spans("process")
+        assert sorted(s.attrs["sink"] for s in spans) == ["left", "left", "right"]
+        assert {s.trace_id for s in spans} == {produced.trace_id}
+        assert len(tracer.trace(produced.trace_id)) == 4
+
+    def test_a_restored_window_still_records_its_span(self):
+        # The collector of the failed process is gone with it; the entry
+        # time travels in the window's checkpoint.
+        clock, kafka = _cluster(tracer=None, partitions=1)
+        producer = Producer(kafka, "svc", clock=clock)
+        producer.produce("events", {"v": 1}, key="a", event_time=1.0)
+        store = BlobStore(clock=clock)
+        out = []
+
+        def count(stream):
+            stream.key_by(lambda v: "all").window(TumblingWindows(10.0)).aggregate(
+                CountAggregate()
+            ).sink_to_list(out)
+
+        before = _job_runtime(kafka, SpanCollector(), count, store)
+        clock.advance(3.0)
+        entered = clock.now()
+        before.run_until_quiescent()
+        checkpoint = before.trigger_checkpoint()
+        assert out == []
+
+        tracer = SpanCollector()
+        after = _job_runtime(kafka, tracer, count, store)
+        after.restore_from(checkpoint)
+        producer.produce("events", {"v": 2}, key="a", event_time=20.0)
+        clock.advance(4.0)
+        after.run_until_quiescent()
+        assert [r.value for r in out] == [1]
+        [span] = tracer.spans("process")
+        assert (span.start, span.end) == (entered, clock.now())
+        assert span.trace_id == kafka.fetch("events", 0, 0, 1)[0].record.uid()

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.common.metrics import MetricsRegistry
+from repro.common.records import Record
+from repro.kafka.log import LogEntry
 from repro.observability.trace import (
     HOP_ORDER,
     ORIGIN_HEADER,
@@ -26,9 +28,22 @@ class TestTraceContext:
         assert TraceContext.from_headers(headers) == TraceContext("evt-1")
 
     def test_untraced_headers_yield_none(self):
-        # A bare audit uid does not opt a record into tracing.
-        assert TraceContext.from_headers({"uid": "evt-3"}) is None
+        # Only a record no client stamped has no identity.
         assert TraceContext.from_headers({}) is None
+        assert TraceContext.from_headers({"service": "raw"}) is None
+
+    def test_audit_identity_is_the_fallback(self):
+        # A record's own uid / produced_at are its trace id and origin; a
+        # continued trace's pair wins over them.
+        own = {"uid": "evt-3", "produced_at": 1.5, "service": "svc"}
+        assert TraceContext.from_headers(own) == TraceContext("evt-3", 1.5)
+        continued = dict(own, **TraceContext("evt-1", 0.5).to_headers())
+        assert TraceContext.from_headers(continued) == TraceContext("evt-1", 0.5)
+
+    def test_entry_time_never_travels_in_headers(self):
+        ctx = TraceContext.from_headers({"uid": "evt-3"}, entered=7.0)
+        assert ctx == TraceContext("evt-3", None, entered=7.0)
+        assert ctx.to_headers() == {TRACE_HEADER: "evt-3"}
 
 
 class TestSpanLifecycle:
@@ -42,32 +57,37 @@ class TestSpanLifecycle:
         assert collector.spans("produce") == [span]
         assert collector.trace_ids() == ["t1"]
 
-    def test_begin_end_split_across_hops(self):
+    def test_a_hop_over_log_entries_starts_at_each_append(self):
         collector = SpanCollector()
-        collector.begin_span("t1", "process", "flink", start=1.0, job="j")
-        assert collector.open_span_count() == 1
-        assert collector.spans("process") == []
-        span = collector.end_span("t1", "process", end=4.0, sink="s")
-        assert span is not None
-        assert span.duration == 3.0
-        assert span.attrs == {"job": "j", "sink": "s"}
-        assert collector.open_span_count() == 0
-        assert collector.spans("process") == [span]
+        entries = [
+            LogEntry(7, Record("k", 1, 0.0, {"uid": "a"}), append_time=2.0),
+            LogEntry(8, Record("k", 2, 0.0, {"uid": "b"}), append_time=3.5),
+            LogEntry(9, Record("k", 3, 0.0, {}), append_time=4.0),
+        ]
+        collector.record_entries("consume", "kafka", entries, end=5.0, group="g")
+        spans = collector.spans("consume")
+        assert [(s.trace_id, s.start, s.end) for s in spans] == [
+            ("a", 2.0, 5.0),
+            ("b", 3.5, 5.0),
+            (None, 4.0, 5.0),  # no client stamped it: a hop of no trace
+        ]
+        assert spans[0].attrs == {"group": "g"}
+        assert collector.trace_ids() == ["a", "b"]
 
-    def test_end_without_begin_is_noop(self):
-        collector = SpanCollector()
-        assert collector.end_span("ghost", "process", end=1.0) is None
-        assert collector.spans() == []
+    def test_trace_ids_are_read_off_headers_only_when_asked(self):
+        reads = []
 
-    def test_open_spans_evicted_oldest_first(self):
-        # Records aggregated away inside Flink never reach a sink; their
-        # process spans must not accumulate without bound.
-        collector = SpanCollector(max_open_spans=3)
-        for i in range(5):
-            collector.begin_span(f"t{i}", "process", "flink", start=float(i))
-        assert collector.open_span_count() == 3
-        assert collector.end_span("t0", "process", end=9.0) is None  # evicted
-        assert collector.end_span("t4", "process", end=9.0) is not None
+        class Headers(dict):
+            def get(self, key, default=None):
+                reads.append(key)
+                return super().get(key, default)
+
+        collector = SpanCollector(metrics=MetricsRegistry("obs"))
+        records = [Record("k", i, 0.0, Headers(uid=f"t{i}")) for i in range(3)]
+        collector.record_batch("produce", "kafka", records, [0.0] * 3, end=1.0)
+        assert reads == [] and collector.span_count() == 3
+        assert collector.trace_ids() == ["t0", "t1", "t2"]
+        assert reads  # the first reader worked them out
 
     def test_duration_of_open_span_raises(self):
         span = Span("t", "process", "flink", start=1.0)
@@ -83,11 +103,13 @@ class TestMetricsExport:
         assert metrics.counter("spans_finished").value == 1
         assert metrics.histogram("span.pinot.ingest").percentile(50) == 2.0
 
-    def test_inverted_span_counted(self):
+    def test_inverted_span_reported_when_read(self):
         metrics = MetricsRegistry("obs")
         collector = SpanCollector(metrics=metrics)
         collector.record_span("t1", "ingest", "pinot", start=5.0, end=1.0)
-        assert metrics.counter("spans_inverted").value == 1
+        assert metrics.histogram("span.pinot.ingest").min == -4.0
+        [problem] = collector.anomalies()
+        assert "ingest[pinot] of t1 ends" in problem
 
 
 class TestTableQueryFanOut:
@@ -104,10 +126,8 @@ class TestTableQueryFanOut:
 
     def test_query_attaches_to_each_ingested_trace(self):
         collector = self._collector_with_ingests()
-        attached = collector.record_table_query(
-            "stats", "pinot", start=3.0, end=4.0
-        )
-        assert attached == 2
+        assert collector.record_table_query("stats", "pinot", 3.0, 4.0) is None
+        assert collector.traces_for_table("stats") == {"a", "b"}
         # Stored once, seen from every trace ingested into the table.
         [query] = collector.spans("query")
         assert query.trace_id is None
@@ -131,9 +151,8 @@ class TestTableQueryFanOut:
     def test_query_on_unknown_table_still_observed(self):
         metrics = MetricsRegistry("obs")
         collector = SpanCollector(metrics=metrics)
-        assert collector.record_table_query(
-            "empty", "presto", start=0.0, end=1.0
-        ) == 0
+        collector.record_table_query("empty", "presto", start=0.0, end=1.0)
+        assert collector.traces_for_table("empty") == set()
         assert metrics.histogram("span.presto.query").count == 1
 
 
