@@ -12,7 +12,7 @@ time with vs without standby elasticity; and an injected-loss audit.
 
 from __future__ import annotations
 
-from repro.kafka.chaperone import Chaperone
+from repro.audit import IntegrityAuditor
 from repro.kafka.cluster import KafkaCluster
 from repro.kafka.producer import Producer
 from repro.kafka.ureplicator import UReplicator
@@ -63,18 +63,18 @@ def audit_experiment() -> int:
     producer.flush()
     replicator = UReplicator(source, destination, "t")
     replicator.run_to_completion()
-    chaperone = Chaperone(window_seconds=120.0)
-    for partition in range(4):
-        for entry in source.fetch("t", partition, 0, 10_000):
-            chaperone.observe("source", entry.record)
-        entries = destination.fetch("t", partition, 0, 10_000)
-        # Inject loss: pretend the last 7 replicated records of partition 0
-        # never arrived downstream.
-        if partition == 0:
-            entries = entries[:-7]
-        for entry in entries:
-            chaperone.observe("destination", entry.record)
-    alerts = chaperone.compare("source", "destination")
+    # Inject loss: pretend the last 7 replicated records of partition 0
+    # never arrived downstream.
+    lost = {e.record.value["i"] for e in destination.fetch("t", 0, 0, 10_000)[-7:]}
+    audit = IntegrityAuditor("ureplicator")
+    audit.add_kafka_stage(source, "t", stage="source")
+    audit.add_kafka_stage(
+        destination,
+        "t",
+        stage="destination",
+        where=lambda record: record.value["i"] not in lost,
+    )
+    alerts = audit.window_report(window_seconds=120.0)
     return sum(a.missing_count for a in alerts)
 
 

@@ -4,7 +4,7 @@ Uber" (Fu & Soman, SIGMOD 2021).
 The package mirrors the paper's Figure 2/Figure 3 architecture:
 
 * ``repro.kafka``    — streaming storage (+ federation, DLQ, consumer
-  proxy, uReplicator, Chaperone, self-serve admin)
+  proxy, uReplicator, self-serve admin)
 * ``repro.flink``    — stream processing (+ job server, autoscaler,
   watchdog, Storm/Spark baselines)
 * ``repro.pinot``    — realtime OLAP (+ upserts, star-tree, peer-to-peer
@@ -17,6 +17,7 @@ The package mirrors the paper's Figure 2/Figure 3 architecture:
 * ``repro.usecases`` — Section 5's four representative applications
 * ``repro.workloads``— seeded synthetic workload generators
 * ``repro.observability`` — cross-layer tracing, freshness probes, SLOs
+* ``repro.audit``    — Chaperone: loss / duplication audits across stages
 * ``repro.chaos``    — deterministic fault injection + recovery verification
 * ``repro.controlplane`` — SLO-tiered admission/shedding, cross-layer
   autoscaling, million-user surge workloads

@@ -346,7 +346,7 @@ class ChaosHarness:
         present exactly once, in per-key order, at every registered stage
         (Kafka topic logs, Pinot table scans).  The auditor's scans run
         lazily at :meth:`report` time, so register this before ``run()``.
-        The full :class:`~repro.audit.report.IntegrityReport` stays on
+        The full :class:`~repro.audit.IntegrityReport` stays on
         ``auditor.last_report`` for rendering/diffing."""
 
         def check() -> tuple[bool, str]:

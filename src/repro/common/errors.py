@@ -176,6 +176,12 @@ class PlatformError(ReproError):
     """Platform facade misused (component not configured yet)."""
 
 
+# --- audit ---------------------------------------------------------------
+
+class AuditError(ReproError):
+    """An audit cannot count its input: a bad window or event time, or no key."""
+
+
 # --- chaos ---------------------------------------------------------------
 
 class ChaosError(ReproError):

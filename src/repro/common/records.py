@@ -2,9 +2,10 @@
 
 Section 9.4 of the paper ("Data auditing") describes how every business
 event is decorated by the Kafka client with a unique identifier, the
-application timestamp, the producing service name and a tier.  Chaperone
-uses this metadata to track loss and duplication at every stage.  We model
-the same envelope here so that the auditing experiments work end to end.
+application timestamp, the producing service name and a tier.  We model
+the same envelope here; the uid is the record's trace id.  The auditor
+(:mod:`repro.audit`) identifies a record by its content digest instead, so
+a stage that rebuilds a record without its headers is still audited.
 """
 
 from __future__ import annotations
@@ -77,8 +78,7 @@ def stamp_audit(
     """Add the audit metadata of Section 9.4 to ``headers`` in place.
 
     A uid is only assigned once so that duplicates created downstream
-    (retries, replication) keep the same uid and can be detected by
-    Chaperone.
+    (retries, replication) keep the same uid, and so the same trace.
     """
     if headers.get("uid") is None:
         headers.update(

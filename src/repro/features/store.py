@@ -22,9 +22,9 @@ whole design:
   as separate versions and the latest version wins at read time.
 
 Online/offline consistency is checked with the :mod:`repro.audit`
-machinery: the store's write log scans as an auditor stage and is
-reconciled — by lineage digest — against a ledger built from the
-offline (batch-recomputed) feature set.  Both sides are canonically
+auditor: the store's write log is an auditor stage and is reconciled —
+by lineage digest — against a ledger built from the offline
+(batch-recomputed) feature set.  Both sides are canonically
 sorted, so the comparison is independent of arrival order and any
 missing/duplicated/divergent write surfaces in the report.
 """
@@ -34,12 +34,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Any, Callable, Iterable, Iterator
 
-from repro.audit.auditor import IntegrityAuditor
-from repro.audit.lineage import lineage_digest
-from repro.audit.report import IntegrityReport
+from repro.audit import IntegrityAuditor, IntegrityReport, lineage_digest
 from repro.common import serde
 from repro.common.memory import deep_sizeof
 from repro.common.perf import PERF
+from repro.common.records import Record
 
 #: One logical feature write, as fed to the offline side of the
 #: consistency check: (key, feature, value, event_time).
@@ -197,7 +196,10 @@ class FeatureStore:
         )
         for __, key, payload in expected:
             auditor.record_expected(key, payload)
-        auditor.add_stage(f"store:{self.name}", self.write_scan)
+        auditor.add_stage(
+            f"store:{self.name}",
+            [Record(key, p, p["event_time"]) for key, p in self.write_scan()],
+        )
         return auditor.reconcile()
 
     def read_digest(self, requests: Iterable[tuple[Any, float]]) -> str:

@@ -3,10 +3,10 @@
 Core: partitioned replicated logs, producers, consumer groups.
 Extensions from the paper: cluster federation (4.1.1), dead letter queues
 (4.1.2), the push-based consumer proxy (4.1.3), uReplicator cross-cluster
-replication and Chaperone auditing (4.1.4), self-serve admin (9.4).
+replication (4.1.4), self-serve admin (9.4).  Chaperone auditing (4.1.4)
+is :mod:`repro.audit`, which scans these logs among its other stages.
 """
 
-from repro.kafka.chaperone import AuditAlert, Chaperone
 from repro.kafka.cluster import Broker, KafkaCluster, TopicConfig
 from repro.kafka.consumer import ConsumedMessage, Consumer, GroupCoordinator
 from repro.kafka.dlq import DlqConsumer, FailurePolicy, dlq_topic_name
@@ -29,8 +29,6 @@ from repro.kafka.admin import SelfServeAdmin, TopicQuota
 from repro.kafka.tiered import ChunkMeta, TieredPartition, TieredTopic
 
 __all__ = [
-    "AuditAlert",
-    "Chaperone",
     "Broker",
     "KafkaCluster",
     "TopicConfig",

@@ -3,7 +3,7 @@
 Mirrors the knobs the paper's use cases tune: surge pricing produces with
 ``acks=1`` for throughput (Section 5.1); financial topics force
 ``acks=all`` for zero loss (Section 9.2).  Every record is stamped with the
-audit headers of Section 9.4 so Chaperone can track it.
+audit headers of Section 9.4; its uid is the trace id.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.audit import lineage_digest
 from repro.common.errors import PinotError, TableNotFoundError
 from repro.kafka.cluster import KafkaCluster
 from repro.pinot.realtime import RealtimeIngestion
@@ -235,8 +236,6 @@ class PinotController:
             # replayed into the new consuming segment that already live in
             # a sealed segment are duplicates; the dead consuming segment's
             # rows are gone and must be re-ingested.
-            from repro.audit.lineage import lineage_digest
-
             pstate.seen_digests = {
                 lineage_digest(new_owner.segments[seg_name].row(doc_id))
                 for seg_name in pstate.sealed_segments

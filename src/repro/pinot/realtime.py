@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.audit.lineage import lineage_digest
+from repro.audit import lineage_digest
 from repro.common.errors import BrokerUnavailableError, PinotError
 from repro.common.metrics import MetricsRegistry
 from repro.kafka.cluster import KafkaCluster

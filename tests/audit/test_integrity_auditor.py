@@ -1,18 +1,15 @@
 """Unit tests for the cross-layer integrity auditor (Section 9.4).
 
 The chaos e2e exercises the auditor against a live pipeline; these tests
-pin down the primitives — digest canonicalization, the ledger, every
-discrepancy class (missing / duplicated / reordered), and the byte
-stability of the rendered report that the determinism CI gate diffs.
+pin down the primitives of ``reconcile()`` — digest canonicalization, the
+expected ledger, every discrepancy class (missing / duplicated /
+reordered), and the byte stability of the rendered report that the
+determinism CI gate diffs.
 """
 
-from repro.audit import (
-    IntegrityAuditor,
-    IntegrityReport,
-    LineageLedger,
-    lineage_digest,
-)
+from repro.audit import IntegrityAuditor, IntegrityReport, lineage_digest
 from repro.common.clock import SimulatedClock
+from repro.common.records import Record
 from repro.kafka.cluster import KafkaCluster, TopicConfig
 from repro.kafka.producer import Producer
 
@@ -37,19 +34,25 @@ class TestLineageDigest:
 
 
 class TestLineageLedger:
+    """The expected ledger is the auditor's first stage."""
+
     def test_per_key_sequences_keep_order(self):
-        ledger = LineageLedger()
-        first = ledger.record("k", {"v": 1})
-        second = ledger.record("k", {"v": 2})
-        [sequence] = ledger.per_key().values()
-        assert sequence == [first, second]
-        assert ledger.records == 2
+        audit = IntegrityAuditor("unit")
+        one, two = {"v": 1}, {"v": 2}
+        digests = audit.record_expected("k", one), audit.record_expected("k", two)
+        assert digests == (lineage_digest(one), lineage_digest(two))
+        audit.add_stage("in-order", [Record("k", one, 0.0), Record("k", two, 0.0)])
+        audit.add_stage("swapped", [Record("k", two, 0.0), Record("k", one, 0.0)])
+        in_order, swapped = audit.reconcile().stages
+        assert in_order.ok and in_order.expected_records == 2
+        assert swapped.reordered == ("'k'",)
 
     def test_equal_keys_collapse_like_the_partitioner(self):
-        ledger = LineageLedger()
-        ledger.record(5, {"v": 1})
-        ledger.record(5.0, {"v": 2})
-        assert len(ledger.per_key()) == 1
+        audit = IntegrityAuditor("unit")
+        audit.record_expected(5, {"v": 1})
+        audit.record_expected(5.0, {"v": 2})
+        audit.add_stage("s", [Record(5.0, {"v": 1}, 0.0), Record(5, {"v": 2}, 0.0)])
+        assert audit.reconcile().ok
 
 
 def _audited_topic(payloads, produced=None):
@@ -105,8 +108,8 @@ class TestReconcile:
         audit = IntegrityAuditor("unit")
         audit.record_expected("k", {"v": 1})
         audit.record_expected("k", {"v": 2})
-        swapped = [("k", {"v": 2}), ("k", {"v": 1})]
-        audit.add_stage("fake", lambda: iter(swapped))
+        swapped = [Record("k", {"v": 2}, 0.0), Record("k", {"v": 1}, 0.0)]
+        audit.add_stage("fake", swapped)
         report = audit.reconcile()
         [stage] = report.stages
         assert stage.reordered == ("'k'",)
@@ -143,7 +146,7 @@ class TestReconcile:
 
     def test_multiple_stages_reconcile_independently(self):
         __, audit = _audited_topic(PAYLOADS)
-        audit.add_stage("empty", lambda: iter(()))
+        audit.add_stage("empty", [])
         report = audit.reconcile()
         assert not report.ok
         ok_by_stage = {stage.stage: stage.ok for stage in report.stages}

@@ -167,7 +167,6 @@ def run_scenario(seed=2021):
         kafka,
         "city_counts",
         key_fn=lambda record: counts_key(record.value),
-        value_fn=lambda record: record.value,
         where=_not_probe_record,
     )
     counts_audit.add_pinot_stage(

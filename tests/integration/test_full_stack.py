@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.audit import IntegrityAuditor
 from repro.common.clock import SimulatedClock
 from repro.flink.runtime import JobRuntime
-from repro.kafka.chaperone import Chaperone
 from repro.kafka.cluster import KafkaCluster, TopicConfig
 from repro.kafka.producer import Producer
 from repro.metadata.catalog import DataCatalog, DatasetKind, DatasetRef
@@ -87,44 +87,35 @@ class TestKafkaToFlinkToPinotToPresto:
         assert len(per_city.rows) == 3
 
     def test_chaperone_audits_flink_hop(self):
-        """Audit metadata survives Kafka -> Flink -> Kafka and Chaperone
-        localizes an injected loss."""
+        """Key, payload and event time survive Kafka -> Flink -> Kafka, so
+        the window report localizes an injected loss to the Flink hop."""
         clock = SimulatedClock()
         kafka = KafkaCluster("k", 3, clock=clock)
         kafka.create_topic("in", TopicConfig(partitions=2))
+        kafka.create_topic("out", TopicConfig(partitions=2))
         producer = Producer(kafka, "svc", clock=clock)
         for i in range(100):
             clock.advance(1.0)
             producer.send("in", {"i": i, "drop": i % 10 == 0}, key=f"k{i}")
         producer.flush()
-        chaperone = Chaperone(window_seconds=1000.0)
-        for p in range(2):
-            for entry in kafka.fetch("in", p, 0, 1000):
-                chaperone.observe("kafka-in", entry.record)
         # A Flink job that (buggily) drops 10% of records.
         from repro.flink.graph import StreamEnvironment
 
-        out = []
         env = StreamEnvironment()
         env.from_kafka(kafka, "in", group="g") \
             .filter(lambda v: not v["drop"]) \
-            .sink_to_list(out)
+            .sink_to_kafka(kafka, "out")
         JobRuntime(env.build("lossy")).run_until_quiescent()
-        # Compare the original stamped records against the subset that
-        # survived the lossy job (uids are preserved end to end).
-        chaperone2 = Chaperone(window_seconds=1000.0)
-        originals = []
-        for p in range(2):
-            originals.extend(e.record for e in kafka.fetch("in", p, 0, 1000))
-        chaperone2.observe_many("kafka-in", originals)
-        surviving_uids = {v["i"] for v in out}
-        chaperone2.observe_many(
-            "flink-out",
-            [r for r in originals if r.value["i"] in surviving_uids],
-        )
-        alerts = chaperone2.compare("kafka-in", "flink-out")
+        audit = IntegrityAuditor("flink-hop")
+        audit.add_kafka_stage(kafka, "in", stage="kafka-in")
+        audit.add_kafka_stage(kafka, "out", stage="flink-out")
+        alerts = audit.window_report(window_seconds=1000.0)
         assert alerts
+        assert {(a.upstream, a.downstream) for a in alerts} == {
+            ("kafka-in", "flink-out")
+        }
         assert sum(a.missing_count for a in alerts) == 10
+        assert sum(a.duplicate_count for a in alerts) == 0
 
 
 class TestArchivalPath:

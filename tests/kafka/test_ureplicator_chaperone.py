@@ -1,9 +1,9 @@
 import pytest
 
+from repro.audit import IntegrityAuditor
 from repro.common.clock import SimulatedClock
 from repro.common.errors import KafkaError
-from repro.common.records import Record, stamp_audit_headers
-from repro.kafka.chaperone import Chaperone
+from repro.common.records import Record
 from repro.kafka.cluster import KafkaCluster, TopicConfig
 from repro.kafka.producer import Producer
 from repro.kafka.ureplicator import OffsetMappingStore, UReplicator
@@ -122,58 +122,26 @@ class TestOffsetMappingStore:
 
 
 class TestChaperone:
-    def _record(self, i: int, t: float) -> Record:
-        return stamp_audit_headers(Record(f"k{i}", {"i": i}, t), "svc")
+    """The window report over hand-built stages; the loss / duplicate /
+    replay / unexpected-key matrix is in tests/audit/test_chaperone.py."""
 
-    def test_no_alerts_when_counts_match(self):
-        chaperone = Chaperone(window_seconds=60)
-        records = [self._record(i, float(i)) for i in range(100)]
-        chaperone.observe_many("produced", records)
-        chaperone.observe_many("aggregate", records)
-        assert chaperone.compare("produced", "aggregate") == []
-
-    def test_detects_loss_in_the_right_window(self):
-        chaperone = Chaperone(window_seconds=60)
-        records = [self._record(i, float(i)) for i in range(120)]
-        chaperone.observe_many("produced", records)
-        # Lose 3 records from the second window (t in [60, 120)).
-        survived = [r for r in records if not 60 <= r.event_time < 63]
-        chaperone.observe_many("aggregate", survived)
-        alerts = chaperone.compare("produced", "aggregate")
-        assert len(alerts) == 1
-        assert alerts[0].window_start == 60.0
-        assert alerts[0].missing_count == 3
-        assert chaperone.total_loss("produced", "aggregate") == 3
-
-    def test_detects_duplication(self):
-        chaperone = Chaperone(window_seconds=60)
-        records = [self._record(i, float(i)) for i in range(10)]
-        chaperone.observe_many("produced", records)
-        chaperone.observe_many("aggregate", records + records[:2])
-        alerts = chaperone.compare("produced", "aggregate")
-        assert len(alerts) == 1
-        assert alerts[0].duplicate_count == 2
+    def _records(self, n: int) -> list[Record]:
+        return [Record(f"k{i}", {"i": i}, float(i)) for i in range(n)]
 
     def test_pipeline_audit_localizes_stage(self):
-        chaperone = Chaperone(window_seconds=1000)
-        records = [self._record(i, float(i)) for i in range(50)]
-        chaperone.observe_many("regional", records)
-        chaperone.observe_many("aggregate", records)
-        chaperone.observe_many("flink", records[:-5])  # loss at the last hop
-        alerts = chaperone.audit_pipeline(["regional", "aggregate", "flink"])
+        records = self._records(50)
+        audit = IntegrityAuditor("pipeline")
+        audit.add_stage("regional", records)
+        audit.add_stage("aggregate", records)
+        audit.add_stage("flink", records[:-5])  # loss at the last hop
+        alerts = audit.window_report(window_seconds=1000)
         assert len(alerts) == 1
         assert alerts[0].upstream == "aggregate"
         assert alerts[0].downstream == "flink"
 
-    def test_unstamped_record_rejected(self):
-        chaperone = Chaperone()
-        with pytest.raises(KafkaError):
-            chaperone.observe("s", Record("k", 1, 0.0))
-
     def test_describe_is_readable(self):
-        chaperone = Chaperone(window_seconds=60)
-        records = [self._record(i, float(i)) for i in range(5)]
-        chaperone.observe_many("a", records)
-        chaperone.observe_many("b", records[:3])
-        alert = chaperone.compare("a", "b")[0]
+        records = self._records(5)
+        audit = IntegrityAuditor("pair")
+        audit.add_stage("a", records).add_stage("b", records[:3])
+        alert = audit.window_report(window_seconds=60)[0]
         assert "missing 2" in alert.describe()
