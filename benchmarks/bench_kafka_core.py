@@ -69,7 +69,7 @@ def produce_consume(acks: str, batch_size: int) -> dict:
             (m.partition, m.offset, m.entry.record.value["i"]) for m in consumed
         ],
         "counts": counts,
-        "batches": producer.metrics.counter("batches_sent").value,
+        "batches": producer.batches_sent,
         "stored": stored,
     }
 

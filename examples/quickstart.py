@@ -4,9 +4,9 @@ Produce events into Kafka, run a FlinkSQL streaming aggregation whose
 results land back in Kafka, ingest both topics into Pinot, and query the
 fresh data with PrestoSQL through the Pinot connector — the full
 stream -> compute -> OLAP -> SQL stack of the paper, in one script.
-The :class:`~repro.platform.Platform` facade owns the shared clock, RNG,
-metrics and tracer, so every component below is already wired for
-end-to-end observability.
+The :class:`~repro.platform.Platform` facade owns the shared clock, RNG
+and tracer, so every component below is already wired for end-to-end
+observability.
 
 Run:  python examples/quickstart.py
 """
@@ -26,7 +26,7 @@ from repro import (
 
 
 def main() -> None:
-    # 1. The platform: one shared clock/RNG/metrics/tracer behind every layer.
+    # 1. The platform: one shared clock/RNG/tracer behind every layer.
     platform = (
         Platform(seed=2021, name="quickstart")
         .with_kafka(num_brokers=3)

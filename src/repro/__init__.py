@@ -31,7 +31,6 @@ from repro.chaos.harness import ChaosHarness
 from repro.chaos.report import RecoveryReport
 from repro.controlplane import AdmissionController, ControlPlane, SurgeWorkload
 from repro.common.clock import SimulatedClock, SystemClock
-from repro.common.metrics import MetricsRegistry
 from repro.common.records import Record
 from repro.common.retry import RetryPolicy
 from repro.flink.graph import StreamEnvironment
@@ -67,7 +66,6 @@ __all__ = [
     # shared plumbing
     "SimulatedClock",
     "SystemClock",
-    "MetricsRegistry",
     "Record",
     "BlobStore",
     # streaming storage

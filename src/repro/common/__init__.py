@@ -1,8 +1,7 @@
-"""Shared substrate: clocks, records, serde, metrics, memory accounting."""
+"""Shared substrate: clocks, records, serde, memory accounting."""
 
 from repro.common.clock import Clock, SimulatedClock, SystemClock
 from repro.common.memory import deep_sizeof
-from repro.common.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.common.records import Record, next_uid, stamp_audit_headers
 from repro.common.rng import seeded_rng, zipf_sampler
 from repro.common.serde import decode, encode, encoded_size
@@ -14,10 +13,6 @@ __all__ = [
     "Record",
     "next_uid",
     "stamp_audit_headers",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "deep_sizeof",
     "seeded_rng",
     "zipf_sampler",

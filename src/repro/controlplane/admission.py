@@ -43,9 +43,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.common.metrics import MetricsRegistry
 from repro.common.perf import PERF
 from repro.controlplane.workload import QueryRequest
+from repro.observability.freshness import nearest_rank
 from repro.observability.slo import TABLE1_SLOS, SloTarget
 
 #: Use cases ranked by shedding priority: index 0 is protected longest,
@@ -171,11 +171,9 @@ class AdmissionController:
         pressure: "Callable[[], float] | None" = None,
         pressure_levels: tuple[float, ...] = (),
         log: DecisionLog | None = None,
-        metrics: MetricsRegistry | None = None,
     ) -> None:
         self.targets = {t.use_case: t for t in targets}
         self.log = log if log is not None else DecisionLog()
-        self.metrics = metrics or MetricsRegistry("controlplane")
         self.guard_fraction = guard_fraction
         self.release_fraction = release_fraction
         self.hold_s = hold_s
@@ -211,9 +209,7 @@ class AdmissionController:
     def _window_p99(self) -> float | None:
         if len(self._latency_window) < self.min_samples:
             return None
-        ordered = sorted(self._latency_window)
-        rank = max(1, math.ceil(0.99 * len(ordered)))
-        return ordered[rank - 1]
+        return nearest_rank(sorted(self._latency_window), 99)
 
     def _reevaluate(self, now: float) -> None:
         if now - self._last_level_change < self.hold_s:
@@ -226,7 +222,6 @@ class AdmissionController:
         if p99 > self.guard_fraction * target and self.shed_level < max_level:
             self.shed_level += 1
             self._last_level_change = now
-            self.metrics.counter("controlplane.shed_level_raises").inc()
             self.log.record(
                 now,
                 "admission",
@@ -238,7 +233,6 @@ class AdmissionController:
         elif p99 < self.release_fraction * target and self.shed_level > 0:
             self.shed_level -= 1
             self._last_level_change = now
-            self.metrics.counter("controlplane.shed_level_drops").inc()
             self.log.record(
                 now,
                 "admission",
@@ -281,7 +275,6 @@ class AdmissionController:
         if bucket is not None and not bucket.try_take(now):
             return self._shed(request, tier, "rate-limit", now)
         self.admitted += 1
-        self.metrics.counter("controlplane.admitted").inc()
         return AdmissionDecision(True, tier, request.use_case, "admitted")
 
     def _shed(
@@ -290,8 +283,6 @@ class AdmissionController:
         self.shed += 1
         if PERF.enabled:
             PERF.inc("controlplane.shed_decisions")
-        self.metrics.counter("controlplane.shed").inc()
-        self.metrics.counter(f"controlplane.shed.tier{tier}").inc()
         self.log.record(
             now, "admission", request.request_id,
             "shed", f"{request.use_case} tier={tier} {reason}",

@@ -69,11 +69,8 @@ class ControlPlane:
             pressure=pressure,
             pressure_levels=pressure_levels,
             log=self.log,
-            metrics=platform.metrics,
         )
-        self.scaler = CrossLayerController(
-            log=self.log, metrics=platform.metrics
-        )
+        self.scaler = CrossLayerController(log=self.log)
         self.eval_interval = eval_interval
         self._next_eval = 0.0
         self._flink_boost: dict[str, int] = {}

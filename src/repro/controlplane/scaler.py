@@ -30,10 +30,9 @@ identical log.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
-from repro.common.metrics import MetricsRegistry
 from repro.common.perf import PERF
 from repro.controlplane.admission import DecisionLog
 from repro.flink.autoscaler import AutoScaler
@@ -92,12 +91,10 @@ class CrossLayerController:
     def __init__(
         self,
         log: DecisionLog | None = None,
-        metrics: MetricsRegistry | None = None,
         autoscaler: AutoScaler | None = None,
         flink_cooldown_s: float = 20.0,
     ) -> None:
         self.log = log if log is not None else DecisionLog()
-        self.metrics = metrics or MetricsRegistry("controlplane")
         self.autoscaler = autoscaler or AutoScaler()
         self.flink_cooldown_s = flink_cooldown_s
         self._policies: list[ResourcePolicy] = []
@@ -188,7 +185,6 @@ class CrossLayerController:
         state.below_count = 0
         if PERF.enabled:
             PERF.inc("controlplane.scale_actions")
-        self.metrics.counter(f"controlplane.{action}").inc()
         self.log.record(
             now, "scaler", policy.name, action,
             f"signal {value:.3f} vs up>{policy.scale_up_threshold:g}"
@@ -230,7 +226,6 @@ class CrossLayerController:
         state.last_action_t = now
         if PERF.enabled:
             PERF.inc("controlplane.scale_actions")
-        self.metrics.counter(f"controlplane.{decision.action}").inc()
         self.log.record(
             now, "scaler", f"flink.{job.job_id}", decision.action,
             f"{decision.reason}; units {units} -> {decision.new_parallelism}",

@@ -16,7 +16,6 @@ from enum import Enum
 from typing import Any
 
 from repro.common.errors import JobNotFoundError, JobValidationError
-from repro.common.metrics import MetricsRegistry
 from repro.flink.graph import JobGraph, validate_graph
 from repro.flink.runtime import JobRuntime
 from repro.storage.blobstore import BlobStore
@@ -72,7 +71,6 @@ class JobServer:
         self.clusters: dict[str, ComputeCluster] = {}
         self.jobs: dict[str, ManagedJob] = {}
         self._ids = itertools.count(1)
-        self.metrics = MetricsRegistry("jobserver")
 
     def add_cluster(self, name: str, total_slots: int) -> ComputeCluster:
         cluster = ComputeCluster(name, total_slots)
@@ -109,7 +107,6 @@ class JobServer:
         )
         cluster.used_slots += needed
         self.jobs[job_id] = job
-        self.metrics.counter("jobs_submitted").inc()
         return job_id
 
     def _place(self, slots: int, priority: JobPriority) -> ComputeCluster:
@@ -170,7 +167,6 @@ class JobServer:
             raise JobValidationError(f"job {job_id} has no runtime")
         checkpoint_id = job.runtime.trigger_checkpoint()
         job.last_checkpoint = checkpoint_id
-        self.metrics.counter("checkpoints").inc()
         return checkpoint_id
 
     # -- failure handling -------------------------------------------------------
@@ -179,7 +175,6 @@ class JobServer:
         """Record a job failure (detected by the watchdog or a user)."""
         job = self.get(job_id)
         job.state = JobState.FAILED
-        self.metrics.counter("failures").inc()
 
     def recover(self, job_id: str) -> bool:
         """Automatically restart a failed job from its last checkpoint.
@@ -198,7 +193,6 @@ class JobServer:
         job.runtime = runtime
         job.restarts += 1
         job.state = JobState.RUNNING
-        self.metrics.counter("recoveries").inc()
         return True
 
     def health_snapshot(self) -> dict[str, dict[str, float]]:

@@ -38,7 +38,6 @@ from repro.common.errors import (
     FlinkError,
     StorageUnavailableError,
 )
-from repro.common.metrics import MetricsRegistry
 from repro.common.perf import PERF
 from repro.kafka.producer import hash_partitioner
 from repro.flink.graph import Edge, JobGraph, OperatorSpec, validate_graph
@@ -224,7 +223,7 @@ class SubTask:
     def run_source_step(self, max_records: int) -> int:
         assert self.reader is not None
         if not self.output_has_space():
-            self.runtime.metrics.counter("backpressure_stalls").inc()
+            self.runtime.backpressure_stalls += 1
             return 0
         # A traced job stamps what it reads with the time it entered; the
         # sink its (possibly aggregated) descendant reaches records the
@@ -242,7 +241,7 @@ class SubTask:
         if self.spec.kind == "source":
             return self.run_source_step(budget)
         if not self.output_has_space():
-            self.runtime.metrics.counter("backpressure_stalls").inc()
+            self.runtime.backpressure_stalls += 1
             return 0
         processed = 0
         progress = True
@@ -466,7 +465,6 @@ class JobRuntime:
         blob_store=None,
         channel_capacity: int = DEFAULT_CHANNEL_CAPACITY,
         clock: Clock | None = None,
-        metrics: MetricsRegistry | None = None,
         tracer: SpanCollector | None = None,
     ) -> None:
         validate_graph(graph)
@@ -475,7 +473,10 @@ class JobRuntime:
         self.channel_capacity = channel_capacity
         self.clock = clock or self._infer_clock(graph)
         self.tracer = tracer
-        self.metrics = metrics or MetricsRegistry(f"flink.{graph.name}")
+        # Times a task stalled on a full output channel, and checkpoints
+        # this runtime aborted.
+        self.backpressure_stalls = 0
+        self.checkpoints_aborted = 0
         if tracer is not None:
             # Kafka sinks re-produce results; hand them the tracer so the
             # derived record's second produce hop is spanned too.
@@ -553,11 +554,8 @@ class JobRuntime:
     def _txn_event(
         self, phase: str, task: SubTask, checkpoint_id: int, records: int
     ) -> None:
-        """Counters + an instantaneous span per 2PC transition, so the
-        dashboard shows precommit/commit/abort next to the data spans."""
-        self.metrics.counter(f"sink_{phase}s").inc()
-        self.metrics.counter(f"sink_records_{phase}ted" if phase != "abort"
-                             else "sink_records_aborted").inc(records)
+        """An instantaneous span per 2PC transition, so the dashboard
+        shows precommit/commit/abort next to the data spans."""
         if self.tracer is not None:
             now = self.clock.now()
             self.tracer.record_span(
@@ -692,7 +690,7 @@ class JobRuntime:
                 # orphaned partial blobs are harmless debris (restore only
                 # trusts checkpoints with a completion marker).
                 pass
-        self.metrics.counter("checkpoints_aborted").inc()
+        self.checkpoints_aborted += 1
 
     def completed_checkpoints(self) -> list[int]:
         return list(self._completed_checkpoints)

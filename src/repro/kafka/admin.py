@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.common.errors import QuotaExceededError
-from repro.common.metrics import MetricsRegistry
 from repro.kafka.cluster import TopicConfig
 from repro.kafka.federation import FederationMetadataServer
 
@@ -49,7 +48,6 @@ class SelfServeAdmin:
         self.default_quota_bytes = default_quota_bytes
         self.expansion_threshold = expansion_threshold
         self.quotas: dict[str, TopicQuota] = {}
-        self.metrics = MetricsRegistry("selfserve")
 
     def on_service_deployed(self, service_name: str) -> str:
         """Auto-provision the service's log topic; idempotent."""
@@ -61,7 +59,6 @@ class SelfServeAdmin:
                 topic, TopicConfig(partitions=self.default_partitions)
             )
             self.quotas[topic] = TopicQuota(self.default_quota_bytes)
-            self.metrics.counter("topics_provisioned").inc()
         return topic
 
     def charge_produce(self, topic: str, nbytes: int) -> None:
@@ -92,5 +89,4 @@ class SelfServeAdmin:
         new_count = cluster.expand_partitions(topic, additional=current)  # double
         # Give the topic headroom in the next window too.
         quota.max_bytes_per_window *= 2
-        self.metrics.counter("topics_expanded").inc()
         return new_count

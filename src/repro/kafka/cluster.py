@@ -29,7 +29,6 @@ from repro.common.errors import (
     TopicExistsError,
     UnknownTopicError,
 )
-from repro.common.metrics import MetricsRegistry
 from repro.common.perf import PERF
 from repro.common.records import Record
 from repro.kafka.log import LogEntry, PartitionLog, _record_size
@@ -114,7 +113,6 @@ class KafkaCluster:
         name: str = "kafka",
         num_brokers: int = 3,
         clock: Clock | None = None,
-        metrics: MetricsRegistry | None = None,
         tracer: SpanCollector | None = None,
     ) -> None:
         if num_brokers < 1:
@@ -126,7 +124,6 @@ class KafkaCluster:
         self.topics: dict[str, Topic] = {}
         self._assign_cursor = itertools.count()
         self._replication_paused = False
-        self.metrics = metrics or MetricsRegistry(f"kafka.{name}")
         # Transactional-producer control plane (Section 9.2 zero-loss +
         # the 2PC sink's fencing).  Kept at the cluster level — like the
         # real broker's producer-state snapshots, it survives individual
@@ -135,6 +132,10 @@ class KafkaCluster:
         self._txn_registry: dict[str, tuple[int, int]] = {}  # id -> (pid, epoch)
         self._next_pid = itertools.count(1)
         self._producer_seqs: dict[tuple[int, str, int], _ProducerSeqState] = {}
+        # Exact batch retries answered without appending, and writes
+        # refused from a fenced (stale-epoch) producer.
+        self.duplicate_batches_dropped = 0
+        self.fenced_produces = 0
 
     # -- cluster membership ---------------------------------------------------
 
@@ -258,7 +259,6 @@ class KafkaCluster:
             self._elect_leader(pstate)
             topic.partitions.append(pstate)
         topic.config.partitions = current + additional
-        self.metrics.counter("partitions_expanded").inc(additional)
         return current + additional
 
     def delete_topic(self, name: str) -> None:
@@ -310,7 +310,6 @@ class KafkaCluster:
         self._txn_registry[transactional_id] = (pid, epoch)
         for key in [k for k in self._producer_seqs if k[0] == pid]:
             del self._producer_seqs[key]
-        self.metrics.counter("producer_inits").inc()
         return pid, epoch
 
     def _check_producer(
@@ -330,7 +329,7 @@ class KafkaCluster:
             )
         pid, epoch = registered
         if ctx.producer_id != pid or ctx.epoch < epoch:
-            self.metrics.counter("fenced_produces").inc()
+            self.fenced_produces += 1
             raise ProducerFencedError(
                 f"producer {ctx.transactional_id!r} epoch {ctx.epoch} is "
                 f"fenced by epoch {epoch}"
@@ -351,7 +350,7 @@ class KafkaCluster:
         ):
             # Exact retry of the last accepted batch: drop it, answer with
             # the original base offset.
-            self.metrics.counter("duplicate_batches_dropped").inc()
+            self.duplicate_batches_dropped += 1
             return state.base_offset
         raise OutOfOrderSequenceError(
             f"{topic}[{partition}]: pid {pid} sent base seq {ctx.base_seq}, "
@@ -460,7 +459,6 @@ class KafkaCluster:
                     log.extend_shared(entries, sizes)
                 else:
                     log.append_batch(records, now, sizes)
-        self.metrics.counter("records_in").inc(len(records))
         return base
 
     def fetch(
@@ -482,7 +480,6 @@ class KafkaCluster:
         entries = leader_log.read(offset, max_records)
         if PERF.enabled and entries:
             PERF.inc("kafka.records_fetched", len(entries))
-        self.metrics.counter("records_out").inc(len(entries))
         return entries
 
     def end_offset(self, topic: str, partition: int) -> int:

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.common.errors import KafkaError, OffsetOutOfRangeError
-from repro.common.metrics import MetricsRegistry
 from repro.kafka.cluster import KafkaCluster
 from repro.kafka.log import LogEntry
 from repro.observability.trace import SpanCollector
@@ -108,7 +107,6 @@ class Consumer:
         topic: str,
         member_id: str,
         auto_offset_reset: str = "earliest",
-        metrics: MetricsRegistry | None = None,
         tracer: SpanCollector | None = None,
     ) -> None:
         if auto_offset_reset not in ("earliest", "latest"):
@@ -125,7 +123,6 @@ class Consumer:
         self.tracer = tracer
         self._positions: dict[int, int] = {}
         self._seen_generation = -1
-        self.metrics = metrics or MetricsRegistry(f"consumer.{group}.{member_id}")
         coordinator.join(group, topic, member_id)
 
     def assignment(self) -> list[int]:
@@ -192,7 +189,6 @@ class Consumer:
                 )
             if entries:
                 self._positions[partition] = entries[-1].offset + 1
-        self.metrics.counter("records_polled").inc(len(out))
         return out
 
     def commit(self) -> None:

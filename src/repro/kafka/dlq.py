@@ -33,7 +33,6 @@ from enum import Enum
 from typing import Callable
 
 from repro.common.errors import KafkaError, RetryExhaustedError
-from repro.common.metrics import MetricsRegistry
 from repro.common.records import Record
 from repro.common.retry import RetryPolicy, immediate
 from repro.common.rng import seeded_rng
@@ -130,7 +129,6 @@ class DlqConsumer:
         self.retry_policy = retry_policy or immediate(max_retries)
         self.max_retries = self.retry_policy.max_attempts
         self.stats = ProcessingStats()
-        self.metrics = MetricsRegistry(f"dlq.{consumer.group}")
         self._retry_rng = seeded_rng(0, f"dlq.{consumer.group}")
         self._dlq_topic = dlq_topic_name(consumer.topic, consumer.group)
         # partition -> how many of its dead letters were merged or purged
@@ -148,10 +146,8 @@ class DlqConsumer:
             self.handler(message)
         except Exception:
             self.stats.failed_attempts += 1
-            self.metrics.counter("failed_attempts").inc()
             raise
         self.stats.processed += 1
-        self.metrics.counter("processed").inc()
 
     def _process(self, message: ConsumedMessage) -> bool:
         """Run the handler under the shared retry policy.
@@ -191,7 +187,6 @@ class DlqConsumer:
                 return completed
             if self.policy is FailurePolicy.DROP:
                 self.stats.dropped += 1
-                self.metrics.counter("dropped").inc()
             else:  # DLQ: same partition index, provenance stamped
                 self.cluster.append(
                     self._dlq_topic,
@@ -199,7 +194,6 @@ class DlqConsumer:
                     make_dead_letter(message, self.max_retries),
                 )
                 self.stats.dead_lettered += 1
-                self.metrics.counter("dead_lettered").inc()
             completed += 1
         self.consumer.commit()
         return completed

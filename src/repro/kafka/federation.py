@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 from repro.common.clock import Clock, SystemClock
 from repro.common.errors import KafkaError, UnknownTopicError
-from repro.common.metrics import MetricsRegistry
 from repro.common.records import Record, stamp_audit_headers
 from repro.kafka.cluster import KafkaCluster, TopicConfig
 from repro.kafka.consumer import ConsumedMessage, Consumer, GroupCoordinator
@@ -52,7 +51,6 @@ class FederationMetadataServer:
     def __init__(self) -> None:
         self._clusters: dict[str, KafkaCluster] = {}
         self._locations: dict[str, _TopicLocation] = {}
-        self.metrics = MetricsRegistry("federation.metadata")
 
     def add_cluster(self, cluster: KafkaCluster) -> None:
         if cluster.name in self._clusters:
@@ -106,7 +104,6 @@ class FederationMetadataServer:
         chosen = max(candidates, key=self.capacity_remaining)
         chosen.create_topic(topic, config)
         self._locations[topic] = _TopicLocation(chosen.name)
-        self.metrics.counter("topics_placed").inc()
         return chosen
 
     def migrate_topic(self, topic: str, destination: str) -> None:
@@ -138,7 +135,6 @@ class FederationMetadataServer:
         loc = self._locations[topic]
         loc.cluster_name = destination
         loc.epoch += 1
-        self.metrics.counter("topics_migrated").inc()
 
     def add_capacity_for(self, config: TopicConfig, brokers_per_new_cluster: int = 8):
         """Operator action: add a new physical cluster sized for growth."""

@@ -19,7 +19,6 @@ from repro.common.errors import (
     KafkaError,
     NotEnoughReplicasError,
 )
-from repro.common.metrics import MetricsRegistry
 from repro.common.perf import PERF
 from repro.common.records import Record, stamp_audit
 from repro.common.retry import RetryPolicy
@@ -86,7 +85,6 @@ class Producer:
         acks: str = "1",
         batch_size: int = 16_384,
         clock: Clock | None = None,
-        metrics: MetricsRegistry | None = None,
         tracer: SpanCollector | None = None,
         retry_policy: RetryPolicy | None = None,
         transactional_id: str | None = None,
@@ -114,7 +112,7 @@ class Producer:
         self._partition_cache: dict[tuple[str, Any, int], int] = {}
         self._sends = 0
         self._last_flush: list[RecordMetadata] = []
-        self.metrics = metrics or MetricsRegistry(f"producer.{service_name}")
+        self.batches_sent = 0
         # Idempotent/transactional mode: register with the cluster for a
         # (pid, epoch) identity and number every record per partition, so
         # exact batch retries dedup broker-side and a zombie instance is
@@ -259,9 +257,7 @@ class Producer:
                 topic=topic,
                 partition=partition,
             )
-        self.metrics.counter("records_sent").inc(len(batch.records))
-        self.metrics.counter("batches_sent").inc()
-        self.metrics.counter("bytes_sent").inc(batch.bytes)
+        self.batches_sent += 1
         self._rotate_sticky(topic)
         self._last_flush = out
         return out

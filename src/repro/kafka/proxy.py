@@ -30,7 +30,6 @@ from typing import Protocol
 
 from repro.common.clock import SimulatedClock
 from repro.common.errors import KafkaError, RetryExhaustedError
-from repro.common.metrics import MetricsRegistry
 from repro.common.retry import RetryPolicy, immediate
 from repro.common.rng import seeded_rng
 from repro.kafka.cluster import KafkaCluster
@@ -115,7 +114,6 @@ class ConsumerProxy:
         self._consumer = Consumer(cluster, coordinator, group, topic, "proxy")
         self._dlq_topic = create_dlq_topic(cluster, topic, group)
         self._retry_rng = seeded_rng(0, f"proxy.{group}")
-        self.metrics = MetricsRegistry(f"proxy.{group}")
 
     @property
     def dlq_topic(self) -> str:
@@ -163,8 +161,6 @@ class ConsumerProxy:
         report.per_worker_busy = busy
         report.peak_parallelism = min(self.num_workers, dispatched)
         self.clock.run_until(max(last_completion, self.clock.now()))
-        self.metrics.counter("delivered").inc(report.delivered)
-        self.metrics.counter("dead_lettered").inc(report.dead_lettered)
         return report
 
     def _deliver(self, message: ConsumedMessage) -> tuple[float, int, bool]:

@@ -28,7 +28,6 @@ from repro.common.errors import (
     NotEnoughReplicasError,
     RetryExhaustedError,
 )
-from repro.common.metrics import MetricsRegistry
 from repro.common.records import Record
 from repro.common.retry import RetryPolicy
 from repro.common.rng import seeded_rng
@@ -151,7 +150,6 @@ class UReplicator:
             _Worker(f"standby-{i}", standby=True, active=False)
             for i in range(num_standby)
         )
-        self.metrics = MetricsRegistry(f"ureplicator.{self.route}")
         self.rebalance(sticky=True)
 
     # -- assignment -------------------------------------------------------------
@@ -195,11 +193,9 @@ class UReplicator:
                 least = min(active, key=lambda w: len(w.assigned))
                 least.assigned.add(partition)
         after = {p: w.name for w in self.workers for p in w.assigned}
-        moved = sum(
+        return sum(
             1 for p in partitions if before.get(p) is not None and before.get(p) != after.get(p)
         )
-        self.metrics.counter("partitions_moved").inc(moved)
-        return moved
 
     def add_worker(self, sticky: bool = True) -> int:
         self.workers.append(_Worker(f"worker-{len(self.workers)}"))
@@ -297,14 +293,12 @@ class UReplicator:
                 try:
                     entries = self._fetch(partition, position, budget)
                 except (BrokerUnavailableError, RetryExhaustedError):
-                    self.metrics.counter("fetch_skips").inc()
                     continue
                 for entry in entries:
                     try:
                         self._append(partition, entry.record)
                     except (BrokerUnavailableError, RetryExhaustedError,
                             NotEnoughReplicasError):
-                        self.metrics.counter("append_skips").inc()
                         break
                     self._positions[partition] = entry.offset + 1
                     self._since_checkpoint[partition] += 1
@@ -317,7 +311,6 @@ class UReplicator:
                         >= self.checkpoint_interval
                     ):
                         self._checkpoint(partition)
-        self.metrics.counter("records_replicated").inc(copied)
         return copied
 
     def _checkpoint(self, partition: int) -> None:

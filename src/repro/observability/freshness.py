@@ -21,9 +21,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from repro.common.clock import Clock, SystemClock
+
+
+def nearest_rank(ordered: Sequence[float], pct: float) -> float:
+    """The ``pct`` percentile of a sorted, non-empty sequence by the
+    nearest-rank method: the value at rank ``ceil(pct / 100 * n)``, held
+    to ``[1, n]``."""
+    rank = math.ceil(pct / 100 * len(ordered))
+    return ordered[max(1, min(len(ordered), rank)) - 1]
 
 
 @dataclass(frozen=True)
@@ -41,12 +49,10 @@ class FreshnessReport:
         return len(self.samples)
 
     def percentile(self, pct: float) -> float:
-        """Nearest-rank percentile, matching Histogram.percentile."""
+        """Nearest-rank percentile (:func:`nearest_rank`)."""
         if not self.samples:
             raise ValueError("no freshness samples collected")
-        rank = math.ceil(pct / 100 * len(self.samples))
-        rank = max(1, min(len(self.samples), rank))
-        return self.samples[rank - 1]
+        return nearest_rank(self.samples, pct)
 
     @property
     def p50(self) -> float:

@@ -15,10 +15,9 @@ render a text dashboard of pass/fail per target.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from repro.observability.freshness import FreshnessReport
+from repro.observability.freshness import FreshnessReport, nearest_rank
 from repro.observability.trace import SpanCollector
 
 
@@ -162,12 +161,7 @@ class SloMonitor:
         results = []
         for key, target in self._targets.items():
             samples = sorted(self._samples.get(key, []))
-            if samples:
-                rank = math.ceil(target.percentile / 100 * len(samples))
-                rank = max(1, min(len(samples), rank))
-                observed = samples[rank - 1]
-            else:
-                observed = None
+            observed = nearest_rank(samples, target.percentile) if samples else None
             results.append(SloEvaluation(target, observed, len(samples)))
         return results
 

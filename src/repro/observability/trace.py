@@ -19,10 +19,9 @@ The model here is deliberately small:
 * Each hop emits a :class:`Span` — ``produce``, ``replicate``, ``consume``,
   ``process``, ``ingest``, ``query`` — into one shared
   :class:`SpanCollector`.
-* The collector shares its export path with the existing
-  :class:`~repro.common.metrics.MetricsRegistry`: every finished span also
-  observes a ``span.<layer>.<name>`` histogram, so dashboards read spans
-  and counters from one snapshot.
+* The collector is the only store of span data: counts and duration
+  percentiles per hop are read off its bounded ring
+  (:meth:`SpanCollector.summary`), and it holds nothing outside it.
 
 Tracing is opt-in per component: components take ``tracer=None``, and one
 with a collector traces every record it handles.  A record carries nothing
@@ -47,7 +46,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Any, Callable, Mapping
 
-from repro.common.metrics import MetricsRegistry
+from repro.observability.freshness import nearest_rank
 
 # Canonical boundary order of the Figure 3 data path.  Spans of one trace,
 # grouped by hop, must start in this order — an inversion means a clock or
@@ -251,8 +250,7 @@ class SpanCollector:
 
     One collector instance is shared across the whole stack (the
     :class:`~repro.platform.Platform` facade wires it); spans land here and
-    their durations are exported through the attached
-    :class:`MetricsRegistry` so spans and counters share one export path.
+    nowhere else.
 
     The store is a ring over arrival order holding the newest ``capacity``
     rows — finished spans and table queries alike.  Older rows are dropped,
@@ -261,12 +259,9 @@ class SpanCollector:
     longer lists a trace whose ``ingest`` rows are gone.
     """
 
-    def __init__(
-        self, metrics: MetricsRegistry | None = None, capacity: int = 100_000
-    ) -> None:
+    def __init__(self, capacity: int = 100_000) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be at least 1, got {capacity}")
-        self.metrics = metrics
         self.capacity = capacity
         self.spans_dropped = 0
         self._batches: deque[_Batch] = deque()
@@ -368,19 +363,12 @@ class SpanCollector:
         self._batches.append(batch)
         self._next_seq += count
         self._size += count
-        metrics = self.metrics
-        if metrics is not None:
-            metrics.counter("spans_finished").inc(count)
-            durations = metrics.histogram(f"span.{batch.layer}.{batch.name}")
-            durations.observe_since(batch.end, batch.starts)
         if self._size > self.capacity:
             self._drop_oldest(self._size - self.capacity)
 
     def _drop_oldest(self, count: int) -> None:
         self._size -= count
         self.spans_dropped += count
-        if self.metrics is not None:
-            self.metrics.counter("spans_dropped").inc(count)
         while count:
             batch = self._batches[0]
             dropped = min(count, len(batch.rows))
@@ -546,8 +534,7 @@ class SpanCollector:
         lines = [f"{'layer':<8} {'span':<10} {'count':>7} {'p50 (s)':>9} {'p99 (s)':>9}"]
         for (layer, name), durations in sorted(by_hop.items()):
             durations.sort()
-            p50 = durations[max(0, (len(durations) + 1) // 2 - 1)]
-            p99 = durations[max(0, -(-99 * len(durations) // 100) - 1)]
+            p50, p99 = nearest_rank(durations, 50), nearest_rank(durations, 99)
             lines.append(
                 f"{layer:<8} {name:<10} {len(durations):>7} {p50:>9.3f} {p99:>9.3f}"
             )

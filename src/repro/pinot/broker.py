@@ -55,7 +55,6 @@ from repro.common import hashring
 from repro.common.clock import Clock, SystemClock
 from repro.common.epochcache import EpochCache, copy_rows
 from repro.common.errors import PinotError, QueryError
-from repro.common.metrics import MetricsRegistry
 from repro.common.perf import PERF
 from repro.common.relational import order_rows
 from repro.kafka.producer import hash_partitioner
@@ -166,7 +165,6 @@ class PinotBroker:
         self,
         controller: PinotController,
         clock: Clock | None = None,
-        metrics: MetricsRegistry | None = None,
         tracer: SpanCollector | None = None,
         enable_pruning: bool = True,
         enable_cache: bool = True,
@@ -174,7 +172,6 @@ class PinotBroker:
         self.controller = controller
         self.clock = clock or SystemClock()
         self.tracer = tracer
-        self.metrics = metrics or MetricsRegistry("pinot.broker")
         self.enable_pruning = enable_pruning
         self.enable_cache = enable_cache
         self.cache = EpochCache(RESULT_CACHE_CAPACITY, copy=QueryResult.copied)
@@ -189,7 +186,6 @@ class PinotBroker:
             cached = self.cache.get(cache_key, epoch)
             if cached is not None:
                 return self._serve_cached(query, cached, start)
-            self.metrics.counter("cache_misses").inc()
             if PERF.enabled:
                 PERF.inc("pinot.cache_misses")
         subqueries, pruned = self._route(state, query)
@@ -204,9 +200,6 @@ class PinotBroker:
             partials.extend(
                 server.execute(query, segment_names, upsert_partition, epoch)
             )
-        self.metrics.counter("queries").inc()
-        self.metrics.counter("segments_scanned").inc(scanned)
-        self.metrics.counter("segments_pruned").inc(pruned)
         if PERF.enabled:
             PERF.inc("pinot.segments_scanned", scanned)
             if pruned:
@@ -262,8 +255,6 @@ class PinotBroker:
     def _serve_cached(
         self, query: PinotQuery, result: QueryResult, start: float
     ) -> QueryResult:
-        self.metrics.counter("queries").inc()
-        self.metrics.counter("cache_hits").inc()
         if PERF.enabled:
             PERF.inc("pinot.cache_hits")
             if result.pages is not None:

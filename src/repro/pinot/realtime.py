@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 from repro.audit import lineage_digest
 from repro.common.errors import BrokerUnavailableError, PinotError
-from repro.common.metrics import MetricsRegistry
 from repro.kafka.cluster import KafkaCluster
 from repro.observability.trace import SpanCollector
 from repro.pinot.recovery import BackupHandle, SegmentBackupStrategy
@@ -86,7 +85,6 @@ class RealtimeIngestion:
         owners: dict[int, PinotServer],
         replicas: dict[int, list[PinotServer]],
         backup: SegmentBackupStrategy,
-        metrics: MetricsRegistry | None = None,
         tracer: SpanCollector | None = None,
     ) -> None:
         self.config = config
@@ -94,7 +92,10 @@ class RealtimeIngestion:
         self.topic = topic
         self.backup = backup
         self.tracer = tracer
-        self.metrics = metrics or MetricsRegistry(f"pinot.ingest.{config.name}")
+        self.rows_ingested = 0
+        self.rows_deduped = 0  # replayed rows a dedup table consumed past
+        self.blocked_polls = 0  # partition rounds skipped awaiting backup
+        self.segments_sealed = 0
         self.epoch = TableEpoch()
         self.partitions: dict[int, _PartitionState] = {}
         for partition in range(kafka.partition_count(topic)):
@@ -126,7 +127,7 @@ class RealtimeIngestion:
         ingested = 0
         for state in self.partitions.values():
             if state.blocked():
-                self.metrics.counter("blocked_polls").inc()
+                self.blocked_polls += 1
                 continue
             if state.pending_backup is not None and state.pending_backup.done:
                 state.pending_backup = None
@@ -139,10 +140,9 @@ class RealtimeIngestion:
                 # Every replica of the source partition is down.  Hold
                 # position (no data is skipped) and resume next round once
                 # a broker restart restores a leader.
-                self.metrics.counter("unavailable_polls").inc()
                 continue
             ingested += self._ingest_entries(state, entries)
-        self.metrics.counter("rows_ingested").inc(ingested)
+        self.rows_ingested += ingested
         return ingested
 
     def _ingest_entries(self, state: _PartitionState, entries: list) -> int:
@@ -164,7 +164,7 @@ class RealtimeIngestion:
                         # Upstream replay (at-least-once producer); the row
                         # is already queryable — consume past it.
                         state.position = entry.offset + 1
-                        self.metrics.counter("rows_deduped").inc()
+                        self.rows_deduped += 1
                         self._trace_ingest(state, entries, first, landed)
                         first = landed = index + 1
                         continue
@@ -253,7 +253,7 @@ class RealtimeIngestion:
             column_names=self.config.schema.field_names(),
         )
         state.owner.host_segment(state.consuming)
-        self.metrics.counter("segments_sealed").inc()
+        self.segments_sealed += 1
         # Sealing changes the segment set (and builds new pruning
         # metadata); routing/pruning decisions cached against the old
         # epoch must not survive it.
@@ -277,7 +277,7 @@ class RealtimeIngestion:
         return total
 
     def total_rows_ingested(self) -> int:
-        return self.metrics.counter("rows_ingested").value
+        return self.rows_ingested
 
     def segments_of_partition(self, partition: int) -> list[str]:
         """All segment names of a partition, consuming segment last."""

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 from repro.common.epochcache import EpochCache
 from repro.common.errors import SegmentError
-from repro.common.metrics import MetricsRegistry
 from repro.pinot.query import PartialResult, PinotQuery, execute_on_segment
 from repro.pinot.scanshare import SCAN_SHARE_CAPACITY
 from repro.pinot.segment import ImmutableSegment, MutableSegment
@@ -30,9 +29,6 @@ class PinotServer:
     )
     upsert_managers: dict[tuple[str, int], UpsertManager] = field(
         default_factory=dict
-    )
-    metrics: MetricsRegistry = field(
-        default_factory=lambda: MetricsRegistry("pinot.server")
     )
     # Memoized filter resolutions (see repro.pinot.scanshare), validated
     # against the table epoch the broker routed the subquery at.
@@ -91,7 +87,6 @@ class PinotServer:
                     scan_epoch=epoch,
                 )
             )
-            self.metrics.counter("subqueries").inc()
         return partials
 
     def hosted_disk_bytes(self) -> int:

@@ -4,9 +4,11 @@ Every example and benchmark used to hand-assemble the same ~30 lines:
 a :class:`SimulatedClock`, a seeded RNG, a Kafka cluster, a FlinkSQL
 compiler, a Pinot controller + broker, a Presto engine over a connector
 catalog — and with the observability layer each of those now also wants
-the shared :class:`~repro.observability.trace.SpanCollector` and
-:class:`~repro.common.metrics.MetricsRegistry`.  :class:`Platform` owns
-those shared singletons and hands out correctly-wired components::
+the shared :class:`~repro.observability.trace.SpanCollector`.
+:class:`Platform` owns the shared clock, RNG and collector and hands out
+correctly-wired components; each component keeps its own counts as plain
+attributes (``Producer.batches_sent``, ``JobRuntime.checkpoints_aborted``,
+``RealtimeIngestion.rows_ingested``, ...)::
 
     p = (
         Platform(seed=2021)
@@ -32,7 +34,6 @@ from typing import Any, Callable
 
 from repro.common.clock import SimulatedClock
 from repro.common.errors import PlatformError
-from repro.common.metrics import MetricsRegistry
 from repro.flink.graph import JobGraph
 from repro.flink.runtime import DEFAULT_CHANNEL_CAPACITY, JobRuntime
 from repro.kafka.cluster import KafkaCluster, TopicConfig
@@ -67,10 +68,7 @@ class Platform:
         self.seed = seed
         self.clock = SimulatedClock(start_time)
         self.rng = random.Random(seed)
-        self.metrics = MetricsRegistry(name)
-        self.tracer: SpanCollector | None = (
-            SpanCollector(metrics=self.metrics) if tracing else None
-        )
+        self.tracer: SpanCollector | None = SpanCollector() if tracing else None
         self.slo_monitor = SloMonitor()
         self.kafka: KafkaCluster | None = None
         self.pinot: PinotController | None = None
@@ -222,7 +220,6 @@ class Platform:
             blob_store=self.checkpoint_store,
             channel_capacity=self._channel_capacity,
             clock=self.clock,
-            metrics=self.metrics,
             tracer=self.tracer,
         )
         self.runtimes.append(runtime)

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from repro.common.clock import Clock, SystemClock
 from repro.common.errors import BlobNotFoundError, StorageUnavailableError
-from repro.common.metrics import MetricsRegistry
 
 
 @dataclass(frozen=True, slots=True)
@@ -29,7 +28,7 @@ class BlobStore:
     Guarantees read-after-write consistency: a successful ``put`` is
     immediately visible to ``get``.  A per-operation service latency can be
     charged to a simulated clock by callers; the store itself is
-    instantaneous but records byte counters for cost accounting.
+    instantaneous.  :meth:`total_bytes` answers cost accounting.
     """
 
     def __init__(self, name: str = "blobstore", clock: Clock | None = None) -> None:
@@ -38,7 +37,6 @@ class BlobStore:
         self._objects: dict[str, bytes] = {}
         self._created: dict[str, float] = {}
         self._available = True
-        self.metrics = MetricsRegistry(name)
 
     # -- failure injection -------------------------------------------------
 
@@ -50,52 +48,46 @@ class BlobStore:
     def available(self) -> bool:
         return self._available
 
-    def _check_available(self, op: str) -> None:
+    def _check_available(self) -> None:
         if not self._available:
-            self.metrics.counter(f"{op}.unavailable").inc()
             raise StorageUnavailableError(f"{self.name} is unavailable")
 
     # -- object API ---------------------------------------------------------
 
     def put(self, key: str, data: bytes) -> None:
-        self._check_available("put")
+        self._check_available()
         if not isinstance(data, bytes):
             raise TypeError(f"blob data must be bytes, got {type(data).__name__}")
         self._objects[key] = data
         self._created[key] = self._clock.now()
-        self.metrics.counter("put").inc()
-        self.metrics.counter("bytes_written").inc(len(data))
 
     def get(self, key: str) -> bytes:
-        self._check_available("get")
+        self._check_available()
         try:
             data = self._objects[key]
         except KeyError:
             raise BlobNotFoundError(f"{self.name}: no object at {key!r}") from None
-        self.metrics.counter("get").inc()
-        self.metrics.counter("bytes_read").inc(len(data))
         return data
 
     def delete(self, key: str) -> None:
-        self._check_available("delete")
+        self._check_available()
         if key not in self._objects:
             raise BlobNotFoundError(f"{self.name}: no object at {key!r}")
         del self._objects[key]
         del self._created[key]
-        self.metrics.counter("delete").inc()
 
     def exists(self, key: str) -> bool:
-        self._check_available("head")
+        self._check_available()
         return key in self._objects
 
     def stat(self, key: str) -> BlobStat:
-        self._check_available("head")
+        self._check_available()
         if key not in self._objects:
             raise BlobNotFoundError(f"{self.name}: no object at {key!r}")
         return BlobStat(key, len(self._objects[key]), self._created[key])
 
     def list(self, prefix: str = "") -> list[str]:
-        self._check_available("list")
+        self._check_available()
         return sorted(k for k in self._objects if k.startswith(prefix))
 
     def total_bytes(self, prefix: str = "") -> int:

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.common.errors import BlobNotFoundError, StorageError, StorageUnavailableError
-from repro.common.metrics import MetricsRegistry
 
 DEFAULT_BLOCK_SIZE = 128 * 1024  # scaled down from HDFS's 128 MB
 DEFAULT_REPLICATION = 3
@@ -81,7 +80,6 @@ class HdfsCluster:
         self._next_block = 0
         self._namenode_up = True
         self._rr_cursor = 0
-        self.metrics = MetricsRegistry("hdfs")
 
     # -- failure injection ---------------------------------------------------
 
@@ -132,8 +130,6 @@ class HdfsCluster:
             self._blocks[block.block_id] = block
             inode.blocks.append(block.block_id)
         self._namespace[path] = inode
-        self.metrics.counter("files_written").inc()
-        self.metrics.counter("bytes_written").inc(len(data))
 
     def read_file(self, path: str) -> bytes:
         self._check_namenode()
@@ -148,7 +144,6 @@ class HdfsCluster:
                     f"all replicas of block {block_id} of {path!r} are down"
                 )
             parts.append(block.data)
-        self.metrics.counter("files_read").inc()
         return b"".join(parts)
 
     def delete_file(self, path: str) -> None:

@@ -19,6 +19,7 @@ from repro.flink.runtime import JobRuntime
 from repro.flink.windows import SumAggregate, TumblingWindows
 from repro.kafka.cluster import KafkaCluster, TopicConfig
 from repro.kafka.producer import Producer
+from repro.platform import Platform
 from repro.storage.blobstore import BlobStore
 
 WINDOW = 10.0
@@ -232,7 +233,7 @@ class TestCheckpointAbort:
         # Aborted cleanly: no pending acks, no per-task completion markers,
         # no stranded barriers, records still buffered for the next epoch.
         assert runtime._pending_sink_acks == {}
-        assert runtime.metrics.counter("checkpoints_aborted").value == 1
+        assert runtime.checkpoints_aborted == 1
         for tasks in runtime.tasks.values():
             for task in tasks:
                 assert not task.completed_checkpoints
@@ -252,3 +253,20 @@ class TestCheckpointAbort:
         # No partial snapshot blobs from the aborted id survived.
         aborted_prefix = runtime._checkpoint_prefix(checkpoint_id - 1)
         assert list(runtime.blob_store.list(aborted_prefix)) == []
+
+    def test_an_abort_counts_on_its_own_runtime_only(self):
+        # Two jobs on one Platform share its checkpoint store, not counts.
+        platform = Platform(seed=33).with_kafka().topic("events", partitions=2)
+        runtimes = []
+        for name in ("first", "second"):
+            env = StreamEnvironment()
+            env.from_kafka(platform.kafka, "events", group=name).sink_to_list([])
+            runtimes.append(platform.job(env.build(name)))
+        failing, healthy = runtimes
+        platform.checkpoint_store.set_available(False)
+        with pytest.raises(StorageUnavailableError):
+            failing.trigger_checkpoint()
+        platform.checkpoint_store.set_available(True)
+        healthy.trigger_checkpoint()
+        assert failing.checkpoints_aborted == 1
+        assert healthy.checkpoints_aborted == 0

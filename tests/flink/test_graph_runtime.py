@@ -131,10 +131,10 @@ class TestBackpressure:
         runtime.run_rounds(1, budget_per_task=10)
         # Source cannot run ahead of the bounded channels.
         assert runtime.total_buffered_elements() <= 4 * (50 + 110)
-        stalls_before = runtime.metrics.counter("backpressure_stalls").value
+        stalls_before = runtime.backpressure_stalls
         runtime.run_until_quiescent()
         assert len(out) == 2000
-        assert runtime.metrics.counter("backpressure_stalls").value >= stalls_before
+        assert runtime.backpressure_stalls >= stalls_before
 
 
 class TestCheckpoints:

@@ -41,7 +41,9 @@ class TestSelfServe:
         admin = make_admin()
         admin.on_service_deployed("svc")
         admin.on_service_deployed("svc")
-        assert admin.metrics.counter("topics_provisioned").value == 1
+        assert list(admin.quotas) == ["logs.svc"]
+        topics = [t for c in admin.federation.clusters() for t in c.topics]
+        assert topics == ["logs.svc"]
 
     def test_quota_enforced_on_produce(self):
         admin = make_admin()

@@ -43,7 +43,7 @@ class TestIdempotentDedup:
         retried = cluster.append_batch("t", 0, records, producer_ctx=ctx)
         assert retried == base
         assert cluster.end_offset("t", 0) == 5  # nothing appended twice
-        assert cluster.metrics.counter("duplicate_batches_dropped").value == 1
+        assert cluster.duplicate_batches_dropped == 1
 
     def test_next_batch_continues_after_a_deduped_retry(self):
         __, cluster = _cluster()
@@ -94,7 +94,7 @@ class TestIdempotentDedup:
             cluster, "svc", acks="all", transactional_id="sink-1"
         )
         producer.produce("t", {"i": 0}, key="a")
-        before = cluster.metrics.counter("duplicate_batches_dropped").value
+        before = cluster.duplicate_batches_dropped
         # Simulate the client-side retry of an already-accepted batch (the
         # ack was lost, not the append): replay the same sequence window.
         ctx = ProducerCtx(
@@ -108,7 +108,7 @@ class TestIdempotentDedup:
         )
         assert cluster.end_offset("t", partition) == 1
         assert (
-            cluster.metrics.counter("duplicate_batches_dropped").value
+            cluster.duplicate_batches_dropped
             == before + 1
         )
 
@@ -124,7 +124,7 @@ class TestEpochFencing:
         recovered.produce("t", {"i": 1}, key="a")
         with pytest.raises(ProducerFencedError):
             zombie.produce("t", {"i": 0}, key="a")
-        assert cluster.metrics.counter("fenced_produces").value == 1
+        assert cluster.fenced_produces == 1
 
     def test_fenced_zombie_appends_nothing(self):
         __, cluster = _cluster(partitions=1)

@@ -3,7 +3,11 @@
 import pytest
 
 from repro.common.clock import SimulatedClock
-from repro.observability.freshness import FreshnessProbe, FreshnessReport
+from repro.observability.freshness import (
+    FreshnessProbe,
+    FreshnessReport,
+    nearest_rank,
+)
 
 
 class TestFreshnessReport:
@@ -26,18 +30,14 @@ class TestFreshnessReport:
         assert report.mean == 5.0
         assert report.count == 3
 
-    def test_matches_histogram_percentile(self):
-        # The report must agree with the registry Histogram so spans and
-        # probe samples can be compared number-for-number.
-        from repro.common.metrics import Histogram
-
-        samples = [0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0]
-        hist = Histogram()
-        for s in samples:
-            hist.observe(s)
+    def test_matches_nearest_rank(self):
+        # The report, the SLO monitor, admission control and the span
+        # summary share one rule, so their numbers compare one-for-one.
+        samples = [32.0, 0.5, 4.0, 1.0, 16.0, 2.0, 8.0]
         report = FreshnessReport.from_samples(samples)
         for pct in (1, 25, 50, 75, 90, 99, 100):
-            assert report.percentile(pct) == hist.percentile(pct)
+            assert report.percentile(pct) == nearest_rank(sorted(samples), pct)
+        assert nearest_rank(sorted(samples), 75) == 16.0  # rank ceil(5.25) = 6
 
     def test_empty_report_raises(self):
         report = FreshnessReport.from_samples([])

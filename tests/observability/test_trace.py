@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.common.metrics import MetricsRegistry
 from repro.common.records import Record
 from repro.kafka.log import LogEntry
 from repro.observability.trace import (
@@ -82,7 +81,7 @@ class TestSpanLifecycle:
                 reads.append(key)
                 return super().get(key, default)
 
-        collector = SpanCollector(metrics=MetricsRegistry("obs"))
+        collector = SpanCollector()
         records = [Record("k", i, 0.0, Headers(uid=f"t{i}")) for i in range(3)]
         collector.record_batch("produce", "kafka", records, [0.0] * 3, end=1.0)
         assert reads == [] and collector.span_count() == 3
@@ -93,23 +92,6 @@ class TestSpanLifecycle:
         span = Span("t", "process", "flink", start=1.0)
         with pytest.raises(ValueError):
             span.duration
-
-
-class TestMetricsExport:
-    def test_finished_span_observes_histogram(self):
-        metrics = MetricsRegistry("obs")
-        collector = SpanCollector(metrics=metrics)
-        collector.record_span("t1", "ingest", "pinot", start=0.0, end=2.0)
-        assert metrics.counter("spans_finished").value == 1
-        assert metrics.histogram("span.pinot.ingest").percentile(50) == 2.0
-
-    def test_inverted_span_reported_when_read(self):
-        metrics = MetricsRegistry("obs")
-        collector = SpanCollector(metrics=metrics)
-        collector.record_span("t1", "ingest", "pinot", start=5.0, end=1.0)
-        assert metrics.histogram("span.pinot.ingest").min == -4.0
-        [problem] = collector.anomalies()
-        assert "ingest[pinot] of t1 ends" in problem
 
 
 class TestTableQueryFanOut:
@@ -138,22 +120,21 @@ class TestTableQueryFanOut:
         assert [s.name for s in collector.trace("c")] == ["ingest"]
 
     def test_query_latency_observed_once_not_per_trace(self):
-        metrics = MetricsRegistry("obs")
-        collector = SpanCollector(metrics=metrics)
+        collector = SpanCollector()
         for tid in ("a", "b", "c"):
             collector.record_span(
                 tid, "ingest", "pinot", start=1.0, end=2.0, table="stats"
             )
-        before = metrics.histogram("span.pinot.query").count
+        before = collector.span_count()
         collector.record_table_query("stats", "pinot", start=3.0, end=4.0)
-        assert metrics.histogram("span.pinot.query").count == before + 1
+        assert collector.span_count() == before + 1
+        assert [s.duration for s in collector.spans("query", "pinot")] == [1.0]
 
     def test_query_on_unknown_table_still_observed(self):
-        metrics = MetricsRegistry("obs")
-        collector = SpanCollector(metrics=metrics)
+        collector = SpanCollector()
         collector.record_table_query("empty", "presto", start=0.0, end=1.0)
         assert collector.traces_for_table("empty") == set()
-        assert metrics.histogram("span.presto.query").count == 1
+        assert len(collector.spans("query", "presto")) == 1
 
 
 class TestIntrospection:
@@ -197,6 +178,12 @@ class TestAnomalies:
         assert len(problems) == 1
         assert "ends" in problems[0]
 
+    def test_inverted_span_reported_when_read(self):
+        collector = SpanCollector()
+        collector.record_span("t1", "ingest", "pinot", start=5.0, end=1.0)
+        [problem] = collector.anomalies()
+        assert "ingest[pinot] of t1 ends" in problem
+
     def test_hop_order_inversion_reported(self):
         collector = SpanCollector()
         collector.record_span("t", "produce", "kafka", start=10.0, end=11.0)
@@ -224,3 +211,11 @@ class TestAnomalies:
         summary = collector.summary()
         assert "kafka" in summary and "produce" in summary
         assert "pinot" in summary and "ingest" in summary
+
+    def test_summary_counts_and_ranks_each_hop(self):
+        collector = SpanCollector()
+        for i, duration in enumerate((2.0, 1.0, 3.0)):
+            collector.record_span(f"t{i}", "ingest", "pinot", 0.0, duration)
+        [header, row, dropped] = collector.summary().splitlines()
+        assert row.split() == ["pinot", "ingest", "3", "2.000", "3.000"]
+        assert dropped == "spans dropped: 0"

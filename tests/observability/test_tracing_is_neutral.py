@@ -50,7 +50,7 @@ def _client_sends(tracing: bool) -> dict:
     platform.kafka.replicate()
     return {
         "log": _log(platform, "rides"),
-        "batches_sent": producer.metrics.counter("batches_sent").value,
+        "batches_sent": producer.batches_sent,
         "total_bytes": platform.kafka.total_bytes(),
         "spans": platform.tracer.span_count() if tracing else 0,
     }

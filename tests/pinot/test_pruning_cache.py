@@ -429,7 +429,7 @@ class TestResultCache:
         assert not first.cache_hit and second.cache_hit
         assert second.servers_queried == 0 and second.segments_scanned == 0
         assert serde.encode(first.rows) == serde.encode(second.rows)
-        assert broker.metrics.counter("cache_hits").value == 1
+        assert broker.cache.hits == 1
 
     def test_cached_rows_are_isolated_copies(self):
         clock, kafka, controller, state = self.loaded_stack()

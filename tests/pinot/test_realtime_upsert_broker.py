@@ -64,7 +64,7 @@ class TestRealtimeIngestion:
         )
         state.ingestion.run_until_caught_up()
         assert state.ingestion.lag() == 0
-        sealed = state.ingestion.metrics.counter("segments_sealed").value
+        sealed = state.ingestion.segments_sealed
         assert sealed >= 4
 
     def test_consuming_rows_queryable_before_seal(self):

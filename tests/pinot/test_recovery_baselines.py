@@ -68,7 +68,7 @@ class TestCentralizedVsP2P:
             controller.backup.run_step()
         # Each partition blocks after its first seal: lag stays high.
         assert state.ingestion.lag() > 0
-        blocked = state.ingestion.metrics.counter("blocked_polls").value
+        blocked = state.ingestion.blocked_polls
         assert blocked > 0
         # Store returns; ingestion drains.
         store.set_available(True)
@@ -85,7 +85,7 @@ class TestCentralizedVsP2P:
             state.ingestion.run_step()
             controller.backup.run_step()
         assert state.ingestion.lag() == 0
-        assert state.ingestion.metrics.counter("blocked_polls").value == 0
+        assert state.ingestion.blocked_polls == 0
         # Uploads are simply deferred.
         assert controller.backup.pending() > 0
         store.set_available(True)

@@ -144,7 +144,7 @@ class TestReplayDedup:
         rows = _rows(state)
         assert len(rows) == 8
         assert {row["id"] for row in rows} == {f"r{i}" for i in range(8)}
-        assert state.ingestion.metrics.counter("rows_deduped").value == 3
+        assert state.ingestion.rows_deduped == 3
 
     def test_distinct_rows_with_same_key_are_not_deduped(self):
         clock, kafka, __, state = _dedup_stack()
@@ -153,7 +153,7 @@ class TestReplayDedup:
         producer.produce("events", {"id": "r", "v": 2.0, "ts": 2.0}, key="r")
         state.ingestion.run_until_caught_up()
         assert len(_rows(state)) == 2
-        assert state.ingestion.metrics.counter("rows_deduped").value == 0
+        assert state.ingestion.rows_deduped == 0
 
     def test_dedup_set_rebuilds_from_sealed_segments_on_owner_recovery(self):
         """Server death loses the in-memory seen-digest set; recovery must

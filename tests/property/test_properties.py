@@ -2,17 +2,15 @@
 
 from __future__ import annotations
 
-import math
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common import serde
 from repro.common.clock import SimulatedClock
-from repro.common.metrics import Histogram
 from repro.common.records import Record
 from repro.kafka.log import PartitionLog
 from repro.kafka.producer import hash_partitioner
+from repro.observability.freshness import nearest_rank
 from repro.pinot.segment import ForwardIndex, ImmutableSegment, IndexConfig
 from repro.pinot.upsert import UpsertManager
 
@@ -96,18 +94,17 @@ class TestLogProperties:
         assert surviving == values[len(values) - len(surviving):]
 
 
-class TestHistogramProperties:
+class TestNearestRankProperties:
     @given(st.lists(st.floats(min_value=-1e9, max_value=1e9), min_size=1,
                     max_size=200))
     def test_percentiles_are_order_statistics(self, values):
-        hist = Histogram()
-        for value in values:
-            hist.observe(value)
-        assert hist.percentile(0) == min(values)
-        assert hist.percentile(100) == max(values)
-        assert hist.min <= hist.percentile(50) <= hist.max
-        assert math.isclose(hist.mean, sum(values) / len(values), rel_tol=1e-9,
-                            abs_tol=1e-6)
+        ordered = sorted(values)
+        assert nearest_rank(ordered, 0) == ordered[0]
+        assert nearest_rank(ordered, 100) == ordered[-1]
+        for pct in (50, 95, 99):
+            # The float rank is the exact integer rank ceil(pct * n / 100).
+            rank = -(-pct * len(ordered) // 100)
+            assert nearest_rank(ordered, pct) == ordered[rank - 1]
 
 
 class TestForwardIndexProperties:

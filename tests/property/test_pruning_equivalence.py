@@ -120,6 +120,7 @@ def test_pruned_cached_results_byte_identical(seed, upsert):
     producer = Producer(kafka, "svc", clock=clock)
     produced = 0
     recent: list[PinotQuery] = []
+    pruned = 0
     for _round in range(6):
         # Ingest a random slug of rows; upsert tables rewrite some old keys.
         for __ in range(rng.randrange(30, 90)):
@@ -151,11 +152,13 @@ def test_pruned_cached_results_byte_identical(seed, upsert):
                 recent.append(query)
             opt = optimized.execute(query)
             base = baseline.execute(query)
+            if not opt.cache_hit:
+                pruned += opt.segments_pruned
             assert serde.encode(opt.rows) == serde.encode(base.rows), (
                 f"seed={seed} upsert={upsert} round={_round} "
                 f"query={query} pruned={opt.segments_pruned} "
                 f"cache_hit={opt.cache_hit}"
             )
     # The workload must actually have exercised the optimizations.
-    assert optimized.metrics.counter("segments_pruned").value > 0
-    assert optimized.metrics.counter("cache_hits").value > 0
+    assert pruned > 0
+    assert optimized.cache.hits > 0
