@@ -8,7 +8,11 @@ a halt."  The P2P redesign "solved the single node backup bottleneck and
 significantly improved overall data freshness."
 
 Series: ingestion lag over time under (a) a slow controller and (b) a
-segment-store outage window, centralized vs peer-to-peer.
+segment-store outage window, centralized vs peer-to-peer.  Then, under
+both designs, a restore: retention drops partition 0's oldest sealed
+segment and its owner dies; the replacement gets the sealed segments back
+and re-reads from Kafka only what was never sealed, so the table holds
+every row produced minus the dropped ones.
 """
 
 from __future__ import annotations
@@ -17,7 +21,9 @@ from repro.common.clock import SimulatedClock
 from repro.kafka.cluster import KafkaCluster, TopicConfig
 from repro.kafka.producer import Producer
 from repro.metadata.schema import Field, FieldRole, FieldType, Schema
+from repro.pinot.broker import PinotBroker
 from repro.pinot.controller import PinotController
+from repro.pinot.query import Aggregation, PinotQuery
 from repro.pinot.recovery import CentralizedBackup, PeerToPeerBackup
 from repro.pinot.server import PinotServer
 from repro.pinot.table import TableConfig
@@ -73,7 +79,20 @@ def run_design(make_backup):
         state.ingestion.run_step(500)
         backup.run_step()
         drain_steps += 1
-    return lag_series, drain_steps
+    # Restore: drop partition 0's oldest sealed segment, then replace its
+    # owner and catch up.
+    pstate = state.ingestion.partitions[0]
+    oldest = pstate.sealed_segments[0]
+    dropped = pstate.owner.segments[oldest].num_docs
+    controller.drop_segment("t", oldest)
+    controller.kill_server(pstate.owner.name)
+    controller.recover_server(pstate.owner.name, PinotServer("s-replacement"))
+    state.ingestion.run_until_caught_up()
+    result = PinotBroker(controller).execute(
+        PinotQuery("t", aggregations=[Aggregation("COUNT")])
+    )
+    restore = (counter - dropped, result.rows[0]["count(*)"])
+    return lag_series, drain_steps, restore
 
 
 def run_both():
@@ -83,8 +102,8 @@ def run_both():
 
 
 def test_p2p_recovery_freshness(benchmark):
-    (centralized, c_drain), (p2p, p_drain) = benchmark.pedantic(
-        run_both, rounds=1, iterations=1
+    (centralized, c_drain, c_restore), (p2p, p_drain, p_restore) = (
+        benchmark.pedantic(run_both, rounds=1, iterations=1)
     )
     sample_steps = [5, 15, 25, 35, 45, 59]
     print_table(
@@ -92,8 +111,15 @@ def test_p2p_recovery_freshness(benchmark):
         f"steps {OUTAGE.start}-{OUTAGE.stop - 1}",
         ["step", "centralized lag", "peer-to-peer lag"],
         [[s, centralized[s], p2p[s]] for s in sample_steps]
-        + [["drain steps after", c_drain, p_drain]],
+        + [
+            ["drain steps after", c_drain, p_drain],
+            ["rows after restore (expected)", c_restore[0], p_restore[0]],
+            ["rows after restore (queried)", c_restore[1], p_restore[1]],
+        ],
     )
+    # A restore re-reads only what was never sealed: every row produced,
+    # minus the dropped segment's, is queryable once, under both designs.
+    assert c_restore[1] == c_restore[0] and p_restore[1] == p_restore[0]
     # During the outage the centralized design halts: lag explodes.
     assert centralized[OUTAGE.stop - 1] > 10 * max(1, p2p[OUTAGE.stop - 1])
     # P2P freshness is never hostage to the store (or the controller's

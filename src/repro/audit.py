@@ -263,9 +263,9 @@ class IntegrityAuditor:
                 )
             time_column = state.config.time_column
             for partition in sorted(state.ingestion.partitions):
-                pstate = state.ingestion.partitions[partition]
-                for seg_name in pstate.sealed_segments + [pstate.consuming.name]:
-                    segment = pstate.owner.segments.get(seg_name)
+                owner = state.ingestion.partitions[partition].owner
+                for seg_name in state.ingestion.segments_of_partition(partition):
+                    segment = owner.segments.get(seg_name)
                     if segment is None:
                         # Sealed copy lost from the owner: surface it as
                         # missing records rather than crashing the audit.

@@ -307,8 +307,8 @@ class PinotBroker:
                 # partition (consuming included) can hold a matching row.
                 pruned += len(segment_names)
                 continue
+            owner = pstate.owner
             if upsert:
-                owner = state.owners[partition]
                 if not owner.alive:
                     raise PinotError(
                         f"upsert partition {partition} owner {owner.name} is down"
@@ -324,7 +324,7 @@ class PinotBroker:
                 continue
             # Non-upsert: sealed segments may be served by any live replica;
             # the consuming segment only lives on the owner.
-            candidates = [state.owners[partition]] + state.replicas[partition]
+            candidates = [owner] + pstate.replicas
             per_server: dict[str, list[str]] = {}
             for name in pstate.sealed_segments:
                 hosts = [
@@ -340,10 +340,8 @@ class PinotBroker:
                     pruned += 1
                     continue
                 names.append(name)
-            if state.owners[partition].alive:
-                per_server.setdefault(state.owners[partition].name, []).append(
-                    pstate.consuming.name
-                )
+            if owner.alive:
+                per_server.setdefault(owner.name, []).append(pstate.consuming.name)
             for server_name, names in per_server.items():
                 if not names:
                     continue

@@ -2,16 +2,16 @@
 
 Assigns Kafka partitions to owning servers (round-robin) with ``replicas``
 additional copies, creates the realtime ingestion pipeline, and recovers
-failed servers — from live peers under the peer-to-peer strategy of
-Section 4.3.4, or from the central segment store under the original
-design.
+failed servers — fetching their sealed segments from live peers under the
+peer-to-peer strategy of Section 4.3.4, or from the central segment store
+under the original design.  A partition's placement and lifecycle after
+assignment are its :class:`RealtimeIngestion`'s alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.audit import lineage_digest
 from repro.common.errors import PinotError, TableNotFoundError
 from repro.kafka.cluster import KafkaCluster
 from repro.pinot.realtime import RealtimeIngestion
@@ -26,8 +26,6 @@ class TableState:
     config: TableConfig
     topic: str
     ingestion: RealtimeIngestion
-    owners: dict[int, PinotServer]
-    replicas: dict[int, list[PinotServer]]
     # Offline (batch-loaded) segments, lambda-architecture style: the
     # segment plus the servers currently hosting it.
     offline_segments: dict[str, list[PinotServer]] = field(default_factory=dict)
@@ -76,7 +74,7 @@ class PinotController:
             config, kafka, topic, owners, replicas, self.backup,
             tracer=self.tracer,
         )
-        state = TableState(config, topic, ingestion, owners, replicas)
+        state = TableState(config, topic, ingestion)
         self.tables[config.name] = state
         return state
 
@@ -108,21 +106,8 @@ class PinotController:
                 server.drop_segment(name)
             state.ingestion.epoch.bump()
             return
-        for partition, pstate in state.ingestion.partitions.items():
-            if name not in pstate.sealed_segments:
-                continue
-            pstate.sealed_segments.remove(name)
-            for server in [state.owners[partition]] + state.replicas[partition]:
-                server.drop_segment(name)
-            if state.config.upsert_enabled:
-                manager = state.owners[partition].upsert_managers.get(
-                    (table, partition)
-                )
-                if manager is not None:
-                    manager.drop_segment(name)
-            state.ingestion.epoch.bump()
-            return
-        raise PinotError(f"table {table!r} has no segment {name!r}")
+        if not state.ingestion.drop_segment(name):
+            raise PinotError(f"table {table!r} has no segment {name!r}")
 
     # -- elasticity -----------------------------------------------------------
 
@@ -143,16 +128,24 @@ class PinotController:
             raise PinotError(f"server name {server.name!r} already in use")
         self.servers.append(server)
         for state in self.tables.values():
-            for partition, pstate in state.ingestion.partitions.items():
-                peers = [state.owners[partition]] + state.replicas[partition]
-                for seg_name in pstate.sealed_segments:
-                    if server.has_segment(seg_name):
-                        continue
-                    segment = recover_segment_p2p(
-                        seg_name, state.config.name, peers, self.backup
-                    )
-                    server.host_segment(segment)
+            for partition in state.ingestion.partitions:
+                self._rehost(state, partition, server)
         return server
+
+    def _rehost(self, state: TableState, partition: int, server: PinotServer) -> int:
+        """Host the partition's sealed segments ``server`` lacks, from live
+        peers or the segment store; returns segments fetched."""
+        pstate = state.ingestion.partitions[partition]
+        peers = [pstate.owner] + pstate.replicas
+        fetched = 0
+        for seg_name in pstate.sealed_segments:
+            if server.has_segment(seg_name):
+                continue
+            server.host_segment(
+                recover_segment_p2p(seg_name, state.config.name, peers, self.backup)
+            )
+            fetched += 1
+        return fetched
 
     # -- failure handling -----------------------------------------------------
 
@@ -171,8 +164,8 @@ class PinotController:
         Uses peer replicas when possible (P2P), falling back to the
         segment store; raises :class:`StorageError` if a segment is in
         neither place.  Returns segments recovered.  Consuming segments are
-        not recovered — their rows are re-consumed from Kafka by the new
-        owner (at-least-once, like real Pinot).
+        not recovered — the new owner re-consumes their rows from Kafka,
+        starting at the partition's committed offset.
         """
         failed = self._server(failed_name)
         if failed.alive:
@@ -181,73 +174,8 @@ class PinotController:
             self.servers.append(replacement)
         recovered = 0
         for state in self.tables.values():
-            for partition, owner in state.owners.items():
-                involved = owner is failed or failed in state.replicas[partition]
-                if not involved:
-                    continue
-                peers = [state.owners[partition]] + state.replicas[partition]
-                peers = [p for p in peers if p is not failed]
-                for seg_name in state.ingestion.partitions[partition].sealed_segments:
-                    if replacement.has_segment(seg_name):
-                        continue
-                    segment = recover_segment_p2p(
-                        seg_name, state.config.name, peers, self.backup
-                    )
-                    replacement.host_segment(segment)
-                    recovered += 1
-                if owner is failed:
-                    state.owners[partition] = replacement
-                    self._restart_consuming(state, partition, replacement)
-                else:
-                    state.replicas[partition] = [
-                        replacement if p is failed else p
-                        for p in state.replicas[partition]
-                    ]
+            for partition, pstate in state.ingestion.partitions.items():
+                if pstate.owner is failed or failed in pstate.replicas:
+                    recovered += self._rehost(state, partition, replacement)
+            state.ingestion.replace_server(failed, replacement)
         return recovered
-
-    def _restart_consuming(
-        self, state: TableState, partition: int, new_owner: PinotServer
-    ) -> None:
-        """The replacement owner re-consumes the in-flight segment's rows
-        from Kafka (they were never sealed)."""
-        from repro.pinot.realtime import MutableSegment, segment_name
-
-        pstate = state.ingestion.partitions[partition]
-        pstate.owner = new_owner
-        # The old consuming rows vanish until re-consumed from Kafka:
-        # results cached before the failure are no longer reproducible.
-        state.ingestion.epoch.bump()
-        pstate.consuming = MutableSegment(
-            segment_name(state.config.name, partition, pstate.sequence),
-            partition,
-            column_names=state.config.schema.field_names(),
-        )
-        new_owner.host_segment(pstate.consuming)
-        # Rewind to the first un-sealed offset: sealed rows stay sealed;
-        # consuming rows are re-read.
-        consumed_rows = sum(
-            state.config.segment_rows_threshold for __ in pstate.sealed_segments
-        )
-        pstate.position = self.tables[state.config.name].ingestion.kafka.start_offset(
-            state.topic, partition
-        ) + consumed_rows
-        if state.config.dedup_enabled:
-            # Rebuild the replay-dedup set from sealed segments only: rows
-            # replayed into the new consuming segment that already live in
-            # a sealed segment are duplicates; the dead consuming segment's
-            # rows are gone and must be re-ingested.
-            pstate.seen_digests = {
-                lineage_digest(new_owner.segments[seg_name].row(doc_id))
-                for seg_name in pstate.sealed_segments
-                for doc_id in range(new_owner.segments[seg_name].num_docs)
-            }
-        if state.config.upsert_enabled:
-            # Shared-nothing upsert metadata is rebuilt locally by replaying
-            # the partition's sealed segments in order.
-            manager = new_owner.upsert_manager(state.config.name, partition)
-            ordered = []
-            for seg_name in pstate.sealed_segments:
-                segment = new_owner.segments[seg_name]
-                rows = [segment.row(d) for d in range(segment.num_docs)]
-                ordered.append((seg_name, rows))
-            manager.rebuild_from_segments(ordered, state.config.primary_key)

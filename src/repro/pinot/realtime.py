@@ -12,6 +12,10 @@ For upsert tables (Section 4.3.1) the input stream must be partitioned by
 the primary key (our Kafka producer's hash partitioner guarantees this
 when records are keyed by it), and every ingested row updates the owning
 server's per-partition UpsertManager.
+
+:class:`RealtimeIngestion` alone owns a partition: its placement, its
+segments and its committed offset (after the last sealed row), where a
+replacement owner resumes, re-reading only what was never sealed (§4.3.4).
 """
 
 from __future__ import annotations
@@ -19,7 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.audit import lineage_digest
-from repro.common.errors import BrokerUnavailableError, PinotError
+from repro.common.errors import (
+    BrokerUnavailableError,
+    OffsetOutOfRangeError,
+    PinotError,
+)
 from repro.kafka.cluster import KafkaCluster
 from repro.observability.trace import SpanCollector
 from repro.pinot.recovery import BackupHandle, SegmentBackupStrategy
@@ -39,7 +47,7 @@ class TableEpoch:
     Bumped on every mutation that can change query results: a row landing
     in a consuming segment (which also covers upserts — they ride in on
     rows), a segment sealing, an offline segment load, a segment drop, a
-    consuming segment being restarted on recovery.  The broker's result
+    consuming segment being reopened on a replacement owner.  The broker's result
     cache is keyed on it, so cached results are invalidated exactly when
     freshness demands — never by wall-clock TTL, which would be both wrong
     (stale until expiry) and non-deterministic under the simulated clock.
@@ -60,14 +68,16 @@ class _PartitionState:
     owner: PinotServer
     replicas: list[PinotServer]
     position: int  # next Kafka offset to consume
-    consuming: MutableSegment
+    committed: int  # offset after the last sealed row: where a restart resumes
+    consuming: MutableSegment = field(init=False)  # set by _open_consuming
     sequence: int = 0
     sealed_segments: list[str] = field(default_factory=list)
     pending_backup: BackupHandle | None = None
     # Content digests already ingested into this partition (dedup tables
-    # only).  On a consuming-segment restart this is rebuilt from *sealed*
-    # segments alone: the dead consuming segment's rows were lost, so their
-    # replay from Kafka is a legitimate re-ingest, not a duplicate.
+    # only).  A restart forgets exactly the dead consuming segment's
+    # digests: those rows were lost, so their replay from Kafka is a
+    # legitimate re-ingest, while a sealed — or since dropped — row's
+    # replay stays a duplicate.
     seen_digests: set[str] = field(default_factory=set)
 
     def blocked(self) -> bool:
@@ -101,19 +111,25 @@ class RealtimeIngestion:
         for partition in range(kafka.partition_count(topic)):
             if partition not in owners:
                 raise PinotError(f"partition {partition} has no owning server")
+            start = kafka.start_offset(topic, partition)
             state = _PartitionState(
                 partition=partition,
                 owner=owners[partition],
                 replicas=replicas.get(partition, []),
-                position=kafka.start_offset(topic, partition),
-                consuming=MutableSegment(
-                    segment_name(config.name, partition, 0),
-                    partition,
-                    column_names=config.schema.field_names(),
-                ),
+                position=start,
+                committed=start,
             )
-            state.owner.host_segment(state.consuming)
+            self._open_consuming(state)
             self.partitions[partition] = state
+
+    def _open_consuming(self, state: _PartitionState) -> None:
+        """Host an empty consuming segment, numbered ``sequence``, on the owner."""
+        state.consuming = MutableSegment(
+            segment_name(self.config.name, state.partition, state.sequence),
+            state.partition,
+            column_names=self.config.schema.field_names(),
+        )
+        state.owner.host_segment(state.consuming)
 
     # -- consumption ----------------------------------------------------------
 
@@ -140,6 +156,12 @@ class RealtimeIngestion:
                 # Every replica of the source partition is down.  Hold
                 # position (no data is skipped) and resume next round once
                 # a broker restart restores a leader.
+                continue
+            except OffsetOutOfRangeError:
+                # Retention passed the position: rows that expired before
+                # they were ingested are gone.  Resume at the log start next
+                # round, like a consumer reset to earliest.
+                state.position = self.kafka.start_offset(self.topic, state.partition)
                 continue
             ingested += self._ingest_entries(state, entries)
         self.rows_ingested += ingested
@@ -245,19 +267,64 @@ class RealtimeIngestion:
             if replica.alive:
                 replica.host_segment(sealed)
         state.sealed_segments.append(sealed.name)
+        state.committed = state.position
         state.pending_backup = self.backup.request_backup(self.config.name, sealed)
         state.sequence += 1
-        state.consuming = MutableSegment(
-            segment_name(self.config.name, state.partition, state.sequence),
-            state.partition,
-            column_names=self.config.schema.field_names(),
-        )
-        state.owner.host_segment(state.consuming)
+        self._open_consuming(state)
         self.segments_sealed += 1
         # Sealing changes the segment set (and builds new pruning
         # metadata); routing/pruning decisions cached against the old
         # epoch must not survive it.
         self.epoch.bump()
+
+    # -- placement ------------------------------------------------------------
+
+    def replace_server(self, failed: PinotServer, replacement: PinotServer) -> None:
+        """Put ``replacement``, already hosting the sealed segments, wherever
+        ``failed`` served.  Where it owned, the consuming segment is lost:
+        reopen it and resume at the committed offset."""
+        for state in self.partitions.values():
+            state.replicas[:] = [
+                replacement if server is failed else server for server in state.replicas
+            ]
+            if state.owner is not failed:
+                continue
+            lost = state.consuming
+            state.owner = replacement
+            # The lost rows vanish until re-consumed: results cached before
+            # the failure are no longer reproducible.
+            self.epoch.bump()
+            self._open_consuming(state)
+            state.position = state.committed
+            if self.config.dedup_enabled:
+                state.seen_digests -= {
+                    lineage_digest(lost.row(doc_id)) for doc_id in range(lost.num_docs)
+                }
+            if self.config.upsert_enabled:
+                # Shared-nothing upsert metadata is rebuilt locally by
+                # replaying the partition's sealed segments in order.
+                sealed = [replacement.segments[name] for name in state.sealed_segments]
+                manager = replacement.upsert_manager(self.config.name, state.partition)
+                manager.rebuild_from_segments(
+                    [(s.name, [s.row(d) for d in range(s.num_docs)]) for s in sealed],
+                    self.config.primary_key,
+                )
+
+    def drop_segment(self, name: str) -> bool:
+        """Drop a sealed segment (retention): unhost it, forget its upsert
+        locations, bump the epoch.  False when no partition has it."""
+        for state in self.partitions.values():
+            if name not in state.sealed_segments:
+                continue
+            state.sealed_segments.remove(name)
+            for server in [state.owner] + state.replicas:
+                server.drop_segment(name)
+            if self.config.upsert_enabled:
+                manager = state.owner.upsert_manager(self.config.name, state.partition)
+                manager.drop_segment(name)
+            self.epoch.bump()
+            return True
+        return False
 
     # -- introspection -----------------------------------------------------------
 

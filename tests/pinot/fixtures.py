@@ -71,7 +71,13 @@ def ride(
 class Table:
     """A realtime table plus every row sent to it, in send order."""
 
-    def __init__(self, threshold: int, upsert: bool = False, servers: int = 3):
+    def __init__(
+        self,
+        threshold: int,
+        upsert: bool = False,
+        servers: int = 3,
+        dedup: bool = False,
+    ):
         self.clock = SimulatedClock()
         self.kafka = KafkaCluster("k", 3, clock=self.clock)
         self.kafka.create_topic("rides", TopicConfig(partitions=PARTITIONS))
@@ -85,6 +91,7 @@ class Table:
                 SCHEMA,
                 time_column="ts",
                 upsert_enabled=upsert,
+                dedup_enabled=dedup,
                 primary_key="ride_id" if upsert else None,
                 segment_rows_threshold=threshold,
                 partition_column=None if upsert else "city",
@@ -97,7 +104,7 @@ class Table:
         self._numbers = itertools.count()  # every ride gets its own
         self._producer = Producer(self.kafka, "svc", clock=self.clock)
 
-    def send(self, rows: list[dict]) -> None:
+    def send(self, rows: list[dict], ingest: bool = True) -> None:
         for row in rows:
             self._producer.send(
                 "rides", row, key=row["ride_id" if self.upsert else "city"]
@@ -105,7 +112,49 @@ class Table:
         self._producer.flush()
         # The oracle's copy shares no cell with what the table ingested.
         self.sent.extend(copy.deepcopy(rows))
-        self.state.ingestion.run_until_caught_up()
+        if ingest:
+            self.state.ingestion.run_until_caught_up()
+
+    def placements(self) -> list[tuple[int, int]]:
+        """(partition, offset) of every row sent, in send order: the
+        producer hash-partitions by key and appends in send order."""
+        ends = [0] * PARTITIONS
+        out = []
+        for row in self.sent:
+            partition = hash_partitioner(
+                row["ride_id" if self.upsert else "city"], PARTITIONS
+            )
+            out.append((partition, ends[partition]))
+            ends[partition] += 1
+        return out
+
+    def expire(self, partition: int, offset: int) -> None:
+        """Retention: every replica of the partition's log expires the
+        entries below ``offset`` (at most all of them)."""
+        for broker in self.kafka.brokers.values():
+            log = broker.replicas.get(("rides", partition))
+            if log is not None:
+                log.trim_head_to(min(offset, log.end_offset))
+
+    def rows_in_log(self, partition: int) -> list[dict]:
+        """The rows the partition's log still holds."""
+        start = self.kafka.start_offset("rides", partition)
+        end = self.kafka.end_offset("rides", partition)
+        return [
+            e.record.value for e in self.kafka.fetch("rides", partition, start, end)
+        ]
+
+    def segment_rows(
+        self, partition: int, names: list[str] | None = None
+    ) -> list[dict]:
+        """The rows of a partition's segments on its owner (by default all
+        of them, consuming segment last)."""
+        pstate = self.state.ingestion.partitions[partition]
+        rows = []
+        for name in names or self.state.ingestion.segments_of_partition(partition):
+            segment = pstate.owner.segments[name]
+            rows.extend(segment.row(doc) for doc in range(segment.num_docs))
+        return rows
 
     def rides(
         self, count: int, with_json: bool = False, with_nulls: bool = False

@@ -70,6 +70,32 @@ def latest_per_key(rows: list[dict], key: str) -> list[dict]:
     return list(latest.values())
 
 
+def realtime_rows(
+    sent: list[dict],
+    dropped: set = frozenset(),
+    expired: set[int] = frozenset(),
+    identity: str = "ts",
+    dedup: bool = False,
+    key: str | None = None,
+) -> list[dict]:
+    """What a realtime table holds after ingesting ``sent`` in order.
+
+    Every row sent, except the copies whose index in ``sent`` is in
+    ``expired`` (they left the log before they were durable) and the rows
+    whose ``identity`` cell is in ``dropped`` (a segment holding them was
+    dropped).  A dedup table holds a re-sent row once, and a dropped row
+    stays dropped when it is sent again; an upsert table holds the latest
+    row left per ``key``."""
+    kept, seen = [], set()
+    for index, row in enumerate(sent):
+        if index in expired or (dedup and row[identity] in seen):
+            continue
+        seen.add(row[identity])
+        kept.append(row)
+    kept = [row for row in kept if row[identity] not in dropped]
+    return latest_per_key(kept, key) if key else kept
+
+
 def evaluate(query, rows: list[dict]) -> list[dict]:
     """The rows ``broker.execute(query)`` must answer with over a table
     holding ``rows``.  Without ORDER BY a selection's row order is not

@@ -523,7 +523,7 @@ class TestResultCache:
         broker = self.make_broker(controller, clock)
         broker.execute(self.QUERY)
         epoch_before = state.epoch
-        victim = state.owners[0].name
+        victim = state.ingestion.partitions[0].owner.name
         controller.kill_server(victim)
         controller.recover_server(victim, PinotServer("replacement"))
         assert state.epoch > epoch_before

@@ -291,7 +291,7 @@ class TestBrokerRouting:
         )
         state.ingestion.run_until_caught_up()
         # Kill one server: sealed segments must still be served by peers.
-        victim = state.owners[0]
+        victim = state.ingestion.partitions[0].owner
         controller.kill_server(victim.name)
         broker = PinotBroker(controller)
         result = broker.execute(
@@ -300,8 +300,8 @@ class TestBrokerRouting:
         # Consuming segments on the dead owner are not reachable, but all
         # sealed data still is (>= sealed row count).
         sealed_rows = 200 - sum(
-            state.ingestion.partitions[p].consuming.num_docs
-            for p in state.ingestion.partitions
-            if state.owners[p] is victim
+            pstate.consuming.num_docs
+            for pstate in state.ingestion.partitions.values()
+            if pstate.owner is victim
         )
         assert result.rows[0]["count(*)"] >= sealed_rows - 50

@@ -150,7 +150,7 @@ class TestCentralizedVsP2P:
         )
         feed(producer, clock, 200)
         state.ingestion.run_until_caught_up()
-        victim = state.owners[0]
+        victim = state.ingestion.partitions[0].owner
         controller.kill_server(victim.name)
         replacement = PinotServer("replacement")
         recovered = controller.recover_server(victim.name, replacement)

@@ -78,12 +78,12 @@ def fresh_routes(state) -> dict[str, str] | None:
     segment *now*.  None when a sealed segment has no such host (the
     scatter must refuse, not answer short)."""
     out = {}
-    for partition, pstate in state.ingestion.partitions.items():
-        owner = state.owners[partition]
+    for pstate in state.ingestion.partitions.values():
+        owner = pstate.owner
         for name in pstate.sealed_segments:
             hosts = [
                 s.name
-                for s in [owner] + state.replicas[partition]
+                for s in [owner] + pstate.replicas
                 if s.alive and s.has_segment(name)
             ]
             if not hosts:
@@ -186,7 +186,6 @@ class TestStalePlacementCannotHappen:
         state, controller = table.state, table.controller
         broker = PinotBroker(controller, enable_cache=False)
         dropped_rides: set[str] = set()
-        dropped_partitions: set[int] = set()
         spares = (f"spare-{i}" for i in range(len(schedule)))
 
         def check():
@@ -197,8 +196,8 @@ class TestStalePlacementCannotHappen:
                 return
             assert routes(broker, state) == expected
             hidden = set(dropped_rides)
-            for partition, pstate in state.ingestion.partitions.items():
-                if not state.owners[partition].alive:  # unreachable until back
+            for pstate in state.ingestion.partitions.values():
+                if not pstate.owner.alive:  # unreachable until back
                     consuming = pstate.consuming
                     hidden |= {
                         consuming.row(doc)["ride_id"]
@@ -209,7 +208,7 @@ class TestStalePlacementCannotHappen:
         check()
         for op, n in schedule:
             server = controller.servers[n % len(controller.servers)]
-            partition = n % len(state.owners)
+            partition = n % len(state.ingestion.partitions)
             if op == "kill":
                 controller.kill_server(server.name)
             elif op == "down":
@@ -217,37 +216,26 @@ class TestStalePlacementCannotHappen:
             elif op == "up":
                 server.alive = True
             elif op == "recover" and not server.alive:
-                owns_dropped = any(
-                    state.owners[p] is server for p in dropped_partitions
-                )
-                if owns_dropped:
-                    # recover_server rewinds a partition by counting its
-                    # sealed segments; after a drop that re-reads sealed
-                    # rows.  Not placement's business: restart instead.
-                    server.alive = True
-                else:
-                    try:
-                        controller.recover_server(
-                            server.name, PinotServer(next(spares))
-                        )
-                    except StorageError:
-                        pass  # no live peer and no backup yet: still down
-                    state.ingestion.run_until_caught_up()
+                try:
+                    controller.recover_server(server.name, PinotServer(next(spares)))
+                except StorageError:
+                    pass  # no live peer and no backup yet: still down
+                state.ingestion.run_until_caught_up()
             elif op == "add":
                 try:
                     controller.add_server(PinotServer(next(spares)))
                 except StorageError:
                     pass
             elif op == "drop":
-                sealed = state.ingestion.partitions[partition].sealed_segments
-                if sealed:
-                    segment = state.owners[partition].segments[sealed[0]]
+                pstate = state.ingestion.partitions[partition]
+                if pstate.sealed_segments:
+                    name = pstate.sealed_segments[0]
+                    segment = pstate.owner.segments[name]
                     dropped_rides |= {
                         segment.row(doc)["ride_id"]
                         for doc in range(segment.num_docs)
                     }
-                    dropped_partitions.add(partition)
-                    controller.drop_segment("rides", sealed[0])
+                    controller.drop_segment("rides", name)
             elif op == "seal":
                 table.send(table.full_segments(per_partition=THRESHOLD))
             elif op == "ingest":
@@ -273,7 +261,7 @@ class TestUpsertOwnerFailure:
         broker = PinotBroker(table.controller)
         before = answers(broker)
         assert_right(broker, current)
-        owners = {server.name for server in table.state.owners.values()}
+        owners = {p.owner.name for p in table.state.ingestion.partitions.values()}
         # A server that owns no partition of this table: only a replica.
         table.controller.add_server(PinotServer("spare"))
         table.controller.kill_server("spare")

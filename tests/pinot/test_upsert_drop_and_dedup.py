@@ -156,9 +156,9 @@ class TestReplayDedup:
         assert state.ingestion.rows_deduped == 0
 
     def test_dedup_set_rebuilds_from_sealed_segments_on_owner_recovery(self):
-        """Server death loses the in-memory seen-digest set; recovery must
-        rebuild it from the sealed segments so a replay of already-sealed
-        rows still dedups, while the lost consuming rows re-ingest."""
+        """Server death loses the consuming segment; recovery forgets only
+        its rows' digests, so a replay of already-sealed rows still dedups
+        while the lost consuming rows re-ingest."""
         clock, kafka, controller, state = _dedup_stack(threshold=5)
         producer = Producer(kafka, "svc", clock=clock)
         payloads = [
@@ -168,7 +168,7 @@ class TestReplayDedup:
             producer.produce("events", payload, key=payload["id"])
         state.ingestion.run_until_caught_up()
         # 5 rows sealed, 2 consuming on the dead owner.
-        owner = state.owners[0]
+        owner = state.ingestion.partitions[0].owner
         controller.kill_server(owner.name)
         controller.recover_server(owner.name, PinotServer("s-new"))
         # Replay sealed rows (broker-side at-least-once) and catch up: the
