@@ -13,35 +13,32 @@ from __future__ import annotations
 
 import time
 
-from repro.common.clock import SimulatedClock
-from repro.kafka.cluster import KafkaCluster
-from repro.kafka.producer import Producer
+from repro import Platform
 from repro.pinot.query import Aggregation, Filter, PinotQuery
 from repro.usecases.restaurant import ORDERS_TOPIC, RestaurantManager
 from repro.workloads import EatsWorkload
 
-from benchmarks.conftest import pinot_stack, print_table
+from benchmarks.conftest import print_table
 
 REPEATS = 10
 
 
 def build():
-    clock = SimulatedClock()
-    kafka = KafkaCluster("k", 3, clock=clock)
-    manager = RestaurantManager.deploy(kafka, pinot_stack())
+    platform = Platform().with_kafka().with_pinot()
+    manager = RestaurantManager.deploy(platform)
     workload = EatsWorkload(seed=29, orders_per_second=4.0)
-    producer = Producer(kafka, "eats", clock=clock)
+    producer = platform.producer("eats")
     events = sorted(workload.order_events(3600.0), key=lambda e: e[1])
     for row, __ in events:
         producer.send(ORDERS_TOPIC, row, key=row["restaurant_id"],
                       event_time=row["event_time"])
     producer.flush()
-    manager.process(flink_rounds=500, ingest_steps=500)
+    platform.run_until_caught_up()
     return manager
 
 
 def run_comparison():
-    manager = build()
+    broker = build().platform.broker
     raw_query = PinotQuery(
         "eats_orders",
         aggregations=[Aggregation("COUNT"), Aggregation("SUM", "amount")],
@@ -60,7 +57,7 @@ def run_comparison():
     out = {}
     for name, query in (("raw table", raw_query), ("pre-aggregated", preagg_query)):
         start = time.perf_counter()
-        results = [manager.broker.execute(query) for __ in range(REPEATS)]
+        results = [broker.execute(query) for __ in range(REPEATS)]
         out[name] = (
             time.perf_counter() - start,
             # The first execution does the work; the repeats are served
@@ -69,21 +66,21 @@ def run_comparison():
             results[-1].rows,
         )
     # Raw rows behind each table (the serving-data reduction).
-    raw_count = manager.broker.execute(
+    raw_count = broker.execute(
         PinotQuery("eats_orders", aggregations=[Aggregation("COUNT")])
     ).rows[0]["count(*)"]
-    preagg_count = manager.broker.execute(
+    preagg_count = broker.execute(
         PinotQuery("eats_orders_preagg", aggregations=[Aggregation("COUNT")])
     ).rows[0]["count(*)"]
     # Flexibility: per-eater breakdown exists only in the raw table.
-    flexible = manager.broker.execute(
+    flexible = broker.execute(
         PinotQuery("eats_orders", aggregations=[Aggregation("COUNT")],
                    group_by=["eater_id"], limit=5)
     )
     from repro.common.errors import QueryError, ReproError
 
     try:
-        manager.broker.execute(
+        broker.execute(
             PinotQuery("eats_orders_preagg", aggregations=[Aggregation("COUNT")],
                        group_by=["eater_id"], limit=5)
         )

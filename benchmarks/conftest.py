@@ -15,10 +15,6 @@ from repro.common.rng import seeded_rng
 from repro.kafka.cluster import KafkaCluster, TopicConfig
 from repro.kafka.producer import Producer
 from repro.metadata.schema import Field, FieldRole, FieldType, Schema
-from repro.pinot.controller import PinotController
-from repro.pinot.recovery import PeerToPeerBackup
-from repro.pinot.server import PinotServer
-from repro.storage.blobstore import BlobStore
 
 
 def print_table(title: str, header: list[str], rows: list[list]) -> None:
@@ -106,10 +102,3 @@ def feed_topic(
         producer.send(topic, row, key=row[key_field],
                       event_time=row.get("event_time", clock.now()))
     producer.flush()
-
-
-def pinot_stack(servers: int = 3) -> PinotController:
-    return PinotController(
-        [PinotServer(f"s{i}") for i in range(servers)],
-        PeerToPeerBackup(BlobStore()),
-    )

@@ -4,32 +4,25 @@ Courier telemetry streams into a FlinkSQL density rollup served by Pinot.
 An ops analyst explores with PrestoSQL, discovers geofences where too many
 couriers bunch up (the Covid-19 occupancy-limit scenario), and
 productionizes the query as a standing rule that alerts couriers and
-restaurants.
+restaurants.  The use case deploys onto one ``Platform``, whose
+``run_until_caught_up()`` drains the rollup and its table.
 
 Run:  python examples/eats_ops_automation.py
 """
 
 from __future__ import annotations
 
-from repro.common import SimulatedClock
-from repro.kafka import KafkaCluster, Producer
-from repro.pinot import PeerToPeerBackup, PinotController, PinotServer
-from repro.storage import BlobStore
+from repro import Platform
 from repro.usecases.eats_ops import TELEMETRY_TOPIC, EatsOpsAutomation, OpsRule
 from repro.workloads import EatsWorkload
 
 
 def main() -> None:
-    clock = SimulatedClock()
-    kafka = KafkaCluster("eats-ops", num_brokers=3, clock=clock)
-    controller = PinotController(
-        [PinotServer(f"server-{i}") for i in range(3)],
-        PeerToPeerBackup(BlobStore("segments")),
-    )
-    ops = EatsOpsAutomation.deploy(kafka, controller)
+    platform = Platform().with_kafka().with_pinot().with_presto()
+    ops = EatsOpsAutomation.deploy(platform)
 
     workload = EatsWorkload(seed=23, restaurants=20, couriers=150)
-    producer = Producer(kafka, service_name="courier-app", clock=clock)
+    producer = platform.producer("courier-app")
     pings = 0
     last_time = 0.0
     for row, arrival in workload.courier_telemetry(1800.0, pings_per_second=20.0):
@@ -40,7 +33,7 @@ def main() -> None:
     producer.flush()
     print(f"streamed {pings} courier pings")
 
-    ops.process(flink_rounds=400, ingest_steps=400)
+    platform.run_until_caught_up()
 
     # 1. Ad-hoc exploration with PrestoSQL over the fresh Pinot table.
     exploration = ops.explore(

@@ -3,17 +3,16 @@
 Predictions and later-observed outcomes stream through Kafka; a Flink job
 joins them per prediction id, pre-aggregates absolute error into an OLAP
 cube per (model, feature, window), and Pinot serves live accuracy.  One
-model has injected drift — the anomaly detector finds it.
+model has injected drift — the anomaly detector finds it.  The use case
+deploys onto one ``Platform``, whose ``run_until_caught_up()`` drains the
+join and the cube table.
 
 Run:  python examples/prediction_monitoring.py
 """
 
 from __future__ import annotations
 
-from repro.common import SimulatedClock
-from repro.kafka import KafkaCluster, Producer
-from repro.pinot import PeerToPeerBackup, PinotController, PinotServer
-from repro.storage import BlobStore
+from repro import Platform
 from repro.usecases.prediction import (
     OUTCOMES_TOPIC,
     PREDICTIONS_TOPIC,
@@ -23,13 +22,8 @@ from repro.workloads import PredictionWorkload
 
 
 def main() -> None:
-    clock = SimulatedClock()
-    kafka = KafkaCluster("ml", num_brokers=3, clock=clock)
-    controller = PinotController(
-        [PinotServer(f"server-{i}") for i in range(3)],
-        PeerToPeerBackup(BlobStore("segments")),
-    )
-    monitoring = PredictionMonitoring.deploy(kafka, controller)
+    platform = Platform().with_kafka().with_pinot()
+    monitoring = PredictionMonitoring.deploy(platform)
 
     workload = PredictionWorkload(
         seed=11, models=8, features_per_model=6, predictions_per_second=10.0,
@@ -37,7 +31,7 @@ def main() -> None:
     )
     print(f"time-series cardinality: {workload.series_cardinality()}")
 
-    producer = Producer(kafka, service_name="ml-platform", clock=clock)
+    producer = platform.producer("ml-platform")
     count = 0
     for kind, row, __ in workload.streams(duration_seconds=3600.0):
         topic = PREDICTIONS_TOPIC if kind == "prediction" else OUTCOMES_TOPIC
@@ -47,7 +41,7 @@ def main() -> None:
     producer.flush()
     print(f"streamed {count} prediction/outcome events")
 
-    monitoring.process(flink_rounds=600, ingest_steps=600)
+    platform.run_until_caught_up()
 
     print("\nlive mean absolute error per model:")
     for model in range(8):

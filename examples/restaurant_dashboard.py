@@ -4,32 +4,25 @@ Orders flow into Kafka; a FlinkSQL preprocessor aggressively filters and
 pre-aggregates them; Pinot serves the dashboard's fixed query patterns —
 popular items, sales timeseries, service quality — with low latency from
 the pre-aggregated table, falling back to the raw table only where raw
-statuses are needed.
+statuses are needed.  The use case deploys onto one ``Platform``, whose
+``run_until_caught_up()`` drains the preprocessor and both tables.
 
 Run:  python examples/restaurant_dashboard.py
 """
 
 from __future__ import annotations
 
-from repro.common import SimulatedClock
-from repro.kafka import KafkaCluster, Producer
-from repro.pinot import PeerToPeerBackup, PinotController, PinotServer
-from repro.storage import BlobStore
+from repro import Platform
 from repro.usecases.restaurant import ORDERS_TOPIC, RestaurantManager
 from repro.workloads import EatsWorkload
 
 
 def main() -> None:
-    clock = SimulatedClock()
-    kafka = KafkaCluster("eats", num_brokers=3, clock=clock)
-    controller = PinotController(
-        [PinotServer(f"server-{i}") for i in range(3)],
-        PeerToPeerBackup(BlobStore("segments")),
-    )
-    manager = RestaurantManager.deploy(kafka, controller)
+    platform = Platform().with_kafka().with_pinot()
+    manager = RestaurantManager.deploy(platform)
 
     workload = EatsWorkload(seed=3, orders_per_second=4.0)
-    producer = Producer(kafka, service_name="eats-orders", clock=clock)
+    producer = platform.producer("eats-orders")
     events = sorted(workload.order_events(3600.0), key=lambda e: e[1])
     for row, __ in events:
         producer.send(
@@ -39,7 +32,7 @@ def main() -> None:
     producer.flush()
     print(f"produced {len(events)} order events covering one stream-hour")
 
-    manager.process(flink_rounds=400, ingest_steps=400)
+    platform.run_until_caught_up()
 
     restaurant = "rest-0"  # the hottest restaurant under the Zipf skew
     print(f"\n== dashboard for {restaurant} ==")

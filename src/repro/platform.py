@@ -315,6 +315,19 @@ class Platform:
         if cp is not None:
             cp.tick(self.clock.now())
 
+    def run_until_caught_up(self) -> None:
+        """Drain the pipeline without moving the clock.
+
+        Every registered Flink job runs to quiescence, in registration
+        order (so a job feeding a later job's topic drains first), then
+        every Pinot table ingests until its lag is zero.
+        """
+        for runtime in self.runtimes:
+            runtime.run_until_quiescent()
+        if self.pinot is not None:
+            for state in self.pinot.tables.values():
+                state.ingestion.run_until_caught_up()
+
     # -- chaos --------------------------------------------------------------
 
     def chaos(self, seed: int | None = None) -> "ChaosHarness":

@@ -92,7 +92,6 @@ class FlinkSqlCompiler:
         sql: str,
         sink_collector: list | None = None,
         sink_kafka: tuple[KafkaCluster, str] | None = None,
-        group: str = "flinksql",
         job_name: str | None = None,
         allowed_lateness: float = 0.0,
         parallelism: int = 1,
@@ -107,7 +106,7 @@ class FlinkSqlCompiler:
         stream = env.from_kafka(
             definition.cluster,
             definition.topic,
-            group=group,
+            group="flinksql",
             max_out_of_orderness=definition.max_out_of_orderness,
             timestamp_fn=(
                 (lambda row, c=definition.timestamp_column: row[c])

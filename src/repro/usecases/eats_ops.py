@@ -16,18 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.flink.runtime import JobRuntime
-from repro.kafka.cluster import KafkaCluster, TopicConfig
 from repro.metadata.schema import Field, FieldRole, FieldType, Schema
-from repro.pinot.broker import PinotBroker
-from repro.pinot.controller import PinotController
 from repro.pinot.query import Aggregation, Filter, PinotQuery
 from repro.pinot.segment import IndexConfig
 from repro.pinot.table import TableConfig
-from repro.sql.flinksql import FlinkSqlCompiler, StreamTableDef
-from repro.sql.presto.connector import PinotConnector
-from repro.sql.presto.engine import PrestoEngine
-from repro.storage.blobstore import BlobStore
+from repro.platform import Platform
 from repro.usecases.components import ComponentTrace
 
 TELEMETRY_TOPIC = "courier-telemetry"
@@ -73,43 +66,29 @@ class OpsAlert:
 
 @dataclass
 class EatsOpsAutomation:
-    kafka: KafkaCluster
-    controller: PinotController
-    broker: PinotBroker
-    presto: PrestoEngine
-    density_runtime: JobRuntime
+    platform: Platform
     trace: ComponentTrace
     rules: list[OpsRule] = field(default_factory=list)
     alerts: list[OpsAlert] = field(default_factory=list)
 
     @classmethod
-    def deploy(
-        cls, kafka: KafkaCluster, controller: PinotController
-    ) -> "EatsOpsAutomation":
+    def deploy(cls, platform: Platform) -> "EatsOpsAutomation":
         trace = ComponentTrace("Eats Ops Automation")
         trace.use("Stream")
-        for topic in (TELEMETRY_TOPIC, DENSITY_TOPIC):
-            if not kafka.has_topic(topic):
-                kafka.create_topic(topic, TopicConfig(partitions=4))
-        compiler = FlinkSqlCompiler(
-            {
-                TELEMETRY_TOPIC.replace("-", "_"): StreamTableDef(
-                    kafka, TELEMETRY_TOPIC, timestamp_column="event_time"
-                )
-            }
+        platform.topic(TELEMETRY_TOPIC).topic(DENSITY_TOPIC)
+        platform.stream_table(
+            TELEMETRY_TOPIC.replace("-", "_"),
+            TELEMETRY_TOPIC,
+            timestamp_column="event_time",
         )
-        graph = compiler.compile_streaming(
-            DENSITY_SQL,
-            sink_kafka=(kafka, DENSITY_TOPIC),
-            group="ops-density",
-            job_name="ops-density",
+        platform.streaming_sql(
+            DENSITY_SQL, sink_topic=DENSITY_TOPIC, job_name="ops-density"
         )
         trace.use("SQL")
         trace.use("Compute")
         # Note: no Storage use — this pipeline is stateless-reprocessable
         # and its Pinot table is short-retention, matching Table 1.
-        runtime = JobRuntime(graph, blob_store=BlobStore())
-        controller.create_realtime_table(
+        platform.realtime_table(
             TableConfig(
                 "courier_density",
                 DENSITY_SCHEMA,
@@ -120,27 +99,16 @@ class EatsOpsAutomation:
                 ),
                 segment_rows_threshold=1000,
             ),
-            kafka,
-            DENSITY_TOPIC,
+            topic=DENSITY_TOPIC,
         )
         trace.use("OLAP")
-        broker = PinotBroker(controller)
-        presto = PrestoEngine({"courier_density": PinotConnector(broker)})
-        return cls(kafka, controller, broker, presto, runtime, trace)
-
-    def process(self, flink_rounds: int = 100, ingest_steps: int = 100) -> None:
-        self.density_runtime.run_rounds(flink_rounds)
-        state = self.controller.table("courier_density")
-        for __ in range(ingest_steps):
-            if state.ingestion.run_step() == 0:
-                break
-        self.controller.backup.run_step()
+        return cls(platform, trace)
 
     # -- ad-hoc exploration (PrestoSQL over Pinot) ---------------------------
 
     def explore(self, sql: str):
         """The ops analyst's ad-hoc PrestoSQL query."""
-        return self.presto.execute(sql)
+        return self.platform.sql(sql)
 
     # -- productionization -----------------------------------------------------
 
@@ -152,7 +120,7 @@ class EatsOpsAutomation:
         courier/restaurant notifications for violations."""
         fired: list[OpsAlert] = []
         for rule in self.rules:
-            result = self.broker.execute(
+            result = self.platform.broker.execute(
                 PinotQuery(
                     table="courier_density",
                     aggregations=[Aggregation("MAX", rule.metric)],

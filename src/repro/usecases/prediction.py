@@ -12,7 +12,7 @@ a Pinot table (OLAP), Flink computes (Compute) over Kafka (Stream) with
 checkpoints in blob storage (Storage).
 
 The prediction→outcome join is an *interval* join, not a window join:
-outcomes trail their predictions by up to ``max_outcome_delay_seconds``,
+outcomes trail their predictions by up to ``MAX_OUTCOME_DELAY_SECONDS``,
 and a tumbling window would silently lose every pair straddling a window
 boundary (a prediction at 11:59 whose outcome lands at 12:04).  The
 request-time features of each prediction are logged to the
@@ -29,22 +29,22 @@ from dataclasses import dataclass
 
 from repro.features import FeatureStore
 from repro.flink.graph import StreamEnvironment
-from repro.flink.runtime import JobRuntime
 from repro.flink.windows import TumblingWindows
-from repro.kafka.cluster import KafkaCluster, TopicConfig
 from repro.metadata.schema import Field, FieldRole, FieldType, Schema
-from repro.pinot.broker import PinotBroker
-from repro.pinot.controller import PinotController
 from repro.pinot.query import Aggregation, Filter, PinotQuery
 from repro.pinot.segment import IndexConfig
 from repro.pinot.startree import StarTreeConfig
 from repro.pinot.table import TableConfig
-from repro.storage.blobstore import BlobStore
+from repro.platform import Platform
 from repro.usecases.components import ComponentTrace
 
 PREDICTIONS_TOPIC = "ml-predictions"
 OUTCOMES_TOPIC = "ml-outcomes"
 ERRORS_TOPIC = "ml-errors-agg"
+
+MAX_OUTCOME_DELAY_SECONDS = 600.0
+AGG_WINDOW_SECONDS = 300.0
+ALLOWED_LATENESS_SECONDS = 30.0
 
 ERRORS_SCHEMA = Schema(
     "model_accuracy",
@@ -83,30 +83,18 @@ def _feature_key(prediction_id: str) -> tuple[str, str]:
 
 @dataclass
 class PredictionMonitoring:
-    kafka: KafkaCluster
-    controller: PinotController
-    broker: PinotBroker
-    join_runtime: JobRuntime
+    platform: Platform
     features: FeatureStore
     trace: ComponentTrace
 
     @classmethod
-    def deploy(
-        cls,
-        kafka: KafkaCluster,
-        controller: PinotController,
-        max_outcome_delay_seconds: float = 600.0,
-        agg_window_seconds: float = 300.0,
-        allowed_lateness_seconds: float = 30.0,
-        checkpoint_store: BlobStore | None = None,
-        feature_store: FeatureStore | None = None,
-    ) -> "PredictionMonitoring":
+    def deploy(cls, platform: Platform) -> "PredictionMonitoring":
         trace = ComponentTrace("Real-time Prediction Monitoring")
         trace.use("Stream")
         for topic in (PREDICTIONS_TOPIC, OUTCOMES_TOPIC, ERRORS_TOPIC):
-            if not kafka.has_topic(topic):
-                kafka.create_topic(topic, TopicConfig(partitions=4))
-        store = feature_store or FeatureStore("prediction-features")
+            platform.topic(topic)
+        kafka = platform.kafka
+        store = FeatureStore("prediction-features")
         # The join is expressed with the low-level API (advanced users).
         env = StreamEnvironment()
         predictions = env.from_kafka(
@@ -137,7 +125,7 @@ class PredictionMonitoring:
                 lambda p: p["prediction_id"],
                 lambda o: o["prediction_id"],
             ),
-            lower=-max_outcome_delay_seconds,
+            lower=-MAX_OUTCOME_DELAY_SECONDS,
             upper=0.0,
             join_fn=lambda p, o: {
                 "prediction_id": p["prediction_id"],
@@ -145,8 +133,8 @@ class PredictionMonitoring:
                 "observed": o["observed"],
                 "event_time": o["event_time"],
             },
-            allowed_lateness=allowed_lateness_seconds,
-            state_ttl=max_outcome_delay_seconds,
+            allowed_lateness=ALLOWED_LATENESS_SECONDS,
+            state_ttl=MAX_OUTCOME_DELAY_SECONDS,
             spill_budget_bytes=64 * 1024 * 1024,
             name="prediction-outcome-join",
         )
@@ -171,7 +159,7 @@ class PredictionMonitoring:
         # Pre-aggregate the enriched error stream into OLAP cube rows.
         joined.map(enrich, name="feature-enrich").key_by(
             lambda row: (row["model_id"], row["feature_id"])
-        ).window(TumblingWindows(agg_window_seconds)).aggregate(
+        ).window(TumblingWindows(AGG_WINDOW_SECONDS)).aggregate(
             _ErrorAggregate(), name="error-cube"
         ).map(
             lambda result: {
@@ -183,11 +171,10 @@ class PredictionMonitoring:
                 "total_abs_error": result.value["total_abs_error"],
             }
         ).sink_to_kafka(kafka, ERRORS_TOPIC, key_fn=lambda row: row["model_id"])
-        graph = env.build("prediction-monitoring")
-        runtime = JobRuntime(graph, blob_store=checkpoint_store or BlobStore())
+        platform.job(env.build("prediction-monitoring"))
         trace.use("Storage")
         # The OLAP cube: star-tree over (model, feature) for fast slicing.
-        controller.create_realtime_table(
+        platform.realtime_table(
             TableConfig(
                 "model_accuracy",
                 ERRORS_SCHEMA,
@@ -202,30 +189,22 @@ class PredictionMonitoring:
                 ),
                 segment_rows_threshold=500,
             ),
-            kafka,
-            ERRORS_TOPIC,
+            topic=ERRORS_TOPIC,
         )
         trace.use("OLAP")
         trace.use("SQL")  # PrestoSQL exploration over the cube (see bench)
-        return cls(kafka, controller, PinotBroker(controller), runtime, store, trace)
-
-    def process(self, flink_rounds: int = 100, ingest_steps: int = 100) -> None:
-        self.join_runtime.run_rounds(flink_rounds)
-        state = self.controller.table("model_accuracy")
-        for __ in range(ingest_steps):
-            if state.ingestion.run_step() == 0:
-                break
-        self.controller.backup.run_step()
+        return cls(platform, store, trace)
 
     def feature_consistency_report(self):
         """Reconcile the online feature store against an offline
         recomputation from the raw prediction log (lineage-digest audit)."""
+        kafka = self.platform.kafka
         offline = []
-        for partition in range(self.kafka.partition_count(PREDICTIONS_TOPIC)):
-            offset = self.kafka.start_offset(PREDICTIONS_TOPIC, partition)
-            end = self.kafka.end_offset(PREDICTIONS_TOPIC, partition)
+        for partition in range(kafka.partition_count(PREDICTIONS_TOPIC)):
+            offset = kafka.start_offset(PREDICTIONS_TOPIC, partition)
+            end = kafka.end_offset(PREDICTIONS_TOPIC, partition)
             while offset < end:
-                entries = self.kafka.fetch(PREDICTIONS_TOPIC, partition, offset, 500)
+                entries = kafka.fetch(PREDICTIONS_TOPIC, partition, offset, 500)
                 if not entries:
                     break
                 for entry in entries:
@@ -240,7 +219,7 @@ class PredictionMonitoring:
 
     def model_error(self, model_id: str) -> float:
         """Live mean absolute error of one model across the cube."""
-        result = self.broker.execute(
+        result = self.platform.broker.execute(
             PinotQuery(
                 table="model_accuracy",
                 aggregations=[
@@ -258,7 +237,7 @@ class PredictionMonitoring:
 
     def detect_anomalies(self, threshold: float = 0.15) -> list[dict]:
         """Models whose live error exceeds the alert threshold."""
-        result = self.broker.execute(
+        result = self.platform.broker.execute(
             PinotQuery(
                 table="model_accuracy",
                 aggregations=[

@@ -17,16 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.flink.runtime import JobRuntime
-from repro.kafka.cluster import KafkaCluster, TopicConfig
 from repro.metadata.schema import Field, FieldRole, FieldType, Schema
-from repro.pinot.broker import PinotBroker, QueryResult
-from repro.pinot.controller import PinotController
+from repro.pinot.broker import QueryResult
 from repro.pinot.query import Aggregation, Filter, PinotQuery
 from repro.pinot.segment import IndexConfig
 from repro.pinot.table import TableConfig
-from repro.sql.flinksql import FlinkSqlCompiler, StreamTableDef
-from repro.storage.blobstore import BlobStore
+from repro.platform import Platform
 from repro.usecases.components import ComponentTrace
 
 ORDERS_TOPIC = "eats-orders"
@@ -73,45 +69,26 @@ PREPROCESSOR_SQL = (
 class RestaurantManager:
     """The full dashboard stack: Kafka -> FlinkSQL preagg -> Pinot."""
 
-    kafka: KafkaCluster
-    controller: PinotController
-    broker: PinotBroker
-    preagg_runtime: JobRuntime
+    platform: Platform
     trace: ComponentTrace
 
     @classmethod
-    def deploy(
-        cls,
-        kafka: KafkaCluster,
-        controller: PinotController,
-        checkpoint_store: BlobStore | None = None,
-    ) -> "RestaurantManager":
+    def deploy(cls, platform: Platform) -> "RestaurantManager":
         trace = ComponentTrace("Restaurant Manager")
         trace.use("Stream")
-        if not kafka.has_topic(ORDERS_TOPIC):
-            kafka.create_topic(ORDERS_TOPIC, TopicConfig(partitions=4))
-        if not kafka.has_topic(PREAGG_TOPIC):
-            kafka.create_topic(PREAGG_TOPIC, TopicConfig(partitions=4))
+        platform.topic(ORDERS_TOPIC).topic(PREAGG_TOPIC)
         # FlinkSQL preprocessor (SQL + Compute layers).
-        compiler = FlinkSqlCompiler(
-            {
-                ORDERS_TOPIC.replace("-", "_"): StreamTableDef(
-                    kafka, ORDERS_TOPIC, timestamp_column="event_time"
-                )
-            }
+        platform.stream_table(
+            ORDERS_TOPIC.replace("-", "_"), ORDERS_TOPIC, timestamp_column="event_time"
         )
-        graph = compiler.compile_streaming(
-            PREPROCESSOR_SQL,
-            sink_kafka=(kafka, PREAGG_TOPIC),
-            group="restaurant-preagg",
-            job_name="restaurant-preagg",
+        platform.streaming_sql(
+            PREPROCESSOR_SQL, sink_topic=PREAGG_TOPIC, job_name="restaurant-preagg"
         )
         trace.use("SQL")
         trace.use("Compute")
-        runtime = JobRuntime(graph, blob_store=checkpoint_store or BlobStore())
         trace.use("Storage")  # checkpoints + Pinot segment archival
         # Pinot tables (OLAP layer): raw with inverted indexes, pre-agg.
-        controller.create_realtime_table(
+        platform.realtime_table(
             TableConfig(
                 "eats_orders",
                 RAW_SCHEMA,
@@ -122,10 +99,9 @@ class RestaurantManager:
                 ),
                 segment_rows_threshold=2000,
             ),
-            kafka,
-            ORDERS_TOPIC,
+            topic=ORDERS_TOPIC,
         )
-        controller.create_realtime_table(
+        platform.realtime_table(
             TableConfig(
                 "eats_orders_preagg",
                 PREAGG_SCHEMA,
@@ -136,28 +112,16 @@ class RestaurantManager:
                 ),
                 segment_rows_threshold=500,
             ),
-            kafka,
-            PREAGG_TOPIC,
+            topic=PREAGG_TOPIC,
         )
         trace.use("OLAP")
-        broker = PinotBroker(controller)
-        return cls(kafka, controller, broker, runtime, trace)
-
-    def process(self, flink_rounds: int = 50, ingest_steps: int = 50) -> None:
-        """Drive the preprocessor and both Pinot ingestion pipelines."""
-        self.preagg_runtime.run_rounds(flink_rounds)
-        for table in ("eats_orders", "eats_orders_preagg"):
-            state = self.controller.table(table)
-            for __ in range(ingest_steps):
-                if state.ingestion.run_step() == 0:
-                    break
-            self.controller.backup.run_step()
+        return cls(platform, trace)
 
     # -- the dashboard's fixed query patterns ----------------------------------
 
     def top_items(self, restaurant_id: str, limit: int = 5) -> QueryResult:
         """Popular menu items, served from the pre-aggregated table."""
-        return self.broker.execute(
+        return self.platform.broker.execute(
             PinotQuery(
                 table="eats_orders_preagg",
                 aggregations=[
@@ -172,7 +136,7 @@ class RestaurantManager:
         )
 
     def sales_timeseries(self, restaurant_id: str, limit: int = 48) -> QueryResult:
-        return self.broker.execute(
+        return self.platform.broker.execute(
             PinotQuery(
                 table="eats_orders_preagg",
                 aggregations=[Aggregation("SUM", "sales")],
@@ -185,7 +149,7 @@ class RestaurantManager:
 
     def service_quality(self, restaurant_id: str) -> dict[str, int]:
         """Cancellation analysis needs raw statuses -> raw table."""
-        result = self.broker.execute(
+        result = self.platform.broker.execute(
             PinotQuery(
                 table="eats_orders",
                 aggregations=[Aggregation("COUNT")],

@@ -2,14 +2,10 @@
 
 import pytest
 
+from repro import Platform
 from repro.allactive.region import MultiRegionDeployment
 from repro.common.clock import SimulatedClock
 from repro.kafka.cluster import KafkaCluster
-from repro.kafka.producer import Producer
-from repro.pinot.controller import PinotController
-from repro.pinot.recovery import PeerToPeerBackup
-from repro.pinot.server import PinotServer
-from repro.storage.blobstore import BlobStore
 from repro.usecases.components import LAYERS, ComponentTrace, render_table
 from repro.usecases.eats_ops import TELEMETRY_TOPIC, EatsOpsAutomation, OpsRule
 from repro.usecases.prediction import (
@@ -25,15 +21,6 @@ from repro.usecases.surge import (
     surge_multiplier,
 )
 from repro.workloads import EatsWorkload, PredictionWorkload, TripWorkload
-
-
-def pinot_stack():
-    clock = SimulatedClock()
-    kafka = KafkaCluster("k", 3, clock=clock)
-    controller = PinotController(
-        [PinotServer(f"s{i}") for i in range(3)], PeerToPeerBackup(BlobStore())
-    )
-    return clock, kafka, controller
 
 
 class TestSurge:
@@ -111,16 +98,16 @@ class TestSurge:
 
 class TestRestaurantManager:
     def _deploy(self, orders=1200):
-        clock, kafka, controller = pinot_stack()
-        manager = RestaurantManager.deploy(kafka, controller)
+        platform = Platform().with_kafka().with_pinot()
+        manager = RestaurantManager.deploy(platform)
         workload = EatsWorkload(seed=5, orders_per_second=2.0)
-        producer = Producer(kafka, "eats", clock=clock)
+        producer = platform.producer("eats")
         events = sorted(workload.order_events(orders), key=lambda e: e[1])
         for row, __ in events:
             producer.send(ORDERS_TOPIC, row, key=row["restaurant_id"],
                           event_time=row["event_time"])
         producer.flush()
-        manager.process(flink_rounds=200, ingest_steps=200)
+        platform.run_until_caught_up()
         return manager
 
     def test_preagg_dashboard_queries(self):
@@ -143,7 +130,7 @@ class TestRestaurantManager:
         preagg = manager.top_items("rest-0")
         from repro.pinot.query import Aggregation, Filter, PinotQuery
 
-        raw = manager.broker.execute(
+        raw = manager.platform.broker.execute(
             PinotQuery(
                 "eats_orders",
                 aggregations=[Aggregation("COUNT")],
@@ -161,19 +148,19 @@ class TestRestaurantManager:
 
 class TestPredictionMonitoring:
     def _deploy(self):
-        clock, kafka, controller = pinot_stack()
-        monitoring = PredictionMonitoring.deploy(kafka, controller)
+        platform = Platform().with_kafka().with_pinot()
+        monitoring = PredictionMonitoring.deploy(platform)
         workload = PredictionWorkload(
             seed=7, models=5, features_per_model=4,
             predictions_per_second=5.0, drifting_models=frozenset({2}),
         )
-        producer = Producer(kafka, "ml", clock=clock)
+        producer = platform.producer("ml")
         for kind, row, __ in workload.streams(2400.0):
             topic = PREDICTIONS_TOPIC if kind == "prediction" else OUTCOMES_TOPIC
             producer.send(topic, row, key=row["prediction_id"],
                           event_time=row["event_time"])
         producer.flush()
-        monitoring.process(flink_rounds=400, ingest_steps=400)
+        platform.run_until_caught_up()
         return monitoring
 
     def test_join_produces_accuracy_cube(self):
@@ -214,17 +201,17 @@ class TestPredictionMonitoring:
 
 class TestEatsOps:
     def _deploy(self):
-        clock, kafka, controller = pinot_stack()
-        ops = EatsOpsAutomation.deploy(kafka, controller)
+        platform = Platform().with_kafka().with_pinot().with_presto()
+        ops = EatsOpsAutomation.deploy(platform)
         workload = EatsWorkload(seed=9, restaurants=10, couriers=80)
-        producer = Producer(kafka, "courier", clock=clock)
+        producer = platform.producer("courier")
         last = 0.0
         for row, arrival in workload.courier_telemetry(900.0, pings_per_second=8.0):
             producer.send(TELEMETRY_TOPIC, row, key=row["hex_id"],
                           event_time=row["event_time"])
             last = arrival
         producer.flush()
-        ops.process(flink_rounds=300, ingest_steps=300)
+        platform.run_until_caught_up()
         return ops, last
 
     def test_explore_with_prestosql(self):
