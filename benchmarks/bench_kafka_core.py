@@ -18,7 +18,6 @@ import time
 
 from repro.common.clock import SimulatedClock
 from repro.common.perf import measured
-from repro.common.records import reset_uid_counter
 from repro.kafka.cluster import KafkaCluster, TopicConfig
 from repro.kafka.consumer import Consumer, GroupCoordinator
 from repro.kafka.producer import Producer
@@ -32,9 +31,6 @@ BATCH_SIZES = (1024, 16_384, 131_072)
 
 
 def produce_consume(acks: str, batch_size: int) -> dict:
-    # The uid rides in the headers, so each run restarts it: both acks
-    # settings then produce byte-identical records.
-    reset_uid_counter()
     clock = SimulatedClock()
     cluster = KafkaCluster("k", 3, clock=clock)
     cluster.create_topic(

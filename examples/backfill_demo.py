@@ -51,17 +51,13 @@ def main() -> None:
 
     workload = EatsWorkload(seed=9, orders_per_second=0.05)
     events = sorted(workload.order_events(WEEK), key=lambda e: e[1])
-    from repro.common.records import Record, stamp_audit_headers
+    from repro.common.records import Record
 
     for row, arrival in events:
         clock.run_until(max(clock.now(), arrival))
         producer.send("orders", row, key=row["restaurant_id"],
                       event_time=row["event_time"])
-        archiver.append(
-            stamp_audit_headers(
-                Record(row["restaurant_id"], row, row["event_time"]), "orders"
-            )
-        )
+        archiver.append(Record(row["restaurant_id"], row, row["event_time"]))
     producer.flush()
     archiver.flush()
     kafka.apply_retention()

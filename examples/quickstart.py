@@ -112,7 +112,7 @@ def main() -> None:
     tracer = platform.tracer
     assert tracer is not None
     deepest = max(
-        tracer.trace_ids(),
+        sorted(tracer.traces_for_table("city_stats")),
         key=lambda tid: len({s.name for s in tracer.trace(tid)}),
     )
     print(f"\none traced record ({deepest}) through the stack:")

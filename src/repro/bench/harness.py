@@ -36,7 +36,6 @@ from pathlib import Path
 from repro.bench.scenarios import SCENARIOS
 from repro.common.errors import ReproError
 from repro.common.perf import measured
-from repro.common.records import reset_uid_counter
 
 SCHEMA_VERSION = 2
 DEFAULT_SEED = 42
@@ -73,11 +72,6 @@ def run_scenarios(
     report = BenchReport(seed=seed)
     specs = [by_name[n] for n in names] if names else SCENARIOS
     for spec in specs:
-        # Uid strings are stamped from a process-global counter and their
-        # length feeds encoded record sizes (so producer batch boundaries);
-        # restart it so a scenario's counts don't depend on what ran earlier
-        # in this process.
-        reset_uid_counter()
         with measured() as counters:
             outcome = spec.fn(dict(spec.params), seed)
             counts = counters.snapshot()

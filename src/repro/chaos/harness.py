@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
+from repro.audit import lineage_digest
 from repro.chaos import faults
 from repro.chaos.faults import FaultEvent
 from repro.chaos.report import InvariantResult, RecoveryReport
@@ -294,8 +295,9 @@ class ChaosHarness:
         """Every acknowledged record must still be readable after recovery.
 
         ``acked`` holds ``(partition, offset)`` pairs — optionally
-        ``(partition, offset, uid)`` to also catch an offset that survived
-        but was silently *replaced* by a diverged entry.  This is the
+        ``(partition, offset, digest)``, the acked value's
+        :func:`~repro.audit.lineage_digest`, to also catch an offset that
+        survived but was silently *replaced* by a diverged entry.  This is the
         acks=all zero-loss guarantee (Section 9.2); under acks=1 use it
         with the predicted-surviving subset.
         """
@@ -305,7 +307,7 @@ class ChaosHarness:
             lost = []
             for item in sorted(set(tuple(a) for a in acked)):
                 partition, offset = item[0], item[1]
-                uid = item[2] if len(item) > 2 else None
+                digest = item[2] if len(item) > 2 else None
                 try:
                     entries = kafka.fetch(topic, partition, offset, 1)
                 except (BrokerUnavailableError, OffsetOutOfRangeError):
@@ -313,7 +315,7 @@ class ChaosHarness:
                     continue
                 if not entries or entries[0].offset != offset:
                     lost.append((partition, offset))
-                elif uid is not None and entries[0].record.headers.get("uid") != uid:
+                elif digest not in (None, lineage_digest(entries[0].record.value)):
                     lost.append((partition, offset))
             if lost:
                 detail = f"lost {len(lost)}/{len(acked)}: {lost[:5]}"

@@ -2,7 +2,7 @@
 
 from repro.common.clock import Clock, SimulatedClock, SystemClock
 from repro.common.memory import deep_sizeof
-from repro.common.records import Record, next_uid, stamp_audit_headers
+from repro.common.records import Record
 from repro.common.rng import seeded_rng, zipf_sampler
 from repro.common.serde import decode, encode, encoded_size
 
@@ -11,8 +11,6 @@ __all__ = [
     "SimulatedClock",
     "SystemClock",
     "Record",
-    "next_uid",
-    "stamp_audit_headers",
     "deep_sizeof",
     "seeded_rng",
     "zipf_sampler",

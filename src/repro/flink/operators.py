@@ -43,7 +43,7 @@ from repro.flink.windows import (
     WindowResult,
     non_finite_event_time,
 )
-from repro.observability.trace import SpanCollector, TraceContext
+from repro.observability.trace import EntryTrace, SpanCollector, TraceContext
 
 
 class Operator:
@@ -549,9 +549,9 @@ class SourceReader:
 
     def _read(self, max_records: int, entered: float | None) -> list[Any]:
         """Next StreamRecords, advancing the position and
-        ``self.watermarks``; a reader whose records carry an identity
-        stamps each with a trace that ``entered`` the job then, unless
-        ``entered`` is ``None`` (the job is untraced)."""
+        ``self.watermarks``; a reader over a Kafka log stamps each with
+        its record's trace, ``entered`` the job then, unless ``entered``
+        is ``None`` (the job is untraced)."""
         raise NotImplementedError
 
     def _seek(self, data: dict[str, Any]) -> None:
@@ -659,7 +659,7 @@ class KafkaSourceReader(SourceReader):
                         record.key,
                         None
                         if entered is None
-                        else TraceContext.from_headers(record.headers, entered),
+                        else EntryTrace(topic, partition, entry, entered),
                     )
                 )
                 self.positions[partition] = entry.offset + 1

@@ -24,9 +24,10 @@ from typing import Any
 class StreamRecord:
     """A data element with an assigned event timestamp and optional key.
 
-    ``trace`` carries the
-    :class:`~repro.observability.trace.TraceContext` of the Kafka record
-    the element originated from, stamped with the time it entered the job
+    ``trace`` carries the trace of the Kafka record the element originated
+    from (an :class:`~repro.observability.trace.EntryTrace` or a restored
+    :class:`~repro.observability.trace.TraceContext`), stamped with the
+    time it entered the job
     (``None`` when the job is untraced); operator transforms preserve it
     so the sink can record the element's ``process`` span.
     """

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from repro.common.clock import Clock, SystemClock
 from repro.common.errors import KafkaError, UnknownTopicError
-from repro.common.records import Record, stamp_audit_headers
+from repro.common.records import Record
 from repro.kafka.cluster import KafkaCluster, TopicConfig
 from repro.kafka.consumer import ConsumedMessage, Consumer, GroupCoordinator
 from repro.kafka.producer import hash_partitioner
@@ -151,12 +151,10 @@ class FederatedProducer:
     def __init__(
         self,
         metadata: FederationMetadataServer,
-        service_name: str = "producer",
         acks: str = "1",
         clock: Clock | None = None,
     ) -> None:
         self.metadata = metadata
-        self.service_name = service_name
         self.acks = acks
         self.clock = clock or SystemClock()
 
@@ -167,7 +165,6 @@ class FederatedProducer:
             value=value,
             event_time=self.clock.now() if event_time is None else event_time,
         )
-        record = stamp_audit_headers(record, self.service_name)
         partition = (
             hash_partitioner(key, cluster.partition_count(topic))
             if key is not None

@@ -2,8 +2,9 @@
 
 Mirrors the knobs the paper's use cases tune: surge pricing produces with
 ``acks=1`` for throughput (Section 5.1); financial topics force
-``acks=all`` for zero loss (Section 9.2).  Every record is stamped with the
-audit headers of Section 9.4; its uid is the trace id.
+``acks=all`` for zero loss (Section 9.2).  A record's headers are exactly
+what the caller passed, usually none: nothing stamps it, and a tracer names
+it by the offset it lands at (:mod:`repro.observability.trace`).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from repro.common.errors import (
     NotEnoughReplicasError,
 )
 from repro.common.perf import PERF
-from repro.common.records import Record, stamp_audit
+from repro.common.records import Record
 from repro.common.retry import RetryPolicy
 from repro.common.rng import seeded_rng
 from repro.kafka.cluster import KafkaCluster, ProducerCtx
@@ -92,7 +93,6 @@ class Producer:
         if acks not in ("0", "1", "all"):
             raise KafkaError(f"acks must be one of '0', '1', 'all'; got {acks!r}")
         self.cluster = cluster
-        self.service_name = service_name
         self.acks = acks
         self.batch_size = batch_size
         self.clock = clock or cluster.clock or SystemClock()
@@ -145,7 +145,6 @@ class Producer:
         value: Any,
         key: Any = None,
         event_time: float | None = None,
-        tier: str = "standard",
         headers: dict[str, Any] | None = None,
     ) -> int:
         """Buffer one record for sending; returns the partition it joined.
@@ -156,11 +155,7 @@ class Producer:
         """
         if event_time is None:
             event_time = self.clock.now()
-        # The record's own header dict: the caller's headers and the audit
-        # metadata of Section 9.4, whose uid is also its trace id.
-        stamped = dict(headers) if headers else {}
-        stamp_audit(stamped, self.service_name, tier, event_time)
-        record = Record(key, value, event_time, stamped)
+        record = Record(key, value, event_time, dict(headers) if headers else {})
         partition = self._choose_partition(topic, key)
         batch = self._batches.get((topic, partition))
         if batch is None:
@@ -253,9 +248,9 @@ class Producer:
                 batch.records,
                 batch.sent_at,
                 end=self.cluster.clock.now(),
-                columns={"offset": range(base, base + len(batch.records))},
                 topic=topic,
                 partition=partition,
+                base_offset=base,
             )
         self.batches_sent += 1
         self._rotate_sticky(topic)
@@ -275,12 +270,11 @@ class Producer:
         value: Any,
         key: Any = None,
         event_time: float | None = None,
-        tier: str = "standard",
         headers: dict[str, Any] | None = None,
     ) -> RecordMetadata:
         """Send one record immediately (no batching); returns its metadata."""
         partition = self.send(
-            topic, value, key=key, event_time=event_time, tier=tier, headers=headers
+            topic, value, key=key, event_time=event_time, headers=headers
         )
         flushed = self._flush_batch(topic, partition)
         if not flushed:

@@ -153,9 +153,7 @@ class PinotFreshnessProbe:
         marker = f"__probe-{self._probe_seq}"
         event_time = self.clock.now()
         value = self.sentinel_factory(marker)
-        self.producer.produce(
-            self.topic, value, key=marker, event_time=event_time, tier="critical"
-        )
+        self.producer.produce(self.topic, value, key=marker, event_time=event_time)
         self.producer.flush()
 
         query = PinotQuery(

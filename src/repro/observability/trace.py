@@ -10,12 +10,15 @@ trustworthy when measured at system boundaries, not inside one component.
 
 The model here is deliberately small:
 
-* A record's identity is the audit metadata Section 9.4 already stamps on
-  every event: its trace id is its ``uid`` and its origin time its
-  ``produced_at``.  Only a *continued* trace — a Flink sink re-producing a
-  window result under the trace of a record it read — carries the pair
-  explicitly, as the ``trace_id`` / ``origin_event_time`` headers of a
-  :class:`TraceContext`.
+* A record is named the way Kafka names it: its trace id is its
+  coordinates in the log a traced hop holds it in, ``(topic, partition,
+  offset)``, rendered as a string when a reader asks (:func:`record_id`,
+  e.g. ``"rides-0@17"``), and its origin time is its ``event_time``.  Only
+  a *continued* trace — a Flink sink re-producing a window result under
+  the trace of a record it read — carries the pair explicitly, as the
+  ``trace_id`` / ``origin_event_time`` headers of a :class:`TraceContext`.
+  A uReplicator copy is a new record in its destination cluster; no traced
+  hop spans two clusters.
 * Each hop emits a :class:`Span` — ``produce``, ``replicate``, ``consume``,
   ``process``, ``ingest``, ``query`` — into one shared
   :class:`SpanCollector`.
@@ -25,17 +28,32 @@ The model here is deliberately small:
 
 Tracing is opt-in per component: components take ``tracer=None``, and one
 with a collector traces every record it handles.  A record carries nothing
-extra for it, so a traced platform writes the log an untraced one writes,
-byte for byte.  A hop pays per batch, not per record: it hands the
+for it — its headers are what its producer's caller passed — so a traced
+platform writes the log an untraced one writes, byte for byte.  A hop pays
+per batch, not per record: it hands the
 collector a reference to the batch it already holds (the producer's
 flushed records, the log entries it replicated, polled or ingested) and
 the starts it already has.  Trace ids, starts read off log entries and the
 per-trace and per-table views are derived when a reader asks, and ``Span``
 objects exist only while a reader looks at them.  The one per-record cost
-is Flink's: a traced source stamps each element with the time it entered
-the job, and the sink that writes it records its ``process`` span from
-that time.  On the wall-clock benchmark's live path tracing on runs at
-0.84 of tracing off (EXPERIMENTS.md, B15; 0.74 before it).
+is Flink's: a traced source stamps each element with an
+:class:`EntryTrace` — the entry it read and the time it entered the job,
+its id rendered only if something reads it — and the sink that writes it
+records its ``process`` span from that time.  On the wall-clock
+benchmark's live path tracing on runs at 0.84 of tracing off
+(EXPERIMENTS.md, B15; 0.74 before it).
+
+Coordinates name a record only while its log keeps it.  Under ``acks=1``
+a leader can die before a follower copied its tail: the new leader's log
+lacks those entries, the old leader truncates them when it rejoins, and
+the next record appended there takes a lost offset.  The lost record's
+``produce`` span and every span of its replacement then share one id.
+For that id :meth:`SpanCollector.trace` lists both ``produce`` spans;
+:meth:`SpanCollector.trace_latency` measures from the earlier send, the
+lost record's, so it reads high by the time between the two sends; and
+:meth:`SpanCollector.anomalies` reports nothing, because the lost send
+starts before every later hop of the id.  The tracer does not detect loss:
+the auditor (:mod:`repro.audit`) and the chaos ack check do.
 """
 
 from __future__ import annotations
@@ -43,7 +61,6 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Any, Callable, Mapping
 
 from repro.observability.freshness import nearest_rank
@@ -55,6 +72,20 @@ HOP_ORDER = ("produce", "replicate", "consume", "process", "ingest", "query")
 
 TRACE_HEADER = "trace_id"
 ORIGIN_HEADER = "origin_event_time"
+
+
+def record_id(topic: str, partition: int, offset: int) -> str:
+    """The trace id of the record at ``offset`` of ``topic``'s
+    ``partition``, unless it continues another trace."""
+    return f"{topic}-{partition}@{offset}"
+
+
+def _trace_id_of(
+    headers: Mapping[str, Any], topic: str, partition: int, offset: int
+) -> str:
+    """A record's trace id: the trace it continues, else its coordinates."""
+    trace_id = headers.get(TRACE_HEADER)
+    return record_id(topic, partition, offset) if trace_id is None else trace_id
 
 
 @dataclass(slots=True)
@@ -80,26 +111,38 @@ class TraceContext:
             headers[ORIGIN_HEADER] = self.origin_event_time
         return headers
 
-    @staticmethod
-    def from_headers(
-        headers: Mapping[str, Any], entered: float | None = None
-    ) -> TraceContext | None:
-        """A record's context: the trace it continues, else its own audit
-        identity (``uid``, ``produced_at``); ``None`` when no client
-        stamped the record."""
-        trace_id = headers.get(TRACE_HEADER)
-        if trace_id is not None:
-            return TraceContext(trace_id, headers.get(ORIGIN_HEADER), entered)
-        uid = headers.get("uid")
-        if uid is None:
-            return None
-        return TraceContext(uid, headers.get("produced_at"), entered)
 
+class EntryTrace:
+    """The trace of a log entry of ``topic``'s ``partition`` that a traced
+    Flink source read, read like a :class:`TraceContext` but worked out
+    only when read: most are dropped unread (a window keeps one per key).
+    """
 
-def _trace_id_of(headers: Mapping[str, Any]) -> str | None:
-    """The trace id :meth:`TraceContext.from_headers` would give."""
-    trace_id = headers.get(TRACE_HEADER)
-    return headers.get("uid") if trace_id is None else trace_id
+    __slots__ = ("topic", "partition", "entry", "entered")
+
+    def __init__(
+        self, topic: str, partition: int, entry: Any, entered: float | None = None
+    ) -> None:
+        self.topic = topic
+        self.partition = partition
+        self.entry = entry
+        self.entered = entered
+
+    @property
+    def trace_id(self) -> str:
+        headers, offset = self.entry.record.headers, self.entry.offset
+        return _trace_id_of(headers, self.topic, self.partition, offset)
+
+    @property
+    def origin_event_time(self) -> float | None:
+        """The continued trace's origin, else the record's event time."""
+        record = self.entry.record
+        if TRACE_HEADER in record.headers:
+            return record.headers.get(ORIGIN_HEADER)
+        return record.event_time
+
+    def to_headers(self) -> dict[str, Any]:
+        return TraceContext(self.trace_id, self.origin_event_time).to_headers()
 
 
 @dataclass(slots=True)
@@ -109,8 +152,7 @@ class Span:
     ``trace_id`` is ``None`` on a table query read outside any trace
     (:meth:`SpanCollector.spans`): a query belongs to every trace it
     covered, and :meth:`SpanCollector.trace` names the trace it was asked
-    about.  It is also ``None`` on the hop of a record no client stamped,
-    which belongs to no trace.
+    about.
     """
 
     trace_id: str | None
@@ -153,16 +195,28 @@ class _AppendTimes(Sequence):
             yield entry.append_time
 
 
-_RECORD_HEADERS = attrgetter("headers")
-_ENTRY_HEADERS = attrgetter("record.headers")
+def _record_ids(batch: _Batch) -> list[str]:
+    """A producer hop's ids: its records, at the ``offset`` column of the
+    batch's topic and partition."""
+    topic, partition = batch.attrs["topic"], batch.attrs["partition"]
+    return [
+        _trace_id_of(record.headers, topic, partition, offset)
+        for record, offset in zip(batch.rows, batch.columns["offset"])
+    ]
+
+
+def _entry_ids(batch: _Batch) -> list[str]:
+    """The ids of a hop over log entries of the batch's topic and partition."""
+    topic, partition = batch.attrs["topic"], batch.attrs["partition"]
+    return [EntryTrace(topic, partition, entry).trace_id for entry in batch.rows]
 
 
 class _Batch:
     """Finished spans that arrived together, stored column-wise.
 
     Name, layer, end and ``attrs`` are shared by every row.  ``rows`` is
-    what the hop held — its ``Record``s or ``LogEntry``s, read through
-    ``headers``, or, when ``headers`` is ``None``, the trace ids
+    what the hop held — its ``Record``s or ``LogEntry``s, named by
+    ``resolve``, or, when ``resolve`` is ``None``, the trace ids
     themselves — and is kept by reference, as are the parallel ``starts``
     and the per-row ``columns`` (any indexable sequence, e.g. a ``range``
     of offsets).  Row ``i`` has arrival sequence ``seq + i``.  A table
@@ -179,7 +233,7 @@ class _Batch:
         "rows",
         "starts",
         "columns",
-        "headers",
+        "resolve",
         "covers",
         "_ids",
     )
@@ -193,7 +247,7 @@ class _Batch:
         rows: Sequence[Any],
         starts: Sequence[float],
         columns: Mapping[str, Sequence[Any]] | None = None,
-        headers: Callable[[Any], Mapping[str, Any]] | None = None,
+        resolve: Callable[[_Batch], list[str]] | None = None,
         covers: str | None = None,
     ) -> None:
         self.seq = 0  # set when stored
@@ -204,17 +258,17 @@ class _Batch:
         self.rows = rows
         self.starts = starts
         self.columns = columns
-        self.headers = headers
+        self.resolve = resolve
         self.covers = covers
-        self._ids: list[str | None] | None = None
+        self._ids: list[str] | None = None
 
     @property
     def trace_ids(self) -> Sequence[str | None]:
         """Each row's trace id, worked out the first time it is asked."""
-        if self.headers is None:
+        if self.resolve is None:
             return self.rows
         if self._ids is None:
-            self._ids = [_trace_id_of(h) for h in map(self.headers, self.rows)]
+            self._ids = self.resolve(self)
         return self._ids
 
     def drop_head(self, count: int) -> None:
@@ -284,43 +338,55 @@ class SpanCollector:
         records: Sequence[Any],
         starts: Sequence[float],
         end: float,
-        columns: Mapping[str, Sequence[Any]] | None = None,
+        topic: str,
+        partition: int,
+        base_offset: int,
         **attrs: Any,
     ) -> None:
-        """Record one hop of a batch of records: spans that share ``name``,
-        ``layer``, ``end`` and ``attrs`` and differ in the record, its start
-        and the per-row ``columns``.
+        """Record one hop of a batch of records appended to ``topic``'s
+        ``partition`` from ``base_offset`` on: spans that share ``name``,
+        ``layer``, ``end`` and ``attrs`` and differ in the record, its
+        start and its ``offset``.
 
-        The collector keeps ``records``, ``starts`` and ``columns`` as they
-        are, so the caller must not mutate them afterwards; a record's
-        trace id is read off its headers when a reader first needs it.
+        The collector keeps ``records`` and ``starts`` as they are, so the
+        caller must not mutate them afterwards; a record's trace id is
+        worked out when a reader first needs it.
         """
+        attrs["topic"], attrs["partition"] = topic, partition
+        columns = {"offset": range(base_offset, base_offset + len(records))}
         self._append(
-            _Batch(name, layer, end, attrs, records, starts, columns, _RECORD_HEADERS)
+            _Batch(name, layer, end, attrs, records, starts, columns, _record_ids)
         )
 
     def record_entries(
-        self, name: str, layer: str, entries: Sequence[Any], end: float, **attrs: Any
+        self,
+        name: str,
+        layer: str,
+        entries: Sequence[Any],
+        end: float,
+        topic: str,
+        partition: int,
+        **attrs: Any,
     ) -> None:
-        """:meth:`record_batch` over log entries: each span starts at its
-        entry's append time."""
+        """:meth:`record_batch` over log entries of ``topic``'s
+        ``partition``: each span starts at its entry's append time, and the
+        entry's offset names its record."""
+        attrs["topic"], attrs["partition"] = topic, partition
         starts = _AppendTimes(entries)
-        self._append(
-            _Batch(name, layer, end, attrs, entries, starts, None, _ENTRY_HEADERS)
-        )
+        self._append(_Batch(name, layer, end, attrs, entries, starts, None, _entry_ids))
 
     def record_spans(
         self,
         name: str,
         layer: str,
-        trace_ids: Sequence[str | None],
+        trace_ids: Sequence[str],
         starts: Sequence[float],
         end: float,
         columns: Mapping[str, Sequence[Any]] | None = None,
         **attrs: Any,
     ) -> None:
         """:meth:`record_batch` for a hop that holds trace ids, not
-        records; a ``None`` id is a row of no trace."""
+        records."""
         self._append(_Batch(name, layer, end, attrs, trace_ids, starts, columns))
 
     def record_span(
@@ -389,8 +455,6 @@ class SpanCollector:
                 del self._table_queries[batch.covers]
         elif batch.seq < self._indexed:
             for trace_id in batch.trace_ids[:count]:
-                if trace_id is None:
-                    continue
                 rows = self._by_trace[trace_id]
                 del rows[0]
                 if not rows:
@@ -420,8 +484,8 @@ class SpanCollector:
             fresh.append(batch)
         by_trace = self._by_trace
         for batch in reversed(fresh):
-            for seq, trace_id in enumerate(batch.trace_ids, batch.seq):
-                if trace_id is not None:
+            if batch.covers is None:
+                for seq, trace_id in enumerate(batch.trace_ids, batch.seq):
                     by_trace.setdefault(trace_id, []).append((batch, seq))
         self._indexed = self._next_seq
         return by_trace
@@ -460,7 +524,6 @@ class SpanCollector:
             for batch in self._batches
             if batch.ingest_table() == table
             for trace_id in batch.trace_ids
-            if trace_id is not None
         }
 
     def trace_latency(
@@ -493,12 +556,9 @@ class SpanCollector:
                 continue
             for trace_id, start in zip(batch.trace_ids, batch.starts):
                 if batch.end < start:
-                    if trace_id is not None:
-                        owner = trace_id
-                    elif batch.covers is not None:
+                    owner = trace_id
+                    if batch.covers is not None:
                         owner = f"table {batch.covers}"
-                    else:
-                        owner = "an unstamped record"
                     problems.append(
                         f"span {batch.name}[{batch.layer}] of {owner} ends "
                         f"at {batch.end:.6f} before it starts at {start:.6f}"

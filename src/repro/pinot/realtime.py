@@ -234,8 +234,9 @@ class RealtimeIngestion:
             "pinot",
             entries if landed - first == len(entries) else entries[first:landed],
             end=self.kafka.clock.now(),
-            table=self.config.name,
+            topic=self.topic,
             partition=state.partition,
+            table=self.config.name,
             segment=state.consuming.name,
         )
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from repro.bench.scenarios import presto_federated_join
 from repro.common.perf import PERF, measured
-from repro.common.records import reset_uid_counter
 
 PARAMS = {
     "records": 1_500,
@@ -23,7 +22,6 @@ NO_REUSE_JOIN_PROBE_ROWS = 38_244
 
 
 def run():
-    reset_uid_counter()
     with measured():
         outcome = presto_federated_join(dict(PARAMS), 42)
         counters = PERF.snapshot()

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from repro.bench.scenarios import pinot_selective_query
 from repro.common.perf import PERF, measured
-from repro.common.records import reset_uid_counter
 
 PARAMS = {
     "records": 3_000,
@@ -24,7 +23,6 @@ SCATTER_ROW_CHECK = 47226603786790
 
 def run(pruning: bool, cache: bool):
     params = dict(PARAMS, pruning=pruning, cache=cache)
-    reset_uid_counter()
     with measured():
         outcome = pinot_selective_query(params, 42)
         counters = PERF.snapshot()

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from repro.bench.scenarios import SCENARIOS
 from repro.common.perf import PERF, measured
-from repro.common.records import reset_uid_counter
 
 SPEC = next(s for s in SCENARIOS if s.name == "stream_join")
 
@@ -22,7 +21,6 @@ PARAMS = dict(SPEC.params, records=2_000, keys=256, reads=200)
 
 
 def run(seed, crash_restore=False):
-    reset_uid_counter()
     with measured():
         outcome = SPEC.fn(dict(PARAMS, crash_restore=crash_restore), seed)
         counters = dict(PERF.counts)

@@ -25,7 +25,7 @@ from repro import (
     SloTarget,
     TableConfig,
 )
-from repro.audit import IntegrityAuditor
+from repro.audit import IntegrityAuditor, lineage_digest
 from repro.chaos import faults
 
 WINDOW = 10.0
@@ -105,7 +105,7 @@ def run_scenario(seed=2021):
         retry_policy=RetryPolicy(max_attempts=10, base_delay=0.5, max_delay=5.0),
     )
     kafka = platform.kafka
-    acked = []  # (partition, offset, uid): the zero-loss ledger
+    acked = []  # (partition, offset, digest): the zero-loss ledger
     expected = {}  # (window_start, city) -> (orders, volume)
     orders_audit = IntegrityAuditor("orders")
     for i in range(60):
@@ -116,7 +116,7 @@ def run_scenario(seed=2021):
         orders_audit.record_expected(city, payload)
         meta = producer.produce("orders", payload, key=city)
         [entry] = kafka.fetch("orders", meta.partition, meta.offset, 1)
-        acked.append((meta.partition, meta.offset, entry.record.headers["uid"]))
+        acked.append((meta.partition, meta.offset, lineage_digest(entry.record.value)))
         window_start = ts // WINDOW * WINDOW
         orders, volume = expected.get((window_start, city), (0, 0.0))
         expected[(window_start, city)] = (orders + 1, volume + amount)

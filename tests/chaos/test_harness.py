@@ -160,11 +160,12 @@ class TestInvariants:
     def test_no_acked_loss_detects_acks1_truncation(self):
         platform = kafka_platform()
         kafka = platform.kafka
-        from repro.common.records import Record, stamp_audit_headers
+        from repro.audit import lineage_digest
+        from repro.common.records import Record
 
-        record = stamp_audit_headers(Record("k", {"v": 1}, 0.0), "svc", "std")
+        record = Record("k", {"v": 1}, 0.0)
         offset = kafka.append("t", 0, record, acks="1")  # leader-only
-        acked = [(0, offset, record.headers["uid"])]
+        acked = [(0, offset, lineage_digest(record.value))]
         leader = kafka.topics["t"].partitions[0].leader
         kafka.kill_broker(leader)  # unreplicated entry dies with it
         kafka.restart_broker(leader)  # truncates to the new leader's log
@@ -176,15 +177,16 @@ class TestInvariants:
     def test_no_acked_loss_passes_when_replicated(self):
         platform = kafka_platform()
         kafka = platform.kafka
-        from repro.common.records import Record, stamp_audit_headers
+        from repro.audit import lineage_digest
+        from repro.common.records import Record
 
-        record = stamp_audit_headers(Record("k", {"v": 1}, 0.0), "svc", "std")
+        record = Record("k", {"v": 1}, 0.0)
         offset = kafka.append("t", 0, record, acks="all")
         leader = kafka.topics["t"].partitions[0].leader
         kafka.kill_broker(leader)
         kafka.restart_broker(leader)
         chaos = platform.chaos().expect_no_acked_loss(
-            "t", [(0, offset, record.headers["uid"])]
+            "t", [(0, offset, lineage_digest(record.value))]
         )
         [result] = chaos.report().invariants
         assert result.passed

@@ -4,34 +4,15 @@ import pytest
 
 from repro.common.hexgrid import HexCell, HexGrid, disk, neighbors, ring
 from repro.common.memory import deep_sizeof
-from repro.common.records import Record, next_uid, stamp_audit_headers
+from repro.common.records import Record
 from repro.common.rng import seeded_rng, zipf_sampler
 
 
 class TestRecords:
-    def test_uid_unique(self):
-        assert next_uid() != next_uid()
-
-    def test_stamp_assigns_audit_headers(self):
-        record = Record("k", {"x": 1}, 10.0)
-        stamped = stamp_audit_headers(record, "svc", tier="critical")
-        assert stamped.uid() is not None
-        assert stamped.headers["service"] == "svc"
-        assert stamped.headers["tier"] == "critical"
-        assert stamped.headers["produced_at"] == 10.0
-
-    def test_stamp_is_idempotent(self):
-        record = stamp_audit_headers(Record("k", 1, 0.0), "svc")
-        again = stamp_audit_headers(record, "other")
-        assert again.uid() == record.uid()
-        assert again.headers["service"] == "svc"
-
     def test_with_value_preserves_rest(self):
-        record = stamp_audit_headers(Record("k", 1, 5.0), "svc")
+        record = Record("k", 1, 5.0, {"trace_id": "rides-0@7"})
         updated = record.with_value(2)
-        assert updated.value == 2
-        assert updated.key == "k"
-        assert updated.uid() == record.uid()
+        assert updated == Record("k", 2, 5.0, {"trace_id": "rides-0@7"})
 
     def test_with_key(self):
         record = Record("k", 1, 5.0)

@@ -82,11 +82,11 @@ class TestProducer:
         partition = hash_partitioner("k", 4)
         assert kafka.end_offset("events", partition) > 0
 
-    def test_audit_headers_stamped(self, kafka, producer):
-        meta = producer.produce("events", {"v": 1}, key="k")
-        entry = kafka.fetch("events", meta.partition, meta.offset)[0]
-        assert entry.record.uid() is not None
-        assert entry.record.headers["service"] == "test-svc"
+    def test_a_record_carries_only_its_callers_headers(self, kafka, producer):
+        plain = producer.produce("events", {"v": 1}, key="k")
+        producer.produce("events", {"v": 2}, key="k", headers={"h": "x"})
+        fetched = kafka.fetch("events", plain.partition, plain.offset, 2)
+        assert [entry.record.headers for entry in fetched] == [{}, {"h": "x"}]
 
     def test_invalid_acks(self, kafka):
         with pytest.raises(KafkaError):

@@ -8,8 +8,7 @@ the table so far*.  It is quadratic and unbounded, which is why production
 no longer works this way — and it is ten lines per method, which is why
 the tests keep it: ``test_collector_differential.py`` drives both
 collectors with the same seeded schedules and requires the same per-trace
-answers.  A span whose trace id is ``None`` (a record no client stamped)
-is stored and belongs to no trace.
+answers.
 """
 
 from __future__ import annotations
@@ -41,8 +40,6 @@ class EagerCollector:
 
     def _finish(self, span: Span) -> None:
         self.finished.append(span)
-        if span.trace_id is None:
-            return
         if span.name == "ingest" and "table" in span.attrs:
             self.table_traces.setdefault(span.attrs["table"], set()).add(
                 span.trace_id
@@ -55,7 +52,7 @@ class EagerCollector:
         return sorted(spans, key=lambda s: (s.start, _hop_rank(s.name)))
 
     def trace_ids(self) -> list[str]:
-        return sorted({s.trace_id for s in self.finished} - {None})
+        return sorted({s.trace_id for s in self.finished})
 
     def traces_for_table(self, table: str) -> set[str]:
         return set(self.table_traces.get(table, ()))
@@ -70,7 +67,7 @@ class EagerCollector:
 
     def anomalies(self) -> list[str]:
         problems = [
-            f"span {s.name}[{s.layer}] of {s.trace_id or 'an unstamped record'} ends "
+            f"span {s.name}[{s.layer}] of {s.trace_id} ends "
             f"at {s.end:.6f} before it starts at {s.start:.6f}"
             for s in self.finished
             if s.end < s.start

@@ -26,12 +26,12 @@ import pytest
 from repro import Field, FieldType, Platform, Schema, TableConfig
 from repro.common.records import Record
 from repro.kafka.log import LogEntry
-from repro.observability.trace import TRACE_HEADER, SpanCollector
+from repro.observability.trace import TRACE_HEADER, SpanCollector, record_id
 
 from tests.observability.eager_reference import EagerCollector, survivors
 
 TABLES = ("rides", "stats", "empty")
-TRACES = tuple(f"evt-{i}" for i in range(9))
+TRACES = tuple(record_id("rides", 0, i) for i in range(9))
 HOPS = ("produce", "replicate", "consume", "ingest", "custom")
 LATENCIES = (("produce", "ingest"), ("produce", "query"), ("ingest", "query"))
 
@@ -50,6 +50,8 @@ class Pair:
         self.rows = 0
         self.new = SpanCollector(capacity=capacity)
         self.ref = EagerCollector()
+        # Ids a batch gave records by their coordinates: later rows join them.
+        self.named: list[str] = []
 
     def _interval(self, invertible: bool = True) -> tuple[float, float]:
         self.now += self.rng.choice((0.0, 0.0, 0.25, 1.0))
@@ -60,57 +62,56 @@ class Pair:
         return start, end
 
     def span(self) -> None:
-        tid, name = self.rng.choice(TRACES), self.rng.choice(HOPS)
+        tid = self.rng.choice(TRACES + tuple(self.named[-3:]))
+        name = self.rng.choice(HOPS)
         start, end = self._interval()
-        attrs = {"n": self.rows}
+        attrs = {"offset": self.rows}
         if name == "ingest" and self.rng.random() < 0.8:
             attrs["table"] = self.rng.choice(TABLES[:2])
         made = self.new.record_span(tid, name, "layer", start, end, **attrs)
         assert made == self.ref.record_span(tid, name, "layer", start, end, **attrs)
         self.rows += 1
 
-    def _headers(self, trace_id: str | None) -> dict:
-        """Headers whose trace id is ``trace_id``: a continued trace, the
-        record's own audit uid, or (``None``) no client stamp at all."""
-        if trace_id is None:
-            return {"service": "raw"}
-        if self.rng.random() < 0.3:
-            return {TRACE_HEADER: trace_id, "uid": f"own-{self.rows}"}
-        return {"uid": trace_id, "produced_at": self.now}
-
     def batch(self) -> None:
-        """One hop of a batch of records, some of them unstamped, handed
-        over as the records themselves or as trace ids; the reference gets
-        the per-record loop the call sites used to run, with each id
-        worked out up front."""
+        """One hop of a batch of records at offsets ``n`` on of partition
+        ``p``, handed over as the records themselves (some continuing a
+        trace, the rest named by their coordinates) or as trace ids; the
+        reference gets the per-record loop the call sites used to run, with
+        each id worked out up front."""
         name = self.rng.choice(HOPS[:4])
         size = self.rng.randrange(0, 6)
-        ids = [self.rng.choice(TRACES + (None,)) for __ in range(size)]
+        partition = self.rng.randrange(2)
+        ordinals = range(self.rows, self.rows + size)
+        continued = [self.rng.random() < 0.5 for __ in ordinals]
+        ids = [
+            self.rng.choice(TRACES) if cont else record_id("rides", partition, n)
+            for cont, n in zip(continued, ordinals)
+        ]
         starts = [self._interval()[0] for __ in range(size)]
         end = self.now
-        attrs = {"partition": self.rng.randrange(4)}
+        attrs = {"topic": "rides", "partition": partition}
         if name == "ingest":
             attrs["table"] = self.rng.choice(TABLES[:2])
-        columns = {
-            "n": range(self.rows, self.rows + size),
-            "offset": range(100, 100 + size),
-        }
         if self.rng.random() < 0.5:
-            records = [Record("k", i, 0.0, self._headers(t)) for i, t in enumerate(ids)]
-            self.new.record_batch(name, "layer", records, starts, end, columns, **attrs)
-        else:
-            self.new.record_spans(name, "layer", ids, starts, end, columns, **attrs)
-        for i, tid in enumerate(ids):
-            n = self.rows + i
-            self.ref.record_span(
-                tid, name, "layer", starts[i], end, **attrs, n=n, offset=100 + i
+            records = [
+                Record("k", n, 0.0, {TRACE_HEADER: tid} if cont else {})
+                for n, tid, cont in zip(ordinals, ids, continued)
+            ]
+            self.new.record_batch(
+                name, "layer", records, starts, end, base_offset=self.rows, **attrs
             )
+        else:
+            columns = {"offset": ordinals}
+            self.new.record_spans(name, "layer", ids, starts, end, columns, **attrs)
+        for n, tid, start in zip(ordinals, ids, starts):
+            self.ref.record_span(tid, name, "layer", start, end, **attrs, offset=n)
+        self.named += [tid for tid, cont in zip(ids, continued) if not cont]
         self.rows += size
 
     def query(self) -> None:
         table = self.rng.choice(TABLES)
         start, end = self._interval(invertible=False)
-        attrs = {"n": self.rows, "probe": True, "rows": self.rng.randrange(9)}
+        attrs = {"offset": self.rows, "probe": True, "rows": self.rng.randrange(9)}
         assert self.new.record_table_query(table, "pinot", start, end, **attrs) is None
         self.ref.record_table_query(table, "pinot", start, end, **attrs)
         self.rows += 1
@@ -123,13 +124,13 @@ class Pair:
 
     def expected(self) -> EagerCollector:
         assert self.new.spans_dropped == max(0, self.rows - self.new.capacity)
-        return survivors(self.ref, self.new.spans_dropped, "n", "probe")
+        return survivors(self.ref, self.new.spans_dropped, "offset", "probe")
 
     def assert_same_views(self) -> None:
         expected = self.expected()
         assert self.new.span_count() == self.rows - self.new.spans_dropped
         assert self.new.trace_ids() == expected.trace_ids()
-        for tid in TRACES + ("never-seen",):
+        for tid in sorted(set(TRACES + tuple(self.named))) + ["never-seen"]:
             assert self.new.trace(tid) == expected.trace(tid)
             for first, last in LATENCIES:
                 assert self.new.trace_latency(tid, first, last) == (
@@ -141,8 +142,8 @@ class Pair:
             )
         assert self.new.anomalies() == expected.anomalies()
         # A query is stored once, whatever it covered.
-        probes = {s.attrs["n"] for s in expected.finished if "probe" in s.attrs}
-        stored = [s.attrs["n"] for s in self.new.spans("query")]
+        probes = {s.attrs["offset"] for s in expected.finished if "probe" in s.attrs}
+        stored = [s.attrs["offset"] for s in self.new.spans("query")]
         assert len(stored) == len(set(stored)) and probes <= set(stored)
         # The indexes hold the stored rows of a trace and nothing else, so
         # the one capacity bounds them too (no view can show it: a stale
@@ -150,7 +151,7 @@ class Pair:
         new = self.new
         assert sum(map(len, new._table_queries.values())) == len(stored)
         assert sum(map(len, new._by_trace.values())) == sum(
-            s.trace_id is not None for s in new.spans()
+            s.name != "query" for s in new.spans()
         )
 
 
@@ -165,7 +166,7 @@ class TestAgainstEagerReference:
         pair.assert_same_views()
         assert pair.new.spans_dropped == 0
         assert pair.new.spans("query")
-        assert any(s.trace_id is None for s in pair.new.spans("ingest"))
+        assert any(s.trace_id in pair.named for s in pair.new.spans("ingest"))
 
     @pytest.mark.parametrize("seed", range(12))
     @pytest.mark.parametrize("capacity", (1, 7, 40))
@@ -284,18 +285,20 @@ class TestBound:
     def test_a_hop_over_log_entries_is_trimmed_like_any_batch(self):
         collector = SpanCollector(capacity=3)
         entries = [
-            LogEntry(i, Record("k", i, 0.0, {"uid": f"t{i}"}), append_time=float(i))
+            LogEntry(i, Record("k", i, 0.0, {}), append_time=float(i))
             for i in range(5)
         ]
-        collector.record_entries("ingest", "pinot", entries, end=9.0, table="rides")
+        collector.record_entries(
+            "ingest", "pinot", entries, 9.0, "t", partition=0, table="rides"
+        )
         assert collector.spans_dropped == 2
         assert [(s.trace_id, s.start) for s in collector.spans()] == [
-            ("t2", 2.0),
-            ("t3", 3.0),
-            ("t4", 4.0),
+            ("t-0@2", 2.0),
+            ("t-0@3", 3.0),
+            ("t-0@4", 4.0),
         ]
-        assert collector.traces_for_table("rides") == {"t2", "t3", "t4"}
-        assert collector.trace_latency("t3", "ingest", "ingest") == 6.0
+        assert collector.traces_for_table("rides") == {"t-0@2", "t-0@3", "t-0@4"}
+        assert collector.trace_latency("t-0@3", "ingest", "ingest") == 6.0
 
     def test_capacity_must_hold_something(self):
         with pytest.raises(ValueError):
@@ -305,12 +308,12 @@ class TestBound:
         # The store keeps the hop's own list; dropping its head must not
         # write into it (the producer, log and replicas share it).
         collector = SpanCollector(capacity=3)
-        records = [Record("k", i, 0.0, {"uid": f"t{i}"}) for i in range(5)]
+        records = [Record("k", i, 0.0, {}) for i in range(5)]
         sent_at = [float(i) for i in range(5)]
-        collector.record_batch("produce", "kafka", records, sent_at, end=9.0)
+        collector.record_batch("produce", "kafka", records, sent_at, 9.0, "t", 0, 0)
         assert [r.value for r in records] == [0, 1, 2, 3, 4]
         assert sent_at == [0.0, 1.0, 2.0, 3.0, 4.0]
-        assert collector.trace_ids() == ["t2", "t3", "t4"]
+        assert collector.trace_ids() == ["t-0@2", "t-0@3", "t-0@4"]
         assert [s.start for s in collector.spans()] == [2.0, 3.0, 4.0]
 
     def test_a_dropped_batch_is_held_nowhere(self):
@@ -324,7 +327,7 @@ class TestBound:
         held = weakref.ref(starts)
         tracer.record_spans("produce", "kafka", ["t0"], starts, end=1.0)
         del starts
-        filler = [None] * tracer.capacity
+        filler = ["filler"] * tracer.capacity
         tracer.record_spans("consume", "kafka", filler, [1.0] * tracer.capacity, 2.0)
         assert tracer.spans_dropped == 1
         gc.collect()

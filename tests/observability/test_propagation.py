@@ -1,10 +1,11 @@
 """Trace context propagation across layer boundaries.
 
-Each test exercises one boundary of the Figure 3 path: producer stamping,
-broker replication, consumer polling, and the Flink source -> window ->
-Kafka sink chain that re-produces derived records under the origin trace.
-A component is traced when it has a collector; a record's identity is its
-audit ``uid`` whether or not anything traces it.
+Each test exercises one boundary of the Figure 3 path: producer
+batches, broker replication, consumer polling, and the Flink source ->
+window -> Kafka sink chain that re-produces derived records under the
+origin trace.  A component is traced when it has a collector; a record's
+trace id is its Kafka coordinates whether or not anything traces it, and
+the last test holds the offset-reuse rule of ``repro.observability.trace``.
 """
 
 from repro.common.clock import SimulatedClock
@@ -17,8 +18,10 @@ from repro.kafka.producer import Producer
 from repro.observability.trace import (
     ORIGIN_HEADER,
     TRACE_HEADER,
+    EntryTrace,
     SpanCollector,
     TraceContext,
+    record_id,
 )
 from repro.storage.blobstore import BlobStore
 
@@ -30,16 +33,21 @@ def _cluster(tracer, partitions=2):
     return clock, kafka
 
 
+def context(trace: EntryTrace) -> TraceContext:
+    """What a reader of ``trace`` sees, as a comparable value."""
+    return TraceContext(trace.trace_id, trace.origin_event_time, trace.entered)
+
+
 class TestProducerStamping:
     def test_untraced_producer_adds_no_trace_header(self):
         clock, kafka = _cluster(tracer=None)
         producer = Producer(kafka, "svc", clock=clock)
         meta = producer.produce("events", {"v": 1}, key="a", event_time=2.0)
         entry = kafka.fetch("events", meta.partition, meta.offset, 1)[0]
-        assert TRACE_HEADER not in entry.record.headers
-        # The audit uid is the record's identity, traced or not.
-        ctx = TraceContext.from_headers(entry.record.headers)
-        assert ctx == TraceContext(entry.record.headers["uid"], 2.0)
+        assert entry.record.headers == {}
+        # The coordinates are the record's identity, traced or not.
+        ctx = context(EntryTrace("events", meta.partition, entry))
+        assert ctx == TraceContext(record_id("events", meta.partition, 0), 2.0)
 
     def test_traced_producer_adds_no_header_of_its_own(self):
         headers = []
@@ -52,25 +60,25 @@ class TestProducerStamping:
         assert headers[0] == headers[1]
         assert TRACE_HEADER not in headers[1] and ORIGIN_HEADER not in headers[1]
 
-    def test_traced_producer_stamps_uid_as_trace_id(self):
+    def test_produce_span_is_named_by_the_records_coordinates(self):
         tracer = SpanCollector()
         clock, kafka = _cluster(tracer)
         producer = Producer(kafka, "svc", clock=clock, tracer=tracer)
+        producer.produce("events", {"v": 0}, key="a")
         clock.advance(3.0)
         meta = producer.produce("events", {"v": 1}, key="a", event_time=2.0)
+        assert meta.offset == 1
         entry = kafka.fetch("events", meta.partition, meta.offset, 1)[0]
-        assert TRACE_HEADER not in entry.record.headers
-        ctx = TraceContext.from_headers(entry.record.headers)
-        assert ctx is not None
-        assert ctx.trace_id == entry.record.headers["uid"]
-        assert ctx.origin_event_time == 2.0
-        [span] = tracer.spans("produce")
+        ctx = context(EntryTrace("events", meta.partition, entry))
+        assert ctx == TraceContext(f"events-{meta.partition}@1", 2.0)
+        [__, span] = tracer.spans("produce")
         assert span.trace_id == ctx.trace_id
+        assert span.attrs["offset"] == 1
         assert span.end >= span.start
 
     def test_existing_trace_header_is_kept(self):
-        # A derived record re-produced under its origin trace must not be
-        # re-stamped with a fresh id.
+        # A derived record re-produced under its origin trace keeps that
+        # id, not its own coordinates.
         tracer = SpanCollector()
         clock, kafka = _cluster(tracer)
         producer = Producer(kafka, "svc", clock=clock, tracer=tracer)
@@ -140,8 +148,7 @@ class TestFlinkPropagation:
         out = kafka.fetch("counts", 0, 0, 100)
         assert out  # at least one closed window reached the sink
         for entry in out:
-            ctx = TraceContext.from_headers(entry.record.headers)
-            assert ctx is not None
+            ctx = context(EntryTrace("counts", 0, entry))
             assert ctx.trace_id in produced_ids
 
     def test_process_span_brackets_source_to_sink(self):
@@ -165,7 +172,7 @@ class TestFlinkPropagation:
         assert tracer.anomalies() == []
 
     def test_untraced_job_builds_no_trace_state(self):
-        # The records carry uids; without a collector the job stamps none.
+        # Without a collector the job builds no trace context.
         clock, kafka = _cluster(tracer=None, partitions=1)
         producer = Producer(kafka, "svc", clock=clock)
         for i in range(3):
@@ -270,4 +277,46 @@ class TestProcessSpans:
         assert [r.value for r in out] == [1]
         [span] = tracer.spans("process")
         assert (span.start, span.end) == (entered, clock.now())
-        assert span.trace_id == kafka.fetch("events", 0, 0, 1)[0].record.uid()
+        assert span.trace_id == record_id("events", 0, 0)
+
+
+class TestOffsetReuse:
+    """A record lost with an ``acks=1`` leader gives its offset, and so its
+    trace id, to the record appended there next."""
+
+    def test_the_lost_produce_span_joins_its_replacements_trace(self):
+        tracer = SpanCollector()
+        clock = SimulatedClock()
+        kafka = KafkaCluster("k", 2, clock=clock, tracer=tracer)
+        kafka.create_topic("events", TopicConfig(partitions=1, replication_factor=2))
+        producer = Producer(kafka, "svc", clock=clock, tracer=tracer)
+        lost = producer.produce("events", {"v": "lost"}, key="a")  # t=0
+        leader = kafka.topics["events"].partitions[0].leader
+        clock.advance(2.0)
+        kafka.kill_broker(leader)  # before any follower copied the record
+        clock.advance(2.0)
+        kept = producer.produce("events", {"v": "kept"}, key="a")  # t=4
+        assert (kept.partition, kept.offset) == (lost.partition, lost.offset) == (0, 0)
+        clock.advance(1.0)
+        kafka.restart_broker(leader)  # truncates the lost record, resyncs: t=5
+        consumer = Consumer(
+            kafka, GroupCoordinator(kafka), "g", "events", "m0", tracer=tracer
+        )
+        clock.advance(2.0)
+        consumer.poll()  # t=7
+        [entry] = kafka.fetch("events", 0, 0, 10)
+        assert entry.record.value == {"v": "kept"}
+
+        shared = record_id("events", 0, 0)
+        assert tracer.trace_ids() == [shared]
+        # trace(): both sends, then the replacement's later hops.
+        assert [(s.name, s.start, s.end) for s in tracer.trace(shared)] == [
+            ("produce", 0.0, 0.0),
+            ("produce", 4.0, 4.0),
+            ("replicate", 4.0, 5.0),
+            ("consume", 4.0, 7.0),
+        ]
+        # trace_latency(): from the lost send, high by the 4 s between sends.
+        assert tracer.trace_latency(shared, "produce", "consume") == 7.0
+        # anomalies(): nothing, the lost send starts before every later hop.
+        assert tracer.anomalies() == []

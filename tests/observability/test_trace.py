@@ -8,41 +8,52 @@ from repro.observability.trace import (
     HOP_ORDER,
     ORIGIN_HEADER,
     TRACE_HEADER,
+    EntryTrace,
     Span,
     SpanCollector,
     TraceContext,
+    record_id,
 )
+
+
+def entry(offset: int, headers: dict, event_time: float = 1.5) -> LogEntry:
+    return LogEntry(offset, Record("k", offset, event_time, headers), append_time=0.0)
+
+
+def context(trace: EntryTrace) -> TraceContext:
+    """What a reader of ``trace`` sees, as a comparable value."""
+    return TraceContext(trace.trace_id, trace.origin_event_time, trace.entered)
 
 
 class TestTraceContext:
     def test_header_round_trip(self):
-        ctx = TraceContext("evt-7", origin_event_time=12.5)
+        ctx = TraceContext("rides-0@7", origin_event_time=12.5)
         headers = ctx.to_headers()
-        assert headers == {TRACE_HEADER: "evt-7", ORIGIN_HEADER: 12.5}
-        assert TraceContext.from_headers(headers) == ctx
+        assert headers == {TRACE_HEADER: "rides-0@7", ORIGIN_HEADER: 12.5}
+        assert context(EntryTrace("out", 0, entry(3, headers))) == ctx
 
     def test_origin_omitted_when_unset(self):
-        headers = TraceContext("evt-1").to_headers()
+        headers = TraceContext("rides-0@1").to_headers()
         assert ORIGIN_HEADER not in headers
-        assert TraceContext.from_headers(headers) == TraceContext("evt-1")
+        continued = context(EntryTrace("out", 0, entry(3, headers)))
+        assert continued == TraceContext("rides-0@1")
 
-    def test_untraced_headers_yield_none(self):
-        # Only a record no client stamped has no identity.
-        assert TraceContext.from_headers({}) is None
-        assert TraceContext.from_headers({"service": "raw"}) is None
+    def test_an_entry_is_named_by_its_coordinates(self):
+        # No header names a record: its id is where the log holds it, its
+        # origin its event time.
+        assert record_id("rides", 2, 17) == "rides-2@17"
+        ctx = context(EntryTrace("rides", 2, entry(17, {})))
+        assert ctx == TraceContext("rides-2@17", 1.5)
 
-    def test_audit_identity_is_the_fallback(self):
-        # A record's own uid / produced_at are its trace id and origin; a
-        # continued trace's pair wins over them.
-        own = {"uid": "evt-3", "produced_at": 1.5, "service": "svc"}
-        assert TraceContext.from_headers(own) == TraceContext("evt-3", 1.5)
-        continued = dict(own, **TraceContext("evt-1", 0.5).to_headers())
-        assert TraceContext.from_headers(continued) == TraceContext("evt-1", 0.5)
+    def test_a_continued_pair_wins_over_the_coordinates(self):
+        continued = TraceContext("rides-0@1", 0.5).to_headers()
+        ctx = context(EntryTrace("out", 0, entry(3, continued)))
+        assert ctx == TraceContext("rides-0@1", 0.5)
 
     def test_entry_time_never_travels_in_headers(self):
-        ctx = TraceContext.from_headers({"uid": "evt-3"}, entered=7.0)
-        assert ctx == TraceContext("evt-3", None, entered=7.0)
-        assert ctx.to_headers() == {TRACE_HEADER: "evt-3"}
+        trace = EntryTrace("rides", 0, entry(3, {}), entered=7.0)
+        assert context(trace) == TraceContext("rides-0@3", 1.5, entered=7.0)
+        assert trace.to_headers() == {TRACE_HEADER: "rides-0@3", ORIGIN_HEADER: 1.5}
 
 
 class TestSpanLifecycle:
@@ -59,19 +70,21 @@ class TestSpanLifecycle:
     def test_a_hop_over_log_entries_starts_at_each_append(self):
         collector = SpanCollector()
         entries = [
-            LogEntry(7, Record("k", 1, 0.0, {"uid": "a"}), append_time=2.0),
-            LogEntry(8, Record("k", 2, 0.0, {"uid": "b"}), append_time=3.5),
+            LogEntry(7, Record("k", 1, 0.0, {}), append_time=2.0),
+            LogEntry(8, Record("k", 2, 0.0, {TRACE_HEADER: "a"}), append_time=3.5),
             LogEntry(9, Record("k", 3, 0.0, {}), append_time=4.0),
         ]
-        collector.record_entries("consume", "kafka", entries, end=5.0, group="g")
+        collector.record_entries(
+            "consume", "kafka", entries, end=5.0, topic="t", partition=1, group="g"
+        )
         spans = collector.spans("consume")
         assert [(s.trace_id, s.start, s.end) for s in spans] == [
-            ("a", 2.0, 5.0),
-            ("b", 3.5, 5.0),
-            (None, 4.0, 5.0),  # no client stamped it: a hop of no trace
+            ("t-1@7", 2.0, 5.0),
+            ("a", 3.5, 5.0),  # a continued trace keeps its id
+            ("t-1@9", 4.0, 5.0),
         ]
-        assert spans[0].attrs == {"group": "g"}
-        assert collector.trace_ids() == ["a", "b"]
+        assert spans[0].attrs == {"group": "g", "topic": "t", "partition": 1}
+        assert collector.trace_ids() == ["a", "t-1@7", "t-1@9"]
 
     def test_trace_ids_are_read_off_headers_only_when_asked(self):
         reads = []
@@ -82,11 +95,14 @@ class TestSpanLifecycle:
                 return super().get(key, default)
 
         collector = SpanCollector()
-        records = [Record("k", i, 0.0, Headers(uid=f"t{i}")) for i in range(3)]
-        collector.record_batch("produce", "kafka", records, [0.0] * 3, end=1.0)
+        records = [Record("k", i, 0.0, Headers()) for i in range(3)]
+        collector.record_batch(
+            "produce", "kafka", records, [0.0] * 3, 1.0, "t", 0, base_offset=4
+        )
         assert reads == [] and collector.span_count() == 3
-        assert collector.trace_ids() == ["t0", "t1", "t2"]
+        assert collector.trace_ids() == ["t-0@4", "t-0@5", "t-0@6"]
         assert reads  # the first reader worked them out
+        assert [s.attrs["offset"] for s in collector.spans()] == [4, 5, 6]
 
     def test_duration_of_open_span_raises(self):
         span = Span("t", "process", "flink", start=1.0)

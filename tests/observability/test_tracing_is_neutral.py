@@ -1,13 +1,16 @@
 """Tracing observes the log; it does not change it.
 
-A record's trace id is the audit ``uid`` the Kafka client stamps on every
-event anyway (paper Section 9.4), so a traced producer adds no header of
-its own: the same client sends give the same offsets, the same stored
+A record's trace id is its Kafka coordinates — topic, partition and
+offset — which the log gives it anyway, so a traced producer adds no
+header: the same client sends give the same offsets, the same stored
 record sizes, the same producer batches and the same broker bytes with
-the tracer on (``Platform()``) and off (``Platform(tracing=False)``).
-Only a Flink sink's re-produce carries the two continuation headers
-(``trace_id``, ``origin_event_time``), and only when its job is traced:
-the derived record continues the trace of a record the job read.
+the tracer on (``Platform()``) and off (``Platform(tracing=False)``), and
+a plain send's record carries no header at all.  Nothing a process keeps
+between runs feeds a record's bytes either, so the same sends made twice
+in one process write the same log.  Only a Flink sink's re-produce
+carries the two continuation headers (``trace_id``,
+``origin_event_time``), and only when its job is traced: the derived
+record continues the trace of a record the job read.
 """
 
 from __future__ import annotations
@@ -15,8 +18,7 @@ from __future__ import annotations
 import random
 
 from repro import Field, FieldRole, FieldType, Platform, Schema, TableConfig
-from repro.common.records import reset_uid_counter
-from repro.observability.trace import ORIGIN_HEADER, TRACE_HEADER
+from repro.observability.trace import ORIGIN_HEADER, TRACE_HEADER, record_id
 
 SENDS = 5_000
 
@@ -38,7 +40,6 @@ def _log(platform: Platform, topic: str) -> list:
 
 
 def _client_sends(tracing: bool) -> dict:
-    reset_uid_counter()
     rng = random.Random(5)
     platform = Platform(seed=5, tracing=tracing).with_kafka().topic("rides", 4)
     producer = platform.producer("rides-service")
@@ -63,12 +64,15 @@ def test_the_same_client_sends_write_the_same_log():
     assert traced["batches_sent"] == untraced["batches_sent"]
     assert traced["total_bytes"] == untraced["total_bytes"]
     assert len(traced["log"]) == SENDS
-    headers = {name for row in traced["log"] for name in row[-1]}
-    assert TRACE_HEADER not in headers and ORIGIN_HEADER not in headers
+    assert all(row[-1] == {} for row in traced["log"])
+
+
+def test_the_same_sends_twice_in_one_process_write_the_same_log():
+    first, second = _client_sends(False), _client_sends(False)
+    assert first == second
 
 
 def _pipeline(tracing: bool) -> Platform:
-    reset_uid_counter()
     rng = random.Random(9)
     platform = (
         Platform(seed=9, tracing=tracing)
@@ -116,9 +120,9 @@ def test_only_a_flink_sink_re_produce_carries_the_continuation():
     assert len(derived) == len(plain) > 3
     # Same results; the traced job's carry the trace of a ride it read.
     assert [row[4] for row in derived] == [row[4] for row in plain]
-    ride_uids = {row[-1]["uid"] for row in _log(traced, "rides")}
+    # Each carries the id and event time of a ride it read.
+    rides = {record_id("rides", row[0], row[1]): row for row in _log(traced, "rides")}
     for row in derived:
-        assert row[-1][TRACE_HEADER] in ride_uids
-        assert ORIGIN_HEADER in row[-1]
-    for row in plain:
-        assert TRACE_HEADER not in row[-1] and ORIGIN_HEADER not in row[-1]
+        assert set(row[-1]) == {TRACE_HEADER, ORIGIN_HEADER}
+        assert row[-1][ORIGIN_HEADER] == rides[row[-1][TRACE_HEADER]][5]
+    assert all(row[-1] == {} for row in plain)

@@ -46,7 +46,6 @@ from repro import (
     TopicConfig,
 )
 from repro.common import serde
-from repro.common.records import reset_uid_counter
 from repro.common.rng import seeded_rng
 from repro.flink.graph import OperatorSpec
 from repro.flink.operators import IntervalJoinOperator
@@ -139,7 +138,6 @@ def dump_topic(kafka: KafkaCluster, topic: str) -> list:
 def join_backfill() -> bytes:
     """Kafka preload, interval join, keyed tumbling average, Kafka sink —
     the ``join_backfill`` workload's job at a few hundred records."""
-    reset_uid_counter()
     rng = seeded_rng(7, "element-values-join")
     platform = (
         Platform(tracing=False)
@@ -202,7 +200,6 @@ def join_backfill() -> bytes:
 
 def platform_sql() -> bytes:
     """``Platform()`` defaults, tracer on: FlinkSQL → Kafka → Pinot."""
-    reset_uid_counter()
     rng = seeded_rng(11, "element-values-platform")
     platform = (
         Platform()
@@ -264,7 +261,6 @@ def platform_sql() -> bytes:
 def broadcast_two_phase() -> bytes:
     """Tumbling sums over a broadcast edge into a transactional (2PC)
     sink, through checkpoints, crashes and ``restore_from``."""
-    reset_uid_counter()
     clock = SimulatedClock()
     cluster = KafkaCluster(clock=clock)
     cluster.create_topic("events", TopicConfig(partitions=2))
@@ -312,7 +308,6 @@ def broadcast_two_phase() -> bytes:
 def replicate_and_poll() -> bytes:
     """``acks=all`` produce (followers adopt the leader's entries), an
     ``acks=1`` burst caught up by ``replicate``, then a consumer group."""
-    reset_uid_counter()
     clock = SimulatedClock()
     cluster = KafkaCluster(clock=clock)
     cluster.create_topic("payments", TopicConfig(partitions=2, replication_factor=3))

@@ -221,33 +221,30 @@ class TestBrokerChaosProperties:
     @settings(max_examples=60, deadline=None)
     def test_acks_all_never_loses_acked_records(self, ops):
         """Whatever the failure schedule, every record the cluster ACKED
-        under acks=all is still present (same offset, same audit uid) once
+        under acks=all is still present (same offset, same value) once
         all brokers are back.  Un-acked produces may fail loudly
         (NotEnoughReplicas/BrokerUnavailable) — that is the contract."""
         from repro.common.errors import (
             BrokerUnavailableError,
             NotEnoughReplicasError,
         )
-        from repro.common.records import stamp_audit_headers
         from repro.kafka.cluster import KafkaCluster, TopicConfig
 
         cluster = KafkaCluster("c", 3, clock=SimulatedClock())
         cluster.create_topic(
             "t", TopicConfig(partitions=2, replication_factor=2)
         )
-        acked = []  # (partition, offset, uid)
+        acked = []  # (partition, offset, value)
         sequence = 0
         for op, arg in ops:
             if op == "produce":
-                record = stamp_audit_headers(
-                    Record(f"k{sequence}", {"i": sequence}, 0.0), "svc", "std"
-                )
+                record = Record(f"k{sequence}", {"i": sequence}, 0.0)
                 sequence += 1
                 try:
                     offset = cluster.append("t", arg, record, acks="all")
                 except (NotEnoughReplicasError, BrokerUnavailableError):
                     continue
-                acked.append((arg, offset, record.headers["uid"]))
+                acked.append((arg, offset, record.value))
             elif op == "kill":
                 if cluster.brokers[arg].alive:
                     cluster.kill_broker(arg)
@@ -260,10 +257,10 @@ class TestBrokerChaosProperties:
             if not cluster.brokers[broker_id].alive:
                 cluster.restart_broker(broker_id)
         cluster.replicate()
-        for partition, offset, uid in acked:
+        for partition, offset, value in acked:
             [entry] = cluster.fetch("t", partition, offset, 1)
             assert entry.offset == offset
-            assert entry.record.headers["uid"] == uid
+            assert entry.record.value == value
 
     @given(st.lists(
         st.sampled_from(["produce", "replicate", "failover"]),
@@ -275,7 +272,6 @@ class TestBrokerChaosProperties:
         leader failover loses: those the dead leader had not yet
         replicated.  The surviving log must equal the predicted survivor
         list — nothing more (silent divergence) and nothing less."""
-        from repro.common.records import stamp_audit_headers
         from repro.kafka.cluster import KafkaCluster, TopicConfig
 
         cluster = KafkaCluster("c", 2, clock=SimulatedClock())
@@ -283,17 +279,15 @@ class TestBrokerChaosProperties:
             "t", TopicConfig(partitions=1, replication_factor=2)
         )
         pstate = cluster.topics["t"].partitions[0]
-        durable: list[str] = []  # uids on both replicas
-        pending: list[str] = []  # uids on the current leader only
+        durable: list[dict] = []  # values on both replicas
+        pending: list[dict] = []  # values on the current leader only
         sequence = 0
         for op in ops:
             if op == "produce":
-                record = stamp_audit_headers(
-                    Record(f"k{sequence}", {"i": sequence}, 0.0), "svc", "std"
-                )
+                record = Record(f"k{sequence}", {"i": sequence}, 0.0)
                 sequence += 1
                 cluster.append("t", 0, record, acks="1")
-                pending.append(record.headers["uid"])
+                pending.append(record.value)
             elif op == "replicate":
                 cluster.replicate()
                 durable.extend(pending)
@@ -304,8 +298,5 @@ class TestBrokerChaosProperties:
                 pending = []  # the docstring's predicted loss
                 cluster.restart_broker(dead)  # truncate + resync as follower
         cluster.replicate()
-        survivors = [
-            entry.record.headers["uid"]
-            for entry in cluster.fetch("t", 0, 0, 1000)
-        ]
+        survivors = [entry.record.value for entry in cluster.fetch("t", 0, 0, 1000)]
         assert survivors == durable + pending

@@ -1,4 +1,4 @@
-from repro.common.records import Record, stamp_audit_headers
+from repro.common.records import Record
 from repro.metadata.schema import Field, FieldRole, FieldType, Schema
 from repro.storage.blobstore import BlobStore
 from repro.storage.hive import HiveMetastore
@@ -14,10 +14,9 @@ SCHEMA = Schema(
 )
 
 
-def record(i: int, t: float) -> Record:
-    return stamp_audit_headers(
-        Record(f"k{i % 3}", {"k": f"k{i % 3}", "v": i, "event_time": t}, t), "svc"
-    )
+def record(i: int, t: float, headers: dict | None = None) -> Record:
+    value = {"k": f"k{i % 3}", "v": i, "event_time": t}
+    return Record(f"k{i % 3}", value, t, headers or {})
 
 
 class TestArchiver:
@@ -31,11 +30,10 @@ class TestArchiver:
 
     def test_file_round_trip_preserves_headers(self):
         archiver = RawLogArchiver(BlobStore(), "events", batch_size=5)
-        archiver.extend(record(i, float(i)) for i in range(5))
+        sent = [record(i, float(i), {"trace_id": f"rides-0@{i}"}) for i in range(5)]
+        archiver.extend(sent)
         restored = archiver.read_file(archiver.files()[0].key)
-        assert len(restored) == 5
-        assert restored[0].uid() is not None
-        assert restored[0].value["v"] == 0
+        assert restored == sent
 
     def test_read_range_filters_by_event_time(self):
         archiver = RawLogArchiver(BlobStore(), "events", batch_size=10)
