@@ -426,11 +426,9 @@ def pinot_selective_query(params: dict, seed: int) -> Outcome:
     time column, so every sealed segment carries pruning metadata.  The
     workload then repeats a small set of *selective* queries — point
     lookups by ride id, a partition-scoped recency window, a narrow time
-    window — across rounds.  With ``pruning``/``cache`` enabled (the
-    registered configuration) the first round scans a handful of segments
-    and later rounds are epoch-validated cache hits; with both steps
-    skipped (the bench tests' reference) every round full-scans every
-    segment.
+    window — across rounds.  The first round scans a handful of segments
+    and later rounds are epoch-validated cache hits, where a full scatter
+    would scan every segment every round.
     """
     from repro.kafka.cluster import KafkaCluster, TopicConfig
     from repro.kafka.producer import Producer
@@ -493,12 +491,7 @@ def pinot_selective_query(params: dict, seed: int) -> Outcome:
             s.blocked() for s in state.ingestion.partitions.values()
         ):
             break
-    broker = PinotBroker(
-        controller,
-        clock=clock,
-        enable_pruning=params.get("pruning", True),
-        enable_cache=params.get("cache", True),
-    )
+    broker = PinotBroker(controller, clock=clock)
     span = n * 0.001  # ts covers (0, span]
     lookup_ids = sorted(f"ride-{rng.randrange(n):08d}" for __ in range(3))
     queries = [
@@ -780,8 +773,6 @@ SCENARIOS: tuple[ScenarioSpec, ...] = (
             "keys": 16,
             "segment_rows": 1_000,
             "query_rounds": 4,
-            "pruning": True,
-            "cache": True,
         },
     ),
     ScenarioSpec(

@@ -160,10 +160,6 @@ class SurgeReport:
             ]
         )
 
-    def tier_met(self, use_case: str) -> bool:
-        entry = self.per_tier.get(use_case)
-        return bool(entry and entry["count"] and entry["met"])
-
 
 def _build_rides(params: dict, seed: int, clock, kafka, controller):
     """Seed and fully ingest the stable serving table before the surge."""

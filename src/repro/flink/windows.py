@@ -24,9 +24,6 @@ class TimeWindow:
     start: float
     end: float
 
-    def max_timestamp(self) -> float:
-        return self.end
-
 
 class WindowAssigner(Protocol):
     def assign(self, timestamp: float) -> Sequence[TimeWindow]:

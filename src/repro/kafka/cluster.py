@@ -94,9 +94,6 @@ class PartitionState:
     replica_brokers: list[int]  # preference order; [0] is preferred leader
     leader: int
 
-    def replica_set(self) -> list[int]:
-        return list(self.replica_brokers)
-
 
 class Topic:
     def __init__(self, name: str, config: TopicConfig) -> None:
@@ -512,10 +509,6 @@ class KafkaCluster:
 
     def resume_replication(self) -> None:
         self._replication_paused = False
-
-    @property
-    def replication_paused(self) -> bool:
-        return self._replication_paused
 
     def replicate(self) -> int:
         """Catch followers up to their leaders (async replication step).

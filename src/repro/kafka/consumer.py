@@ -75,13 +75,6 @@ class GroupCoordinator:
     def committed(self, group: str, topic: str, partition: int) -> int | None:
         return self._offsets.get((group, topic, partition))
 
-    def committed_offsets(self, group: str, topic: str) -> dict[int, int]:
-        return {
-            p: self._offsets[(g, t, p)]
-            for (g, t, p) in self._offsets
-            if g == group and t == topic
-        }
-
     def group_lag(self, group: str, topic: str) -> int:
         total = 0
         for partition in range(self.cluster.partition_count(topic)):

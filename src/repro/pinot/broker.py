@@ -13,8 +13,8 @@ latency/cost edge: touch as little irrelevant data as possible):
   partition column restricts the scatter to the partitions the producer's
   hash partitioner could have placed the value on.  Pruning is order
   preserving: surviving segments keep exactly the subquery grouping and
-  ordering an unpruned scatter would give them, so results are
-  byte-identical to an unpruned run.
+  ordering an unpruned scatter would give them, so pruning never changes
+  an answer.
 
 * **Result caching** — an :class:`~repro.common.epochcache.EpochCache`
   keyed on the normalized query and validated against the table's
@@ -166,14 +166,10 @@ class PinotBroker:
         controller: PinotController,
         clock: Clock | None = None,
         tracer: SpanCollector | None = None,
-        enable_pruning: bool = True,
-        enable_cache: bool = True,
     ) -> None:
         self.controller = controller
         self.clock = clock or SystemClock()
         self.tracer = tracer
-        self.enable_pruning = enable_pruning
-        self.enable_cache = enable_cache
         self.cache = EpochCache(RESULT_CACHE_CAPACITY, copy=QueryResult.copied)
         self._placement = hashring.HashRing(PLACEMENT_CAPACITY)
 
@@ -181,7 +177,7 @@ class PinotBroker:
         start = self.clock.now() if self.tracer is not None else 0.0
         state = self.controller.table(query.table)
         epoch = state.epoch
-        cache_key = normalize_query(query) if self.enable_cache else None
+        cache_key = normalize_query(query)
         if cache_key is not None:
             cached = self.cache.get(cache_key, epoch)
             if cached is not None:
@@ -286,12 +282,11 @@ class PinotBroker:
         Pruning preserves subquery grouping and ordering exactly: the
         server order is derived from the *full* segment list, and pruned
         segments (which contribute zero rows by proof) are only omitted
-        from the per-server name lists.  A force-unpruned run therefore
-        returns byte-identical rows.
+        from the per-server name lists, so pruning never changes an answer.
         """
         out: list[tuple[PinotServer, list[str], int | None]] = []
         pruned = 0
-        filters = query.filters if self.enable_pruning else []
+        filters = query.filters
         allowed_partitions = self._partition_candidates(state, filters)
         upsert = state.config.upsert_enabled
         # One name->server map per route call, instead of an O(servers)

@@ -35,12 +35,12 @@ from typing import Any, Callable
 from repro.common.clock import SimulatedClock
 from repro.common.errors import PlatformError
 from repro.flink.graph import JobGraph
-from repro.flink.runtime import DEFAULT_CHANNEL_CAPACITY, JobRuntime
+from repro.flink.runtime import JobRuntime
 from repro.kafka.cluster import KafkaCluster, TopicConfig
 from repro.kafka.consumer import Consumer, GroupCoordinator
 from repro.kafka.producer import Producer
 from repro.metadata.schema import FieldRole, FieldType, Schema
-from repro.observability.freshness import FreshnessProbe, PinotFreshnessProbe
+from repro.observability.freshness import PinotFreshnessProbe
 from repro.observability.slo import SloMonitor, SloTarget
 from repro.observability.trace import SpanCollector
 from repro.pinot.broker import PinotBroker
@@ -80,7 +80,6 @@ class Platform:
         self.segment_store = BlobStore("segments")
         self._presto_catalog: dict[str, Connector] = {}
         self._pushdown = "full"
-        self._channel_capacity = DEFAULT_CHANNEL_CAPACITY
         self._coordinator: GroupCoordinator | None = None
         self.control_plane = None  # set by with_control_plane()
 
@@ -95,12 +94,6 @@ class Platform:
             clock=self.clock,
             tracer=self.tracer,
         )
-        return self
-
-    def with_flink(
-        self, channel_capacity: int = DEFAULT_CHANNEL_CAPACITY
-    ) -> "Platform":
-        self._channel_capacity = channel_capacity
         return self
 
     def with_pinot(self, servers: int = 3, backup: str = "p2p") -> "Platform":
@@ -218,7 +211,6 @@ class Platform:
         runtime = JobRuntime(
             graph,
             blob_store=self.checkpoint_store,
-            channel_capacity=self._channel_capacity,
             clock=self.clock,
             tracer=self.tracer,
         )
@@ -378,10 +370,6 @@ class Platform:
             clock=self.clock,
             step_interval=step_interval,
         )
-
-    def passive_probe(self) -> FreshnessProbe:
-        """A passive freshness sampler on the shared clock."""
-        return FreshnessProbe(clock=self.clock)
 
     def slo(self, target: SloTarget) -> "Platform":
         self.slo_monitor.add_target(target)

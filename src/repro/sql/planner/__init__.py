@@ -4,8 +4,8 @@ Pipeline: ``repro.sql.parser`` AST -> :mod:`logical` IR ->
 :mod:`rules` optimizer (pushdown + join reordering against the typed
 connector contract) -> :mod:`physical` stage DAG -> :mod:`scheduler`
 (multi-worker execution with content-hashed, epoch-keyed stage
-artifacts).  :mod:`reference` is the deliberately naive oracle the
-property suite checks the whole pipeline against.
+artifacts).  The property suite checks the whole pipeline against
+``tests/reference/query.py``, a model that shares no code with it.
 
 Import note: ``repro.sql.presto`` imports this package's modules at
 import time, so planner modules never import ``repro.sql.presto`` at

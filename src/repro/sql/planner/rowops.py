@@ -1,5 +1,5 @@
 """Row-level relational algebra shared by the planner, the stage
-scheduler, the reference executor and the FlinkSQL compiler.
+scheduler and the FlinkSQL compiler.
 
 This module maps parsed SQL (``Comparison``, ``FuncCall``, ``Column``
 nodes over row dicts) onto :mod:`repro.common.relational`, which owns

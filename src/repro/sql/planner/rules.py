@@ -195,7 +195,9 @@ def _needed_columns(shaper, where_cond, sort_node):
     if where_cond is not None:
         for col in columns_of(where_cond):
             columns.add(col.name)
-    if sort_node is not None:
+    if sort_node is not None and isinstance(shaper, ProjectNode):
+        # A grouped block sorts its output rows, which name aliases, not
+        # scan columns.
         for col in sort_node.columns:
             columns.add(col.name)
     return sorted(columns)

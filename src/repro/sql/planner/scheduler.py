@@ -469,7 +469,9 @@ class StageScheduler:
                 PERF.inc("presto.join_probe_rows", len(joined))
             build: dict[Any, list[tuple[dict, int]]] = {}
             for ridx, row in enumerate(rows):
-                build.setdefault(row.get(step.build_key.name), []).append((row, ridx))
+                key = row.get(step.build_key.name)
+                if key is not None:  # a NULL key equals nothing, itself included
+                    build.setdefault(key, []).append((row, ridx))
             probe_field = f"{step.probe_key.table}.{step.probe_key.name}"
             out: list[tuple[dict, tuple]] = []
             for row, tag in joined:

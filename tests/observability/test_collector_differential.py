@@ -6,8 +6,8 @@ reference to the records the hop held, works out their trace ids and
 ``capacity`` rows.  None of that may change what a reader is told:
 
 * differentially, over seeded random schedules, it must answer like the
-  eager fan-out model of ``eager_reference.py`` — exactly while nothing
-  has been dropped, and for exactly the surviving spans afterwards;
+  eager fan-out model of ``tests/reference/tracer.py`` — exactly while
+  nothing has been dropped, and for exactly the surviving spans afterwards;
 * on a real ``Platform`` pipeline the number of spans must grow with the
   records, not with records × queries;
 * the bound must drop oldest first, count what it dropped, and never show
@@ -28,7 +28,7 @@ from repro.common.records import Record
 from repro.kafka.log import LogEntry
 from repro.observability.trace import TRACE_HEADER, SpanCollector, record_id
 
-from tests.observability.eager_reference import EagerCollector, survivors
+from tests.reference.tracer import EagerCollector, survivors
 
 TABLES = ("rides", "stats", "empty")
 TRACES = tuple(record_id("rides", 0, i) for i in range(9))

@@ -68,6 +68,17 @@ def ride(
     }
 
 
+def ingested_rows(kafka: KafkaCluster, topic: str, state) -> list[dict]:
+    """The rows a realtime table has ingested, read from Kafka and not
+    through a broker: each partition's log below its ingested position."""
+    rows = []
+    for partition, pstate in state.ingestion.partitions.items():
+        start = kafka.start_offset(topic, partition)
+        entries = kafka.fetch(topic, partition, start, pstate.position - start)
+        rows.extend(entry.record.value for entry in entries)
+    return rows
+
+
 class Table:
     """A realtime table plus every row sent to it, in send order."""
 

@@ -20,15 +20,14 @@ from repro.pinot.broker import PinotBroker
 from repro.pinot.query import PinotQuery
 from repro.pinot.server import PinotServer
 from tests.pinot.fixtures import PARTITIONS, SCHEMA, Table
-from tests.pinot.reference import canonical, realtime_rows
+from tests.reference.query import canonical, realtime_rows
 
 THRESHOLD = 10
 FULL_SCAN = PinotQuery("rides", select_columns=SCHEMA.field_names(), limit=0)
 
 
 def scan(table: Table) -> list[bytes]:
-    broker = PinotBroker(table.controller, enable_cache=False)
-    return canonical(broker.execute(FULL_SCAN).rows)
+    return canonical(PinotBroker(table.controller).execute(FULL_SCAN).rows)
 
 
 def replace_owner(table: Table, partition: int) -> None:

@@ -19,7 +19,7 @@ from repro.pinot.broker import PinotBroker
 from repro.pinot.query import Aggregation, Filter, PinotQuery
 from repro.pinot.server import PinotServer
 from tests.pinot.fixtures import Table
-from tests.pinot.reference import canonical, evaluate, latest_per_key
+from tests.reference.query import canonical, evaluate, latest_per_key
 
 QUERIES = {
     "selection": PinotQuery(
@@ -99,35 +99,36 @@ class TestReplicaChurn:
         table = Table(threshold=20)
         table.send(table.full_segments(per_partition=40))
         assert table.sealed_segments() == 8 and table.consuming_docs() == 0
-        # One broker routes every time; the other also serves repeats from
-        # its result cache (a kill does not move the table epoch).
-        routing = PinotBroker(table.controller, enable_cache=False)
+        # A fresh broker per ask routes every time; one kept broker also
+        # serves repeats from its result cache (a kill does not move the
+        # table epoch) and is the one whose routes are remembered.
+        fresh = lambda: PinotBroker(table.controller)
         caching = PinotBroker(table.controller)
-        before = answers(routing)
+        before = answers(fresh())
         assert answers(caching) == before
-        assert_right(routing, table.sent)
-        home = routes(routing, table.state)
+        assert_right(fresh(), table.sent)
+        home = routes(caching, table.state)
         moved = set()
         for victim in [s.name for s in table.controller.servers]:
             table.controller.kill_server(victim)
-            during = routes(routing, table.state)
+            during = routes(caching, table.state)
             assert victim not in during.values()
             moved |= {seg for seg in during if during[seg] != home[seg]}
             for __repeat in range(2):  # second pass: scan-share warm
-                assert answers(routing) == before, f"{victim} down"
+                assert answers(fresh()) == before, f"{victim} down"
                 assert answers(caching) == before, f"{victim} down"
             table.controller._server(victim).alive = True  # restart
-            assert routes(routing, table.state) == home  # sticky: back home
-            assert answers(routing) == before, f"{victim} back"
+            assert routes(caching, table.state) == home  # sticky: back home
+            assert answers(fresh()) == before, f"{victim} back"
         assert moved  # the outages really re-routed segments
-        assert_right(routing, table.sent)
+        assert_right(fresh(), table.sent)
         hits = sum(s.scan_cache.hits for s in table.controller.servers)
         assert hits > 0
 
     def test_route_depends_on_liveness_only(self):
         table = Table(threshold=20)
         table.send(table.full_segments(per_partition=40))
-        broker = PinotBroker(table.controller, enable_cache=False)
+        broker = PinotBroker(table.controller)
         first = routes(broker, table.state)
         assert first == fresh_routes(table.state)
         for query in QUERIES.values():
@@ -184,7 +185,7 @@ class TestStalePlacementCannotHappen:
         table.send(table.full_segments(per_partition=2 * THRESHOLD))
         table.send(table.rides(7))
         state, controller = table.state, table.controller
-        broker = PinotBroker(controller, enable_cache=False)
+        broker = PinotBroker(controller)
         dropped_rides: set[str] = set()
         spares = (f"spare-{i}" for i in range(len(schedule)))
 
@@ -203,7 +204,8 @@ class TestStalePlacementCannotHappen:
                         consuming.row(doc)["ride_id"]
                         for doc in range(consuming.num_docs)
                     }
-            assert_right(broker, [r for r in table.sent if r["ride_id"] not in hidden])
+            held = [r for r in table.sent if r["ride_id"] not in hidden]
+            assert_right(PinotBroker(controller), held)
 
         check()
         for op, n in schedule:

@@ -17,7 +17,7 @@ from repro.pinot.segment import IndexConfig
 from repro.pinot.server import PinotServer
 from repro.pinot.table import TableConfig
 from repro.storage.blobstore import BlobStore
-from tests.pinot.reference import canonical, evaluate
+from tests.reference.query import canonical, evaluate
 
 SCHEMA = Schema(
     "rides",
@@ -107,14 +107,19 @@ QUERIES = [
 ]
 
 
+def ask(controller, query):
+    """Each ask on a fresh broker: a repeat reaches the servers, not the
+    broker's result cache."""
+    return PinotBroker(controller).execute(query)
+
+
 class TestScanShare:
     def test_repeat_predicate_is_served_from_cache(self):
         __, controller, __ = build_stack()
-        broker = PinotBroker(controller, enable_cache=False)
-        first = broker.execute(QUERIES[0])
+        first = ask(controller, QUERIES[0])
         hits0, entries0 = scan_totals(controller)
         assert hits0 == 0 and entries0 > 0  # cold: all resolutions stored
-        second = broker.execute(QUERIES[0])
+        second = ask(controller, QUERIES[0])
         hits1, __ = scan_totals(controller)
         assert hits1 > 0
         assert serde.encode(first.rows) == serde.encode(second.rows)
@@ -124,10 +129,9 @@ class TestScanShare:
     def test_every_query_shape_agrees_with_plain_python_when_served(self):
         clock, controller, state = build_stack(records=0)
         rows = send_rides(clock, state, "ride", 200)
-        broker = PinotBroker(controller, enable_cache=False)
         for __round in range(3):
             for query in QUERIES:
-                got = broker.execute(query).rows
+                got = ask(controller, query).rows
                 # (The selection's 8 matches fit its limit; their order
                 # is the segments', which plain Python does not know.)
                 assert canonical(got) == canonical(evaluate(query, rows))
@@ -137,15 +141,14 @@ class TestScanShare:
     def test_epoch_advance_invalidates_and_stays_correct(self):
         clock, controller, state = build_stack(records=0)
         rows = send_rides(clock, state, "ride", 200)
-        broker = PinotBroker(controller, enable_cache=False)
         query = QUERIES[0]
-        before = broker.execute(query).rows
-        broker.execute(query)  # warm the scan-share entries
+        before = ask(controller, query).rows
+        ask(controller, query)  # warm the scan-share entries
         epoch0 = state.epoch
         # Mutate the table: new rows shift every aggregate.
         rows += send_rides(clock, state, "late", 80, amount=99.0)
         assert state.epoch > epoch0
-        after = broker.execute(query).rows
+        after = ask(controller, query).rows
         assert serde.encode(after) != serde.encode(before)
         # Against plain Python over everything ingested: an entry stored
         # before the mutation can never leak into the fresh result.
@@ -159,11 +162,10 @@ class TestScanShare:
         # up unreachable beside it.
         clock, controller, state = build_stack(records=0, threshold=25)
         rows = send_rides(clock, state, "ride", 200)
-        broker = PinotBroker(controller, enable_cache=False)
         query = QUERIES[0]  # one shareable predicate
         for i in range(30):
             rows += send_rides(clock, state, f"live{i}", 1, amount=50.0)
-            got = broker.execute(query).rows
+            got = ask(controller, query).rows
             assert serde.encode(got) == serde.encode(evaluate(query, rows))
         sealed = sum(
             len(p.sealed_segments) for p in state.ingestion.partitions.values()
@@ -175,14 +177,13 @@ class TestScanShare:
 
     def test_index_served_filters_bypass_the_cache(self):
         __, controller, __ = build_stack()
-        broker = PinotBroker(controller, enable_cache=False)
         inverted_only = PinotQuery(
             table="rides",
             aggregations=[Aggregation("COUNT")],
             filters=[Filter("city", "=", "city-1")],
         )
-        broker.execute(inverted_only)
-        broker.execute(inverted_only)
+        ask(controller, inverted_only)
+        ask(controller, inverted_only)
         hits, entries = scan_totals(controller)
         # Inverted-index lookups are cheaper than a cache hit: nothing
         # stored, nothing served.

@@ -25,7 +25,7 @@ from repro.pinot.query import (
     group_fold,
 )
 from repro.pinot.segment import BitPackedArray, IndexConfig, MutableSegment
-from tests.pinot.reference import canonical, evaluate
+from tests.reference.query import canonical, evaluate
 
 COLUMNS = ["k", "n", "m", "s"]
 

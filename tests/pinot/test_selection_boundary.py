@@ -17,7 +17,7 @@ from repro.pinot.query import Filter, PinotQuery
 from repro.pinot.table import TableConfig
 from repro.platform import Platform
 from tests.pinot.fixtures import SCHEMA, Table, ride
-from tests.pinot.reference import canonical, evaluate, latest_per_key
+from tests.reference.query import canonical, evaluate, latest_per_key
 
 COLUMNS = ["ride_id", "city", "amount", "payload"]
 ORDER = [("amount", True), ("ride_id", False)]  # total: ride ids are unique

@@ -1,10 +1,10 @@
-"""Seeded property suite: the planned pipeline ≡ the naive reference.
+"""Seeded property suite: the planned pipeline ≡ the query model.
 
 Every optimization in the planner — predicate/projection/aggregation/
 limit pushdown, join reordering, stage artifact reuse — must be
 invisible: for any supported query over any connector, the stage
-scheduler must return exactly what :class:`ReferenceExecutor` (full
-scans, no pushdown, syntactic joins) returns.  A seeded generator walks
+scheduler must return exactly what ``tests/reference/query.py`` answers
+over the rows each table holds.  A seeded generator walks
 a query grammar over a live federation of all three connectors — a
 Pinot realtime table (checked both mid-consumption and caught-up), a
 Pinot upsert table checked after fare corrections, a Hive dimension
@@ -27,7 +27,6 @@ from repro.pinot.controller import PinotController
 from repro.pinot.recovery import PeerToPeerBackup
 from repro.pinot.server import PinotServer
 from repro.pinot.table import TableConfig
-from repro.sql.planner.reference import ReferenceExecutor
 from repro.sql.presto.connector import (
     HiveConnector,
     MemoryConnector,
@@ -36,6 +35,8 @@ from repro.sql.presto.connector import (
 from repro.sql.presto.engine import PrestoEngine
 from repro.storage.blobstore import BlobStore
 from repro.storage.hive import HiveMetastore
+from tests.pinot.fixtures import ingested_rows
+from tests.reference.query import execute, latest_per_key
 
 CITIES = [f"city-{i}" for i in range(5)]
 
@@ -124,18 +125,16 @@ class Federation:
             ),
         )
         cities = metastore.create_table("cities", cities_schema)
-        cities.add_rows(
-            "p0",
-            [
-                {
-                    "city": city,
-                    "region": "west" if i < 2 else "east",
-                    "population": float(100 + 10 * i),
-                }
-                for i, city in enumerate(CITIES)
-            ],
-        )
-        mem_rows = [
+        self.city_rows = [
+            {
+                "city": city,
+                "region": "west" if i < 2 else "east",
+                "population": float(100 + 10 * i),
+            }
+            for i, city in enumerate(CITIES)
+        ]
+        cities.add_rows("p0", self.city_rows)
+        self.mem_rows = [
             {"city": rng.choice(CITIES), "score": float(rng.randrange(20))}
             for __ in range(40)
         ]
@@ -144,10 +143,21 @@ class Federation:
             "metrics": pinot,
             "orders": pinot,
             "cities": HiveConnector(metastore),
-            "mem": MemoryConnector({"mem": mem_rows}),
+            "mem": MemoryConnector({"mem": self.mem_rows}),
         }
         self.engine = PrestoEngine(self.catalog)
-        self.reference = ReferenceExecutor(self.catalog)
+
+    def reference(self, sql: str) -> list[dict]:
+        """The model's answer over what each table holds now; a Pinot
+        table's rows are read from Kafka, not through the broker."""
+        orders = ingested_rows(self.kafka, "orders", self.orders_state)
+        tables = {
+            "metrics": ingested_rows(self.kafka, "metrics", self.metrics_state),
+            "orders": latest_per_key(orders, "order_id"),
+            "cities": self.city_rows,
+            "mem": self.mem_rows,
+        }
+        return execute(sql, tables)
 
     def upsert_corrections(self, rng: random.Random, count: int) -> None:
         """Fare corrections: re-send existing order ids with new fares."""
@@ -234,7 +244,7 @@ class TestPlannedEqualsUnplanned:
         def check(count):
             for __ in range(count):
                 sql = _random_query(rng)
-                expected = _normalized(fed.reference.execute(sql))
+                expected = _normalized(fed.reference(sql))
                 got = _normalized(fed.engine.execute(sql).rows)
                 assert got == expected, f"divergence for {sql!r}"
                 # Second run exercises the artifact-served path.
@@ -270,7 +280,7 @@ class TestPlannedEqualsUnplanned:
             "SELECT SUM(fare) AS total FROM orders"
         ).rows[0]["total"]
         # Corrections raise fares to >= 100; totals must move and agree
-        # with the reference executor on the new state.
+        # with the query model on the new state.
         assert after > before
-        ref = fed.reference.execute("SELECT SUM(fare) AS total FROM orders")
+        ref = fed.reference("SELECT SUM(fare) AS total FROM orders")
         assert round(after, 6) == round(ref[0]["total"], 6)

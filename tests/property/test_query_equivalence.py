@@ -1,9 +1,10 @@
-"""Property-based equivalence: every fast path must agree with brute force.
+"""Property-based equivalence: every fast path must agree with the model.
 
 The OLAP layer's correctness story is that indexes, star-trees and SQL
 plans are *pure optimizations* — on any input, any supported query must
-return exactly what a naive scan returns.  Hypothesis hunts for inputs
-where they diverge.
+return exactly what the query model (``tests/reference/query.py``, a
+plain scan sharing no code with the engines) returns.  Hypothesis hunts
+for inputs where they diverge.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro.pinot.segment import ImmutableSegment, IndexConfig
 from repro.pinot.startree import StarTree, StarTreeConfig
 from repro.sql.presto.connector import MemoryConnector
 from repro.sql.presto.engine import PrestoEngine
+from tests.reference.query import evaluate
 
 rows_strategy = st.lists(
     st.fixed_dictionaries(
@@ -44,14 +46,19 @@ filter_strategy = st.one_of(
 
 
 def brute_force(rows, filters, group_col):
-    groups: dict = {}
-    for row in rows:
-        if not all(f.matches(row.get(f.column)) for f in filters):
-            continue
-        key = row.get(group_col) if group_col else None
-        count, total = groups.get(key, (0, 0.0))
-        groups[key] = (count + 1, total + row["amount"])
-    return groups
+    """The model's ``{group: (count, sum)}`` for every group holding a row."""
+    query = PinotQuery(
+        "t",
+        aggregations=[Aggregation("COUNT"), Aggregation("SUM", "amount")],
+        filters=filters,
+        group_by=[group_col] if group_col else [],
+        limit=0,
+    )
+    return {
+        row.get(group_col): (row["count(*)"], row["sum(amount)"])
+        for row in evaluate(query, rows)
+        if row["count(*)"]
+    }
 
 
 class TestSegmentEquivalence:

@@ -31,13 +31,12 @@ from repro.columnar import pages_to_rows
 from repro.pinot.broker import PinotBroker, QueryResult
 from repro.pinot.query import Aggregation, Filter, PinotQuery
 from repro.sql.planner.physical import Stage
-from repro.sql.planner.reference import ReferenceExecutor
 from repro.sql.planner.rowops import order_rows
 from repro.sql.planner.scheduler import StageScheduler
 from repro.sql.presto import MemoryConnector, PinotConnector, PrestoEngine
 from repro.sql.presto.engine import PlannedQuery
 from tests.pinot.fixtures import CITIES
-from tests.pinot.reference import canonical, evaluate
+from tests.reference.query import canonical, evaluate, execute
 from tests.pinot.test_selection_boundary import json_table, vandalize
 
 LEVELS = ("none", "predicate", "full")
@@ -49,10 +48,10 @@ HOT = [Filter("amount", ">=", 50.0)]
 BY_RIDE = [("ride_id", False)]
 
 # (SQL, the PinotQuery that says the same or None, how to compare).  With
-# a PinotQuery the oracle is ``tests/pinot/reference.py`` and the broker
-# can be asked directly; without, the naive executor over a memory catalog
-# of the rows sent.  ``exact``: the order is defined; ``any order``: it is
-# not; ``some``: a bare LIMIT — any of the full answer's rows will do.
+# a PinotQuery the broker can be asked directly too; either way the oracle
+# is ``tests/reference/query.py`` over the rows sent.  ``exact``: the order
+# is defined; ``any order``: it is not; ``some``: a bare LIMIT — any of the
+# full answer's rows will do.
 QUERIES = [
     (
         "SELECT ride_id, payload FROM rides",
@@ -213,12 +212,7 @@ class World:
         }
         # Rows no cache has seen: the oracles' own.
         self.sent = copy.deepcopy(self.table.sent)
-        self.reference = ReferenceExecutor(
-            {
-                "rides": MemoryConnector({"rides": self.sent}),
-                "zones": MemoryConnector({"zones": copy.deepcopy(ZONES)}),
-            }
-        )
+        self.tables = {"rides": self.sent, "zones": copy.deepcopy(ZONES)}
         self.stored: list[tuple] = []
         self.ops_run: set[str] = set()
         self.passed_through = False
@@ -242,7 +236,7 @@ class World:
         sql, pinot_query, __ = QUERIES[index]
         if pinot_query is not None:
             return evaluate(pinot_query, self.sent)
-        return self.reference.execute(sql)
+        return execute(sql, self.tables)
 
     def ask(self, index: int, asked: str) -> list[dict]:
         sql, pinot_query, __ = QUERIES[index]

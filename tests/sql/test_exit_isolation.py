@@ -19,7 +19,7 @@ from repro.pinot.query import Aggregation, Filter, PinotQuery
 from repro.pinot.table import TableConfig
 from repro.platform import Platform
 from tests.pinot.fixtures import SCHEMA, ride
-from tests.pinot.reference import canonical, evaluate
+from tests.reference.query import canonical, evaluate
 from tests.pinot.test_selection_boundary import json_table, vandalize
 
 

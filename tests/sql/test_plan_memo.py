@@ -15,10 +15,10 @@ from repro.common.clock import SimulatedClock
 from repro.common.errors import SqlParseError, SqlPlanError
 from repro.kafka.producer import Producer
 from repro.platform import Platform
-from repro.sql.planner.reference import ReferenceExecutor
 from repro.sql.presto.connector import MemoryConnector, PinotConnector
 from repro.sql.presto.engine import PLAN_CAPACITY, PrestoEngine
-from tests.sql.test_planner import ROWS, USERS, build_pinot, memory_catalog
+from tests.reference.query import execute
+from tests.sql.test_planner import MEMORY, ROWS, USERS, build_pinot, memory_catalog
 
 
 def counted_plans(engine: PrestoEngine) -> list[str]:
@@ -144,7 +144,7 @@ class TestWhatIsNeverKept:
         engine = PrestoEngine(catalog)
         planned = counted_plans(engine)
         for __ in range(3):
-            assert engine.execute(sql).rows == ReferenceExecutor(catalog).execute(sql)
+            assert engine.execute(sql).rows == execute(sql, MEMORY)
         assert planned == [sql] * 3
         assert len(engine._plans) == 0
 

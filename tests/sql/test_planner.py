@@ -20,7 +20,6 @@ from repro.pinot.server import PinotServer
 from repro.pinot.table import TableConfig
 from repro.platform import Platform
 from repro.sql.planner.physical import Stage
-from repro.sql.planner.reference import ReferenceExecutor
 from repro.sql.planner.scheduler import StageScheduler
 from repro.sql.presto.connector import (
     CardinalityEstimate,
@@ -34,12 +33,29 @@ from repro.sql.presto.connector import (
 from repro.sql.presto.engine import PrestoEngine
 from repro.storage.blobstore import BlobStore
 from repro.storage.hive import HiveMetastore
+from tests.pinot.fixtures import ingested_rows
+from tests.reference.query import execute
 
 ROWS = [
     {"city": f"city-{i % 3}", "amount": float(i), "user": f"u{i % 7}"}
     for i in range(30)
 ]
 USERS = [{"id": f"u{i}", "name": f"name-{i}"} for i in range(7)]
+MEMORY = {"t": ROWS, "users": USERS}
+HIVE = {
+    "orders": [
+        {
+            "city": f"city-{i % 4}",
+            "status": "ok" if i % 3 else "bad",
+            "amount": float(i),
+            "ts": float(100 - i),
+        }
+        for i in range(40)
+    ],
+    "cities": [
+        {"city": f"city-{i}", "region": "west" if i < 2 else "east"} for i in range(4)
+    ],
+}
 
 
 def memory_catalog():
@@ -60,19 +76,7 @@ def hive_catalog():
             Field("ts", FieldType.DOUBLE, FieldRole.TIME),
         ),
     )
-    orders = metastore.create_table("orders", orders_schema)
-    orders.add_rows(
-        "p0",
-        [
-            {
-                "city": f"city-{i % 4}",
-                "status": "ok" if i % 3 else "bad",
-                "amount": float(i),
-                "ts": float(100 - i),
-            }
-            for i in range(40)
-        ],
-    )
+    metastore.create_table("orders", orders_schema).add_rows("p0", HIVE["orders"])
     cities_schema = Schema(
         "cities",
         (
@@ -80,11 +84,7 @@ def hive_catalog():
             Field("region", FieldType.STRING),
         ),
     )
-    cities = metastore.create_table("cities", cities_schema)
-    cities.add_rows(
-        "p0",
-        [{"city": f"city-{i}", "region": "west" if i < 2 else "east"} for i in range(4)],
-    )
+    metastore.create_table("cities", cities_schema).add_rows("p0", HIVE["cities"])
     connector = HiveConnector(metastore)
     return metastore, {"orders": connector, "cities": connector}
 
@@ -440,7 +440,7 @@ class TestPlacementIsLookedUp:
         catalog = memory_catalog()
         engine = PrestoEngine(catalog, workers=2)
         sql = "SELECT city, SUM(amount) AS total FROM t GROUP BY city"
-        expected = ReferenceExecutor(catalog).execute(sql)
+        expected = execute(sql, MEMORY)
         assert engine.execute(sql).rows == expected
         for size in (5, 1, 3):
             engine.scheduler.workers = size
@@ -521,7 +521,7 @@ class TestProjectionRetention:
             "ORDER BY o.ts LIMIT 6"
         )
         out = engine.execute(sql)
-        assert out.rows == ReferenceExecutor(catalog).execute(sql)
+        assert out.rows == execute(sql, HIVE)
         # The orders-side scan was pruned but kept the join key (city),
         # the ORDER BY column (ts) and the filter column (status).
         text = out.plan.explain()
@@ -532,7 +532,7 @@ class TestProjectionRetention:
         engine = PrestoEngine(catalog)
         sql = "SELECT city, amount FROM orders ORDER BY amount DESC LIMIT 3"
         out = engine.execute(sql)
-        assert out.rows == ReferenceExecutor(catalog).execute(sql)
+        assert out.rows == execute(sql, HIVE)
         assert [r["amount"] for r in out.rows] == [39.0, 38.0, 37.0]
 
     def test_order_by_projected_away_column_matches_reference(self):
@@ -545,8 +545,21 @@ class TestProjectionRetention:
         engine = PrestoEngine(catalog)
         sql = "SELECT city FROM orders ORDER BY amount DESC LIMIT 3"
         out = engine.execute(sql)
-        assert out.rows == ReferenceExecutor(catalog).execute(sql)
+        assert out.rows == execute(sql, HIVE)
         assert "pushed-columns: amount, city" in out.plan.explain()
+
+    def test_order_by_an_aggregate_alias_asks_the_scan_for_no_such_column(self):
+        # With a residual OR the aggregate stays engine-side; its ORDER BY
+        # names the alias n, which no Pinot segment holds.
+        __, kafka, state, broker = build_pinot()
+        engine = PrestoEngine({"metrics": PinotConnector(broker, "full")})
+        sql = (
+            "SELECT city, COUNT(*) AS n FROM metrics WHERE city = 'city-2' "
+            "OR amount < 5 GROUP BY city ORDER BY n DESC"
+        )
+        held = {"metrics": ingested_rows(kafka, "metrics", state)}
+        assert engine.execute(sql).rows == execute(sql, held)
+        assert "pushed-columns: amount, city" in engine.explain(sql)
 
     def test_join_with_residual_filter_column(self):
         __, catalog = hive_catalog()
@@ -556,7 +569,7 @@ class TestProjectionRetention:
             "SELECT c.region FROM orders o JOIN cities c ON o.city = c.city "
             "WHERE o.status = 'bad' ORDER BY o.amount LIMIT 4"
         )
-        assert engine.execute(sql).rows == ReferenceExecutor(catalog).execute(sql)
+        assert engine.execute(sql).rows == execute(sql, HIVE)
 
 
 class TestJoinReordering:
@@ -564,11 +577,8 @@ class TestJoinReordering:
         base = [{"k": i % 10, "j": i % 4, "v": float(i)} for i in range(50)]
         big = [{"k": i % 10, "b": f"b{i}"} for i in range(40)]
         small = [{"j": i, "s": f"s{i}"} for i in range(4)]
-        catalog = {
-            "base": MemoryConnector({"base": base}),
-            "big": MemoryConnector({"big": big}),
-            "small": MemoryConnector({"small": small}),
-        }
+        tables = {"base": base, "big": big, "small": small}
+        catalog = {name: MemoryConnector({name: rows}) for name, rows in tables.items()}
         engine = PrestoEngine(catalog)
         sql = (
             "SELECT b.v, x.b, s.s FROM base b "
@@ -577,17 +587,14 @@ class TestJoinReordering:
         )
         text = engine.explain(sql)
         assert "exec-order=[s, x]" in text  # small build side first
-        assert engine.execute(sql).rows == ReferenceExecutor(catalog).execute(sql)
+        assert engine.execute(sql).rows == execute(sql, tables)
 
     def test_reordered_join_matches_reference_without_order_by(self):
         base = [{"k": i % 5, "j": i % 3, "v": float(i)} for i in range(30)]
         big = [{"k": i % 5, "b": f"b{i}"} for i in range(25)]
         small = [{"j": i, "s": f"s{i}"} for i in range(3)]
-        catalog = {
-            "base": MemoryConnector({"base": base}),
-            "big": MemoryConnector({"big": big}),
-            "small": MemoryConnector({"small": small}),
-        }
+        tables = {"base": base, "big": big, "small": small}
+        catalog = {name: MemoryConnector({name: rows}) for name, rows in tables.items()}
         engine = PrestoEngine(catalog)
         # No ORDER BY: row order itself must match syntactic nested-loop
         # execution even though the optimizer built `small` first.
@@ -596,7 +603,18 @@ class TestJoinReordering:
             "JOIN big x ON b.k = x.k JOIN small s ON b.j = s.j"
         )
         assert "exec-order=[s, x]" in engine.explain(sql)
-        assert engine.execute(sql).rows == ReferenceExecutor(catalog).execute(sql)
+        assert engine.execute(sql).rows == execute(sql, tables)
+
+
+    def test_a_null_join_key_joins_nothing(self):
+        left = [{"k": None, "v": 1}, {"k": 1, "v": 2}]
+        right = [{"k": None, "w": "x"}, {"k": 1.0, "w": "y"}]
+        tables = {"a": left, "b": right}
+        catalog = {name: MemoryConnector({name: rows}) for name, rows in tables.items()}
+        sql = "SELECT x.v, y.w FROM a x JOIN b y ON x.k = y.k"
+        expected = execute(sql, tables)
+        assert expected == [{"v": 2, "w": "y"}]
+        assert PrestoEngine(catalog).execute(sql).rows == expected
 
 
 class TestStageArtifacts:
@@ -627,8 +645,8 @@ class TestStageArtifacts:
         # q2 shares the scan+aggregate prefix with q1; only HAVING ran fresh.
         assert out2.stats.stage_artifact_hits >= 1
         assert out2.stats.stages_executed < out1.stats.stages_executed
-        assert out1.rows == ReferenceExecutor(catalog).execute(q1)
-        assert out2.rows == ReferenceExecutor(catalog).execute(q2)
+        assert out1.rows == execute(q1, MEMORY)
+        assert out2.rows == execute(q2, MEMORY)
 
     def test_memory_epoch_invalidates(self):
         catalog = memory_catalog()

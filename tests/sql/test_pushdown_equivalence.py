@@ -32,7 +32,7 @@ from repro.sql.presto import (
 from repro.storage.blobstore import BlobStore
 from repro.storage.hive import HiveMetastore
 from tests.pinot.fixtures import ALL_NULL_CITY, Table
-from tests.pinot.reference import evaluate, latest_per_key
+from tests.reference.query import evaluate, latest_per_key
 
 SEED = 20
 LEVELS = ("none", "predicate", "full")
