@@ -8,16 +8,18 @@ with the same streaming logic:
   retention already expired;
 * Lambda maintains a second, batch implementation — which here contains a
   subtle drift bug (it forgot the status filter);
-* Kappa+ runs the *streaming* pipeline directly over the Hive archive,
-  with throttling and wide watermark slack for out-of-order files.
+* Kappa+ runs the *streaming* pipeline directly over the Hive archive:
+  the job's source is a bounded Hive slice instead of a topic, with a
+  throttled poll size and wide watermark slack for out-of-order files.
 
 Run:  python examples/backfill_demo.py
 """
 
 from __future__ import annotations
 
-from repro.backfill import KappaPlusRunner, kappa_replay, lambda_batch
 from repro.common import SimulatedClock
+from repro.flink import JobRuntime, StreamEnvironment
+from repro.flink.baselines import kappa_replay, lambda_batch
 from repro.flink.windows import SumAggregate, TumblingWindows
 from repro.kafka import KafkaCluster, Producer, TopicConfig
 from repro.metadata import Field, FieldRole, FieldType, Schema
@@ -104,11 +106,16 @@ def main() -> None:
 
     lambda_report = lambda_batch(table, "event_time", 0.0, WEEK, buggy_batch)
 
-    # 3. Kappa+: the same streaming code over Hive.
+    # 3. Kappa+: the same streaming code, with a Hive slice as its source.
+    env = StreamEnvironment()
     kplus_out: list = []
-    kplus_report = KappaPlusRunner(
-        table, "event_time", 0.0, WEEK, throttle_records_per_step=200
-    ).run(streaming_pipeline, kplus_out)
+    hive_source = env.from_hive(table, "event_time", 0.0, WEEK, batch_size=200)
+    streaming_pipeline(hive_source).sink_to_list(kplus_out)
+    runtime = JobRuntime(env.build("kappa-plus"))
+    peak_buffered = 0
+    while runtime.run_rounds(1):
+        peak_buffered = max(peak_buffered, runtime.total_buffered_elements())
+    kplus_rows_read = runtime.records_processed()[hive_source.op_id]
 
     total = lambda results: sum(r.value for r in results)
     print("\n                 rows read   outputs   total revenue")
@@ -118,10 +125,10 @@ def main() -> None:
           f"{lambda_report.outputs:8d}   "
           f"${sum(v for __, v in lambda_report.results):12.2f}"
           f"   <- drift bug inflates revenue")
-    print(f"kappa+ (hive):   {kplus_report.rows_read:9d}  {len(kplus_out):8d}"
+    print(f"kappa+ (hive):   {kplus_rows_read:9d}  {len(kplus_out):8d}"
           f"   ${total(kplus_out):12.2f}   <- complete & correct")
     print(f"\nkappa+ peak buffered elements under throttling: "
-          f"{kplus_report.peak_buffered}")
+          f"{peak_buffered}")
 
 
 if __name__ == "__main__":

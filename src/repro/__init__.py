@@ -5,15 +5,15 @@ The package mirrors the paper's Figure 2/Figure 3 architecture:
 
 * ``repro.kafka``    — streaming storage (+ federation, DLQ, consumer
   proxy, uReplicator, self-serve admin)
-* ``repro.flink``    — stream processing (+ job server, autoscaler,
-  watchdog, Storm/Spark baselines)
+* ``repro.flink``    — stream processing over Kafka topics or bounded Hive
+  slices (Kappa+ backfill) (+ job server, autoscaler, watchdog, Storm /
+  Spark / Kafka-replay Kappa / Lambda baselines)
 * ``repro.pinot``    — realtime OLAP (+ upserts, star-tree, peer-to-peer
   segment recovery, ES/Druid baselines)
 * ``repro.storage``  — blob store, HDFS simulation, columnar files, Hive
 * ``repro.sql``      — the SQL dialect, FlinkSQL compiler, Presto engine
 * ``repro.metadata`` — schema registry, catalog, lineage
 * ``repro.allactive``— multi-region: all-active coordination, offset sync
-* ``repro.backfill`` — Kappa+, Kafka replay, Lambda baseline
 * ``repro.usecases`` — Section 5's four representative applications
 * ``repro.workloads``— seeded synthetic workload generators
 * ``repro.observability`` — cross-layer tracing, freshness probes, SLOs
@@ -53,7 +53,7 @@ from repro.pinot.segment import IndexConfig
 from repro.pinot.server import PinotServer
 from repro.pinot.table import TableConfig
 from repro.platform import Platform
-from repro.sql.flinksql import FlinkSqlCompiler, StreamTableDef
+from repro.sql.flinksql import FlinkSqlCompiler, HiveTableDef, StreamTableDef
 from repro.sql.presto.connector import HiveConnector, MemoryConnector, PinotConnector
 from repro.sql.presto.engine import PrestoEngine
 from repro.storage.blobstore import BlobStore
@@ -79,6 +79,7 @@ __all__ = [
     "JobRuntime",
     "FlinkSqlCompiler",
     "StreamTableDef",
+    "HiveTableDef",
     # OLAP
     "PinotController",
     "PinotBroker",

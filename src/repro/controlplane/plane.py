@@ -20,10 +20,9 @@ through :meth:`sql` / :meth:`pinot_query`, which return the
 result (``None`` when shed) — callers feed completion latencies back via
 :meth:`observe_latency` to close the loop.
 
-Since the platform executes queries synchronously, the facade does not
-queue them; the admission controller's *fast* pressure loop (see the
-surge driver) is therefore only wired when a caller provides a pressure
-probe explicitly.
+The platform executes queries synchronously, so the facade has no query
+queue; the admission controller's *fast* pressure loop (see the surge
+driver) is wired only when a caller passes a ``pressure`` probe.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from repro.controlplane.admission import (
     AdmissionDecision,
     DecisionLog,
 )
-from repro.controlplane.queueing import QueryQueue
 from repro.controlplane.scaler import CrossLayerController, ResourcePolicy
 from repro.controlplane.workload import QueryRequest
 
@@ -53,15 +51,9 @@ class ControlPlane:
         eval_interval: float = 5.0,
         pressure: Callable[[], float] | None = None,
         pressure_levels: tuple[float, ...] = (),
-        queue: QueryQueue | None = None,
     ) -> None:
         self.platform = platform
         self.log = DecisionLog()
-        self.queue = queue
-        if pressure is None and queue is not None:
-            # A queue implies the fast pressure loop: admission tightens
-            # off the queue's backlog-per-worker, no explicit probe needed.
-            pressure = lambda: queue.backlog_per_worker(platform.clock.now())
         self.admission = AdmissionController(
             targets=targets,
             tier_rates=tier_rates,
@@ -265,24 +257,6 @@ class ControlPlane:
         if not decision.admitted:
             return decision, None
         return decision, self.platform.broker.execute(query)
-
-    def submit(
-        self, request: QueryRequest, service_s: float
-    ) -> tuple[float, float]:
-        """Queue an admitted request's service time; ``(start, completion)``.
-
-        Routes sticky by ``(use_case, user_id)``: one user's session
-        stays on its worker subset, so worker-local state keeps paying
-        off across that user's queries.
-        """
-        if self.queue is None:
-            raise ValueError("control plane has no queue")
-        return self.queue.submit(
-            request.arrival_time,
-            service_s,
-            key=request.user_id,
-            tier=request.use_case,
-        )
 
     def observe_latency(self, use_case: str, latency: float) -> None:
         """Feed a completed query's latency back into the p99 guard."""

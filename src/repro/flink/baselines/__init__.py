@@ -1,5 +1,13 @@
-"""Baseline engines the paper compares Flink against (Section 4.2)."""
+"""Foils the paper measures its designs against: Storm's backlog
+recovery and Spark's micro-batches (Section 4.2), and the Kafka-replay
+Kappa and separate-batch Lambda backfills that Kappa+ replaces
+(Section 7; Kappa+ is ``StreamEnvironment.from_hive``)."""
 
+from repro.flink.baselines.backfill import (
+    BackfillReport,
+    kappa_replay,
+    lambda_batch,
+)
 from repro.flink.baselines.backlog import (
     RecoveryResult,
     recovery_comparison,
@@ -9,6 +17,9 @@ from repro.flink.baselines.backlog import (
 from repro.flink.baselines.spark import MicroBatchEngine
 
 __all__ = [
+    "BackfillReport",
+    "kappa_replay",
+    "lambda_batch",
     "RecoveryResult",
     "recovery_comparison",
     "simulate_flink_recovery",

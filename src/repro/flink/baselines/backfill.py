@@ -1,12 +1,9 @@
-"""Backfill: Kappa+, classic Kappa replay, and Lambda (Section 7).
+"""The two backfill architectures Kappa+ improves on (Section 7, C13).
 
-Kappa+ "is able to reuse the stream processing logic just like Kappa
-architecture but it can directly read archived data from offline datasets
-such as Hive", addressing: identifying the start/end boundary of the
-bounded input, throttling the much-higher throughput of historic reads,
-and tolerating out-of-order offline data with larger watermark slack.
-
-The two architectures it improves on are here for the C13 bench:
+Kappa+ itself is not here: it is the ordinary streaming job reading a
+bounded Hive slice through
+:meth:`~repro.flink.graph.StreamEnvironment.from_hive`.  These are its
+foils:
 
 * **Kappa**: replay the Kafka log itself — only works while retention
   still covers the range ("we limit Kafka retention to only a few days.
@@ -20,8 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.common.errors import BackfillError
-from repro.flink.graph import JobGraph, StreamEnvironment
+from repro.flink.graph import StreamEnvironment
 from repro.flink.operators import BoundedListSource
 from repro.flink.runtime import JobRuntime
 from repro.kafka.cluster import KafkaCluster
@@ -37,86 +33,7 @@ class BackfillReport:
     rows_read: int = 0
     rows_missing: int = 0  # wanted but not available (Kappa retention)
     outputs: int = 0
-    steps: int = 0  # scheduler rounds under throttling
-    peak_buffered: int = 0
     results: list = field(default_factory=list)  # lambda_batch outputs
-
-
-class KappaPlusRunner:
-    """Runs streaming logic over a bounded Hive slice.
-
-    * start/end boundary: only rows with ``start_time <= t < end_time``.
-    * throttling: the scheduler processes ``throttle_records_per_step``
-      records per round, bounding memory over the firehose of history.
-    * out-of-order data: ``max_out_of_orderness`` widens the watermark
-      slack so shuffled offline files do not mark rows late.
-    """
-
-    def __init__(
-        self,
-        table: HiveTable,
-        time_column: str,
-        start_time: float,
-        end_time: float,
-        throttle_records_per_step: int = 500,
-        max_out_of_orderness: float = 300.0,
-    ) -> None:
-        if end_time <= start_time:
-            raise BackfillError("end_time must be after start_time")
-        self.table = table
-        self.time_column = time_column
-        self.start_time = start_time
-        self.end_time = end_time
-        self.throttle = throttle_records_per_step
-        self.max_out_of_orderness = max_out_of_orderness
-
-    def run(
-        self,
-        pipeline: PipelineBuilder,
-        sink_collector: list,
-        job_name: str = "kappa-plus-backfill",
-    ) -> BackfillReport:
-        report = BackfillReport()
-        elements: list[tuple[Any, float]] = []
-        for row in self.table.scan():
-            timestamp = row.get(self.time_column)
-            if timestamp is None:
-                continue
-            if self.start_time <= timestamp < self.end_time:
-                elements.append((row, float(timestamp)))
-        report.rows_read = len(elements)
-        if not elements:
-            return report
-        source = BoundedListSource(
-            elements,
-            max_out_of_orderness=self.max_out_of_orderness,
-            batch_size=self.throttle,
-        )
-        env = StreamEnvironment()
-        stream = env.add_source(source, name="hive-backfill-source")
-        terminal = pipeline(stream)
-        terminal.sink_to_list(sink_collector)
-        graph: JobGraph = env.build(job_name)
-        runtime = JobRuntime(graph)
-        # Drive in throttled rounds.  Buffering is probed right after the
-        # sources emit (the in-flight peak the throttle bounds), not after
-        # downstream drained the round.
-        source_ids = {op.op_id for op in graph.sources()}
-        while True:
-            progressed = 0
-            for op_id in runtime._topo:
-                for task in runtime.tasks[op_id]:
-                    progressed += task.step(self.throttle)
-                if op_id in source_ids:
-                    report.peak_buffered = max(
-                        report.peak_buffered,
-                        runtime.total_buffered_elements(),
-                    )
-            report.steps += 1
-            if progressed == 0:
-                break
-        report.outputs = len(sink_collector)
-        return report
 
 
 def kappa_replay(

@@ -4,7 +4,9 @@ This is the "low-level API" surface of Section 4.2 that advanced users
 program against (FlinkSQL compiles to it, Section 4.2.1).  A
 :class:`StreamEnvironment` accumulates operator specs; ``build()``
 validates and returns an immutable :class:`JobGraph` that the runtime
-instantiates.
+instantiates.  A job reads a Kafka topic (``from_kafka``) or a bounded
+Hive slice (``from_hive``, Kappa+ backfill, Section 7) with the same
+downstream code.
 
 Example::
 
@@ -23,7 +25,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.common.errors import JobValidationError
+from repro.common.errors import BackfillError, JobValidationError
+from repro.common.relational import Predicate
 from repro.flink.windows import AggregateFunction, WindowAssigner
 
 Partitioning = str  # 'forward' | 'hash' | 'rebalance' | 'broadcast'
@@ -206,6 +209,46 @@ class StreamEnvironment:
             timestamp_fn=timestamp_fn,
         )
         return self.add_source(source, name=f"kafka-{topic}", parallelism=parallelism)
+
+    def from_hive(
+        self,
+        table,
+        time_column: str,
+        start_time: float,
+        end_time: float,
+        max_out_of_orderness: float = 300.0,
+        batch_size: int = 500,
+    ) -> "DataStream":
+        """Kappa+ (Section 7): the rows of a Hive table with
+        ``start_time <= time_column < end_time``, as a bounded source.
+
+        The time range is the input's boundary: files whose column stats
+        miss it are not read, and a row with a NULL time is outside it.
+        ``batch_size`` is the source's poll size, which throttles the
+        historic read while downstream operators run at the job's normal
+        budget; ``max_out_of_orderness`` is the watermark slack that
+        shuffled offline files need.
+        """
+        from repro.flink.operators import BoundedListSource
+
+        if end_time <= start_time:
+            raise BackfillError("end_time must be after start_time")
+        if time_column not in table.schema.field_names():
+            raise BackfillError(
+                f"Hive table {table.name!r} has no time column {time_column!r}"
+            )
+        rows, __, __, __ = table.scan_with_pruning(
+            [
+                Predicate(time_column, ">=", start_time),
+                Predicate(time_column, "<", end_time),
+            ]
+        )
+        source = BoundedListSource(
+            [(row, float(row[time_column])) for row in rows],
+            max_out_of_orderness=max_out_of_orderness,
+            batch_size=batch_size,
+        )
+        return self.add_source(source, name=f"hive-{table.name}")
 
     def build(self, name: str) -> JobGraph:
         graph = JobGraph(name, dict(self._operators), list(self._edges))

@@ -37,7 +37,6 @@ from repro.common.errors import PlatformError
 from repro.flink.graph import JobGraph
 from repro.flink.runtime import JobRuntime
 from repro.kafka.cluster import KafkaCluster, TopicConfig
-from repro.kafka.consumer import Consumer, GroupCoordinator
 from repro.kafka.producer import Producer
 from repro.metadata.schema import FieldRole, FieldType, Schema
 from repro.observability.freshness import PinotFreshnessProbe
@@ -60,13 +59,12 @@ class Platform:
     def __init__(
         self,
         seed: int = 2021,
-        start_time: float = 0.0,
         name: str = "platform",
         tracing: bool = True,
     ) -> None:
         self.name = name
         self.seed = seed
-        self.clock = SimulatedClock(start_time)
+        self.clock = SimulatedClock(0.0)
         self.rng = random.Random(seed)
         self.tracer: SpanCollector | None = SpanCollector() if tracing else None
         self.slo_monitor = SloMonitor()
@@ -80,7 +78,6 @@ class Platform:
         self.segment_store = BlobStore("segments")
         self._presto_catalog: dict[str, Connector] = {}
         self._pushdown = "full"
-        self._coordinator: GroupCoordinator | None = None
         self.control_plane = None  # set by with_control_plane()
 
     # -- builders -----------------------------------------------------------
@@ -166,22 +163,6 @@ class Platform:
             service_name=service_name,
             acks=acks,
             clock=self.clock,
-            tracer=self.tracer,
-            **kwargs,
-        )
-
-    def consumer(
-        self, group: str, topic: str, member_id: str = "member-0", **kwargs: Any
-    ) -> Consumer:
-        kafka = self._require_kafka()
-        if self._coordinator is None:
-            self._coordinator = GroupCoordinator(kafka)
-        return Consumer(
-            kafka,
-            self._coordinator,
-            group,
-            topic,
-            member_id,
             tracer=self.tracer,
             **kwargs,
         )

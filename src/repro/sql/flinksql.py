@@ -5,15 +5,11 @@ distributed Flink applications ... users of all technical levels can run
 their streaming processing applications in production in a span of mere
 hours."
 
-Two compilation targets, which is also the paper's backfill story
-(Section 7, "SQL based"): the *same* query text compiles to
-
-* a **streaming job** reading a Kafka-backed stream table
-  (``compile_streaming``), and
-* a **batch job** reading a bounded dataset such as a Hive slice
-  (``compile_batch``) — the DataSet-API path,
-
-so the user never maintains two implementations of the logic.
+One compilation path, which is also the paper's backfill story
+(Section 7, "SQL based"): the *same* query text compiles against a
+Kafka-backed stream table (:class:`StreamTableDef`) or a bounded Hive
+slice (:class:`HiveTableDef`, Kappa+), so the user never maintains two
+implementations of the logic.
 """
 
 from __future__ import annotations
@@ -22,8 +18,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.common.errors import SqlPlanError
-from repro.flink.graph import JobGraph, StreamEnvironment
-from repro.flink.operators import BoundedListSource
+from repro.flink.graph import DataStream, JobGraph, StreamEnvironment
 from repro.flink.windows import SlidingWindows, TumblingWindows, WindowResult
 from repro.kafka.cluster import KafkaCluster
 from repro.sql.parser import (
@@ -38,6 +33,7 @@ from repro.sql.parser import (
     parse,
 )
 from repro.sql.planner.rowops import bind_aggs, compile_condition
+from repro.storage.hive import HiveTable
 
 
 @dataclass
@@ -48,6 +44,35 @@ class StreamTableDef:
     topic: str
     timestamp_column: str | None = None  # None -> Kafka record event time
     max_out_of_orderness: float = 0.0
+
+    def source(self, env: StreamEnvironment) -> DataStream:
+        return env.from_kafka(
+            self.cluster,
+            self.topic,
+            group="flinksql",
+            max_out_of_orderness=self.max_out_of_orderness,
+            timestamp_fn=(
+                (lambda row, c=self.timestamp_column: row[c])
+                if self.timestamp_column is not None
+                else None
+            ),
+        )
+
+
+@dataclass
+class HiveTableDef:
+    """Catalog entry mapping a SQL table name to the rows of a Hive table
+    with ``start_time <= time_column < end_time`` (Kappa+ backfill)."""
+
+    table: HiveTable
+    time_column: str
+    start_time: float
+    end_time: float
+
+    def source(self, env: StreamEnvironment) -> DataStream:
+        return env.from_hive(
+            self.table, self.time_column, self.start_time, self.end_time
+        )
 
 
 class SqlWindowAggregate:
@@ -79,13 +104,15 @@ class SqlWindowAggregate:
 class FlinkSqlCompiler:
     """Compiles the SQL dialect into Flink job graphs."""
 
-    def __init__(self, catalog: dict[str, StreamTableDef] | None = None) -> None:
+    def __init__(
+        self, catalog: dict[str, StreamTableDef | HiveTableDef] | None = None
+    ) -> None:
         self.catalog = catalog or {}
 
-    def register_stream_table(self, name: str, definition: StreamTableDef) -> None:
+    def register_stream_table(
+        self, name: str, definition: StreamTableDef | HiveTableDef
+    ) -> None:
         self.catalog[name] = definition
-
-    # -- streaming target -------------------------------------------------------
 
     def compile_streaming(
         self,
@@ -101,19 +128,8 @@ class FlinkSqlCompiler:
         source_name = self._source_table(select)
         if source_name not in self.catalog:
             raise SqlPlanError(f"stream table {source_name!r} is not registered")
-        definition = self.catalog[source_name]
         env = StreamEnvironment()
-        stream = env.from_kafka(
-            definition.cluster,
-            definition.topic,
-            group="flinksql",
-            max_out_of_orderness=definition.max_out_of_orderness,
-            timestamp_fn=(
-                (lambda row, c=definition.timestamp_column: row[c])
-                if definition.timestamp_column is not None
-                else None
-            ),
-        )
+        stream = self.catalog[source_name].source(env)
         stream = self._attach_pipeline(
             select, stream, allowed_lateness, parallelism
         )
@@ -121,35 +137,6 @@ class FlinkSqlCompiler:
             stream, sink_collector, sink_kafka, transactional=sink_transactional
         )
         return env.build(job_name or f"flinksql-{source_name}")
-
-    # -- batch target (the DataSet path of Section 7) ------------------------------
-
-    def compile_batch(
-        self,
-        sql: str,
-        rows: list[dict[str, Any]],
-        sink_collector: list,
-        timestamp_column: str | None = None,
-        job_name: str | None = None,
-    ) -> JobGraph:
-        """Compile the same SQL over a bounded dataset (e.g. a Hive scan)."""
-        select = parse(sql)
-        window = select.window()
-        ts_col = timestamp_column or (window.time_column if window else None)
-        if ts_col is None:
-            raise SqlPlanError(
-                "batch compilation needs a timestamp column (explicit or "
-                "from the window spec)"
-            )
-        elements = [(row, float(row[ts_col])) for row in rows]
-        env = StreamEnvironment()
-        stream = env.add_source(
-            BoundedListSource(elements), name="bounded-source"
-        )
-        stream = self._attach_pipeline(select, stream, 0.0, 1)
-        stream.sink_to_list(sink_collector)
-        name = job_name or f"flinksql-batch-{self._source_table(select)}"
-        return env.build(name)
 
     # -- shared pipeline construction -------------------------------------------
 

@@ -14,7 +14,7 @@ from typing import Any, Iterable, Iterator
 from repro.common.errors import StorageError, TableNotFoundError
 from repro.metadata.schema import Schema
 from repro.storage.blobstore import BlobStore
-from repro.storage.columnar import ColumnarFile
+from repro.storage.columnar import ColumnarFile, ColumnStats
 
 
 @dataclass
@@ -35,6 +35,9 @@ class HiveTable:
         self.schema = schema
         self._store = store
         self._partitions: dict[str, HivePartition] = {}
+        # Each file's column stats, kept in the catalog as a metastore
+        # keeps them, so a filtered scan skips a file without reading it.
+        self._file_stats: dict[str, dict[str, ColumnStats]] = {}
         self._file_counter = 0
         # Data version: bumped on every append.  The Presto planner keys
         # stage artifacts on it (the Hive analogue of Pinot's TableEpoch).
@@ -55,6 +58,7 @@ class HiveTable:
         blob_key = f"hive/{self.name}/{partition_key}/part-{self._file_counter:05d}.col"
         self._file_counter += 1
         self._store.put(blob_key, cfile.to_bytes())
+        self._file_stats[blob_key] = cfile.stats
         part = self._partitions.setdefault(
             partition_key, HivePartition(self.name, partition_key)
         )
@@ -71,48 +75,39 @@ class HiveTable:
             raise StorageError(f"table {self.name!r} has no partition {key!r}")
         return self._partitions[key]
 
-    def scan(
-        self,
-        partition_keys: list[str] | None = None,
-        columns: list[str] | None = None,
-    ) -> Iterator[dict[str, Any]]:
-        """Stream rows, optionally restricted to partitions and columns.
+    def scan(self, partition_keys: list[str] | None = None) -> Iterator[dict[str, Any]]:
+        """Stream rows, optionally restricted to partitions.
 
         Filtered reads go through :meth:`scan_with_pruning`, which also
         skips files by their column stats.
         """
         keys = partition_keys if partition_keys is not None else self.partitions()
         for pkey in keys:
-            part = self.partition(pkey)
-            for file_key in part.file_keys:
-                cfile = ColumnarFile.from_bytes(self._store.get(file_key))
-                for row in cfile.rows():
-                    if columns is not None:
-                        yield {c: row.get(c) for c in columns}
-                    else:
-                        yield row
+            for file_key in self.partition(pkey).file_keys:
+                yield from ColumnarFile.from_bytes(self._store.get(file_key)).rows()
 
     def scan_with_pruning(
         self, predicates, columns: list[str] | None = None
     ) -> tuple[list[dict[str, Any]], int, int, int]:
         """Scan the rows satisfying every predicate
         (:class:`repro.common.relational.Predicate`, a conjunction),
-        skipping each file whose column stats prove some conjunct cannot
-        match in it.  Returns (rows, files_scanned, files_pruned,
+        skipping, unread, each file whose column stats prove some conjunct
+        cannot match in it.  Returns (rows, files_scanned, files_pruned,
         rows_examined) — rows examined are those of the files read."""
         scanned = pruned = examined = 0
         out: list[dict[str, Any]] = []
         tests = [(p.column, p.matches) for p in predicates]
         for pkey in self.partitions():
             for file_key in self.partition(pkey).file_keys:
-                cfile = ColumnarFile.from_bytes(self._store.get(file_key))
+                stats = self._file_stats[file_key]
                 if not all(
-                    cfile.stats[p.column].might_contain(p)
+                    stats[p.column].might_contain(p)
                     for p in predicates
-                    if p.column in cfile.stats
+                    if p.column in stats
                 ):
                     pruned += 1
                     continue
+                cfile = ColumnarFile.from_bytes(self._store.get(file_key))
                 scanned += 1
                 examined += cfile.num_rows
                 for row in cfile.rows():

@@ -1,8 +1,15 @@
+"""Kappa+ is the ordinary job over a Hive source (Section 7), beside its
+two foils: Kafka-replay Kappa and a separate Lambda batch."""
+
+from typing import NamedTuple
+
 import pytest
 
-from repro.backfill import KappaPlusRunner, kappa_replay, lambda_batch
 from repro.common.clock import SimulatedClock
 from repro.common.errors import BackfillError
+from repro.flink.baselines import kappa_replay, lambda_batch
+from repro.flink.graph import StreamEnvironment
+from repro.flink.runtime import JobRuntime
 from repro.flink.windows import SumAggregate, TumblingWindows
 from repro.kafka.cluster import KafkaCluster, TopicConfig
 from repro.kafka.producer import Producer
@@ -61,36 +68,62 @@ def build_world(hours=10, per_hour=50, retention_hours=2):
     return clock, kafka, table, rows
 
 
+class Backfill(NamedTuple):
+    rows_read: int
+    out: list
+    rounds: int
+    peak_buffered: int  # elements left buffered after a scheduler round
+
+
+def kappa_plus(table, start_time, end_time, **source_options) -> Backfill:
+    """The streaming pipeline over a Hive slice, one scheduler round at a
+    time so the buffering between rounds can be read."""
+    env = StreamEnvironment()
+    out: list = []
+    source = env.from_hive(table, "event_time", start_time, end_time, **source_options)
+    pipeline(source).sink_to_list(out)
+    runtime = JobRuntime(env.build("kappa-plus"))
+    rounds = peak = 0
+    while runtime.run_rounds(1):
+        rounds += 1
+        peak = max(peak, runtime.total_buffered_elements())
+    return Backfill(runtime.records_processed()[source.op_id], out, rounds, peak)
+
+
 class TestKappaPlus:
     def test_processes_full_history_from_hive(self):
         __, __k, table, rows = build_world()
-        out = []
-        report = KappaPlusRunner(table, "event_time", 0.0, 11 * HOUR).run(
-            pipeline, out
-        )
+        report = kappa_plus(table, 0.0, 11 * HOUR)
         assert report.rows_read == len(rows)
-        assert sum(r.value for r in out) == len(rows)  # every row counted
+        assert sum(r.value for r in report.out) == len(rows)  # every row counted
 
     def test_start_end_boundaries_respected(self):
         __, __k, table, rows = build_world()
-        out = []
-        report = KappaPlusRunner(
-            table, "event_time", 2 * HOUR, 5 * HOUR
-        ).run(pipeline, out)
+        report = kappa_plus(table, 2 * HOUR, 5 * HOUR)
         expected = sum(1 for r in rows if 2 * HOUR <= r["event_time"] < 5 * HOUR)
         assert report.rows_read == expected
-        assert sum(r.value for r in out) == expected
+        assert sum(r.value for r in report.out) == expected
+
+    def test_boundary_skips_the_files_outside_it(self, monkeypatch):
+        """The range is checked against each hourly file's stats before
+        the file is read: 4 of the 10 files hold a row in [2h, 5h)."""
+        __, __k, table, rows = build_world()
+        reads = []
+        get = BlobStore.get
+        monkeypatch.setattr(
+            BlobStore, "get", lambda store, key: reads.append(key) or get(store, key)
+        )
+        report = kappa_plus(table, 2 * HOUR, 5 * HOUR)
+        assert len(reads) == 4 and len(table.partitions()) == 10
+        assert report.rows_read == 150
+        assert sum(r.value for r in report.out) == 150
 
     def test_throttling_bounds_buffering(self):
         __, __k, table, __r = build_world(hours=6, per_hour=100)
-        tight = KappaPlusRunner(
-            table, "event_time", 0.0, 7 * HOUR, throttle_records_per_step=50
-        ).run(pipeline, [])
-        loose = KappaPlusRunner(
-            table, "event_time", 0.0, 7 * HOUR, throttle_records_per_step=5000
-        ).run(pipeline, [])
+        tight = kappa_plus(table, 0.0, 7 * HOUR, batch_size=50)
+        loose = kappa_plus(table, 0.0, 7 * HOUR, batch_size=5000)
         assert tight.peak_buffered < loose.peak_buffered
-        assert tight.steps > loose.steps
+        assert tight.rounds > loose.rounds
 
     def test_out_of_order_offline_data_handled(self):
         """Hive files shuffled across time still aggregate correctly,
@@ -107,24 +140,20 @@ class TestKappaPlus:
                     for i in range(50)
                 ],
             )
-        out = []
-        report = KappaPlusRunner(
-            table, "event_time", 0.0, 4 * HOUR,
-            max_out_of_orderness=2 * HOUR,
-        ).run(pipeline, out)
+        report = kappa_plus(table, 0.0, 4 * HOUR, max_out_of_orderness=2 * HOUR)
         assert report.rows_read == 150
-        assert sum(r.value for r in out) == 150
+        assert sum(r.value for r in report.out) == 150
 
     def test_invalid_range(self):
         __, __k, table, __r = build_world(hours=1)
         with pytest.raises(BackfillError):
-            KappaPlusRunner(table, "event_time", 10.0, 10.0)
+            StreamEnvironment().from_hive(table, "event_time", 10.0, 10.0)
 
     def test_empty_range_is_clean(self):
         __, __k, table, __r = build_world(hours=1)
-        report = KappaPlusRunner(table, "event_time", 1e9, 2e9).run(pipeline, [])
+        report = kappa_plus(table, 1e9, 2e9)
         assert report.rows_read == 0
-        assert report.outputs == 0
+        assert report.out == []
 
 
 class TestKappaReplay:
@@ -168,9 +197,7 @@ class TestLambda:
         """The Lambda liability: the second implementation can silently
         diverge from the streaming one."""
         __, __k, table, rows = build_world(hours=3)
-        out = []
-        KappaPlusRunner(table, "event_time", 0.0, 4 * HOUR).run(pipeline, out)
-        streaming_total = sum(r.value for r in out)
+        streaming_total = sum(r.value for r in kappa_plus(table, 0.0, 4 * HOUR).out)
 
         def drifted(batch_rows):  # "bug": double counting
             return [("all", sum(r["amount"] for r in batch_rows) * 2)]

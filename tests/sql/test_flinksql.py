@@ -1,12 +1,14 @@
 import pytest
 
 from repro.common.clock import SimulatedClock
-from repro.common.errors import SqlPlanError
+from repro.common.errors import BackfillError, SqlPlanError
 from repro.flink.runtime import JobRuntime
 from repro.kafka.cluster import KafkaCluster, TopicConfig
 from repro.kafka.producer import Producer
-from repro.sql.flinksql import FlinkSqlCompiler, StreamTableDef
+from repro.metadata.schema import Field, FieldRole, FieldType, Schema
+from repro.sql.flinksql import FlinkSqlCompiler, HiveTableDef, StreamTableDef
 from repro.storage.blobstore import BlobStore
+from repro.storage.hive import HiveMetastore
 
 
 def build(partitions=2, count=600, cities=3):
@@ -29,6 +31,23 @@ def build(partitions=2, count=600, cities=3):
         {"orders": StreamTableDef(kafka, "orders", timestamp_column="ts")}
     )
     return clock, kafka, compiler, rows
+
+
+def hive_compiler(rows, time_column="ts"):
+    """The same ``orders`` table name bound to a Hive slice of ``rows``."""
+    schema = Schema(
+        "orders",
+        (
+            Field("city", FieldType.STRING),
+            Field("amount", FieldType.DOUBLE, FieldRole.METRIC),
+            Field("ts", FieldType.DOUBLE, FieldRole.TIME),
+        ),
+    )
+    table = HiveMetastore(BlobStore()).create_table("orders", schema)
+    table.add_rows("all", rows)
+    return FlinkSqlCompiler(
+        {"orders": HiveTableDef(table, time_column, 0.0, float("inf"))}
+    )
 
 
 class TestStreamingCompilation:
@@ -136,10 +155,9 @@ class TestBatchCompilation:
         )
         JobRuntime(graph).run_until_quiescent()
         batch_out = []
-        batch_graph = compiler.compile_batch(
+        batch_graph = hive_compiler(rows).compile_streaming(
             "SELECT city, COUNT(*) AS n, SUM(amount) AS total FROM orders "
             "GROUP BY TUMBLE(ts, 60), city",
-            rows=rows,
             sink_collector=batch_out,
         )
         JobRuntime(batch_graph).run_until_quiescent()
@@ -160,20 +178,18 @@ class TestBatchCompilation:
             assert batch[key] == value
 
     def test_batch_needs_timestamp_column(self):
-        __, __k, compiler, rows = build(count=10)
-        with pytest.raises(SqlPlanError):
-            compiler.compile_batch(
-                "SELECT city AS c FROM orders", rows=rows, sink_collector=[]
+        """A Hive-bound table is a time range over a column the table has."""
+        __, __k, __c, rows = build(count=10)
+        with pytest.raises(BackfillError, match="no time column 'city_ts'"):
+            hive_compiler(rows, time_column="city_ts").compile_streaming(
+                "SELECT city AS c FROM orders", sink_collector=[]
             )
 
     def test_batch_projection_with_explicit_timestamp(self):
-        __, __k, compiler, rows = build(count=20)
+        __, __k, __c, rows = build(count=20)
         out = []
-        graph = compiler.compile_batch(
-            "SELECT city AS c FROM orders",
-            rows=rows,
-            sink_collector=out,
-            timestamp_column="ts",
+        graph = hive_compiler(rows).compile_streaming(
+            "SELECT city AS c FROM orders", sink_collector=out
         )
         JobRuntime(graph).run_until_quiescent()
         assert len(out) == 20

@@ -8,8 +8,8 @@ fixtures carry what SQL semantics are about: NULL metric cells, a city
 whose metric is NULL throughout, a NULL dimension cell, a NaN.
 
 One more axis, "one dialect, two engines": the same ``GROUP BY TUMBLE``
-aggregate compiled by FlinkSQL over a bounded replay of the rows agrees,
-window by window, with Presto over the landed table.
+aggregate compiled by FlinkSQL over a Hive slice of the rows (Kappa+)
+agrees, window by window, with Presto over the landed table.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from repro.flink.runtime import JobRuntime
 from repro.metadata.schema import Field, FieldType, Schema
 from repro.pinot.broker import PinotBroker
 from repro.pinot.query import Aggregation, Filter, PinotQuery
-from repro.sql.flinksql import FlinkSqlCompiler
+from repro.sql.flinksql import FlinkSqlCompiler, HiveTableDef
 from repro.sql.presto import (
     HiveConnector,
     MemoryConnector,
@@ -31,7 +31,7 @@ from repro.sql.presto import (
 )
 from repro.storage.blobstore import BlobStore
 from repro.storage.hive import HiveMetastore
-from tests.pinot.fixtures import ALL_NULL_CITY, Table
+from tests.pinot.fixtures import ALL_NULL_CITY, SCHEMA, Table
 from tests.reference.query import evaluate, latest_per_key
 
 SEED = 20
@@ -365,11 +365,12 @@ WINDOW_AGGS = (
 def test_flinksql_windows_agree_with_presto_over_the_landed_table(world):
     if world.table.upsert:
         pytest.skip("an upsert table lands the last version, a replay sees all")
-    rows = [r for r in world.rows if r["city"] is not None]
+    hive = HiveMetastore(BlobStore()).create_table("rides", SCHEMA)
+    hive.add_rows("all", [r for r in world.rows if r["city"] is not None])
+    compiler = FlinkSqlCompiler({"rides": HiveTableDef(hive, "ts", 0.0, float("inf"))})
     out: list[dict] = []
-    graph = FlinkSqlCompiler().compile_batch(
+    graph = compiler.compile_streaming(
         f"SELECT city, {WINDOW_AGGS} FROM rides GROUP BY TUMBLE(ts, {WINDOW}), city",
-        rows=rows,
         sink_collector=out,
     )
     JobRuntime(graph).run_until_quiescent()
