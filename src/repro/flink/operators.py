@@ -245,13 +245,13 @@ class WindowOperator(EventTimeOperator):
             acc = aggregator.add(value, aggregator.create_accumulator())
             self._add_to_session(key, windows[0], acc, trace)
             return []
-        state = self.state
+        tables = self.state.tables
         for window in self._admit(windows):
             state_key = (key, window.start, window.end)
-            acc = state.get("acc", state_key)
+            acc = tables.get("acc", {}).get(state_key)
             if acc is None:
                 acc = aggregator.create_accumulator()
-            state.put("acc", state_key, aggregator.add(value, acc))
+            tables.setdefault("acc", {})[state_key] = aggregator.add(value, acc)
             if trace is not None:
                 self._traces[state_key] = trace
         return []
@@ -379,7 +379,9 @@ class IntervalJoinOperator(EventTimeOperator):
     observers and state reads), never truncate it, so TTL eviction can
     never drop a still-joinable record.  Eviction is
     driven by a min-heap over per-entry deadlines that is rebuilt from
-    state on restore (the deadlines are pure functions of the entries).
+    state on restore (the deadlines are pure functions of the entries);
+    an evicted entry is deleted from its key's list in place, and the key
+    leaves state when its list empties.
 
     **Spill pressure.**  The buffered state is the memory-bound signal of
     Section 4.2.1; ``spill_pressure()`` reports buffered bytes against
@@ -399,12 +401,20 @@ class IntervalJoinOperator(EventTimeOperator):
         spill_budget_bytes: int | None = None,
     ) -> None:
         super().__init__(allowed_lateness)
+        if not (isfinite(lower) and isfinite(upper)):
+            raise OperatorError(
+                f"interval join bounds must be finite, got [{lower}, {upper}]"
+            )
         if lower > upper:
             raise OperatorError(
                 f"interval join bounds inverted: lower {lower} > upper {upper}"
             )
         if state_ttl is not None and not state_ttl >= 0:  # also NaN
             raise OperatorError(f"state TTL must be >= 0, got {state_ttl}")
+        if spill_budget_bytes is not None and not spill_budget_bytes > 0:
+            raise OperatorError(
+                f"spill budget must be > 0 bytes, got {spill_budget_bytes}"
+            )
         self.lower = lower
         self.upper = upper
         self.join_fn = join_fn
@@ -446,7 +456,8 @@ class IntervalJoinOperator(EventTimeOperator):
         if record.trace is not None:
             self._traces[key] = record.trace
         out: list[StreamRecord] = []
-        buffered = self.state.get_list(other, key)
+        tables = self.state.tables
+        buffered = tables.get(other, {}).get(key)
         if buffered:
             if PERF.enabled:
                 PERF.inc("flink.join_probes", len(buffered))
@@ -468,26 +479,30 @@ class IntervalJoinOperator(EventTimeOperator):
                 PERF.inc("flink.join_rows_out", len(out))
         seq = self._seq
         self._seq += 1
-        self.state.append(side, key, [timestamp, seq, value])
+        tables.setdefault(side, {}).setdefault(key, []).append([timestamp, seq, value])
         heappush(self._evictions, (self._deadline(horizon, timestamp), seq, side, key))
         return out
 
     def _fire(self) -> list[Any]:
         evictions = self._evictions
+        tables = self.state.tables
         while evictions and evictions[0][0] <= self.current_watermark:
             __, seq, side, key = heappop(evictions)
-            entries = self.state.get_list(side, key)
-            remaining = [e for e in entries if e[1] != seq]
-            if len(remaining) == len(entries):
+            table = tables[side]
+            entries = table.get(key, ())
+            # Almost always the key's oldest; deleting in place keeps order.
+            for i, entry in enumerate(entries):
+                if entry[1] == seq:
+                    del entries[i]
+                    break
+            else:
                 continue  # already gone (stale heap entry after restore)
             self.evicted += 1
             if PERF.enabled:
                 PERF.inc("flink.join_evictions")
-            if remaining:
-                self.state.put(side, key, remaining)
-            else:
-                self.state.remove(side, key)
-                if not self.state.get_list("right" if side == "left" else "left", key):
+            if not entries:
+                del table[key]
+                if key not in tables.get("right" if side == "left" else "left", ()):
                     self._traces.pop(key, None)
         return []
 
@@ -499,7 +514,7 @@ class IntervalJoinOperator(EventTimeOperator):
         >= 1.0 means the operator would have to spill; the AutoScaler
         treats that as an immediate scale-up signal.
         """
-        if not self.spill_budget_bytes:
+        if self.spill_budget_bytes is None:
             return 0.0
         return self.state.size_bytes() / self.spill_budget_bytes
 
@@ -509,8 +524,8 @@ class IntervalJoinOperator(EventTimeOperator):
         # function of (side, ts), so rebuild it from the buffers.
         self._evictions = []
         for side in ("left", "right"):
-            for key in self.state.keys(side):
-                for ts, seq, __ in self.state.get_list(side, key):
+            for key, entries in self.state.tables.get(side, {}).items():
+                for ts, seq, __ in entries:
                     deadline = self._deadline(self._horizon(side, ts), ts)
                     heappush(self._evictions, (deadline, seq, side, key))
 

@@ -23,53 +23,56 @@ class KeyedStateBackend:
     descriptors); each descriptor holds a map key -> value.  Values must be
     serde-serializable for checkpointing (enforced at snapshot time, not on
     every update, to keep the hot path fast).
+
+    ``tables`` is the live ``descriptor -> {key: value}`` map that
+    :meth:`snapshot` serializes and :meth:`restore` replaces (read it per
+    call, never across a restore); a table appears at its first write.
+    The methods below are what user functions get; a list from
+    :meth:`get_list` may be edited in place by the operator that owns it.
     """
 
     def __init__(self) -> None:
-        self._state: dict[str, dict[Hashable, Any]] = {}
+        self.tables: dict[str, dict[Hashable, Any]] = {}
 
     # -- value state -------------------------------------------------------
 
     def get(self, descriptor: str, key: Hashable, default: Any = None) -> Any:
-        table = self._state.get(descriptor)
+        table = self.tables.get(descriptor)
         return default if table is None else table.get(key, default)
 
     def put(self, descriptor: str, key: Hashable, value: Any) -> None:
-        self._state.setdefault(descriptor, {})[key] = value
+        self.tables.setdefault(descriptor, {})[key] = value
 
     def remove(self, descriptor: str, key: Hashable) -> None:
-        table = self._state.get(descriptor)
+        table = self.tables.get(descriptor)
         if table is not None:
             table.pop(key, None)
 
     def keys(self, descriptor: str) -> list[Hashable]:
-        return list(self._state.get(descriptor, {}))
+        return list(self.tables.get(descriptor, {}))
 
     def items(self, descriptor: str) -> list[tuple[Hashable, Any]]:
-        return list(self._state.get(descriptor, {}).items())
+        return list(self.tables.get(descriptor, {}).items())
 
     # -- list state ---------------------------------------------------------
 
     def append(self, descriptor: str, key: Hashable, value: Any) -> None:
-        table = self._state.setdefault(descriptor, {})
+        table = self.tables.setdefault(descriptor, {})
         table.setdefault(key, []).append(value)
 
     def get_list(self, descriptor: str, key: Hashable) -> list[Any]:
-        table = self._state.get(descriptor)
+        table = self.tables.get(descriptor)
         entries = None if table is None else table.get(key)
         return [] if entries is None else entries
 
     # -- lifecycle -----------------------------------------------------------
 
-    def clear(self) -> None:
-        self._state.clear()
-
     def size_bytes(self) -> int:
         """Retained memory of all state (drives autoscaling + benches)."""
-        return deep_sizeof(self._state)
+        return deep_sizeof(self.tables)
 
     def entry_count(self) -> int:
-        return sum(len(table) for table in self._state.values())
+        return sum(len(table) for table in self.tables.values())
 
     # -- checkpointing -------------------------------------------------------
 
@@ -79,7 +82,7 @@ class KeyedStateBackend:
         try:
             payload = {
                 descriptor: [[_key_to_wire(k), _value_to_wire(v)] for k, v in table.items()]
-                for descriptor, table in self._state.items()
+                for descriptor, table in self.tables.items()
             }
             return serde.encode(payload)
         except Exception as exc:
@@ -87,7 +90,7 @@ class KeyedStateBackend:
 
     def restore(self, data: bytes) -> None:
         payload = serde.decode(data)
-        self._state = {
+        self.tables = {
             descriptor: {_key_from_wire(k): _value_from_wire(v) for k, v in entries}
             for descriptor, entries in payload.items()
         }

@@ -82,10 +82,26 @@ class TestPairing:
         with pytest.raises(OperatorError):
             make_join(lower=5.0, upper=-5.0)
 
+    @pytest.mark.parametrize(
+        "lower, upper",
+        [(math.nan, 0.0), (-10.0, math.nan), (-math.inf, 0.0), (-10.0, math.inf)],
+    )
+    def test_non_finite_bounds_rejected(self, lower, upper):
+        # NaN would silently join nothing; an infinite reach would make
+        # every record's horizon non-finite and fail as a bad event time.
+        with pytest.raises(OperatorError, match="bounds must be finite"):
+            make_join(lower=lower, upper=upper)
+
     @pytest.mark.parametrize("ttl", [-1.0, -math.inf, math.nan])
     def test_negative_or_nan_ttl_rejected(self, ttl):
         with pytest.raises(OperatorError, match="state TTL"):
             make_join(state_ttl=ttl)
+
+    @pytest.mark.parametrize("budget", [0, -100, math.nan])
+    def test_non_positive_spill_budget_rejected(self, budget):
+        # A negative budget would read as negative pressure, never as spill.
+        with pytest.raises(OperatorError, match="spill budget"):
+            make_join(spill_budget_bytes=budget)
 
     def test_zero_ttl_is_legal(self):
         assert make_join(state_ttl=0.0).state_ttl == 0.0
@@ -113,9 +129,13 @@ class TestPairing:
 def reference_join(script, lower, upper, lateness, ttl):
     """The join's contract, written down the slow way: every admitted
     record is buffered, probes the whole other side of its key in arrival
-    order, and leaves once the watermark reaches its deadline."""
+    order, and leaves once the watermark reaches its deadline.
+
+    Besides the pairs and counts it returns what stays buffered after
+    each watermark: per side, ``{key: [[ts, value], ...]}`` in arrival
+    order."""
     buffers = {"left": [], "right": []}  # entries: [key, ts, value, deadline]
-    watermark, admitted, evicted, pairs = -math.inf, 0, 0, []
+    watermark, admitted, evicted, pairs, survivors = -math.inf, 0, 0, [], []
     for kind, *event in script:
         if kind == "watermark":
             watermark = max(watermark, event[0])
@@ -123,6 +143,12 @@ def reference_join(script, lower, upper, lateness, ttl):
                 kept = [e for e in entries if e[3] > watermark]
                 evicted += len(entries) - len(kept)
                 entries[:] = kept
+            grouped = {}
+            for side, entries in buffers.items():
+                by_key = grouped[side] = {}
+                for key, ts, value, __ in entries:
+                    by_key.setdefault(key, []).append([ts, value])
+            survivors.append(grouped)
             continue
         key, ts, value = event
         horizon = ts + (max(0.0, -lower) if kind == "left" else max(0.0, upper))
@@ -140,7 +166,7 @@ def reference_join(script, lower, upper, lateness, ttl):
             deadline = max(deadline, ts + ttl)
         buffers[kind].append([key, ts, value, deadline])
         admitted += 1
-    return pairs, admitted, evicted
+    return pairs, admitted, evicted, survivors
 
 
 class TestAgainstReference:
@@ -162,18 +188,32 @@ class TestAgainstReference:
         op = IntervalJoinOperator(
             lower, upper, lambda l, r: (l, r), allowed_lateness=lateness, state_ttl=ttl
         )
-        emitted = []
+        pairs, admitted, evicted, survivors = reference_join(
+            script, lower, upper, lateness, ttl
+        )
+        emitted, buffered = [], []
         for kind, *event in script:
             if kind == "watermark":
                 assert op.on_watermark(Watermark(event[0])) == []
+                # What stays is exact, not only how much left: each side's
+                # surviving entries, per key, in arrival order.
+                buffered.append(
+                    {
+                        side: {
+                            key: [[ts, value] for ts, __, value in entries]
+                            for key, entries in op.state.tables.get(side, {}).items()
+                        }
+                        for side in ("left", "right")
+                    }
+                )
             else:
                 key, ts, value = event
                 index = 0 if kind == "left" else 1
                 out = op.process(StreamRecord(value, ts, key), index)
                 emitted.extend((r.value, r.timestamp, r.key) for r in out)
-        pairs, admitted, evicted = reference_join(script, lower, upper, lateness, ttl)
         assert pairs and evicted and admitted < len(script)  # the script bites
         assert emitted == pairs
+        assert buffered == survivors
         assert (op._seq, op.evicted) == (admitted, evicted)
         assert op.late_dropped == sum(e[0] != "watermark" for e in script) - admitted
 
@@ -243,14 +283,18 @@ class TestEviction:
         assert op.state.keys("left") == []
 
     def test_eviction_is_per_entry(self):
-        op = make_join(lower=-10.0, upper=0.0)
-        op.process(left("p1", 10.0), input_index=0)
-        op.process(left("p2", 18.0), input_index=0)
-        op.on_watermark(Watermark(20.0))
-        assert op.evicted == 1  # p1 out, p2 (horizon 28) still buffered
-        assert [r.value for r in op.process(left("o", 20.5), input_index=1)] == [
-            ("p2", "o")
-        ]
+        # Arrived second, the due p1 sits behind the live p2 in its key's
+        # list: eviction deletes it from the middle, not only the front.
+        for arrivals in ([("p1", 10.0), ("p2", 18.0)], [("p2", 18.0), ("p1", 10.0)]):
+            op = make_join(lower=-10.0, upper=0.0)
+            for value, ts in arrivals:
+                op.process(left(value, ts), input_index=0)
+            op.on_watermark(Watermark(20.0))
+            assert op.evicted == 1  # p1 out, p2 (horizon 28) still buffered
+            assert [e[2] for e in op.state.tables["left"]["k"]] == ["p2"]
+            assert [r.value for r in op.process(left("o", 20.5), input_index=1)] == [
+                ("p2", "o")
+            ]
 
 
 class TestSpillPressure:
