@@ -1,13 +1,17 @@
 """The one epoch-validated cache under the query path.
 
-Three tiers memoize work over versioned tables — the Pinot broker
-(finished query results), each Pinot server (filter resolutions against
-sealed segments) and each Presto worker (stage outputs) — and all three
-need the same thing: ``key -> value`` that is served only while the data
-it was computed from is unchanged.  "Unchanged" is an *epoch*: an opaque
-value the owner derives from the table version(s) under the entry
-(``TableState.epoch``, a tuple of ``(table, epoch)`` pairs for a stage
-over several tables).  Epochs advance on every data mutation, so a hit is
+Three tiers memoize work over versioned data — the Pinot broker
+(finished query results), each Pinot server (filter resolutions and
+partial results on sealed segments) and each Presto worker (stage
+outputs) — and all three need the same thing: ``key -> value`` that is
+served only while the data it was computed from is unchanged.
+"Unchanged" is an *epoch*: an opaque value the owner derives from the
+narrowest version under the entry.  For the broker that is the table
+(``TableState.epoch``), for a stage over several tables a tuple of
+``(table, epoch)`` pairs, and for a server's entry the sealed segment
+instance it was computed on (``ImmutableSegment.serial``): a sealed
+segment never changes, so ingest elsewhere in its table leaves the entry
+fresh.  Epochs advance on every mutation of what they cover, so a hit is
 provably fresh and invalidation never depends on wall-clock TTLs, which
 would be non-deterministic under the simulated clock and stale besides.
 
@@ -102,6 +106,11 @@ class EpochCache:
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
             self.evictions += 1
+
+    def __contains__(self, key: Hashable) -> bool:
+        """Whether an entry is held under ``key``, at any epoch; counts
+        nothing and touches no order."""
+        return key in self._entries
 
     def __len__(self) -> int:
         return len(self._entries)

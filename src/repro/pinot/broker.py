@@ -21,16 +21,23 @@ latency/cost edge: touch as little irrelevant data as possible):
   segment epoch.  The epoch advances on every data mutation (row
   ingested, segment sealed/loaded/dropped, upsert applied), so a hit is
   provably fresh and the first read after a mutation replaces the entry.
+  The table epoch stops here: nothing below the broker is validated by
+  it.
 
-* **Sticky replica routing + scan sharing** — a replica-eligible sealed
-  segment is routed by weighted rendezvous hash over its live hosts
-  (:mod:`repro.common.hashring`), so the same segment's subqueries keep
-  landing on the same server and that server's scan-share cache
-  (:mod:`repro.pinot.scanshare`: memoized filter resolutions, validated
-  against the same epoch) actually pays.  Replica choice depends only on
-  the segment's identity and replica liveness — never on pruning
-  decisions — and results are merged in canonical segment order, so
-  which replica served a segment is invisible in results, byte for byte.
+* **Sticky replica routing + per-segment memos** — a replica-eligible
+  sealed segment is routed by weighted rendezvous hash over its live
+  hosts (:mod:`repro.common.hashring`), so the same segment's subqueries
+  keep landing on the same server and that server's cache of work on
+  sealed segments (:mod:`repro.pinot.scanshare`, validated by the segment
+  instance) actually pays.  For a query its result cache holds at an
+  older epoch — asked before, and asked again after the table moved —
+  the broker passes the normalized query down, and each server keeps its
+  sealed segments' partials under it: later repeats re-run only the
+  consuming segments and those sealed since.  A query asked once stores
+  no partial.  Replica choice depends only on the segment's identity and
+  replica liveness — never on pruning decisions — and results are merged
+  in canonical segment order, so which replica served a segment is
+  invisible in results, byte for byte.
 
 A selection travels as column pages — one
 :class:`~repro.columnar.ColumnBatch` per segment — from the segment scan
@@ -178,7 +185,11 @@ class PinotBroker:
         state = self.controller.table(query.table)
         epoch = state.epoch
         cache_key = normalize_query(query)
+        memo_key = None
         if cache_key is not None:
+            # Held but missed: answered before the table moved, so asked
+            # again; only then may servers keep per-segment partials.
+            memo_key = cache_key if cache_key in self.cache else None
             cached = self.cache.get(cache_key, epoch)
             if cached is not None:
                 return self._serve_cached(query, cached, start)
@@ -194,7 +205,7 @@ class PinotBroker:
             servers += 1
             scanned += len(segment_names)
             partials.extend(
-                server.execute(query, segment_names, upsert_partition, epoch)
+                server.execute(query, segment_names, upsert_partition, memo_key)
             )
         if PERF.enabled:
             PERF.inc("pinot.segments_scanned", scanned)

@@ -30,6 +30,14 @@ class TableState:
     # segment plus the servers currently hosting it.
     offline_segments: dict[str, list[PinotServer]] = field(default_factory=dict)
 
+    def holds_segment(self, name: str) -> bool:
+        """Whether ``name`` is one of this table's offline or realtime
+        segments (sealed or consuming)."""
+        return name in self.offline_segments or any(
+            name in self.ingestion.segments_of_partition(partition)
+            for partition in self.ingestion.partitions
+        )
+
     @property
     def epoch(self) -> int:
         """Data version of the table; the broker cache's freshness key."""
@@ -86,8 +94,16 @@ class PinotController:
     def add_offline_segment(
         self, table: str, segment: ImmutableSegment, copies: int | None = None
     ) -> None:
-        """Load a batch-built segment (the Hive->Pinot path, Section 4.3.3)."""
+        """Load a batch-built segment (the Hive->Pinot path, Section 4.3.3).
+
+        A server hosts segments by name alone, so a name another table
+        already holds is refused rather than swapped under it."""
         state = self.table(table)
+        for other, other_state in self.tables.items():
+            if other != table and other_state.holds_segment(segment.name):
+                raise PinotError(
+                    f"segment {segment.name!r} is already hosted for table {other!r}"
+                )
         live = [s for s in self.servers if s.alive]
         copies = copies if copies is not None else state.config.replicas
         hosts = live[: max(1, copies)]

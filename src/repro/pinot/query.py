@@ -285,7 +285,6 @@ def execute_on_segment(
     query: PinotQuery,
     valid_doc_ids: set[int] | None = None,
     scan_cache=None,
-    scan_epoch: int | None = None,
 ) -> PartialResult:
     """Run a query against one segment, returning mergeable partials.
 
@@ -301,11 +300,12 @@ def execute_on_segment(
     A selection comes back as one :class:`ColumnBatch` page
     (``PartialResult.page``), an aggregation as mergeable group states.
     ``scan_cache`` (a server's scan-share
-    :class:`~repro.common.epochcache.EpochCache`) with ``scan_epoch``
-    (the table epoch) memoizes doc-examining filter resolutions across
-    queries; memoization happens *before* ``valid_doc_ids`` filtering,
-    so upsert validity is always applied fresh.  Bare segments (benches,
-    tests) pass no cache and resolve every filter fresh.
+    :class:`~repro.common.epochcache.EpochCache`) memoizes a sealed
+    segment's doc-examining filter resolutions across queries, valid for
+    as long as that segment instance is the one asked; memoization happens
+    *before* ``valid_doc_ids`` filtering, so upsert validity is always
+    applied fresh.  Bare segments (benches, tests) pass no cache and
+    resolve every filter fresh.
     """
     plan = SegmentPlan(segment=segment.name)
     if query.is_aggregation():
@@ -319,7 +319,7 @@ def execute_on_segment(
         startree_result = _try_startree(segment, query, plan)
         if startree_result is not None:
             return startree_result
-    matching = _matching_docs(segment, query, plan, scan_cache, scan_epoch)
+    matching = _matching_docs(segment, query, plan, scan_cache)
     if valid_doc_ids is not None:
         matching = [d for d in matching if d in valid_doc_ids]
     partial = PartialResult(plan=plan)
@@ -352,7 +352,6 @@ def _matching_docs(
     query: PinotQuery,
     plan: SegmentPlan,
     scan_cache=None,
-    scan_epoch: int | None = None,
 ) -> list[int]:
     if isinstance(segment, MutableSegment):
         # Consuming segments have no indexes; always scan.  They also
@@ -376,9 +375,7 @@ def _matching_docs(
         path, examines_docs = _access_path(segment, flt)
         resolve = functools.partial(_resolve_filter, path)
         if examines_docs and scan_cache is not None:
-            selected = shared_resolution(
-                scan_cache, scan_epoch, segment, flt, plan, resolve
-            )
+            selected = shared_resolution(scan_cache, segment, flt, plan, resolve)
         else:
             selected = resolve(segment, flt, plan)
         docs = selected if docs is None else intersect_sorted(docs, selected)

@@ -1,34 +1,48 @@
-"""Per-server scan sharing: memoized filter resolutions.
+"""Per-server scan sharing: memoized work on sealed segments.
 
-The broker's result cache only pays when an *entire* query repeats; a
-surge workload mostly repeats *predicates* — the same ``city = X`` or
-``ts BETWEEN lo AND hi`` shows up inside thousands of distinct queries.
-Resolving such a filter against a sealed segment is a pure function of
-``(segment contents, predicate)``: the decode-heavy part of a scatter.
-Each server memoizes exactly that in an
-:class:`~repro.common.epochcache.EpochCache`, so the broker's sticky
-routing — a segment's queries keep landing on the same server — turns
-repeat predicates into lookups instead of forward-index decodes.
+The broker's result cache only pays when an *entire* query repeats at
+one table epoch, and a live table's epoch moves with every row ingested.
+Work on a *sealed* segment does not go stale that way: an
+:class:`~repro.pinot.segment.ImmutableSegment` never changes once built,
+so each server keeps one :class:`~repro.common.epochcache.EpochCache`
+(``PinotServer.scan_cache``) of work done on the sealed segments it
+hosts, validated by the segment instance (``ImmutableSegment.serial``),
+not by the table.  Ingest, a neighbour sealing or a segment dropped
+elsewhere leaves an entry fresh; a segment rebuilt under the same name
+(:meth:`~repro.pinot.segment.ImmutableSegment.from_bytes`) is a new
+instance, and the first read under it replaces the old entry.  The
+broker's sticky routing — a segment's queries keep landing on the same
+server — is what makes a server's entries pay.
 
-The cache class owns freshness (an entry is served only at the table
-epoch it was stored under, and its successor replaces it); what is
-scan sharing's own lives here:
+Two kinds of entry share the cache and the rule:
 
-* **Equality-canonical keys** — predicate literals are canonicalized
-  through :func:`repro.common.serde.encode_key` (once per predicate:
+* **Filter resolutions**, keyed ``(segment name, predicate)``.  Resolving
+  a filter against a sealed segment is a pure function of ``(segment
+  contents, predicate)``: the decode-heavy part of a scatter, and a surge
+  workload repeats *predicates* inside thousands of distinct queries.
+  Predicate literals are canonicalized through
+  :func:`repro.common.serde.encode_key` (once per predicate:
   :attr:`~repro.common.relational.Predicate.canonical_bytes`), the same
-  primitive as partition pruning and bloom filters, so ``ts = 5`` and ``ts = 5.0``
-  (which the executor's Python ``==`` treats identically) share one
-  entry and can never disagree with a fresh scan.  Unencodable
-  literals bypass the cache entirely.
-* **Expensive paths only** — callers share only resolutions that
-  examine documents (forward-index scans, range-boundary refinements).
-  Index lookups (sorted/inverted) are already cheaper than a cache hit.
-* **Evidence-preserving** — a hit replays the stored access path and
-  ``docs_examined`` into the segment plan, so query plans and stats
-  read exactly as if the scan had run; only the PERF counters (and the
-  saved decode work) reveal the sharing.  Sealed segments only: a
-  consuming segment mutates between queries.
+  primitive as partition pruning and bloom filters, so ``ts = 5`` and
+  ``ts = 5.0`` (which the executor's Python ``==`` treats identically)
+  share one entry and can never disagree with a fresh scan; unencodable
+  literals bypass the cache.  Only resolutions that examine documents
+  (forward-index scans, range-boundary refinements) are shared: index
+  lookups (sorted/inverted) are already cheaper than a cache hit.
+  Memoization happens before upsert validity is applied, so that is
+  always applied fresh.
+* **Partial results**, keyed ``(segment name, normalized query)``: a
+  sealed segment's whole :class:`~repro.pinot.query.PartialResult`.  The
+  broker passes the query key only for a query it answered before the
+  table moved (a dashboard panel asked again after ingest), so a stream
+  of distinct queries stores none.  Never for an upsert subquery, whose
+  valid docs move with every upsert, or a consuming segment.
+
+Both are **evidence-preserving**: a hit replays the stored access path
+and ``docs_examined`` (a partial carries its whole ``SegmentPlan``), so
+query plans and stats read exactly as if the segment had been executed;
+only the cache's counters and the saved work reveal the sharing.
+A consuming segment mutates between queries, so nothing of it is kept.
 """
 
 from __future__ import annotations
@@ -38,7 +52,8 @@ from dataclasses import dataclass
 from repro.common.epochcache import EpochCache
 from repro.common.perf import PERF
 
-#: Entries per server; one entry is one (segment, predicate) doc-id tuple.
+#: Entries per server; one entry is one (segment, predicate) doc-id tuple
+#: or one (segment, query) partial result.
 SCAN_SHARE_CAPACITY = 65_536
 
 
@@ -57,16 +72,14 @@ def share_key(segment_name: str, flt) -> tuple[str, bytes] | None:
     return None if predicate is None else (segment_name, predicate)
 
 
-def shared_resolution(
-    cache: EpochCache, epoch: int, segment, flt, plan, resolve
-) -> list[int]:
+def shared_resolution(cache: EpochCache, segment, flt, plan, resolve) -> list[int]:
     """Doc ids of ``segment`` matching ``flt``: served from ``cache`` with
     the plan evidence replayed, else ``resolve(segment, flt, plan)`` run
     and its result and evidence stored for the next query."""
     key = share_key(segment.name, flt)
     if key is None:
         return resolve(segment, flt, plan)
-    entry = cache.get(key, epoch)
+    entry = cache.get(key, segment.serial)
     if entry is not None:
         if PERF.enabled:
             PERF.inc("pinot.scanshare_hits")
@@ -80,7 +93,7 @@ def shared_resolution(
     docs = resolve(segment, flt, plan)
     cache.put(
         key,
-        epoch,
+        segment.serial,
         ScanShareEntry(
             tuple(docs), plan.access_paths[-1], plan.docs_examined - examined_before
         ),

@@ -13,6 +13,7 @@ the query indexes, and yields the immutable form.
 
 from __future__ import annotations
 
+import itertools
 import struct
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
@@ -34,6 +35,12 @@ class IndexConfig:
     # Columns carrying a segment-level bloom filter (equality pruning on
     # high-cardinality columns; zone maps are built for every column).
     bloom_filtered: frozenset[str] = frozenset()
+
+
+#: Serials of built sealed segments: one per instance, never reused
+#: (``id()`` is, once an instance is collected).  Serials are only
+#: compared for equality, so no output depends on the process-wide count.
+_SERIALS = itertools.count()
 
 
 def _value_class(value: Any) -> str:
@@ -264,7 +271,12 @@ def _sort_key(value: Any):
 
 
 class ImmutableSegment:
-    """Sealed columnar segment with forward + query indexes."""
+    """Sealed columnar segment with forward + query indexes.
+
+    ``serial`` is unique to this instance: a copy rebuilt from bytes
+    (:meth:`from_bytes`, as a fetch from the segment store does) is a new
+    segment to every cache validated by it, even under the same name.
+    """
 
     def __init__(
         self,
@@ -280,6 +292,7 @@ class ImmutableSegment:
         if len(lengths) != 1:
             raise SegmentError("column lengths differ")
         self.name = name
+        self.serial = next(_SERIALS)
         self.num_docs = lengths.pop()
         self.index_config = index_config or IndexConfig()
         self.time_column = time_column

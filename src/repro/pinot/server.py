@@ -30,8 +30,8 @@ class PinotServer:
     upsert_managers: dict[tuple[str, int], UpsertManager] = field(
         default_factory=dict
     )
-    # Memoized filter resolutions (see repro.pinot.scanshare), validated
-    # against the table epoch the broker routed the subquery at.
+    # Memoized work on hosted sealed segments (see repro.pinot.scanshare),
+    # each entry validated by the segment instance it was computed on.
     scan_cache: EpochCache = field(
         default_factory=lambda: EpochCache(SCAN_SHARE_CAPACITY)
     )
@@ -56,14 +56,16 @@ class PinotServer:
         query: PinotQuery,
         segment_names: list[str],
         upsert_partition: int | None,
-        epoch: int,
+        query_key: tuple | None = None,
     ) -> list[PartialResult]:
         """Run a subquery over the named hosted segments.
 
         For upsert tables the broker routes all of one partition's segments
         here and passes ``upsert_partition`` so execution honours the local
-        valid-doc-id sets.  ``epoch`` is the table epoch at routing time:
-        what this server's scan-share entries are validated against.
+        valid-doc-id sets.  ``query_key`` (the broker's normalized query,
+        passed for a query asked again) lets a sealed segment's partial be
+        served from, or stored in, ``scan_cache``; an upsert subquery
+        never is, since its valid docs move with every upsert.
         """
         if not self.alive:
             raise SegmentError(f"server {self.name} is down")
@@ -73,21 +75,30 @@ class PinotServer:
             if upsert_partition is not None
             else None
         )
+        memo = query_key if upsert_partition is None else None
         for name in segment_names:
             segment = self.segments.get(name)
             if segment is None:
                 raise SegmentError(f"server {self.name} does not host {name!r}")
+            if memo is not None and isinstance(segment, ImmutableSegment):
+                partials.append(self._memoized(segment, query, (name, memo)))
+                continue
             valid = manager.valid_docs(name) if manager is not None else None
-            partials.append(
-                execute_on_segment(
-                    segment,
-                    query,
-                    valid,
-                    scan_cache=self.scan_cache,
-                    scan_epoch=epoch,
-                )
-            )
+            partials.append(execute_on_segment(segment, query, valid, self.scan_cache))
         return partials
+
+    def _memoized(
+        self, segment: ImmutableSegment, query: PinotQuery, key: tuple
+    ) -> PartialResult:
+        """The segment's partial for ``query``: what this instance answered
+        before, else executed and kept.  A partial is never written to
+        once produced (the broker's merge adopts its states without
+        writing into them), so every serve shares the stored one."""
+        partial = self.scan_cache.get(key, segment.serial)
+        if partial is None:
+            partial = execute_on_segment(segment, query, None, self.scan_cache)
+            self.scan_cache.put(key, segment.serial, partial)
+        return partial
 
     def hosted_disk_bytes(self) -> int:
         return sum(

@@ -340,7 +340,9 @@ class MemoryConnector:
     def scan(self, request: ScanRequest) -> ScanResult:
         if request.table not in self.tables:
             raise SqlPlanError(f"memory connector has no table {request.table!r}")
-        rows = [dict(r) for r in self.tables[request.table]]
+        # Shared, not copied: nothing under the query path writes to a
+        # row, and PrestoEngine.execute copies what leaves for a caller.
+        rows = self.tables[request.table]
         return ScanResult(
             rows=rows,
             source_rows_examined=len(rows),

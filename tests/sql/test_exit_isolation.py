@@ -18,6 +18,8 @@ from repro.pinot.broker import PinotBroker
 from repro.pinot.query import Aggregation, Filter, PinotQuery
 from repro.pinot.table import TableConfig
 from repro.platform import Platform
+from repro.sql.presto.connector import MemoryConnector
+from repro.sql.presto.engine import PrestoEngine
 from tests.pinot.fixtures import SCHEMA, ride
 from tests.reference.query import canonical, evaluate
 from tests.pinot.test_selection_boundary import json_table, vandalize
@@ -137,3 +139,25 @@ def test_vandalized_broker_rows_cannot_change_a_different_query(shape):
     again = broker.execute(first)
     assert again.cache_hit
     assert_answers(first, again.rows, table.sent)
+
+
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "SELECT * FROM rides",
+        "SELECT ride_id, payload FROM rides WHERE amount >= 0",
+        "SELECT ride_id, payload FROM rides ORDER BY ride_id LIMIT 20",
+    ],
+)
+def test_vandalized_output_cannot_reach_a_memory_connectors_table(sql):
+    # The connector hands the engine its own rows; the engine's exit is
+    # the only copy between them and the caller.
+    held = [ride(i, float(i), with_json=True) for i in range(60)]
+    pristine = copy.deepcopy(held)
+    engine = PrestoEngine({"rides": MemoryConnector({"rides": held})})
+    vandalize(engine.execute(sql).rows)
+    vandalize(engine.execute(sql).rows)  # served from the stage artifacts
+    assert held == pristine
+    assert canonical(engine.execute("SELECT * FROM rides").rows) == canonical(
+        pristine
+    )
