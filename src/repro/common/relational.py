@@ -15,8 +15,8 @@ an answer depends on are written here once and every executor calls them:
    Operands that do not order raise :class:`IncomparableError` from the
    cell rule alone: the sorted form answers ``None`` and the range rule
    "may match" on any doubt, so a type error is never skipped or pruned.
-2. :func:`aggregate_rule` — init / add / merge / final for COUNT, SUM,
-   AVG, MIN, MAX, DISTINCTCOUNT.  NULL is skipped inside ``add``:
+2. :func:`aggregate_rule` — init / add / merge / final / copy for COUNT,
+   SUM, AVG, MIN, MAX, DISTINCTCOUNT.  NULL is skipped inside ``add``:
    ``COUNT(col)`` counts non-NULL cells, SUM over none is ``0.0``,
    AVG / MIN / MAX over none is ``None``.  MIN / MAX start from their
    first value, so they order strings as well as numbers; SUM / AVG of a
@@ -24,7 +24,8 @@ an answer depends on are written here once and every executor calls them:
 3. :class:`GroupFold` — group key -> states, fed a row at a time
    (:meth:`GroupFold.add`) or a column at a time
    (:meth:`GroupFold.add_columns`: same states, each aggregate sweeping
-   its own column in row order), and the finisher
+   its own column in row order), resumable from another fold's states
+   (:meth:`GroupFold.resume`, which copies them), and the finisher
    (:meth:`GroupFold.rows`): one row per group, sorted by stringified
    key; a global aggregate over no input is still one row.
 4. :func:`order_rows` — ORDER BY sorts on ``(is None, value)`` per key
@@ -217,6 +218,9 @@ class AggregateRule(NamedTuple):
     add: Callable[[Any, Any], Any]  # (state, value) -> state; NULL skipped
     merge: Callable[[Any, Any], Any]
     final: Callable[[Any], Any]
+    # A state ``add`` may write into (AVG's list, DISTINCTCOUNT's set) is
+    # copied; a number or a MIN / MAX value is shared.
+    copy: Callable[[Any], Any]
 
 
 def _identity(state: Any) -> Any:
@@ -275,22 +279,27 @@ def _extreme(name: str, better: Callable[[Any, Any], bool]) -> AggregateRule:
             ) from None
 
     return AggregateRule(
-        lambda: None, add, lambda a, b: b if a is None else add(a, b), _identity
+        lambda: None,
+        add,
+        lambda a, b: b if a is None else add(a, b),
+        _identity,
+        _identity,
     )
 
 
 _RULES = {
-    "COUNT": AggregateRule(int, _count_add, operator.add, _identity),
-    "SUM": AggregateRule(float, _sum_add, operator.add, _identity),
+    "COUNT": AggregateRule(int, _count_add, operator.add, _identity, _identity),
+    "SUM": AggregateRule(float, _sum_add, operator.add, _identity, _identity),
     "AVG": AggregateRule(
         lambda: [0.0, 0],
         _avg_add,
         lambda a, b: [a[0] + b[0], a[1] + b[1]],
         lambda state: state[0] / state[1] if state[1] else None,
+        list,
     ),
     "MIN": _extreme("MIN", operator.lt),
     "MAX": _extreme("MAX", operator.gt),
-    "DISTINCTCOUNT": AggregateRule(set, _distinct_add, operator.or_, len),
+    "DISTINCTCOUNT": AggregateRule(set, _distinct_add, operator.or_, len, set),
 }
 _COUNT_ROWS = _RULES["COUNT"]._replace(add=lambda state, value: state + 1)
 
@@ -355,6 +364,17 @@ class GroupFold:
             cells = repeat(None) if column is None else column
             for states, value in zip(row_states, cells):
                 states[i] = add(states[i], value)
+
+    def resume(self, groups: dict[tuple, list[Any]]) -> None:
+        """Start from copies of another fold's ``groups``, which stay
+        unwritten: rows added next fold on top of them, in the order
+        they come, exactly as if this fold had taken the other's rows
+        first."""
+        copies = [rule.copy for rule in self.rules]
+        self.groups = {
+            key: [copy(state) for copy, state in zip(copies, states)]
+            for key, states in groups.items()
+        }
 
     def merge(self, groups: dict[tuple, list[Any]]) -> None:
         """Fold another fold's ``groups`` into this one."""

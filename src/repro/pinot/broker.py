@@ -32,9 +32,10 @@ latency/cost edge: touch as little irrelevant data as possible):
   instance) actually pays.  For a query its result cache holds at an
   older epoch — asked before, and asked again after the table moved —
   the broker passes the normalized query down, and each server keeps its
-  sealed segments' partials under it: later repeats re-run only the
-  consuming segments and those sealed since.  A query asked once stores
-  no partial.  Replica choice depends only on the segment's identity and
+  segments' partials under it: later repeats re-run only the segments
+  sealed since, and fold only the rows each consuming segment gained
+  (an aggregation's; a selection re-reads it).  A query asked once
+  stores no partial.  Replica choice depends only on the segment's identity and
   replica liveness — never on pruning decisions — and results are merged
   in canonical segment order, so which replica served a segment is
   invisible in results, byte for byte.

@@ -285,6 +285,7 @@ def execute_on_segment(
     query: PinotQuery,
     valid_doc_ids: set[int] | None = None,
     scan_cache=None,
+    held: tuple[int, PartialResult] | None = None,
 ) -> PartialResult:
     """Run a query against one segment, returning mergeable partials.
 
@@ -306,6 +307,14 @@ def execute_on_segment(
     *before* ``valid_doc_ids`` filtering, so upsert validity is always
     applied fresh.  Bare segments (benches, tests) pass no cache and
     resolve every filter fresh.
+
+    ``held`` is ``(docs covered, partial)``: what an aggregation of this
+    consuming segment instance answered over its first ``docs covered``
+    docs.  A consuming segment is append-only, so only the docs appended
+    since are filtered and read, and they fold in doc order on top of
+    copies of the held states — the states a fold from doc 0 would
+    reach, floats included.  The held partial is never written to, and
+    the plan reads as the whole scan.
     """
     plan = SegmentPlan(segment=segment.name)
     if query.is_aggregation():
@@ -319,7 +328,8 @@ def execute_on_segment(
         startree_result = _try_startree(segment, query, plan)
         if startree_result is not None:
             return startree_result
-    matching = _matching_docs(segment, query, plan, scan_cache)
+    start, prior = held or (0, None)
+    matching = _matching_docs(segment, query, plan, scan_cache, start)
     if valid_doc_ids is not None:
         matching = [d for d in matching if d in valid_doc_ids]
     partial = PartialResult(plan=plan)
@@ -327,6 +337,8 @@ def execute_on_segment(
         # dict.fromkeys: a column named twice is still read once.
         cells = {c: segment.cells(c, matching) for c in dict.fromkeys(read)}
         fold = group_fold(query)
+        if prior is not None:
+            fold.resume(prior.groups)
         fold.add_columns(
             [cells[c] for c in query.group_by],
             [cells.get(a.column) for a in query.aggregations],
@@ -352,13 +364,16 @@ def _matching_docs(
     query: PinotQuery,
     plan: SegmentPlan,
     scan_cache=None,
+    start: int = 0,
 ) -> list[int]:
     if isinstance(segment, MutableSegment):
-        # Consuming segments have no indexes; always scan.  They also
-        # mutate between queries, so they are never scan-share cached.
+        # Consuming segments have no indexes; always scan.  Docs below
+        # ``start`` are already folded into a held partial, so only those
+        # appended since are read; the plan still reads as the whole scan.
         plan.access_paths.extend(f"scan:{f.column}" for f in query.filters)
-        plan.docs_examined += segment.num_docs
-        docs = range(segment.num_docs)
+        end = segment.num_docs
+        plan.docs_examined += end
+        docs = range(start, end)
         for flt in query.filters:  # each conjunct sees the survivors only
             if PERF.enabled:
                 PERF.inc("pinot.filter_evals", len(docs))

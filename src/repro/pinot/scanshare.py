@@ -1,4 +1,4 @@
-"""Per-server scan sharing: memoized work on sealed segments.
+"""Per-server scan sharing: memoized work on the segments a server hosts.
 
 The broker's result cache only pays when an *entire* query repeats at
 one table epoch, and a live table's epoch moves with every row ingested.
@@ -10,7 +10,8 @@ hosts, validated by the segment instance (``ImmutableSegment.serial``),
 not by the table.  Ingest, a neighbour sealing or a segment dropped
 elsewhere leaves an entry fresh; a segment rebuilt under the same name
 (:meth:`~repro.pinot.segment.ImmutableSegment.from_bytes`) is a new
-instance, and the first read under it replaces the old entry.  The
+instance, and the first read under it replaces the old entry.  A
+consuming segment's aggregation partials share the rule (see below).  The
 broker's sticky routing — a segment's queries keep landing on the same
 server — is what makes a server's entries pay.
 
@@ -32,17 +33,26 @@ Two kinds of entry share the cache and the rule:
   Memoization happens before upsert validity is applied, so that is
   always applied fresh.
 * **Partial results**, keyed ``(segment name, normalized query)``: a
-  sealed segment's whole :class:`~repro.pinot.query.PartialResult`.  The
-  broker passes the query key only for a query it answered before the
-  table moved (a dashboard panel asked again after ingest), so a stream
-  of distinct queries stores none.  Never for an upsert subquery, whose
-  valid docs move with every upsert, or a consuming segment.
+  sealed segment's whole :class:`~repro.pinot.query.PartialResult`, or
+  for a consuming segment and an aggregation, ``(docs covered,
+  partial)``.  The broker passes the query key only for a query it
+  answered before the table moved (a dashboard panel asked again after
+  ingest), so a stream of distinct queries stores none.  Never for an
+  upsert subquery, whose valid docs move with every upsert.
 
 Both are **evidence-preserving**: a hit replays the stored access path
 and ``docs_examined`` (a partial carries its whole ``SegmentPlan``), so
 query plans and stats read exactly as if the segment had been executed;
 only the cache's counters and the saved work reveal the sharing.
-A consuming segment mutates between queries, so nothing of it is kept.
+
+A consuming segment (:class:`~repro.pinot.segment.MutableSegment`) gains
+docs between queries but is append-only, and a new instance has its own
+``serial`` too (a seal keeps the name; so does a partition reopened on a
+restarted owner).  So a held aggregation partial stays true of the docs
+it covers: a repeat folds only the docs appended since on top of copies
+of its states, in doc order, and keeps the result in its place — the
+states a fold from doc 0 would reach, and the plan of one.  Filter
+resolutions and selection pages of a consuming segment are not kept.
 """
 
 from __future__ import annotations

@@ -491,6 +491,14 @@ class MutableSegment:
     row's append position.  Reads go by column (:meth:`cells`) or by doc
     (:meth:`value`, :meth:`row`) until :meth:`seal` builds the columnar
     form.
+
+    The segment is append-only: :meth:`append` is its only writer, and a
+    doc, once appended, is never changed or removed.  A server's held
+    partial of a repeated aggregation relies on it, extending what it
+    covered by the docs appended since.  Any other change to the rows
+    must come from a new instance, which ``serial`` tells apart, as it
+    does for :class:`ImmutableSegment`: a seal keeps the name, and a
+    partition reopened on a new owner reuses it.
     """
 
     name: str
@@ -499,6 +507,9 @@ class MutableSegment:
     # When set (realtime tables pass the schema's columns), references to
     # unknown columns fail loudly instead of reading as NULL.
     column_names: list[str] | None = None
+    serial: int = field(
+        default_factory=lambda: next(_SERIALS), init=False, compare=False
+    )
 
     def append(self, row: dict[str, Any]) -> int:
         """Append a row; returns its doc id within this segment."""

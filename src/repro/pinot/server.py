@@ -30,8 +30,8 @@ class PinotServer:
     upsert_managers: dict[tuple[str, int], UpsertManager] = field(
         default_factory=dict
     )
-    # Memoized work on hosted sealed segments (see repro.pinot.scanshare),
-    # each entry validated by the segment instance it was computed on.
+    # Memoized work on hosted segments (see repro.pinot.scanshare), each
+    # entry validated by the segment instance it was computed on.
     scan_cache: EpochCache = field(
         default_factory=lambda: EpochCache(SCAN_SHARE_CAPACITY)
     )
@@ -64,8 +64,10 @@ class PinotServer:
         here and passes ``upsert_partition`` so execution honours the local
         valid-doc-id sets.  ``query_key`` (the broker's normalized query,
         passed for a query asked again) lets a sealed segment's partial be
-        served from, or stored in, ``scan_cache``; an upsert subquery
-        never is, since its valid docs move with every upsert.
+        served from, or stored in, ``scan_cache``, and a consuming
+        segment's partial of an aggregation be extended by the docs
+        appended since it was stored; an upsert subquery never is, since
+        its valid docs move with every upsert.
         """
         if not self.alive:
             raise SegmentError(f"server {self.name} is down")
@@ -76,11 +78,14 @@ class PinotServer:
             else None
         )
         memo = query_key if upsert_partition is None else None
+        aggregation = query.is_aggregation()
         for name in segment_names:
             segment = self.segments.get(name)
             if segment is None:
                 raise SegmentError(f"server {self.name} does not host {name!r}")
-            if memo is not None and isinstance(segment, ImmutableSegment):
+            if memo is not None and (
+                aggregation or isinstance(segment, ImmutableSegment)
+            ):
                 partials.append(self._memoized(segment, query, (name, memo)))
                 continue
             valid = manager.valid_docs(name) if manager is not None else None
@@ -88,16 +93,27 @@ class PinotServer:
         return partials
 
     def _memoized(
-        self, segment: ImmutableSegment, query: PinotQuery, key: tuple
+        self, segment: ImmutableSegment | MutableSegment, query: PinotQuery, key: tuple
     ) -> PartialResult:
         """The segment's partial for ``query``: what this instance answered
         before, else executed and kept.  A partial is never written to
         once produced (the broker's merge adopts its states without
-        writing into them), so every serve shares the stored one."""
-        partial = self.scan_cache.get(key, segment.serial)
-        if partial is None:
-            partial = execute_on_segment(segment, query, None, self.scan_cache)
-            self.scan_cache.put(key, segment.serial, partial)
+        writing into them), so every serve shares the stored one.
+
+        A consuming segment's entry is ``(docs covered, partial)``: served
+        while no doc was appended since, else extended by the new docs
+        and kept in its place."""
+        held = self.scan_cache.get(key, segment.serial)
+        if isinstance(segment, ImmutableSegment):
+            if held is None:
+                held = execute_on_segment(segment, query, None, self.scan_cache)
+                self.scan_cache.put(key, segment.serial, held)
+            return held
+        if held is not None and held[0] == segment.num_docs:
+            return held[1]
+        partial = execute_on_segment(segment, query, None, self.scan_cache, held)
+        # A consuming segment's plan examines exactly the docs it covers.
+        self.scan_cache.put(key, segment.serial, (partial.plan.docs_examined, partial))
         return partial
 
     def hosted_disk_bytes(self) -> int:

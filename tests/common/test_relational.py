@@ -238,6 +238,26 @@ class TestAggregateStates:
         merged = rule.merge(fold(func, a)[1], fold(func, b)[1])
         assert repr(rule.final(merged)) == repr(rule.final(whole))
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cells_of(numbers, nan, st.sampled_from([1e16, -1e16, 0.1])),
+        cells_of(numbers, st.sampled_from([1e16, -1e16, 0.1])),
+    )
+    def test_a_resumed_fold_is_the_whole_and_leaves_its_source_alone(self, a, b):
+        rules = [aggregate_rule(f, "c") for f in FUNCS]
+        key_a, key_b = [i % 3 for i in range(len(a))], [i % 3 for i in range(len(b))]
+        held = GroupFold(["k"], FUNCS, rules)
+        held.add_columns([key_a], [a] * len(FUNCS), len(a))
+        before = repr(held.rows())
+        resumed = GroupFold(["k"], FUNCS, rules)
+        resumed.resume(held.groups)
+        resumed.add_columns([key_b], [b] * len(FUNCS), len(b))
+        # Float sums fold in the same order as one pass over a + b.
+        whole = GroupFold(["k"], FUNCS, rules)
+        whole.add_columns([key_a + key_b], [a + b] * len(FUNCS), len(a) + len(b))
+        assert repr(resumed.rows()) == repr(whole.rows())
+        assert repr(held.rows()) == before
+
     @given(cells_of(strings), cells_of(strings))
     def test_min_max_order_strings(self, a, b):
         present = [v for v in a + b if v is not None]

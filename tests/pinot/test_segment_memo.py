@@ -2,7 +2,8 @@
 
 A server keeps a sealed segment's whole partial for a query the broker
 asks again after ingest moved the table, so the repeat re-runs only the
-consuming segments (and any sealed since).  Every answer here is held to
+consuming segments (and any sealed since); what a consuming segment
+holds is ``test_consuming_fold.py``'s.  Every answer here is held to
 ``tests/reference/query.evaluate`` over every row the table ingested.
 """
 
