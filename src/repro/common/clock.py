@@ -54,7 +54,7 @@ class SimulatedClock:
 
     def call_at(self, when: float, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` to run when the clock reaches ``when``."""
-        if when < self._now:
+        if not when >= self._now:  # also NaN, which the heap cannot order
             raise ClockError(
                 f"cannot schedule at {when:.6f}; clock already at {self._now:.6f}"
             )
@@ -62,14 +62,14 @@ class SimulatedClock:
 
     def call_later(self, delay: float, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
-        if delay < 0:
-            raise ClockError(f"negative delay: {delay}")
+        if not delay >= 0:  # also NaN
+            raise ClockError(f"delay must be >= 0, got {delay}")
         self.call_at(self._now + delay, callback)
 
     def advance(self, delta: float) -> None:
         """Move time forward by ``delta`` seconds, firing due timers."""
-        if delta < 0:
-            raise ClockError(f"cannot move time backwards (delta={delta})")
+        if not delta >= 0:  # also NaN
+            raise ClockError(f"time only moves forward; got delta={delta}")
         self.run_until(self._now + delta)
 
     def run_until(self, deadline: float) -> None:
@@ -78,9 +78,9 @@ class SimulatedClock:
         Timers may schedule further timers; those also fire if they fall
         before the deadline.
         """
-        if deadline < self._now:
+        if not deadline >= self._now:  # also NaN
             raise ClockError(
-                f"deadline {deadline:.6f} is before current time {self._now:.6f}"
+                f"cannot run until {deadline:.6f}; clock already at {self._now:.6f}"
             )
         while self._timers and self._timers[0][0] <= deadline:
             when, __, callback = heapq.heappop(self._timers)

@@ -239,3 +239,6 @@ class FeatureSink:
             self.features_fn(record.value),
             record.timestamp,
         )
+
+    def flush(self) -> None:
+        pass

@@ -245,13 +245,19 @@ class WindowOperator(EventTimeOperator):
             acc = aggregator.add(value, aggregator.create_accumulator())
             self._add_to_session(key, windows[0], acc, trace)
             return []
+        admitted = self._admit(windows)
+        if not admitted:
+            return []
         tables = self.state.tables
-        for window in self._admit(windows):
+        accs = tables.get("acc")
+        if accs is None:
+            accs = tables["acc"] = {}
+        for window in admitted:
             state_key = (key, window.start, window.end)
-            acc = tables.get("acc", {}).get(state_key)
+            acc = accs.get(state_key)
             if acc is None:
                 acc = aggregator.create_accumulator()
-            tables.setdefault("acc", {})[state_key] = aggregator.add(value, acc)
+            accs[state_key] = aggregator.add(value, acc)
             if trace is not None:
                 self._traces[state_key] = trace
         return []
@@ -763,9 +769,21 @@ class CollectSink:
     def write(self, record: StreamRecord) -> None:
         self.collector.append(record.value)
 
+    def flush(self) -> None:
+        pass
+
 
 class KafkaSink:
     """Produces results to a Kafka topic (FlinkSQL -> Pinot path, §4.3.3).
+
+    The runtime hands a sink one delivery at a time — a micro-batched
+    run of records, or a committed 2PC transaction — and calls
+    :meth:`flush` after its last :meth:`write`.  ``write`` buffers a
+    record in the internal producer and ``flush`` sends the delivery as
+    one producer batch per partition (a keyless delivery fills one
+    sticky partition, as Kafka batches).  A flush that fails drops what
+    it did not send, so nothing carries into the next delivery or past
+    :meth:`on_restore`.
 
     ``transactional=True`` puts the internal producer in idempotent,
     epoch-fenced mode: the runtime buffers writes per checkpoint epoch (2PC)
@@ -817,9 +835,17 @@ class KafkaSink:
         # Re-stamp the upstream trace so the derived record continues the
         # same end-to-end trace across its second Kafka hop.
         headers = record.trace.to_headers() if record.trace is not None else None
-        self._producer.produce(
+        self._producer.send(
             self.topic, value, key=key, event_time=record.timestamp, headers=headers
         )
+
+    def flush(self) -> None:
+        """Send the delivery the writes since the last flush buffered."""
+        try:
+            self._producer.flush()
+        except BaseException:
+            self._producer.discard()
+            raise
 
 
 def build_operator(spec) -> Operator:

@@ -279,9 +279,9 @@ class SubTask:
     def _deliver(self, data: list[StreamRecord], channel: InputChannel) -> None:
         """The one place data reaches a sink or an operator.
 
-        ``data`` is a micro-batched run of records: a sink writes each
-        (or buffers them in its open 2PC transaction), an operator
-        ``process``-es each and the outputs are emitted together.
+        ``data`` is a micro-batched run of records: a sink writes it as
+        one delivery (or buffers it in its open 2PC transaction), an
+        operator ``process``-es each and the outputs are emitted together.
         """
         if PERF.enabled:
             PERF.inc("flink.batch_elements", len(data))
@@ -341,11 +341,16 @@ class SubTask:
     # -- 2PC sink transactions ------------------------------------------------
 
     def _write_to_sink(self, records: list[StreamRecord]) -> None:
-        """Physically write records (the only path into ``sink.write``);
-        each traced one's ``process`` span ends here."""
-        write = self.spec.sink.write
-        for record in records:
-            write(record)
+        """Physically write one delivery (the only path into
+        ``sink.write``), then ``sink.flush()`` it, also after a failed
+        write; each traced record's ``process`` span ends here."""
+        sink = self.spec.sink
+        write = sink.write
+        try:
+            for record in records:
+                write(record)
+        finally:
+            sink.flush()
         runtime = self.runtime
         if runtime.tracer is None:
             return

@@ -50,13 +50,20 @@ def _aligned_start(timestamp: float, step: float) -> float:
         raise non_finite_event_time(timestamp) from None
 
 
+def _duration(name: str, seconds: float) -> float:
+    """An assigner's size, slide or gap: a positive, finite number of
+    seconds.  NaN, ±inf, zero and negatives are refused here, before a
+    record meets a window that could never fire."""
+    if not 0 < seconds < math.inf:  # also NaN
+        raise FlinkError(f"window {name} must be positive and finite, got {seconds}")
+    return seconds
+
+
 class TumblingWindows:
     """Fixed, non-overlapping windows of ``size`` seconds."""
 
     def __init__(self, size: float) -> None:
-        if size <= 0:
-            raise FlinkError(f"window size must be positive, got {size}")
-        self.size = size
+        self.size = _duration("size", size)
         # The previous answer of ``assign``.  One assigner serves every
         # subtask built from a spec, so this is a pure cache: the tuple
         # and its window are shared, and a window is never assigned to
@@ -79,8 +86,8 @@ class SlidingWindows:
     """Overlapping windows of ``size`` seconds every ``slide`` seconds."""
 
     def __init__(self, size: float, slide: float) -> None:
-        if size <= 0 or slide <= 0:
-            raise FlinkError("window size and slide must be positive")
+        _duration("size", size)
+        _duration("slide", slide)
         if slide > size:
             raise FlinkError(
                 f"slide ({slide}) larger than size ({size}) would drop data; "
@@ -105,9 +112,7 @@ class SessionWindows:
     """Gap-based session windows; merged by the window operator."""
 
     def __init__(self, gap: float) -> None:
-        if gap <= 0:
-            raise FlinkError(f"session gap must be positive, got {gap}")
-        self.gap = gap
+        self.gap = _duration("gap", gap)
 
     def assign(self, timestamp: float) -> list[TimeWindow]:
         return [TimeWindow(timestamp, timestamp + self.gap)]

@@ -264,6 +264,10 @@ class Producer:
             out.extend(self._flush_batch(topic, partition))
         return out
 
+    def discard(self) -> None:
+        """Drop every pending batch unsent."""
+        self._batches.clear()
+
     def produce(
         self,
         topic: str,

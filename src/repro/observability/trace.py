@@ -40,8 +40,8 @@ is Flink's: a traced source stamps each element with an
 :class:`EntryTrace` — the entry it read and the time it entered the job,
 its id rendered only if something reads it — and the sink that writes it
 records its ``process`` span from that time.  On the wall-clock
-benchmark's live path tracing on runs at 0.84 of tracing off
-(EXPERIMENTS.md, B15; 0.74 before it).
+benchmark's live path tracing on runs at 0.91 of tracing off
+(EXPERIMENTS.md, B19; 0.84 at B15, 0.74 before it).
 
 Coordinates name a record only while its log keeps it.  Under ``acks=1``
 a leader can die before a follower copied its tail: the new leader's log
@@ -173,28 +173,6 @@ class Span:
         return self.end - self.start
 
 
-class _AppendTimes(Sequence):
-    """The starts of a hop over log entries: each entry's append time,
-    read off the entries when somebody asks."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: Sequence[Any]) -> None:
-        self.entries = entries
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return _AppendTimes(self.entries[index])
-        return self.entries[index].append_time
-
-    def __iter__(self):
-        for entry in self.entries:
-            yield entry.append_time
-
-
 def _record_ids(batch: _Batch) -> list[str]:
     """A producer hop's ids: its records, at the ``offset`` column of the
     batch's topic and partition."""
@@ -219,9 +197,10 @@ class _Batch:
     ``resolve``, or, when ``resolve`` is ``None``, the trace ids
     themselves — and is kept by reference, as are the parallel ``starts``
     and the per-row ``columns`` (any indexable sequence, e.g. a ``range``
-    of offsets).  Row ``i`` has arrival sequence ``seq + i``.  A table
-    query is a one-row batch whose trace id is ``None`` and which
-    ``covers`` its table.
+    of offsets).  A hop over log entries stores no ``starts``: each row
+    starts at its entry's ``append_time``, read when asked.  Row ``i``
+    has arrival sequence ``seq + i``.  A table query is a one-row batch
+    whose trace id is ``None`` and which ``covers`` its table.
     """
 
     __slots__ = (
@@ -245,7 +224,7 @@ class _Batch:
         end: float,
         attrs: dict[str, Any],
         rows: Sequence[Any],
-        starts: Sequence[float],
+        starts: Sequence[float] | None,
         columns: Mapping[str, Sequence[Any]] | None = None,
         resolve: Callable[[_Batch], list[str]] | None = None,
         covers: str | None = None,
@@ -274,7 +253,8 @@ class _Batch:
     def drop_head(self, count: int) -> None:
         self.seq += count
         self.rows = self.rows[count:]
-        self.starts = self.starts[count:]
+        if self.starts is not None:
+            self.starts = self.starts[count:]
         if self._ids is not None:
             self._ids = self._ids[count:]
         if self.columns:
@@ -285,18 +265,25 @@ class _Batch:
         return self.attrs.get("table") if self.name == "ingest" else None
 
     def start(self, seq: int) -> float:
-        return self.starts[seq - self.seq]
+        row = seq - self.seq
+        if self.starts is None:
+            return self.rows[row].append_time
+        return self.starts[row]
+
+    def start_times(self) -> Sequence[float]:
+        """Every row's start, in row order."""
+        if self.starts is None:
+            return [entry.append_time for entry in self.rows]
+        return self.starts
 
     def span(self, seq: int, trace_id: str | None) -> Span:
         """The row with arrival sequence ``seq``, as seen from ``trace_id``."""
-        row = seq - self.seq
         attrs = dict(self.attrs)
         if self.columns:
+            row = seq - self.seq
             for key, column in self.columns.items():
                 attrs[key] = column[row]
-        return Span(
-            trace_id, self.name, self.layer, self.starts[row], self.end, attrs
-        )
+        return Span(trace_id, self.name, self.layer, self.start(seq), self.end, attrs)
 
 
 class SpanCollector:
@@ -372,8 +359,7 @@ class SpanCollector:
         ``partition``: each span starts at its entry's append time, and the
         entry's offset names its record."""
         attrs["topic"], attrs["partition"] = topic, partition
-        starts = _AppendTimes(entries)
-        self._append(_Batch(name, layer, end, attrs, entries, starts, None, _entry_ids))
+        self._append(_Batch(name, layer, end, attrs, entries, None, None, _entry_ids))
 
     def record_spans(
         self,
@@ -552,9 +538,10 @@ class SpanCollector:
         """
         problems: list[str] = []
         for batch in self._batches:
-            if max(batch.starts) <= batch.end:
+            starts = batch.start_times()
+            if max(starts) <= batch.end:
                 continue
-            for trace_id, start in zip(batch.trace_ids, batch.starts):
+            for trace_id, start in zip(batch.trace_ids, starts):
                 if batch.end < start:
                     owner = trace_id
                     if batch.covers is not None:
@@ -589,7 +576,7 @@ class SpanCollector:
         for batch in self._batches:
             end = batch.end
             by_hop.setdefault((batch.layer, batch.name), []).extend(
-                [end - start for start in batch.starts]
+                [end - start for start in batch.start_times()]
             )
         lines = [f"{'layer':<8} {'span':<10} {'count':>7} {'p50 (s)':>9} {'p99 (s)':>9}"]
         for (layer, name), durations in sorted(by_hop.items()):

@@ -15,7 +15,8 @@ implementations of the logic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from operator import itemgetter
+from typing import Any, Callable
 
 from repro.common.errors import SqlPlanError
 from repro.flink.graph import DataStream, JobGraph, StreamEnvironment
@@ -52,7 +53,7 @@ class StreamTableDef:
             group="flinksql",
             max_out_of_orderness=self.max_out_of_orderness,
             timestamp_fn=(
-                (lambda row, c=self.timestamp_column: row[c])
+                itemgetter(self.timestamp_column)
                 if self.timestamp_column is not None
                 else None
             ),
@@ -80,16 +81,17 @@ class SqlWindowAggregate:
     each accumulator slot is one shared aggregate state."""
 
     def __init__(self, aggs: list[tuple[FuncCall, str | None]]) -> None:
-        self._aliases, self._reads, self._rules = bind_aggs(aggs)
+        self._aliases, reads, self._rules = bind_aggs(aggs)
+        self._adds = [(rule.add, read) for rule, read in zip(self._rules, reads)]
 
     def create_accumulator(self) -> list[Any]:
         return [rule.init() for rule in self._rules]
 
     def add(self, value: dict[str, Any], accumulator: list[Any]) -> list[Any]:
-        return [
-            rule.add(state, read(value))
-            for rule, read, state in zip(self._rules, self._reads, accumulator)
-        ]
+        """Fold one row into ``accumulator`` in place; it is returned."""
+        for i, (add, read) in enumerate(self._adds):
+            accumulator[i] = add(accumulator[i], read(value))
+        return accumulator
 
     def get_result(self, accumulator: list[Any]) -> dict[str, Any]:
         return {
@@ -176,10 +178,9 @@ class FlinkSqlCompiler:
             assigner = SlidingWindows(window.size, window.slide)
         else:  # pragma: no cover - parser only produces the two
             raise SqlPlanError(f"unknown window spec {window!r}")
-        key_fn = (lambda row, g=tuple(group_cols): tuple(row[c] for c in g))
         aggregator = SqlWindowAggregate(aggs)
         windowed = (
-            stream.key_by(key_fn)
+            stream.key_by(_group_key(group_cols))
             .window(assigner)
             .allow_lateness(allowed_lateness)
             .aggregate(aggregator, parallelism=parallelism)
@@ -204,6 +205,18 @@ class FlinkSqlCompiler:
                 key_fn=lambda row: row.get("__key__"),
                 transactional=transactional,
             )
+
+
+def _group_key(group_cols: list[str]) -> Callable[[dict[str, Any]], tuple]:
+    """``row -> tuple of its group-column cells``, built without a
+    per-row generator: ``itemgetter`` already returns a tuple for two or
+    more columns."""
+    if not group_cols:
+        return lambda row: ()
+    if len(group_cols) == 1:
+        column = group_cols[0]
+        return lambda row: (row[column],)
+    return itemgetter(*group_cols)
 
 
 def _project(items: list[SelectItem], row: dict[str, Any]) -> dict[str, Any]:

@@ -79,6 +79,23 @@ class TestSimulatedClock:
         with pytest.raises(ClockError):
             clock.call_at(5.0, lambda: None)
 
+    def test_nan_is_rejected_everywhere_time_enters(self):
+        """NaN compares false both ways, so ``< now`` alone lets it in: the
+        clock would read NaN, and a NaN timer cannot be ordered."""
+        nan = float("nan")
+        clock = SimulatedClock(10.0)
+        clock.call_at(12.0, lambda: None)
+        for enter in (
+            lambda: clock.advance(nan),
+            lambda: clock.run_until(nan),
+            lambda: clock.call_at(nan, lambda: None),
+            lambda: clock.call_later(nan, lambda: None),
+        ):
+            with pytest.raises(ClockError, match="nan"):
+                enter()
+        assert clock.now() == 10.0
+        assert clock.pending_timers() == 1
+
 
 class TestSystemClock:
     def test_monotonic(self):

@@ -16,6 +16,10 @@ from repro.flink.windows import (
     TumblingWindows,
 )
 
+#: Sizes, slides and gaps no window can have: a NaN or infinite one
+#: assigns windows that never fire, or none at all.
+BAD_SPANS = [math.inf, math.nan, 0.0, -1.0, -math.inf]
+
 
 class TestWatermarks:
     def test_tracks_max_minus_slack(self):
@@ -48,6 +52,11 @@ class TestAssigners:
         with pytest.raises(FlinkError):
             TumblingWindows(0)
 
+    @pytest.mark.parametrize("size", BAD_SPANS)
+    def test_tumbling_size_must_be_positive_and_finite(self, size):
+        with pytest.raises(FlinkError, match="window size"):
+            TumblingWindows(size)
+
     def test_sliding_assigns_overlapping(self):
         windows = SlidingWindows(60.0, 20.0).assign(65.0)
         starts = sorted(w.start for w in windows)
@@ -57,6 +66,13 @@ class TestAssigners:
     def test_sliding_slide_greater_than_size_rejected(self):
         with pytest.raises(FlinkError):
             SlidingWindows(10.0, 20.0)
+
+    @pytest.mark.parametrize(
+        "size, slide", [(s, 1.0) for s in BAD_SPANS] + [(60.0, s) for s in BAD_SPANS]
+    )
+    def test_sliding_size_and_slide_must_be_positive_and_finite(self, size, slide):
+        with pytest.raises(FlinkError, match="window s"):
+            SlidingWindows(size, slide)
 
     @pytest.mark.parametrize("timestamp", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
@@ -81,6 +97,11 @@ class TestAssigners:
         window = SessionWindows(30.0).assign(100.0)[0]
         assert (window.start, window.end) == (100.0, 130.0)
         assert SessionWindows(30.0).is_session()
+
+    @pytest.mark.parametrize("gap", BAD_SPANS)
+    def test_session_gap_must_be_positive_and_finite(self, gap):
+        with pytest.raises(FlinkError, match="window gap"):
+            SessionWindows(gap)
 
 
 class TestAggregates:
