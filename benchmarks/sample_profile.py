@@ -10,9 +10,10 @@ instead (``ITIMER_PROF``; the kernel delivers at its own tick, 4 ms on
 the reference host, so ``--repeats`` is how to get more samples): a
 function's *self* share is the samples it was executing in, its
 *cumulative* share those it was anywhere on the stack of.  Generated
-``<string>:__init__`` frames are named after ``type(self)``.  It asserts
-nothing about time; the speed claims come from ``benchmarks/e2e/run.py``,
-which this file only imports.
+``<string>:__init__`` frames are named after ``type(self)``, every other
+frame ``file:function:firstline``, so two lambdas (or comprehensions) of
+one file are two rows.  It asserts nothing about time; the speed claims
+come from ``benchmarks/e2e/run.py``, which this file only imports.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ def frame_name(frame) -> str:
     code = frame.f_code
     if code.co_filename == "<string>" and "self" in frame.f_locals:
         return f"{type(frame.f_locals['self']).__name__}.{code.co_name} (generated)"
-    return f"{Path(code.co_filename).name}:{code.co_name}"
+    return f"{Path(code.co_filename).name}:{code.co_name}:{code.co_firstlineno}"
 
 
 def main() -> int:

@@ -121,16 +121,3 @@ class ColumnBatch:
         batch.columns = {name: self.column(name) for name in names}
         batch.num_rows = self.num_rows
         return batch
-
-    @staticmethod
-    def concat(batches: Sequence["ColumnBatch"]) -> "ColumnBatch":
-        if not batches:
-            return ColumnBatch({}, num_rows=0)
-        if len(batches) == 1:
-            return batches[0]
-        names = batches[0].column_names
-        columns = {
-            name: ColumnVector.concat([b.column(name) for b in batches])
-            for name in names
-        }
-        return ColumnBatch(columns, num_rows=sum(b.num_rows for b in batches))

@@ -267,46 +267,3 @@ class ColumnVector:
         return ColumnVector.raw(
             [self.get(i) for i in indices], _count=False
         )
-
-    @staticmethod
-    def concat(vectors: Sequence["ColumnVector"]) -> "ColumnVector":
-        """Concatenate views into one vector.
-
-        Shares the dictionary when every part uses the same dictionary
-        object; otherwise falls back to a raw materialization.
-        """
-        if not vectors:
-            return ColumnVector.raw([], _count=False)
-        if len(vectors) == 1:
-            return vectors[0]
-        first = vectors[0]
-        if first.codes is not None and all(
-            v.codes is not None and v.dictionary == first.dictionary
-            for v in vectors[1:]
-        ):
-            codes: list[int] = []
-            flags: list[bool] = []
-            any_null = False
-            for v in vectors:
-                j0 = v.offset
-                codes.extend(v.codes[j0 : j0 + v.length])
-                if v.validity is None:
-                    flags.extend([True] * v.length)
-                else:
-                    part = v.validity.to_bools(j0, v.length)
-                    flags.extend(part)
-                    any_null = any_null or not all(part)
-            if PERF.enabled:
-                PERF.inc("columnar.cells_appended", len(codes))
-            return ColumnVector(
-                dictionary=first.dictionary,
-                codes=codes,
-                values=None,
-                validity=Bitmap.from_bools(flags) if any_null else None,
-            )
-        merged: list = []
-        for v in vectors:
-            merged.extend(v.values_list())
-        if PERF.enabled:
-            PERF.inc("columnar.cells_appended", len(merged))
-        return ColumnVector.raw(merged, _count=False)

@@ -24,10 +24,12 @@ an answer depends on are written here once and every executor calls them:
 3. :class:`GroupFold` — group key -> states, fed a row at a time
    (:meth:`GroupFold.add`) or a column at a time
    (:meth:`GroupFold.add_columns`: same states, each aggregate sweeping
-   its own column in row order), resumable from another fold's states
-   (:meth:`GroupFold.resume`, which copies them), and the finisher
-   (:meth:`GroupFold.rows`): one row per group, sorted by stringified
-   key; a global aggregate over no input is still one row.
+   its own column in row order, the additive ones inline), resumable
+   from another fold's states (:meth:`GroupFold.resume`, which copies
+   them), merged by adoption (:meth:`GroupFold.merge`, which writes into
+   no state it is given), and the finisher (:meth:`GroupFold.rows`): one
+   row per group, sorted by stringified key; a global aggregate over no
+   input is still one row.
 4. :func:`order_rows` — ORDER BY sorts on ``(is None, value)`` per key
    (NULLs last ascending, first descending), then LIMIT.
 
@@ -39,9 +41,10 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import repeat
+from functools import cached_property, lru_cache, partial
+from itertools import compress
 from typing import Any, Callable, NamedTuple, Sequence
 
 from repro.common import serde
@@ -227,6 +230,14 @@ def _identity(state: Any) -> Any:
     return state
 
 
+def _apply(final: Callable[[Any], Any], state: Any) -> Any:
+    return final(state)
+
+
+#: ``_present(cell)``: the cell is not NULL.
+_present = partial(operator.is_not, None)
+
+
 def _count_add(state: int, value: Any) -> int:
     return state if value is None else state + 1
 
@@ -301,7 +312,13 @@ _RULES = {
     "MAX": _extreme("MAX", operator.gt),
     "DISTINCTCOUNT": AggregateRule(set, _distinct_add, operator.or_, len, set),
 }
-_COUNT_ROWS = _RULES["COUNT"]._replace(add=lambda state, value: state + 1)
+
+
+def _count_row(state: int, value: Any) -> int:
+    return state + 1
+
+
+_COUNT_ROWS = _RULES["COUNT"]._replace(add=_count_row)
 
 
 def aggregate_rule(func: str, column: Any = None) -> AggregateRule:
@@ -313,6 +330,25 @@ def aggregate_rule(func: str, column: Any = None) -> AggregateRule:
     if rule is None:
         raise QueryError(f"unknown aggregation {func!r}")
     return rule
+
+
+@lru_cache(maxsize=64)
+def _fold_plan(rules: tuple[AggregateRule, ...]) -> tuple:
+    """What a fold over ``rules`` reads of them, worked out once per rule
+    list: inits, adds, whether every merge is ``+``, the finals (``None``
+    when all are the identity) and the fresh states (``None`` unless all
+    are numbers or ``None``, which one list copied can serve: a state is
+    replaced, never written into)."""
+    fresh = [rule.init() for rule in rules]
+    shareable = all(type(state) in (int, float, type(None)) for state in fresh)
+    finals = [rule.final for rule in rules]
+    return (
+        [rule.init for rule in rules],
+        [rule.add for rule in rules],
+        all(rule.merge is operator.add for rule in rules),
+        None if all(final is _identity for final in finals) else finals,
+        fresh if shareable else None,
+    )
 
 
 class GroupFold:
@@ -328,42 +364,74 @@ class GroupFold:
         self.group_names = list(group_names)
         self.aliases = list(aliases)  # one output name per aggregate
         self.rules = list(rules)
-        self._adds = [rule.add for rule in self.rules]
+        self._inits, self._adds, self._additive, self._finals, fresh = _fold_plan(
+            tuple(self.rules)
+        )
+        if fresh is not None:
+            self._fresh = fresh.copy
         self.groups: dict[tuple, list[Any]] = {}
 
-    def _states(self, key: tuple) -> list[Any]:
-        states = self.groups.get(key)
-        if states is None:
-            states = self.groups[key] = [rule.init() for rule in self.rules]
-        return states
+    def _fresh(self) -> list[Any]:
+        return [init() for init in self._inits]
 
     def add(self, key: tuple, values: Sequence[Any]) -> None:
         """Fold one row: ``values[i]`` is the cell the i-th aggregate reads."""
-        states = self._states(key)
+        states = self.groups.get(key)
+        if states is None:
+            states = self.groups[key] = self._fresh()
         for i, add in enumerate(self._adds):
             states[i] = add(states[i], values[i])
 
     def add_columns(
         self,
-        key_columns: Sequence[Sequence[Any]],
+        keys: Sequence[Any] | None,
         value_columns: Sequence[Sequence[Any] | None],
         n: int,
     ) -> None:
         """Fold ``n`` rows given as columns — what :meth:`add` over the
-        same rows leaves behind.  Each row is assigned its group's states
-        once, then each aggregate sweeps its own column in row order, so
-        floats fold exactly as row by row.  A ``None`` value column is
-        ``COUNT(*)``'s: no cell to read."""
+        same rows leaves behind.  ``keys`` holds each row's group key
+        (``None``: every row folds under the global ``()``); new groups
+        are made in first-seen order, then each aggregate sweeps its own
+        column in row order.  COUNT(*), COUNT, SUM and AVG are swept
+        inline — counts per group, sums cell by cell, so floats fold
+        exactly as row by row — and MIN, MAX and DISTINCTCOUNT through
+        their rule's ``add``.  A ``None`` value column is ``COUNT(*)``'s:
+        no cell to read."""
         if not n:
             return
-        if key_columns:
-            row_states = list(map(self._states, zip(*key_columns)))
-        else:
-            row_states = [self._states(())] * n
+        if keys is None:
+            keys = [()] * n
+        groups = self.groups
+        for key in dict.fromkeys(keys):
+            if key not in groups:
+                groups[key] = self._fresh()
+        row_states = list(map(groups.__getitem__, keys))
         for i, (add, column) in enumerate(zip(self._adds, value_columns)):
-            cells = repeat(None) if column is None else column
-            for states, value in zip(row_states, cells):
-                states[i] = add(states[i], value)
+            if add is _count_row or add is _count_add:
+                counted = keys
+                if add is _count_add:
+                    counted = compress(keys, map(_present, column))
+                for key, count in Counter(counted).items():
+                    groups[key][i] += count
+            elif add is _sum_add:
+                try:
+                    for states, value in zip(row_states, column):
+                        if value is not None:
+                            states[i] += value
+                except TypeError:
+                    raise _unsummable("SUM", value) from None
+            elif add is _avg_add:
+                try:
+                    for states, value in zip(row_states, column):
+                        if value is not None:
+                            state = states[i]
+                            state[0] += value
+                            state[1] += 1
+                except TypeError:
+                    raise _unsummable("AVG", value) from None
+            else:
+                for states, value in zip(row_states, column):
+                    states[i] = add(states[i], value)
 
     def resume(self, groups: dict[tuple, list[Any]]) -> None:
         """Start from copies of another fold's ``groups``, which stay
@@ -377,31 +445,50 @@ class GroupFold:
         }
 
     def merge(self, groups: dict[tuple, list[Any]]) -> None:
-        """Fold another fold's ``groups`` into this one."""
+        """Fold another fold's ``groups`` into this one.  Into an empty
+        fold the groups are adopted as they are; a group met again gets
+        new merged states.  So no state merged in is ever written to,
+        and a partial can be merged as often as it is served."""
         mine = self.groups
+        if not mine:
+            self.groups = dict(groups)
+            return
+        if self._additive:
+            for key, states in groups.items():
+                held = mine.get(key)
+                mine[key] = (
+                    states if held is None else list(map(operator.add, held, states))
+                )
+            return
+        merges = [rule.merge for rule in self.rules]
         for key, states in groups.items():
             held = mine.get(key)
-            if held is None:
-                mine[key] = states
-            else:
-                mine[key] = [
-                    rule.merge(a, b) for rule, a, b in zip(self.rules, held, states)
-                ]
+            mine[key] = (
+                states
+                if held is None
+                else [merge(a, b) for merge, a, b in zip(merges, held, states)]
+            )
 
     def rows(self) -> list[dict[str, Any]]:
-        """The finisher: states -> result rows."""
-        groups = self.groups
-        if self.group_names:
-            items = sorted(groups.items(), key=lambda item: tuple(map(str, item[0])))
+        """The finisher: states -> result rows, one per group, sorted by
+        stringified key."""
+        names = self.group_names
+        items = list(self.groups.items())
+        if not names:
+            items = items or [((), self._fresh())]
+        elif len(names) == 1:
+            text = [str(key[0]) for key, __ in items]
+            items = [items[i] for i in sorted(range(len(items)), key=text.__getitem__)]
         else:
-            items = groups.items() or [((), [rule.init() for rule in self.rules])]
-        out = []
-        for key, states in items:
-            row: dict[str, Any] = dict(zip(self.group_names, key))
-            for alias, rule, state in zip(self.aliases, self.rules, states):
-                row[alias] = rule.final(state)
-            out.append(row)
-        return out
+            items.sort(key=lambda item: tuple(map(str, item[0])))
+        columns = [*names, *self.aliases]
+        finals = self._finals
+        if finals is None:
+            return [dict(zip(columns, (*key, *states))) for key, states in items]
+        return [
+            dict(zip(columns, (*key, *map(_apply, finals, states))))
+            for key, states in items
+        ]
 
 
 def order_rows(

@@ -195,22 +195,27 @@ class PartitionLog:
         retention_bytes: int | None = None,
     ) -> int:
         """Advance the start offset per time/size retention; returns the
-        number of entries expired."""
-        expired = 0
-        while self._entries:
-            head = self._entries[0]
+        number of entries expired.  The head expires while it is older than
+        ``retention_seconds`` or the log is over ``retention_bytes``; the
+        cut is found first, then cut once."""
+        entries, sizes = self._entries, self._sizes
+        cut, remaining = 0, self._bytes
+        while cut < len(entries):
             too_old = (
                 retention_seconds is not None
-                and now - head.append_time > retention_seconds
+                and now - entries[cut].append_time > retention_seconds
             )
-            too_big = retention_bytes is not None and self._bytes > retention_bytes
+            too_big = retention_bytes is not None and remaining > retention_bytes
             if not too_old and not too_big:
                 break
-            self._entries.pop(0)
-            self._bytes -= self._sizes.pop(0)
-            self._start_offset += 1
-            expired += 1
-        return expired
+            remaining -= sizes[cut]
+            cut += 1
+        if cut:
+            del entries[:cut]
+            del sizes[:cut]
+            self._bytes = remaining
+            self._start_offset += cut
+        return cut
 
 
 def _record_size(record: Record) -> int:

@@ -23,19 +23,11 @@ from repro.common.errors import QueryError
 
 
 def intersect_sorted(a: list[int], b: list[int]) -> list[int]:
-    """Intersection of two ascending doc-id lists."""
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i] == b[j]:
-            out.append(a[i])
-            i += 1
-            j += 1
-        elif a[i] < b[j]:
-            i += 1
-        else:
-            j += 1
-    return out
+    """Intersection of two ascending doc-id lists: the longer one,
+    filtered by membership in a set of the shorter, so still ascending."""
+    if len(a) < len(b):
+        a, b = b, a
+    return list(filter(set(b).__contains__, a))
 
 
 def union_sorted(lists: list[list[int]]) -> list[int]:

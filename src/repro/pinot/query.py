@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Any
 
 from repro.columnar import Bitmap, ColumnBatch, ColumnVector
@@ -153,7 +154,7 @@ def _index_lookup(
         return None
     matches = flt.matches
     cells = segment.cells(flt.column, boundary)
-    refined = [d for d, cell in zip(boundary, cells) if matches(cell)]
+    refined = list(compress(boundary, map(matches, cells)))
     plan.docs_examined += len(boundary)
     if PERF.enabled:
         PERF.inc("pinot.filter_evals", len(boundary))
@@ -189,7 +190,7 @@ def _scan_filter(
     codes = fwd.codes()
     if PERF.enabled:
         PERF.inc("pinot.code_filter_evals", len(codes))
-    return [d for d, code in enumerate(codes) if mask[code]]
+    return list(compress(range(len(codes)), map(mask.__getitem__, codes)))
 
 
 def _resolve_filter(
@@ -225,7 +226,11 @@ def _try_startree(
         zone = segment.zone_maps.get(agg.column)
         if zone is None or zone.has_null:
             return None
+    # The tree takes one value per column, and would read a NULL literal
+    # as "the NULL docs": a column filtered twice or to NULL is the scan's.
     filters = {f.column: f.value for f in query.filters}
+    if len(filters) < len(query.filters) or any(f.unsatisfiable for f in query.filters):
+        return None
     try:
         tree_result, stats = tree.query(
             filters=filters,
@@ -263,13 +268,10 @@ def _selection_page(
             if PERF.enabled:
                 PERF.inc("columnar.cells_gathered", len(gathered))
             validity = None
-            if any(code == null_code for code in gathered):
-                validity = Bitmap.from_bools(
-                    [code != null_code for code in gathered]
-                )
-                gathered = [
-                    0 if code == null_code else code for code in gathered
-                ]
+            if null_code in gathered:
+                valid = list(map(null_code.__ne__, gathered))
+                validity = Bitmap.from_bools(valid)
+                gathered = [code if ok else 0 for code, ok in zip(gathered, valid)]
             vectors[column] = ColumnVector.from_codes(
                 tuple(fwd._dictionary), gathered, validity
             )
@@ -294,7 +296,8 @@ def execute_on_segment(
     :class:`QueryError` whatever the data holds), each filter yields a
     doc-id list, and each group / aggregate column is then read once, as a
     list over the matching docs, and folded by column
-    (:meth:`GroupFold.add_columns`).
+    (:meth:`GroupFold.add_columns`) — on a sealed segment with the group
+    columns' dictionary codes as keys (:func:`_fold_codes`).
 
     ``valid_doc_ids`` restricts evaluation to the still-valid documents of
     an upsert table (Section 4.3.1); ``None`` means all docs are valid.
@@ -334,20 +337,59 @@ def execute_on_segment(
         matching = [d for d in matching if d in valid_doc_ids]
     partial = PartialResult(plan=plan)
     if query.is_aggregation():
-        # dict.fromkeys: a column named twice is still read once.
-        cells = {c: segment.cells(c, matching) for c in dict.fromkeys(read)}
         fold = group_fold(query)
         if prior is not None:
             fold.resume(prior.groups)
-        fold.add_columns(
-            [cells[c] for c in query.group_by],
-            [cells.get(a.column) for a in query.aggregations],
-            len(matching),
-        )
+        if isinstance(segment, ImmutableSegment):
+            _fold_codes(segment, query, matching, fold)
+        else:
+            # dict.fromkeys: a column named twice is still read once.
+            cells = {c: segment.cells(c, matching) for c in dict.fromkeys(read)}
+            group_cells = [cells[c] for c in query.group_by]
+            fold.add_columns(
+                list(zip(*group_cells)) if group_cells else None,
+                [cells.get(a.column) for a in query.aggregations],
+                len(matching),
+            )
         partial.groups = fold.groups
     elif matching:
         partial.page = _selection_page(segment, read, matching)
     return partial
+
+
+def _fold_codes(
+    segment: ImmutableSegment, query: PinotQuery, matching: list[int], fold: GroupFold
+) -> None:
+    """Fold a sealed segment's matching docs grouped in code space: a
+    doc's key is its group column's dictionary code (a tuple of codes
+    for several columns), and each group is re-keyed to its value tuple
+    once, the NULL code to ``None``.  Codes and values are one to one,
+    so the groups, their first-seen order and their states are those of
+    a fold keyed by value."""
+    forward = segment.forward
+    # dict.fromkeys: a column named twice is still read once.
+    codes = {c: forward[c].codes_at(matching) for c in dict.fromkeys(query.group_by)}
+    cells: dict[str, list] = {}
+    for column in dict.fromkeys(a.column for a in query.aggregations if a.column):
+        if column in codes:  # a group column's cells are its codes, decoded
+            cells[column] = forward[column].decode(codes[column])
+        else:
+            cells[column] = segment.cells(column, matching)
+    key_codes = [codes[c] for c in query.group_by]
+    if len(key_codes) > 1:
+        keys = list(zip(*key_codes))
+    else:
+        keys = key_codes[0] if key_codes else None
+    fold.add_columns(
+        keys, [cells.get(a.column) for a in query.aggregations], len(matching)
+    )
+    if key_codes and fold.groups:
+        code_keys = list(fold.groups)
+        by_column = zip(*code_keys) if len(key_codes) > 1 else [code_keys]
+        values = zip(
+            *(forward[c].decode(col) for c, col in zip(query.group_by, by_column))
+        )
+        fold.groups = dict(zip(values, fold.groups.values()))
 
 
 def _column_names(segment: ImmutableSegment | MutableSegment) -> list[str]:
@@ -377,9 +419,8 @@ def _matching_docs(
         for flt in query.filters:  # each conjunct sees the survivors only
             if PERF.enabled:
                 PERF.inc("pinot.filter_evals", len(docs))
-            matches = flt.matches
             cells = segment.cells(flt.column, docs)
-            docs = [d for d, cell in zip(docs, cells) if matches(cell)]
+            docs = list(compress(docs, map(flt.matches, cells)))
         return list(docs)
     if not query.filters:
         plan.access_paths.append("full")
@@ -393,7 +434,10 @@ def _matching_docs(
             selected = shared_resolution(scan_cache, segment, flt, plan, resolve)
         else:
             selected = resolve(segment, flt, plan)
-        docs = selected if docs is None else intersect_sorted(docs, selected)
+        if docs is None:
+            docs = selected
+        elif len(selected) < segment.num_docs:  # every doc: nothing to cut
+            docs = intersect_sorted(docs, selected)
         if not docs:
             return []
-    return docs or []
+    return docs

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import itertools
 import struct
+import sys
 from dataclasses import dataclass, field
+from operator import methodcaller
 from typing import Any, Iterable, Sequence
 
 from repro.common import serde
@@ -88,6 +90,14 @@ class ZoneMap:
 
 #: Bit widths whose packed form is a plain array: width -> struct code.
 _ALIGNED_WIDTHS = {8: "B", 16: "H", 32: "I"}
+#: Widths that pack whole values into each byte: width -> byte -> values.
+_BYTE_TABLES = {
+    width: [
+        tuple((byte >> s) & ((1 << width) - 1) for s in range(0, 8, width))
+        for byte in range(256)
+    ]
+    for width in (1, 2, 4)
+}
 
 
 class BitPackedArray:
@@ -129,18 +139,42 @@ class BitPackedArray:
         chunk = int.from_bytes(self._data[byte_pos : byte_pos + 5], "little")
         return (chunk >> (bit_pos & 7)) & ((1 << self.bit_width) - 1)
 
+    def gather(self, indices: Iterable[int]) -> list[int]:
+        """The values at ``indices`` (each in range), in one pass: a
+        byte-aligned width is read as the array it is, any other width
+        through the same 5-byte window as :meth:`get`."""
+        aligned = _ALIGNED_WIDTHS.get(self.bit_width)
+        if aligned is not None and sys.byteorder == "little":
+            return list(map(memoryview(self._data).cast(aligned).__getitem__, indices))
+        data, width = self._data, self.bit_width
+        mask = (1 << width) - 1
+        out = []
+        for index in indices:
+            pos = index * width
+            byte = pos >> 3
+            window = int.from_bytes(data[byte : byte + 5], "little")
+            out.append((window >> (pos & 7)) & mask)
+        return out
+
     def decode_all(self) -> list[int]:
         """Decode every value in one chunked pass.
 
         One big-int conversion covers a run of values, so per-value work is
         a shift + mask instead of a bounds check and a fresh 5-byte window.
         Chunks stay small (~512 bytes) to keep the big-int shifts cheap.
-        A byte-aligned width is already an array of little-endian ints.
+        A byte-aligned width is already an array of little-endian ints,
+        and a width that divides 8 is one table lookup per byte.
         """
         width = self.bit_width
         aligned = _ALIGNED_WIDTHS.get(width)
         if aligned is not None:
             return list(struct.unpack(f"<{self.length}{aligned}", self._data))
+        table = _BYTE_TABLES.get(width)
+        if table is not None:
+            per_byte = map(table.__getitem__, self._data)
+            out = list(itertools.chain.from_iterable(per_byte))
+            del out[self.length :]  # the last byte's padding
+            return out
         mask = (1 << width) - 1
         out: list[int] = []
         values_per_chunk = max(1, 4096 // width)
@@ -214,12 +248,10 @@ class ForwardIndex:
         random-access read, so the whole column is decoded once a fifth
         of it is needed; selective reads stay random-access."""
         if len(doc_ids) * 5 >= len(self._codes):
-            codes = self.codes()
-            return [codes[d] for d in doc_ids]
+            return list(map(self.codes().__getitem__, doc_ids))
         if PERF.enabled:
             PERF.inc("pinot.cell_reads", len(doc_ids))
-        get = self._codes.get
-        return [get(d) for d in doc_ids]
+        return self._codes.gather(doc_ids)
 
     def values_list(self) -> list[Any]:
         """The whole column as a Python list via one bulk decode.
@@ -232,8 +264,12 @@ class ForwardIndex:
 
     def values_at(self, doc_ids: list[int]) -> list[Any]:
         """Cells of the given docs: one gather of codes, one table sweep."""
+        return self.decode(self.codes_at(doc_ids))
+
+    def decode(self, codes: Iterable[int]) -> list[Any]:
+        """The values of ``codes``, the NULL code's as ``None``."""
         table = self._dictionary + [None]
-        return [table[code] for code in self.codes_at(doc_ids)]
+        return list(map(table.__getitem__, codes))
 
     def match_mask(self, predicate) -> list[bool]:
         """Evaluate a predicate once per distinct value (plus NULL),
@@ -495,10 +531,12 @@ class MutableSegment:
     The segment is append-only: :meth:`append` is its only writer, and a
     doc, once appended, is never changed or removed.  A server's held
     partial of a repeated aggregation relies on it, extending what it
-    covered by the docs appended since.  Any other change to the rows
-    must come from a new instance, which ``serial`` tells apart, as it
-    does for :class:`ImmutableSegment`: a seal keeps the name, and a
-    partition reopened on a new owner reuses it.
+    covered by the docs appended since, and so do the column lists
+    :meth:`cells` reads, which catch up with ``rows`` the same way.  Any
+    other change to the rows must come from a new instance, which
+    ``serial`` tells apart, as it does for :class:`ImmutableSegment`: a
+    seal keeps the name, and a partition reopened on a new owner reuses
+    it.
     """
 
     name: str
@@ -509,6 +547,12 @@ class MutableSegment:
     column_names: list[str] | None = None
     serial: int = field(
         default_factory=lambda: next(_SERIALS), init=False, compare=False
+    )
+    # Per-column lists of the cells of ``rows`` (references, not
+    # copies), made on a column's first read and extended by the docs
+    # appended since — which append-only makes all it can lack.
+    _columns: dict[str, list[Any]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
     )
 
     def append(self, row: dict[str, Any]) -> int:
@@ -536,10 +580,18 @@ class MutableSegment:
 
     def cells(self, column: str, doc_ids: Sequence[int]) -> list[Any]:
         """One column's cells for the given docs, as a list: the consuming
-        segment's column read (``value`` once per doc is the row read)."""
+        segment's column read (``value`` once per doc is the row read).
+        A run of consecutive docs is a slice of the column's list."""
         self._require(column)
+        cells = self._columns.get(column)
+        if cells is None:
+            cells = self._columns[column] = []
         rows = self.rows
-        return [rows[d].get(column) for d in doc_ids]
+        if len(cells) < len(rows):
+            cells.extend(map(methodcaller("get", column), rows[len(cells) :]))
+        if isinstance(doc_ids, range) and doc_ids.step == 1:
+            return cells[doc_ids.start : doc_ids.stop]
+        return list(map(cells.__getitem__, doc_ids))
 
     def row(self, doc_id: int) -> dict[str, Any]:
         return self.rows[doc_id]

@@ -152,8 +152,9 @@ def aggregate_pages(
             continue
         if PERF.enabled:
             PERF.inc("columnar.agg_rows", n)
+        group_cells = [_cells(page, col, qualified) for col in group_cols]
         fold.add_columns(
-            [_cells(page, col, qualified) for col in group_cols],
+            list(zip(*group_cells)) if group_cells else None,
             [_cells(page, f.args[0] if f.args else None, qualified) for f, __ in aggs],
             n,
         )

@@ -71,11 +71,6 @@ class TestBatch:
         assert projected.column_names == ["city"]
         assert projected.num_rows == 4
 
-    def test_concat(self):
-        batch = ColumnBatch.from_rows(ROWS)
-        merged = ColumnBatch.concat([batch.slice(0, 2), batch.slice(2, 2)])
-        assert merged.to_rows() == ROWS
-
 
 class TestAdapter:
     def test_pages_round_trip_across_page_boundaries(self):

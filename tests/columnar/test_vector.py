@@ -118,24 +118,6 @@ class TestViews:
         assert vector.take([1, 2, 1]).values_list() == [None, "b", None]
 
 
-class TestConcatAndPlain:
-    def test_concat_shared_dictionary_stays_coded(self):
-        vector = ColumnVector.from_values(["a", "b", "a", "c"])
-        merged = ColumnVector.concat([vector.slice(0, 2), vector.slice(2, 2)])
-        assert merged.is_dict
-        assert merged.dictionary is vector.dictionary
-        assert merged.values_list() == ["a", "b", "a", "c"]
-
-    def test_concat_mixed_dictionaries_materializes(self):
-        left = ColumnVector.from_values(["a", "b"])
-        right = ColumnVector.from_values(["z"])
-        merged = ColumnVector.concat([left, right])
-        assert merged.values_list() == ["a", "b", "z"]
-
-    def test_concat_empty(self):
-        assert ColumnVector.concat([]).values_list() == []
-
-
 class TestBitmap:
     def test_round_trip(self):
         flags = [True, False, True, True, False, False, True, False, True]

@@ -247,14 +247,16 @@ class TestAggregateStates:
         rules = [aggregate_rule(f, "c") for f in FUNCS]
         key_a, key_b = [i % 3 for i in range(len(a))], [i % 3 for i in range(len(b))]
         held = GroupFold(["k"], FUNCS, rules)
-        held.add_columns([key_a], [a] * len(FUNCS), len(a))
+        held.add_columns(list(zip(key_a)), [a] * len(FUNCS), len(a))
         before = repr(held.rows())
         resumed = GroupFold(["k"], FUNCS, rules)
         resumed.resume(held.groups)
-        resumed.add_columns([key_b], [b] * len(FUNCS), len(b))
+        resumed.add_columns(list(zip(key_b)), [b] * len(FUNCS), len(b))
         # Float sums fold in the same order as one pass over a + b.
         whole = GroupFold(["k"], FUNCS, rules)
-        whole.add_columns([key_a + key_b], [a + b] * len(FUNCS), len(a) + len(b))
+        whole.add_columns(
+            list(zip(key_a + key_b)), [a + b] * len(FUNCS), len(a) + len(b)
+        )
         assert repr(resumed.rows()) == repr(whole.rows())
         assert repr(held.rows()) == before
 
@@ -322,7 +324,7 @@ class TestColumnFeed:
         for batch in (rows[:split], rows[split:]):
             values = [row[2] for row in batch]
             by_column.add_columns(
-                [[row[i] for row in batch] for i in range(group_columns)],
+                [row[:group_columns] for row in batch] if names else None,
                 [values] * len(FUNCS) + [None],  # COUNT(*) reads no column
                 len(batch),
             )
@@ -332,7 +334,7 @@ class TestColumnFeed:
     def test_zero_rows_create_no_group(self):
         for names in ([], ["k1"]):
             fold = self.folds(names)[0]
-            fold.add_columns([[] for __ in names], [[]] * len(FUNCS) + [None], 0)
+            fold.add_columns([] if names else None, [[]] * len(FUNCS) + [None], 0)
             assert fold.groups == {}
 
     @pytest.mark.parametrize("func", ["SUM", "AVG"])
@@ -342,7 +344,7 @@ class TestColumnFeed:
         with pytest.raises(IncomparableError, match=message):
             GroupFold([], ["x"], [rule]).add((), ["sf"])
         with pytest.raises(IncomparableError, match=message):
-            GroupFold(["k"], ["x"], [rule]).add_columns([[1, 1]], [[2.0, "sf"]], 2)
+            GroupFold(["k"], ["x"], [rule]).add_columns([(1,), (1,)], [[2.0, "sf"]], 2)
 
 
 class TestFinisherAndOrder:

@@ -62,6 +62,34 @@ class TestPartitionLog:
         assert log.size_bytes <= target
         assert log.start_offset > 0
 
+    @pytest.mark.parametrize(
+        "retention",
+        [{"retention_seconds": 10.0}, {"retention_bytes": 40_000}],
+        ids=["time", "bytes"],
+    )
+    def test_retention_expires_tens_of_thousands_of_entries(self, retention):
+        log = PartitionLog()
+        count = 50_000
+        for i in range(count):
+            log.append(rec(i), float(i))
+        sizes = list(log._sizes)
+        max_age = retention.get("retention_seconds")
+        max_bytes = retention.get("retention_bytes")
+        # The model: expire the head one entry at a time.
+        start, held = 0, sum(sizes)
+        while start < count and (
+            (max_age is not None and count - start > max_age)
+            or (max_bytes is not None and held > max_bytes)
+        ):
+            held -= sizes[start]
+            start += 1
+        assert start > 40_000
+        assert log.apply_retention(now=float(count), **retention) == start
+        assert (log.start_offset, log.end_offset) == (start, count)
+        assert log.size_bytes == held == sum(sizes[start:])
+        assert [e.offset for e in log.read(start, max_records=2)] == [start, start + 1]
+        assert log.apply_retention(now=float(count), **retention) == 0
+
     def test_truncate_to(self):
         log = PartitionLog()
         for i in range(5):

@@ -289,6 +289,33 @@ class TestInstanceChanges:
         table.state.ingestion.run_until_caught_up()
         ask(table, broker, PANEL)
 
+    def test_column_lists_catch_up_and_a_reopened_instance_starts_empty(self):
+        table = Table(threshold=NEVER)
+        burst(table, 8)
+        pstate = table.state.ingestion.partitions[0]
+        lost = pstate.consuming
+        seen = lost.num_docs
+        assert lost.cells("amount", range(seen)) == [
+            row["amount"] for row in lost.rows
+        ]
+        burst(table, 40)
+        assert lost.num_docs > seen
+        # Read, appended to, read again: every row, by range and by list.
+        docs = range(lost.num_docs)
+        assert lost.cells("amount", docs) == [row["amount"] for row in lost.rows]
+        assert lost.cells("city", docs[::-2]) == [r["city"] for r in lost.rows[::-2]]
+        owner = pstate.owner
+        table.controller.kill_server(owner.name)
+        table.controller.recover_server(owner.name, owner)
+        owner.alive = True
+        reopened = pstate.consuming
+        assert reopened is not lost and reopened.name == lost.name
+        assert reopened._columns == {}
+        table.state.ingestion.run_step(max_records_per_partition=3)
+        assert reopened.cells("amount", range(3)) == [
+            row["amount"] for row in reopened.rows
+        ]
+
     def test_a_doc_appended_during_a_fold_is_folded_by_the_next_ask(self):
         server = PinotServer("s0")
         segment = MutableSegment("seg")

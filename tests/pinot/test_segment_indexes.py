@@ -21,6 +21,7 @@ from repro.pinot.segment import (
 class TestSortedHelpers:
     def test_intersect(self):
         assert intersect_sorted([1, 3, 5, 7], [3, 4, 5]) == [3, 5]
+        assert intersect_sorted([3, 4, 5], [1, 3, 5, 7]) == [3, 5]
         assert intersect_sorted([], [1]) == []
 
     def test_union(self):

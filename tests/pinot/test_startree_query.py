@@ -3,9 +3,16 @@ import pytest
 from repro.common.errors import IncomparableError, QueryError
 from repro.common.relational import aggregate_rule
 from repro.common.rng import seeded_rng
-from repro.pinot.query import Aggregation, Filter, PinotQuery, execute_on_segment
+from repro.pinot.query import (
+    Aggregation,
+    Filter,
+    PinotQuery,
+    execute_on_segment,
+    group_fold,
+)
 from repro.pinot.segment import ImmutableSegment, IndexConfig, MutableSegment
 from repro.pinot.startree import StarTree, StarTreeConfig
+from tests.reference.query import evaluate
 
 
 def make_rows(n=1000, cities=4, products=3):
@@ -294,3 +301,44 @@ class TestSegmentExecution:
     def test_merge_agg_states(self):
         avg = aggregate_rule("AVG", "x")
         assert avg.final(avg.merge([10.0, 2], [20.0, 3])) == 6.0
+
+
+class TestTheTreeDeclinesWhatItCannotSay:
+    """The tree keys its filters by column, so a column filtered twice or
+    to NULL is a question it cannot ask: it declines, and the scan
+    answers."""
+
+    ROWS = [
+        {"city": city, "amount": amount}
+        for city, amount in [
+            ("a", 1.0), ("b", 2.0), (None, 4.0), ("b", 6.0), ("a", 8.0), ("c", 16.0)
+        ]
+    ]
+
+    @pytest.mark.parametrize(
+        "filters, aggregation",
+        [
+            # Parent commit: the tree answered the last conjunct alone, 8.0.
+            ([Filter("city", "=", "a"), Filter("city", "=", "b")],
+             Aggregation("SUM", "amount")),
+            # Parent commit: the tree counted the NULL-city doc, 1.
+            ([Filter("city", "=", None)], Aggregation("COUNT")),
+        ],
+    )
+    def test_the_tree_answers_what_the_scan_answers(self, filters, aggregation):
+        columns = {k: [r[k] for r in self.ROWS] for k in self.ROWS[0]}
+        treed, bare = ImmutableSegment("s", columns), ImmutableSegment("s", columns)
+        treed.startree = StarTree(
+            self.ROWS, StarTreeConfig(dimensions=["city"], metrics=["amount"])
+        )
+        query = PinotQuery("t", aggregations=[aggregation], filters=filters)
+
+        def finished(segment):
+            partial = execute_on_segment(segment, query)
+            fold = group_fold(query)
+            fold.merge(partial.groups)
+            return partial.plan.used_startree, fold.rows()
+
+        expected = evaluate(query, self.ROWS)
+        assert finished(bare) == (False, expected)
+        assert finished(treed) == (False, expected)
