@@ -259,12 +259,14 @@ def _varint_size(value: int) -> int:
 def encoded_size(value: Any) -> int:
     """``len(encode(value))`` without building the buffer.
 
-    Dispatches on the *exact* type, the way the producer's record
-    envelopes are built; anything else (subclasses, ``bytes``, a map with
-    a non-``str`` key, unencodable objects) takes :func:`encode` itself,
-    so sizes and errors cannot drift from the encoder.  Maps size their
-    short ASCII keys and strings and their floats in the loop — a record
-    envelope is mostly those, and a call per field was most of the cost.
+    Dispatches on the *exact* type, the way record keys and payloads are
+    built; anything else (subclasses, ``bytes``, a map with a non-``str``
+    key, unencodable objects) takes :func:`encode` itself, so sizes and
+    errors cannot drift from the encoder.  Maps size their short ASCII
+    keys and strings and their floats in the loop — a payload is mostly
+    those, and a call per field was most of the cost.  A Kafka record's
+    envelope is never built to be sized: ``repro.kafka.log._record_size``
+    adds its fields to the envelope's fixed bytes, each through here.
     """
     kind = type(value)
     if kind is dict:

@@ -543,8 +543,8 @@ class SourceReader:
     """The one owner of a source reader's *derived* progress.
 
     Subclasses say where records come from — :meth:`_read`,
-    :meth:`_seek`, ``snapshot`` and ``lag`` — and feed each record's
-    timestamp to ``self.watermarks``.  What follows from the records
+    :meth:`_seek`, ``snapshot`` and ``lag`` — and feed the timestamps
+    they read to ``self.watermarks``.  What follows from the records
     read lives here: the bounded-out-of-orderness watermark and the
     last one emitted, idleness of an unbounded reader
     (``idle_after_empty_polls`` empty polls), the final ``+inf``
@@ -658,21 +658,28 @@ class KafkaSourceReader(SourceReader):
             self.idle_after_empty_polls = 1
 
     def _read(self, max_records: int, entered: float | None) -> list[Any]:
+        """A poll consumes all it read or, if reading raises, nothing: the
+        positions and the watermark move only once the poll is built."""
         out: list[Any] = []
         if not self.partitions:
             return out
         cluster, topic = self.source.cluster, self.source.topic
+        timestamp_fn = self.source.timestamp_fn
         budget = max(1, max_records // len(self.partitions))
+        positions: dict[int, int] = {}
+        max_timestamp = float("-inf")
         for partition in self.partitions:
             entries = cluster.fetch(topic, partition, self.positions[partition], budget)
             for entry in entries:
                 record: Record = entry.record
                 timestamp = (
-                    self.source.timestamp_fn(record.value)
-                    if self.source.timestamp_fn is not None
-                    else record.event_time
+                    record.event_time
+                    if timestamp_fn is None
+                    else timestamp_fn(record.value)
                 )
-                self.watermarks.on_event(timestamp)
+                # The generator's own rule, so a NaN is skipped as there.
+                if timestamp > max_timestamp:
+                    max_timestamp = timestamp
                 out.append(
                     StreamRecord(
                         record.value,
@@ -683,7 +690,10 @@ class KafkaSourceReader(SourceReader):
                         else EntryTrace(topic, partition, entry, entered),
                     )
                 )
-                self.positions[partition] = entry.offset + 1
+            if entries:
+                positions[partition] = entries[-1].offset + 1
+        self.positions.update(positions)
+        self.watermarks.on_event(max_timestamp)
         return out
 
     def lag(self) -> int:

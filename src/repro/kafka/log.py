@@ -9,6 +9,7 @@ trail the leader and are caught up by replication.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterator
 
 from repro.common import serde
@@ -57,14 +58,7 @@ class PartitionLog:
 
     def append(self, record: Record, append_time: float) -> int:
         """Append one record; returns its offset."""
-        offset = self.end_offset
-        if PERF.enabled:
-            PERF.inc("kafka.entry_allocs")
-        self._entries.append(LogEntry(offset, record, append_time))
-        size = _record_size(record)
-        self._sizes.append(size)
-        self._bytes += size
-        return offset
+        return self.append_batch((record,), append_time)
 
     def append_batch(
         self,
@@ -84,10 +78,8 @@ class PartitionLog:
             sizes = [_record_size(record) for record in records]
         if PERF.enabled:
             PERF.inc("kafka.entry_allocs", len(records))
-        self._entries.extend(
-            LogEntry(base + i, record, append_time)
-            for i, record in enumerate(records)
-        )
+        offsets = range(base, base + len(records))
+        self._entries.extend(map(LogEntry, offsets, records, repeat(append_time)))
         self._sizes.extend(sizes)
         self._bytes += sum(sizes)
         return base
@@ -218,17 +210,30 @@ class PartitionLog:
         return cut
 
 
+# A record's envelope is the map {"key", "value", "event_time", "headers"}:
+# its tag, count and four keys are the same bytes for every record, so they
+# are sized once, by the encoder's own rule (an envelope of four Nones, less
+# the Nones), and only the fields vary.
+_NONE_ENVELOPE = dict.fromkeys(("key", "value", "event_time", "headers"))
+_ENVELOPE_BYTES = serde.encoded_size(_NONE_ENVELOPE) - 4 * serde.encoded_size(None)
+
+
 def _record_size(record: Record) -> int:
+    """``len(serde.encode(envelope))`` for ``record``'s envelope, errors
+    included: the fields are sized in envelope order, so the first field
+    the encoder rejects raises its ``SerdeError``."""
     if PERF.enabled:
         PERF.inc("kafka.size_encodings")
     headers = record.headers
     if type(headers) is not dict:
         headers = dict(headers)  # any Mapping sizes like the dict it holds
-    return serde.encoded_size(
-        {
-            "key": record.key,
-            "value": record.value,
-            "event_time": record.event_time,
-            "headers": headers,
-        }
-    )
+    key = record.key
+    if type(key) is str and key.isascii() and len(key) < 0x80:
+        size = _ENVELOPE_BYTES + 2 + len(key)
+    else:
+        size = _ENVELOPE_BYTES + serde.encoded_size(key)
+    size += serde.encoded_size(record.value)
+    event_time = record.event_time
+    size += 9 if type(event_time) is float else serde.encoded_size(event_time)
+    # An empty header map is its tag and a zero count.
+    return size + (serde.encoded_size(headers) if headers else 2)

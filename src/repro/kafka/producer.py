@@ -10,6 +10,7 @@ it by the offset it lands at (:mod:`repro.observability.trace`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Any
 
 from repro.common import serde
@@ -165,9 +166,9 @@ class Producer:
         # constructed with its own clock would otherwise emit produce spans
         # that end (at append, cluster time) before they start.
         batch.sent_at.append(self.cluster.clock.now())
-        # Encode the full record envelope exactly once: the size drives
-        # batch accounting here and rides along to the broker, which would
-        # otherwise re-encode every record for its log byte accounting.
+        # Size the record once, from its fields (no envelope is built or
+        # encoded): the size drives batch accounting here and rides along
+        # to the broker and every replica, which never size it again.
         size = _record_size(record)
         batch.sizes.append(size)
         batch.bytes += size
@@ -237,10 +238,8 @@ class Producer:
         if batch is None or not batch.records:
             return []
         base = self._append_batch(topic, partition, batch.records, batch.sizes)
-        out = [
-            RecordMetadata(topic, partition, base + i)
-            for i in range(len(batch.records))
-        ]
+        offsets = range(base, base + len(batch.records))
+        out = list(map(RecordMetadata, repeat(topic), repeat(partition), offsets))
         if self.tracer is not None:
             self.tracer.record_batch(
                 "produce",

@@ -1,10 +1,12 @@
 import pytest
 
 from repro.common.errors import JobValidationError
+from repro.common.records import Record
 from repro.flink.graph import StreamEnvironment, validate_graph
 from repro.flink.operators import BoundedListSource
 from repro.flink.runtime import JobRuntime
 from repro.flink.windows import CountAggregate, SumAggregate, TumblingWindows
+from repro.kafka.cluster import TopicConfig
 from repro.storage.blobstore import BlobStore
 
 from tests.conftest import produce_events
@@ -117,6 +119,80 @@ class TestRuntimeBasics:
         assert processed["src"] == 5
         assert processed["m"] == 5
         assert processed["snk"] == 5
+
+
+def _source_readers(runtime):
+    return [
+        task.reader
+        for tasks in runtime.tasks.values()
+        for task in tasks
+        if task.reader is not None
+    ]
+
+
+class TestKafkaPollBookkeeping:
+    """A poll commits its offsets and event time once, whole: a poll that
+    raises consumes nothing, and a NaN timestamp is skipped as the
+    watermark generator skips it."""
+
+    @pytest.mark.parametrize("fail_at", [3, 6])  # partition 0, partition 1
+    def test_a_raising_timestamp_fn_loses_no_record(self, kafka, fail_at):
+        kafka.create_topic("ticks", TopicConfig(partitions=2))
+        for partition in (0, 1):
+            kafka.append_batch(
+                "ticks",
+                partition,
+                [
+                    Record(None, {"id": f"{partition}-{i}", "ts": 10.0 * i}, 0.0)
+                    for i in range(4)
+                ],
+            )
+        calls = []
+
+        def timestamp_fn(row):
+            calls.append(row["id"])
+            if len(calls) == fail_at:
+                raise ValueError("bad timestamp")
+            return row["ts"]
+
+        env = StreamEnvironment()
+        out = []
+        env.from_kafka(
+            kafka, "ticks", group="g", parallelism=1, timestamp_fn=timestamp_fn
+        ).sink_to_list(out)
+        runtime = JobRuntime(env.build("j"))
+        [reader] = _source_readers(runtime)
+        with pytest.raises(ValueError):
+            runtime.run_rounds(1)
+        positions = dict(reader.positions)
+        watermark = reader.watermarks.current_watermark()
+        runtime.run_until_quiescent()
+        assert sorted(row["id"] for row in out) == sorted(
+            f"{p}-{i}" for p in (0, 1) for i in range(4)
+        )
+        assert positions == {0: 0, 1: 0}
+        assert watermark == float("-inf")
+        assert reader.positions == {0: 4, 1: 4}
+        assert reader.watermarks.current_watermark() == 30.0
+
+    def test_a_nan_timestamp_does_not_hold_the_watermark(self, kafka):
+        nan = float("nan")
+        kafka.create_topic("ticks", TopicConfig(partitions=1))
+        kafka.append_batch(
+            "ticks",
+            0,
+            [Record(None, {"ts": ts}, 0.0) for ts in (nan, 0.0, 20.0, 10.0, nan)],
+        )
+        env = StreamEnvironment()
+        out = []
+        env.from_kafka(
+            kafka, "ticks", group="g", timestamp_fn=lambda row: row["ts"]
+        ).sink_to_list(out)
+        runtime = JobRuntime(env.build("j"))
+        [reader] = _source_readers(runtime)
+        runtime.run_until_quiescent()
+        assert len(out) == 5
+        assert reader.watermarks.current_watermark() == 20.0
 
 
 class TestBackpressure:
