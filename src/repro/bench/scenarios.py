@@ -24,7 +24,7 @@ Eight scenarios, one per hot layer of the stack:
   federated scan hot path.
 * ``presto_federated_join`` — a Pinot fact table joined to a Hive
   dimension table through the stage scheduler, with query variants that
-  share plan subtrees: the planner's stage-artifact reuse and epoch
+  share plan subtrees: the planner's stage-artifact reuse and version
   invalidation hot path.
 * ``controlplane_surge`` — a million-user spiking workload against the
   whole serving path under SLO-tiered admission control and cross-layer
@@ -427,7 +427,7 @@ def pinot_selective_query(params: dict, seed: int) -> Outcome:
     workload then repeats a small set of *selective* queries — point
     lookups by ride id, a partition-scoped recency window, a narrow time
     window — across rounds.  The first round scans a handful of segments
-    and later rounds are epoch-validated cache hits, where a full scatter
+    and later rounds are version-validated cache hits, where a full scatter
     would scan every segment every round.
     """
     from repro.kafka.cluster import KafkaCluster, TopicConfig
@@ -566,7 +566,7 @@ def presto_federated_join(params: dict, seed: int) -> Outcome:
     queries sharing the scan → join (→ aggregate) plan prefix, so the
     first query computes the shared stages and the rest — and later
     rounds — are served from the stage artifact store.  Midway through,
-    an ingest burst advances the rides TableEpoch, which must invalidate
+    an ingest burst moves the rides table's version, which must invalidate
     every rides-derived artifact; the results digest covers each round's
     rows and the bench tests pin it to the digest a run without any
     reuse produced, so a stale artifact fails them.
@@ -680,7 +680,7 @@ def presto_federated_join(params: dict, seed: int) -> Outcome:
     checks = []
     for round_no in range(params["query_rounds"]):
         if round_no == params["query_rounds"] // 2:
-            # Freshness burst: new rows advance the rides TableEpoch, so
+            # Freshness burst: new rows move the rides table's version, so
             # every artifact derived from the rides scan must recompute.
             send_rides(n // 8)
             ingest_until_caught_up()

@@ -2,18 +2,19 @@
 
 Three tiers memoize work over versioned data — the Pinot broker
 (finished query results), each Pinot server (filter resolutions and
-partial results on sealed segments) and each Presto worker (stage
-outputs) — and all three need the same thing: ``key -> value`` that is
-served only while the data it was computed from is unchanged.
-"Unchanged" is an *epoch*: an opaque value the owner derives from the
-narrowest version under the entry.  For the broker that is the table
-(``TableState.epoch``), for a stage over several tables a tuple of
-``(table, epoch)`` pairs, and for a server's entry the sealed segment
-instance it was computed on (``ImmutableSegment.serial``): a sealed
-segment never changes, so ingest elsewhere in its table leaves the entry
-fresh.  Epochs advance on every mutation of what they cover, so a hit is
-provably fresh and invalidation never depends on wall-clock TTLs, which
-would be non-deterministic under the simulated clock and stale besides.
+partial results on segments) and each Presto worker (stage outputs) —
+and all three need the same thing: ``key -> value`` that is served only
+while the data it was computed from is unchanged.  "Unchanged" is an
+*epoch*: an opaque value the owner reads off the data under the entry,
+never a counter someone must remember to bump.  For the broker that is
+the table's segments (``TableState.version()``), for a stage over
+several tables a tuple of ``(table, (connector, version))`` pairs, and
+for a server's entry the segment instance it was computed on (``serial``):
+a sealed segment never changes, so ingest elsewhere in its table leaves
+the entry fresh.  Each moves on every mutation of what it covers, so a
+hit is provably fresh and invalidation never depends on wall-clock TTLs,
+which would be non-deterministic under the simulated clock and stale
+besides.
 
 One rule, enforced here and nowhere else: an entry is served only while
 the epoch asked for equals the epoch it was stored under; the first read

@@ -60,7 +60,7 @@ def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
 
 
 def _zigzag(value: int) -> int:
-    return (value << 1) ^ (value >> 63) if value >= 0 else ((-value) << 1) - 1
+    return value << 1 if value >= 0 else ((-value) << 1) - 1
 
 
 def _unzigzag(value: int) -> int:

@@ -7,8 +7,8 @@ Section 4.3.1), scatter-gather-merge brokering with partition-aware
 routing (broker), controller-managed assignment and recovery (controller),
 and the centralized vs peer-to-peer segment backup strategies of
 Section 4.3.4 (recovery).  The broker additionally prunes segments via
-commit-time zone maps / bloom filters and serves repeated queries from an
-epoch-validated result cache (segment, indexes, broker).
+commit-time zone maps / bloom filters and serves repeated queries from a
+result cache validated by the table's segments (segment, indexes, broker).
 """
 
 from repro.pinot.broker import PinotBroker, QueryResult
@@ -27,7 +27,7 @@ from repro.pinot.lookupjoin import (
     execute_lookup_join,
 )
 from repro.pinot.query import Aggregation, Filter, PinotQuery, SegmentPlan
-from repro.pinot.realtime import RealtimeIngestion, TableEpoch, segment_name
+from repro.pinot.realtime import RealtimeIngestion, segment_name
 from repro.pinot.recovery import CentralizedBackup, PeerToPeerBackup
 from repro.pinot.segment import ImmutableSegment, IndexConfig, MutableSegment, ZoneMap
 from repro.pinot.server import PinotServer
@@ -39,7 +39,6 @@ __all__ = [
     "BloomFilter",
     "PinotBroker",
     "QueryResult",
-    "TableEpoch",
     "ZoneMap",
     "PinotController",
     "TableState",

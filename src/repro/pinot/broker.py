@@ -17,12 +17,12 @@ latency/cost edge: touch as little irrelevant data as possible):
   an answer.
 
 * **Result caching** — an :class:`~repro.common.epochcache.EpochCache`
-  keyed on the normalized query and validated against the table's
-  segment epoch.  The epoch advances on every data mutation (row
-  ingested, segment sealed/loaded/dropped, upsert applied), so a hit is
+  keyed on the normalized query and validated against
+  :meth:`TableState.version`, which is read off the segments the table
+  holds: a row landing (upserts ride in on rows), a seal, a reopen on a
+  replacement owner, a drop or an offline load each move it, so a hit is
   provably fresh and the first read after a mutation replaces the entry.
-  The table epoch stops here: nothing below the broker is validated by
-  it.
+  Nothing below the broker is validated by the table's version.
 
 * **Sticky replica routing + per-segment memos** — a replica-eligible
   sealed segment is routed by weighted rendezvous hash over its live
@@ -30,7 +30,7 @@ latency/cost edge: touch as little irrelevant data as possible):
   keep landing on the same server and that server's cache of work on
   sealed segments (:mod:`repro.pinot.scanshare`, validated by the segment
   instance) actually pays.  For a query its result cache holds at an
-  older epoch — asked before, and asked again after the table moved —
+  older version — asked before, and asked again after the table moved —
   the broker passes the normalized query down, and each server keeps its
   segments' partials under it: later repeats re-run only the segments
   sealed since, and fold only the rows each consuming segment gained
@@ -184,14 +184,14 @@ class PinotBroker:
     def execute(self, query: PinotQuery) -> QueryResult:
         start = self.clock.now() if self.tracer is not None else 0.0
         state = self.controller.table(query.table)
-        epoch = state.epoch
+        version = state.version()
         cache_key = normalize_query(query)
         memo_key = None
         if cache_key is not None:
             # Held but missed: answered before the table moved, so asked
             # again; only then may servers keep per-segment partials.
             memo_key = cache_key if cache_key in self.cache else None
-            cached = self.cache.get(cache_key, epoch)
+            cached = self.cache.get(cache_key, version)
             if cached is not None:
                 return self._serve_cached(query, cached, start)
             if PERF.enabled:
@@ -217,7 +217,7 @@ class PinotBroker:
         result.segments_scanned = scanned
         result.segments_pruned = pruned
         if cache_key is not None:
-            self.cache.put(cache_key, epoch, result)
+            self.cache.put(cache_key, version, result)
         if self.tracer is not None:
             self.tracer.record_table_query(
                 query.table,
@@ -353,7 +353,7 @@ class PinotBroker:
                 if not names:
                     continue
                 out.append((by_name[server_name], names, None))
-        for segment_name, hosts in state.offline_segments.items():
+        for segment_name, (__, hosts) in state.offline_segments.items():
             live = [s for s in hosts if s.alive]
             if not live:
                 raise PinotError(f"no live host for offline segment {segment_name!r}")

@@ -28,7 +28,9 @@ class TableState:
     ingestion: RealtimeIngestion
     # Offline (batch-loaded) segments, lambda-architecture style: the
     # segment plus the servers currently hosting it.
-    offline_segments: dict[str, list[PinotServer]] = field(default_factory=dict)
+    offline_segments: dict[str, tuple[ImmutableSegment, list[PinotServer]]] = field(
+        default_factory=dict
+    )
 
     def holds_segment(self, name: str) -> bool:
         """Whether ``name`` is one of this table's offline or realtime
@@ -38,10 +40,28 @@ class TableState:
             for partition in self.ingestion.partitions
         )
 
-    @property
-    def epoch(self) -> int:
-        """Data version of the table; the broker cache's freshness key."""
-        return self.ingestion.epoch.value
+    def version(self) -> tuple:
+        """The table's data version, read off the segments it holds: every
+        query-path cache over the table is valid while this is unchanged.
+
+        Per partition, the consuming segment's instance (``serial``), its
+        doc count and the number of sealed segments: a landed row (an
+        upsert too) raises the count, a seal or a reopen on a replacement
+        owner opens a new instance, and under one instance the sealed list
+        only shrinks (a drop).  Then each offline segment's instance, so a
+        load, a drop, and a re-load under the same name each move it.  A
+        deduped row, a server death or a peer recovery changes no answer
+        and leaves it alone.
+        """
+        version = []
+        for partition in self.ingestion.partitions.values():
+            consuming = partition.consuming
+            version.append(
+                (consuming.serial, consuming.num_docs, len(partition.sealed_segments))
+            )
+        for segment, __ in self.offline_segments.values():
+            version.append(segment.serial)
+        return tuple(version)
 
 
 class PinotController:
@@ -109,18 +129,17 @@ class PinotController:
         hosts = live[: max(1, copies)]
         for server in hosts:
             server.host_segment(segment)
-        state.offline_segments[segment.name] = hosts
+        state.offline_segments[segment.name] = (segment, hosts)
         self.backup.request_backup(table, segment)
-        state.ingestion.epoch.bump()
 
     def drop_segment(self, table: str, name: str) -> None:
-        """Drop a sealed or offline segment (retention): unhost it, forget
-        its upsert locations, and bump the epoch so cached results die."""
+        """Drop a sealed or offline segment (retention): unhost it and
+        forget its upsert locations."""
         state = self.table(table)
         if name in state.offline_segments:
-            for server in state.offline_segments.pop(name):
+            __, hosts = state.offline_segments.pop(name)
+            for server in hosts:
                 server.drop_segment(name)
-            state.ingestion.epoch.bump()
             return
         if not state.ingestion.drop_segment(name):
             raise PinotError(f"table {table!r} has no segment {name!r}")

@@ -41,27 +41,6 @@ def segment_name(table: str, partition: int, sequence: int) -> str:
     return f"{table}__{partition}__{sequence}"
 
 
-class TableEpoch:
-    """Monotonic per-table data-version counter.
-
-    Bumped on every mutation that can change query results: a row landing
-    in a consuming segment (which also covers upserts — they ride in on
-    rows), a segment sealing, an offline segment load, a segment drop, a
-    consuming segment being reopened on a replacement owner.  The broker's result
-    cache is keyed on it, so cached results are invalidated exactly when
-    freshness demands — never by wall-clock TTL, which would be both wrong
-    (stale until expiry) and non-deterministic under the simulated clock.
-    """
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0
-
-    def bump(self, amount: int = 1) -> None:
-        self.value += amount
-
-
 @dataclass
 class _PartitionState:
     partition: int
@@ -106,7 +85,6 @@ class RealtimeIngestion:
         self.rows_deduped = 0  # replayed rows a dedup table consumed past
         self.blocked_polls = 0  # partition rounds skipped awaiting backup
         self.segments_sealed = 0
-        self.epoch = TableEpoch()
         self.partitions: dict[int, _PartitionState] = {}
         for partition in range(kafka.partition_count(topic)):
             if partition not in owners:
@@ -195,9 +173,6 @@ class RealtimeIngestion:
                 state.position = entry.offset + 1
                 ingested += 1
                 landed = index + 1
-                # The row is queryable from this instant: cached results
-                # for this table are stale now.
-                self.epoch.bump()
                 if self.config.upsert_enabled:
                     manager = state.owner.upsert_manager(
                         self.config.name, state.partition
@@ -273,10 +248,6 @@ class RealtimeIngestion:
         state.sequence += 1
         self._open_consuming(state)
         self.segments_sealed += 1
-        # Sealing changes the segment set (and builds new pruning
-        # metadata); routing/pruning decisions cached against the old
-        # epoch must not survive it.
-        self.epoch.bump()
 
     # -- placement ------------------------------------------------------------
 
@@ -292,9 +263,6 @@ class RealtimeIngestion:
                 continue
             lost = state.consuming
             state.owner = replacement
-            # The lost rows vanish until re-consumed: results cached before
-            # the failure are no longer reproducible.
-            self.epoch.bump()
             self._open_consuming(state)
             state.position = state.committed
             if self.config.dedup_enabled:
@@ -313,7 +281,7 @@ class RealtimeIngestion:
 
     def drop_segment(self, name: str) -> bool:
         """Drop a sealed segment (retention): unhost it, forget its upsert
-        locations, bump the epoch.  False when no partition has it."""
+        locations.  False when no partition has it."""
         for state in self.partitions.values():
             if name not in state.sealed_segments:
                 continue
@@ -323,7 +291,6 @@ class RealtimeIngestion:
             if self.config.upsert_enabled:
                 manager = state.owner.upsert_manager(self.config.name, state.partition)
                 manager.drop_segment(name)
-            self.epoch.bump()
             return True
         return False
 

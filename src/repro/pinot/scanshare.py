@@ -1,7 +1,8 @@
 """Per-server scan sharing: memoized work on the segments a server hosts.
 
 The broker's result cache only pays when an *entire* query repeats at
-one table epoch, and a live table's epoch moves with every row ingested.
+one table version, and a live table's version moves with every row
+ingested.
 Work on a *sealed* segment does not go stale that way: an
 :class:`~repro.pinot.segment.ImmutableSegment` never changes once built,
 so each server keeps one :class:`~repro.common.epochcache.EpochCache`

@@ -3,7 +3,7 @@
 Pipeline: ``repro.sql.parser`` AST -> :mod:`logical` IR ->
 :mod:`rules` optimizer (pushdown + join reordering against the typed
 connector contract) -> :mod:`physical` stage DAG -> :mod:`scheduler`
-(multi-worker execution with content-hashed, epoch-keyed stage
+(multi-worker execution with content-hashed, version-keyed stage
 artifacts).  The property suite checks the whole pipeline against
 ``tests/reference/query.py``, a model that shares no code with it.
 

@@ -231,7 +231,7 @@ def direct_scan_nodes(node) -> Iterator[ScanNode]:
 
 
 def tables_of(node) -> tuple[str, ...]:
-    """Distinct tables under a subtree, sorted — the artifact epoch scope."""
+    """Distinct tables under a subtree, sorted — the artifact version scope."""
     return tuple(sorted({scan.table for scan in scan_nodes(node)}))
 
 

@@ -7,7 +7,7 @@ of the canonical rendering of their logical subtree.  Two stages — in the
 same query or in different queries — with equal keys compute the same
 rows over the same table versions, which is what lets the scheduler
 memoize stage outputs across overlapping queries, keyed on
-``(content key, table epochs)``.
+``(content key, table versions)``.
 
 Subqueries dissolve into the DAG: their root stage is marked
 ``block_boundary`` so per-block statistics (pushed_filters,
@@ -51,7 +51,7 @@ class Stage:
     inputs: tuple  # tuple[int] — sids of input stages, in syntactic order
     node: Any  # the logical node this stage executes
     key: str  # content hash of the canonical logical subtree
-    tables: tuple  # tuple[str] — tables under the subtree (epoch scope)
+    tables: tuple  # tuple[str] — tables under the subtree (version scope)
     block_boundary: bool = False  # True at a subquery root
 
 

@@ -1,18 +1,18 @@
-"""Stage-DAG scheduler with content-hashed, epoch-keyed artifact reuse.
+"""Stage-DAG scheduler with content-hashed, version-keyed artifact reuse.
 
 Executes a :class:`repro.sql.planner.physical.PhysicalPlan` over a pool
 of (simulated) workers in deterministic topological waves.  Before
 executing, the scheduler walks the DAG top-down against the per-worker
 artifact stores (:class:`~repro.common.epochcache.EpochCache`): a stage
-whose ``(content key, table epochs)`` artifact is present is *served* —
+whose ``(content key, table versions)`` artifact is present is *served* —
 its whole input subtree is skipped.
 That is how overlapping queries share work: two queries that contain the
 same scan/join/aggregate subtree over the same table versions compute it
-once.  Epochs come from ``Connector.table_epoch`` (Pinot's TableEpoch,
-Hive's table version, the memory connector's per-table counter), so reuse
-is freshness-correct by construction — the same cache class and the same
-invalidation rule as the broker's result cache, one layer up.  Tables
-whose connector cannot version them get no artifacts.
+once.  Versions come from ``Connector.version`` (Pinot's
+``TableState.version()`` read off the table's segments, a Hive table's
+file count, the memory connector's per-table counter), so reuse is
+freshness-correct by construction — the same cache class and the same
+version as the broker's result cache, one layer up.
 
 Served stages still *report* like executed ones: every artifact carries
 the :class:`Evidence` its producing execution accumulated (rows shipped,
@@ -210,25 +210,21 @@ class StageScheduler:
     # -- entry point ----------------------------------------------------------
 
     def run(
-        self, plan: PhysicalPlan, epochs: dict[str, Any], query_id: str
+        self, plan: PhysicalPlan, versions: dict[str, Any], query_id: str
     ) -> tuple[StagePayload, list[StageExecution]]:
         served: dict[int, StagePayload] = {}
         needed: set[int] = set()
 
-        def signature(stage: Stage) -> tuple | None:
-            if any(epochs.get(t) is None for t in stage.tables):
-                return None  # unversionable source: never memoize
-            return tuple((t, epochs[t]) for t in stage.tables)
+        def signature(stage: Stage) -> tuple:
+            return tuple((t, versions[t]) for t in stage.tables)
 
         def probe(sid: int) -> None:
             stage = plan.stages[sid]
-            sig = signature(stage)
-            if sig is not None:
-                store = self._stores[self._worker_for(stage)]
-                payload = store.get(stage.key, sig)
-                if payload is not None:
-                    served[sid] = payload
-                    return
+            store = self._stores[self._worker_for(stage)]
+            payload = store.get(stage.key, signature(stage))
+            if payload is not None:
+                served[sid] = payload
+                return
             needed.add(sid)
             for input_sid in stage.inputs:
                 probe(input_sid)
@@ -275,9 +271,7 @@ class StageScheduler:
                 query_id, stage, served=False, rows=payload.num_rows(),
                 wave=wave, worker=worker,
             )
-            sig = signature(stage)
-            if sig is not None:
-                self._stores[worker].put(stage.key, sig, payload)
+            self._stores[worker].put(stage.key, signature(stage), payload)
         executions.sort(key=lambda e: e.sid)
         return done[plan.root], executions
 

@@ -82,18 +82,6 @@ def connector_estimate(connector, request: "ScanRequest") -> CardinalityEstimate
     return estimate(request)
 
 
-def connector_epoch(connector, table: str) -> int | None:
-    """Freshness epoch of ``table``, or None when the connector cannot
-    version its data (stages over such tables are never artifact-cached)."""
-    table_epoch = getattr(connector, "table_epoch", None)
-    if table_epoch is None:
-        return None
-    try:
-        return table_epoch(table)
-    except Exception:
-        return None
-
-
 def heuristic_selectivity(rows: int, filters: list["PushedFilter"]) -> int:
     """Deterministic post-filter cardinality guess from a pre-filter bound:
     equality-shaped predicates are assumed ~8x selective, ranges ~2x."""
@@ -170,8 +158,9 @@ class Connector(Protocol):
         """Planning-time cardinality for the scan — no data access."""
         ...
 
-    def table_epoch(self, table: str) -> int:
-        """Freshness version of the table; bumps on every data mutation."""
+    def version(self, table: str) -> Any:
+        """The table's data version: it moves on every change to what a
+        scan of the table can answer, and only then."""
         ...
 
 
@@ -211,8 +200,8 @@ class PinotConnector:
             heuristic_selectivity(docs, request.filters), False, "pinot-zonemaps"
         )
 
-    def table_epoch(self, table: str) -> int:
-        return self.broker.controller.table(table).epoch
+    def version(self, table: str) -> tuple:
+        return self.broker.controller.table(table).version()
 
     def scan(self, request: ScanRequest) -> ScanResult:
         caps = self.capabilities()
@@ -290,8 +279,8 @@ class HiveConnector:
             heuristic_selectivity(rows, request.filters), False, "hive-rowcount"
         )
 
-    def table_epoch(self, table: str) -> int:
-        return self.metastore.table(table).version
+    def version(self, table: str) -> int:
+        return self.metastore.table(table).file_count()
 
     def scan(self, request: ScanRequest) -> ScanResult:
         table = self.metastore.table(request.table)
@@ -315,7 +304,7 @@ class MemoryConnector:
     def __init__(self, tables: dict[str, list[dict[str, Any]]] | None = None) -> None:
         self.name = "memory"
         self.tables = tables or {}
-        self._epochs: dict[str, int] = {name: 1 for name in self.tables}
+        self._versions: dict[str, int] = {name: 1 for name in self.tables}
 
     def capabilities(self) -> ConnectorCapabilities:
         return ConnectorCapabilities()
@@ -328,14 +317,14 @@ class MemoryConnector:
             heuristic_selectivity(rows, request.filters), False, "memory"
         )
 
-    def table_epoch(self, table: str) -> int:
+    def version(self, table: str) -> int:
         if table not in self.tables:
             raise SqlPlanError(f"memory connector has no table {table!r}")
-        return self._epochs.get(table, 1)
+        return self._versions.get(table, 1)
 
     def add_table(self, name: str, rows: list[dict[str, Any]]) -> None:
         self.tables[name] = rows
-        self._epochs[name] = self._epochs.get(name, 0) + 1
+        self._versions[name] = self._versions.get(name, 0) + 1
 
     def scan(self, request: ScanRequest) -> ScanResult:
         if request.table not in self.tables:

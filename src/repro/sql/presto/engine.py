@@ -10,11 +10,11 @@ The optimizer pushes predicates, projections, aggregations and limits
 into connectors per their typed :class:`ConnectorCapabilities`, and
 reorders hash joins by connector cardinality estimates (Pinot ZoneMaps,
 Hive row counts).  The scheduler memoizes stage outputs across queries,
-keyed on ``(content-hashed plan subtree, table epochs)``, composing with
-the broker's epoch-invalidated result cache one layer down.  Queries can
-join tables across connectors — the "combine Pinot's seconds level data
-freshness with Presto's flexibility" story of Section 4.3.2 — and
-subqueries in FROM dissolve into the same stage DAG.
+keyed on ``(content-hashed plan subtree, table versions)``; the broker's
+result cache one layer down is validated by the same Pinot table
+version.  Queries can join tables across connectors — the "combine
+Pinot's seconds level data freshness with Presto's flexibility" story of
+Section 4.3.2 — and subqueries in FROM dissolve into the same stage DAG.
 
 A text is planned once per catalog.  ``execute`` keeps the plan of every
 text it plans in an :class:`~repro.common.epochcache.EpochCache` whose
@@ -22,7 +22,7 @@ epoch is the catalog's ``(table, connector)`` pairs, so re-pointing or
 adding a table re-plans every text, and a dashboard asking the same query
 again skips parse, rules and staging.  A plan whose optimization read a
 cardinality estimate is not kept: its join order follows the tables as
-they are now.  Table epochs are still read on every execution, so the
+they are now.  Table versions are still read on every execution, so the
 stage-artifact stores and the broker's cache alone decide freshness; a
 kept plan holds no data.
 
@@ -53,7 +53,7 @@ from repro.sql.planner.physical import PhysicalPlan, build_physical, render_phys
 from repro.sql.planner.rules import optimize, scan_estimate
 from repro.sql.planner.scheduler import StageScheduler
 
-from repro.sql.presto.connector import Connector, connector_epoch
+from repro.sql.presto.connector import Connector
 
 #: Plans an engine keeps, one per SQL text; the least recently asked
 #: text is the first to go.
@@ -162,7 +162,7 @@ class PrestoEngine:
         not kept, so every execute of a join plans it against the
         estimates of the moment.  A text that fails to plan is not kept
         either: it raises on every ask.  Freshness is not the plan's
-        business: the table epochs below are read on every execution.
+        business: the table versions below are read on every execution.
         """
         catalog = tuple(self.catalog.items())
         planned = self._plans.get(sql, catalog)
@@ -173,17 +173,16 @@ class PrestoEngine:
         self._query_seq += 1
         query_id = f"presto-q{self._query_seq:06d}"
         start = self.clock.now() if self.tracer is not None else 0.0
-        # A table epoch counts one connector's versions of the table, so it
+        # A table version is one connector's version of the table, so it
         # travels with that connector: a table re-pointed at another
-        # connector whose count happens to match serves none of the old
+        # connector whose version happens to match serves none of the old
         # one's artifacts.
-        epochs: dict[str, tuple | None] = {}
+        versions: dict[str, tuple] = {}
         for scan in scan_nodes(planned.logical):
-            if scan.table not in epochs:
+            if scan.table not in versions:
                 connector = self.catalog[scan.table]
-                epoch = connector_epoch(connector, scan.table)
-                epochs[scan.table] = None if epoch is None else (connector, epoch)
-        payload, executions = self.scheduler.run(planned.physical, epochs, query_id)
+                versions[scan.table] = (connector, connector.version(scan.table))
+        payload, executions = self.scheduler.run(planned.physical, versions, query_id)
         stats = self._fold_stats(planned, payload, executions)
         # The engine's one exit: everything below shares its rows with the
         # artifact stores, the broker's cache and the segments themselves.

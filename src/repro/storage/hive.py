@@ -39,9 +39,6 @@ class HiveTable:
         # keeps them, so a filtered scan skips a file without reading it.
         self._file_stats: dict[str, dict[str, ColumnStats]] = {}
         self._file_counter = 0
-        # Data version: bumped on every append.  The Presto planner keys
-        # stage artifacts on it (the Hive analogue of Pinot's TableEpoch).
-        self.version = 0
 
     def add_rows(self, partition_key: str, rows: Iterable[dict[str, Any]]) -> str:
         """Append rows into a partition as a new columnar file.
@@ -64,7 +61,6 @@ class HiveTable:
         )
         part.file_keys.append(blob_key)
         part.row_count += len(rows)
-        self.version += 1
         return blob_key
 
     def partitions(self) -> list[str]:
@@ -117,6 +113,12 @@ class HiveTable:
                         else:
                             out.append(row)
         return out, scanned, pruned, examined
+
+    def file_count(self) -> int:
+        """Files written so far.  A table only ever gains files, and the
+        metastore never replaces a table under its name, so this is the
+        table's data version (Presto's stage artifacts are keyed on it)."""
+        return self._file_counter
 
     def row_count(self) -> int:
         return sum(p.row_count for p in self._partitions.values())

@@ -33,7 +33,8 @@ def test_artifact_reuse_doubles_throughput_without_changing_results():
     # Same seeded workload, same answers as recomputing everything: the
     # digest covers every query's rows in every round, including the
     # rounds after the mid-bench ingest burst — so a stale artifact
-    # surviving the TableEpoch bump would break this equality.
+    # surviving the burst's move of the table version would break this
+    # equality.
     assert outcome.check == NO_REUSE_CHECK
     # Reuse must actually fire: most stages are artifact hits, and the
     # plan executes less than half the stages recomputing everything did.

@@ -134,6 +134,12 @@ def _random_value(rng, depth=0):
     return items if rng.random() < 0.7 else tuple(items)
 
 
+@pytest.mark.parametrize("value", [2**63 - 1, 2**63, 2**64, 2**70])
+def test_large_positive_ints_round_trip(value):
+    assert serde.decode(serde.encode(value)) == value
+    assert serde.encoded_size(value) == len(serde.encode(value))
+
+
 class TestEncodedSizeIsExact:
     """``encoded_size`` computes the size instead of encoding; it must read
     exactly what ``len(encode(v))`` reads, errors included."""

@@ -91,7 +91,7 @@ class TestLambdaOfflinePath:
             {"city": ["sf"], "fare": [1.0], "ts": [0.0]},
         )
         controller.add_offline_segment("rides", offline, copies=2)
-        hosts = controller.table("rides").offline_segments["rides_offline_0"]
+        __, hosts = controller.table("rides").offline_segments["rides_offline_0"]
         controller.kill_server(hosts[0].name)
         broker = PinotBroker(controller)
         result = broker.execute(

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from repro.pinot.broker import PinotBroker
 from repro.pinot.query import PinotQuery
 from repro.pinot.server import PinotServer
-from tests.pinot.fixtures import PARTITIONS, SCHEMA, Table
+from tests.pinot.fixtures import PARTITIONS, SCHEMA, Table, ingested_rows
 from tests.reference.query import canonical, realtime_rows
 
 THRESHOLD = 10
@@ -174,9 +174,18 @@ class TestCommittedOffsetProperty:
     ):
         table = Table(threshold=5, upsert=arm == "upsert", dedup=arm == "dedup")
         ingestion = table.state.ingestion
+        # One broker for the whole example: the ask after the fault finds
+        # the answer cached before it, and must still answer the model.
+        broker = PinotBroker(table.controller)
         table.send(new_rides(table, arm, first, keys, resend), ingest=False)
         for __ in range(rounds):  # the death comes mid-way through consuming
             ingestion.run_step(budget)
+        held = realtime_rows(
+            ingested_rows(table.kafka, "rides", table.state),
+            dedup=arm == "dedup",
+            key="ride_id" if arm == "upsert" else None,
+        )
+        assert canonical(broker.execute(FULL_SCAN).rows) == canonical(held)
         pstate = ingestion.partitions[victim]
         owner = pstate.owner
         dropped: set[float] = set()
@@ -212,4 +221,4 @@ class TestCommittedOffsetProperty:
             dedup=arm == "dedup",
             key="ride_id" if arm == "upsert" else None,
         )
-        assert scan(table) == canonical(expected)
+        assert canonical(broker.execute(FULL_SCAN).rows) == canonical(expected)

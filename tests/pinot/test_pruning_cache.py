@@ -513,15 +513,79 @@ class TestResultCache:
         assert after.rows[0]["sum(amount)"] == 5.0
 
     def test_recovery_restart_invalidates(self):
-        clock, kafka, controller, state = self.loaded_stack()
+        # 40-row seals leave rows in every consuming segment.
+        clock, kafka, controller, state = self.loaded_stack(threshold=40)
         broker = self.make_broker(controller, clock)
-        broker.execute(self.QUERY)
-        epoch_before = state.epoch
+        before = broker.execute(self.QUERY)
         victim = state.ingestion.partitions[0].owner.name
         controller.kill_server(victim)
         controller.recover_server(victim, PinotServer("replacement"))
-        assert state.epoch > epoch_before
-        after = broker.execute(self.QUERY)
+        # The replacement reopens the victim's consuming segments at the
+        # committed offset: their rows are gone until read again.
+        after = assert_answers(broker, self.QUERY, ingested_rows(kafka, "rides", state))
+        assert not after.cache_hit
+        assert serde.encode(after.rows) != serde.encode(before.rows)
+
+    def test_drop_then_seal_back_to_the_same_counts_invalidates(self):
+        # A drop, then enough rows to seal once more and refill the
+        # consuming segment: every doc and segment count is back where it
+        # was, over other rows; only the consuming segment's new instance
+        # tells the table apart.
+        clock, kafka, controller, state = self.loaded_stack(threshold=40)
+        broker = self.make_broker(controller, clock)
+        pstate = state.ingestion.partitions[0]
+
+        def counts():
+            return [
+                (p.consuming.num_docs, len(p.sealed_segments))
+                for p in state.ingestion.partitions.values()
+            ]
+
+        before = counts()
+        assert before[0] == (10, 1)
+        broker.execute(self.QUERY)
+        oldest = pstate.sealed_segments[0]
+        segment = pstate.owner.segments[oldest]
+        dropped = {segment.row(doc)["ts"] for doc in range(segment.num_docs)}
+        controller.drop_segment("rides", oldest)
+        city = next(
+            f"city-{i}" for i in range(8) if hash_partitioner(f"city-{i}", 4) == 0
+        )
+        produce_rides(kafka, clock, 40, city_fn=lambda i: city)
+        state.ingestion.run_until_caught_up()
+        assert counts() == before
+        held = [
+            row
+            for row in ingested_rows(kafka, "rides", state)
+            if row["ts"] not in dropped
+        ]
+        after = assert_answers(broker, self.QUERY, held)
+        assert not after.cache_hit
+
+    def test_offline_reload_under_the_same_name_invalidates(self):
+        # Same name, same doc count, other rows: only the segment
+        # instance tells the two loads apart.
+        clock, kafka, controller, state = self.loaded_stack()
+        broker = self.make_broker(controller, clock)
+
+        def batch(amount):
+            segment = MutableSegment("batch-0", None)
+            rows = [
+                {"city": "city-batch", "ride_id": f"b{i}", "amount": amount, "ts": 0.5}
+                for i in range(2)
+            ]
+            for row in rows:
+                segment.append(row)
+            return segment.seal(time_column="ts"), rows
+
+        held = ingested_rows(kafka, "rides", state)
+        first, first_rows = batch(1.0)
+        controller.add_offline_segment("rides", first)
+        assert_answers(broker, self.QUERY, held + first_rows)
+        assert broker.execute(self.QUERY).cache_hit
+        second, second_rows = batch(7.0)
+        controller.add_offline_segment("rides", second)
+        after = assert_answers(broker, self.QUERY, held + second_rows)
         assert not after.cache_hit
 
     def test_distinct_queries_do_not_collide(self):

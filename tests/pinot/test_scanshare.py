@@ -142,13 +142,12 @@ class TestScanShare:
         clock, controller, state = build_stack(records=0)
         rows = send_rides(clock, state, "ride", 200)
         query = QUERIES[0]
-        before = ask(controller, query).rows
+        broker = PinotBroker(controller)  # one broker across the mutation
+        before = broker.execute(query).rows
         ask(controller, query)  # warm the scan-share entries
-        epoch0 = state.epoch
         hits0, __ = scan_totals(controller)
         # Mutate the table: new rows shift every aggregate.
         rows += send_rides(clock, state, "late", 80, amount=99.0)
-        assert state.epoch > epoch0
         after = ask(controller, query).rows
         assert serde.encode(after) != serde.encode(before)
         # Against plain Python over everything ingested: an entry stored
@@ -157,6 +156,10 @@ class TestScanShare:
         # The sealed segments the mutation left alone were served.
         hits1, __ = scan_totals(controller)
         assert hits1 > hits0
+        # Nor is the broker's answer from before the mutation served.
+        again = broker.execute(query)
+        assert not again.cache_hit
+        assert serde.encode(again.rows) == serde.encode(after)
         # A segment rebuilt under the same name (as a fetch from the
         # segment store rebuilds one) is a new segment: its entries die.
         name = state.ingestion.partitions[0].sealed_segments[0]

@@ -1,6 +1,6 @@
 """The federated planner pipeline: typed capabilities, explain(),
 pushdown correctness (including the projection-retention regressions),
-join reordering, and the epoch-keyed stage artifact store."""
+join reordering, and the version-keyed stage artifact store."""
 
 import pytest
 from hypothesis import given, settings
@@ -145,6 +145,9 @@ class TestTypedCapabilities:
             def capabilities(self):
                 return ConnectorCapabilities()
 
+            def version(self, table):
+                return 1
+
             def scan(self, request):
                 return MemoryConnector({"t": ROWS}).scan(
                     ScanRequest(table="t")
@@ -163,13 +166,13 @@ class TestTypedCapabilities:
         )
         assert not filtered.exact and 0 < filtered.rows < 30
 
-    def test_memory_epoch_bumps_and_missing_table_raises(self):
+    def test_memory_version_moves_and_missing_table_raises(self):
         memory = MemoryConnector({"t": ROWS})
-        before = memory.table_epoch("t")
+        before = memory.version("t")
         memory.add_table("t", ROWS[:5])
-        assert memory.table_epoch("t") == before + 1
+        assert memory.version("t") == before + 1
         with pytest.raises(SqlPlanError):
-            memory.table_epoch("missing")
+            memory.version("missing")
 
     def test_resolve_rejects_garbage(self):
         class Bad:
@@ -370,10 +373,17 @@ class TestPlacementIsLookedUp:
     """Counts, not clocks: what a repeat query no longer re-derives."""
 
     def test_repeats_route_once_and_score_nothing(self, monkeypatch):
-        __, __, state, broker = build_pinot(rows_count=600, threshold=50)
-        sealed = sum(
-            len(p.sealed_segments) for p in state.ingestion.partitions.values()
-        )
+        # Every partition ends on a seal, so the 100 rows ingested below
+        # leave room in each consuming segment.
+        clock, kafka, state, broker = build_pinot(rows_count=600, threshold=60)
+        producer = Producer(kafka, "svc", clock=clock)
+
+        def sealed_count():
+            return sum(
+                len(p.sealed_segments) for p in state.ingestion.partitions.values()
+            )
+
+        sealed = sealed_count()
         assert sealed >= 8
         engine = PrestoEngine({"metrics": PinotConnector(broker, "full")})
         routed = _count_calls(monkeypatch, PinotBroker, "_route")
@@ -387,13 +397,21 @@ class TestPlacementIsLookedUp:
         # them; plus each stage's two workers.
         assert len(routed) == 1 and len(scored) == 2 * sealed + 2 * 2
         del routed[:], scored[:]
-        for __repeat in range(100):
-            # What any ingest does to the caches above the route, without
-            # ever sealing a segment: every repeat routes and scans again
-            # (through the plan the first execute kept).
-            state.ingestion.epoch.bump()
+        for repeat in range(100):
+            # One ingested row the filter excludes, sealing nothing: the
+            # table moved, so every repeat routes and scans again (through
+            # the plan the first execute kept) and answers the same.
+            clock.advance(0.5)
+            producer.send(
+                "metrics",
+                {"city": "city-0", "amount": 0.0, "ts": clock.now()},
+                key=f"city-{repeat % 5}",
+            )
+            producer.flush()
+            assert state.ingestion.run_step() == 1
             out = engine.execute(sql)
             assert out.rows == first.rows and out.stats.stages_executed == 2
+        assert sealed_count() == sealed
         assert len(routed) == 100  # 200 when planning asked for an estimate
         assert scored == []
 
