@@ -114,9 +114,9 @@ def validate_graph(graph: JobGraph) -> None:
     """Raise :class:`JobValidationError` on structural problems.
 
     Checks: at least one source and one sink, no cycles, no dangling
-    edges, every non-source reachable from a source, window/join payloads
-    present.  This is the job-management layer's validation step
-    (Section 4.2.2).
+    edges, at most one edge from one operator to another, every
+    non-source reachable from a source, window/join payloads present.
+    This is the job-management layer's validation step (Section 4.2.2).
     """
     if not graph.sources():
         raise JobValidationError(f"job {graph.name!r} has no source")
@@ -128,6 +128,17 @@ def validate_graph(graph: JobGraph) -> None:
                 raise JobValidationError(
                     f"edge {edge.src}->{edge.dst} references unknown operator {end!r}"
                 )
+    # A subtask keeps one input channel per upstream subtask, so a second
+    # edge between the same operators (a stream joined with itself) would
+    # share, and silently overwrite, the first one's channel.
+    linked: set[tuple[str, str]] = set()
+    for edge in graph.edges:
+        if (edge.src, edge.dst) in linked:
+            raise JobValidationError(
+                f"operator {edge.dst!r} reads {edge.src!r} on two inputs; "
+                "a stream cannot be joined with itself"
+            )
+        linked.add((edge.src, edge.dst))
     graph.topological_order()  # raises on cycles
     # Reachability from sources.
     reachable = {op.op_id for op in graph.sources()}

@@ -2,9 +2,13 @@
 
 Each operator follows a small contract used by the runtime:
 
-* ``process(record, input_index) -> list[StreamElement]``
-* ``on_watermark(watermark) -> list[StreamElement]`` (fire timers/windows)
+* ``process(records, input_index) -> list[StreamRecord]``: one call per
+  delivered run of records from one input, folded in order
+* ``on_watermark(watermark) -> list[StreamRecord]`` (fire timers/windows)
 * ``snapshot() -> bytes`` / ``restore(bytes)`` for checkpointing
+
+A run raising part-way leaves the state its prefix produced and emits
+nothing.
 
 Every data element is a :class:`~repro.flink.time.StreamRecord`: sources
 read records, operators process and emit records, sinks write records.
@@ -52,7 +56,7 @@ class Operator:
     def __init__(self) -> None:
         self.state = KeyedStateBackend()
 
-    def process(self, record: StreamRecord, input_index: int = 0) -> list[Any]:
+    def process(self, records: list[StreamRecord], input_index: int = 0) -> list[Any]:
         raise NotImplementedError
 
     def on_watermark(self, watermark: Watermark) -> list[Any]:
@@ -70,9 +74,10 @@ class MapOperator(Operator):
         super().__init__()
         self.fn = fn
 
-    def process(self, record: StreamRecord, input_index: int = 0) -> list[Any]:
+    def process(self, records: list[StreamRecord], input_index: int = 0) -> list[Any]:
+        fn = self.fn
         try:
-            return [record.with_value(self.fn(record.value))]
+            return [record.with_value(fn(record.value)) for record in records]
         except Exception as exc:
             raise OperatorError(f"map function failed: {exc}") from exc
 
@@ -82,9 +87,10 @@ class FilterOperator(Operator):
         super().__init__()
         self.fn = fn
 
-    def process(self, record: StreamRecord, input_index: int = 0) -> list[Any]:
+    def process(self, records: list[StreamRecord], input_index: int = 0) -> list[Any]:
+        fn = self.fn
         try:
-            return [record] if self.fn(record.value) else []
+            return [record for record in records if fn(record.value)]
         except Exception as exc:
             raise OperatorError(f"filter function failed: {exc}") from exc
 
@@ -94,9 +100,12 @@ class FlatMapOperator(Operator):
         super().__init__()
         self.fn = fn
 
-    def process(self, record: StreamRecord, input_index: int = 0) -> list[Any]:
+    def process(self, records: list[StreamRecord], input_index: int = 0) -> list[Any]:
+        fn = self.fn
         try:
-            return [record.with_value(v) for v in self.fn(record.value)]
+            return [
+                record.with_value(v) for record in records for v in fn(record.value)
+            ]
         except Exception as exc:
             raise OperatorError(f"flat_map function failed: {exc}") from exc
 
@@ -108,14 +117,17 @@ class ProcessOperator(Operator):
         super().__init__()
         self.fn = fn
 
-    def process(self, record: StreamRecord, input_index: int = 0) -> list[Any]:
+    def process(self, records: list[StreamRecord], input_index: int = 0) -> list[Any]:
         out: list[StreamRecord] = []
 
         def emit(value: Any, key: Any = None) -> None:
+            # Stamped like the record ``fn`` is handling when it calls.
             out.append(StreamRecord(value, record.timestamp, key, record.trace))
 
+        fn, state = self.fn, self.state
         try:
-            self.fn(record, self.state, emit)
+            for record in records:
+                fn(record, state, emit)
         except Exception as exc:
             raise OperatorError(f"process function failed: {exc}") from exc
         return out
@@ -236,30 +248,49 @@ class WindowOperator(EventTimeOperator):
         self.aggregator = aggregator
         self._session = assigner.is_session()
 
-    def process(self, record: StreamRecord, input_index: int = 0) -> list[Any]:
-        """Admit one record and fold it into the state of its open windows."""
-        key, value, trace = record.key, record.value, record.trace
-        windows = self.assigner.assign(record.timestamp)
+    def process(self, records: list[StreamRecord], input_index: int = 0) -> list[Any]:
+        """Admit each record and fold it into the state of its open windows.
+
+        The tumbling and sliding folds judge lateness with
+        :meth:`_expired`'s predicate inline; sessions merge per record.
+        """
+        assign = self.assigner.assign
         aggregator = self.aggregator
         if self._session:
-            acc = aggregator.add(value, aggregator.create_accumulator())
-            self._add_to_session(key, windows[0], acc, trace)
+            for record in records:
+                window = assign(record.timestamp)[0]
+                acc = aggregator.add(record.value, aggregator.create_accumulator())
+                self._add_to_session(record.key, window, acc, record.trace)
             return []
-        admitted = self._admit(windows)
-        if not admitted:
-            return []
+        add, create = aggregator.add, aggregator.create_accumulator
+        lateness, watermark = self.allowed_lateness, self.current_watermark
+        traces = self._traces
         tables = self.state.tables
         accs = tables.get("acc")
-        if accs is None:
-            accs = tables["acc"] = {}
-        for window in admitted:
-            state_key = (key, window.start, window.end)
-            acc = accs.get(state_key)
-            if acc is None:
-                acc = aggregator.create_accumulator()
-            accs[state_key] = aggregator.add(value, acc)
-            if trace is not None:
-                self._traces[state_key] = trace
+        late = 0
+        try:
+            for record in records:
+                windows = assign(record.timestamp)
+                if len(windows) == 1:  # tumbling: nothing to filter
+                    if windows[0].end + lateness <= watermark:
+                        late += 1
+                        continue
+                else:
+                    windows = [w for w in windows if not w.end + lateness <= watermark]
+                    if not windows:
+                        late += 1
+                        continue
+                if accs is None:
+                    accs = tables["acc"] = {}
+                key, value, trace = record.key, record.value, record.trace
+                for window in windows:
+                    state_key = (key, window.start, window.end)
+                    acc = accs.get(state_key)
+                    accs[state_key] = add(value, create() if acc is None else acc)
+                    if trace is not None:
+                        traces[state_key] = trace
+        finally:
+            self.late_dropped += late
         return []
 
     def _add_to_session(
@@ -333,13 +364,15 @@ class WindowJoinOperator(EventTimeOperator):
         self.assigner = assigner
         self.join_fn = join_fn
 
-    def process(self, record: StreamRecord, input_index: int = 0) -> list[Any]:
+    def process(self, records: list[StreamRecord], input_index: int = 0) -> list[Any]:
         side = "left" if input_index == 0 else "right"
-        for window in self._admit(self.assigner.assign(record.timestamp)):
-            state_key = (record.key, window.start, window.end)
-            self.state.append(side, state_key, record.value)
-            if record.trace is not None:
-                self._traces[state_key] = record.trace
+        assign, append = self.assigner.assign, self.state.append
+        for record in records:
+            for window in self._admit(assign(record.timestamp)):
+                state_key = (record.key, window.start, window.end)
+                append(side, state_key, record.value)
+                if record.trace is not None:
+                    self._traces[state_key] = record.trace
         return []
 
     def _fire(self) -> list[Any]:
@@ -436,9 +469,6 @@ class IntervalJoinOperator(EventTimeOperator):
 
     # -- time bounds ---------------------------------------------------------
 
-    def _horizon(self, side: str, timestamp: float) -> float:
-        return timestamp + self._reach[side]
-
     def _deadline(self, horizon: float, timestamp: float) -> float:
         """When an entry with this join horizon leaves the buffer."""
         deadline = horizon + self.allowed_lateness
@@ -448,45 +478,81 @@ class IntervalJoinOperator(EventTimeOperator):
 
     # -- dataflow ------------------------------------------------------------
 
-    def process(self, record: StreamRecord, input_index: int = 0) -> list[Any]:
+    def process(self, records: list[StreamRecord], input_index: int = 0) -> list[Any]:
+        """Judge, probe and buffer each record of one input's run in order.
+
+        The loop inlines the join horizon, :meth:`_expired`'s lateness
+        predicate and :meth:`_deadline`; nothing it reads changes within
+        a run but the own side's buffer, the traces and the heap.
+        """
         is_left = input_index == 0
         side, other = ("left", "right") if is_left else ("right", "left")
-        timestamp = record.timestamp
-        horizon = self._horizon(side, timestamp)
-        if not isfinite(horizon):  # a NaN deadline would wedge eviction
-            raise non_finite_event_time(timestamp)
-        if self._late(horizon):
-            return []
-        key = record.key
-        value = record.value
-        if record.trace is not None:
-            self._traces[key] = record.trace
-        out: list[StreamRecord] = []
+        reach = self._reach[side]
+        # Bounds on ``timestamp - other_ts``: a right arrival negates them
+        # (exact in floating point, as swapping a difference's operands is).
+        lo, hi = (self.lower, self.upper) if is_left else (-self.upper, -self.lower)
+        join_fn = self.join_fn
+        lateness, watermark = self.allowed_lateness, self.current_watermark
+        ttl = self.state_ttl
         tables = self.state.tables
-        buffered = tables.get(other, {}).get(key)
-        if buffered:
-            if PERF.enabled:
-                PERF.inc("flink.join_probes", len(buffered))
-            lower, upper, join_fn = self.lower, self.upper, self.join_fn
-            # The record's own trace was stored just above, so one lookup
-            # serves every pair: its trace, else the key's latest.
-            trace = self._traces.get(key)
-            for other_ts, _seq, other_value in buffered:
-                delta = timestamp - other_ts if is_left else other_ts - timestamp
-                if lower <= delta <= upper:
-                    if is_left:
-                        pair = join_fn(value, other_value)
-                    else:
-                        pair = join_fn(other_value, value)
-                    out.append(StreamRecord(pair, max(timestamp, other_ts), key, trace))
-        if PERF.enabled:
-            PERF.inc("flink.join_state_appends")
-            if out:
-                PERF.inc("flink.join_rows_out", len(out))
+        mine = tables.get(side)  # appears at its first append
+        theirs = tables.get(other) or {}
+        traces = self._traces
+        evictions = self._evictions
+        out: list[StreamRecord] = []
         seq = self._seq
-        self._seq += 1
-        tables.setdefault(side, {}).setdefault(key, []).append([timestamp, seq, value])
-        heappush(self._evictions, (self._deadline(horizon, timestamp), seq, side, key))
+        late = probes = 0
+        try:
+            for record in records:
+                timestamp = record.timestamp
+                horizon = timestamp + reach
+                if not isfinite(horizon):  # a NaN deadline would wedge eviction
+                    raise non_finite_event_time(timestamp)
+                deadline = horizon + lateness
+                if deadline <= watermark:
+                    late += 1
+                    continue
+                key, value = record.key, record.value
+                if record.trace is not None:
+                    traces[key] = record.trace
+                buffered = theirs.get(key)
+                if buffered:
+                    probes += len(buffered)
+                    # The record's own trace was stored just above, so one
+                    # lookup serves every pair: its trace, else the key's.
+                    trace = traces.get(key)
+                    for other_ts, _seq, other_value in buffered:
+                        if lo <= timestamp - other_ts <= hi:
+                            pair = (
+                                join_fn(value, other_value)
+                                if is_left
+                                else join_fn(other_value, value)
+                            )
+                            completed = other_ts if other_ts > timestamp else timestamp
+                            out.append(StreamRecord(pair, completed, key, trace))
+                if mine is None:
+                    mine = tables[side] = {}
+                entries = mine.get(key)
+                if entries is None:
+                    # Grown by append, as every later entry is, so a
+                    # key's list is sized as it always was.
+                    entries = mine[key] = []
+                entries.append([timestamp, seq, value])
+                if ttl is not None and timestamp + ttl > deadline:
+                    deadline = timestamp + ttl
+                heappush(evictions, (deadline, seq, side, key))
+                seq += 1
+        finally:
+            appended = seq - self._seq
+            self._seq = seq
+            self.late_dropped += late
+            if PERF.enabled:
+                if probes:
+                    PERF.inc("flink.join_probes", probes)
+                if appended:
+                    PERF.inc("flink.join_state_appends", appended)
+                if out:
+                    PERF.inc("flink.join_rows_out", len(out))
         return out
 
     def _fire(self) -> list[Any]:
@@ -530,9 +596,10 @@ class IntervalJoinOperator(EventTimeOperator):
         # function of (side, ts), so rebuild it from the buffers.
         self._evictions = []
         for side in ("left", "right"):
+            reach = self._reach[side]
             for key, entries in self.state.tables.get(side, {}).items():
                 for ts, seq, __ in entries:
-                    deadline = self._deadline(self._horizon(side, ts), ts)
+                    deadline = self._deadline(ts + reach, ts)
                     heappush(self._evictions, (deadline, seq, side, key))
 
 

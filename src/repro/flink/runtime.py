@@ -72,9 +72,6 @@ class InputChannel:
     def has_space(self) -> bool:
         return len(self.queue) < self.capacity
 
-    def push(self, element: Any) -> None:
-        self.queue.append(element)
-
 
 class SubTask:
     """One parallel instance of an operator."""
@@ -104,9 +101,11 @@ class SubTask:
         self._txn_open: list[StreamRecord] = []
         self._txn_pre: dict[int, list[StreamRecord]] = {}
         # Cached output wiring, built lazily on first emit/space probe:
-        # (edge, dst channels, dst key_fn, key -> target memo) per out edge.
+        # (partitioning, dst channels, dst key_fn, key -> target memo,
+        # rank among the rebalance edges) per out edge.
         self._out: list | None = None
         self._out_channels: list[InputChannel] = []
+        self._rebalance_edges = 0
 
     # -- wiring -------------------------------------------------------------
 
@@ -129,6 +128,7 @@ class SubTask:
         if self._out is None:
             self._out = []
             self._out_channels = []
+            rebalanced = 0
             for edge in self.runtime.graph.downstream_of(self.spec.op_id):
                 dst_spec = self.runtime.graph.operators[edge.dst]
                 channels = [
@@ -136,50 +136,11 @@ class SubTask:
                     for task in self.runtime.tasks[edge.dst]
                 ]
                 key_fn = self._dst_key_fn(dst_spec, edge)
-                self._out.append((edge, channels, key_fn, {}))
+                self._out.append((edge.partitioning, channels, key_fn, {}, rebalanced))
+                rebalanced += edge.partitioning == "rebalance"
                 self._out_channels.extend(channels)
+            self._rebalance_edges = rebalanced
         return self._out
-
-    def _route_record(
-        self,
-        edge: Edge,
-        channels: list[InputChannel],
-        key_fn,
-        key_targets: dict,
-        record: StreamRecord,
-    ) -> None:
-        if PERF.enabled:
-            PERF.inc("flink.cached_routes")
-        if edge.partitioning == "hash":
-            if key_fn is not None:
-                key = key_fn(record.value)
-                # Re-stamp only a key that changed.  Identity, never ``==``:
-                # 5 == 5.0, and the type a key function returns is the
-                # type downstream state is keyed by.
-                if key is not record.key:
-                    record = record.with_key(key)
-            else:
-                key = record.key
-            try:
-                target = key_targets.get(key)
-            except TypeError:  # unhashable key: hash every time
-                target = hash_partitioner(key, len(channels))
-            else:
-                if target is None:
-                    target = hash_partitioner(key, len(channels))
-                    key_targets[key] = target
-            targets = (target,)
-        elif edge.partitioning == "broadcast":
-            targets = range(len(channels))
-        elif edge.partitioning == "rebalance":
-            targets = (self._rebalance_cursor % len(channels),)
-            self._rebalance_cursor += 1
-        else:  # forward
-            targets = (self.index % len(channels),)
-        if PERF.enabled:
-            PERF.inc("flink.channel_pushes", len(targets))
-        for target in targets:
-            channels[target].push(record)
 
     @staticmethod
     def _dst_key_fn(dst_spec: OperatorSpec, edge: Edge):
@@ -194,17 +155,80 @@ class SubTask:
         """Watermarks and barriers go to every downstream subtask."""
         self._output_wiring()
         for channel in self._out_channels:
-            channel.push(element)
+            channel.queue.append(element)
 
-    def emit(self, elements: list[Any]) -> None:
+    def emit(self, elements: list[Any]) -> int:
+        """Send a source's poll downstream; returns the records among it.
+
+        Each stretch of records between control elements is routed by
+        :meth:`_route`; a control element (a watermark or an idleness
+        marker) goes to every out channel at its place in the poll.
+        """
+        routed = start = 0
+        for i, element in enumerate(elements):
+            if not isinstance(element, StreamRecord):
+                routed += self._route(elements[start:i])
+                self._broadcast_control(element)
+                start = i + 1
+        return routed + self._route(elements[start:] if start else elements)
+
+    def _route(self, records: list[StreamRecord]) -> int:
+        """Route a run of records: one pass over the run per out edge,
+        appending each record straight onto its target channel's queue.
+
+        A channel is fed by exactly one edge (``validate_graph``), so
+        edge-major routing keeps every channel's order; the rebalance
+        cursor strides over the rebalance edges, so each record lands
+        where record-major routing would put it.  Returns ``len(records)``.
+        """
+        count = len(records)
+        if not count:
+            return 0
         wiring = self._output_wiring()
-        for element in elements:
-            if isinstance(element, StreamRecord):
-                for edge, channels, key_fn, key_targets in wiring:
-                    self._route_record(edge, channels, key_fn, key_targets, element)
-            else:
-                for channel in self._out_channels:
-                    channel.push(element)
+        stride = self._rebalance_edges
+        base = self._rebalance_cursor
+        pushes = 0
+        for partitioning, channels, key_fn, key_targets, rank in wiring:
+            queues = [channel.queue for channel in channels]
+            width = len(queues)
+            if partitioning == "hash":
+                for record in records:
+                    if key_fn is None:
+                        key = record.key
+                    else:
+                        key = key_fn(record.value)
+                        # Re-stamp only a key that changed.  Identity, never
+                        # ``==``: 5 == 5.0, and the type a key function
+                        # returns is the type downstream state is keyed by.
+                        if key is not record.key:
+                            record = record.with_key(key)
+                    try:
+                        target = key_targets.get(key)
+                    except TypeError:  # unhashable key: hash every time
+                        target = hash_partitioner(key, width)
+                    else:
+                        if target is None:
+                            target = key_targets[key] = hash_partitioner(key, width)
+                    queues[target].append(record)
+                pushes += count
+            elif partitioning == "broadcast":
+                for queue in queues:
+                    queue.extend(records)
+                pushes += count * width
+            elif partitioning == "rebalance":
+                cursor = base + rank
+                for record in records:
+                    queues[cursor % width].append(record)
+                    cursor += stride
+                pushes += count
+            else:  # forward
+                queues[self.index % width].extend(records)
+                pushes += count
+        self._rebalance_cursor = base + count * stride
+        if PERF.enabled and pushes:
+            PERF.inc("flink.cached_routes", count * len(wiring))
+            PERF.inc("flink.channel_pushes", pushes)
+        return count
 
     # -- backpressure ------------------------------------------------------------
 
@@ -230,11 +254,9 @@ class SubTask:
         # process span from there.
         runtime = self.runtime
         entered = runtime.clock.now() if runtime.tracer is not None else None
-        elements = self.reader.poll(max_records, entered)
-        data = [e for e in elements if isinstance(e, StreamRecord)]
-        self.emit(elements)
-        self.records_processed += len(data)
-        return len(data)
+        records = self.emit(self.reader.poll(max_records, entered))
+        self.records_processed += records
+        return records
 
     def step(self, budget: int) -> int:
         """Process up to ``budget`` elements from input channels."""
@@ -279,9 +301,10 @@ class SubTask:
     def _deliver(self, data: list[StreamRecord], channel: InputChannel) -> None:
         """The one place data reaches a sink or an operator.
 
-        ``data`` is a micro-batched run of records: a sink writes it as
-        one delivery (or buffers it in its open 2PC transaction), an
-        operator ``process``-es each and the outputs are emitted together.
+        ``data`` is a micro-batched run of records from one channel: a
+        sink writes it as one delivery (or buffers it in its open 2PC
+        transaction); an operator takes it in one ``process`` call, and
+        what that returns is routed in one pass per out edge.
         """
         if PERF.enabled:
             PERF.inc("flink.batch_elements", len(data))
@@ -293,12 +316,9 @@ class SubTask:
                 self._write_to_sink(data)
             return
         assert self.operator is not None
-        input_index = channel.input_index
-        process = self.operator.process
-        out = []
-        for record in data:
-            out.extend(process(record, input_index))
-        self.emit(out)
+        out = self.operator.process(data, channel.input_index)
+        if out:
+            self._route(out)
 
     def _handle_control(self, element: Any, channel: InputChannel) -> None:
         if PERF.enabled:
@@ -335,7 +355,7 @@ class SubTask:
         if self.spec.kind == "sink":
             return
         assert self.operator is not None
-        self.emit(self.operator.on_watermark(Watermark(minimum)))
+        self._route(self.operator.on_watermark(Watermark(minimum)))
         self._broadcast_control(Watermark(minimum))
 
     # -- 2PC sink transactions ------------------------------------------------

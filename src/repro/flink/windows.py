@@ -115,6 +115,8 @@ class SessionWindows:
         self.gap = _duration("gap", gap)
 
     def assign(self, timestamp: float) -> list[TimeWindow]:
+        if not math.isfinite(timestamp):  # its session would never close
+            raise non_finite_event_time(timestamp)
         return [TimeWindow(timestamp, timestamp + self.gap)]
 
     def is_session(self) -> bool:

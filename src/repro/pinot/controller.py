@@ -194,7 +194,8 @@ class PinotController:
         raise PinotError(f"unknown server {name!r}")
 
     def recover_server(self, failed_name: str, replacement: PinotServer) -> int:
-        """Re-host a dead server's sealed segments on a replacement.
+        """Re-host a dead server's sealed and offline segments on a
+        replacement, which takes the dead server's place as their host.
 
         Uses peer replicas when possible (P2P), falling back to the
         segment store; raises :class:`StorageError` if a segment is in
@@ -213,4 +214,17 @@ class PinotController:
                 if pstate.owner is failed or failed in pstate.replicas:
                     recovered += self._rehost(state, partition, replacement)
             state.ingestion.replace_server(failed, replacement)
+            for name, (__, hosts) in state.offline_segments.items():
+                if replacement is failed or all(host is not failed for host in hosts):
+                    continue
+                if not replacement.has_segment(name):
+                    replacement.host_segment(
+                        recover_segment_p2p(name, state.config.name, hosts, self.backup)
+                    )
+                    recovered += 1
+                hosts[:] = [
+                    replacement if host is failed else host
+                    for host in hosts
+                    if host is not replacement
+                ]
         return recovered

@@ -210,9 +210,10 @@ def scan_estimate(scan: ScanNode, catalog: dict[str, Any]):
     """The connector's cardinality for one optimized scan.
 
     Asked in the two places that read it: the join reorderer, which
-    compares build sides, and ``explain()``, which prints one per scan
-    when it renders.  A single-table block compares nothing, so planning
-    one asks nothing — for Pinot an estimate routes the whole scan."""
+    compares build sides (never the base side, which is not ordered),
+    and ``explain()``, which prints one per scan when it renders.  A
+    single-table block compares nothing, so planning one asks nothing —
+    for Pinot an estimate routes the whole scan."""
     from repro.sql.presto.connector import ScanRequest, connector_estimate
 
     return connector_estimate(
@@ -230,7 +231,7 @@ def _optimize_join(join, shaper, where_node, sort_node, catalog):
 
     def rewrite_side(side, alias):
         if isinstance(side, SubqueryNode):
-            return SubqueryNode(_optimize_block(side.plan, catalog), side.alias), None
+            return SubqueryNode(_optimize_block(side.plan, catalog), side.alias)
         caps = resolve_capabilities(catalog[side.table])
         # Only predicates explicitly scoped to this alias go down with
         # this scan; the full WHERE still runs engine-side afterwards.
@@ -250,15 +251,20 @@ def _optimize_join(join, shaper, where_node, sort_node, catalog):
             and alias in pruned_columns
         ):
             scan = replace(scan, columns=tuple(sorted(pruned_columns[alias])))
-        return scan, scan_estimate(scan, catalog)
+        return scan
 
-    base, __ = rewrite_side(join.base, join.base_alias)
+    base = rewrite_side(join.base, join.base_alias)
     steps = []
     step_rows = []
     for step in join.steps:
-        right, estimate = rewrite_side(step.right, step.alias)
+        right = rewrite_side(step.right, step.alias)
         steps.append(replace(step, right=right))
-        step_rows.append(estimate.rows if estimate is not None else UNKNOWN_CARDINALITY)
+        # Only build sides are compared, so only they are estimated.
+        step_rows.append(
+            UNKNOWN_CARDINALITY
+            if isinstance(right, SubqueryNode)
+            else scan_estimate(right, catalog).rows
+        )
 
     # Greedy smallest-build-side-first ordering; a step is applicable once
     # its probe side has been joined.  Syntactic order breaks ties and is

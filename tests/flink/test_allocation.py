@@ -13,7 +13,7 @@ from collections import Counter
 
 from repro.flink.graph import StreamEnvironment
 from repro.flink.operators import BoundedListReader, BoundedListSource, WindowOperator
-from repro.flink.runtime import JobRuntime
+from repro.flink.runtime import MICRO_BATCH, JobRuntime, SubTask
 from repro.flink.time import StreamRecord
 from repro.flink.windows import CountAggregate, TimeWindow, TumblingWindows
 
@@ -32,29 +32,8 @@ def elements():
     ]
 
 
-def run_counted(key_fn, monkeypatch):
-    """Run the job; returns (constructions by class, records the source
-    emitted, records the window operator received, fired results)."""
-    emitted, received, out = [], [], []
-    read, process = BoundedListReader._read, WindowOperator.process
-
-    def spy_read(self, *args):
-        batch = read(self, *args)
-        emitted.extend(batch)
-        return batch
-
-    def spy_process(self, record, input_index=0):
-        received.append(record)
-        return process(self, record, input_index)
-
-    monkeypatch.setattr(BoundedListReader, "_read", spy_read)
-    monkeypatch.setattr(WindowOperator, "process", spy_process)
-    env = StreamEnvironment()
-    env.add_source(BoundedListSource(elements())).key_by(key_fn).window(
-        TumblingWindows(60.0)
-    ).aggregate(CountAggregate()).sink_to_list(out)
-    runtime = JobRuntime(env.build("allocation"))
-
+def count_constructions(runtime) -> Counter:
+    """Run the job to quiescence; constructions by class."""
     codes = {cls.__init__.__code__: cls.__name__ for cls in (StreamRecord, TimeWindow)}
     built: Counter = Counter()
 
@@ -67,6 +46,47 @@ def run_counted(key_fn, monkeypatch):
         runtime.run_until_quiescent()
     finally:
         sys.setprofile(None)
+    return built
+
+
+def run_counted(key_fn, monkeypatch):
+    """Run the job; returns (constructions by class, records the source
+    emitted, records the window operator received, fired results)."""
+    emitted, received, out = [], [], []
+    read, process = BoundedListReader._read, WindowOperator.process
+    deliver = SubTask._deliver
+    # The length of every run delivered to the window task, and of every
+    # run its operator was called with.
+    delivered, calls = [], []
+
+    def spy_read(self, *args):
+        batch = read(self, *args)
+        emitted.extend(batch)
+        return batch
+
+    def spy_deliver(self, data, channel):
+        if self.spec.kind == "window":
+            delivered.append(len(data))
+        return deliver(self, data, channel)
+
+    def spy_process(self, records, input_index=0):
+        calls.append(len(records))
+        received.extend(records)
+        return process(self, records, input_index)
+
+    monkeypatch.setattr(BoundedListReader, "_read", spy_read)
+    monkeypatch.setattr(SubTask, "_deliver", spy_deliver)
+    monkeypatch.setattr(WindowOperator, "process", spy_process)
+    env = StreamEnvironment()
+    env.add_source(BoundedListSource(elements())).key_by(key_fn).window(
+        TumblingWindows(60.0)
+    ).aggregate(CountAggregate()).sink_to_list(out)
+    built = count_constructions(JobRuntime(env.build("allocation")))
+    # One operator call per delivered run, never one per record: each
+    # 100-record poll reaches the window between two watermarks, as runs
+    # of at most MICRO_BATCH records.
+    assert calls == delivered == [32, 32, 32, 4] * (RECORDS // 100)
+    assert MICRO_BATCH == 32
     return built, emitted, received, out
 
 
@@ -81,6 +101,34 @@ def test_a_key_the_record_already_carries_costs_no_copy(monkeypatch):
     assert all(got is sent for got, sent in zip(received, emitted))
     # One TimeWindow per distinct window, one per fired WindowResult.
     assert built["TimeWindow"] == WINDOWS + fired
+
+
+def test_a_joined_pair_is_built_once_and_rekeyed_once():
+    # Each prediction joins exactly its own outcome, 1 s later; the window
+    # is keyed by model, not by the join key the pair carries.
+    pairs = 200
+    predictions = [({"id": i, "model": f"m{i % 2}"}, float(i), i) for i in range(pairs)]
+    outcomes = [({"id": i, "err": 1.0}, i + 1.0, i) for i in range(pairs)]
+    out = []
+    env = StreamEnvironment()
+    left = env.add_source(BoundedListSource(predictions))
+    right = env.add_source(BoundedListSource(outcomes))
+    joined = left.interval_join(
+        right,
+        key_fns=(lambda p: p["id"], lambda o: o["id"]),
+        lower=-5.0,
+        upper=0.0,
+        join_fn=lambda p, o: {"model": p["model"], "err": o["err"]},
+    )
+    windowed = joined.key_by("model").window(TumblingWindows(60.0))
+    windowed.aggregate(CountAggregate()).sink_to_list(out)
+    runtime = JobRuntime(env.build("join-rekey"))
+    built = count_constructions(runtime)
+    assert sum(result.value for result in out) == pairs
+    assert runtime.records_processed()["interval_join-2"] == 2 * pairs
+    # Source records, then per pair the pair and its re-keyed copy, then
+    # one per fired window.
+    assert built["StreamRecord"] == 2 * pairs + 2 * pairs + len(out)
 
 
 def test_a_different_key_is_restamped_on_a_copy(monkeypatch):

@@ -4,7 +4,7 @@ from repro.common.errors import JobValidationError
 from repro.common.records import Record
 from repro.flink.graph import StreamEnvironment, validate_graph
 from repro.flink.operators import BoundedListSource
-from repro.flink.runtime import JobRuntime
+from repro.flink.runtime import JobRuntime, SubTask
 from repro.flink.windows import CountAggregate, SumAggregate, TumblingWindows
 from repro.kafka.cluster import TopicConfig
 from repro.storage.blobstore import BlobStore
@@ -52,6 +52,22 @@ class TestGraphValidation:
             validate_graph(graph)
 
 
+    @pytest.mark.parametrize("kind", ["interval_join", "join"])
+    def test_a_stream_joined_with_itself_is_rejected(self, kind):
+        # Both edges would feed one channel per upstream subtask, and the
+        # second overwrote the first: the left side was silently lost.
+        env = StreamEnvironment()
+        stream = env.add_source(bounded([({"id": 1}, 0.0)]), name="events")
+        key = (lambda v: v["id"], lambda v: v["id"])
+        if kind == "join":
+            joined = stream.join(stream, key, TumblingWindows(60.0), lambda a, b: a)
+        else:
+            joined = stream.interval_join(stream, key, -1.0, 1.0, lambda a, b: a)
+        joined.sink_to_list([])
+        with pytest.raises(JobValidationError, match=f"'{kind}-0' reads 'events'"):
+            env.build("self-join")
+
+
 class TestRuntimeBasics:
     def test_map_filter_pipeline(self):
         env = StreamEnvironment()
@@ -62,6 +78,33 @@ class TestRuntimeBasics:
             .sink_to_list(out)
         JobRuntime(env.build("j")).run_until_quiescent()
         assert out == [50, 60, 70, 80, 90]
+
+    def test_rebalanced_records_land_where_record_major_routing_puts_them(
+        self, monkeypatch
+    ):
+        # A run is routed one edge at a time; the rebalance cursor still
+        # steps once per record per rebalance edge, in edge order.
+        seen = {}
+        deliver = SubTask._deliver
+
+        def spy(self, data, channel):
+            if self.spec.kind == "map":
+                values = seen.setdefault((self.spec.op_id, self.index), [])
+                values.extend(r.value for r in data)
+            return deliver(self, data, channel)
+
+        monkeypatch.setattr(SubTask, "_deliver", spy)
+        env = StreamEnvironment()
+        source = env.add_source(bounded([(i, float(i)) for i in range(20)]))
+        source.map(lambda v: v, parallelism=3, name="a").sink_to_list([])
+        source.map(lambda v: v, parallelism=2, name="b").sink_to_list([])
+        JobRuntime(env.build("fan-out")).run_until_quiescent()
+        expected, cursor = {}, 0
+        for value in range(20):
+            for op_id, width in (("a", 3), ("b", 2)):
+                expected.setdefault((op_id, cursor % width), []).append(value)
+                cursor += 1
+        assert seen == expected
 
     def test_windowed_count(self):
         env = StreamEnvironment()
@@ -106,6 +149,27 @@ class TestRuntimeBasics:
         assert runtime.total_source_lag() == 50
         runtime.run_until_quiescent()
         assert runtime.total_source_lag() == 0
+
+    def test_a_poll_that_resumes_from_idle_routes_every_record(self, kafka):
+        # Such a poll leads with a control element (the end of idleness),
+        # and with event time not advancing it ends on a record: every
+        # record behind the control is routed, in order.
+        kafka.create_topic("ticks", TopicConfig(partitions=1))
+        env = StreamEnvironment()
+        out = []
+        env.from_kafka(kafka, "ticks", group="g").sink_to_list(out)
+        runtime = JobRuntime(env.build("j"))
+        [reader] = _source_readers(runtime)
+        kafka.append_batch("ticks", 0, [Record(None, {"i": -1}, 10.0)])
+        while not reader._idle:  # one empty poll per round after the first
+            runtime.run_rounds(1)
+        kafka.append_batch(
+            "ticks", 0, [Record(None, {"i": i}, float(i)) for i in range(3)]
+        )
+        runtime.run_until_quiescent()
+        assert out == [{"i": i} for i in range(-1, 3)]
+        [source] = runtime.graph.sources()
+        assert runtime.records_processed()[source.op_id] == 4
 
     def test_records_processed_counters(self):
         env = StreamEnvironment()

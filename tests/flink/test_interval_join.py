@@ -37,46 +37,46 @@ def make_join(lower=-10.0, upper=0.0, **kwargs):
 class TestPairing:
     def test_joins_within_bounds_eagerly(self):
         op = make_join()
-        assert op.process(left("p", 10.0), input_index=0) == []
-        out = op.process(left("o", 15.0), input_index=1)
+        assert op.process([left("p", 10.0)], 0) == []
+        out = op.process([left("o", 15.0)], 1)
         assert [(r.value, r.timestamp) for r in out] == [(("p", "o"), 15.0)]
 
     def test_bound_edges_inclusive(self):
         op = make_join(lower=-10.0, upper=0.0)
-        op.process(left("p", 10.0), input_index=0)
+        op.process([left("p", 10.0)], 0)
         # left.ts - right.ts = -10 (lower edge) and 0 (upper edge) both join.
-        assert op.process(left("lo", 20.0), input_index=1)
-        assert op.process(left("hi", 10.0), input_index=1)
-        assert op.process(left("out", 20.1), input_index=1) == []
+        assert op.process([left("lo", 20.0)], 1)
+        assert op.process([left("hi", 10.0)], 1)
+        assert op.process([left("out", 20.1)], 1) == []
 
     def test_pairs_outside_bounds_do_not_join(self):
         op = make_join(lower=-10.0, upper=0.0)
-        op.process(left("p", 10.0), input_index=0)
-        assert op.process(left("too-late", 25.0), input_index=1) == []
-        assert op.process(left("before", 5.0), input_index=1) == []
+        op.process([left("p", 10.0)], 0)
+        assert op.process([left("too-late", 25.0)], 1) == []
+        assert op.process([left("before", 5.0)], 1) == []
 
     def test_keys_do_not_cross(self):
         op = make_join()
-        op.process(left("p", 10.0, key="a"), input_index=0)
-        assert op.process(left("o", 12.0, key="b"), input_index=1) == []
+        op.process([left("p", 10.0, key="a")], 0)
+        assert op.process([left("o", 12.0, key="b")], 1) == []
 
     def test_many_to_many_per_key(self):
         op = make_join()
-        op.process(left("p1", 10.0), input_index=0)
-        op.process(left("p2", 12.0), input_index=0)
-        out = op.process(left("o", 15.0), input_index=1)
+        op.process([left("p1", 10.0)], 0)
+        op.process([left("p2", 12.0)], 0)
+        out = op.process([left("o", 15.0)], 1)
         assert sorted(r.value for r in out) == [("p1", "o"), ("p2", "o")]
 
     def test_order_of_arrival_does_not_matter(self):
         op = make_join()
-        op.process(left("o", 15.0), input_index=1)
-        out = op.process(left("p", 10.0), input_index=0)
+        op.process([left("o", 15.0)], 1)
+        out = op.process([left("p", 10.0)], 0)
         assert [r.value for r in out] == [("p", "o")]
 
     def test_pair_timestamp_is_completion_time(self):
         op = make_join()
-        op.process(left("o", 15.0), input_index=1)
-        assert op.process(left("p", 10.0), input_index=0)[0].timestamp == 15.0
+        op.process([left("o", 15.0)], 1)
+        assert op.process([left("p", 10.0)], 0)[0].timestamp == 15.0
 
     def test_inverted_bounds_rejected(self):
         with pytest.raises(OperatorError):
@@ -119,11 +119,11 @@ class TestPairing:
         # The other side sits at 0.0, so left.ts - right.ts is exactly delta
         # whichever side arrives second.
         arriving_left = make_join(lower=-10.0, upper=5.0)
-        arriving_left.process(left("r", 0.0), input_index=1)
-        assert bool(arriving_left.process(left("l", delta), input_index=0)) is joins
+        arriving_left.process([left("r", 0.0)], 1)
+        assert bool(arriving_left.process([left("l", delta)], 0)) is joins
         arriving_right = make_join(lower=-10.0, upper=5.0)
-        arriving_right.process(left("l", 0.0), input_index=0)
-        assert bool(arriving_right.process(left("r", -delta), input_index=1)) is joins
+        arriving_right.process([left("l", 0.0)], 0)
+        assert bool(arriving_right.process([left("r", -delta)], 1)) is joins
 
 
 def reference_join(script, lower, upper, lateness, ttl):
@@ -209,7 +209,7 @@ class TestAgainstReference:
             else:
                 key, ts, value = event
                 index = 0 if kind == "left" else 1
-                out = op.process(StreamRecord(value, ts, key), index)
+                out = op.process([StreamRecord(value, ts, key)], index)
                 emitted.extend((r.value, r.timestamp, r.key) for r in out)
         assert pairs and evicted and admitted < len(script)  # the script bites
         assert emitted == pairs
@@ -222,11 +222,11 @@ class TestProbeAccounting:
     def test_probes_count_buffered_entries_and_nothing_on_an_empty_buffer(self):
         op = make_join()
         with measured() as perf:
-            op.process(left("p1", 10.0), input_index=0)  # finds nothing buffered
+            op.process([left("p1", 10.0)], 0)  # finds nothing buffered
             assert perf.counts.get("flink.join_probes", 0) == 0
-            op.process(left("p2", 12.0), input_index=0)  # other side still empty
+            op.process([left("p2", 12.0)], 0)  # other side still empty
             assert perf.counts.get("flink.join_probes", 0) == 0
-            out = op.process(left("o", 15.0), input_index=1)  # probes both lefts
+            out = op.process([left("o", 15.0)], 1)  # probes both lefts
             assert len(out) == 2
             assert perf.counts["flink.join_probes"] == 2
             assert perf.counts["flink.join_state_appends"] == 3
@@ -236,27 +236,27 @@ class TestProbeAccounting:
 class TestEviction:
     def test_watermark_evicts_expired_entries(self):
         op = make_join(lower=-10.0, upper=0.0)
-        op.process(left("p", 10.0), input_index=0)
+        op.process([left("p", 10.0)], 0)
         op.on_watermark(Watermark(19.9))
         assert op.evicted == 0
         op.on_watermark(Watermark(20.0))
         assert op.evicted == 1
         # The buffer is gone: a (now late) right matches nothing.
-        assert op.process(left("o", 20.0), input_index=1) == []
+        assert op.process([left("o", 20.0)], 1) == []
 
     def test_ttl_never_drops_a_still_joinable_record(self):
         # TTL far below the join horizon: the left at 10 can complete
         # pairs until event time 20, so a 2s TTL must not evict it early.
         op = make_join(lower=-10.0, upper=0.0, state_ttl=2.0)
-        op.process(left("p", 10.0), input_index=0)
+        op.process([left("p", 10.0)], 0)
         op.on_watermark(Watermark(19.9))
         assert op.evicted == 0
-        out = op.process(left("o", 19.95), input_index=1)
+        out = op.process([left("o", 19.95)], 1)
         assert [r.value for r in out] == [("p", "o")]
 
     def test_ttl_extends_retention_past_the_horizon(self):
         op = make_join(lower=-10.0, upper=0.0, state_ttl=30.0)
-        op.process(left("p", 10.0), input_index=0)
+        op.process([left("p", 10.0)], 0)
         op.on_watermark(Watermark(25.0))  # past the horizon, inside TTL
         assert op.evicted == 0
         op.on_watermark(Watermark(40.0))  # past ts + TTL
@@ -267,7 +267,7 @@ class TestEviction:
     def test_non_finite_event_time_is_a_flink_error(self, input_index, timestamp):
         op = make_join()
         with pytest.raises(FlinkError, match=f"finite, got {timestamp!r}"):
-            op.process(left("bad", timestamp), input_index=input_index)
+            op.process([left("bad", timestamp)], input_index)
         assert (op._seq, op.late_dropped, op._evictions) == (0, 0, [])
 
     def test_a_rejected_nan_leaves_eviction_working(self):
@@ -275,9 +275,9 @@ class TestEviction:
         # <= any watermark and every entry behind it would stay forever.
         op = make_join()
         with pytest.raises(FlinkError):
-            op.process(left("bad", math.nan), input_index=0)
+            op.process([left("bad", math.nan)], 0)
         for ts in range(5):
-            op.process(left(f"p{ts}", float(ts)), input_index=0)
+            op.process([left(f"p{ts}", float(ts))], 0)
         op.on_watermark(Watermark(1000.0))
         assert op.evicted == 5
         assert op.state.keys("left") == []
@@ -288,11 +288,11 @@ class TestEviction:
         for arrivals in ([("p1", 10.0), ("p2", 18.0)], [("p2", 18.0), ("p1", 10.0)]):
             op = make_join(lower=-10.0, upper=0.0)
             for value, ts in arrivals:
-                op.process(left(value, ts), input_index=0)
+                op.process([left(value, ts)], 0)
             op.on_watermark(Watermark(20.0))
             assert op.evicted == 1  # p1 out, p2 (horizon 28) still buffered
             assert [e[2] for e in op.state.tables["left"]["k"]] == ["p2"]
-            assert [r.value for r in op.process(left("o", 20.5), input_index=1)] == [
+            assert [r.value for r in op.process([left("o", 20.5)], 1)] == [
                 ("p2", "o")
             ]
 
@@ -300,13 +300,13 @@ class TestEviction:
 class TestSpillPressure:
     def test_zero_without_budget(self):
         op = make_join()
-        op.process(left("p", 10.0), input_index=0)
+        op.process([left("p", 10.0)], 0)
         assert op.spill_pressure() == 0.0
 
     def test_ratio_against_budget(self):
         op = make_join(spill_budget_bytes=1)
         empty = op.spill_pressure()
-        op.process(left("p" * 100, 10.0), input_index=0)
+        op.process([left("p" * 100, 10.0)], 0)
         assert op.spill_pressure() > max(empty, 1.0)
 
     def test_autoscaler_scales_up_on_spill_pressure(self):

@@ -125,7 +125,8 @@ def _run_operator(kind, script, kill_points=()):
         if isinstance(step, Watermark):
             emitted = op.on_watermark(step)
         else:
-            emitted = op.process(*step)
+            record, input_index = step
+            emitted = op.process([record], input_index)
         for r in emitted:
             trace = r.trace and [
                 r.trace.trace_id,

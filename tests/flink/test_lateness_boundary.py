@@ -57,7 +57,7 @@ class Case:
         """Deliver one record; returns what the operator emitted."""
         if input_index is None:
             input_index = self.probe
-        return op.process(StreamRecord("v", timestamp, KEY), input_index)
+        return op.process([StreamRecord("v", timestamp, KEY)], input_index)
 
 
 def _window(assigner_factory):
@@ -185,21 +185,21 @@ class TestPartiallyExpiredRecord:
 class TestSessionLateness:
     def test_late_record_opens_no_second_session(self):
         op = WindowOperator(SessionWindows(10.0), CountAggregate())
-        op.process(StreamRecord(1, 1.0, KEY))
+        op.process([StreamRecord(1, 1.0, KEY)])
         fired = op.on_watermark(Watermark(100.0))
         assert [r.value.value for r in fired] == [1]
         # Would-be session [2, 12) closed long ago and merges into nothing.
-        op.process(StreamRecord(1, 2.0, KEY))
+        op.process([StreamRecord(1, 2.0, KEY)])
         assert op.late_dropped == 1
         assert op.on_watermark(Watermark(200.0)) == []
 
     def test_late_record_extending_a_live_session_is_admitted(self):
         op = WindowOperator(SessionWindows(10.0), CountAggregate())
-        op.process(StreamRecord(1, 20.0, KEY))  # session [20, 30)
+        op.process([StreamRecord(1, 20.0, KEY)])  # session [20, 30)
         op.on_watermark(Watermark(25.0))
         # [9, 19) alone is expired, but [11, 21) overlaps the live session.
-        op.process(StreamRecord(1, 9.0, KEY))
-        op.process(StreamRecord(1, 11.0, KEY))
+        op.process([StreamRecord(1, 9.0, KEY)])
+        op.process([StreamRecord(1, 11.0, KEY)])
         assert op.late_dropped == 1
         fired = op.on_watermark(Watermark(float("inf")))
         assert [(r.value.window.start, r.value.value) for r in fired] == [(11.0, 2)]

@@ -216,12 +216,12 @@ def test_a_failed_commit_leaves_nothing_past_on_restore(monkeypatch):
 def test_a_late_only_record_leaves_window_state_unchanged(held):
     operator = WindowOperator(TumblingWindows(10.0), CountAggregate())
     if held:
-        operator.process(StreamRecord({"n": 0}, 105.0, "k"))
+        operator.process([StreamRecord({"n": 0}, 105.0, "k")])
     operator.on_watermark(Watermark(100.0))
     tables = {name: dict(table) for name, table in operator.state.tables.items()}
     checkpoint = operator.state.snapshot()
 
-    assert operator.process(StreamRecord({"n": 1}, 95.0, "k")) == []
+    assert operator.process([StreamRecord({"n": 1}, 95.0, "k")]) == []
     assert operator.late_dropped == 1
     assert operator.state.tables == tables
     assert ("acc" in operator.state.tables) is held

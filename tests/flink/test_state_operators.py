@@ -62,20 +62,20 @@ def record(value, timestamp=0.0, key=None) -> StreamRecord:
 
 class TestSimpleOperators:
     def test_map(self):
-        out = MapOperator(lambda v: v * 2).process(record(3))
+        out = MapOperator(lambda v: v * 2).process([record(3)])
         assert out[0].value == 6
 
     def test_map_error_wrapped(self):
         with pytest.raises(OperatorError):
-            MapOperator(lambda v: 1 / 0).process(record(1))
+            MapOperator(lambda v: 1 / 0).process([record(1)])
 
     def test_filter(self):
         operator = FilterOperator(lambda v: v > 0)
-        assert operator.process(record(1))
-        assert operator.process(record(-1)) == []
+        assert operator.process([record(1)])
+        assert operator.process([record(-1)]) == []
 
     def test_flat_map(self):
-        out = FlatMapOperator(lambda v: [v, v + 1]).process(record(5))
+        out = FlatMapOperator(lambda v: [v, v + 1]).process([record(5)])
         assert [r.value for r in out] == [5, 6]
 
     def test_process_with_state(self):
@@ -85,16 +85,16 @@ class TestSimpleOperators:
                 emit(rec.value)
 
         operator = ProcessOperator(dedupe)
-        assert len(operator.process(record("a"))) == 1
-        assert len(operator.process(record("a"))) == 0
-        assert len(operator.process(record("b"))) == 1
+        assert len(operator.process([record("a")])) == 1
+        assert len(operator.process([record("a")])) == 0
+        assert len(operator.process([record("b")])) == 1
 
 
 class TestWindowOperator:
     def test_windows_fire_on_watermark(self):
         operator = WindowOperator(TumblingWindows(60.0), CountAggregate())
         for t in (10.0, 20.0, 70.0):
-            operator.process(record({"x": 1}, t, key="k"))
+            operator.process([record({"x": 1}, t, key="k")])
         assert operator.on_watermark(Watermark(50.0)) == []
         fired = operator.on_watermark(Watermark(60.0))
         assert len(fired) == 1
@@ -103,8 +103,8 @@ class TestWindowOperator:
 
     def test_separate_keys_separate_windows(self):
         operator = WindowOperator(TumblingWindows(60.0), CountAggregate())
-        operator.process(record(1, 10.0, key="a"))
-        operator.process(record(1, 10.0, key="b"))
+        operator.process([record(1, 10.0, key="a")])
+        operator.process([record(1, 10.0, key="b")])
         fired = operator.on_watermark(Watermark(60.0))
         assert sorted(r.value.key for r in fired) == ["a", "b"]
 
@@ -114,7 +114,7 @@ class TestWindowOperator:
         # ends (three keys tie on each) and leaves [120, 180) open.
         for key, t in [("c", 70.0), ("a", 10.0), ("b", 75.0), ("c", 15.0),
                        ("a", 130.0), ("b", 20.0), ("a", 80.0)]:  # fmt: skip
-            operator.process(record(1, t, key=key))
+            operator.process([record(1, t, key=key)])
         assert operator.on_watermark(Watermark(59.0)) == []
         fired = operator.on_watermark(Watermark(120.0))
         assert [(r.timestamp, r.key) for r in fired] == [
@@ -125,9 +125,9 @@ class TestWindowOperator:
 
     def test_session_windows_merge(self):
         operator = WindowOperator(SessionWindows(30.0), CountAggregate())
-        operator.process(record(1, 0.0, key="k"))
-        operator.process(record(1, 20.0, key="k"))  # merges: gap < 30
-        operator.process(record(1, 100.0, key="k"))  # new session
+        operator.process([record(1, 0.0, key="k")])
+        operator.process([record(1, 20.0, key="k")])  # merges: gap < 30
+        operator.process([record(1, 100.0, key="k")])  # new session
         fired = operator.on_watermark(Watermark(200.0))
         counts = sorted(r.value.value for r in fired)
         assert counts == [1, 2]
@@ -138,25 +138,25 @@ class TestWindowJoin:
         operator = WindowJoinOperator(
             TumblingWindows(60.0), lambda l, r: {"l": l, "r": r}
         )
-        operator.process(record({"id": 1}, 10.0, key="p1"), input_index=0)
-        operator.process(record({"ok": True}, 20.0, key="p1"), input_index=1)
-        operator.process(record({"id": 2}, 30.0, key="p2"), input_index=0)
+        operator.process([record({"id": 1}, 10.0, key="p1")], 0)
+        operator.process([record({"ok": True}, 20.0, key="p1")], 1)
+        operator.process([record({"id": 2}, 30.0, key="p2")], 0)
         fired = operator.on_watermark(Watermark(60.0))
         assert len(fired) == 1
         assert fired[0].value == {"l": {"id": 1}, "r": {"ok": True}}
 
     def test_cross_window_pairs_do_not_join(self):
         operator = WindowJoinOperator(TumblingWindows(60.0), lambda l, r: (l, r))
-        operator.process(record("a", 10.0, key="k"), input_index=0)
-        operator.process(record("b", 70.0, key="k"), input_index=1)
+        operator.process([record("a", 10.0, key="k")], 0)
+        operator.process([record("b", 70.0, key="k")], 1)
         fired = operator.on_watermark(Watermark(200.0))
         assert fired == []
 
     def test_many_to_many_within_window(self):
         operator = WindowJoinOperator(TumblingWindows(60.0), lambda l, r: (l, r))
         for value in ("a1", "a2"):
-            operator.process(record(value, 10.0, key="k"), input_index=0)
+            operator.process([record(value, 10.0, key="k")], 0)
         for value in ("b1", "b2"):
-            operator.process(record(value, 20.0, key="k"), input_index=1)
+            operator.process([record(value, 20.0, key="k")], 1)
         fired = operator.on_watermark(Watermark(60.0))
         assert len(fired) == 4

@@ -526,6 +526,36 @@ class TestResultCache:
         assert not after.cache_hit
         assert serde.encode(after.rows) != serde.encode(before.rows)
 
+    @pytest.mark.parametrize("copies", [1, 2], ids=["from-store", "from-peer"])
+    def test_recovery_rehosts_the_dead_servers_offline_segments(self, copies):
+        # With one copy its only host dies and the segment store serves it.
+        clock, kafka, controller, state = self.loaded_stack()
+        batch = MutableSegment("batch-0", None)
+        offline = [
+            {"city": "city-batch", "ride_id": f"b{i}", "amount": float(i), "ts": 0.5}
+            for i in range(3)
+        ]
+        for row in offline:
+            batch.append(row)
+        controller.add_offline_segment(
+            "rides", batch.seal(time_column="ts"), copies=copies
+        )
+        while controller.backup.run_step():
+            pass
+        victim = state.offline_segments["batch-0"][1][0]
+        controller.kill_server(victim.name)
+        replacement = PinotServer("replacement")
+        assert controller.recover_server(victim.name, replacement) >= 1
+        hosts = state.offline_segments["batch-0"][1]
+        assert victim not in hosts and replacement in hosts and len(hosts) == copies
+        assert replacement.has_segment("batch-0")
+        held = ingested_rows(kafka, "rides", state) + offline
+        assert_answers(
+            PinotBroker(controller, clock=clock),
+            PinotQuery("rides", aggregations=[Aggregation("COUNT")]),
+            held,
+        )
+
     def test_drop_then_seal_back_to_the_same_counts_invalidates(self):
         # A drop, then enough rows to seal once more and refill the
         # consuming segment: every doc and segment count is back where it

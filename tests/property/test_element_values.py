@@ -382,9 +382,10 @@ def test_no_element_is_assigned_to(refreeze, scenario):
 def test_an_operator_that_assigns_to_a_record_is_caught(refreeze, monkeypatch):
     process = IntervalJoinOperator.process
 
-    def restamping(self, record, input_index=0):
-        record.key = str(record.key)
-        return process(self, record, input_index)
+    def restamping(self, records, input_index=0):
+        for record in records:
+            record.key = str(record.key)
+        return process(self, records, input_index)
 
     monkeypatch.setattr(IntervalJoinOperator, "process", restamping)
     join_backfill()  # unguarded, the write goes unnoticed

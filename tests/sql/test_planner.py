@@ -342,18 +342,20 @@ class TestEstimatesAreAskedWhereRead:
         assert platform.explain(sql) == text
 
     def test_single_table_plans_ask_nothing_joins_ask_once_per_side(self, monkeypatch):
+        # "Per side" is per build side: the reorderer compares only the
+        # joined tables, never the base table it starts from.
         asked = _count_calls(monkeypatch, MemoryConnector, "estimate")
         engine = PrestoEngine(memory_catalog())
         engine.execute("SELECT city FROM t WHERE amount > 5")
         assert asked == []
         join = "SELECT u.name FROM t o JOIN users u ON o.user = u.id"
         engine.execute(join)
-        assert sorted(request.table for __, request in asked) == ["t", "users"]
+        assert sorted(request.table for __, request in asked) == ["users"]
         del asked[:]
         # A join plan is never kept: the second execute asks again, since
         # the estimates may have moved since the first.
         engine.execute(join)
-        assert sorted(request.table for __, request in asked) == ["t", "users"]
+        assert sorted(request.table for __, request in asked) == ["users"]
         del asked[:]
         # explain() prints one per scan, asked when it renders.
         planned = engine.plan("SELECT city FROM t WHERE amount > 5")
@@ -418,20 +420,35 @@ class TestPlacementIsLookedUp:
     def test_join_asks_pinot_for_one_estimate(self, monkeypatch):
         __, __, __, broker = build_pinot()
         cities = [{"city": f"city-{i}", "region": f"r{i % 2}"} for i in range(5)]
-        engine = PrestoEngine(
-            {
-                "metrics": PinotConnector(broker, "full"),
-                "cities": MemoryConnector({"cities": cities}),
-            }
-        )
         estimated = _count_calls(monkeypatch, PinotBroker, "estimate_rows")
         routed = _count_calls(monkeypatch, PinotBroker, "_route")
-        out = engine.execute(
+
+        def ask(sql):
+            # A fresh broker each time, so no answer comes from its cache.
+            engine = PrestoEngine(
+                {
+                    "metrics": PinotConnector(PinotBroker(broker.controller), "full"),
+                    "cities": MemoryConnector({"cities": cities}),
+                }
+            )
+            del estimated[:], routed[:]
+            rows = engine.execute(sql).rows
+            assert rows
+            return sorted(rows, key=lambda row: (row["region"], row["amount"]))
+
+        # Pinot as a build side: the estimate, the scan.
+        built = ask(
+            "SELECT c.region, m.amount FROM cities c JOIN metrics m "
+            "ON c.city = m.city WHERE m.amount >= 90"
+        )
+        assert len(estimated) == 1 and len(routed) == 2
+        # Pinot as the base side is never compared, so it only scans.
+        based = ask(
             "SELECT c.region, m.amount FROM metrics m JOIN cities c "
             "ON m.city = c.city WHERE m.amount >= 90"
         )
-        assert out.rows
-        assert len(estimated) == 1 and len(routed) == 2  # the estimate, the scan
+        assert len(estimated) == 0 and len(routed) == 1
+        assert based == built
 
     @given(
         st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=8),
