@@ -16,7 +16,7 @@ of elements left buffered in the job's channels after a scheduler round.
 from __future__ import annotations
 
 from repro.common.clock import SimulatedClock
-from repro.flink.baselines import kappa_replay, lambda_batch
+from benchmarks.foils.backfill import kappa_replay, lambda_batch
 from repro.flink.graph import StreamEnvironment
 from repro.flink.runtime import JobRuntime
 from repro.flink.windows import SumAggregate, TumblingWindows

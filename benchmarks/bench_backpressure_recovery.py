@@ -13,7 +13,7 @@ collapse visible in the wasted-work column.
 
 from __future__ import annotations
 
-from repro.flink.baselines.backlog import recovery_comparison
+from benchmarks.foils.backlog import recovery_comparison
 
 from benchmarks.conftest import print_table
 

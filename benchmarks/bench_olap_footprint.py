@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 
-from repro.pinot.baselines.docstore import DocStore
+from benchmarks.foils.docstore import DocStore
 from repro.pinot.query import Aggregation, Filter, PinotQuery, execute_on_segment
 from repro.pinot.segment import ImmutableSegment, IndexConfig
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import time
 
 from repro.common.perf import measured
-from repro.pinot.baselines.rowscan import ScanStore
+from benchmarks.foils.rowscan import ScanStore
 from repro.pinot.query import (
     Aggregation,
     Filter,

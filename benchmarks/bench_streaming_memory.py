@@ -12,7 +12,7 @@ accumulators + channel buffers.
 from __future__ import annotations
 
 from repro.common.memory import deep_sizeof
-from repro.flink.baselines.spark import MicroBatchEngine
+from benchmarks.foils.spark import MicroBatchEngine
 from repro.flink.graph import StreamEnvironment
 from repro.flink.operators import BoundedListSource
 from repro.flink.runtime import JobRuntime

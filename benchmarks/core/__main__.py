@@ -1,4 +1,4 @@
-"""CLI: ``python -m repro.bench``.
+"""CLI: ``PYTHONPATH=src python -m benchmarks.core``, from the repo root.
 
 Runs the scenarios and compares every ``records``, ``check`` and counter
 with the committed ``BENCH_core.json``, exactly; ``--scenario`` runs —
@@ -14,7 +14,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.bench.harness import (
+from benchmarks.core.harness import (
     DEFAULT_SEED,
     BenchError,
     build_report,
@@ -23,14 +23,14 @@ from repro.bench.harness import (
     report_to_json,
     run_scenarios,
 )
-from repro.bench.scenarios import scenario_names
+from benchmarks.core.scenarios import scenario_names
 
 BASELINE = Path("BENCH_core.json")
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.bench",
+        prog="python -m benchmarks.core",
         description=f"Compare counted work and result digests with {BASELINE}.",
     )
     parser.add_argument(

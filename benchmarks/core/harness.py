@@ -33,9 +33,10 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.bench.scenarios import SCENARIOS
 from repro.common.errors import ReproError
 from repro.common.perf import measured
+
+from benchmarks.core.scenarios import SCENARIOS
 
 SCHEMA_VERSION = 2
 DEFAULT_SEED = 42

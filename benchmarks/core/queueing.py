@@ -18,10 +18,9 @@ rendezvous-hashed worker *subset* — the locality unit a real tier pins a
 user's session to, so per-worker state (plan caches, artifact stores)
 keeps paying off.  A sticky subset under pressure (its earliest free
 slot further than ``spill_threshold_s`` beyond the arrival) spills that
-query to the global pool: affinity is a preference, not a guarantee,
-exactly the bounded-load discipline of
-:func:`repro.common.hashring.bounded_pick`.  A submit without a key
-takes the earliest free worker of the whole pool.
+query to the global pool: affinity is a preference, not a guarantee.
+A submit without a key takes the earliest free worker of the whole
+pool.
 """
 
 from __future__ import annotations

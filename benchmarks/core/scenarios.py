@@ -696,7 +696,7 @@ def presto_federated_join(params: dict, seed: int) -> Outcome:
 def controlplane_surge(params: dict, seed: int) -> Outcome:
     """The million-user surge under SLO-tiered admission + autoscaling.
 
-    Wraps :func:`repro.controlplane.surge.run_surge`: a skewed, diurnal,
+    Wraps :func:`benchmarks.core.surge.run_surge`: a skewed, diurnal,
     spiking arrival stream queries a sealed serving table while a
     telemetry firehose loads the write path and a broker dies mid-spike.
     The control plane (admission shedding + cross-layer scaling) must
@@ -704,7 +704,7 @@ def controlplane_surge(params: dict, seed: int) -> Outcome:
     result digests *and* the decision log, so both query semantics and
     control decisions gate byte-identically in CI.
     """
-    from repro.controlplane.surge import run_surge
+    from benchmarks.core.surge import run_surge
 
     report = run_surge(params, seed)
     return Outcome(records=report.requests, check=report.check)

@@ -13,7 +13,7 @@ work:
   by the digested workload, so the controller may expand its Kafka
   partitions, boost its ingest slots, add Pinot servers and boost the
   Flink job freely without perturbing query results;
-* a :class:`~repro.controlplane.workload.SurgeWorkload` drives millions
+* a :class:`~benchmarks.core.workload.SurgeWorkload` drives millions
   of distinct users through skewed/diurnal arrivals with a spike that
   pushes the serving layer far past capacity;
 * admitted queries execute for real (broker scatter/gather or Presto
@@ -50,9 +50,10 @@ from repro.controlplane.admission import (
     AdmissionController,
     DecisionLog,
 )
-from repro.controlplane.queueing import QueryQueue
 from repro.controlplane.scaler import CrossLayerController, ResourcePolicy
-from repro.controlplane.workload import SurgeSpike, SurgeWorkload, UserPopulation
+
+from benchmarks.core.queueing import QueryQueue
+from benchmarks.core.workload import SurgeSpike, SurgeWorkload, UserPopulation
 
 #: Queue-pressure thresholds (queued seconds per worker) for the fast
 #: shedding loop: crossing entry ``i`` forces shed level ``i + 1``.

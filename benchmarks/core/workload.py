@@ -1,4 +1,5 @@
-"""Million-user query workload generators (paper Section 3, Table 1).
+"""Million-user query workload generator for the surge experiment
+(paper Section 3, Table 1).
 
 The paper's scalability requirement is not "many records" but "many
 *users*": the platform serves millions of riders, drivers, restaurant
@@ -29,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.common.rng import seeded_rng
+from repro.controlplane.admission import QueryRequest
 
 #: Default per-request use-case mix: most traffic is interactive
 #: dashboards and ad-hoc exploration; the ops-critical tiers are smaller.
@@ -38,23 +40,6 @@ DEFAULT_MIX: tuple[tuple[str, float], ...] = (
     ("ads_attribution", 0.15),
     ("exploration", 0.40),
 )
-
-
-@dataclass(frozen=True)
-class QueryRequest:
-    """One user's query arrival, before admission.
-
-    ``param`` is the deterministic workload knob the query templates key
-    off (which city, which time window, which predicate constant) — it is
-    derived from the user id, so the same user always asks the same shape
-    of question and two same-seed runs ask byte-identical queries.
-    """
-
-    request_id: str
-    user_id: str
-    use_case: str
-    arrival_time: float
-    param: int
 
 
 class UserPopulation:

@@ -1,25 +1,23 @@
-"""Backfill three ways: Kappa+, classic Kappa, Lambda (Section 7).
+"""Kappa+ backfill (Section 7).
 
 A week of order data is archived from Kafka into Hive, but Kafka retention
 only covers the last day.  A bug fix requires reprocessing the full week
-with the same streaming logic:
+with the same streaming logic, so Kappa+ runs the *streaming* pipeline
+directly over the Hive archive: the job's source is a bounded Hive slice
+instead of a topic, with a throttled poll size and wide watermark slack
+for out-of-order files.
 
-* classic Kappa replays the Kafka log — and silently misses everything
-  retention already expired;
-* Lambda maintains a second, batch implementation — which here contains a
-  subtle drift bug (it forgot the status filter);
-* Kappa+ runs the *streaming* pipeline directly over the Hive archive:
-  the job's source is a bounded Hive slice instead of a topic, with a
-  throttled poll size and wide watermark slack for out-of-order files.
+The two designs Kappa+ replaces — replaying the Kafka log (which misses
+everything retention expired) and a separate batch implementation (which
+drifts) — are compared with it in ``benchmarks/bench_backfill.py`` (C13).
 
-Run:  python examples/backfill_demo.py
+Run:  PYTHONPATH=src python examples/backfill_demo.py
 """
 
 from __future__ import annotations
 
 from repro.common import SimulatedClock
 from repro.flink import JobRuntime, StreamEnvironment
-from repro.flink.baselines import kappa_replay, lambda_batch
 from repro.flink.windows import SumAggregate, TumblingWindows
 from repro.kafka import KafkaCluster, Producer, TopicConfig
 from repro.metadata import Field, FieldRole, FieldType, Schema
@@ -91,22 +89,7 @@ def main() -> None:
     )
     print(f"compacted {compacted} rows into Hive partitions {table.partitions()}")
 
-    # 1. Classic Kappa: replay Kafka (misses expired data).
-    kappa_out: list = []
-    kappa_report = kappa_replay(
-        kafka, "orders", "event_time", 0.0, WEEK, streaming_pipeline, kappa_out
-    )
-    # 2. Lambda: a separate batch implementation (with a drift bug).
-    def buggy_batch(rows):
-        totals: dict[tuple, float] = {}
-        for row in rows:  # forgot: if row["status"] == "delivered"
-            key = (row["restaurant_id"], int(row["event_time"] // DAY))
-            totals[key] = totals.get(key, 0.0) + row["amount"]
-        return sorted(totals.items())
-
-    lambda_report = lambda_batch(table, "event_time", 0.0, WEEK, buggy_batch)
-
-    # 3. Kappa+: the same streaming code, with a Hive slice as its source.
+    # Kappa+: the same streaming code, with a Hive slice as its source.
     env = StreamEnvironment()
     kplus_out: list = []
     hive_source = env.from_hive(table, "event_time", 0.0, WEEK, batch_size=200)
@@ -119,12 +102,6 @@ def main() -> None:
 
     total = lambda results: sum(r.value for r in results)
     print("\n                 rows read   outputs   total revenue")
-    print(f"kappa (replay):  {kappa_report.rows_read:9d}  {len(kappa_out):8d}"
-          f"   ${total(kappa_out):12.2f}   <- missing expired days")
-    print(f"lambda (batch):  {lambda_report.rows_read:9d}  "
-          f"{lambda_report.outputs:8d}   "
-          f"${sum(v for __, v in lambda_report.results):12.2f}"
-          f"   <- drift bug inflates revenue")
     print(f"kappa+ (hive):   {kplus_rows_read:9d}  {len(kplus_out):8d}"
           f"   ${total(kplus_out):12.2f}   <- complete & correct")
     print(f"\nkappa+ peak buffered elements under throttling: "

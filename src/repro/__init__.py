@@ -1,35 +1,41 @@
 """repro: a laptop-scale reproduction of "Real-time Data Infrastructure at
 Uber" (Fu & Soman, SIGMOD 2021).
 
-The package mirrors the paper's Figure 2/Figure 3 architecture:
+The package is the paper's Figure 2/Figure 3 stack and nothing else:
 
-* ``repro.kafka``    — streaming storage (+ federation, DLQ, consumer
-  proxy, uReplicator, self-serve admin)
+* ``repro.kafka``    — streaming storage (+ uReplicator, tiered topics)
 * ``repro.flink``    — stream processing over Kafka topics or bounded Hive
-  slices (Kappa+ backfill) (+ job server, autoscaler, watchdog, Storm /
-  Spark / Kafka-replay Kappa / Lambda baselines)
+  slices (Kappa+ backfill), with an autoscaler
 * ``repro.pinot``    — realtime OLAP (+ upserts, star-tree, peer-to-peer
-  segment recovery, ES/Druid baselines)
-* ``repro.storage``  — blob store, HDFS simulation, columnar files, Hive
+  segment recovery)
+* ``repro.storage``  — blob store, raw-log archive, columnar files, Hive
 * ``repro.sql``      — the SQL dialect, FlinkSQL compiler, Presto engine
-* ``repro.metadata`` — schema registry, catalog, lineage
-* ``repro.allactive``— multi-region: all-active coordination, offset sync
+* ``repro.metadata`` — schemas
+* ``repro.allactive``— multi-region: all-active coordination
 * ``repro.usecases`` — Section 5's four representative applications
 * ``repro.workloads``— seeded synthetic workload generators
 * ``repro.observability`` — cross-layer tracing, freshness probes, SLOs
 * ``repro.audit``    — Chaperone: loss / duplication audits across stages
 * ``repro.chaos``    — deterministic fault injection + recovery verification
-* ``repro.controlplane`` — SLO-tiered admission/shedding, cross-layer
-  autoscaling, million-user surge workloads
+  (``Platform.chaos()``)
+* ``repro.controlplane`` — SLO-tiered admission/shedding and cross-layer
+  autoscaling (``Platform.with_control_plane()``)
 * ``repro.platform`` — the ``Platform`` facade wiring all of the above
 
+The paper's foils (Storm, Spark, Elasticsearch, Druid, Kafka-replay Kappa,
+Lambda), the counted-work gate and the surge experiment live under
+``benchmarks/``, and no module here imports them.  Eleven modules are on
+no path the facade, a use case or an example runs (Kafka federation,
+DLQ, consumer proxy, admin and consumer groups; the HDFS model; offset
+sync; the schema registry and catalog; the Flink job server and
+watchdog): ``tests/test_reachability.py`` lists them until each joins a
+path or goes.
+
 The names below are the blessed entry points; deeper imports remain
-available for specialised use.
+available for specialised use.  ``Platform`` loads the chaos harness and
+the control plane when they are asked for.
 """
 
-from repro.chaos.harness import ChaosHarness
-from repro.chaos.report import RecoveryReport
-from repro.controlplane import AdmissionController, ControlPlane, SurgeWorkload
 from repro.common.clock import SimulatedClock, SystemClock
 from repro.common.records import Record
 from repro.common.retry import RetryPolicy
@@ -107,12 +113,5 @@ __all__ = [
     "FreshnessReport",
     "SloMonitor",
     "SloTarget",
-    # chaos
-    "ChaosHarness",
-    "RecoveryReport",
     "RetryPolicy",
-    # control plane
-    "ControlPlane",
-    "AdmissionController",
-    "SurgeWorkload",
 ]

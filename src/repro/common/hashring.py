@@ -1,4 +1,4 @@
-"""Weighted rendezvous hashing for sticky, locality-aware routing.
+"""Rendezvous hashing for sticky, locality-aware routing.
 
 The serving layers want the same key to land on the same node every
 time (so per-node caches pay), while membership changes move as few
@@ -10,14 +10,6 @@ deterministic score and the key goes to the highest-scoring node.
   top score belongs to it (~1/n of the keyspace); removing a node only
   moves that node's own keys.  No other assignment changes, because
   scores of surviving (key, node) pairs are untouched.
-* **Weighted** — scores use the ``-w / ln(u)`` transform (u uniform in
-  (0, 1) from the pair hash), so a node with twice the weight owns
-  twice the keyspace in expectation, and weight changes disturb only
-  the proportional slice.
-* **Bounded load** — :func:`bounded_pick` walks the rendezvous order
-  and takes the first node under a caller-supplied load bound, so an
-  overloaded sticky choice spills to the *next deterministic* node
-  instead of scattering randomly.
 * **Remembered** — a pick is a pure function of the key and the
   candidates, so :class:`HashRing` looks a repeated one up by the value
   of both instead of scoring it again.
@@ -33,7 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from typing import Any, Callable, Hashable, Sequence
+from typing import Any, Hashable, Sequence
 
 from repro.common import serde
 
@@ -42,7 +34,6 @@ __all__ = [
     "rank",
     "pick",
     "pick_subset",
-    "bounded_pick",
     "HashRing",
 ]
 
@@ -65,30 +56,21 @@ def _key_suffix(key: Any) -> bytes:
     return _SEPARATOR + _key_bytes(key)
 
 
-def _score(node: Any, key_suffix: bytes, weight: float) -> float:
-    if weight <= 0.0:
-        return float("-inf")
+def _score(node: Any, key_suffix: bytes) -> float:
     digest = hashlib.blake2b(_key_bytes(node) + key_suffix, digest_size=8).digest()
     # (0, 1) exclusive on both ends: +1 over 2^64 + 2 never hits 0 or 1.
     u = (int.from_bytes(digest, "big") + 1) / (2**64 + 2)
-    return -weight / math.log(u)
+    return -1.0 / math.log(u)
 
 
-def node_score(key: Any, node: Any, weight: float = 1.0) -> float:
-    """The rendezvous score of ``node`` for ``key`` (higher wins).
-
-    Uses the weighted-HRW transform ``-weight / ln(u)`` where ``u`` is a
-    uniform (0, 1) draw from the pair hash, so expected ownership is
-    proportional to weight.
-    """
-    return _score(node, _key_suffix(key), weight)
+def node_score(key: Any, node: Any) -> float:
+    """The rendezvous score of ``node`` for ``key`` (higher wins):
+    ``-1 / ln(u)``, where ``u`` is a uniform (0, 1) draw from the pair
+    hash."""
+    return _score(node, _key_suffix(key))
 
 
-def rank(
-    key: Any,
-    nodes: Sequence[Any],
-    weight_of: Callable[[Any], float] | None = None,
-) -> list[Any]:
+def rank(key: Any, nodes: Sequence[Any]) -> list[Any]:
     """All nodes ordered by descending rendezvous score for ``key``.
 
     The first element is the sticky choice; the rest form the
@@ -96,19 +78,12 @@ def rank(
     nodes) break by position, keeping the order total and reproducible.
     """
     suffix = _key_suffix(key)
-    scored = [
-        (_score(node, suffix, weight_of(node) if weight_of else 1.0), -i, node)
-        for i, node in enumerate(nodes)
-    ]
+    scored = [(_score(node, suffix), -i, node) for i, node in enumerate(nodes)]
     scored.sort(reverse=True)
     return [node for __, __, node in scored]
 
 
-def pick(
-    key: Any,
-    nodes: Sequence[Any],
-    weight_of: Callable[[Any], float] | None = None,
-) -> Any:
+def pick(key: Any, nodes: Sequence[Any]) -> Any:
     """The sticky choice: the highest-scoring node for ``key``."""
     if not nodes:
         raise ValueError("cannot pick from an empty node set")
@@ -116,18 +91,13 @@ def pick(
     best = None
     best_score = (float("-inf"), 1)
     for i, node in enumerate(nodes):
-        score = (_score(node, suffix, weight_of(node) if weight_of else 1.0), -i)
+        score = (_score(node, suffix), -i)
         if best is None or score > best_score:
             best, best_score = node, score
     return best
 
 
-def pick_subset(
-    key: Any,
-    nodes: Sequence[Any],
-    n: int,
-    weight_of: Callable[[Any], float] | None = None,
-) -> list[Any]:
+def pick_subset(key: Any, nodes: Sequence[Any], n: int) -> list[Any]:
     """The top-``n`` nodes for ``key`` in rendezvous order.
 
     Subsets are nested (the top-2 set contains the top-1 choice) and
@@ -136,32 +106,7 @@ def pick_subset(
     """
     if n <= 0:
         return []
-    return rank(key, nodes, weight_of)[:n]
-
-
-def bounded_pick(
-    key: Any,
-    nodes: Sequence[Any],
-    load_of: Callable[[Any], float],
-    bound: float,
-    weight_of: Callable[[Any], float] | None = None,
-) -> tuple[Any, bool]:
-    """Sticky choice with bounded-load spill-over.
-
-    Walks the rendezvous order and returns ``(node, spilled)``: the
-    first node whose ``load_of`` is within ``bound``, with ``spilled``
-    True whenever that is not the sticky (top-ranked) choice.  When
-    every node is over the bound the sticky node is returned with
-    ``spilled=True``: the caller learns the whole pool is saturated and
-    can shed or queue globally.
-    """
-    order = rank(key, nodes, weight_of)
-    if not order:
-        raise ValueError("cannot pick from an empty node set")
-    for i, node in enumerate(order):
-        if load_of(node) <= bound:
-            return node, i > 0
-    return order[0], True
+    return rank(key, nodes)[:n]
 
 
 class HashRing:

@@ -4,12 +4,13 @@ The hot paths count the semantic operations they perform — partition-
 leader resolutions, log-entry allocations, forward-index cell reads,
 channel pushes — on a process-global :class:`PerfCounters` singleton.
 Two runs of the same seeded workload produce byte-identical counts, so
-counted work can be compared *exactly*: :mod:`repro.bench` gates every
-counter of its scenarios against the committed ``BENCH_core.json``, and
-a change that makes a hot path do 2x the per-record work shows up as
-exactly 2x the ops.  Counts say how much work was done, never how long
-it took; time comes from a stopwatch (``benchmarks/e2e``, which also
-reports some of these counters per layer).
+counted work can be compared *exactly*: the gate in ``benchmarks/core``
+holds every counter of its scenarios to the committed
+``BENCH_core.json``, and a change that makes a hot path do 2x the
+per-record work shows up as exactly 2x the ops.  Counts say how much
+work was done, never how long it took; time comes from a stopwatch
+(``benchmarks/e2e``, which also reports some of these counters per
+layer).
 
 Cost discipline: counting is OFF by default.  Every instrumentation site
 guards with ``if PERF.enabled:`` so the uninstrumented hot path pays one

@@ -2,9 +2,10 @@
 
 One dialect runs on several executors — Pinot's segment engine and broker
 merge, Presto's row operators and page kernels, the FlinkSQL window
-aggregate, the Hive scan, the baseline stores — and pushing an operator
-down must change where it runs, never what it answers.  So the four rules
-an answer depends on are written here once and every executor calls them:
+aggregate, the Hive scan, the foil stores of ``benchmarks/foils`` — and
+pushing an operator down must change where it runs, never what it
+answers.  So the four rules an answer depends on are written here once
+and every executor calls them:
 
 1. :class:`Predicate` — ``column <op> literal`` with the cell rule
    (:attr:`Predicate.matches`), its form over a sorted run of distinct

@@ -1,21 +1,18 @@
-"""Million-user control plane: workloads, admission, cross-layer scaling.
+"""Million-user control plane: admission and cross-layer scaling.
 
 The paper's Section 3 requirements — multi-tenant SLO tiers, elastic
 scaling, load shedding under surge — concentrated in one package:
 
-* :mod:`~repro.controlplane.workload` — skewed/bursty/diurnal arrival
-  streams over millions of distinct users, seeded and deterministic;
 * :mod:`~repro.controlplane.admission` — SLO-tiered token-bucket
   admission with p99-reactive and queue-pressure load shedding;
 * :mod:`~repro.controlplane.scaler` — one reactive controller scaling
   Kafka partitions, Pinot servers/ingest, Presto workers and Flink jobs
   with per-resource hysteresis;
-* :mod:`~repro.controlplane.queueing` — the deterministic queue model
-  turning query cost into latency under load;
-* :mod:`~repro.controlplane.plane` — the Platform-facing facade;
-* :mod:`~repro.controlplane.surge` — the end-to-end surge experiment
-  (benched as ``controlplane_surge`` and property-tested for
-  admission equivalence).
+* :mod:`~repro.controlplane.plane` — the Platform-facing facade.
+
+The surge experiment that drives all three against millions of users
+(its workload generator and queue model with it) is the counted-work
+gate's ``controlplane_surge`` scenario, in ``benchmarks/core/``.
 """
 
 from repro.controlplane.admission import (
@@ -28,16 +25,7 @@ from repro.controlplane.admission import (
     tier_of,
 )
 from repro.controlplane.plane import ControlPlane
-from repro.controlplane.queueing import QueryQueue
 from repro.controlplane.scaler import CrossLayerController, ResourcePolicy
-from repro.controlplane.surge import SurgeReport, run_surge
-from repro.controlplane.workload import (
-    DEFAULT_MIX,
-    QueryRequest,
-    SurgeSpike,
-    SurgeWorkload,
-    UserPopulation,
-)
 
 __all__ = [
     "TIER_ORDER",
@@ -46,16 +34,8 @@ __all__ = [
     "AdmissionDecision",
     "ControlPlane",
     "CrossLayerController",
-    "DEFAULT_MIX",
     "DecisionLog",
-    "QueryQueue",
-    "QueryRequest",
     "ResourcePolicy",
-    "SurgeReport",
-    "SurgeSpike",
-    "SurgeWorkload",
     "TokenBucket",
-    "UserPopulation",
-    "run_surge",
     "tier_of",
 ]

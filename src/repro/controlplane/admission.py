@@ -24,8 +24,9 @@ Mechanics, all deterministic on the simulated clock:
 * **Pressure shedding** (fast loop): completed-query p99 is a trailing
   signal — under a step surge the queue jams seconds before the first
   slow completion reports back.  An optional ``pressure`` probe (queued
-  seconds per worker, from :class:`~repro.controlplane.queueing.
-  QueryQueue`) is read at every admission; crossing
+  seconds per worker; the surge driver's queue model in
+  ``benchmarks/core/queueing.py`` supplies one) is read at every
+  admission; crossing
   ``pressure_levels[i]`` forces the effective shed level to at least
   ``i + 1`` *immediately*, bounding how much queue wait the protected
   tier can ever sit behind.
@@ -44,7 +45,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.common.perf import PERF
-from repro.controlplane.workload import QueryRequest
 from repro.observability.freshness import nearest_rank
 from repro.observability.slo import TABLE1_SLOS, SloTarget
 
@@ -145,6 +145,23 @@ class TokenBucket:
             self.level -= amount
             return True
         return False
+
+
+@dataclass(frozen=True)
+class QueryRequest:
+    """One user's query arrival, before admission.
+
+    ``param`` is the deterministic workload knob the query templates key
+    off (which city, which time window, which predicate constant) — it is
+    derived from the user id, so the same user always asks the same shape
+    of question and two same-seed runs ask byte-identical queries.
+    """
+
+    request_id: str
+    user_id: str
+    use_case: str
+    arrival_time: float
+    param: int
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """The :class:`ControlPlane` facade: admission + scaling on a Platform.
 
-:func:`~repro.controlplane.surge.run_surge` wires the control loops by
-hand for the benchmarked experiment; this facade offers the same loops
-to anyone holding a :class:`~repro.platform.Platform`::
+The surge experiment (``benchmarks/core/surge.py``) wires the control
+loops by hand; this facade offers the same loops to anyone holding a
+:class:`~repro.platform.Platform`::
 
     p = Platform(seed=7).with_kafka().with_pinot().with_presto()
     cp = p.with_control_plane()          # returns the Platform (builder)
@@ -34,9 +34,9 @@ from repro.controlplane.admission import (
     AdmissionController,
     AdmissionDecision,
     DecisionLog,
+    QueryRequest,
 )
 from repro.controlplane.scaler import CrossLayerController, ResourcePolicy
-from repro.controlplane.workload import QueryRequest
 
 
 class ControlPlane:

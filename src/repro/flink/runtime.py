@@ -9,7 +9,7 @@ on (Section 4.2):
   every output channel has space, so pressure propagates upstream until the
   *sources stop consuming from Kafka* — lag accumulates in the broker (which
   is built for it) instead of ballooning operator memory.  The Storm
-  baseline (``flink.baselines``) lacks exactly this property.
+  foil (``benchmarks/foils/backlog.py``) lacks exactly this property.
 * **Barrier checkpointing.**  The coordinator injects numbered barriers at
   the sources; tasks align barriers across input channels, snapshot their
   state, and forward the barrier.  Source offsets plus aligned operator

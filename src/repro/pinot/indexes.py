@@ -6,10 +6,11 @@ queries."  These are the value-level ones; the star-tree lives in
 :mod:`repro.pinot.startree`.
 
 Doc-level indexes answer with sorted lists of doc ids, which the query
-executor intersects.  The Druid-style baseline (C4) runs the same queries
-with the indexes disabled.  The :class:`BloomFilter` is segment-level: it
-answers "might this segment contain value v at all", which the broker
-uses to prune whole segments from the scatter before fanning out.
+executor intersects.  The Druid-style foil (C4, ``benchmarks/foils``) runs
+the same queries with the indexes disabled.  The :class:`BloomFilter` is
+segment-level: it answers "might this segment contain value v at all",
+which the broker uses to prune whole segments from the scatter before
+fanning out.
 """
 
 from __future__ import annotations

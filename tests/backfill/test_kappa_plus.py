@@ -7,7 +7,7 @@ import pytest
 
 from repro.common.clock import SimulatedClock
 from repro.common.errors import BackfillError
-from repro.flink.baselines import kappa_replay, lambda_batch
+from benchmarks.foils.backfill import kappa_replay, lambda_batch
 from repro.flink.graph import StreamEnvironment
 from repro.flink.runtime import JobRuntime
 from repro.flink.windows import SumAggregate, TumblingWindows

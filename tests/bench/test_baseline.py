@@ -8,15 +8,15 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench import harness
-from repro.bench.__main__ import BASELINE, main
-from repro.bench.harness import (
+from benchmarks.core import harness
+from benchmarks.core.__main__ import BASELINE, main
+from benchmarks.core.harness import (
     SCHEMA_VERSION,
     BenchError,
     compare_reports,
     load_report,
 )
-from repro.bench.scenarios import SCENARIOS
+from benchmarks.core.scenarios import SCENARIOS
 
 COMMITTED = Path(__file__).resolve().parents[2] / BASELINE
 

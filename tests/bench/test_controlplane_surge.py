@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.bench.scenarios import SCENARIOS
+from benchmarks.core.scenarios import SCENARIOS
 from repro.common.serde import digest
 from repro.controlplane.admission import TIER_ORDER
 from tests.controlplane.surge_fixtures import (

@@ -3,7 +3,7 @@ engages and invalidates, and the same answers as a run without reuse."""
 
 from __future__ import annotations
 
-from repro.bench.scenarios import presto_federated_join
+from benchmarks.core.scenarios import presto_federated_join
 from repro.common.perf import PERF, measured
 
 PARAMS = {

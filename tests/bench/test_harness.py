@@ -1,4 +1,4 @@
-"""repro.bench harness: report schema, determinism, the committed values."""
+"""The counted-work gate's harness: schema, determinism, committed values."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.harness import (
+from benchmarks.core.harness import (
     SCHEMA_VERSION,
     BenchError,
     build_report,
@@ -16,7 +16,7 @@ from repro.bench.harness import (
     report_to_json,
     run_scenarios,
 )
-from repro.bench.scenarios import SCENARIOS, scenario_names
+from benchmarks.core.scenarios import SCENARIOS, scenario_names
 
 COMMITTED = Path(__file__).resolve().parents[2] / "BENCH_core.json"
 
@@ -44,7 +44,7 @@ def test_report_schema_is_stable():
 
 def test_sub_second_scenarios_reproduce_the_committed_file_exactly():
     # "Same seed -> the committed bytes" for every scenario cheap enough
-    # for tier-1; CI's ``python -m repro.bench`` adds controlplane_surge.
+    # for tier-1; CI's ``python -m benchmarks.core`` adds controlplane_surge.
     names = [n for n in scenario_names() if n != "controlplane_surge"]
     assert len(names) == len(SCENARIOS) - 1 == 7
     committed = load_report(COMMITTED)

@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 
 import repro.pinot.broker
-from repro.bench.scenarios import pinot_selective_query
+from benchmarks.core.scenarios import pinot_selective_query
 from repro.common.perf import PERF, measured
 
 PARAMS = {

@@ -8,7 +8,7 @@ duplicate deliveries absorbed by the store).
 
 from __future__ import annotations
 
-from repro.bench.scenarios import SCENARIOS
+from benchmarks.core.scenarios import SCENARIOS
 from repro.common.perf import PERF, measured
 
 SPEC = next(s for s in SCENARIOS if s.name == "stream_join")

@@ -1,4 +1,4 @@
-"""Properties of the weighted rendezvous hash (repro.common.hashring)."""
+"""Properties of the rendezvous hash (repro.common.hashring)."""
 
 from __future__ import annotations
 
@@ -28,20 +28,9 @@ class TestBalance:
             # over 2000 keys catches a broken transform without flaking.
             assert abs(count - expected) <= 0.35 * expected, (node, count)
 
-    def test_weighted_ownership_tracks_weight(self):
-        weights = {"a": 1.0, "b": 1.0, "c": 2.0}
-        counts = {n: 0 for n in weights}
-        for key in KEYS:
-            counts[hashring.pick(key, list(weights), weights.get)] += 1
-        # c has half the total weight: expect ~1000 of 2000 keys.
-        assert 0.4 * len(KEYS) <= counts["c"] <= 0.6 * len(KEYS)
-        assert counts["a"] > 0 and counts["b"] > 0
-
-    def test_zero_weight_owns_nothing(self):
-        weights = {"a": 1.0, "b": 0.0}
-        assert all(
-            hashring.pick(key, ["a", "b"], weights.get) == "a" for key in KEYS[:100]
-        )
+    def test_empty_nodes_raise(self):
+        with pytest.raises(ValueError):
+            hashring.pick("k", [])
 
 
 class TestMinimalMovement:
@@ -76,39 +65,6 @@ class TestMinimalMovement:
             assert hashring.pick_subset(key, NODES, 3) == order[:3]
             # Nesting: top-2 is a prefix of top-3.
             assert hashring.pick_subset(key, NODES, 2) == order[:2]
-
-
-class TestBoundedPick:
-    def test_spill_walks_rank_order_deterministically(self):
-        key = ("t", "seg-42")
-        order = hashring.rank(key, NODES)
-        load = {n: 0.0 for n in NODES}
-        load[order[0]] = 5.0  # sticky choice saturated
-        node, spilled = hashring.bounded_pick(key, NODES, load.get, 1.0)
-        assert node == order[1] and spilled
-        # Identical inputs => identical spill target, every time.
-        again, __ = hashring.bounded_pick(key, NODES, load.get, 1.0)
-        assert again == node
-
-    def test_no_spill_under_bound(self):
-        key = ("t", "seg-7")
-        node, spilled = hashring.bounded_pick(
-            key, NODES, lambda n: 0.0, 1.0
-        )
-        assert node == hashring.pick(key, NODES) and not spilled
-
-    def test_all_over_bound_returns_sticky_flagged(self):
-        key = ("t", "seg-9")
-        node, spilled = hashring.bounded_pick(
-            key, NODES, lambda n: 9.0, 1.0
-        )
-        assert node == hashring.pick(key, NODES) and spilled
-
-    def test_empty_nodes_raise(self):
-        with pytest.raises(ValueError):
-            hashring.pick("k", [])
-        with pytest.raises(ValueError):
-            hashring.bounded_pick("k", [], lambda n: 0.0, 1.0)
 
 
 class TestCanonicalKeys:
@@ -167,26 +123,21 @@ class TestEncodeOnce:
     the commit before the refactor)."""
 
     GOLDEN = [
-        (("rides", "rides__0__3"), "server-1", 1.0),
-        (("rides", "rides__0__3"), "server-2", 2.5),
-        ("a3f09c1e77d2b4c8", 0, 1.0),
-        ("a3f09c1e77d2b4c8", 1, 1.0),
-        (("tier", "user-1"), 3, 0.5),
-        (5.0, "node-0", 1.0),
+        (("rides", "rides__0__3"), "server-1"),
+        ("a3f09c1e77d2b4c8", 0),
+        ("a3f09c1e77d2b4c8", 1),
+        (5.0, "node-0"),
     ]
     SCORES = [
         "0x1.8905201e7d6bcp+0",
-        "0x1.b10db107d7c3dp+1",
         "0x1.db7a65fadec2fp-2",
         "0x1.473d3c1392a51p+1",
-        "0x1.b17e9a2b37558p-3",
         "0x1.92a385b00b31ep+1",
     ]
     RANK = [f"node-{i}" for i in (7, 5, 6, 1, 2, 0, 3, 4)]
-    WEIGHTED_RANK = [f"node-{i}" for i in (3, 4, 5, 6, 7, 1, 0, 2)]
 
     def test_golden_scores(self):
-        scores = [hashring.node_score(*triple).hex() for triple in self.GOLDEN]
+        scores = [hashring.node_score(*pair).hex() for pair in self.GOLDEN]
         assert scores == self.SCORES
 
     def test_golden_rank(self):
@@ -194,8 +145,3 @@ class TestEncodeOnce:
         assert hashring.rank(key, NODES) == self.RANK
         assert hashring.pick(key, NODES) == self.RANK[0]
         assert hashring.pick_subset(key, NODES, 3) == self.RANK[:3]
-        weights = {node: 1.0 + i for i, node in enumerate(NODES)}
-        assert (
-            hashring.rank("a3f09c1e77d2b4c8", NODES, weights.get)
-            == self.WEIGHTED_RANK
-        )

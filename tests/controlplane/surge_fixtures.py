@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from repro.controlplane.surge import run_surge
+from benchmarks.core.surge import run_surge
 
 SEED = 2021
 

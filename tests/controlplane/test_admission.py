@@ -8,7 +8,7 @@ from repro.controlplane.admission import (
     TokenBucket,
     tier_of,
 )
-from repro.controlplane.workload import QueryRequest
+from repro.controlplane.admission import QueryRequest
 
 
 def _request(use_case: str, t: float, rid: str = "r") -> QueryRequest:

@@ -1,7 +1,7 @@
 """Unit tests for the cross-layer controller and the queue model."""
 
 from repro.controlplane.admission import DecisionLog
-from repro.controlplane.queueing import QueryQueue
+from benchmarks.core.queueing import QueryQueue
 from repro.controlplane.scaler import CrossLayerController, ResourcePolicy
 
 

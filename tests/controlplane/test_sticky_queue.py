@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.common import hashring
-from repro.controlplane.queueing import QueryQueue
+from benchmarks.core.queueing import QueryQueue
 
 
 def sticky_queue(workers=4, subset=2, spill=0.25):

@@ -1,13 +1,9 @@
-"""Unit tests for the million-user workload generators."""
+"""Unit tests for the surge experiment's million-user workload generator."""
 
 import random
 
-from repro.controlplane.workload import (
-    QueryRequest,
-    SurgeSpike,
-    SurgeWorkload,
-    UserPopulation,
-)
+from benchmarks.core.workload import SurgeSpike, SurgeWorkload, UserPopulation
+from repro.controlplane.admission import QueryRequest
 
 
 class TestUserPopulation:

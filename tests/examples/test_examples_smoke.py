@@ -2,9 +2,13 @@
 
 Each example is executed the way a reader would run it — as a subprocess
 with ``src`` on the path — so import errors, API drift, or assertion
-failures inside the scripts fail CI instead of the first reader.
+failures inside the scripts fail CI instead of the first reader.  Every
+example is seeded, so its stdout is also compared byte for byte with
+``expected/<name>.txt``: a change that moves an example's output says so
+in the diff of that file.
 """
 
+import functools
 import os
 import subprocess
 import sys
@@ -13,13 +17,16 @@ from pathlib import Path
 import pytest
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
+EXPECTED = Path(__file__).resolve().parent / "expected"
+EXAMPLES = sorted(path.stem for path in (REPO_ROOT / "examples").glob("*.py"))
 
 
+@functools.cache
 def run_example(name: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     return subprocess.run(
-        [sys.executable, str(REPO_ROOT / "examples" / name)],
+        [sys.executable, str(REPO_ROOT / "examples" / f"{name}.py")],
         capture_output=True,
         text=True,
         timeout=300,
@@ -28,10 +35,17 @@ def run_example(name: str) -> subprocess.CompletedProcess:
     )
 
 
+@pytest.mark.parametrize("name", EXAMPLES)
+def test_output_is_pinned(name):
+    result = run_example(name)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == (EXPECTED / f"{name}.txt").read_text()
+
+
 class TestQuickstart:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_example("quickstart.py")
+        return run_example("quickstart")
 
     def test_runs_clean(self, result):
         assert result.returncode == 0, result.stderr
@@ -55,6 +69,6 @@ class TestQuickstart:
 
 class TestSurgePricing:
     def test_runs_clean(self):
-        result = run_example("surge_pricing.py")
+        result = run_example("surge_pricing")
         assert result.returncode == 0, result.stderr
         assert "multiplier" in result.stdout

@@ -2,6 +2,12 @@
 
 import pytest
 
+from benchmarks.foils.backlog import (
+    recovery_comparison,
+    simulate_flink_recovery,
+    simulate_storm_recovery,
+)
+from benchmarks.foils.spark import MicroBatchEngine
 from repro.common.errors import JobValidationError
 from repro.flink.autoscaler import (
     AutoScaler,
@@ -9,12 +15,6 @@ from repro.flink.autoscaler import (
     classify_job,
     estimate_resources,
 )
-from repro.flink.baselines.backlog import (
-    recovery_comparison,
-    simulate_flink_recovery,
-    simulate_storm_recovery,
-)
-from repro.flink.baselines.spark import MicroBatchEngine
 from repro.flink.graph import StreamEnvironment
 from repro.flink.jobserver import JobPriority, JobServer, JobState
 from repro.flink.operators import BoundedListSource

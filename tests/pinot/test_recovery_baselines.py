@@ -6,8 +6,8 @@ from repro.common.rng import seeded_rng
 from repro.kafka.cluster import KafkaCluster, TopicConfig
 from repro.kafka.producer import Producer
 from repro.metadata.schema import Field, FieldRole, FieldType, Schema
-from repro.pinot.baselines.docstore import DocStore
-from repro.pinot.baselines.rowscan import ScanStore
+from benchmarks.foils.docstore import DocStore
+from benchmarks.foils.rowscan import ScanStore
 from repro.pinot.broker import PinotBroker
 from repro.pinot.controller import PinotController
 from repro.pinot.query import Aggregation, Filter, PinotQuery
