@@ -49,6 +49,27 @@ from typing import Callable
 from repro.common.clock import SimulatedClock
 from repro.common.rng import seeded_rng
 from repro.common.serde import digest
+from repro.features import FeatureStore
+from repro.flink.graph import StreamEnvironment
+from repro.flink.operators import BoundedListSource
+from repro.flink.runtime import JobRuntime
+from repro.flink.windows import SumAggregate, TumblingWindows
+from repro.kafka.cluster import KafkaCluster, TopicConfig
+from repro.kafka.producer import Producer
+from repro.metadata.schema import Field, FieldRole, FieldType, Schema
+from repro.pinot.broker import PinotBroker
+from repro.pinot.controller import PinotController
+from repro.pinot.query import Aggregation, Filter, PinotQuery
+from repro.pinot.recovery import PeerToPeerBackup
+from repro.pinot.segment import IndexConfig
+from repro.pinot.server import PinotServer
+from repro.pinot.table import TableConfig
+from repro.sql.presto.connector import HiveConnector, PinotConnector
+from repro.sql.presto.engine import PrestoEngine
+from repro.storage.blobstore import BlobStore
+from repro.storage.hive import HiveMetastore
+
+from benchmarks.core.surge import run_surge
 
 PAD = "x" * 48
 
@@ -72,9 +93,6 @@ class ScenarioSpec:
 
 
 def kafka_produce_fetch(params: dict, seed: int) -> Outcome:
-    from repro.kafka.cluster import KafkaCluster, TopicConfig
-    from repro.kafka.producer import Producer
-
     n = params["records"]
     clock = SimulatedClock()
     cluster = KafkaCluster("bench", 3, clock=clock)
@@ -113,11 +131,6 @@ def kafka_produce_fetch(params: dict, seed: int) -> Outcome:
 
 
 def flink_window(params: dict, seed: int) -> Outcome:
-    from repro.flink.graph import StreamEnvironment
-    from repro.flink.operators import BoundedListSource
-    from repro.flink.runtime import JobRuntime
-    from repro.flink.windows import SumAggregate, TumblingWindows
-
     n = params["records"]
     rng = seeded_rng(seed, "bench.flink")
     elements = [
@@ -165,12 +178,6 @@ def stream_join(params: dict, seed: int) -> Outcome:
     digest must be byte-identical to the plain run — the equality
     ``tests/bench/test_stream_join.py`` asserts over three seeds.
     """
-    from repro.features import FeatureStore
-    from repro.flink.graph import StreamEnvironment
-    from repro.flink.operators import BoundedListSource
-    from repro.flink.runtime import JobRuntime
-    from repro.storage.blobstore import BlobStore
-
     n = params["records"]
     models = params["models"]
     delay_max = params["delay_max_s"]
@@ -320,17 +327,6 @@ def stream_join(params: dict, seed: int) -> Outcome:
 
 def _pinot_table(params: dict, seed: int):
     """Produce and fully ingest the ``metrics`` table."""
-    from repro.kafka.cluster import KafkaCluster, TopicConfig
-    from repro.kafka.producer import Producer
-    from repro.metadata.schema import Field, FieldRole, FieldType, Schema
-    from repro.pinot.broker import PinotBroker
-    from repro.pinot.controller import PinotController
-    from repro.pinot.recovery import PeerToPeerBackup
-    from repro.pinot.segment import IndexConfig
-    from repro.pinot.server import PinotServer
-    from repro.pinot.table import TableConfig
-    from repro.storage.blobstore import BlobStore
-
     n = params["records"]
     clock = SimulatedClock()
     kafka = KafkaCluster("bench", 3, clock=clock)
@@ -382,8 +378,6 @@ def _pinot_table(params: dict, seed: int):
 
 
 def pinot_ingest_query(params: dict, seed: int) -> Outcome:
-    from repro.pinot.query import Aggregation, Filter, PinotQuery
-
     __, broker = _pinot_table(params, seed)
     n = params["records"]
     checks = []
@@ -430,18 +424,6 @@ def pinot_selective_query(params: dict, seed: int) -> Outcome:
     and later rounds are version-validated cache hits, where a full scatter
     would scan every segment every round.
     """
-    from repro.kafka.cluster import KafkaCluster, TopicConfig
-    from repro.kafka.producer import Producer
-    from repro.metadata.schema import Field, FieldRole, FieldType, Schema
-    from repro.pinot.broker import PinotBroker
-    from repro.pinot.controller import PinotController
-    from repro.pinot.query import Aggregation, Filter, PinotQuery
-    from repro.pinot.recovery import PeerToPeerBackup
-    from repro.pinot.segment import IndexConfig
-    from repro.pinot.server import PinotServer
-    from repro.pinot.table import TableConfig
-    from repro.storage.blobstore import BlobStore
-
     n = params["records"]
     clock = SimulatedClock()
     kafka = KafkaCluster("bench", 3, clock=clock)
@@ -537,9 +519,6 @@ def pinot_selective_query(params: dict, seed: int) -> Outcome:
 
 
 def presto_scan(params: dict, seed: int) -> Outcome:
-    from repro.sql.presto.connector import PinotConnector
-    from repro.sql.presto.engine import PrestoEngine
-
     clock, broker = _pinot_table(params, seed)
     n = params["records"]
     engine = PrestoEngine(
@@ -571,19 +550,6 @@ def presto_federated_join(params: dict, seed: int) -> Outcome:
     rows and the bench tests pin it to the digest a run without any
     reuse produced, so a stale artifact fails them.
     """
-    from repro.kafka.cluster import KafkaCluster, TopicConfig
-    from repro.kafka.producer import Producer
-    from repro.metadata.schema import Field, FieldRole, FieldType, Schema
-    from repro.pinot.broker import PinotBroker
-    from repro.pinot.controller import PinotController
-    from repro.pinot.recovery import PeerToPeerBackup
-    from repro.pinot.server import PinotServer
-    from repro.pinot.table import TableConfig
-    from repro.sql.presto.connector import HiveConnector, PinotConnector
-    from repro.sql.presto.engine import PrestoEngine
-    from repro.storage.blobstore import BlobStore
-    from repro.storage.hive import HiveMetastore
-
     n = params["records"]
     keys = params["keys"]
     clock = SimulatedClock()
@@ -704,8 +670,6 @@ def controlplane_surge(params: dict, seed: int) -> Outcome:
     result digests *and* the decision log, so both query semantics and
     control decisions gate byte-identically in CI.
     """
-    from benchmarks.core.surge import run_surge
-
     report = run_surge(params, seed)
     return Outcome(records=report.requests, check=report.check)
 

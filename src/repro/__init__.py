@@ -42,7 +42,6 @@ from repro.common.retry import RetryPolicy
 from repro.flink.graph import StreamEnvironment
 from repro.flink.runtime import JobRuntime
 from repro.kafka.cluster import KafkaCluster, TopicConfig
-from repro.kafka.consumer import Consumer, GroupCoordinator
 from repro.kafka.producer import Producer
 from repro.metadata.schema import Field, FieldRole, FieldType, Schema
 from repro.observability.freshness import (
@@ -78,8 +77,6 @@ __all__ = [
     "KafkaCluster",
     "TopicConfig",
     "Producer",
-    "Consumer",
-    "GroupCoordinator",
     # stream processing
     "StreamEnvironment",
     "JobRuntime",

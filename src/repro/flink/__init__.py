@@ -6,7 +6,9 @@ runtime with credit-style backpressure and barrier checkpointing
 (runtime), and the platform pieces from the paper: unified job management
 (jobserver, Section 4.2.2), resource estimation + auto-scaling
 (autoscaler) and the rule-based recovery watchdog (watchdog, both
-Section 4.2.1).
+Section 4.2.1).  The job server and the watchdog are on no path the
+platform runs (``tests/test_reachability.py``), so this package does not
+load them: import them from their own modules.
 """
 
 from repro.flink.autoscaler import (
@@ -18,13 +20,6 @@ from repro.flink.autoscaler import (
     estimate_resources,
 )
 from repro.flink.graph import DataStream, JobGraph, StreamEnvironment, validate_graph
-from repro.flink.jobserver import (
-    ComputeCluster,
-    JobPriority,
-    JobServer,
-    JobState,
-    ManagedJob,
-)
 from repro.flink.operators import (
     BoundedListSource,
     CollectSink,
@@ -42,7 +37,6 @@ from repro.flink.time import (
     StreamStatus,
     Watermark,
 )
-from repro.flink.watchdog import Rule, Watchdog, WatchdogEvent
 from repro.flink.windows import (
     AvgAggregate,
     CollectAggregate,
@@ -68,11 +62,6 @@ __all__ = [
     "JobGraph",
     "StreamEnvironment",
     "validate_graph",
-    "ComputeCluster",
-    "JobPriority",
-    "JobServer",
-    "JobState",
-    "ManagedJob",
     "BoundedListSource",
     "CollectSink",
     "IntervalJoinOperator",
@@ -86,9 +75,6 @@ __all__ = [
     "StreamRecord",
     "StreamStatus",
     "Watermark",
-    "Rule",
-    "Watchdog",
-    "WatchdogEvent",
     "AvgAggregate",
     "CollectAggregate",
     "CountAggregate",

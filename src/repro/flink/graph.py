@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Callable
 
 from repro.common.errors import BackfillError, JobValidationError
@@ -312,8 +313,7 @@ class DataStream:
         A field name instead of a callable keys by ``value[name]``.
         """
         if isinstance(key_fn, str):
-            name = key_fn
-            key_fn = lambda value: value[name]
+            key_fn = itemgetter(key_fn)
         return DataStream(self.env, self.op_id, keyed_by=key_fn)
 
     def window(self, assigner: WindowAssigner) -> "WindowedStream":

@@ -24,9 +24,10 @@ state is checkpointable and measurable.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from math import isfinite
+from operator import itemgetter
 from typing import Any, Callable, Sequence
 
 from repro.common import serde
@@ -398,6 +399,9 @@ class WindowJoinOperator(EventTimeOperator):
         return fired
 
 
+_deadline_of = itemgetter(0)
+
+
 class IntervalJoinOperator(EventTimeOperator):
     """Per-key time-bounded join: emits ``join_fn(left, right)`` for every
     pair sharing a key with ``left.ts ∈ [right.ts + lower, right.ts +
@@ -416,11 +420,23 @@ class IntervalJoinOperator(EventTimeOperator):
     passes ``max(horizon + allowed_lateness, ts + state_ttl)`` — the TTL
     can only *extend* retention past the join horizon (for late
     observers and state reads), never truncate it, so TTL eviction can
-    never drop a still-joinable record.  Eviction is
-    driven by a min-heap over per-entry deadlines that is rebuilt from
-    state on restore (the deadlines are pure functions of the entries);
-    an evicted entry is deleted from its key's list in place, and the key
+    never drop a still-joinable record.  Per side that deadline is the
+    entry's timestamp plus a constant, so arrivals come in nearly
+    deadline order, and each side keeps its ``(deadline, seq, key)``
+    entries as a few runs, each sorted by deadline.  ``process`` appends
+    to the side's pending list; a fire sorts it into a run (extending
+    the last run when it starts at or after that run's end, else merging
+    the last two runs while the older is no longer, which keeps the runs
+    few), then cuts each run's due prefix by bisection.  No heap orders
+    the entries: a fire touches only what it sorts and what it evicts.
+    The runs are derived state, rebuilt from the buffers on restore.  An
+    evicted entry is deleted from its key's list in place, and the key
     leaves state when its list empties.
+
+    **Output key.**  Pairs carry the join key, unless the runtime hands
+    the operator ``out_key_fn``: the key function of its only out edge,
+    a hash edge.  Then each pair is built keyed as that edge routes it,
+    so the edge does not copy it to re-key it.
 
     **Spill pressure.**  The buffered state is the memory-bound signal of
     Section 4.2.1; ``spill_pressure()`` reports buffered bytes against
@@ -461,11 +477,14 @@ class IntervalJoinOperator(EventTimeOperator):
         self.spill_budget_bytes = spill_budget_bytes
         # How far past its own timestamp each side can still complete a pair.
         self._reach = {"left": max(0.0, -lower), "right": max(0.0, upper)}
+        self.out_key_fn: Callable[[Any], Any] | None = None
         self.evicted = 0
         self._seq = 0
-        # (deadline, seq, side, key) — seq breaks ties so keys are never
-        # compared (they may be mixed types).
-        self._evictions: list[tuple[float, int, str, Any]] = []
+        # Per side, runs of (deadline, seq, key) sorted by deadline, and
+        # what ``process`` buffered since the last fire; seq breaks ties
+        # so keys are never compared (they may be mixed types).
+        self._runs: dict[str, list[list]] = {"left": [], "right": []}
+        self._pending: dict[str, list] = {"left": [], "right": []}
 
     # -- time bounds ---------------------------------------------------------
 
@@ -483,7 +502,7 @@ class IntervalJoinOperator(EventTimeOperator):
 
         The loop inlines the join horizon, :meth:`_expired`'s lateness
         predicate and :meth:`_deadline`; nothing it reads changes within
-        a run but the own side's buffer, the traces and the heap.
+        a run but the own side's buffer, the traces and the pending list.
         """
         is_left = input_index == 0
         side, other = ("left", "right") if is_left else ("right", "left")
@@ -491,14 +510,14 @@ class IntervalJoinOperator(EventTimeOperator):
         # Bounds on ``timestamp - other_ts``: a right arrival negates them
         # (exact in floating point, as swapping a difference's operands is).
         lo, hi = (self.lower, self.upper) if is_left else (-self.upper, -self.lower)
-        join_fn = self.join_fn
+        join_fn, out_key_fn = self.join_fn, self.out_key_fn
         lateness, watermark = self.allowed_lateness, self.current_watermark
         ttl = self.state_ttl
         tables = self.state.tables
         mine = tables.get(side)  # appears at its first append
         theirs = tables.get(other) or {}
         traces = self._traces
-        evictions = self._evictions
+        pending = self._pending[side]
         out: list[StreamRecord] = []
         seq = self._seq
         late = probes = 0
@@ -529,7 +548,12 @@ class IntervalJoinOperator(EventTimeOperator):
                                 else join_fn(other_value, value)
                             )
                             completed = other_ts if other_ts > timestamp else timestamp
-                            out.append(StreamRecord(pair, completed, key, trace))
+                            out.append(StreamRecord(
+                                pair,
+                                completed,
+                                key if out_key_fn is None else out_key_fn(pair),
+                                trace,
+                            ))
                 if mine is None:
                     mine = tables[side] = {}
                 entries = mine.get(key)
@@ -540,7 +564,7 @@ class IntervalJoinOperator(EventTimeOperator):
                 entries.append([timestamp, seq, value])
                 if ttl is not None and timestamp + ttl > deadline:
                     deadline = timestamp + ttl
-                heappush(evictions, (deadline, seq, side, key))
+                pending.append((deadline, seq, key))
                 seq += 1
         finally:
             appended = seq - self._seq
@@ -556,26 +580,52 @@ class IntervalJoinOperator(EventTimeOperator):
         return out
 
     def _fire(self) -> list[Any]:
-        evictions = self._evictions
+        watermark = self.current_watermark
         tables = self.state.tables
-        while evictions and evictions[0][0] <= self.current_watermark:
-            __, seq, side, key = heappop(evictions)
-            table = tables[side]
-            entries = table.get(key, ())
-            # Almost always the key's oldest; deleting in place keeps order.
-            for i, entry in enumerate(entries):
-                if entry[1] == seq:
-                    del entries[i]
-                    break
-            else:
-                continue  # already gone (stale heap entry after restore)
-            self.evicted += 1
+        traces = self._traces
+        evicted = 0
+        for side, other in (("left", "right"), ("right", "left")):
+            runs, pending = self._runs[side], self._pending[side]
+            if pending:
+                self._pending[side] = []
+                pending.sort()
+                if runs and runs[-1][-1] <= pending[0]:
+                    runs[-1] += pending
+                else:
+                    runs.append(pending)
+                    while len(runs) > 1 and len(runs[-2]) <= len(runs[-1]):
+                        last = runs.pop()
+                        runs[-1] += last
+                        runs[-1].sort()  # two sorted runs: one linear merge
+            due: list = []
+            for run in runs:
+                n = bisect_right(run, watermark, key=_deadline_of)
+                if n:
+                    due += run[:n]
+                    del run[:n]
+            if not due:
+                continue
+            runs[:] = [run for run in runs if run]
+            table, theirs = tables[side], tables.get(other, ())
+            for __, seq, key in due:
+                entries = table[key]
+                # Almost always the key's oldest; deleting in place keeps order.
+                if entries[0][1] == seq:
+                    del entries[0]
+                else:
+                    for i, entry in enumerate(entries):
+                        if entry[1] == seq:
+                            del entries[i]
+                            break
+                if not entries:
+                    del table[key]
+                    if key not in theirs:
+                        traces.pop(key, None)
+            evicted += len(due)
+        if evicted:
+            self.evicted += evicted
             if PERF.enabled:
-                PERF.inc("flink.join_evictions")
-            if not entries:
-                del table[key]
-                if key not in tables.get("right" if side == "left" else "left", ()):
-                    self._traces.pop(key, None)
+                PERF.inc("flink.join_evictions", evicted)
         return []
 
     # -- memory-pressure signal ----------------------------------------------
@@ -592,15 +642,17 @@ class IntervalJoinOperator(EventTimeOperator):
 
     def restore(self, data: bytes) -> None:
         super().restore(data)
-        # The eviction heap is derived state: every deadline is a pure
-        # function of (side, ts), so rebuild it from the buffers.
-        self._evictions = []
+        # The eviction runs are derived state: every deadline is a pure
+        # function of (side, ts), so rebuild them from the buffers.
         for side in ("left", "right"):
             reach = self._reach[side]
-            for key, entries in self.state.tables.get(side, {}).items():
-                for ts, seq, __ in entries:
-                    deadline = self._deadline(ts + reach, ts)
-                    heappush(self._evictions, (deadline, seq, side, key))
+            run = sorted(
+                (self._deadline(ts + reach, ts), seq, key)
+                for key, entries in self.state.tables.get(side, {}).items()
+                for ts, seq, __ in entries
+            )
+            self._runs[side] = [run] if run else []
+            self._pending[side] = []
 
 
 # --- sources ----------------------------------------------------------------

@@ -41,7 +41,7 @@ from repro.common.errors import (
 from repro.common.perf import PERF
 from repro.kafka.producer import hash_partitioner
 from repro.flink.graph import Edge, JobGraph, OperatorSpec, validate_graph
-from repro.flink.operators import build_operator
+from repro.flink.operators import IntervalJoinOperator, build_operator
 from repro.flink.time import (
     CheckpointBarrier,
     StreamRecord,
@@ -93,7 +93,6 @@ class SubTask:
         self.records_processed = 0
         self.completed_checkpoints: set[int] = set()
         self._out_watermark = float("-inf")
-        self._rebalance_cursor = 0
         # 2PC sink transaction buffers (spec.transactional sinks only):
         # the open transaction collects records since the last barrier;
         # pre-committed transactions (closed at barrier alignment) wait,
@@ -105,7 +104,8 @@ class SubTask:
         # rank among the rebalance edges) per out edge.
         self._out: list | None = None
         self._out_channels: list[InputChannel] = []
-        self._rebalance_edges = 0
+        # One round-robin cursor per rebalance edge, indexed by its rank.
+        self._rebalance_cursors: list[int] = []
 
     # -- wiring -------------------------------------------------------------
 
@@ -124,22 +124,36 @@ class SubTask:
         collapse into cached channel lists; each hash edge also carries a
         key -> target memo so a key is partition-hashed only the first
         time it is seen.
+
+        An interval join whose only out edge is a hash edge is handed
+        that edge's key function and builds each pair keyed by it, so
+        the edge routes by the key the pair carries and copies nothing.
+        ``step`` probes output space, which builds the wiring, before
+        its first delivery, so no pair is built before the hand-over.
         """
         if self._out is None:
             self._out = []
             self._out_channels = []
-            rebalanced = 0
-            for edge in self.runtime.graph.downstream_of(self.spec.op_id):
+            edges = self.runtime.graph.downstream_of(self.spec.op_id)
+            for edge in edges:
                 dst_spec = self.runtime.graph.operators[edge.dst]
                 channels = [
                     task.inputs[(self.spec.op_id, self.index)]
                     for task in self.runtime.tasks[edge.dst]
                 ]
                 key_fn = self._dst_key_fn(dst_spec, edge)
-                self._out.append((edge.partitioning, channels, key_fn, {}, rebalanced))
-                rebalanced += edge.partitioning == "rebalance"
+                if (
+                    key_fn is not None
+                    and len(edges) == 1
+                    and edge.partitioning == "hash"
+                    and isinstance(self.operator, IntervalJoinOperator)
+                ):
+                    self.operator.out_key_fn, key_fn = key_fn, None
+                rank = len(self._rebalance_cursors)
+                self._out.append((edge.partitioning, channels, key_fn, {}, rank))
+                if edge.partitioning == "rebalance":
+                    self._rebalance_cursors.append(0)
                 self._out_channels.extend(channels)
-            self._rebalance_edges = rebalanced
         return self._out
 
     @staticmethod
@@ -177,16 +191,15 @@ class SubTask:
         appending each record straight onto its target channel's queue.
 
         A channel is fed by exactly one edge (``validate_graph``), so
-        edge-major routing keeps every channel's order; the rebalance
-        cursor strides over the rebalance edges, so each record lands
-        where record-major routing would put it.  Returns ``len(records)``.
+        edge-major routing keeps every channel's order; each rebalance
+        edge deals its records round-robin from a cursor of its own.
+        Returns ``len(records)``.
         """
         count = len(records)
         if not count:
             return 0
         wiring = self._output_wiring()
-        stride = self._rebalance_edges
-        base = self._rebalance_cursor
+        cursors = self._rebalance_cursors
         pushes = 0
         for partitioning, channels, key_fn, key_targets, rank in wiring:
             queues = [channel.queue for channel in channels]
@@ -201,7 +214,9 @@ class SubTask:
                         # ``==``: 5 == 5.0, and the type a key function
                         # returns is the type downstream state is keyed by.
                         if key is not record.key:
-                            record = record.with_key(key)
+                            record = StreamRecord(
+                                record.value, record.timestamp, key, record.trace
+                            )
                     try:
                         target = key_targets.get(key)
                     except TypeError:  # unhashable key: hash every time
@@ -216,15 +231,15 @@ class SubTask:
                     queue.extend(records)
                 pushes += count * width
             elif partitioning == "rebalance":
-                cursor = base + rank
+                cursor = cursors[rank]
                 for record in records:
                     queues[cursor % width].append(record)
-                    cursor += stride
+                    cursor += 1
+                cursors[rank] = cursor
                 pushes += count
             else:  # forward
                 queues[self.index % width].extend(records)
                 pushes += count
-        self._rebalance_cursor = base + count * stride
         if PERF.enabled and pushes:
             PERF.inc("flink.cached_routes", count * len(wiring))
             PERF.inc("flink.channel_pushes", pushes)

@@ -7,8 +7,10 @@ barriers (Section 4.2's "built-in state management and checkpointing").
 An element is a value: it is never assigned to after it is built.  A
 broadcast edge hands one object to every channel, a transactional sink
 buffers the objects it was given and the tumbling assigner shares its last
-window, so a changed key or value is a new element (``with_key``,
-``with_value``).  The classes are slotted but not ``frozen`` — a frozen
+window, so a changed value is a new element (``with_value``), and so is a
+changed key: a hash edge whose key function returns another key routes a
+new record, and an interval join feeding one builds each pair already
+keyed for it, so a pair is built once.  The classes are slotted but not ``frozen`` — a frozen
 ``__init__`` pays one ``__setattr__`` call per field and costs about three
 times a plain one — and ``tests/property/test_element_values.py`` checks
 the rule instead.
@@ -39,9 +41,6 @@ class StreamRecord:
 
     def with_value(self, value: Any) -> "StreamRecord":
         return StreamRecord(value, self.timestamp, self.key, self.trace)
-
-    def with_key(self, key: Any) -> "StreamRecord":
-        return StreamRecord(self.value, self.timestamp, key, self.trace)
 
 
 @dataclass(slots=True)

@@ -1,7 +1,10 @@
-"""Metadata layer: versioned schemas, registry, catalog and lineage."""
+"""Metadata layer: versioned schemas, registry, catalog and lineage.
 
-from repro.metadata.catalog import DataCatalog, DatasetKind, DatasetRef
-from repro.metadata.registry import SchemaRegistry
+The registry and the catalog are on no path the platform runs
+(``tests/test_reachability.py``), so this package does not load them:
+import them from their own modules.
+"""
+
 from repro.metadata.schema import (
     Field,
     FieldRole,
@@ -12,10 +15,6 @@ from repro.metadata.schema import (
 )
 
 __all__ = [
-    "DataCatalog",
-    "DatasetKind",
-    "DatasetRef",
-    "SchemaRegistry",
     "Field",
     "FieldRole",
     "FieldType",

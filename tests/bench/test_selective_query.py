@@ -5,9 +5,9 @@ from __future__ import annotations
 
 import pytest
 
-import repro.pinot.broker
 from benchmarks.core.scenarios import pinot_selective_query
 from repro.common.perf import PERF, measured
+from repro.pinot.broker import PinotBroker
 
 PARAMS = {
     "records": 3_000,
@@ -28,13 +28,14 @@ SCATTER_ROW_CHECK = 47226603786790
 def run(monkeypatch):
     """Run the scenario; also answer how many segments its table holds."""
     brokers = []
+    init = PinotBroker.__init__
 
-    class KeptBroker(repro.pinot.broker.PinotBroker):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            brokers.append(self)
+    # On the class, so the capture holds however the scenario imports it.
+    def kept_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        brokers.append(self)
 
-    monkeypatch.setattr(repro.pinot.broker, "PinotBroker", KeptBroker)
+    monkeypatch.setattr(PinotBroker, "__init__", kept_init)
 
     def run_once():
         with measured():

@@ -103,9 +103,10 @@ def test_a_key_the_record_already_carries_costs_no_copy(monkeypatch):
     assert built["TimeWindow"] == WINDOWS + fired
 
 
-def test_a_joined_pair_is_built_once_and_rekeyed_once():
+def test_a_joined_pair_is_built_once():
     # Each prediction joins exactly its own outcome, 1 s later; the window
-    # is keyed by model, not by the join key the pair carries.
+    # is keyed by model, not by the join key, and the join builds each
+    # pair keyed by model.
     pairs = 200
     predictions = [({"id": i, "model": f"m{i % 2}"}, float(i), i) for i in range(pairs)]
     outcomes = [({"id": i, "err": 1.0}, i + 1.0, i) for i in range(pairs)]
@@ -126,9 +127,9 @@ def test_a_joined_pair_is_built_once_and_rekeyed_once():
     built = count_constructions(runtime)
     assert sum(result.value for result in out) == pairs
     assert runtime.records_processed()["interval_join-2"] == 2 * pairs
-    # Source records, then per pair the pair and its re-keyed copy, then
-    # one per fired window.
-    assert built["StreamRecord"] == 2 * pairs + 2 * pairs + len(out)
+    # Source records, then one per pair, then one per fired window.
+    assert built["StreamRecord"] == 2 * pairs + pairs + len(out)
+    assert {result.key for result in out} == {"m0", "m1"}
 
 
 def test_a_different_key_is_restamped_on_a_copy(monkeypatch):

@@ -79,11 +79,11 @@ class TestRuntimeBasics:
         JobRuntime(env.build("j")).run_until_quiescent()
         assert out == [50, 60, 70, 80, 90]
 
-    def test_rebalanced_records_land_where_record_major_routing_puts_them(
-        self, monkeypatch
-    ):
-        # A run is routed one edge at a time; the rebalance cursor still
-        # steps once per record per rebalance edge, in edge order.
+    def test_each_rebalance_edge_deals_its_own_round_robin(self, monkeypatch):
+        # Two rebalance edges of one subtask: each deals its records in
+        # turn from a cursor of its own, so each target gets within one
+        # record of an even share (one shared cursor fed the
+        # parallelism-2 map's subtask 1 all 20 records).
         seen = {}
         deliver = SubTask._deliver
 
@@ -99,12 +99,14 @@ class TestRuntimeBasics:
         source.map(lambda v: v, parallelism=3, name="a").sink_to_list([])
         source.map(lambda v: v, parallelism=2, name="b").sink_to_list([])
         JobRuntime(env.build("fan-out")).run_until_quiescent()
-        expected, cursor = {}, 0
-        for value in range(20):
-            for op_id, width in (("a", 3), ("b", 2)):
-                expected.setdefault((op_id, cursor % width), []).append(value)
-                cursor += 1
+        expected = {}
+        for op_id, width in (("a", 3), ("b", 2)):
+            for value in range(20):
+                expected.setdefault((op_id, value % width), []).append(value)
         assert seen == expected
+        for op_id, width in (("a", 3), ("b", 2)):
+            shares = [len(seen[(op_id, i)]) for i in range(width)]
+            assert max(shares) - min(shares) <= 1 and sum(shares) == 20
 
     def test_windowed_count(self):
         env = StreamEnvironment()

@@ -14,14 +14,17 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import FlinkError, OperatorError
 from repro.common.perf import measured
 from repro.flink.autoscaler import AutoScaler, JobProfile, classify_job
 from repro.flink.graph import StreamEnvironment
-from repro.flink.operators import IntervalJoinOperator
+from repro.flink.operators import BoundedListSource, IntervalJoinOperator
 from repro.flink.runtime import JobRuntime
 from repro.flink.time import StreamRecord, Watermark
+from repro.flink.windows import CountAggregate, TumblingWindows
 from repro.kafka.cluster import KafkaCluster, TopicConfig
 from repro.kafka.producer import Producer
 
@@ -169,6 +172,18 @@ def reference_join(script, lower, upper, lateness, ttl):
     return pairs, admitted, evicted, survivors
 
 
+def _buffered(op):
+    """Each side's buffered entries, per key in arrival order, as
+    :func:`reference_join` reports its survivors."""
+    return {
+        side: {
+            key: [[ts, value] for ts, __, value in entries]
+            for key, entries in op.state.tables.get(side, {}).items()
+        }
+        for side in ("left", "right")
+    }
+
+
 class TestAgainstReference:
     @pytest.mark.parametrize(
         "lower, upper, lateness, ttl",
@@ -197,15 +212,7 @@ class TestAgainstReference:
                 assert op.on_watermark(Watermark(event[0])) == []
                 # What stays is exact, not only how much left: each side's
                 # surviving entries, per key, in arrival order.
-                buffered.append(
-                    {
-                        side: {
-                            key: [[ts, value] for ts, __, value in entries]
-                            for key, entries in op.state.tables.get(side, {}).items()
-                        }
-                        for side in ("left", "right")
-                    }
-                )
+                buffered.append(_buffered(op))
             else:
                 key, ts, value = event
                 index = 0 if kind == "left" else 1
@@ -216,6 +223,131 @@ class TestAgainstReference:
         assert buffered == survivors
         assert (op._seq, op.evicted) == (admitted, evicted)
         assert op.late_dropped == sum(e[0] != "watermark" for e in script) - admitted
+
+
+#: Half-second event times over a short span: ties, disorder and late
+#: records are common.
+halves = st.integers(0, 40).map(lambda half: half / 2)
+join_steps = st.one_of(
+    st.tuples(st.just("watermark"), halves),
+    st.tuples(
+        st.sampled_from(("left", "right")),
+        st.lists(
+            st.tuples(st.sampled_from("abc"), halves, st.integers(0, 99).map(str)),
+            min_size=1,
+            max_size=6,
+        ),
+    ),
+    st.just(("restore",)),
+)
+
+
+class TestEvictionProperty:
+    @given(
+        bounds=st.tuples(halves, halves).map(lambda b: (-b[0], b[1] - 5.0)),
+        lateness=st.sampled_from((0.0, 0.5, 2.0)),
+        ttl=st.sampled_from((None, 0.0, 1.5, 6.0)),
+        script=st.lists(join_steps, max_size=60),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_every_fire_leaves_what_the_reference_keeps(
+        self, bounds, lateness, ttl, script
+    ):
+        # After every watermark the buffers hold exactly the entries whose
+        # deadline the watermark has not reached, per key in arrival
+        # order, whatever the disorder and however the eviction runs were
+        # rebuilt by a restore part-way.
+        lower, upper = min(bounds), max(bounds)
+        events = []
+        for step in script:
+            if step[0] == "watermark":
+                events.append(step)
+            elif step[0] != "restore":
+                events.extend((step[0], *record) for record in step[1])
+        pairs, admitted, evicted, survivors = reference_join(
+            events, lower, upper, lateness, ttl
+        )
+
+        def make():
+            return IntervalJoinOperator(
+                lower, upper, lambda l, r: (l, r), lateness, state_ttl=ttl
+            )
+
+        op, emitted, buffered = make(), [], []
+        for kind, *event in script:
+            if kind == "restore":
+                op, restored = make(), op
+                op.restore(restored.snapshot())
+            elif kind == "watermark":
+                assert op.on_watermark(Watermark(event[0])) == []
+                buffered.append(_buffered(op))
+            else:
+                run = [StreamRecord(value, ts, key) for key, ts, value in event[0]]
+                out = op.process(run, kind == "right")
+                emitted.extend((r.value, r.timestamp, r.key) for r in out)
+        assert buffered == survivors
+        assert emitted == pairs
+        assert (op._seq, op.evicted) == (admitted, evicted)
+
+
+class TestOutputKey:
+    def test_a_raising_out_key_keeps_the_prefix_and_emits_nothing(self):
+        def out_key(pair):
+            if pair[1] == "bad":
+                raise KeyError("model")
+            return "m"
+
+        whole, reference = make_join(), make_join()
+        whole.out_key_fn = reference.out_key_fn = out_key
+        for op in (whole, reference):
+            op.process([left("p", 10.0)], 0)
+        prefix = [left("o1", 11.0), left("o2", 12.0)]
+        with pytest.raises(KeyError, match="model"):
+            whole.process(prefix + [left("bad", 13.0), left("o3", 14.0)], 1)
+        assert len(reference.process(prefix, 1)) == 2
+        assert whole.snapshot() == reference.snapshot()
+
+    def test_the_runtime_hands_the_key_to_the_join_and_routes_nothing_on_a_raise(
+        self,
+    ):
+        # The key_by after the join raises on the second pair of a run:
+        # the raise comes from the join's process, before anything of the
+        # run is routed, so the window's channels stay empty.
+        def model(pair):
+            if pair["id"] == 1:
+                raise KeyError("model")
+            return pair["model"]
+
+        env = StreamEnvironment()
+        predictions = env.add_source(
+            BoundedListSource([({"id": i, "model": "m"}, float(i), 0) for i in range(3)])
+        )
+        outcomes = env.add_source(
+            BoundedListSource([({"id": i}, i + 0.5, 0) for i in range(3)])
+        )
+        predictions.interval_join(
+            outcomes,
+            key_fns=(lambda p: 0, lambda o: 0),
+            lower=-1.0,
+            upper=0.0,
+            join_fn=lambda p, o: p,
+        ).key_by(model).window(TumblingWindows(60.0)).aggregate(
+            CountAggregate()
+        ).sink_to_list([])
+        runtime = JobRuntime(env.build("raising-key"))
+        join = runtime.tasks["interval_join-2"][0]
+        with pytest.raises(KeyError, match="model"):
+            runtime.run_until_quiescent()
+        assert join.operator.out_key_fn is model
+        window = next(
+            task for tasks in runtime.tasks.values() for task in tasks
+            if task.spec.kind == "window"
+        )
+        assert not any(
+            isinstance(element, StreamRecord)
+            for channel in window.inputs.values()
+            for element in channel.queue
+        )
 
 
 class TestProbeAccounting:
@@ -268,11 +400,16 @@ class TestEviction:
         op = make_join()
         with pytest.raises(FlinkError, match=f"finite, got {timestamp!r}"):
             op.process([left("bad", timestamp)], input_index)
-        assert (op._seq, op.late_dropped, op._evictions) == (0, 0, [])
+        assert (op._seq, op.late_dropped, op.state.entry_count()) == (0, 0, 0)
+        # Nothing of the rejected record is due: a later watermark evicts
+        # exactly what was buffered after it.
+        op.process([left("p", 1.0)], input_index)
+        op.on_watermark(Watermark(1000.0))
+        assert (op.evicted, op.state.entry_count()) == (1, 0)
 
     def test_a_rejected_nan_leaves_eviction_working(self):
-        # Admitted, a NaN deadline at the heap head would never compare
-        # <= any watermark and every entry behind it would stay forever.
+        # Admitted, a NaN deadline would never compare <= any watermark
+        # and would break its eviction run's order: entries would stay.
         op = make_join()
         with pytest.raises(FlinkError):
             op.process([left("bad", math.nan)], 0)

@@ -29,11 +29,9 @@ import pytest
 
 from repro import (
     BlobStore,
-    Consumer,
     Field,
     FieldRole,
     FieldType,
-    GroupCoordinator,
     IndexConfig,
     KafkaCluster,
     Platform,
@@ -63,6 +61,7 @@ from repro.flink.windows import (
     TumblingWindows,
     WindowResult,
 )
+from repro.kafka.consumer import Consumer, GroupCoordinator
 from repro.kafka.consumer import ConsumedMessage
 from repro.kafka.log import LogEntry
 from repro.kafka.producer import RecordMetadata

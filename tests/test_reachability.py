@@ -17,6 +17,9 @@ exactly what the walk finds, so it can only shrink.
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
@@ -141,3 +144,21 @@ def test_the_system_imports_no_ruler_or_test():
         if module.split(".")[0] in ("benchmarks", "tests")
     ]
     assert not found, found
+
+
+def test_importing_the_package_loads_no_unreached_module():
+    # A package ``__init__`` that re-exports an unreached module makes
+    # every ``import repro`` pay for code no entry point runs.
+    probe = (
+        "import sys, repro; "
+        f"print(sorted(m for m in {sorted(UNREACHED)!r} if m in sys.modules))"
+    )
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        check=True,
+        cwd=REPO,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        text=True,
+    ).stdout
+    assert loaded == "[]\n"
