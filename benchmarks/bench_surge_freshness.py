@@ -18,7 +18,7 @@ from repro.common.clock import SimulatedClock
 from repro.flink.runtime import JobRuntime
 from repro.kafka.cluster import KafkaCluster, TopicConfig
 from repro.kafka.producer import Producer
-from repro.observability.freshness import FreshnessProbe
+from repro.observability.freshness import FreshnessReport
 from repro.observability.slo import SloMonitor
 from repro.usecases.surge import MARKETPLACE_TOPIC, build_surge_job
 from repro.workloads import TripWorkload
@@ -40,9 +40,9 @@ def run_freshness():
                             window_seconds=WINDOW)
     runtime = JobRuntime(graph)
     events = sorted(workload.events(1800.0), key=lambda e: e[1])
-    # The passive probe replaces the hand-rolled sample list: every window
-    # that just became visible is one freshness sample (window end -> now).
-    probe = FreshnessProbe(clock=clock)
+    # Every window that just became visible is one freshness sample:
+    # window end -> now, on the simulated clock.
+    samples: list[float] = []
     seen = 0
     for event, arrival in events:
         clock.run_until(max(clock.now(), arrival))
@@ -52,7 +52,7 @@ def run_freshness():
         producer.flush()
         runtime.run_rounds(2)
         for update in results[seen:]:
-            probe.observe_visible(update.window_end)
+            samples.append(clock.now() - update.window_end)
         seen = len(results)
     late_dropped = 0
     for tasks in runtime.tasks.values():
@@ -60,7 +60,7 @@ def run_freshness():
             operator = task.operator
             if operator is not None and hasattr(operator, "late_dropped"):
                 late_dropped += operator.late_dropped
-    return probe.report(), late_dropped, len(results)
+    return FreshnessReport.from_samples(samples), late_dropped, len(results)
 
 
 def run_loss_tradeoff():

@@ -14,7 +14,7 @@ The package is the paper's Figure 2/Figure 3 stack and nothing else:
 * ``repro.allactive``— multi-region: all-active coordination
 * ``repro.usecases`` — Section 5's four representative applications
 * ``repro.workloads``— seeded synthetic workload generators
-* ``repro.observability`` — cross-layer tracing, freshness probes, SLOs
+* ``repro.observability`` — cross-layer tracing, freshness reports, SLOs
 * ``repro.audit``    — Chaperone: loss / duplication audits across stages
 * ``repro.chaos``    — deterministic fault injection + recovery verification
   (``Platform.chaos()``)
@@ -44,11 +44,7 @@ from repro.flink.runtime import JobRuntime
 from repro.kafka.cluster import KafkaCluster, TopicConfig
 from repro.kafka.producer import Producer
 from repro.metadata.schema import Field, FieldRole, FieldType, Schema
-from repro.observability.freshness import (
-    FreshnessProbe,
-    FreshnessReport,
-    PinotFreshnessProbe,
-)
+from repro.observability.freshness import FreshnessReport
 from repro.observability.slo import SloMonitor, SloTarget
 from repro.observability.trace import Span, SpanCollector, TraceContext
 from repro.pinot.broker import PinotBroker
@@ -105,8 +101,6 @@ __all__ = [
     "SpanCollector",
     "TraceContext",
     "Span",
-    "FreshnessProbe",
-    "PinotFreshnessProbe",
     "FreshnessReport",
     "SloMonitor",
     "SloTarget",

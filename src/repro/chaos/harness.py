@@ -359,30 +359,28 @@ class ChaosHarness:
         return self.add_invariant(name or f"integrity:{auditor.name}", check)
 
     def expect_freshness(
-        self,
-        table: str,
-        target_seconds: float,
-        sentinels: int = 3,
-        timeout: float = 120.0,
-        name: str | None = None,
+        self, table: str, target_seconds: float, name: str | None = None
     ) -> "ChaosHarness":
         """After the dust settles the freshness SLO must be re-attained:
-        sentinel rows produced post-run must become queryable within
-        ``target_seconds``.  Samples feed the platform's SLO monitor, so
-        the dashboard shows the post-chaos freshness next to the fault
-        spans."""
+        at check time every partition's staleness (how long its oldest
+        not-yet-queryable row has waited) is within ``target_seconds``.
+        On a traced platform the table's append → queryable samples feed
+        the SLO monitor, so the dashboard shows the run's freshness next
+        to the fault spans."""
 
         def check() -> tuple[bool, str]:
-            probe = self.platform.freshness_probe(table)
-            try:
-                report = probe.run(sentinels=sentinels, timeout=timeout)
-            except TimeoutError as exc:
-                return False, str(exc)
-            for sample in report.samples:
-                self.platform.slo_monitor.observe(table, "freshness", sample)
+            ingestion = self.platform.pinot.table(table).ingestion
+            staleness = ingestion.staleness()
+            if self.platform.tracer is not None:
+                report = self.platform.freshness(table)
+                self.platform.slo_monitor.ingest_report(table, report)
+            unread = sorted(set(ingestion.partitions) - set(staleness))
+            if unread:
+                return False, f"no live leader for partitions {unread}"
+            worst = max(staleness.values())
             return (
-                report.max <= target_seconds,
-                f"max freshness {report.max:.2f}s vs target {target_seconds:.2f}s",
+                worst <= target_seconds,
+                f"max staleness {worst:.2f}s vs target {target_seconds:.2f}s",
             )
 
         return self.add_invariant(name or f"freshness-slo:{table}", check)

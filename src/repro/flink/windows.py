@@ -11,6 +11,7 @@ comparison (C2) measures.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Protocol, Sequence
 
@@ -144,8 +145,7 @@ def _extractor(
 ) -> Callable[[Any], float]:
     """Resolve an extractor spec: a field name reads ``value[name]``."""
     if isinstance(extract, str):
-        name = extract
-        return lambda value: value[name]
+        return operator.itemgetter(extract)
     return extract
 
 

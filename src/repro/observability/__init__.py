@@ -1,4 +1,4 @@
-"""Cross-layer observability: tracing, freshness probes and SLO monitoring.
+"""Cross-layer observability: tracing, freshness reports and SLO monitoring.
 
 Implements the operational half of the paper — Section 8's seconds-level
 freshness claims and Section 9.3's per-use-case monitoring — as a small
@@ -6,11 +6,7 @@ subsystem every layer of the stack hooks into via an opt-in ``tracer=``
 kwarg.  See :mod:`repro.observability.trace` for the data-path model.
 """
 
-from repro.observability.freshness import (
-    FreshnessProbe,
-    FreshnessReport,
-    PinotFreshnessProbe,
-)
+from repro.observability.freshness import FreshnessReport
 from repro.observability.slo import (
     TABLE1_SLOS,
     SloEvaluation,
@@ -33,9 +29,7 @@ __all__ = [
     "Span",
     "SpanCollector",
     "TraceContext",
-    "FreshnessProbe",
     "FreshnessReport",
-    "PinotFreshnessProbe",
     "SloEvaluation",
     "SloMonitor",
     "SloTarget",

@@ -1,29 +1,26 @@
-"""End-to-end freshness measurement (paper Section 8).
+"""Freshness reports (paper Section 8).
 
 The paper's headline operational claim is *seconds-level* data freshness:
-an event produced into Kafka is queryable in Pinot within seconds.  The
-probes here measure exactly that boundary-to-boundary interval —
-event time at the producer edge to first-queryable at the Pinot broker —
-rather than any single component's internal latency (the pitfall
-arXiv:2512.16146 warns benchmark suites about).
+an event produced into Kafka is queryable in Pinot within seconds.  Here
+freshness is read off what the system already keeps, never probed, so the
+measure writes nothing into what it measures (the pitfall
+arXiv:2512.16146 warns benchmark suites about):
 
-Two probes:
+* ``RealtimeIngestion.staleness()`` — per partition, how long the oldest
+  row that is not yet queryable has waited, read from the Kafka log;
+* ``Platform.freshness(table)`` — a :class:`FreshnessReport` over every
+  stored ``ingest`` span into the table: each row's append → queryable
+  interval.
 
-* :class:`FreshnessProbe` — a passive sampler: any pipeline that knows
-  when a record became visible calls :meth:`FreshnessProbe.observe_visible`
-  and gets a :class:`FreshnessReport` of percentiles back.
-* :class:`PinotFreshnessProbe` — an active prober: it injects sentinel
-  records through the real producer path, drives the pipeline forward,
-  and polls the Pinot broker until each sentinel is queryable.
+:func:`nearest_rank` is the one percentile rule: the report, the SLO
+monitor, admission control and the span summary all call it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
-
-from repro.common.clock import Clock, SystemClock
+from dataclasses import dataclass
+from typing import Sequence
 
 
 def nearest_rank(ordered: Sequence[float], pct: float) -> float:
@@ -36,7 +33,7 @@ def nearest_rank(ordered: Sequence[float], pct: float) -> float:
 
 @dataclass(frozen=True)
 class FreshnessReport:
-    """Percentile summary over event-time → queryable intervals (seconds)."""
+    """Percentile summary over append → queryable intervals (seconds)."""
 
     samples: tuple[float, ...]
 
@@ -79,106 +76,3 @@ class FreshnessReport:
             f"freshness over {self.count} samples: "
             f"p50={self.p50:.2f}s p99={self.p99:.2f}s max={self.max:.2f}s"
         )
-
-
-class FreshnessProbe:
-    """Passive freshness sampler.
-
-    Pipelines call :meth:`observe_visible` at the instant a record (or a
-    derived result) becomes queryable, passing the origin event time; the
-    probe accumulates ``now - origin_event_time`` samples.
-    """
-
-    def __init__(self, clock: Clock | None = None) -> None:
-        self.clock = clock or SystemClock()
-        self._samples: list[float] = []
-
-    def observe_visible(
-        self, origin_event_time: float, now: float | None = None
-    ) -> float:
-        """Record that data with the given origin time is now queryable."""
-        if now is None:
-            now = self.clock.now()
-        sample = now - origin_event_time
-        self._samples.append(sample)
-        return sample
-
-    @property
-    def sample_count(self) -> int:
-        return len(self._samples)
-
-    def report(self) -> FreshnessReport:
-        return FreshnessReport.from_samples(self._samples)
-
-
-@dataclass
-class PinotFreshnessProbe:
-    """Active end-to-end prober: sentinel in at Kafka, visible out at Pinot.
-
-    Each round produces one sentinel row through the real ``producer``
-    (so it crosses the same produce/replicate/process/ingest boundaries as
-    user traffic), then alternates ``step(dt)`` — the caller's hook that
-    advances the simulated clock and drives Flink/Pinot forward — with a
-    COUNT query against the broker filtered on the sentinel's marker,
-    until the row is queryable or ``timeout`` simulated seconds elapse.
-
-    ``sentinel_factory(marker)`` must return a value dict that conforms to
-    the target table's schema with ``match_column`` set to the marker (the
-    :class:`~repro.platform.Platform` facade derives one from the schema
-    automatically).
-    """
-
-    producer: Any  # kafka Producer
-    topic: str
-    table: str
-    broker: Any  # PinotBroker
-    match_column: str
-    sentinel_factory: Callable[[str], dict]
-    step: Callable[[float], None]
-    clock: Clock
-    step_interval: float = 1.0
-    _probe_seq: int = 0
-    _samples: list[float] = field(default_factory=list)
-
-    def run(self, sentinels: int = 5, timeout: float = 120.0) -> FreshnessReport:
-        """Inject ``sentinels`` probe rows and measure each to visibility."""
-        for _ in range(sentinels):
-            self._probe_once(timeout)
-        return self.report()
-
-    def _probe_once(self, timeout: float) -> float:
-        from repro.pinot.query import Aggregation, Filter, PinotQuery
-
-        self._probe_seq += 1
-        marker = f"__probe-{self._probe_seq}"
-        event_time = self.clock.now()
-        value = self.sentinel_factory(marker)
-        self.producer.produce(self.topic, value, key=marker, event_time=event_time)
-        self.producer.flush()
-
-        query = PinotQuery(
-            table=self.table,
-            aggregations=[Aggregation("COUNT")],
-            filters=[Filter(self.match_column, "=", marker)],
-        )
-        deadline = event_time + timeout
-        while True:
-            self.step(self.step_interval)
-            result = self.broker.execute(query)
-            if result.rows and result.rows[0].get("count(*)", 0) > 0:
-                break
-            if self.clock.now() >= deadline:
-                raise TimeoutError(
-                    f"sentinel {marker!r} not queryable in {self.table!r} "
-                    f"within {timeout}s"
-                )
-        sample = self.clock.now() - event_time
-        self._samples.append(sample)
-        return sample
-
-    @property
-    def sample_count(self) -> int:
-        return len(self._samples)
-
-    def report(self) -> FreshnessReport:
-        return FreshnessReport.from_samples(self._samples)

@@ -512,6 +512,17 @@ class SpanCollector:
             for trace_id in batch.trace_ids
         }
 
+    def ingest_durations(self, table: str) -> list[float]:
+        """Every stored ``ingest`` row into ``table`` as ``end - start``:
+        its entry's append → queryable interval, in arrival order.  A row
+        ingested twice (re-consumed after an owner replacement) has two."""
+        return [
+            batch.end - start
+            for batch in self._batches
+            if batch.ingest_table() == table
+            for start in batch.start_times()
+        ]
+
     def trace_latency(
         self, trace_id: str, first_hop: str = "produce", last_hop: str = "ingest"
     ) -> float | None:

@@ -114,12 +114,17 @@ class RealtimeIngestion:
     def run_step(self, max_records_per_partition: int = 500) -> int:
         """Consume one round across partitions; returns rows ingested.
 
+        A partition whose owner is dead is skipped, like one whose source
+        broker is down: no query reaches its consuming segment, and its
+        replacement resumes at the committed offset (:meth:`replace_server`).
         A partition whose sealed segment still awaits synchronous backup
         (centralized design) is skipped — that is the freshness violation
         of Section 4.3.4.
         """
         ingested = 0
         for state in self.partitions.values():
+            if not state.owner.alive:
+                continue
             if state.blocked():
                 self.blocked_polls += 1
                 continue
@@ -296,20 +301,51 @@ class RealtimeIngestion:
 
     # -- introspection -----------------------------------------------------------
 
+    @staticmethod
+    def _frontier(state: _PartitionState) -> int:
+        """The partition's first offset whose row is not queryable: its
+        ``position`` while the owner lives; under a dead owner, whose
+        consuming segment no query reaches, its ``committed`` offset."""
+        return state.position if state.owner.alive else state.committed
+
+    def _lag_of(self, state: _PartitionState) -> int:
+        try:
+            end = self.kafka.end_offset(self.topic, state.partition)
+        except BrokerUnavailableError:
+            return 0
+        return end - self._frontier(state)
+
     def lag(self) -> int:
         """Rows in Kafka not yet queryable (the freshness proxy).
 
-        A partition with no live leader contributes its last known lag of
-        zero — its true lag is unknowable until a broker returns.
+        A partition with no live leader adds zero: its lag is unknowable
+        until a broker returns.
         """
-        total = 0
-        for state in self.partitions.values():
+        return sum(self._lag_of(state) for state in self.partitions.values())
+
+    def staleness(self) -> dict[int, float]:
+        """Per partition, how long its oldest not-yet-queryable row has
+        waited: the Kafka clock now minus the ``append_time`` of the entry
+        at the partition's frontier (the one :meth:`lag` counts from), or
+        0.0 when the partition is caught up.
+
+        Read on demand, one ``fetch`` per partition; ingestion keeps
+        nothing for it.  A frontier that retention passed reads the oldest
+        retained entry.  A partition with no live leader is left out: what
+        waits there is unknowable until a broker returns.
+        """
+        now = self.kafka.clock.now()
+        out: dict[int, float] = {}
+        for partition, state in self.partitions.items():
             try:
-                end = self.kafka.end_offset(self.topic, state.partition)
+                start = self.kafka.start_offset(self.topic, partition)
+                end = self.kafka.end_offset(self.topic, partition)
+                offset = min(max(self._frontier(state), start), end)
+                entries = self.kafka.fetch(self.topic, partition, offset, 1)
             except BrokerUnavailableError:
                 continue
-            total += end - state.position
-        return total
+            out[partition] = now - entries[0].append_time if entries else 0.0
+        return out
 
     def total_rows_ingested(self) -> int:
         return self.rows_ingested
@@ -321,14 +357,18 @@ class RealtimeIngestion:
 
     def run_until_caught_up(self, max_steps: int = 10_000,
                             backup_steps_per_round: int = 1) -> int:
-        """Ingest (driving backup uploads too) until lag reaches zero."""
+        """Ingest (driving backup uploads too) until every partition with
+        a live owner has lag zero; a partition whose owner is dead waits
+        for ``recover_server``."""
         total = 0
         for __ in range(max_steps):
             total += self.run_step()
             for __ in range(backup_steps_per_round):
                 self.backup.run_step()
-            if self.lag() == 0 and not any(
-                s.blocked() for s in self.partitions.values()
+            if not any(
+                state.blocked() or self._lag_of(state) > 0
+                for state in self.partitions.values()
+                if state.owner.alive
             ):
                 return total
         raise PinotError(f"ingestion did not catch up in {max_steps} steps")

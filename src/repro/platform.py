@@ -21,7 +21,7 @@ attributes (``Producer.batches_sent``, ``JobRuntime.checkpoints_aborted``,
     runtime = p.streaming_sql("SELECT ... FROM rides ...", sink_topic="city_stats")
     table = p.realtime_table(config, topic="city_stats")
     output = p.sql("SELECT ... FROM city_stats ...")
-    report = p.freshness_probe("city_stats").run(sentinels=5)
+    report = p.freshness("city_stats")
 
 Tracing is on by default (``tracing=False`` turns the whole layer off);
 components built outside the facade keep their own independent defaults.
@@ -30,7 +30,7 @@ components built outside the facade keep their own independent defaults.
 from __future__ import annotations
 
 import random
-from typing import Any, Callable
+from typing import Any
 
 from repro.common.clock import SimulatedClock
 from repro.common.errors import PlatformError
@@ -38,8 +38,7 @@ from repro.flink.graph import JobGraph
 from repro.flink.runtime import JobRuntime
 from repro.kafka.cluster import KafkaCluster, TopicConfig
 from repro.kafka.producer import Producer
-from repro.metadata.schema import FieldRole, FieldType, Schema
-from repro.observability.freshness import PinotFreshnessProbe
+from repro.observability.freshness import FreshnessReport
 from repro.observability.slo import SloMonitor, SloTarget
 from repro.observability.trace import SpanCollector
 from repro.pinot.broker import PinotBroker
@@ -293,7 +292,8 @@ class Platform:
 
         Every registered Flink job runs to quiescence, in registration
         order (so a job feeding a later job's topic drains first), then
-        every Pinot table ingests until its lag is zero.
+        every Pinot table ingests until each partition with a live owner
+        has lag zero.
         """
         for runtime in self.runtimes:
             runtime.run_until_quiescent()
@@ -317,40 +317,21 @@ class Platform:
 
     # -- observability ------------------------------------------------------
 
-    def freshness_probe(
-        self,
-        table: str,
-        match_column: str | None = None,
-        sentinel_factory: Callable[[str], dict] | None = None,
-        step_interval: float = 1.0,
-    ) -> PinotFreshnessProbe:
-        """Active end-to-end prober for one Pinot realtime table.
-
-        Sentinel rows are auto-generated from the table schema: the first
-        STRING dimension carries the probe marker (override with
-        ``match_column``/``sentinel_factory``), metrics are zero, and the
-        time column is stamped with the current simulated time.
-        """
-        state = self._require_pinot().table(table)
-        schema = state.config.schema
-        if match_column is None:
-            match_column = _default_match_column(schema)
-        if sentinel_factory is None:
-            sentinel_factory = _schema_sentinel_factory(
-                schema, match_column, self.clock
+    def freshness(self, table: str) -> FreshnessReport:
+        """Append → queryable intervals of ``table``'s rows, read off the
+        stored ``ingest`` spans: one sample per row each time it became
+        queryable, its ingest time minus its entry's ``append_time``.  A
+        row consumed again after its owner was replaced (its consuming
+        segment died with the owner) counts again.  Covers what the
+        tracer's ring still holds; raises :class:`PlatformError` when
+        tracing is off."""
+        if self.tracer is None:
+            raise PlatformError(
+                "freshness is read off the ingest spans; build the Platform "
+                "with tracing=True"
             )
-        assert self.broker is not None
-        return PinotFreshnessProbe(
-            producer=self.producer(service_name="freshness-probe"),
-            topic=state.topic,
-            table=table,
-            broker=self.broker,
-            match_column=match_column,
-            sentinel_factory=sentinel_factory,
-            step=lambda dt: self.step(dt),
-            clock=self.clock,
-            step_interval=step_interval,
-        )
+        self._require_pinot().table(table)
+        return FreshnessReport.from_samples(self.tracer.ingest_durations(table))
 
     def slo(self, target: SloTarget) -> "Platform":
         self.slo_monitor.add_target(target)
@@ -369,49 +350,3 @@ class Platform:
         if self.slo_monitor.targets():
             sections.append(self.slo_monitor.render())
         return "\n\n".join(sections) if sections else "(no observability data)"
-
-
-def _default_match_column(schema: Schema) -> str:
-    for field in schema.fields:
-        if field.type is FieldType.STRING and field.role is FieldRole.DIMENSION:
-            return field.name
-    raise PlatformError(
-        f"schema {schema.name!r} has no STRING dimension to carry the probe "
-        "marker; pass match_column/sentinel_factory explicitly"
-    )
-
-
-def _schema_sentinel_factory(
-    schema: Schema, match_column: str, clock
-) -> Callable[[str], dict]:
-    """Build schema-conforming sentinel rows carrying ``marker``."""
-
-    def factory(marker: str) -> dict:
-        row: dict[str, Any] = {}
-        for field in schema.fields:
-            if field.name == match_column:
-                row[field.name] = marker
-            elif field.role is FieldRole.TIME:
-                row[field.name] = (
-                    clock.now()
-                    if field.type
-                    in (FieldType.FLOAT, FieldType.DOUBLE, FieldType.LONG, FieldType.INT)
-                    else str(clock.now())
-                )
-                if field.type in (FieldType.LONG, FieldType.INT):
-                    row[field.name] = int(clock.now())
-            elif field.type is FieldType.STRING:
-                row[field.name] = "probe"
-            elif field.type in (FieldType.INT, FieldType.LONG):
-                row[field.name] = 0
-            elif field.type in (FieldType.FLOAT, FieldType.DOUBLE):
-                row[field.name] = 0.0
-            elif field.type is FieldType.BOOLEAN:
-                row[field.name] = False
-            elif field.type is FieldType.BYTES:
-                row[field.name] = b""
-            else:  # JSON
-                row[field.name] = {}
-        return row
-
-    return factory

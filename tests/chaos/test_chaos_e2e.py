@@ -31,14 +31,6 @@ from repro.chaos import faults
 WINDOW = 10.0
 
 
-def _not_probe_record(record):
-    return not str(record.value.get("city", "")).startswith("__probe")
-
-
-def _not_probe_row(row):
-    return not str(row.get("city", "")).startswith("__probe")
-
-
 def run_scenario(seed=2021):
     """Build the pipeline, script the faults, drive to completion.
 
@@ -137,8 +129,6 @@ def run_scenario(seed=2021):
         sums = {}
         for entry in kafka.fetch("city_counts", 0, 0, 100_000):
             value = entry.record.value
-            if str(value.get("city", "")).startswith("__probe"):
-                continue  # freshness-probe sentinels, not window emissions
             sums[(value["window_start"], value["city"])] = (
                 value["orders"], value["volume"],
             )
@@ -146,9 +136,7 @@ def run_scenario(seed=2021):
 
     # Cross-layer integrity audit (Section 9.4): the source ledger against
     # the orders log, and the analytically-expected window rows against
-    # BOTH the city_counts log and the Pinot table scan.  Registered
-    # before the freshness invariant so the scans run before probe
-    # sentinels are produced (they are filtered out regardless).
+    # BOTH the city_counts log and the Pinot table scan.
     orders_audit.add_kafka_stage(kafka, "orders")
     counts_audit = IntegrityAuditor("city-counts")
     for (window_start, city), (orders, volume) in expected.items():
@@ -167,20 +155,14 @@ def run_scenario(seed=2021):
         kafka,
         "city_counts",
         key_fn=lambda record: counts_key(record.value),
-        where=_not_probe_record,
     )
-    counts_audit.add_pinot_stage(
-        platform.pinot,
-        "city_counts",
-        key_fn=counts_key,
-        where=_not_probe_row,
-    )
+    counts_audit.add_pinot_stage(platform.pinot, "city_counts", key_fn=counts_key)
 
     chaos.expect_no_acked_loss("orders", acked)
     chaos.expect_equal("exactly-once-window-sums", sink_sums, expected)
     chaos.expect_integrity(orders_audit)
     chaos.expect_integrity(counts_audit)
-    chaos.expect_freshness("city_counts", target_seconds=30.0, sentinels=2)
+    chaos.expect_freshness("city_counts", target_seconds=30.0)
     return platform, chaos, expected
 
 
@@ -233,7 +215,6 @@ class TestChaosEndToEnd:
         raw = [
             entry.record.value
             for entry in platform.kafka.fetch("city_counts", 0, 0, 100_000)
-            if not str(entry.record.value.get("city", "")).startswith("__probe")
         ]
         distinct = {(v["window_start"], v["city"]) for v in raw}
         assert len(raw) == len(distinct)

@@ -61,7 +61,7 @@ class TestQuickstart:
 
     def test_observability_section_reports(self, result):
         assert "one traced record" in result.stdout
-        assert "end-to-end freshness" in result.stdout
+        assert "(append -> queryable)" in result.stdout
         # The SLO dashboard's verdict for the quickstart target.
         assert "OK" in result.stdout
         assert "VIOLATED" not in result.stdout

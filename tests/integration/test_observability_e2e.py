@@ -1,9 +1,11 @@
 """End-to-end observability across the Figure 3 path, on the Platform facade.
 
 The acceptance bar: one record traced across at least four layer hops with
-monotonically ordered span timestamps, and a freshness probe reporting a
-seconds-level end-to-end interval (paper Section 8).
+monotonically ordered span timestamps, and a freshness view reporting a
+seconds-level append -> queryable interval (paper Section 8).
 """
+
+import pytest
 
 from repro import (
     Field,
@@ -15,6 +17,7 @@ from repro import (
     SloTarget,
     TableConfig,
 )
+from repro.common.errors import PlatformError
 from repro.observability.trace import HOP_ORDER
 
 
@@ -101,14 +104,33 @@ class TestTraceAcrossTheStack:
 
 
 class TestFreshnessSlo:
-    def test_active_probe_reports_seconds_level_freshness(self):
+    def test_freshness_view_reports_seconds_level_freshness(self):
         platform = build_pipeline()
-        probe = platform.freshness_probe("city_counts")
-        report = probe.run(sentinels=3, timeout=120.0)
-        assert report.count == 3
-        # Seconds-level: each sentinel queryable within a handful of
-        # simulated steps, far inside the Table 1 surge band.
-        assert 0.0 < report.p99 <= 30.0
+        # Rows produced straight into the table's topic wait for the next
+        # ingest step: each is queryable one step (2 s) after its append.
+        producer = platform.producer("counts-svc")
+        for i in range(5):
+            producer.send(
+                "city_counts",
+                {
+                    "city": f"late-{i}",
+                    "window_start": 0.0,
+                    "window_end": 30.0,
+                    "orders": 1,
+                    "volume": 1.0,
+                },
+                key=f"late-{i}",
+            )
+        producer.flush()
+        platform.step(2.0)
+        ingestion = platform.pinot.table("city_counts").ingestion
+        report = platform.freshness("city_counts")
+        # One sample per ingested row: the view is every ingest, not a probe.
+        assert report.count == ingestion.total_rows_ingested()
+        assert report.samples.count(2.0) == 5 and report.max == 2.0
+        assert ingestion.staleness() == {0: 0.0}
+        # Seconds-level, far inside the Table 1 surge band.
+        assert report.p99 <= 30.0
         platform.slo(SloTarget("e2e", "freshness", 99, 120.0))
         platform.slo_monitor.ingest_report("e2e", report)
         assert not platform.slo_monitor.violations()
@@ -117,12 +139,16 @@ class TestFreshnessSlo:
 
     def test_dashboard_renders_spans_and_slos_together(self):
         platform = build_pipeline()
-        probe = platform.freshness_probe("city_counts")
         platform.slo(SloTarget("e2e", "freshness", 99, 120.0))
-        platform.slo_monitor.ingest_report("e2e", probe.run(sentinels=2))
+        platform.slo_monitor.ingest_report("e2e", platform.freshness("city_counts"))
         text = platform.dashboard()
         for token in ("layer", "ingest", "use case", "freshness"):
             assert token in text
+
+    def test_an_untraced_platform_has_no_freshness_view(self):
+        platform = Platform(tracing=False).with_kafka().with_pinot()
+        with pytest.raises(PlatformError, match="tracing=True"):
+            platform.freshness("city_counts")
 
 
 class TestClockConsistencyRegression:

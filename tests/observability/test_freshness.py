@@ -1,13 +1,8 @@
-"""Unit tests for the freshness report and probes."""
+"""Unit tests for the freshness report."""
 
 import pytest
 
-from repro.common.clock import SimulatedClock
-from repro.observability.freshness import (
-    FreshnessProbe,
-    FreshnessReport,
-    nearest_rank,
-)
+from repro.observability.freshness import FreshnessReport, nearest_rank
 
 
 class TestFreshnessReport:
@@ -47,19 +42,3 @@ class TestFreshnessReport:
     def test_render_mentions_percentiles(self):
         text = FreshnessReport.from_samples([1.0, 2.0]).render()
         assert "p50" in text and "p99" in text
-
-
-class TestFreshnessProbe:
-    def test_observe_visible_samples_against_clock(self):
-        clock = SimulatedClock()
-        probe = FreshnessProbe(clock=clock)
-        clock.advance(10.0)
-        assert probe.observe_visible(4.0) == 6.0
-        clock.advance(5.0)
-        probe.observe_visible(14.0)
-        assert probe.sample_count == 2
-        assert probe.report().samples == (1.0, 6.0)
-
-    def test_explicit_now_overrides_clock(self):
-        probe = FreshnessProbe(clock=SimulatedClock())
-        assert probe.observe_visible(2.0, now=9.0) == 7.0

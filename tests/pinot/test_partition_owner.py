@@ -113,6 +113,34 @@ class TestOwnerReplacement:
         assert scan(table) == canonical(expected)
 
 
+class TestDeadOwner:
+    def test_queryable_rows_plus_lag_are_the_rows_produced(self):
+        """A dead owner ingests nothing: no query reaches its consuming
+        segment, so every row from its committed offset on counts as lag
+        and waits (``staleness``) until the replacement re-reads it."""
+        table = Table(threshold=THRESHOLD)
+        # 10 sealed rows and 3 consuming on every partition.
+        table.send(table.full_segments(per_partition=THRESHOLD + 3))
+        ingestion = table.state.ingestion
+        owner = ingestion.partitions[0].owner
+        dead = [p for p, s in ingestion.partitions.items() if s.owner is owner]
+        table.controller.kill_server(owner.name)
+        waited = []
+        for __ in range(3):
+            table.send(table.rides(8))
+            assert len(scan(table)) + ingestion.lag() == len(table.sent)
+            staleness = ingestion.staleness()
+            assert all(staleness[p] == 0.0 for p in staleness if p not in dead)
+            waited.append([staleness[p] for p in dead])
+        for series in zip(*waited):  # each dead partition waits longer
+            assert 0 < series[0] < series[1] < series[2]
+        table.controller.recover_server(owner.name, PinotServer("replacement"))
+        ingestion.run_until_caught_up()
+        assert ingestion.lag() == 0
+        assert set(ingestion.staleness().values()) == {0.0}
+        assert scan(table) == canonical(table.sent)
+
+
 class TestRetentionPassesThePosition:
     def test_a_lagging_partition_resumes_at_the_log_start(self):
         table = Table(threshold=THRESHOLD)
@@ -121,6 +149,9 @@ class TestRetentionPassesThePosition:
         table.expire(0, 5)
         expired = before - timestamps(table.rows_in_log(0))
         assert len(expired) == 5
+        # The position expired: what waits is the oldest row still held.
+        table.clock.advance(3.0)
+        assert table.state.ingestion.staleness()[0] == 3.0
         table.state.ingestion.run_until_caught_up()
         assert table.state.ingestion.partitions[0].position == THRESHOLD + 7
         expected = realtime_rows(table.sent, expired=copies(table, expired))

@@ -197,7 +197,15 @@ class TestStalePlacementCannotHappen:
                 return
             assert routes(broker, state) == expected
             hidden = set(dropped_rides)
-            for pstate in state.ingestion.partitions.values():
+            for partition, pstate in state.ingestion.partitions.items():
+                # Not ingested: a dead owner ingests nothing, and one that
+                # came back "up" waits for the next ingest to catch up.
+                hidden |= {
+                    entry.record.value["ride_id"]
+                    for entry in table.kafka.fetch(
+                        "rides", partition, pstate.position, len(table.sent)
+                    )
+                }
                 if not pstate.owner.alive:  # unreachable until back
                     consuming = pstate.consuming
                     hidden |= {
