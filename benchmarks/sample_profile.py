@@ -9,7 +9,10 @@ spent in C-level ``object.__setattr__`` made by dataclass-generated
 instead (``ITIMER_PROF``; the kernel delivers at its own tick, 4 ms on
 the reference host, so ``--repeats`` is how to get more samples): a
 function's *self* share is the samples it was executing in, its
-*cumulative* share those it was anywhere on the stack of.  Generated
+*cumulative* share those it was anywhere on the stack of.  It prints two
+tables, the top frames ranked by self share, then ranked by cumulative
+share, where a layer's entry point (``Producer.send``, a task's ``step``)
+shows what the whole layer costs.  Generated
 ``<string>:__init__`` frames are named after ``type(self)``, every other
 frame ``file:function:firstline``, so two lambdas (or comprehensions) of
 one file are two rows.  It asserts nothing about time; the speed claims
@@ -78,6 +81,9 @@ def main() -> int:
     print(f"{'self':>7} {'cum':>7}  function")
     for name, count in self_samples.most_common(TOP):
         print(f"{count / total:7.1%} {cumulative[name] / total:7.1%}  {name}")
+    print(f"\nby cumulative share:\n{'cum':>7} {'self':>7}  function")
+    for name, count in cumulative.most_common(TOP):
+        print(f"{count / total:7.1%} {self_samples[name] / total:7.1%}  {name}")
     return 0
 
 

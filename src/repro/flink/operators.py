@@ -70,17 +70,37 @@ class Operator:
         self.state.restore(data)
 
 
-class MapOperator(Operator):
+class KeysOwnOutput:
+    """A part of a task that builds every record it outputs: the source
+    readers, map, flat_map and the interval join.
+
+    When the task's only out edge is a hash edge, the runtime hands it
+    that edge's key function as ``out_key_fn`` at wiring, and each output
+    record is built keyed by it, so the edge routes the record it was
+    given instead of copying it to re-key it.  A key function that raises
+    raises inside the poll or the ``process`` call, which then emits
+    nothing.  ``None`` keeps the key the record would carry anyway.
+    """
+
+    out_key_fn: Callable[[Any], Any] | None = None
+
+
+class MapOperator(KeysOwnOutput, Operator):
     def __init__(self, fn: Callable[[Any], Any]) -> None:
         super().__init__()
         self.fn = fn
 
     def process(self, records: list[StreamRecord], input_index: int = 0) -> list[Any]:
-        fn = self.fn
-        try:
-            return [record.with_value(fn(record.value)) for record in records]
-        except Exception as exc:
-            raise OperatorError(f"map function failed: {exc}") from exc
+        fn, key_fn = self.fn, self.out_key_fn
+        out: list[StreamRecord] = []
+        for record in records:
+            try:
+                value = fn(record.value)
+            except Exception as exc:
+                raise OperatorError(f"map function failed: {exc}") from exc
+            key = record.key if key_fn is None else key_fn(value)
+            out.append(StreamRecord(value, record.timestamp, key, record.trace))
+        return out
 
 
 class FilterOperator(Operator):
@@ -96,19 +116,25 @@ class FilterOperator(Operator):
             raise OperatorError(f"filter function failed: {exc}") from exc
 
 
-class FlatMapOperator(Operator):
+class FlatMapOperator(KeysOwnOutput, Operator):
     def __init__(self, fn: Callable[[Any], list[Any]]) -> None:
         super().__init__()
         self.fn = fn
 
     def process(self, records: list[StreamRecord], input_index: int = 0) -> list[Any]:
-        fn = self.fn
-        try:
-            return [
-                record.with_value(v) for record in records for v in fn(record.value)
-            ]
-        except Exception as exc:
-            raise OperatorError(f"flat_map function failed: {exc}") from exc
+        fn, key_fn = self.fn, self.out_key_fn
+        out: list[StreamRecord] = []
+        for record in records:
+            try:
+                values = list(fn(record.value))
+            except Exception as exc:
+                raise OperatorError(f"flat_map function failed: {exc}") from exc
+            timestamp, key, trace = record.timestamp, record.key, record.trace
+            for value in values:
+                if key_fn is not None:
+                    key = key_fn(value)
+                out.append(StreamRecord(value, timestamp, key, trace))
+        return out
 
 
 class ProcessOperator(Operator):
@@ -402,7 +428,7 @@ class WindowJoinOperator(EventTimeOperator):
 _deadline_of = itemgetter(0)
 
 
-class IntervalJoinOperator(EventTimeOperator):
+class IntervalJoinOperator(KeysOwnOutput, EventTimeOperator):
     """Per-key time-bounded join: emits ``join_fn(left, right)`` for every
     pair sharing a key with ``left.ts ∈ [right.ts + lower, right.ts +
     upper]`` (equivalently ``left.ts - right.ts ∈ [lower, upper]``).
@@ -434,9 +460,7 @@ class IntervalJoinOperator(EventTimeOperator):
     leaves state when its list empties.
 
     **Output key.**  Pairs carry the join key, unless the runtime hands
-    the operator ``out_key_fn``: the key function of its only out edge,
-    a hash edge.  Then each pair is built keyed as that edge routes it,
-    so the edge does not copy it to re-key it.
+    the operator ``out_key_fn`` (:class:`KeysOwnOutput`).
 
     **Spill pressure.**  The buffered state is the memory-bound signal of
     Section 4.2.1; ``spill_pressure()`` reports buffered bytes against
@@ -477,7 +501,6 @@ class IntervalJoinOperator(EventTimeOperator):
         self.spill_budget_bytes = spill_budget_bytes
         # How far past its own timestamp each side can still complete a pair.
         self._reach = {"left": max(0.0, -lower), "right": max(0.0, upper)}
-        self.out_key_fn: Callable[[Any], Any] | None = None
         self.evicted = 0
         self._seq = 0
         # Per side, runs of (deadline, seq, key) sorted by deadline, and
@@ -658,7 +681,7 @@ class IntervalJoinOperator(EventTimeOperator):
 # --- sources ----------------------------------------------------------------
 
 
-class SourceReader:
+class SourceReader(KeysOwnOutput):
     """The one owner of a source reader's *derived* progress.
 
     Subclasses say where records come from — :meth:`_read`,
@@ -787,23 +810,23 @@ class KafkaSourceReader(SourceReader):
         budget = max(1, max_records // len(self.partitions))
         positions: dict[int, int] = {}
         max_timestamp = float("-inf")
+        key_fn = self.out_key_fn
         for partition in self.partitions:
             entries = cluster.fetch(topic, partition, self.positions[partition], budget)
             for entry in entries:
                 record: Record = entry.record
+                value = record.value
                 timestamp = (
-                    record.event_time
-                    if timestamp_fn is None
-                    else timestamp_fn(record.value)
+                    record.event_time if timestamp_fn is None else timestamp_fn(value)
                 )
                 # The generator's own rule, so a NaN is skipped as there.
                 if timestamp > max_timestamp:
                     max_timestamp = timestamp
                 out.append(
                     StreamRecord(
-                        record.value,
+                        value,
                         timestamp,
-                        record.key,
+                        record.key if key_fn is None else key_fn(value),
                         None
                         if entered is None
                         else EntryTrace(topic, partition, entry, entered),
@@ -875,14 +898,24 @@ class BoundedListReader(BoundedReader):
         self.elements = elements
 
     def _read(self, max_records: int, entered: float | None) -> list[Any]:
+        """A poll consumes all it read or, if a key function raises,
+        nothing: the position and the watermark move once it is built."""
         out: list[Any] = []
+        key_fn = self.out_key_fn
         batch = self.elements[self.position : self.position + self.source.batch_size]
+        max_timestamp = float("-inf")
         for element in batch:
             value, timestamp, *rest = element
-            key = rest[0] if rest else None
-            self.watermarks.on_event(timestamp)
+            if key_fn is not None:
+                key = key_fn(value)
+            else:
+                key = rest[0] if rest else None
+            # The generator's own rule, so a NaN is skipped as there.
+            if timestamp > max_timestamp:
+                max_timestamp = timestamp
             out.append(StreamRecord(value, timestamp, key))
         self.position += len(batch)
+        self.watermarks.on_event(max_timestamp)
         return out
 
 

@@ -41,7 +41,7 @@ from repro.common.errors import (
 from repro.common.perf import PERF
 from repro.kafka.producer import hash_partitioner
 from repro.flink.graph import Edge, JobGraph, OperatorSpec, validate_graph
-from repro.flink.operators import IntervalJoinOperator, build_operator
+from repro.flink.operators import KeysOwnOutput, build_operator
 from repro.flink.time import (
     CheckpointBarrier,
     StreamRecord,
@@ -125,15 +125,18 @@ class SubTask:
         key -> target memo so a key is partition-hashed only the first
         time it is seen.
 
-        An interval join whose only out edge is a hash edge is handed
-        that edge's key function and builds each pair keyed by it, so
-        the edge routes by the key the pair carries and copies nothing.
-        ``step`` probes output space, which builds the wiring, before
-        its first delivery, so no pair is built before the hand-over.
+        A task that builds its own output records (a source reader, a
+        map, a flat_map, an interval join: :class:`KeysOwnOutput`) whose
+        only out edge is a hash edge is handed that edge's key function
+        and builds each record keyed by it, so the edge routes by the key
+        the record carries and copies nothing.  ``step`` probes output
+        space, which builds the wiring, before its first poll or
+        delivery, so no record is built before the hand-over.
         """
         if self._out is None:
             self._out = []
             self._out_channels = []
+            emitter = self.reader if self.reader is not None else self.operator
             edges = self.runtime.graph.downstream_of(self.spec.op_id)
             for edge in edges:
                 dst_spec = self.runtime.graph.operators[edge.dst]
@@ -146,9 +149,9 @@ class SubTask:
                     key_fn is not None
                     and len(edges) == 1
                     and edge.partitioning == "hash"
-                    and isinstance(self.operator, IntervalJoinOperator)
+                    and isinstance(emitter, KeysOwnOutput)
                 ):
-                    self.operator.out_key_fn, key_fn = key_fn, None
+                    emitter.out_key_fn, key_fn = key_fn, None
                 rank = len(self._rebalance_cursors)
                 self._out.append((edge.partitioning, channels, key_fn, {}, rank))
                 if edge.partitioning == "rebalance":

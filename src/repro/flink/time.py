@@ -7,13 +7,14 @@ barriers (Section 4.2's "built-in state management and checkpointing").
 An element is a value: it is never assigned to after it is built.  A
 broadcast edge hands one object to every channel, a transactional sink
 buffers the objects it was given and the tumbling assigner shares its last
-window, so a changed value is a new element (``with_value``), and so is a
-changed key: a hash edge whose key function returns another key routes a
-new record, and an interval join feeding one builds each pair already
-keyed for it, so a pair is built once.  The classes are slotted but not ``frozen`` — a frozen
-``__init__`` pays one ``__setattr__`` call per field and costs about three
-times a plain one — and ``tests/property/test_element_values.py`` checks
-the rule instead.
+window, so a changed value is a new element, and so is a changed key: a
+hash edge whose key function returns another key routes a new record,
+and a task that builds its own output (a source, a map, a flat_map, an
+interval join) feeding one builds each record already keyed for it, so
+a record is built once per hop.  The classes are slotted but not
+``frozen`` — a frozen ``__init__`` pays one ``__setattr__`` call per field
+and costs about three times a plain one — and
+``tests/property/test_element_values.py`` checks the rule instead.
 """
 
 from __future__ import annotations
@@ -38,9 +39,6 @@ class StreamRecord:
     timestamp: float
     key: Any = None
     trace: Any = None
-
-    def with_value(self, value: Any) -> "StreamRecord":
-        return StreamRecord(value, self.timestamp, self.key, self.trace)
 
 
 @dataclass(slots=True)

@@ -10,7 +10,6 @@ it by the offset it lands at (:mod:`repro.observability.trace`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Any
 
 from repro.common import serde
@@ -31,7 +30,7 @@ from repro.observability.trace import SpanCollector
 
 @dataclass(slots=True)
 class RecordMetadata:
-    """Returned for each successfully produced record."""
+    """Where :meth:`Producer.produce` put its record."""
 
     topic: str
     partition: int
@@ -112,7 +111,7 @@ class Producer:
         # and maps all of them to the same partition anyway.
         self._partition_cache: dict[tuple[str, Any, int], int] = {}
         self._sends = 0
-        self._last_flush: list[RecordMetadata] = []
+        self._last_offset = -1  # of the last record the last batch appended
         self.batches_sent = 0
         # Idempotent/transactional mode: register with the cluster for a
         # (pid, epoch) identity and number every record per partition, so
@@ -233,13 +232,13 @@ class Producer:
             self._seqs[(topic, partition)] = ctx.base_seq + len(records)
         return base
 
-    def _flush_batch(self, topic: str, partition: int) -> list[RecordMetadata]:
+    def _flush_batch(self, topic: str, partition: int) -> int:
+        """Append one pending batch; returns the records it appended."""
         batch = self._batches.pop((topic, partition), None)
         if batch is None or not batch.records:
-            return []
+            return 0
+        count = len(batch.records)
         base = self._append_batch(topic, partition, batch.records, batch.sizes)
-        offsets = range(base, base + len(batch.records))
-        out = list(map(RecordMetadata, repeat(topic), repeat(partition), offsets))
         if self.tracer is not None:
             self.tracer.record_batch(
                 "produce",
@@ -253,15 +252,19 @@ class Producer:
             )
         self.batches_sent += 1
         self._rotate_sticky(topic)
-        self._last_flush = out
-        return out
+        self._last_offset = base + count - 1
+        return count
 
-    def flush(self) -> list[RecordMetadata]:
-        """Flush every pending batch; returns metadata for flushed records."""
-        out: list[RecordMetadata] = []
-        for topic, partition in list(self._batches):
-            out.extend(self._flush_batch(topic, partition))
-        return out
+    def flush(self) -> int:
+        """Flush every pending batch; returns the records appended.
+
+        A record's offset is read off the log (``fetch``, ``end_offset``),
+        or asked for by sending it with :meth:`produce`.
+        """
+        return sum(
+            self._flush_batch(topic, partition)
+            for topic, partition in list(self._batches)
+        )
 
     def discard(self) -> None:
         """Drop every pending batch unsent."""
@@ -275,14 +278,14 @@ class Producer:
         event_time: float | None = None,
         headers: dict[str, Any] | None = None,
     ) -> RecordMetadata:
-        """Send one record immediately (no batching); returns its metadata."""
+        """Send one record immediately (no batching); returns its metadata.
+
+        The record is the last one its batch appended: either the flush
+        here, or, when the record filled its batch, the flush ``send``
+        already made (which rotated the sticky partition).
+        """
         partition = self.send(
             topic, value, key=key, event_time=event_time, headers=headers
         )
-        flushed = self._flush_batch(topic, partition)
-        if not flushed:
-            # send() already flushed the batch (it filled on this record,
-            # rotating the sticky partition); the record's metadata is the
-            # tail of that flush.
-            flushed = self._last_flush
-        return flushed[-1]
+        self._flush_batch(topic, partition)
+        return RecordMetadata(topic, partition, self._last_offset)

@@ -7,10 +7,10 @@ delivery within minutes.  Section 9.3's monitoring/chargeback story turns
 those expectations into per-use-case targets evaluated continuously.
 
 :class:`SloMonitor` is that evaluation loop in miniature: register
-:class:`SloTarget` objects, feed observed samples (directly, from a
-:class:`~repro.observability.freshness.FreshnessReport`, or from trace
-latencies in a :class:`~repro.observability.trace.SpanCollector`), and
-render a text dashboard of pass/fail per target.
+:class:`SloTarget` objects, feed observed samples (directly, or from a
+:class:`~repro.observability.freshness.FreshnessReport` such as
+``Platform.freshness`` reads off the stored ingest spans), and render a
+text dashboard of pass/fail per target.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.observability.freshness import FreshnessReport, nearest_rank
-from repro.observability.trace import SpanCollector
 
 
 @dataclass(frozen=True)
@@ -100,9 +99,6 @@ class SloMonitor:
     def __init__(self, targets: tuple[SloTarget, ...] | list[SloTarget] = ()) -> None:
         self._targets: dict[tuple[str, str], SloTarget] = {}
         self._samples: dict[tuple[str, str], list[float]] = {}
-        # Trace ids already sampled per (use_case, metric): repeated
-        # monitoring sweeps over one collector must not double-count.
-        self._seen_traces: dict[tuple[str, str], set[str]] = {}
         for target in targets:
             self.add_target(target)
 
@@ -126,34 +122,6 @@ class SloMonitor:
         self, use_case: str, report: FreshnessReport, metric: str = "freshness"
     ) -> None:
         self._samples.setdefault((use_case, metric), []).extend(report.samples)
-
-    def observe_trace_latencies(
-        self,
-        use_case: str,
-        collector: SpanCollector,
-        metric: str = "e2e_latency",
-        first_hop: str = "produce",
-        last_hop: str = "ingest",
-    ) -> int:
-        """Sample boundary-to-boundary latency of every complete trace.
-
-        Idempotent per trace: a trace already sampled into ``(use_case,
-        metric)`` is skipped on later sweeps, so a periodic monitoring loop
-        never double-counts a trace and skews the percentiles.  A trace
-        that is still incomplete (missing either hop) stays unmarked and is
-        picked up by the first sweep after it completes.
-        """
-        added = 0
-        seen = self._seen_traces.setdefault((use_case, metric), set())
-        for trace_id in collector.trace_ids():
-            if trace_id in seen:
-                continue
-            latency = collector.trace_latency(trace_id, first_hop, last_hop)
-            if latency is not None:
-                self.observe(use_case, metric, latency)
-                seen.add(trace_id)
-                added += 1
-        return added
 
     # -- evaluation ---------------------------------------------------------
 

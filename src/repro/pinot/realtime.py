@@ -151,51 +151,71 @@ class RealtimeIngestion:
         return ingested
 
     def _ingest_entries(self, state: _PartitionState, entries: list) -> int:
-        """Ingest one fetched batch of a partition; returns rows added."""
-        ingested = 0
-        # entries[first:landed] landed in the consuming segment and still
-        # await their ingest spans: one collector call covers them, made
-        # before anything that can seal (a seal renames the consuming
-        # segment and may move the clock), before a skipped entry and on
-        # every way out.
-        first = landed = 0
-        try:
-            for index, entry in enumerate(entries):
-                row = dict(entry.record.value)
-                self.config.schema.validate(row)
-                if self.config.dedup_enabled:
-                    digest = lineage_digest(row)
-                    if digest in state.seen_digests:
-                        # Upstream replay (at-least-once producer); the row
-                        # is already queryable — consume past it.
-                        state.position = entry.offset + 1
-                        self.rows_deduped += 1
-                        self._trace_ingest(state, entries, first, landed)
-                        first = landed = index + 1
-                        continue
-                    state.seen_digests.add(digest)
-                doc_id = state.consuming.append(row)
-                state.position = entry.offset + 1
-                ingested += 1
-                landed = index + 1
-                if self.config.upsert_enabled:
-                    manager = state.owner.upsert_manager(
-                        self.config.name, state.partition
-                    )
-                    manager.apply(
-                        row[self.config.primary_key],
-                        state.consuming.name,
-                        doc_id,
-                    )
-                if state.consuming.num_docs >= self.config.segment_rows_threshold:
-                    self._trace_ingest(state, entries, first, landed)
-                    first = landed
-                    self._seal(state)
-                    if state.blocked():
-                        break
-        finally:
-            self._trace_ingest(state, entries, first, landed)
+        """Ingest one fetched batch of a partition; returns rows added.
+
+        The batch lands in slices of at most the rows the consuming
+        segment has left before its seal threshold, so the seal test runs
+        once per slice, not once per row.  Each row is copied and
+        validated; on a dedup table a replayed row ends its slice and is
+        consumed past.  A slice lands with one ``extend``, then has its
+        ingest spans recorded (before anything that can seal: a seal
+        renames the consuming segment and may move the clock) and, on an
+        upsert table, its rows' locations applied.  A row that fails
+        validation raises once every row before it has landed.
+        """
+        config = self.config
+        validate, threshold = config.schema.validate, config.segment_rows_threshold
+        seen = state.seen_digests if config.dedup_enabled else None
+        ingested = start = 0
+        while start < len(entries):
+            # At least one row: a threshold below 1 seals after every row.
+            room = max(1, threshold - state.consuming.num_docs)
+            rows: list[dict] = []
+            replayed = False
+            try:
+                for entry in entries[start : start + room]:
+                    row = dict(entry.record.value)
+                    validate(row)
+                    if seen is not None:
+                        digest = lineage_digest(row)
+                        if digest in seen:
+                            replayed = True
+                            break
+                        seen.add(digest)
+                    rows.append(row)
+            finally:
+                if rows:
+                    self._land(state, entries, start, rows)
+            ingested += len(rows)
+            start += len(rows)
+            if replayed:
+                # Upstream replay (at-least-once producer); the row is
+                # already queryable — consume past it.
+                state.position = entries[start].offset + 1
+                self.rows_deduped += 1
+                start += 1
+            elif state.consuming.num_docs >= threshold:
+                self._seal(state)
+                if state.blocked():
+                    break
         return ingested
+
+    def _land(
+        self, state: _PartitionState, entries: list, start: int, rows: list[dict]
+    ) -> None:
+        """Append ``rows``, the rows of ``entries[start:]`` that a slice
+        took, to the consuming segment and move the position past them."""
+        segment = state.consuming
+        doc_id = segment.extend(rows)
+        stop = start + len(rows)
+        state.position = entries[stop - 1].offset + 1
+        self._trace_ingest(state, entries, start, stop)
+        if self.config.upsert_enabled:
+            manager = state.owner.upsert_manager(self.config.name, state.partition)
+            primary_key = self.config.primary_key
+            for row in rows:
+                manager.apply(row[primary_key], segment.name, doc_id)
+                doc_id += 1
 
     def _trace_ingest(
         self, state: _PartitionState, entries: list, first: int, landed: int

@@ -523,20 +523,20 @@ class ImmutableSegment:
 class MutableSegment:
     """Realtime segment (the "consuming" segment).
 
-    Rows arrive one record at a time (:meth:`append`); a doc id is the
-    row's append position.  Reads go by column (:meth:`cells`) or by doc
-    (:meth:`value`, :meth:`row`) until :meth:`seal` builds the columnar
-    form.
+    Rows arrive a slice of a fetched batch at a time (:meth:`extend`); a
+    doc id is the row's append position.  Reads go by column
+    (:meth:`cells`) or by doc (:meth:`value`, :meth:`row`) until
+    :meth:`seal` builds the columnar form.
 
-    The segment is append-only: :meth:`append` is its only writer, and a
-    doc, once appended, is never changed or removed.  A server's held
-    partial of a repeated aggregation relies on it, extending what it
-    covered by the docs appended since, and so do the column lists
-    :meth:`cells` reads, which catch up with ``rows`` the same way.  Any
-    other change to the rows must come from a new instance, which
-    ``serial`` tells apart, as it does for :class:`ImmutableSegment`: a
-    seal keeps the name, and a partition reopened on a new owner reuses
-    it.
+    The segment is append-only: :meth:`extend` is its only writer
+    (:meth:`append` is its one-row form), and a doc, once appended, is
+    never changed or removed.  A server's held partial of a repeated
+    aggregation relies on it, extending what it covered by the docs
+    appended since, and so do the column lists :meth:`cells` reads,
+    which catch up with ``rows`` the same way.  Any other change to the
+    rows must come from a new instance, which ``serial`` tells apart, as
+    it does for :class:`ImmutableSegment`: a seal keeps the name, and a
+    partition reopened on a new owner reuses it.
     """
 
     name: str
@@ -555,12 +555,18 @@ class MutableSegment:
         default_factory=dict, init=False, repr=False, compare=False
     )
 
+    def extend(self, rows: list[dict[str, Any]]) -> int:
+        """Append rows in order; returns the first one's doc id within
+        this segment (the rest follow it)."""
+        if PERF.enabled:
+            PERF.inc("pinot.rows_ingested", len(rows))
+        first = len(self.rows)
+        self.rows.extend(rows)
+        return first
+
     def append(self, row: dict[str, Any]) -> int:
         """Append a row; returns its doc id within this segment."""
-        if PERF.enabled:
-            PERF.inc("pinot.rows_ingested")
-        self.rows.append(row)
-        return len(self.rows) - 1
+        return self.extend([row])
 
     @property
     def num_docs(self) -> int:

@@ -5,17 +5,29 @@ Elements are values (never assigned to after they are built,
 and shared everywhere else.  These tests count calls of the dataclass-generated ``__init__``
 code objects (``sys.setprofile``) over a fixed keyed tumbling-count job,
 so a copy that creeps back onto the live path — a re-stamped key the
-record already carried, a window rebuilt per record — moves an integer.
+record already carried, a window rebuilt per record, a record re-keyed
+after the task that built it — moves an integer.
 """
 
 import sys
 from collections import Counter
+from operator import itemgetter
 
+import pytest
+
+from repro.common.clock import SimulatedClock
 from repro.flink.graph import StreamEnvironment
-from repro.flink.operators import BoundedListReader, BoundedListSource, WindowOperator
+from repro.flink.operators import (
+    BoundedListReader,
+    BoundedListSource,
+    KafkaSource,
+    WindowOperator,
+)
 from repro.flink.runtime import MICRO_BATCH, JobRuntime, SubTask
 from repro.flink.time import StreamRecord
 from repro.flink.windows import CountAggregate, TimeWindow, TumblingWindows
+from repro.kafka.cluster import KafkaCluster, TopicConfig
+from repro.kafka.producer import Producer
 
 RECORDS = 1_000
 WINDOWS = 5
@@ -132,14 +144,117 @@ def test_a_joined_pair_is_built_once():
     assert {result.key for result in out} == {"m0", "m1"}
 
 
-def test_a_different_key_is_restamped_on_a_copy(monkeypatch):
+def test_a_different_key_is_stamped_where_the_record_is_built(monkeypatch):
+    # The source's only out edge is the key_by's hash edge, so the source
+    # builds each record keyed by it and the edge routes that very object.
     built, emitted, received, out = run_counted(lambda v: v["other"], monkeypatch)
     fired = len(out)
-    assert built["StreamRecord"] == 2 * RECORDS + fired
+    assert built["StreamRecord"] == RECORDS + fired
     assert [r.key for r in received] == [r.value["other"] for r in emitted]
-    assert all(got is not sent for got, sent in zip(received, emitted))
+    assert all(got is sent for got, sent in zip(received, emitted))
     assert all(got.value is sent.value for got, sent in zip(received, emitted))
     assert {r.key for r in out} == {"o0", "o1", "o2"}
+
+
+def _count_by(stream, key_fn) -> list:
+    """``key_by`` into a one-minute tumbling count; the list it fills."""
+    out: list = []
+    windowed = stream.key_by(key_fn).window(TumblingWindows(60.0))
+    windowed.aggregate(CountAggregate()).sink_to_list(out)
+    return out
+
+
+def _transform_then_key_by(transform: str) -> tuple[Counter, list]:
+    """200 source records keyed by their index, through a map or a
+    flat_map to a value keyed by another field, into a tumbling count."""
+    env = StreamEnvironment()
+    source = BoundedListSource([({"n": i}, float(i), i) for i in range(200)])
+    stream = env.add_source(source)
+    if transform == "map":
+        stream = stream.map(lambda v: {"k": "x", "n": v["n"]})
+    else:
+        stream = stream.flat_map(lambda v: [{"k": "x", "n": v["n"]}])
+    out = _count_by(stream, "k")
+    return count_constructions(JobRuntime(env.build(transform))), out
+
+
+@pytest.mark.parametrize("transform", ["map", "flat_map"])
+def test_a_transform_before_key_by_builds_each_record_once(transform):
+    built, out = _transform_then_key_by(transform)
+    assert [r.value for r in out] == [60, 60, 60, 20]
+    assert {r.key for r in out} == {"x"}
+    # Source records, then one per transformed record, then one per fired
+    # window: the transform builds its output keyed for the edge.
+    assert built["StreamRecord"] == 200 + 200 + len(out) == 404
+
+
+def _bounded_job(rows, key_fn):
+    env = StreamEnvironment()
+    source = BoundedListSource([(row, row["ts"], 0) for row in rows], batch_size=200)
+    return env, _count_by(env.add_source(source), key_fn)
+
+
+def _kafka_job(rows, key_fn):
+    cluster = KafkaCluster(clock=SimulatedClock())
+    cluster.create_topic("rows", TopicConfig(partitions=1))
+    producer = Producer(cluster, "rows-service")
+    for row in rows:
+        producer.send("rows", row, key=0, event_time=row["ts"])
+    producer.flush()
+    env = StreamEnvironment()
+    return env, _count_by(env.add_source(KafkaSource(cluster, "rows", "g")), key_fn)
+
+
+def _reader_progress(reader) -> tuple:
+    """Where the reader is and the watermarks it derived from it."""
+    return (
+        reader.snapshot(),
+        reader.watermarks.current_watermark(),
+        reader._emitted_watermark,
+    )
+
+
+@pytest.mark.parametrize("job", [_bounded_job, _kafka_job], ids=["list", "kafka"])
+def test_a_raising_key_fn_consumes_nothing_of_the_poll(job):
+    # Each poll reads 200 records; the second one raises on record 250,
+    # in its middle.  It moves neither the reader's position nor its
+    # watermark and routes nothing; once the key function stops raising,
+    # the job ends as a job whose key function never raised.
+    rows = [{"n": i, "ts": float(i), "k": i % 3} for i in range(400)]
+    broken = [True]
+
+    def key_fn(row):
+        if broken[0] and row["n"] == 250:
+            raise KeyError("bad row")
+        return row["k"]
+
+    env, out = job(rows, key_fn)
+    runtime = JobRuntime(env.build("raising-key"))
+    (source,) = next(
+        tasks for tasks in runtime.tasks.values() if tasks[0].spec.kind == "source"
+    )
+    runtime.run_rounds(1)
+    before = _reader_progress(source.reader)
+    assert before[1] > float("-inf")
+    with pytest.raises(KeyError, match="bad row"):
+        runtime.run_rounds(1)
+    assert source.reader.out_key_fn is key_fn
+    assert _reader_progress(source.reader) == before
+    assert not any(
+        isinstance(element, StreamRecord)
+        for tasks in runtime.tasks.values()
+        for task in tasks
+        for channel in task.inputs.values()
+        for element in channel.queue
+    )
+    broken[0] = False
+    runtime.run_until_quiescent()
+    clean_env, clean = job(rows, itemgetter("k"))
+    JobRuntime(clean_env.build("clean")).run_until_quiescent()
+    assert [(r.key, r.window, r.value) for r in out] == [
+        (r.key, r.window, r.value) for r in clean
+    ]
+    assert sum(r.value for r in out) >= 300
 
 
 def test_an_equal_key_of_another_type_is_still_restamped():

@@ -92,11 +92,17 @@ class TestProducer:
         with pytest.raises(KafkaError):
             Producer(kafka, "svc", acks="2")
 
-    def test_flush_returns_metadata(self, kafka, producer):
-        producer.send("events", {"v": 1}, key="k")
-        flushed = producer.flush()
-        assert len(flushed) == 1
-        assert flushed[0].topic == "events"
+    def test_flush_returns_the_count_it_appended(self, kafka, producer):
+        partition = producer.send("events", {"v": 1}, key="k")
+        producer.send("events", {"v": 2}, key="k")
+        assert producer.flush() == 2
+        assert producer.flush() == 0
+        # The offsets are read off the log, not off the flush.
+        fetched = kafka.fetch("events", partition, 0, 10)
+        assert [(e.offset, e.record.value) for e in fetched] == [
+            (0, {"v": 1}),
+            (1, {"v": 2}),
+        ]
 
     def test_produce_when_send_autoflushes_full_batch(self, kafka, clock):
         """Regression: a keyless produce() whose record fills the batch is

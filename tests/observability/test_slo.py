@@ -2,7 +2,6 @@
 
 from repro.observability.freshness import FreshnessReport
 from repro.observability.slo import TABLE1_SLOS, SloMonitor, SloTarget
-from repro.observability.trace import SpanCollector
 
 
 class TestSloEvaluation:
@@ -43,42 +42,6 @@ class TestSloEvaluation:
         )
         [ev] = monitor.evaluate()
         assert ev.sample_count == 3
-
-    def test_observe_trace_latencies(self):
-        collector = SpanCollector()
-        collector.record_span("t1", "produce", "kafka", start=0.0, end=1.0)
-        collector.record_span("t1", "ingest", "pinot", start=3.0, end=4.0)
-        collector.record_span("t2", "produce", "kafka", start=0.0, end=1.0)
-        # t2 never reached Pinot: no sample.
-        monitor = SloMonitor([SloTarget("ads", "e2e_latency", 99, 10.0)])
-        added = monitor.observe_trace_latencies("ads", collector)
-        assert added == 1
-        [ev] = monitor.evaluate()
-        assert ev.observed == 4.0
-
-    def test_repeated_sweeps_do_not_double_count(self):
-        # A periodic monitoring loop sweeps the same collector; traces
-        # already sampled must not be ingested again (they would skew the
-        # sample count and the percentile toward stale traces).
-        collector = SpanCollector()
-        collector.record_span("t1", "produce", "kafka", start=0.0, end=1.0)
-        collector.record_span("t1", "ingest", "pinot", start=3.0, end=4.0)
-        monitor = SloMonitor([SloTarget("ads", "e2e_latency", 99, 10.0)])
-        assert monitor.observe_trace_latencies("ads", collector) == 1
-        assert monitor.observe_trace_latencies("ads", collector) == 0
-        [ev] = monitor.evaluate()
-        assert ev.sample_count == 1
-
-    def test_incomplete_trace_is_picked_up_once_complete(self):
-        collector = SpanCollector()
-        collector.record_span("t1", "produce", "kafka", start=0.0, end=1.0)
-        monitor = SloMonitor([SloTarget("ads", "e2e_latency", 99, 10.0)])
-        # First sweep: trace incomplete, nothing sampled and NOT marked.
-        assert monitor.observe_trace_latencies("ads", collector) == 0
-        collector.record_span("t1", "ingest", "pinot", start=3.0, end=4.0)
-        assert monitor.observe_trace_latencies("ads", collector) == 1
-        [ev] = monitor.evaluate()
-        assert ev.sample_count == 1
 
 
 class TestTable1Targets:
