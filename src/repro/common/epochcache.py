@@ -42,6 +42,14 @@ from typing import Any, Callable, Hashable, Iterable
 _SCALAR_TYPES = frozenset({str, int, float, bool, bytes, type(None)})
 
 
+def all_scalar(rows: list[dict[str, Any]]) -> bool:
+    """Whether every cell of ``rows`` is an immutable scalar, by its exact
+    type (see :func:`copy_rows`), so a ``dict(row)`` copy shares nothing a
+    caller can write to."""
+    is_scalar = _SCALAR_TYPES.issuperset
+    return all(is_scalar(map(type, row.values())) for row in rows)
+
+
 def copy_rows(rows: list[dict[str, Any]]) -> list[dict[str, Any]]:
     """Rows leaving the query path for a caller, isolated from whatever
     the caller does to them.

@@ -121,12 +121,16 @@ class StagePayload:
     A payload is never written to once its stage returns it: the artifact
     store and every later stage hold the same object, and its rows may be
     the broker cache's own.  Operators build new rows and new lists;
-    ``PrestoEngine.execute`` copies what leaves for the caller."""
+    ``PrestoEngine.execute`` copies what leaves for the caller.  Since
+    the content never changes, ``scalar`` — whether every cell is an
+    immutable scalar, which sets how deep that copy goes — is decided at
+    the payload's first exit and holds from then on."""
 
     rows: list
     aggregated: bool = False  # rows are final aggregation results
     evidence: Evidence = field(default_factory=Evidence)
     pages: list | None = None
+    scalar: bool | None = field(default=None, repr=False, compare=False)
 
     def num_rows(self) -> int:
         if self.pages is not None:
@@ -212,16 +216,26 @@ class StageScheduler:
     def run(
         self, plan: PhysicalPlan, versions: dict[str, Any], query_id: str
     ) -> tuple[StagePayload, list[StageExecution]]:
-        served: dict[int, StagePayload] = {}
-        needed: set[int] = set()
-
         def signature(stage: Stage) -> tuple:
-            return tuple((t, versions[t]) for t in stage.tables)
+            return tuple([(t, versions[t]) for t in stage.tables])
+
+        def lookup(stage: Stage) -> StagePayload | None:
+            store = self._stores[self._worker_for(stage)]
+            return store.get(stage.key, signature(stage))
+
+        root = plan.stages[plan.root]
+        payload = lookup(root)
+        if payload is not None:
+            # A served root: nothing below it runs, so there is no wave
+            # to place and nothing else to report.
+            return payload, [self._serve(query_id, root, payload)]
+
+        served: dict[int, StagePayload] = {}
+        needed: set[int] = {plan.root}
 
         def probe(sid: int) -> None:
             stage = plan.stages[sid]
-            store = self._stores[self._worker_for(stage)]
-            payload = store.get(stage.key, signature(stage))
+            payload = lookup(stage)
             if payload is not None:
                 served[sid] = payload
                 return
@@ -229,7 +243,8 @@ class StageScheduler:
             for input_sid in stage.inputs:
                 probe(input_sid)
 
-        probe(plan.root)
+        for input_sid in root.inputs:
+            probe(input_sid)
 
         # Dependency waves over the needed stages (stage list is topo-sorted).
         wave_of: dict[int, int] = {}
@@ -240,23 +255,13 @@ class StageScheduler:
             )
 
         done: dict[int, StagePayload] = dict(served)
-        executions: list[StageExecution] = []
-        slot_in_wave: dict[int, int] = {}
-        for sid, payload in sorted(served.items()):
-            stage = plan.stages[sid]
-            if PERF.enabled:
-                PERF.inc("presto.stage_artifact_hits")
-                PERF.inc("presto.artifact_rows_copied", payload.num_rows())
-                if payload.pages is not None:
-                    PERF.inc("columnar.batch_serves", len(payload.pages))
-            executions.append(
-                StageExecution(sid, stage.op, -1, -1, True, payload.num_rows())
-            )
-            self._record_span(query_id, stage, served=True, rows=payload.num_rows())
+        executions = [
+            self._serve(query_id, plan.stages[sid], payload)
+            for sid, payload in sorted(served.items())
+        ]
         for sid in sorted(needed):
             stage = plan.stages[sid]
             wave = wave_of[sid]
-            slot_in_wave[wave] = slot_in_wave.get(wave, 0) + 1
             worker = self._worker_for(stage)
             input_stages = [plan.stages[i] for i in stage.inputs]
             payloads = [done[i] for i in stage.inputs]
@@ -274,6 +279,20 @@ class StageScheduler:
             self._stores[worker].put(stage.key, signature(stage), payload)
         executions.sort(key=lambda e: e.sid)
         return done[plan.root], executions
+
+    def _serve(
+        self, query_id: str, stage: Stage, payload: StagePayload
+    ) -> StageExecution:
+        """Report ``stage`` as served from ``payload``, its stored
+        artifact: the PERF counts, the span and the schedule record."""
+        rows = payload.num_rows()
+        if PERF.enabled:
+            PERF.inc("presto.stage_artifact_hits")
+            PERF.inc("presto.artifact_rows_copied", rows)
+            if payload.pages is not None:
+                PERF.inc("columnar.batch_serves", len(payload.pages))
+        self._record_span(query_id, stage, served=True, rows=rows)
+        return StageExecution(stage.sid, stage.op, -1, -1, True, rows)
 
     def _record_span(self, query_id: str, stage: Stage, served: bool, **attrs):
         if self.tracer is None or self.clock is None:

@@ -26,6 +26,13 @@ they are now.  Table versions are still read on every execution, so the
 stage-artifact stores and the broker's cache alone decide freshness; a
 kept plan holds no data.
 
+A repeated text whose root artifact is stored costs a lookup: the plan
+from the memo; the distinct scan tables, ``tables_scanned`` and
+``connectors_used``, which ``PlannedQuery`` derived once when it was
+built; one version read per table; the root artifact, which the
+scheduler returns straight from its probe; and one copy of its rows,
+whose depth was decided at the payload's first exit (``_exit_rows``).
+
 ``PrestoEngine.explain(sql)`` renders both plans byte-stably;
 ``QueryOutput.plan`` carries the full :class:`PlannedQuery` so callers
 can introspect what actually ran.  Several callers may hold the same
@@ -39,7 +46,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.common.clock import Clock, SystemClock
-from repro.common.epochcache import EpochCache, copy_rows
+from repro.common.epochcache import EpochCache, all_scalar, copy_rows
 from repro.common.errors import SqlPlanError
 from repro.observability.trace import SpanCollector
 from repro.sql.parser import parse
@@ -51,7 +58,7 @@ from repro.sql.planner.logical import (
 )
 from repro.sql.planner.physical import PhysicalPlan, build_physical, render_physical
 from repro.sql.planner.rules import optimize, scan_estimate
-from repro.sql.planner.scheduler import StageScheduler
+from repro.sql.planner.scheduler import StagePayload, StageScheduler
 
 from repro.sql.presto.connector import Connector
 
@@ -88,12 +95,32 @@ class QueryStats:
 
 @dataclass(frozen=True)
 class PlannedQuery:
-    """A query after planning but before (or after) execution."""
+    """A query after planning but before (or after) execution.
+
+    The facts below depend on the plan alone, so they are derived once,
+    here, and every execute of a kept plan reads them instead of walking
+    the plan again."""
 
     sql: str
     logical: Any  # optimized logical plan root
     physical: PhysicalPlan
     catalog: dict[str, Connector]  # what explain() asks for estimates
+    # Every scan's table in syntactic order, subqueries included.
+    tables_scanned: tuple = field(init=False, repr=False, compare=False)
+    # The connector of each scan in the outermost SELECT block.
+    connectors_used: tuple = field(init=False, repr=False, compare=False)
+    # Distinct scanned tables, first scan first: whose versions are read.
+    tables: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        scanned = tuple(scan.table for scan in scan_nodes(self.logical))
+        object.__setattr__(self, "tables_scanned", scanned)
+        object.__setattr__(
+            self,
+            "connectors_used",
+            tuple(scan.connector for scan in direct_scan_nodes(self.logical)),
+        )
+        object.__setattr__(self, "tables", tuple(dict.fromkeys(scanned)))
 
     def explain(self) -> str:
         """Deterministic, byte-stable rendering of both plan layers.  The
@@ -178,18 +205,15 @@ class PrestoEngine:
         # connector whose version happens to match serves none of the old
         # one's artifacts.
         versions: dict[str, tuple] = {}
-        for scan in scan_nodes(planned.logical):
-            if scan.table not in versions:
-                connector = self.catalog[scan.table]
-                versions[scan.table] = (connector, connector.version(scan.table))
+        for table in planned.tables:
+            connector = self.catalog[table]
+            versions[table] = (connector, connector.version(table))
         payload, executions = self.scheduler.run(planned.physical, versions, query_id)
         stats = self._fold_stats(planned, payload, executions)
-        # The engine's one exit: everything below shares its rows with the
-        # artifact stores, the broker's cache and the segments themselves.
-        output = QueryOutput(copy_rows(payload.as_rows()), stats, planned)
+        output = QueryOutput(_exit_rows(payload), stats, planned)
         if self.tracer is not None:
             end = self.clock.now()
-            for table in dict.fromkeys(stats.tables_scanned):
+            for table in planned.tables:
                 self.tracer.record_table_query(
                     table,
                     "presto",
@@ -222,14 +246,24 @@ class PrestoEngine:
             files_pruned=evidence.files_pruned,
             cache_hits=evidence.cache_hits,
         )
-        stats.tables_scanned = [s.table for s in scan_nodes(planned.logical)]
-        stats.connectors_used = [
-            s.connector for s in direct_scan_nodes(planned.logical)
-        ]
-        stats.stages_executed = sum(
-            1 for e in executions if not e.served_from_artifact
-        )
-        stats.stage_artifact_hits = sum(
-            1 for e in executions if e.served_from_artifact
-        )
+        stats.tables_scanned = list(planned.tables_scanned)
+        stats.connectors_used = list(planned.connectors_used)
+        hits = sum(e.served_from_artifact for e in executions)
+        stats.stage_artifact_hits = hits
+        stats.stages_executed = len(executions) - hits
         return stats
+
+
+def _exit_rows(payload: StagePayload) -> list[dict[str, Any]]:
+    """The engine's one exit: everything below shares its rows with the
+    artifact stores, the broker's cache and the segments themselves.
+
+    How deep the copy goes is decided once per payload, at its first
+    exit: a payload is never written to after its stage returns it, so
+    whether every cell is an immutable scalar holds for its lifetime.
+    Scalar rows are copied one dict each; rows with a mutable cell keep
+    ``copy_rows``' deepcopy."""
+    rows = payload.as_rows()
+    if payload.scalar is None:
+        payload.scalar = all_scalar(rows)
+    return list(map(dict, rows)) if payload.scalar else copy_rows(rows)

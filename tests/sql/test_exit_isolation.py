@@ -5,7 +5,9 @@ an answer shares its cells with the artifact stores, the broker's cache
 and the sealed segments' dictionaries.  So the exits are what stands
 between a caller and the table: whatever a caller does to rows it was
 handed, a later query *of a different text* (no cache tier can answer it
-from a clean copy) must still read what was ingested.
+from a clean copy) must still read what was ingested, and a repeat *of
+the same text*, served whole from the stage artifact its first answer was
+copied from, must answer what that artifact held.
 """
 
 from __future__ import annotations
@@ -14,14 +16,15 @@ import copy
 
 import pytest
 
+from repro.common.perf import measured
 from repro.pinot.broker import PinotBroker
 from repro.pinot.query import Aggregation, Filter, PinotQuery
 from repro.pinot.table import TableConfig
 from repro.platform import Platform
 from repro.sql.presto.connector import MemoryConnector
 from repro.sql.presto.engine import PrestoEngine
-from tests.pinot.fixtures import SCHEMA, ride
-from tests.reference.query import canonical, evaluate
+from tests.pinot.fixtures import SCHEMA, ingested_rows, ride
+from tests.reference.query import canonical, evaluate, execute
 from tests.pinot.test_selection_boundary import json_table, vandalize
 
 
@@ -161,3 +164,55 @@ def test_vandalized_output_cannot_reach_a_memory_connectors_table(sql):
     assert canonical(engine.execute("SELECT * FROM rides").rows) == canonical(
         pristine
     )
+
+
+# Root shapes a repeat is served as: a row root of scalar cells, row roots
+# with a JSON cell, and selections whose scan answers in column pages that
+# the root stage turns into rows.
+REPEAT_SHAPES = {
+    "scalar rows": (
+        "SELECT city, COUNT(*) AS n, SUM(amount) AS total FROM rides GROUP BY city"
+    ),
+    "rows with a JSON cell": (
+        "SELECT ride_id, payload FROM rides ORDER BY ride_id LIMIT 20"
+    ),
+    "scalar selection over pages": "SELECT ride_id, city, amount FROM rides",
+    "JSON selection over pages": (
+        "SELECT ride_id, payload FROM rides WHERE amount >= 10"
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", REPEAT_SHAPES)
+def test_a_same_text_repeat_is_isolated_from_what_the_caller_did(shape):
+    sql = REPEAT_SHAPES[shape]
+    platform, __ = json_platform()
+    # The log's rows may share JSON cells with the segments: the model
+    # reads a copy taken before any answer is handed out.
+    held = copy.deepcopy(
+        ingested_rows(platform.kafka, "rides", platform.pinot.table("rides"))
+    )
+    expected = execute(sql, {"rides": held})
+
+    def agrees(rows: list[dict]) -> bool:
+        if "ORDER BY" in sql:
+            return rows == expected
+        return canonical(rows) == canonical(expected)
+
+    with measured() as perf:
+        first = platform.sql(sql)
+        adapted = perf.snapshot().get("columnar.rows_adapted", 0)
+    assert first.stats.stage_artifact_hits == 0
+    if "over pages" in shape:
+        assert adapted == len(first.rows)
+    assert agrees(first.rows)
+    vandalize(first.rows)
+    # The first repeat is served from the artifact the vandalized answer
+    # was copied from; the second from the same artifact after its own
+    # answer was vandalized too.
+    for __ in range(2):
+        again = platform.sql(sql)
+        assert again.stats.stage_artifact_hits == 1
+        assert again.stats.stages_executed == 0
+        assert agrees(again.rows)
+        vandalize(again.rows)
