@@ -15,15 +15,30 @@ share, where a layer's entry point (``Producer.send``, a task's ``step``)
 shows what the whole layer costs.  Generated
 ``<string>:__init__`` frames are named after ``type(self)``, every other
 frame ``file:function:firstline``, so two lambdas (or comprehensions) of
-one file are two rows.  It asserts nothing about time; the speed claims
-come from ``benchmarks/e2e/run.py``, which this file only imports.
+one file are two rows.
+
+The cyclic collector runs in C and has no frame of its own.  A sample
+that falls in a collection is taken at the next Python frame to run, and
+the timer's expiries during one long collection merge into that one
+sample.  Without a ``gc.callbacks`` hook, that frame is the one whose
+allocation triggered the collection, so a structure that keeps many
+containers alive shows up as self time of whatever code allocates.  The
+hook that times the collector here runs first instead, so those samples
+read as ``sample_profile.py:on_gc``, and still far fewer than the
+collector's time.  The collector is therefore timed apart, with
+``gc.callbacks`` as ``benchmarks/e2e/layers.py`` does, and printed under
+the sample count: its share of the timed phase and the collections per
+generation.  It asserts nothing about time; the speed claims come from
+``benchmarks/e2e/run.py``, which this file only imports.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import signal
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -66,18 +81,47 @@ def main() -> int:
             frame = frame.f_back
         cumulative.update(on_stack)
 
+    collections = [0, 0, 0]  # per generation
+    gc_s = phase_s = began = 0.0
+
+    def on_gc(event: str, info: dict) -> None:
+        nonlocal gc_s, began
+        if event == "start":
+            began = time.perf_counter()
+        else:
+            gc_s += time.perf_counter() - began
+            collections[info["generation"]] += 1
+
     generate, build, run_phase, __ = workloads.WORKLOADS[args.workload]
+
+    def observed_phase(state, inputs, phase) -> dict:
+        # The run alone: timed_phase's calibration and gc.collect() stay
+        # outside, as they do for the traced run's collector timing.
+        nonlocal phase_s
+        started = time.perf_counter()
+        gc.callbacks.append(on_gc)
+        try:
+            return run_phase(state, inputs, phase)
+        finally:
+            gc.callbacks.remove(on_gc)
+            phase_s += time.perf_counter() - started
+
     inputs = generate(args.seed, args.scale)
     signal.signal(signal.SIGPROF, sample)
     for __ in range(args.repeats):
         state = build(run.fresh_import(), inputs)
         signal.setitimer(signal.ITIMER_PROF, INTERVAL_S, INTERVAL_S)
         try:
-            run.timed_phase(run_phase, state, inputs, None)
+            run.timed_phase(observed_phase, state, inputs, None)
         finally:
             signal.setitimer(signal.ITIMER_PROF, 0)
     total = sum(self_samples.values()) or 1
     print(f"{args.workload} seed={args.seed} scale={args.scale:g}: {total} samples")
+    print(
+        f"collector: {gc_s / phase_s:.1%} of {phase_s:.2f} s timed phase "
+        f"({args.repeats} repeats); collections gen0/gen1/gen2 "
+        + "/".join(map(str, collections))
+    )
     print(f"{'self':>7} {'cum':>7}  function")
     for name, count in self_samples.most_common(TOP):
         print(f"{count / total:7.1%} {cumulative[name] / total:7.1%}  {name}")

@@ -438,11 +438,15 @@ class IntervalJoinOperator(KeysOwnOutput, EventTimeOperator):
     emitted eagerly when the second side arrives, stamped at ``max(left.ts,
     right.ts)`` — the event time at which the pair became complete.
 
-    **State + eviction.**  Both sides buffer ``[ts, seq, value]`` entries
-    in keyed list state.  A buffered record's *join horizon* is the latest
-    event time of any pair it can still complete: ``ts + max(0, -lower)``
-    for a left, ``ts + max(0, upper)`` for a right; a record is late once
-    its horizon has expired.  An entry is evicted once the watermark
+    **State + eviction.**  Both sides buffer each key's entries in one
+    flat list of keyed state, ``[ts₀, seq₀, value₀, ts₁, seq₁, value₁,
+    …]`` in arrival order: state that outlives a step holds no container
+    per record, so a full buffer adds nothing for the collector to walk
+    but the record values themselves.  A buffered record's *join
+    horizon* is the latest event time of any pair it can still complete:
+    ``ts + max(0, -lower)`` for a left, ``ts + max(0, upper)`` for a
+    right; a record is late once its horizon has expired.  An entry is
+    evicted once the watermark
     passes ``max(horizon + allowed_lateness, ts + state_ttl)`` — the TTL
     can only *extend* retention past the join horizon (for late
     observers and state reads), never truncate it, so TTL eviction can
@@ -456,8 +460,9 @@ class IntervalJoinOperator(KeysOwnOutput, EventTimeOperator):
     few), then cuts each run's due prefix by bisection.  No heap orders
     the entries: a fire touches only what it sorts and what it evicts.
     The runs are derived state, rebuilt from the buffers on restore.  An
-    evicted entry is deleted from its key's list in place, and the key
-    leaves state when its list empties.
+    evicted entry's three slots are deleted from its key's list in place,
+    found by its seq (read only at seq slots: a ``ts`` or a value may
+    equal it), and the key leaves state when its list empties.
 
     **Output key.**  Pairs carry the join key, unless the runtime hands
     the operator ``out_key_fn`` (:class:`KeysOwnOutput`).
@@ -559,12 +564,14 @@ class IntervalJoinOperator(KeysOwnOutput, EventTimeOperator):
                     traces[key] = record.trace
                 buffered = theirs.get(key)
                 if buffered:
-                    probes += len(buffered)
+                    probes += len(buffered)  # slots: three per entry
                     # The record's own trace was stored just above, so one
                     # lookup serves every pair: its trace, else the key's.
                     trace = traces.get(key)
-                    for other_ts, _seq, other_value in buffered:
+                    for i in range(0, len(buffered), 3):
+                        other_ts = buffered[i]
                         if lo <= timestamp - other_ts <= hi:
+                            other_value = buffered[i + 2]
                             pair = (
                                 join_fn(value, other_value)
                                 if is_left
@@ -581,10 +588,9 @@ class IntervalJoinOperator(KeysOwnOutput, EventTimeOperator):
                     mine = tables[side] = {}
                 entries = mine.get(key)
                 if entries is None:
-                    # Grown by append, as every later entry is, so a
-                    # key's list is sized as it always was.
-                    entries = mine[key] = []
-                entries.append([timestamp, seq, value])
+                    mine[key] = [timestamp, seq, value]
+                else:
+                    entries += (timestamp, seq, value)
                 if ttl is not None and timestamp + ttl > deadline:
                     deadline = timestamp + ttl
                 pending.append((deadline, seq, key))
@@ -595,7 +601,7 @@ class IntervalJoinOperator(KeysOwnOutput, EventTimeOperator):
             self.late_dropped += late
             if PERF.enabled:
                 if probes:
-                    PERF.inc("flink.join_probes", probes)
+                    PERF.inc("flink.join_probes", probes // 3)
                 if appended:
                     PERF.inc("flink.join_state_appends", appended)
                 if out:
@@ -633,13 +639,11 @@ class IntervalJoinOperator(KeysOwnOutput, EventTimeOperator):
             for __, seq, key in due:
                 entries = table[key]
                 # Almost always the key's oldest; deleting in place keeps order.
-                if entries[0][1] == seq:
-                    del entries[0]
+                if entries[1] == seq:
+                    del entries[:3]
                 else:
-                    for i, entry in enumerate(entries):
-                        if entry[1] == seq:
-                            del entries[i]
-                            break
+                    i = 3 * entries[1::3].index(seq)
+                    del entries[i:i + 3]
                 if not entries:
                     del table[key]
                     if key not in theirs:
@@ -672,7 +676,7 @@ class IntervalJoinOperator(KeysOwnOutput, EventTimeOperator):
             run = sorted(
                 (self._deadline(ts + reach, ts), seq, key)
                 for key, entries in self.state.tables.get(side, {}).items()
-                for ts, seq, __ in entries
+                for ts, seq in zip(entries[::3], entries[1::3])
             )
             self._runs[side] = [run] if run else []
             self._pending[side] = []

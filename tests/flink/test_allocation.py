@@ -20,6 +20,7 @@ from repro.flink.graph import StreamEnvironment
 from repro.flink.operators import (
     BoundedListReader,
     BoundedListSource,
+    IntervalJoinOperator,
     KafkaSource,
     WindowOperator,
 )
@@ -142,6 +143,43 @@ def test_a_joined_pair_is_built_once():
     # Source records, then one per pair, then one per fired window.
     assert built["StreamRecord"] == 2 * pairs + pairs + len(out)
     assert {result.key for result in out} == {"m0", "m1"}
+
+
+def _layout_containers(tables, values) -> int:
+    """Lists, tuples and dicts reachable from the state tables, the record
+    values (and what they hold) excluded."""
+    values = {id(value) for value in values}
+    count, stack = 0, list(tables.values())
+    while stack:
+        obj = stack.pop()
+        if id(obj) in values:
+            continue
+        if isinstance(obj, dict):
+            count += 1
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple)):
+            count += 1
+            stack.extend(obj)
+    return count
+
+
+@pytest.mark.parametrize("records", [1_000, 10_000])
+def test_a_buffered_join_record_is_no_container_of_its_own(records):
+    # Join state outlives every step, so what it holds per record is what
+    # the collector walks again and again: a key's buffer is one list,
+    # however many records it holds.  No watermark: nothing is evicted.
+    keys = 25
+    op = IntervalJoinOperator(-5.0, 5.0, lambda p, o: None)
+    values = []
+    for side in (0, 1):
+        run = []
+        for i in range(records // 2):
+            value = {"n": i, "side": side}
+            values.append(value)
+            run.append(StreamRecord(value, float(i % 100), f"k{i % keys}"))
+        op.process(run, side)
+    assert op.state.entry_count() == 2 * keys
+    assert _layout_containers(op.state.tables, values) == 2 + 2 * keys
 
 
 def test_a_different_key_is_stamped_where_the_record_is_built(monkeypatch):

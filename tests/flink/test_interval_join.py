@@ -174,10 +174,11 @@ def reference_join(script, lower, upper, lateness, ttl):
 
 def _buffered(op):
     """Each side's buffered entries, per key in arrival order, as
-    :func:`reference_join` reports its survivors."""
+    :func:`reference_join` reports its survivors.  A key's buffer is one
+    flat list, ``[ts, seq, value]`` slots per entry."""
     return {
         side: {
-            key: [[ts, value] for ts, __, value in entries]
+            key: [[ts, value] for ts, value in zip(entries[::3], entries[2::3])]
             for key, entries in op.state.tables.get(side, {}).items()
         }
         for side in ("left", "right")
@@ -428,10 +429,33 @@ class TestEviction:
                 op.process([left(value, ts)], 0)
             op.on_watermark(Watermark(20.0))
             assert op.evicted == 1  # p1 out, p2 (horizon 28) still buffered
-            assert [e[2] for e in op.state.tables["left"]["k"]] == ["p2"]
+            assert op.state.tables["left"]["k"][2::3] == ["p2"]
             assert [r.value for r in op.process([left("o", 20.5)], 1)] == [
                 ("p2", "o")
             ]
+
+    def test_an_out_of_order_evict_finds_its_entry_by_seq_alone(self):
+        # Key k's buffer is [5.0, 0, 5, 1.0, 5, "p5", 9.0, 6, 5.0]: the due
+        # entry (seq 5, ts 1.0) is not the key's oldest, and the oldest's
+        # ts and value, and the newest's value, all equal 5.  Only a seq
+        # slot may match it.
+        script = [("left", "k", 5.0, 5)]
+        script += [("left", "other", 20.0, f"o{i}") for i in range(1, 5)]
+        script += [("left", "k", 1.0, "p5"), ("left", "k", 9.0, 5.0)]
+        script += [("watermark", 12.0), ("watermark", 16.0)]
+        op = make_join(lower=-10.0, upper=0.0)
+        buffered = []
+        for kind, *event in script:
+            if kind == "watermark":
+                op.on_watermark(Watermark(event[0]))
+                buffered.append(_buffered(op))
+            else:
+                key, ts, value = event
+                op.process([StreamRecord(value, ts, key)], 0)
+        __, __, evicted, survivors = reference_join(script, -10.0, 0.0, 0.0, None)
+        assert buffered == survivors
+        assert survivors[0]["left"]["k"] == [[5.0, 5], [9.0, 5.0]]
+        assert op.evicted == evicted == 2
 
 
 class TestSpillPressure:
