@@ -9,13 +9,16 @@ spent in C-level ``object.__setattr__`` made by dataclass-generated
 instead (``ITIMER_PROF``; the kernel delivers at its own tick, 4 ms on
 the reference host, so ``--repeats`` is how to get more samples): a
 function's *self* share is the samples it was executing in, its
-*cumulative* share those it was anywhere on the stack of.  It prints two
-tables, the top frames ranked by self share, then ranked by cumulative
+*cumulative* share those it was anywhere on the stack of.  It prints three
+tables: the top frames ranked by self share, then ranked by cumulative
 share, where a layer's entry point (``Producer.send``, a task's ``step``)
-shows what the whole layer costs.  Generated
-``<string>:__init__`` frames are named after ``type(self)``, every other
-frame ``file:function:firstline``, so two lambdas (or comprehensions) of
-one file are two rows.
+shows what the whole layer costs, then each source file's cumulative
+share — the samples with any of its frames on the stack — so a module
+whose cost is spread thin over many small calls (the tracer's
+``trace.py``) reads as one row.  Generated
+``<string>:__init__`` frames are named after ``type(self)`` and counted
+in the file that defines it, every other frame ``file:function:firstline``,
+so two lambdas (or comprehensions) of one file are two rows.
 
 The cyclic collector runs in C and has no frame of its own.  A sample
 that falls in a collection is taken at the next Python frame to run, and
@@ -56,6 +59,16 @@ def frame_name(frame) -> str:
     return f"{Path(code.co_filename).name}:{code.co_name}:{code.co_firstlineno}"
 
 
+def frame_file(frame) -> str:
+    """The source file a frame's code belongs to; a generated frame
+    belongs to the file defining ``type(self)``."""
+    filename = frame.f_code.co_filename
+    if filename == "<string>" and "self" in frame.f_locals:
+        module = sys.modules.get(type(frame.f_locals["self"]).__module__)
+        filename = getattr(module, "__file__", None) or filename
+    return Path(filename).name
+
+
 def main() -> int:
     import run
     import workloads
@@ -70,16 +83,19 @@ def main() -> int:
 
     self_samples: Counter = Counter()
     cumulative: Counter = Counter()
+    by_file: Counter = Counter()
 
     def sample(signum, frame) -> None:
         if frame.f_code is run.calibration_kernel.__code__:
             return  # the ruler's own host-speed probe, not the workload
         self_samples[frame_name(frame)] += 1
-        on_stack = set()
+        on_stack, files = set(), set()
         while frame is not None:
             on_stack.add(frame_name(frame))
+            files.add(frame_file(frame))
             frame = frame.f_back
         cumulative.update(on_stack)
+        by_file.update(files)
 
     collections = [0, 0, 0]  # per generation
     gc_s = phase_s = began = 0.0
@@ -128,6 +144,9 @@ def main() -> int:
     print(f"\nby cumulative share:\n{'cum':>7} {'self':>7}  function")
     for name, count in cumulative.most_common(TOP):
         print(f"{count / total:7.1%} {self_samples[name] / total:7.1%}  {name}")
+    print(f"\nby source file:\n{'cum':>7}  file")
+    for name, count in by_file.most_common(TOP):
+        print(f"{count / total:7.1%}  {name}")
     return 0
 
 

@@ -48,7 +48,12 @@ from repro.flink.windows import (
     WindowResult,
     non_finite_event_time,
 )
-from repro.observability.trace import EntryTrace, SpanCollector, TraceContext
+from repro.observability.trace import (
+    EntryScope,
+    SpanCollector,
+    TraceContext,
+    element_trace,
+)
 
 
 class Operator:
@@ -99,7 +104,9 @@ class MapOperator(KeysOwnOutput, Operator):
             except Exception as exc:
                 raise OperatorError(f"map function failed: {exc}") from exc
             key = record.key if key_fn is None else key_fn(value)
-            out.append(StreamRecord(value, record.timestamp, key, record.trace))
+            out.append(
+                StreamRecord(value, record.timestamp, key, record.trace, record.scope)
+            )
         return out
 
 
@@ -129,11 +136,12 @@ class FlatMapOperator(KeysOwnOutput, Operator):
                 values = list(fn(record.value))
             except Exception as exc:
                 raise OperatorError(f"flat_map function failed: {exc}") from exc
-            timestamp, key, trace = record.timestamp, record.key, record.trace
+            timestamp, key = record.timestamp, record.key
+            trace, scope = record.trace, record.scope
             for value in values:
                 if key_fn is not None:
                     key = key_fn(value)
-                out.append(StreamRecord(value, timestamp, key, trace))
+                out.append(StreamRecord(value, timestamp, key, trace, scope))
         return out
 
 
@@ -149,7 +157,9 @@ class ProcessOperator(Operator):
 
         def emit(value: Any, key: Any = None) -> None:
             # Stamped like the record ``fn`` is handling when it calls.
-            out.append(StreamRecord(value, record.timestamp, key, record.trace))
+            out.append(
+                StreamRecord(value, record.timestamp, key, record.trace, record.scope)
+            )
 
         fn, state = self.fn, self.state
         try:
@@ -177,9 +187,10 @@ class EventTimeOperator(Operator):
       same predicate, so an admitted record always lands in state that
       still has a pending fire.  Lateness is ``>= 0``: a negative one
       would drop records whose window is still open.
-    * **Traces.**  ``_traces`` keeps one representative trace per state
-      key, the latest contributing traced record; a fire pops it onto
-      what it emits.
+    * **Traces.**  ``_traces`` keeps one representative traced record
+      per state key, the latest contributing one (a reference to a record
+      it was handed, never a copy); a fire pops it and stamps its trace
+      onto what it emits (:meth:`_traced`).
     * **Checkpoints.**  One envelope holds the watermark,
       ``late_dropped``, the traces (with the time each entered the job,
       so a restored fire still records its ``process`` span), whatever
@@ -204,6 +215,14 @@ class EventTimeOperator(Operator):
 
     def _expired(self, horizon: float) -> bool:
         return horizon + self.allowed_lateness <= self.current_watermark
+
+    @staticmethod
+    def _traced(value: Any, timestamp: float, key: Any, kept: Any) -> StreamRecord:
+        """An output record stamped with the trace of ``kept``, a record
+        from ``_traces`` (or ``None``)."""
+        if kept is None:
+            return StreamRecord(value, timestamp, key)
+        return StreamRecord(value, timestamp, key, kept.trace, kept.scope)
 
     def _late(self, horizon: float) -> bool:
         """Judge a record with one horizon: late means dropped and counted."""
@@ -230,13 +249,14 @@ class EventTimeOperator(Operator):
         raise NotImplementedError
 
     def snapshot(self) -> bytes:
+        traces = []
+        for key, kept in self._traces.items():
+            t = element_trace(kept.trace, kept.scope)
+            traces.append([_key_to_wire(key), t.trace_id, t.origin_event_time, t.entered])
         meta = {
             "watermark": self.current_watermark,
             "late_dropped": self.late_dropped,
-            "traces": [
-                [_key_to_wire(key), t.trace_id, t.origin_event_time, t.entered]
-                for key, t in self._traces.items()
-            ],
+            "traces": traces,
         }
         for name in self.checkpointed:
             meta[name] = getattr(self, name)
@@ -247,8 +267,11 @@ class EventTimeOperator(Operator):
         meta = payload["meta"]
         self.current_watermark = meta["watermark"]
         self.late_dropped = meta["late_dropped"]
+        # A restored trace is kept the way a live one is: as a record
+        # carrying it.
         self._traces = {
-            _key_from_wire(key): TraceContext(*trace) for key, *trace in meta["traces"]
+            _key_from_wire(key): StreamRecord(None, 0.0, None, TraceContext(*trace))
+            for key, *trace in meta["traces"]
         }
         for name in self.checkpointed:
             setattr(self, name, meta[name])
@@ -287,7 +310,9 @@ class WindowOperator(EventTimeOperator):
             for record in records:
                 window = assign(record.timestamp)[0]
                 acc = aggregator.add(record.value, aggregator.create_accumulator())
-                self._add_to_session(record.key, window, acc, record.trace)
+                self._add_to_session(
+                    record.key, window, acc, record if record.trace is not None else None
+                )
             return []
         add, create = aggregator.add, aggregator.create_accumulator
         lateness, watermark = self.allowed_lateness, self.current_watermark
@@ -309,19 +334,19 @@ class WindowOperator(EventTimeOperator):
                         continue
                 if accs is None:
                     accs = tables["acc"] = {}
-                key, value, trace = record.key, record.value, record.trace
+                key, value, traced = record.key, record.value, record.trace is not None
                 for window in windows:
                     state_key = (key, window.start, window.end)
                     acc = accs.get(state_key)
                     accs[state_key] = add(value, create() if acc is None else acc)
-                    if trace is not None:
-                        traces[state_key] = trace
+                    if traced:
+                        traces[state_key] = record
         finally:
             self.late_dropped += late
         return []
 
     def _add_to_session(
-        self, key: Any, window: TimeWindow, acc: Any, trace: Any
+        self, key: Any, window: TimeWindow, acc: Any, traced: StreamRecord | None
     ) -> None:
         """Insert into session state, merging overlapping sessions.
 
@@ -343,14 +368,14 @@ class WindowOperator(EventTimeOperator):
                     start, end = min(start, s), max(end, e)
                     self.state.remove("acc", state_key)
                     absorbed = self._traces.pop(state_key, None)
-                    trace = trace or absorbed
+                    traced = traced or absorbed
                     merged = extends = True
                     break
         if not extends and self._late(end):
             return
         self.state.put("acc", (key, start, end), acc)
-        if trace is not None:
-            self._traces[(key, start, end)] = trace
+        if traced is not None:
+            self._traces[(key, start, end)] = traced
 
     def _fire(self) -> list[Any]:
         fired: list[StreamRecord] = []
@@ -367,7 +392,7 @@ class WindowOperator(EventTimeOperator):
             )
             # Results are timestamped at window end, Flink-style.
             fired.append(
-                StreamRecord(result, end, key, self._traces.pop(state_key, None))
+                self._traced(result, end, key, self._traces.pop(state_key, None))
             )
             self.state.remove("acc", state_key)
         return fired
@@ -399,7 +424,7 @@ class WindowJoinOperator(EventTimeOperator):
                 state_key = (record.key, window.start, window.end)
                 append(side, state_key, record.value)
                 if record.trace is not None:
-                    self._traces[state_key] = record.trace
+                    self._traces[state_key] = record
         return []
 
     def _fire(self) -> list[Any]:
@@ -412,13 +437,13 @@ class WindowJoinOperator(EventTimeOperator):
         }
         for state_key in sorted(closed, key=lambda k: (k[2], str(k[0]))):
             key, __, end = state_key
-            trace = self._traces.pop(state_key, None)
+            kept = self._traces.pop(state_key, None)
             lefts = self.state.get_list("left", state_key)
             rights = self.state.get_list("right", state_key)
             for left in lefts:
                 for right in rights:
                     fired.append(
-                        StreamRecord(self.join_fn(left, right), end, key, trace)
+                        self._traced(self.join_fn(left, right), end, key, kept)
                     )
             self.state.remove("left", state_key)
             self.state.remove("right", state_key)
@@ -561,13 +586,16 @@ class IntervalJoinOperator(KeysOwnOutput, EventTimeOperator):
                     continue
                 key, value = record.key, record.value
                 if record.trace is not None:
-                    traces[key] = record.trace
+                    traces[key] = record
                 buffered = theirs.get(key)
                 if buffered:
                     probes += len(buffered)  # slots: three per entry
-                    # The record's own trace was stored just above, so one
+                    # The record was kept just above if traced, so one
                     # lookup serves every pair: its trace, else the key's.
-                    trace = traces.get(key)
+                    kept = traces.get(key)
+                    trace = scope = None
+                    if kept is not None:
+                        trace, scope = kept.trace, kept.scope
                     for i in range(0, len(buffered), 3):
                         other_ts = buffered[i]
                         if lo <= timestamp - other_ts <= hi:
@@ -583,6 +611,7 @@ class IntervalJoinOperator(KeysOwnOutput, EventTimeOperator):
                                 completed,
                                 key if out_key_fn is None else out_key_fn(pair),
                                 trace,
+                                scope,
                             ))
                 if mine is None:
                     mine = tables[side] = {}
@@ -717,8 +746,9 @@ class SourceReader(KeysOwnOutput):
     def _read(self, max_records: int, entered: float | None) -> list[Any]:
         """Next StreamRecords, advancing the position and
         ``self.watermarks``; a reader over a Kafka log stamps each with
-        its record's trace, ``entered`` the job then, unless ``entered``
-        is ``None`` (the job is untraced)."""
+        the entry it read and the poll's :class:`EntryScope` (``entered``
+        the job then), unless ``entered`` is ``None`` (the job is
+        untraced)."""
         raise NotImplementedError
 
     def _seek(self, data: dict[str, Any]) -> None:
@@ -815,8 +845,11 @@ class KafkaSourceReader(SourceReader):
         positions: dict[int, int] = {}
         max_timestamp = float("-inf")
         key_fn = self.out_key_fn
+        traced = entered is not None
         for partition in self.partitions:
             entries = cluster.fetch(topic, partition, self.positions[partition], budget)
+            # One scope per poll and partition; the entries are the traces.
+            scope = EntryScope(topic, partition, entered) if traced and entries else None
             for entry in entries:
                 record: Record = entry.record
                 value = record.value
@@ -831,9 +864,8 @@ class KafkaSourceReader(SourceReader):
                         value,
                         timestamp,
                         record.key if key_fn is None else key_fn(value),
-                        None
-                        if entered is None
-                        else EntryTrace(topic, partition, entry, entered),
+                        entry if traced else None,
+                        scope,
                     )
                 )
             if entries:
@@ -1000,7 +1032,13 @@ class KafkaSink:
             }
         # Re-stamp the upstream trace so the derived record continues the
         # same end-to-end trace across its second Kafka hop.
-        headers = record.trace.to_headers() if record.trace is not None else None
+        trace, scope = record.trace, record.scope
+        if trace is None:
+            headers = None
+        elif scope is None:
+            headers = trace.to_headers()
+        else:
+            headers = scope.headers_of(trace)
         self._producer.send(
             self.topic, value, key=key, event_time=record.timestamp, headers=headers
         )

@@ -48,7 +48,7 @@ from repro.flink.time import (
     StreamStatus,
     Watermark,
 )
-from repro.observability.trace import SpanCollector
+from repro.observability.trace import Hop, SpanCollector
 
 DEFAULT_CHANNEL_CAPACITY = 1000
 
@@ -106,6 +106,8 @@ class SubTask:
         self._out_channels: list[InputChannel] = []
         # One round-robin cursor per rebalance edge, indexed by its rank.
         self._rebalance_cursors: list[int] = []
+        # A traced sink's process hop, bound at its first traced write.
+        self._process_hop: Hop | None = None
 
     # -- wiring -------------------------------------------------------------
 
@@ -218,7 +220,11 @@ class SubTask:
                         # returns is the type downstream state is keyed by.
                         if key is not record.key:
                             record = StreamRecord(
-                                record.value, record.timestamp, key, record.trace
+                                record.value,
+                                record.timestamp,
+                                key,
+                                record.trace,
+                                record.scope,
                             )
                     try:
                         target = key_targets.get(key)
@@ -392,17 +398,17 @@ class SubTask:
         runtime = self.runtime
         if runtime.tracer is None:
             return
+        # The rows keep the traces, not the records: a written record's
+        # value is garbage once the sink is done with it.
         traces = [r.trace for r in records if r.trace is not None]
         if traces:
-            runtime.tracer.record_spans(
-                "process",
-                "flink",
-                [trace.trace_id for trace in traces],
-                [trace.entered for trace in traces],
-                end=runtime.clock.now(),
-                job=runtime.graph.name,
-                sink=self.spec.op_id,
-            )
+            if self._process_hop is None:
+                self._process_hop = runtime.tracer.hop(
+                    "elements", "process", "flink",
+                    job=runtime.graph.name, sink=self.spec.op_id,
+                )
+            scopes = [r.scope for r in records if r.trace is not None]
+            self._process_hop.record(traces, scopes, runtime.clock.now())
 
     def _precommit(self, checkpoint_id: int) -> None:
         """2PC phase one, at barrier alignment: close the open transaction

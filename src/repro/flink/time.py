@@ -27,18 +27,21 @@ from typing import Any
 class StreamRecord:
     """A data element with an assigned event timestamp and optional key.
 
-    ``trace`` carries the trace of the Kafka record the element originated
-    from (an :class:`~repro.observability.trace.EntryTrace` or a restored
-    :class:`~repro.observability.trace.TraceContext`), stamped with the
-    time it entered the job
-    (``None`` when the job is untraced); operator transforms preserve it
-    so the sink can record the element's ``process`` span.
+    ``trace`` and ``scope`` carry the trace of the Kafka record the element
+    originated from (``None`` when the job is untraced): the log entry a
+    traced source read and the
+    :class:`~repro.observability.trace.EntryScope` of its poll (its
+    partition and when it entered the job), shared by the poll's records,
+    or a restored :class:`~repro.observability.trace.TraceContext` and no
+    scope.  Operator transforms preserve both so the sink can record the
+    element's ``process`` span.
     """
 
     value: Any
     timestamp: float
     key: Any = None
     trace: Any = None
+    scope: Any = None
 
 
 @dataclass(slots=True)

@@ -32,7 +32,7 @@ from repro.common.errors import (
 from repro.common.perf import PERF
 from repro.common.records import Record
 from repro.kafka.log import LogEntry, PartitionLog, _record_size
-from repro.observability.trace import SpanCollector
+from repro.observability.trace import Hop, SpanCollector
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,6 +117,9 @@ class KafkaCluster:
         self.name = name
         self.clock = clock or SystemClock()
         self.tracer = tracer
+        # The replicate hop of each (topic, partition, follower), bound at
+        # its first traced copy (see SpanCollector.hop).
+        self._replicate_hops: dict[tuple[str, int, int], Hop] = {}
         self.brokers: dict[int, Broker] = {i: Broker(i) for i in range(num_brokers)}
         self.topics: dict[str, Topic] = {}
         self._assign_cursor = itertools.count()
@@ -562,15 +565,14 @@ class KafkaCluster:
     ) -> None:
         if self.tracer is None:
             return
-        self.tracer.record_entries(
-            "replicate",
-            "kafka",
-            entries,
-            end=self.clock.now(),
-            topic=pstate.topic,
-            partition=pstate.partition,
-            follower=follower_id,
-        )
+        key = (pstate.topic, pstate.partition, follower_id)
+        hop = self._replicate_hops.get(key)
+        if hop is None:
+            hop = self._replicate_hops[key] = self.tracer.hop(
+                "entries", "replicate", "kafka",
+                follower=follower_id, topic=pstate.topic, partition=pstate.partition,
+            )
+        hop.record(entries, self.clock.now())
 
     def apply_retention(self) -> int:
         """Expire old data on every replica per each topic's config."""

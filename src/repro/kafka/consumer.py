@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from repro.common.errors import KafkaError, OffsetOutOfRangeError
 from repro.kafka.cluster import KafkaCluster
 from repro.kafka.log import LogEntry
-from repro.observability.trace import SpanCollector
+from repro.observability.trace import Hop, SpanCollector
 
 
 @dataclass(slots=True)
@@ -114,6 +114,8 @@ class Consumer:
         self.member_id = member_id
         self.auto_offset_reset = auto_offset_reset
         self.tracer = tracer
+        # The consume hop of each partition, bound at its first traced poll.
+        self._hops: dict[int, Hop] = {}
         self._positions: dict[int, int] = {}
         self._seen_generation = -1
         coordinator.join(group, topic, member_id)
@@ -171,15 +173,13 @@ class Consumer:
                 out.append(ConsumedMessage(self.topic, partition, entry.offset, entry))
             if self.tracer is not None and entries:
                 # Consume latency = log dwell time: append to poll.
-                self.tracer.record_entries(
-                    "consume",
-                    "kafka",
-                    entries,
-                    end=self.cluster.clock.now(),
-                    topic=self.topic,
-                    partition=partition,
-                    group=self.group,
-                )
+                hop = self._hops.get(partition)
+                if hop is None:
+                    hop = self._hops[partition] = self.tracer.hop(
+                        "entries", "consume", "kafka",
+                        group=self.group, topic=self.topic, partition=partition,
+                    )
+                hop.record(entries, self.cluster.clock.now())
             if entries:
                 self._positions[partition] = entries[-1].offset + 1
         return out

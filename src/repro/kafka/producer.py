@@ -25,7 +25,7 @@ from repro.common.records import Record
 from repro.common.retry import RetryPolicy
 from repro.common.rng import seeded_rng
 from repro.kafka.cluster import KafkaCluster, ProducerCtx
-from repro.observability.trace import SpanCollector
+from repro.observability.trace import Hop, SpanCollector
 
 
 @dataclass(slots=True)
@@ -64,8 +64,9 @@ def hash_partitioner(key: Any, num_partitions: int) -> int:
 @dataclass
 class _Batch:
     partition: int
+    # Each record's send time, kept only by a traced producer.
+    sent_at: list[float] | None
     records: list[Record] = field(default_factory=list)
-    sent_at: list[float] = field(default_factory=list)
     sizes: list[int] = field(default_factory=list)
     bytes: int = 0
 
@@ -96,7 +97,14 @@ class Producer:
         self.acks = acks
         self.batch_size = batch_size
         self.clock = clock or cluster.clock or SystemClock()
+        # Span timestamps must come from the broker-side clock: a producer
+        # constructed with its own clock would otherwise emit produce spans
+        # that end (at append, cluster time) before they start.
+        self._broker_now = cluster.clock.now
         self.tracer = tracer
+        # The produce hop of each (topic, partition), bound at its first
+        # traced flush (see SpanCollector.hop).
+        self._hops: dict[tuple[str, int], Hop] = {}
         # Optional: retry transient broker failures instead of surfacing
         # them.  Backoff advances the (simulated) broker clock, so a broker
         # restart scheduled during the backoff window lets the retry land.
@@ -159,12 +167,13 @@ class Producer:
         partition = self._choose_partition(topic, key)
         batch = self._batches.get((topic, partition))
         if batch is None:
-            batch = self._batches[(topic, partition)] = _Batch(partition=partition)
+            batch = self._batches[(topic, partition)] = _Batch(
+                partition, [] if self.tracer is not None else None
+            )
         batch.records.append(record)
-        # Span timestamps must come from the broker-side clock: a producer
-        # constructed with its own clock would otherwise emit produce spans
-        # that end (at append, cluster time) before they start.
-        batch.sent_at.append(self.cluster.clock.now())
+        sent_at = batch.sent_at
+        if sent_at is not None:
+            sent_at.append(self._broker_now())
         # Size the record once, from its fields (no envelope is built or
         # encoded): the size drives batch accounting here and rides along
         # to the broker and every replica, which never size it again.
@@ -239,17 +248,14 @@ class Producer:
             return 0
         count = len(batch.records)
         base = self._append_batch(topic, partition, batch.records, batch.sizes)
-        if self.tracer is not None:
-            self.tracer.record_batch(
-                "produce",
-                "kafka",
-                batch.records,
-                batch.sent_at,
-                end=self.cluster.clock.now(),
-                topic=topic,
-                partition=partition,
-                base_offset=base,
-            )
+        tracer = self.tracer
+        if tracer is not None and batch.sent_at is not None:
+            hop = self._hops.get((topic, partition))
+            if hop is None or hop.collector is not tracer:
+                hop = self._hops[(topic, partition)] = tracer.hop(
+                    "records", "produce", "kafka", topic=topic, partition=partition
+                )
+            hop.record(batch.records, batch.sent_at, self._broker_now(), base)
         self.batches_sent += 1
         self._rotate_sticky(topic)
         self._last_offset = base + count - 1

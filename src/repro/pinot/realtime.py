@@ -29,7 +29,7 @@ from repro.common.errors import (
     PinotError,
 )
 from repro.kafka.cluster import KafkaCluster
-from repro.observability.trace import SpanCollector
+from repro.observability.trace import Hop, SpanCollector
 from repro.pinot.recovery import BackupHandle, SegmentBackupStrategy
 from repro.pinot.segment import MutableSegment
 from repro.pinot.server import PinotServer
@@ -49,6 +49,8 @@ class _PartitionState:
     position: int  # next Kafka offset to consume
     committed: int  # offset after the last sealed row: where a restart resumes
     consuming: MutableSegment = field(init=False)  # set by _open_consuming
+    # The ingest hop into ``consuming``, bound with it when traced.
+    ingest_hop: Hop | None = field(init=False, default=None)
     sequence: int = 0
     sealed_segments: list[str] = field(default_factory=list)
     pending_backup: BackupHandle | None = None
@@ -108,6 +110,14 @@ class RealtimeIngestion:
             column_names=self.config.schema.field_names(),
         )
         state.owner.host_segment(state.consuming)
+        if self.tracer is not None:
+            state.ingest_hop = self.tracer.hop(
+                "entries", "ingest", "pinot",
+                table=self.config.name,
+                segment=state.consuming.name,
+                topic=self.topic,
+                partition=state.partition,
+            )
 
     # -- consumption ----------------------------------------------------------
 
@@ -227,17 +237,11 @@ class RealtimeIngestion:
         Timestamps come from the shared Kafka-cluster clock so a span can
         never end before the produce span did.
         """
-        if self.tracer is None or first == landed:
+        if state.ingest_hop is None or first == landed:
             return
-        self.tracer.record_entries(
-            "ingest",
-            "pinot",
+        state.ingest_hop.record(
             entries if landed - first == len(entries) else entries[first:landed],
-            end=self.kafka.clock.now(),
-            topic=self.topic,
-            partition=state.partition,
-            table=self.config.name,
-            segment=state.consuming.name,
+            self.kafka.clock.now(),
         )
 
     def _seal(self, state: _PartitionState) -> None:

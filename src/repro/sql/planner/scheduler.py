@@ -214,8 +214,12 @@ class StageScheduler:
     # -- entry point ----------------------------------------------------------
 
     def run(
-        self, plan: PhysicalPlan, versions: dict[str, Any], query_id: str
+        self, plan: PhysicalPlan, versions: dict[str, Any], query_id: str | None
     ) -> tuple[StagePayload, list[StageExecution]]:
+        """Serve or execute every stage the root needs.  A traced scheduler
+        records the stage spans of ``query_id`` in the order the stages
+        were served or ran, in one collector call unless a scan's
+        connector records in between."""
         def signature(stage: Stage) -> tuple:
             return tuple([(t, versions[t]) for t in stage.tables])
 
@@ -228,7 +232,9 @@ class StageScheduler:
         if payload is not None:
             # A served root: nothing below it runs, so there is no wave
             # to place and nothing else to report.
-            return payload, [self._serve(query_id, root, payload)]
+            executions = [self._serve(root, payload)]
+            self._record_stages(query_id, plan, executions, 0)
+            return payload, executions
 
         served: dict[int, StagePayload] = {}
         needed: set[int] = {plan.root}
@@ -256,11 +262,17 @@ class StageScheduler:
 
         done: dict[int, StagePayload] = dict(served)
         executions = [
-            self._serve(query_id, plan.stages[sid], payload)
+            self._serve(plan.stages[sid], payload)
             for sid, payload in sorted(served.items())
         ]
+        recorded = 0  # executions whose spans are stored
         for sid in sorted(needed):
             stage = plan.stages[sid]
+            if stage.op == "scan" and recorded < len(executions):
+                # A scan's connector may record spans of its own: the
+                # stages before it arrive first, as they ran.
+                self._record_stages(query_id, plan, executions, recorded)
+                recorded = len(executions)
             wave = wave_of[sid]
             worker = self._worker_for(stage)
             input_stages = [plan.stages[i] for i in stage.inputs]
@@ -272,43 +284,42 @@ class StageScheduler:
             executions.append(
                 StageExecution(sid, stage.op, wave, worker, False, payload.num_rows())
             )
-            self._record_span(
-                query_id, stage, served=False, rows=payload.num_rows(),
-                wave=wave, worker=worker,
-            )
             self._stores[worker].put(stage.key, signature(stage), payload)
+        self._record_stages(query_id, plan, executions, recorded)
         executions.sort(key=lambda e: e.sid)
         return done[plan.root], executions
 
-    def _serve(
-        self, query_id: str, stage: Stage, payload: StagePayload
-    ) -> StageExecution:
+    def _serve(self, stage: Stage, payload: StagePayload) -> StageExecution:
         """Report ``stage`` as served from ``payload``, its stored
-        artifact: the PERF counts, the span and the schedule record."""
+        artifact: the PERF counts and the schedule record."""
         rows = payload.num_rows()
         if PERF.enabled:
             PERF.inc("presto.stage_artifact_hits")
             PERF.inc("presto.artifact_rows_copied", rows)
             if payload.pages is not None:
                 PERF.inc("columnar.batch_serves", len(payload.pages))
-        self._record_span(query_id, stage, served=True, rows=rows)
         return StageExecution(stage.sid, stage.op, -1, -1, True, rows)
 
-    def _record_span(self, query_id: str, stage: Stage, served: bool, **attrs):
+    def _record_stages(
+        self, query_id: str | None, plan: PhysicalPlan,
+        executions: list[StageExecution], first: int,
+    ) -> None:
+        """One span per stage of ``executions`` from ``first`` on, in
+        their order, in one collector call."""
         if self.tracer is None or self.clock is None:
             return
-        now = self.clock.now()
-        self.tracer.record_span(
-            trace_id=query_id,
-            name=f"stage.{stage.op}",
-            layer="presto",
-            start=now,
-            end=now,
-            sid=stage.sid,
-            key=stage.key,
-            served_from_artifact=served,
-            **attrs,
-        )
+        spans = []
+        for e in executions[first:]:
+            attrs = {
+                "sid": e.sid,
+                "key": plan.stages[e.sid].key,
+                "served_from_artifact": e.served_from_artifact,
+                "rows": e.rows_out,
+            }
+            if not e.served_from_artifact:
+                attrs["wave"], attrs["worker"] = e.wave, e.worker
+            spans.append((f"stage.{e.op}", attrs))
+        self.tracer.record_instants(query_id, "presto", self.clock.now(), spans)
 
     # -- stage execution ------------------------------------------------------
 

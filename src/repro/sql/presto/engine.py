@@ -198,8 +198,10 @@ class PrestoEngine:
             if not any(stage.op == "join" for stage in planned.physical.stages):
                 self._plans.put(sql, catalog, planned)
         self._query_seq += 1
-        query_id = f"presto-q{self._query_seq:06d}"
-        start = self.clock.now() if self.tracer is not None else 0.0
+        query_id = start = None
+        if self.tracer is not None:
+            query_id = f"presto-q{self._query_seq:06d}"
+            start = self.clock.now()
         # A table version is one connector's version of the table, so it
         # travels with that connector: a table re-pointed at another
         # connector whose version happens to match serves none of the old

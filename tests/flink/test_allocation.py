@@ -6,7 +6,8 @@ and shared everywhere else.  These tests count calls of the dataclass-generated 
 code objects (``sys.setprofile``) over a fixed keyed tumbling-count job,
 so a copy that creeps back onto the live path — a re-stamped key the
 record already carried, a window rebuilt per record, a record re-keyed
-after the task that built it — moves an integer.
+after the task that built it, a trace object built per traced record, a
+send time kept for a producer nobody traces — moves an integer.
 """
 
 import sys
@@ -15,6 +16,7 @@ from operator import itemgetter
 
 import pytest
 
+from repro import Field, FieldRole, FieldType, Platform, Schema, TableConfig
 from repro.common.clock import SimulatedClock
 from repro.flink.graph import StreamEnvironment
 from repro.flink.operators import (
@@ -29,6 +31,8 @@ from repro.flink.time import StreamRecord
 from repro.flink.windows import CountAggregate, TimeWindow, TumblingWindows
 from repro.kafka.cluster import KafkaCluster, TopicConfig
 from repro.kafka.producer import Producer
+from repro.observability import trace
+from repro.sql.planner.scheduler import StageScheduler
 
 RECORDS = 1_000
 WINDOWS = 5
@@ -45,9 +49,9 @@ def elements():
     ]
 
 
-def count_constructions(runtime) -> Counter:
-    """Run the job to quiescence; constructions by class."""
-    codes = {cls.__init__.__code__: cls.__name__ for cls in (StreamRecord, TimeWindow)}
+def count_constructions(runtime, classes=(StreamRecord, TimeWindow)) -> Counter:
+    """Run the job to quiescence; constructions of ``classes`` by class."""
+    codes = {cls.__init__.__code__: cls.__name__ for cls in classes}
     built: Counter = Counter()
 
     def profile(frame, event, arg):
@@ -305,3 +309,66 @@ def test_an_equal_key_of_another_type_is_still_restamped():
     ).window(TumblingWindows(60.0)).aggregate(CountAggregate()).sink_to_list(out)
     JobRuntime(env.build("retyped")).run_until_quiescent()
     assert [type(r.key) for r in out] == [float]
+
+
+#: The objects that carry a record's trace through a Flink job.
+TRACE_OBJECTS = ("TraceContext", "EntryTrace", "EntryScope")
+
+
+def test_a_traced_source_builds_no_trace_object_per_record():
+    # Kafka source -> key_by -> tumbling count over 200 records: a traced
+    # source stamps what it reads with the entry and its poll's scope, the
+    # window keeps a record it was handed, and nothing is built per record
+    # to carry a trace.
+    cluster = KafkaCluster(clock=SimulatedClock())
+    cluster.create_topic("rows", TopicConfig(partitions=1))
+    producer = Producer(cluster, "rows-service")
+    for i in range(200):
+        producer.send("rows", {"n": i, "k": i % 2}, key=i % 2, event_time=float(i))
+    producer.flush()
+    env = StreamEnvironment()
+    out = _count_by(env.add_source(KafkaSource(cluster, "rows", "g")), "k")
+    tracer = trace.SpanCollector()
+    runtime = JobRuntime(env.build("traced"), tracer=tracer)
+    classes = [
+        cls for cls in map(vars(trace).get, TRACE_OBJECTS) if isinstance(cls, type)
+    ]
+    built = count_constructions(runtime, classes)
+    # An unbounded source never closes the last window, [180, 240).
+    assert sum(r.value for r in out) == 180
+    assert sum(built.values()) <= len(out) == 6
+    # Every fired window's process span is still recorded under a trace
+    # the source read.
+    process = tracer.spans("process")
+    assert len(process) == len(out)
+    assert {s.trace_id for s in process} <= {f"rows-0@{i}" for i in range(200)}
+
+
+def test_an_untraced_producer_and_engine_build_nothing_for_a_tracer(monkeypatch):
+    schema = Schema(
+        "rows",
+        (Field("n", FieldType.LONG, FieldRole.METRIC),
+         Field("ts", FieldType.DOUBLE, FieldRole.TIME)),
+    )
+    platform = (
+        Platform(tracing=False).with_kafka().with_pinot().with_presto().topic("rows", 1)
+    )
+    platform.realtime_table(TableConfig("rows", schema, time_column="ts"), "rows")
+    producer = platform.producer("rows-service")
+    for i in range(50):
+        producer.send("rows", {"n": i, "ts": float(i)}, event_time=float(i))
+    # The pending batch keeps no send time per record.
+    [batch] = producer._batches.values()
+    assert len(batch.records) == 50 and not batch.sent_at
+    producer.flush()
+    platform.run_until_caught_up()
+    query_ids = []
+    run = StageScheduler.run
+
+    def spy(self, plan, versions, query_id):
+        query_ids.append(query_id)
+        return run(self, plan, versions, query_id)
+
+    monkeypatch.setattr(StageScheduler, "run", spy)
+    assert platform.sql("SELECT COUNT(*) AS n FROM rows").rows == [{"n": 50}]
+    assert query_ids == [None]

@@ -21,7 +21,7 @@ from repro.flink.time import StreamRecord, Watermark
 from repro.flink.windows import CountAggregate, TumblingWindows
 from repro.kafka.cluster import KafkaCluster, TopicConfig
 from repro.kafka.producer import Producer, hash_partitioner
-from repro.observability.trace import SpanCollector
+from repro.observability.trace import SpanCollector, element_trace
 from repro.storage.blobstore import BlobStore
 
 PARTITIONS = 4
@@ -131,7 +131,7 @@ def test_a_keyed_delivery_writes_what_one_produce_per_record_writes(monkeypatch)
             record.value,
             key=record.key,
             event_time=record.timestamp,
-            headers=record.trace.to_headers(),
+            headers=element_trace(record.trace, record.scope).to_headers(),
         )
     log = _log(cluster)
     assert len(log) == len(written)

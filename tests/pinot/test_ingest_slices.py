@@ -15,6 +15,8 @@ fails validation.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.audit import lineage_digest
@@ -90,14 +92,17 @@ class RowAtATime(RealtimeIngestion):
 
 
 class SpanBatches:
-    """Stands in for the tracer: each ingest span call, as the offsets it
-    covers, its end and the segment it names."""
+    """Stands in for the tracer: each ingest span batch a bound hop
+    records, as the offsets it covers, its end and the segment it names."""
 
     def __init__(self) -> None:
         self.calls: list = []
 
-    def record_entries(self, name, layer, entries, end, **attrs):
-        self.calls.append((name, layer, [e.offset for e in entries], end, attrs))
+    def hop(self, kind, name, layer, /, **attrs):
+        def record(entries, end):
+            self.calls.append((name, layer, [e.offset for e in entries], end, attrs))
+
+        return SimpleNamespace(record=record)
 
 
 def rows_for(kind: str) -> list[dict]:
